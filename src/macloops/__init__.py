@@ -14,7 +14,6 @@ from .control import (
     RiccatiSolution,
     ce_control,
     ce_u0,
-    evaluate_cost,
     jdp_closed_form,
     riccati_backward,
     two_step_s1,
@@ -39,7 +38,6 @@ from .estimation import (
     general_estimate_burst,
     observer_update,
     sensor_kf_step,
-    tau_update,
     two_step_posterior,
 )
 from .model import (
@@ -47,10 +45,6 @@ from .model import (
     NetworkScenario,
     PlantModel,
     RngStream,
-    plant_step,
-    sample_noise,
-    scenario_equal,
-    uncontrolled_state,
 )
 from .network import (
     CrmConfig,
@@ -60,7 +54,6 @@ from .network import (
     traffic_step,
 )
 from .scheduling import (
-    SchedulerInput,
     SchedulerPolicy,
     decide,
     is_symmetric_control_free,

@@ -9,7 +9,8 @@ baseline ``example1-baseline``.  Every run writes its outputs next to a JSON
 manifest carrying the resolved scenario hash, seed and tool version; CSV
 outputs are byte-identical across reruns with equal hash and seed.
 
-Exit codes: 0 success, 2 usage, 3 validation error, 4 numerical failure.
+Exit codes: 0 success, 2 usage, 3 validation error, 4 numerical failure,
+5 file-system (I/O) error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import numbers
 import os
 import sys
 import time
@@ -38,7 +41,7 @@ from .control import (
 )
 from .errors import ConfigurationError, NumericalError
 from .estimation import two_step_posterior
-from .model import LoopConfig, NetworkScenario, PlantModel
+from .model import LoopConfig, NetworkScenario, PlantModel, as_vector
 from .network import CrmConfig, TrafficSource
 from .scheduling import SchedulerPolicy
 from .sim import MonteCarloResult, ce_law, monte_carlo, sweep_threshold, zero_law
@@ -55,6 +58,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+EXIT_IO = 5
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +129,81 @@ def presets() -> dict:
 # schema
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, path: str, required: Sequence[str], optional: Sequence[str]):
+_REQUIRED = object()
+
+# Field tables: key -> default, with _REQUIRED for keys a file must give.
+# Parsing checks and fills each block from its table; emit_scenario writes
+# the canonical document back out from the same tables.
+_PLANT = {"A": _REQUIRED, "B": _REQUIRED, "Rw": _REQUIRED, "R0": _REQUIRED,
+          "x0_mean": None, "period": 1, "phase": 0}
+_WEIGHTS = {"Q0": _REQUIRED, "Q1": _REQUIRED, "Q2": _REQUIRED}
+_CRM = {"persistence": _REQUIRED, "max_attempts": 0, "slots_per_sample": 0}
+_SCHEDULERS = {
+    "always": {},
+    "state": {"eps": 0.0},
+    "innovation": {"eps": 0.0},
+    "halfline": {"threshold": 0.5, "direction": "ge"},
+}
+_SOURCES = {"bernoulli": {"rate": 0.0}, "markov": {"p_on": 0.0, "p_off": 0.0}}
+_LOOP = {"horizon": _REQUIRED, "net_penalty": 0.0}
+# a loop block also holds the nested blocks, and count/phase_step, which
+# expand it into copies and are not emitted
+_LOOP_BLOCK = {"plant": _REQUIRED, "scheduler": _REQUIRED, "weights": _REQUIRED,
+               **_LOOP, "count": 1, "phase_step": 0}
+_RUN = {"name": "scenario", "episodes": 1000, "seed": 1}
+_SCENARIO = {"loops": _REQUIRED, "crm": _REQUIRED, "sources": (), "global_horizon": None,
+             **_RUN}
+
+_INTEGER_FIELDS = frozenset({
+    "count", "phase_step", "period", "phase", "horizon", "max_attempts",
+    "slots_per_sample", "episodes", "seed", "global_horizon",
+})
+_MATRIX_FIELDS = frozenset({"A", "B", "Rw", "R0", "x0_mean", "Q0", "Q1", "Q2"})
+
+
+def _number(value, path: str, kind: type):
+    """A number field; an integer field must hold an integral value."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value)
+            or (kind is int and (math.isinf(value) or value != int(value)))):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{path}: must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _fields(obj: dict, path: str, table: dict) -> dict:
+    """Check a block's keys against its table and fill in the defaults.
+
+    Integer fields and fields with a float default are checked as numbers;
+    matrices and strings are left to the configuration types.
+    """
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path}: expected an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    unknown = sorted(set(obj) - set(table))
     if unknown:
         raise ConfigurationError(f"{path}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(obj))
+    missing = sorted(k for k, d in table.items() if d is _REQUIRED and k not in obj)
     if missing:
         raise ConfigurationError(f"{path}: missing keys {missing}")
+    out = {}
+    for key, default in table.items():
+        value = obj.get(key, default)
+        if key in _INTEGER_FIELDS and value is not None:
+            value = _number(value, f"{path}.{key}", int)
+        elif isinstance(default, float):
+            value = _number(value, f"{path}.{key}", float)
+        out[key] = value
+    return out
 
 
-def _parse_scheduler(d: dict, path: str) -> SchedulerPolicy:
-    _check_keys(d, path, ["kind"], ["eps", "threshold", "direction"])
-    kind = d["kind"]
-    if kind == "always":
-        return SchedulerPolicy.always_transmit()
-    if kind == "state":
-        return SchedulerPolicy.state_threshold(float(d.get("eps", 0.0)))
-    if kind == "innovation":
-        return SchedulerPolicy.innovation_threshold(float(d.get("eps", 0.0)))
-    if kind == "halfline":
-        return SchedulerPolicy.half_line_state(
-            float(d.get("threshold", 0.5)), d.get("direction", "ge")
-        )
-    raise ConfigurationError(f"{path}.kind: unknown scheduler kind {kind!r}")
+def _kind_fields(obj: dict, path: str, tables: dict, what: str) -> tuple[str, dict]:
+    """The kind of a scheduler or source block and the fields that kind uses."""
+    any_kind = {key: None for table in tables.values() for key in table}
+    kind = _fields(obj, path, {"kind": _REQUIRED, **any_kind})["kind"]
+    if not isinstance(kind, str) or kind not in tables:
+        raise ConfigurationError(f"{path}.kind: unknown {what} kind {kind!r}")
+    fields = _fields(obj, path, {"kind": _REQUIRED, **tables[kind]})
+    del fields["kind"]
+    return kind, fields
 
 
 def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
@@ -158,47 +212,27 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
     `phase_step` staggers the copies' sampling phases by that many ticks
     (modulo the period); without it all copies share the block's phase.
     """
-    _check_keys(d, path, ["plant", "scheduler", "horizon", "weights"],
-                ["count", "net_penalty", "phase_step"])
-    pd = d["plant"]
-    _check_keys(pd, f"{path}.plant", ["A", "B", "Rw", "R0"],
-                ["x0_mean", "period", "phase"])
-    count = int(d.get("count", 1))
-    if count < 1:
-        raise ConfigurationError(f"{path}.count: must be >= 1, got {count}")
-    period = int(pd.get("period", 1))
-    phase0 = int(pd.get("phase", 0))
-    phase_step = int(d.get("phase_step", 0))
-    wd = d["weights"]
-    _check_keys(wd, f"{path}.weights", ["Q0", "Q1", "Q2"], [])
+    fields = _fields(d, path, _LOOP_BLOCK)
+    plant = _fields(fields["plant"], f"{path}.plant", _PLANT)
+    kind, sched = _kind_fields(fields["scheduler"], f"{path}.scheduler", _SCHEDULERS,
+                               "scheduler")
+    weights = _fields(fields["weights"], f"{path}.weights", _WEIGHTS)
+    if fields["count"] < 1:
+        raise ConfigurationError(f"{path}.count: must be >= 1, got {fields['count']}")
     loops = []
-    for i in range(count):
+    for i in range(fields["count"]):
+        phase = plant["phase"] + i * fields["phase_step"]
         try:
-            plant = PlantModel(
-                A=pd["A"], B=pd["B"], Rw=pd["Rw"], R0=pd["R0"],
-                x0_mean=pd.get("x0_mean"), period=period,
-                phase=(phase0 + i * phase_step) % period,
-            )
             loops.append(LoopConfig(
-                plant=plant,
-                scheduler=_parse_scheduler(d["scheduler"], f"{path}.scheduler"),
-                horizon=int(d["horizon"]),
-                Q0=wd["Q0"], Q1=wd["Q1"], Q2=wd["Q2"],
-                net_penalty=float(d.get("net_penalty", 0.0)),
+                plant=PlantModel(**{**plant, "phase": phase % max(plant["period"], 1)}),
+                scheduler=SchedulerPolicy(kind=kind, **sched),
+                horizon=fields["horizon"],
+                net_penalty=fields["net_penalty"],
+                **weights,
             ))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
     return loops
-
-
-def _parse_source(d: dict, path: str) -> TrafficSource:
-    _check_keys(d, path, ["kind"], ["rate", "p_on", "p_off"])
-    if d["kind"] == "bernoulli":
-        return TrafficSource.bernoulli(float(d.get("rate", 0.0)))
-    if d["kind"] == "markov":
-        return TrafficSource.markov_on_off(float(d.get("p_on", 0.0)),
-                                           float(d.get("p_off", 0.0)))
-    raise ConfigurationError(f"{path}.kind: unknown source kind {d['kind']!r}")
 
 
 @dataclass(eq=False)
@@ -236,37 +270,31 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
             if not isinstance(doc, dict):
                 raise ConfigurationError(f"{path}: top level must be an object")
 
-    _check_keys(doc, "scenario", ["loops", "crm"],
-                ["name", "episodes", "seed", "sources", "global_horizon"])
-    cd = doc["crm"]
-    _check_keys(cd, "crm", ["persistence"], ["max_attempts", "slots_per_sample"])
-    crm = CrmConfig(
-        persistence=tuple(cd["persistence"]),
-        max_attempts=int(cd.get("max_attempts", 0)),
-        slots_per_sample=int(cd.get("slots_per_sample", 0)),
-    )
-    if not isinstance(doc["loops"], list) or not doc["loops"]:
+    top = _fields(doc, "scenario", _SCENARIO)
+    crm = _fields(top["crm"], "crm", _CRM)
+    crm["persistence"] = tuple(as_vector(crm["persistence"], "crm.persistence"))
+    if not isinstance(top["loops"], list) or not top["loops"]:
         raise ConfigurationError("scenario.loops: must be a non-empty array")
     loops, groups = [], []
-    for bi, block in enumerate(doc["loops"]):
+    for bi, block in enumerate(top["loops"]):
         expanded = _parse_loop(block, f"loops[{bi}]")
         loops.extend(expanded)
         groups.extend([bi] * len(expanded))
-    sources = [
-        _parse_source(sd, f"sources[{si}]")
-        for si, sd in enumerate(doc.get("sources", []))
-    ]
+    sources = []
+    for si, sd in enumerate(top["sources"]):
+        kind, fields = _kind_fields(sd, f"sources[{si}]", _SOURCES, "source")
+        sources.append(TrafficSource(kind=kind, **fields))
     scenario = NetworkScenario(
         loops=tuple(loops),
-        crm=crm,
+        crm=CrmConfig(**crm),
         sources=tuple(sources),
-        global_horizon=doc.get("global_horizon"),
+        global_horizon=top["global_horizon"],
     )
     return ScenarioDoc(
-        name=str(doc.get("name", "scenario")),
+        name=str(top["name"]),
         scenario=scenario,
-        episodes=int(doc.get("episodes", 1000)),
-        seed=int(doc.get("seed", 1)),
+        episodes=top["episodes"],
+        seed=top["seed"],
         groups=tuple(groups),
     )
 
@@ -276,11 +304,18 @@ def parse_scenario(source: Union[str, Path, dict]) -> NetworkScenario:
     return parse_scenario_doc(source).scenario
 
 
-def _mat_out(arr: np.ndarray):
-    arr = np.asarray(arr)
-    if arr.size == 1:
-        return float(arr.reshape(-1)[0])
-    return arr.tolist()
+def _emit(obj, table: dict) -> dict:
+    """The fields of `table` read off a configuration object, as JSON values."""
+    out = {}
+    for key in table:
+        value = getattr(obj, key)
+        if key in _MATRIX_FIELDS:
+            arr = np.asarray(value)
+            value = float(arr.reshape(-1)[0]) if arr.size == 1 else arr.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[key] = value
+    return out
 
 
 def emit_scenario(doc: ScenarioDoc) -> dict:
@@ -290,53 +325,23 @@ def emit_scenario(doc: ScenarioDoc) -> dict:
     is also what the manifest hash is computed over.
     """
     scn = doc.scenario
-    out_loops = []
-    for lc in scn.loops:
-        sched: dict = {"kind": lc.scheduler.kind}
-        if lc.scheduler.kind in ("state", "innovation"):
-            sched["eps"] = lc.scheduler.eps
-        if lc.scheduler.kind == "halfline":
-            sched["threshold"] = lc.scheduler.threshold
-            sched["direction"] = lc.scheduler.direction
-        out_loops.append(
-            {
-                "plant": {
-                    "A": _mat_out(lc.plant.A),
-                    "B": _mat_out(lc.plant.B),
-                    "Rw": _mat_out(lc.plant.Rw),
-                    "R0": _mat_out(lc.plant.R0),
-                    "x0_mean": _mat_out(lc.plant.x0_mean),
-                    "period": lc.plant.period,
-                    "phase": lc.plant.phase,
-                },
-                "scheduler": sched,
-                "horizon": lc.horizon,
-                "weights": {
-                    "Q0": _mat_out(lc.Q0),
-                    "Q1": _mat_out(lc.Q1),
-                    "Q2": _mat_out(lc.Q2),
-                },
-                "net_penalty": lc.net_penalty,
-            }
-        )
-    out_sources = []
-    for src in scn.sources:
-        if src.kind == "bernoulli":
-            out_sources.append({"kind": "bernoulli", "rate": src.rate})
-        else:
-            out_sources.append({"kind": "markov", "p_on": src.p_on, "p_off": src.p_off})
+    loops = [
+        {
+            **_emit(lc, _LOOP),
+            "plant": _emit(lc.plant, _PLANT),
+            "scheduler": {"kind": lc.scheduler.kind,
+                          **_emit(lc.scheduler, _SCHEDULERS[lc.scheduler.kind])},
+            "weights": _emit(lc, _WEIGHTS),
+        }
+        for lc in scn.loops
+    ]
     return {
-        "name": doc.name,
-        "episodes": doc.episodes,
-        "seed": doc.seed,
+        **_emit(doc, _RUN),
         "global_horizon": scn.global_horizon,
-        "crm": {
-            "persistence": list(scn.crm.persistence),
-            "max_attempts": scn.crm.max_attempts,
-            "slots_per_sample": scn.crm.slots_per_sample,
-        },
-        "sources": out_sources,
-        "loops": out_loops,
+        "crm": _emit(scn.crm, _CRM),
+        "sources": [{"kind": src.kind, **_emit(src, _SOURCES[src.kind])}
+                    for src in scn.sources],
+        "loops": loops,
     }
 
 
@@ -726,7 +731,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_IO
 
 
 if __name__ == "__main__":

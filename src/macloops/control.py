@@ -1,7 +1,7 @@
 """Finite-horizon Riccati machinery, certainty-equivalent control, the
-closed-form predicted cost for the prediction-observer architecture, cost
-accumulation with an optional network-usage penalty, and the scalar two-step
-controller with its probing (dual-effect) correction.
+closed-form predicted cost for the prediction-observer architecture, the
+per-loop cost report, and the scalar two-step controller with its probing
+(dual-effect) correction.
 
 The two-step stationarity condition couples the control to the estimator:
 the truncation bounds inside the posterior moments move with u0, so the
@@ -42,16 +42,13 @@ class RiccatiSolution:
     B: np.ndarray
     Q2: np.ndarray
 
-    def gain(self, k: int) -> np.ndarray:
-        return self.L[k]
-
 
 def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     """Backward Riccati recursion from S_N = Q0.
 
     Each S_k is symmetrized after the update to stop round-off drift.  The
     gain inverse (Q2 + B'SB) is positive definite for PD Q2; a numerically
-    singular one raises NumericalError.
+    singular one, or an S_k that overflows, raises NumericalError.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -66,15 +63,24 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     S = [None] * (horizon + 1)
     L = [None] * horizon
     S[horizon] = Q0
-    for k in range(horizon - 1, -1, -1):
-        S_next = S[k + 1]
-        G = Q2 + B.T @ S_next @ B
-        cond = np.linalg.cond(G)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise NumericalError(f"Q2 + B'SB numerically singular at step {k} (cond={cond:.2e})")
-        L[k] = np.linalg.solve(G, B.T @ S_next @ A)
-        Sk = Q1 + A.T @ S_next @ A - A.T @ S_next @ B @ L[k]
-        S[k] = 0.5 * (Sk + Sk.T)
+    # overflow is reported below as a NumericalError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon - 1, -1, -1):
+            S_next = S[k + 1]
+            G = Q2 + B.T @ S_next @ B
+            try:
+                cond = np.linalg.cond(G)
+            except np.linalg.LinAlgError:
+                cond = np.inf
+            if not np.isfinite(cond) or cond > 1e14:
+                raise NumericalError(
+                    f"Q2 + B'SB numerically singular at step {k} (cond={cond:.2e})"
+                )
+            L[k] = np.linalg.solve(G, B.T @ S_next @ A)
+            Sk = Q1 + A.T @ S_next @ A - A.T @ S_next @ B @ L[k]
+            if not np.isfinite(Sk).all():
+                raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
+            S[k] = 0.5 * (Sk + Sk.T)
     return RiccatiSolution(S=tuple(S), L=tuple(L), horizon=horizon, A=A, B=B, Q2=Q2)
 
 
@@ -123,41 +129,6 @@ class CostReport:
     net_penalty: float
     j_lambda_mean: float
     j_dp: Optional[float] = None
-
-
-def evaluate_cost(trace, Q0, Q1, Q2, net_penalty: float = 0.0) -> CostReport:
-    """Accumulate the quadratic cost of one completed trace.
-
-    Expects `trace` to expose xs (N+1 states, terminal included), us (N
-    inputs) and deltas (N delivery flags).  The penalized cost adds
-    net_penalty per delivered packet.
-    """
-    Q0 = as_matrix(Q0, "Q0")
-    Q1 = as_matrix(Q1, "Q1")
-    Q2 = as_matrix(Q2, "Q2")
-    xs = np.asarray(trace.xs, dtype=float)
-    us = np.asarray(trace.us, dtype=float)
-    deltas = np.asarray(trace.deltas)
-    n_steps = us.shape[0]
-    if xs.shape[0] != n_steps + 1:
-        raise ConfigurationError(
-            f"incomplete trace: {xs.shape[0]} states for {n_steps} inputs"
-        )
-    if deltas.shape[0] != n_steps:
-        raise ConfigurationError("incomplete trace: delta sequence length mismatch")
-    j = 0.0
-    for s in range(n_steps):
-        j += float(xs[s] @ Q1 @ xs[s]) + float(us[s] @ Q2 @ us[s])
-    j += float(xs[n_steps] @ Q0 @ xs[n_steps])
-    tx = float(deltas.sum())
-    return CostReport(
-        episodes=1,
-        j_mean=j,
-        j_se=float("nan"),
-        tx_mean=tx,
-        net_penalty=net_penalty,
-        j_lambda_mean=j + net_penalty * tx,
-    )
 
 
 # -- scalar two-step problem -------------------------------------------------

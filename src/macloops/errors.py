@@ -3,8 +3,8 @@
 ConfigurationError covers bad inputs detected before any computation runs
 (dimension mismatches, invalid probabilities, non-PSD covariances).
 NumericalError and its subclasses cover failures of the numeric machinery
-at runtime.  The CLI maps ConfigurationError to exit code 3 and
-NumericalError to exit code 4.
+at runtime.  The CLI maps ConfigurationError to exit code 3,
+NumericalError to exit code 4 and file-system errors (OSError) to 5.
 """
 
 

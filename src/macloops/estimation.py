@@ -34,13 +34,6 @@ from .stats import (
 )
 
 
-def tau_update(tau_prev: int, delta: int, k: int) -> int:
-    """Index of the last received packet: k on a delivery, else unchanged."""
-    if tau_prev > k - 1:
-        raise ConfigurationError(f"tau_prev={tau_prev} must be <= k-1={k - 1}")
-    return k if delta else tau_prev
-
-
 @dataclass(frozen=True, eq=False)
 class ObserverState:
     """Controller-side observer after processing step k.

@@ -1,5 +1,5 @@
-"""Plant dynamics, noise models, loop/scenario configuration and seeded
-random-number streams.
+"""Plant models, loop/scenario configuration and seeded random-number
+streams.
 
 All configuration types are immutable after construction (arrays are frozen),
 so scenarios can be shared freely across concurrent episode workers.  Every
@@ -9,8 +9,9 @@ makes episodes bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -23,19 +24,29 @@ from .scheduling import SchedulerPolicy
 PSD_CLIP = 1e-12
 
 
-def as_matrix(value, name: str) -> np.ndarray:
-    """Coerce a scalar or nested sequence to a 2-D float array."""
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if arr.ndim != 2:
-        raise ConfigurationError(f"{name} must be a matrix, got shape {arr.shape}")
+def _array(value, name: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be numeric, got {value!r}") from None
+    arr = np.atleast_2d(arr) if ndim == 2 else np.atleast_1d(arr)
+    if arr.ndim != ndim:
+        what = "matrix" if ndim == 2 else "vector"
+        raise ConfigurationError(f"{name} must be a {what}, got shape {arr.shape}")
+    # a Python pass beats np.isfinite(...).all() on the tiny per-step arrays
+    if not all(map(math.isfinite, arr.ravel().tolist())):
+        raise ConfigurationError(f"{name} must be finite, got {arr.tolist()}")
     return arr
+
+
+def as_matrix(value, name: str) -> np.ndarray:
+    """Coerce a scalar or nested sequence to a finite 2-D float array."""
+    return _array(value, name, 2)
 
 
 def as_vector(value, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1:
-        raise ConfigurationError(f"{name} must be a vector, got shape {arr.shape}")
-    return arr
+    """Coerce a scalar or sequence to a finite 1-D float array."""
+    return _array(value, name, 1)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -82,14 +93,12 @@ class RngStream:
     master_seed: int
     coords: tuple[int, ...] = ()
 
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(self.master_seed, spawn_key=self.coords)
-
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed_sequence()))
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=self.coords)
+        return np.random.Generator(np.random.PCG64(seq))
 
     def child(self, *extra: int) -> "RngStream":
-        return RngStream(self.master_seed, self.coords + tuple(int(e) for e in extra))
+        return RngStream(self.master_seed, self.coords + tuple(map(int, extra)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,52 +157,6 @@ class PlantModel:
         return self.B.shape[1]
 
 
-def plant_step(model: PlantModel, x, u, w) -> np.ndarray:
-    """One step of the state equation: A x + B u + w."""
-    x = as_vector(x, "x")
-    u = as_vector(u, "u")
-    w = as_vector(w, "w")
-    if x.shape != (model.n,):
-        raise ConfigurationError(f"x must have length {model.n}, got {x.shape}")
-    if u.shape != (model.m,):
-        raise ConfigurationError(f"u must have length {model.m}, got {u.shape}")
-    if w.shape != (model.n,):
-        raise ConfigurationError(f"w must have length {model.n}, got {w.shape}")
-    return model.A @ x + model.B @ u + w
-
-
-def uncontrolled_state(controls: Sequence, x_k, model: PlantModel) -> np.ndarray:
-    """State of the auxiliary uncontrolled process: x_k with the accumulated
-    effect of the applied inputs u_0..u_{k-1} subtracted.
-
-    For a fixed noise realization the result is identical under any two
-    control sequences, which is what makes it usable as a control-free
-    scheduling argument.
-    """
-    x_k = as_vector(x_k, "x_k")
-    if x_k.shape != (model.n,):
-        raise ConfigurationError(f"x_k must have length {model.n}")
-    acc = np.zeros(model.n)
-    for u in controls:
-        u = as_vector(u, "u")
-        if u.shape != (model.m,):
-            raise ConfigurationError(f"controls must have length {model.m}")
-        acc = model.A @ acc + model.B @ u
-    return x_k - acc
-
-
-def sample_noise(stream: Union[RngStream, np.random.Generator], covariance) -> np.ndarray:
-    """Zero-mean Gaussian draw with the given covariance.
-
-    The draw goes through the symmetric PSD square root, so exactly n standard
-    normals are consumed per call regardless of the covariance's rank.
-    """
-    cov = as_matrix(covariance, "covariance")
-    factor = psd_sqrt(cov)
-    gen = stream.generator() if isinstance(stream, RngStream) else stream
-    return factor @ gen.standard_normal(cov.shape[0])
-
-
 @dataclass(frozen=True, eq=False)
 class LoopConfig:
     """One control loop: plant, scheduler policy, horizon and cost weights."""
@@ -250,36 +213,3 @@ class NetworkScenario:
                 f"(needs {needed} ticks)"
             )
         object.__setattr__(self, "global_horizon", horizon)
-
-
-def scenario_equal(a: NetworkScenario, b: NetworkScenario) -> bool:
-    """Structural equality of two scenarios (arrays compared element-wise)."""
-    if len(a.loops) != len(b.loops) or a.global_horizon != b.global_horizon:
-        return False
-    if a.crm != b.crm or a.sources != b.sources:
-        return False
-    for la, lb in zip(a.loops, b.loops):
-        pa, pb = la.plant, lb.plant
-        same_plant = (
-            np.array_equal(pa.A, pb.A)
-            and np.array_equal(pa.B, pb.B)
-            and np.array_equal(pa.Rw, pb.Rw)
-            and np.array_equal(pa.R0, pb.R0)
-            and np.array_equal(pa.x0_mean, pb.x0_mean)
-            and pa.period == pb.period
-            and pa.phase == pb.phase
-        )
-        same_weights = (
-            np.array_equal(la.Q0, lb.Q0)
-            and np.array_equal(la.Q1, lb.Q1)
-            and np.array_equal(la.Q2, lb.Q2)
-        )
-        if not (
-            same_plant
-            and same_weights
-            and la.scheduler == lb.scheduler
-            and la.horizon == lb.horizon
-            and la.net_penalty == lb.net_penalty
-        ):
-            return False
-    return True

@@ -18,11 +18,14 @@ share each contender's private draw table (common random numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from .model import RngStream
 
 RESULT_SUCCESS = "success"
 RESULT_COLLIDED = "collided"
@@ -85,30 +88,17 @@ class SlotOutcome:
     winners: tuple[int, ...]
     events: tuple[SlotEvent, ...]
 
-    def result_of(self, contender: int) -> str:
-        return RESULT_SUCCESS if self.delta.get(contender, 0) else RESULT_DROPPED
 
-
-def _contender_generator(seed, contender: int) -> np.random.Generator:
-    """Private draw table for one contender, keyed by its id."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (int(contender),)
-        )
-    else:
-        ss = np.random.SeedSequence(int(seed), spawn_key=(int(contender),))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def resolve_contention(requests: Iterable[int], crm: CrmConfig, seed) -> SlotOutcome:
+def resolve_contention(requests: Iterable[int], crm: CrmConfig,
+                       stream: RngStream) -> SlotOutcome:
     """Run one contention round among the requesting contender ids.
 
-    `seed` is an int or numpy SeedSequence; each contender's transmit draws
-    come from a private stream keyed by (seed, contender id), which keeps the
-    draws aligned across runs that add or remove contenders.
+    Each contender's transmit draws come from its private stream
+    `stream.child(contender)`, which keeps the draws aligned across runs that
+    add or remove contenders.
     """
     contenders = sorted(set(int(c) for c in requests))
-    gens = {c: _contender_generator(seed, c) for c in contenders}
+    gens = {c: stream.child(c).generator() for c in contenders}
     attempt = {c: 1 for c in contenders}
     used = {c: 0 for c in contenders}
     pending = list(contenders)

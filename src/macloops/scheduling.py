@@ -10,9 +10,9 @@ Four named variants plus a hook for user-supplied symmetric maps:
 * halfline    -- request iff x >= c (scalar states only; uses controls),
 * custom      -- any user map of the innovation declared symmetric.
 
-The information-pattern tag is what downstream guarantees key off: policies
-tagged control-free produce bit-identical request sequences under any two
-control laws for a fixed noise realization.
+`is_symmetric_control_free` is what downstream guarantees key off: such
+policies produce bit-identical request sequences under any two control laws
+for a fixed noise realization.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class SchedulerPolicy:
         if self.kind == "custom" and self.rule is None:
             raise ConfigurationError("custom scheduler needs a rule")
 
-    @property
-    def info_pattern(self) -> str:
-        return "control-free" if _CONTROL_FREE[self.kind] else "uses-controls"
-
     # -- constructors -------------------------------------------------------
     @classmethod
     def always_transmit(cls) -> "SchedulerPolicy":
@@ -76,38 +72,10 @@ class SchedulerPolicy:
         return cls(kind="custom", rule=rule)
 
 
-@dataclass(frozen=True)
-class SchedulerInput:
-    """What a scheduler sees at one sampling instant.
-
-    `pred` is the estimate the controller would hold if the current packet is
-    not delivered, i.e. the model prediction from the last received packet.
-    """
-
-    x: np.ndarray
-    pred: np.ndarray
-    k: int
-    tau_prev: int = -1
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "pred", np.atleast_1d(np.asarray(self.pred, dtype=float)))
-        if self.x.shape != self.pred.shape:
-            raise ConfigurationError(
-                f"x and pred must have equal shapes, got {self.x.shape} vs {self.pred.shape}"
-            )
-        if self.tau_prev > self.k - 1:
-            raise ConfigurationError(
-                f"tau_prev={self.tau_prev} must be <= k-1={self.k - 1}"
-            )
-
-    @property
-    def innovation(self) -> np.ndarray:
-        return self.x - self.pred
-
-
-def decide(policy: SchedulerPolicy, inp: SchedulerInput) -> int:
-    """Evaluate the policy: 1 requests a transmission, 0 stays silent.
+def decide(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> int:
+    """Evaluate the policy on the state x and the prediction pred the
+    controller holds if this sample is not delivered: 1 requests a
+    transmission, 0 stays silent.
 
     Threshold comparisons are strict (>) for the quadratic rules; the
     half-line rule uses >= (or <=) against its boundary.
@@ -115,18 +83,18 @@ def decide(policy: SchedulerPolicy, inp: SchedulerInput) -> int:
     if policy.kind == "always":
         return 1
     if policy.kind == "state":
-        return 1 if float(inp.x @ inp.x) > policy.eps else 0
+        return 1 if float(x @ x) > policy.eps else 0
     if policy.kind == "innovation":
-        r = inp.innovation
+        r = x - pred
         return 1 if float(r @ r) > policy.eps else 0
     if policy.kind == "halfline":
-        if inp.x.shape != (1,):
+        if x.shape != (1,):
             raise ConfigurationError("half-line scheduling is defined for scalar states only")
         if policy.direction == "ge":
-            return 1 if inp.x[0] >= policy.threshold else 0
-        return 1 if inp.x[0] <= policy.threshold else 0
+            return 1 if x[0] >= policy.threshold else 0
+        return 1 if x[0] <= policy.threshold else 0
     # custom symmetric map of the innovation
-    return 1 if policy.rule(inp.innovation) else 0
+    return 1 if policy.rule(x - pred) else 0
 
 
 def is_symmetric_control_free(policy: SchedulerPolicy) -> bool:

@@ -29,7 +29,7 @@ from .errors import ConfigurationError
 from .estimation import ObserverState, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
 from .network import resolve_contention, traffic_step
-from .scheduling import SchedulerInput, decide, is_symmetric_control_free
+from .scheduling import decide, is_symmetric_control_free
 
 _ROLE_NOISE = 0
 _ROLE_TRAFFIC = 1
@@ -84,6 +84,31 @@ def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int
     return x0, w
 
 
+def _riccati_solutions(scenario: NetworkScenario) -> list[RiccatiSolution]:
+    """The backward Riccati solution of every loop, in loop order."""
+    return [
+        riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
+        for lc in scenario.loops
+    ]
+
+
+def _empty_trace(lc, idx: int, episode: int) -> LoopTrace:
+    """A trace whose per-step arrays the engine fills in place."""
+    n_steps, n, m = lc.horizon, lc.plant.n, lc.plant.m
+    ks = np.arange(n_steps)
+    return LoopTrace(
+        loop=idx, episode=episode, period=lc.plant.period, phase=lc.plant.phase,
+        ks=ks, ticks=lc.plant.phase + lc.plant.period * ks,
+        xs=np.empty((n_steps + 1, n)), us=np.empty((n_steps, m)),
+        gammas=np.empty(n_steps, dtype=int), deltas=np.empty(n_steps, dtype=int),
+        attempts=np.empty(n_steps, dtype=int),
+        xhats=np.empty((n_steps, n)), errs=np.empty((n_steps, n)),
+        pred_err_sq=np.empty(n_steps),
+        taus=np.empty(n_steps, dtype=int), delays=np.empty(n_steps, dtype=int),
+        cost_terms=np.empty(n_steps), terminal_cost=0.0, j=0.0, j_lambda=0.0,
+    )
+
+
 def run_episode(
     scenario: NetworkScenario,
     seed: int,
@@ -100,139 +125,87 @@ def run_episode(
     """
     loops = scenario.loops
     if solutions is None:
-        solutions = [
-            riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
-            for lc in loops
-        ]
-    x0s, noises = [], []
-    for i in range(len(loops)):
+        solutions = _riccati_solutions(scenario)
+    traces = [_empty_trace(lc, i, episode) for i, lc in enumerate(loops)]
+    noises = []
+    for i, tr in enumerate(traces):
         x0, w = _noise_for_loop(scenario, seed, episode, i)
-        x0s.append(x0)
+        tr.xs[0] = x0
         noises.append(w)
+    # the loops sampling at each tick, in loop order, with their step index
+    schedule: dict[int, list[tuple[int, int]]] = {}
+    for i, tr in enumerate(traces):
+        for k, tick in enumerate(tr.ticks.tolist()):
+            schedule.setdefault(tick, []).append((i, k))
 
     traffic_gens = [
         RngStream(int(seed), (int(episode), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC)).generator()
         for j in range(len(scenario.sources))
     ]
     traffic_state = [0] * len(scenario.sources)
-    contention_root = np.random.SeedSequence(
-        int(seed), spawn_key=(int(episode), _ROLE_CONTENTION)
-    )
-
-    xs = [x0 for x0 in x0s]
     observers = [ObserverState.initial(lc.plant) for lc in loops]
     u_prev = [np.zeros(lc.plant.m) for lc in loops]
-    ks = [0] * len(loops)
-    rows = [[] for _ in loops]          # per-loop list of per-step records
-    terminal = [None] * len(loops)
 
     for tick in range(scenario.global_horizon + 1):
         for j, src in enumerate(scenario.sources):
             traffic_state[j] = traffic_step(src, traffic_gens[j], traffic_state[j])
-
-        sampling = []
-        for i, lc in enumerate(loops):
-            if tick < lc.plant.phase or (tick - lc.plant.phase) % lc.plant.period != 0:
-                continue
-            if ks[i] == lc.horizon:
-                if terminal[i] is None:
-                    terminal[i] = xs[i]
-                continue
-            if ks[i] < lc.horizon:
-                sampling.append(i)
-        if not sampling:
+        sampling = schedule.get(tick)
+        if sampling is None:
             continue
 
         # schedule
-        gammas = {}
-        preds = {}
-        for i in sampling:
-            lc = loops[i]
-            obs = observers[i]
-            pred = lc.plant.A @ obs.xhat + lc.plant.B @ u_prev[i]
-            preds[i] = pred
-            inp = SchedulerInput(x=xs[i], pred=pred, k=ks[i], tau_prev=obs.tau)
-            gammas[i] = decide(lc.scheduler, inp)
+        preds, requests = [], []
+        for i, k in sampling:
+            plant = loops[i].plant
+            pred = plant.A @ observers[i].xhat + plant.B @ u_prev[i]
+            preds.append(pred)
+            gamma = decide(loops[i].scheduler, traces[i].xs[k], pred)
+            traces[i].gammas[k] = gamma
+            if gamma:
+                requests.append(i)
 
         # contend
-        requests = [i for i in sampling if gammas[i]]
         outcome = None
         if requests:
-            contenders = list(requests) + [
+            contenders = requests + [
                 SOURCE_CONTENDER_BASE + j
                 for j, active in enumerate(traffic_state)
                 if active
             ]
-            round_seed = np.random.SeedSequence(
-                entropy=contention_root.entropy,
-                spawn_key=tuple(contention_root.spawn_key) + (tick,),
-            )
-            outcome = resolve_contention(contenders, scenario.crm, round_seed)
+            stream = RngStream(int(seed), (int(episode), _ROLE_CONTENTION, tick))
+            outcome = resolve_contention(contenders, scenario.crm, stream)
             if event_log is not None:
                 event_log.append((tick, outcome))
 
         # deliver, estimate, control, step
-        for i in sampling:
-            lc = loops[i]
+        for (i, k), pred in zip(sampling, preds):
+            lc, tr = loops[i], traces[i]
+            x = tr.xs[k]
             delta = outcome.delta.get(i, 0) if outcome is not None else 0
-            attempts = outcome.attempts_used.get(i, 0) if outcome is not None else 0
-            obs = observer_update(
-                observers[i], delta, xs[i] if delta else None, u_prev[i], lc.plant
-            )
+            obs = observer_update(observers[i], delta, x if delta else None, u_prev[i], lc.plant)
             observers[i] = obs
-            u = control_law(solutions[i].L[ks[i]], obs.xhat)
-            x = xs[i]
-            err = x - obs.xhat
-            resid = x - preds[i]
-            cost = float(x @ lc.Q1 @ x) + float(u @ lc.Q2 @ u)
-            rows[i].append(
-                (ks[i], tick, x, u, gammas[i], delta, attempts, obs.xhat,
-                 err, float(resid @ resid), obs.tau, obs.delay, cost)
-            )
-            xs[i] = lc.plant.A @ x + lc.plant.B @ u + noises[i][ks[i]]
+            u = control_law(solutions[i].L[k], obs.xhat)
+            resid = x - pred
+            tr.us[k] = u
+            tr.deltas[k] = delta
+            tr.attempts[k] = outcome.attempts_used.get(i, 0) if outcome is not None else 0
+            tr.xhats[k] = obs.xhat
+            tr.errs[k] = x - obs.xhat
+            tr.pred_err_sq[k] = float(resid @ resid)
+            tr.taus[k] = obs.tau
+            tr.delays[k] = obs.delay
+            tr.cost_terms[k] = float(x @ lc.Q1 @ x) + float(u @ lc.Q2 @ u)
+            tr.xs[k + 1] = lc.plant.A @ x + lc.plant.B @ u + noises[i][k]
             u_prev[i] = u
-            ks[i] += 1
 
-    traces = []
-    for i, lc in enumerate(loops):
-        if terminal[i] is None or len(rows[i]) != lc.horizon:
-            raise ConfigurationError(
-                f"loop {i} did not complete its horizon within the global horizon"
-            )
-        rec = rows[i]
-        n_steps = lc.horizon
-        xs_arr = np.array([r[2] for r in rec] + [terminal[i]])
+    for lc, tr in zip(loops, traces):
+        terminal = tr.xs[-1]
+        tr.terminal_cost = float(terminal @ lc.Q0 @ terminal)
         j = 0.0
-        for r in rec:
-            j += r[12]
-        terminal_cost = float(terminal[i] @ lc.Q0 @ terminal[i])
-        j += terminal_cost
-        deltas = np.array([r[5] for r in rec], dtype=int)
-        j_lambda = j + lc.net_penalty * float(deltas.sum())
-        traces.append(
-            LoopTrace(
-                loop=i,
-                episode=episode,
-                period=lc.plant.period,
-                phase=lc.plant.phase,
-                ks=np.array([r[0] for r in rec], dtype=int),
-                ticks=np.array([r[1] for r in rec], dtype=int),
-                xs=xs_arr,
-                us=np.array([r[3] for r in rec]),
-                gammas=np.array([r[4] for r in rec], dtype=int),
-                deltas=deltas,
-                attempts=np.array([r[6] for r in rec], dtype=int),
-                xhats=np.array([r[7] for r in rec]),
-                errs=np.array([r[8] for r in rec]),
-                pred_err_sq=np.array([r[9] for r in rec]),
-                taus=np.array([r[10] for r in rec], dtype=int),
-                delays=np.array([r[11] for r in rec], dtype=int),
-                cost_terms=np.array([r[12] for r in rec]),
-                terminal_cost=terminal_cost,
-                j=j,
-                j_lambda=j_lambda,
-            )
-        )
+        for cost in tr.cost_terms.tolist():   # in step order, not numpy's pairwise sum
+            j += cost
+        tr.j = j + tr.terminal_cost
+        tr.j_lambda = tr.j + lc.net_penalty * float(tr.deltas.sum())
     return traces
 
 
@@ -285,10 +258,7 @@ def monte_carlo(
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
     loops = scenario.loops
-    solutions = [
-        riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
-        for lc in loops
-    ]
+    solutions = _riccati_solutions(scenario)
     n_loops = len(loops)
     costs = np.zeros((episodes, n_loops))
     costs_lambda = np.zeros((episodes, n_loops))
@@ -457,10 +427,7 @@ def dual_effect_experiment(
     if law_a is law_b:
         raise ConfigurationError("the two control laws must differ")
     loops = scenario.loops
-    solutions = [
-        riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
-        for lc in loops
-    ]
+    solutions = _riccati_solutions(scenario)
     control_free = all(is_symmetric_control_free(lc.scheduler) for lc in loops)
     identical = 0
     div_ticks = []

@@ -1,6 +1,7 @@
 """Scenario files, presets, subcommands, CSV outputs and exit codes."""
 
 import csv
+import hashlib
 import json
 from collections import defaultdict
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from macloops.cli import (
+    EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -20,7 +22,6 @@ from macloops.cli import (
     scenario_hash,
 )
 from macloops.errors import ConfigurationError
-from macloops.model import scenario_equal
 from macloops.stats import TruncatedGaussian, truncated_moments
 
 
@@ -78,25 +79,81 @@ class TestParsing:
         for name in ("example1", "example1-baseline", "example3"):
             doc = parse_scenario_doc(name)
             rebuilt = parse_scenario_doc(emit_scenario(doc))
-            assert scenario_equal(doc.scenario, rebuilt.scenario)
+            assert emit_scenario(rebuilt) == emit_scenario(doc)
             assert scenario_hash(doc) == scenario_hash(rebuilt)
+        changed = json.loads(json.dumps(presets()["example3"]))
+        changed["loops"][0]["scheduler"]["eps"] = 3.0
+        assert emit_scenario(parse_scenario_doc(changed)) != emit_scenario(doc)
 
-    def test_matrix_plants_parse(self, tmp_path):
-        doc = {
-            "name": "vector",
-            "crm": {"persistence": [1.0]},
-            "loops": [{
-                "plant": {"A": [[1.0, 0.1], [0.0, 0.9]], "B": [[0.0], [1.0]],
-                          "Rw": [[0.1, 0.0], [0.0, 0.1]],
-                          "R0": [[1.0, 0.0], [0.0, 1.0]]},
-                "scheduler": {"kind": "innovation", "eps": 1.0},
-                "horizon": 4,
-                "weights": {"Q0": [[1.0, 0.0], [0.0, 1.0]],
-                            "Q1": [[1.0, 0.0], [0.0, 1.0]], "Q2": 1.0},
-            }],
-        }
-        scn = parse_scenario(doc)
-        assert scn.loops[0].plant.n == 2
+    def test_scenario_hashes_are_pinned(self):
+        # the canonical document, and so every manifest hash, is unchanged
+        assert {name: scenario_hash(parse_scenario_doc(name)) for name in SCENARIO_HASHES} \
+            == SCENARIO_HASHES
+
+    def test_unused_source_key_rejected(self):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["sources"] = [{"kind": "bernoulli", "p_on": 0.3}]
+        with pytest.raises(ConfigurationError, match=r"sources\[0\]: unknown keys"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("path,where", [
+        (("loops", 0, "horizon"), "loops[0].horizon"),
+        (("loops", 0, "count"), "loops[0].count"),
+        (("loops", 0, "phase_step"), "loops[0].phase_step"),
+        (("loops", 0, "plant", "period"), "loops[0].plant.period"),
+        (("loops", 0, "plant", "phase"), "loops[0].plant.phase"),
+        (("crm", "max_attempts"), "crm.max_attempts"),
+        (("crm", "slots_per_sample"), "crm.slots_per_sample"),
+        (("episodes",), "scenario.episodes"),
+        (("seed",), "scenario.seed"),
+        (("global_horizon",), "scenario.global_horizon"),
+    ])
+    def test_integer_fields_reject_fractions(self, path, where):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        block = doc
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = 10.7
+        with pytest.raises(ConfigurationError) as info:
+            parse_scenario_doc(doc)
+        assert str(info.value) == f"{where}: must be an integer, got 10.7"
+
+    def test_integral_floats_accepted(self):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["horizon"] = 10.0
+        doc["episodes"] = 50.0
+        parsed = parse_scenario_doc(doc)
+        assert parsed.scenario.loops[0].horizon == 10 and parsed.episodes == 50
+        assert isinstance(parsed.episodes, int)
+
+
+SCENARIO_HASHES = {
+    "example1": "448292ff8c24c2d390407d574d2deb23b3518e7d80612e8bd75adc8c8c0bd580",
+    "example1-baseline": "d7b69e899585c874b995967b1c2b098713726fac35f7f9037d82219ae7bc0fa8",
+    "example3": "6fa0abebe149d1226be44e3c34c2ed0d96b43e45921284cc0fb3069198a4e5f8",
+}
+
+# SHA-256 of `simulate --scenario NAME --seed 7 --episodes E --dump-trace
+# --dump-events`, measured with numpy 2.4.6 (the draws come from numpy's
+# samplers).  A change that alters the random-stream layout on purpose
+# updates these digests and says so in CHANGES.md.
+OUTPUT_DIGESTS = {
+    ("example3", 20): {
+        "summary": "899837d531f052acf060375d3242c70b4c4dd21f2c663fe9633be50534fff889",
+        "trace": "5dc1b0ecb1e143de92bf54646dfe8bfd6c5c3a635b998594d0e52b1304940c88",
+        "events": "1e84d91127162080c38436fafaeb2c71592136bb50c4185436caba95c28decc9",
+    },
+    ("example1-baseline", 10): {
+        "summary": "7a299faa3785c85abc4846401c0cde2786f77c9bc2dd25a752ac767a4a349e84",
+        "trace": "b099e36a501bca7fd8ac5d6d69e4844bf14ee3e1210c88c3e03c87aa05d43148",
+        "events": "91685d1415e70985fb22209185dd95743b84705ebe6ae1c69e188f5acc889c0e",
+    },
+    ("example1", 10): {
+        "summary": "8c39cf661520b275d0a58aa213de0a2603b9bf53c5fe5fa30d87a435550fd972",
+        "trace": "ad5144129a2a9e30d4f6a6d059886dd2ca9f0a8f8dc1674523c39d4c74afbb0b",
+        "events": "12f30f6ca061a1896f5e37865923aa71ace8afa681da0f0971660c519a65a89d",
+    },
+}
 
 
 def read_csv(path):
@@ -141,6 +198,16 @@ class TestSimulateCommand:
         for row in summary:
             recomputed = np.mean(per_loop[row["loop"]])
             assert float(row["j_mean"]) == pytest.approx(recomputed, rel=1e-12)
+
+    @pytest.mark.parametrize("name,episodes", sorted(OUTPUT_DIGESTS))
+    def test_output_bytes_are_pinned(self, tmp_path, name, episodes):
+        code = main(["simulate", "--scenario", name, "--seed", "7", "--episodes",
+                     str(episodes), "--out", str(tmp_path / "run"), "--dump-trace",
+                     "--dump-events"])
+        assert code == EXIT_OK
+        digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
+                   for kind in ("summary", "trace", "events")}
+        assert digests == OUTPUT_DIGESTS[(name, episodes)]
 
     def test_events_dump(self, tmp_path):
         out = tmp_path / "ev"
@@ -215,3 +282,46 @@ class TestExitCodes:
 
     def test_numerical(self):
         assert main(["moments", "--upper", "-8.0"]) == EXIT_NUMERICAL
+
+    def test_non_integral_horizon(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["horizon"] = 10.7
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--episodes", "1",
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert "loops[0].horizon" in capsys.readouterr().err
+
+    def test_unused_scheduler_key(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["scheduler"]["threshold"] = 9
+        path = tmp_path / "unused.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--episodes", "1",
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert "loops[0].scheduler: unknown keys ['threshold']" in capsys.readouterr().err
+
+    def test_nan_dynamics(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["plant"]["A"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--episodes", "1",
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert "A must be finite" in capsys.readouterr().err
+
+    def test_overflowing_dynamics(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["plant"]["A"] = 1e200
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--episodes", "1",
+                     "--out", str(tmp_path / "r")]) == EXIT_NUMERICAL
+        assert "not finite" in capsys.readouterr().err
+
+    def test_io(self, tmp_path, capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        assert main(["simulate", "--scenario", "example3", "--episodes", "1",
+                     "--out", str(blocker / "run")]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err

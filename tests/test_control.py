@@ -1,15 +1,11 @@
 """Riccati recursion, cost accumulation and the two-step probing controller."""
 
-import math
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from macloops.control import (
     ce_control,
     ce_u0,
-    evaluate_cost,
     jdp_closed_form,
     riccati_backward,
     two_step_s1,
@@ -17,7 +13,11 @@ from macloops.control import (
     two_step_u0_optimal,
     two_step_u1,
 )
-from macloops.errors import BracketingError, ConfigurationError
+from macloops.errors import BracketingError, ConfigurationError, NumericalError
+from macloops.model import LoopConfig, NetworkScenario, PlantModel
+from macloops.network import CrmConfig
+from macloops.scheduling import SchedulerPolicy
+from macloops.sim import run_episode
 from macloops.stats import QuadratureSpec
 
 # frozen roots/residuals, verified against the Monte Carlo value-function
@@ -66,6 +66,10 @@ class TestRiccati:
         with pytest.raises(ConfigurationError):
             riccati_backward(1.0, 1.0, 1.0, 1.0, 0.0, 2)
 
+    def test_overflow_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            riccati_backward(1e200, 1.0, 1.0, 1.0, 1.0, 10)
+
 
 class TestCeControl:
     def test_examples(self):
@@ -104,38 +108,47 @@ class TestJdpClosedForm:
 
 
 class TestEvaluateCost:
+    """The cost the episode engine accumulates over one trace."""
+
     @staticmethod
-    def rollout_trace():
-        # x0=1, u0=-0.6 -> x1=0.4, u1=-0.2 -> x2=0.2 (noise-free)
-        return SimpleNamespace(
-            xs=np.array([[1.0], [0.4], [0.2]]),
-            us=np.array([[-0.6], [-0.2]]),
-            deltas=np.array([1, 1]),
-        )
+    def episode(x0, horizon=2, net_penalty=0.0):
+        plant = PlantModel(A=1.0, B=1.0, Rw=0.0, R0=0.0, x0_mean=[x0])
+        loop = LoopConfig(plant=plant, scheduler=SchedulerPolicy.always_transmit(),
+                          horizon=horizon, Q0=1.0, Q1=1.0, Q2=1.0, net_penalty=net_penalty)
+        scn = NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
+        return run_episode(scn, 0, 0)[0]
 
     def test_hand_rollout(self):
-        rep = evaluate_cost(self.rollout_trace(), 1.0, 1.0, 1.0)
-        assert rep.j_mean == pytest.approx(1.6, abs=1e-12)
-        assert rep.tx_mean == 2.0
-        assert math.isnan(rep.j_se)
+        # x0=1, u0=-0.6 -> x1=0.4, u1=-0.2 -> x2=0.2 (noise-free)
+        tr = self.episode(1.0)
+        assert tr.cost_terms == pytest.approx([1.36, 0.2], abs=1e-12)
+        assert tr.terminal_cost == pytest.approx(0.04, abs=1e-12)
+        assert tr.j == pytest.approx(1.6, abs=1e-12)
+        assert tr.deltas.sum() == 2
 
     def test_network_penalty(self):
-        trace = SimpleNamespace(xs=np.zeros((4, 1)), us=np.zeros((3, 1)),
-                                deltas=np.array([1, 0, 1]))
-        rep = evaluate_cost(trace, 1.0, 1.0, 1.0, net_penalty=2.0)
-        assert rep.j_mean == 0.0
-        assert rep.j_lambda_mean == pytest.approx(4.0)
+        tr = self.episode(0.0, horizon=3, net_penalty=2.0)
+        assert tr.j == 0.0
+        assert tr.j_lambda == pytest.approx(6.0)
 
     def test_zero_trajectory(self):
-        trace = SimpleNamespace(xs=np.zeros((3, 1)), us=np.zeros((2, 1)),
-                                deltas=np.zeros(2, dtype=int))
-        assert evaluate_cost(trace, 1.0, 1.0, 1.0).j_mean == 0.0
+        tr = self.episode(0.0)
+        assert tr.j == 0.0 and np.all(tr.cost_terms == 0.0)
 
     def test_incomplete_trace(self):
-        trace = SimpleNamespace(xs=np.zeros((2, 1)), us=np.zeros((2, 1)),
-                                deltas=np.zeros(2, dtype=int))
-        with pytest.raises(ConfigurationError):
-            evaluate_cost(trace, 1.0, 1.0, 1.0)
+        # every loop of a mixed-period network finishes its horizon
+        loops = tuple(
+            LoopConfig(plant=PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0, period=p, phase=p - 1),
+                       scheduler=SchedulerPolicy.always_transmit(), horizon=h,
+                       Q0=1.0, Q1=1.0, Q2=1.0)
+            for p, h in ((1, 7), (3, 4), (5, 2))
+        )
+        scn = NetworkScenario(loops=loops, crm=CrmConfig(persistence=(1.0, 0.5),
+                                                         slots_per_sample=4))
+        for lc, tr in zip(loops, run_episode(scn, 2, 0)):
+            assert tr.xs.shape == (lc.horizon + 1, 1) and tr.us.shape == (lc.horizon, 1)
+            assert np.all(np.isfinite(tr.xs)) and np.all(np.isfinite(tr.cost_terms))
+            assert tr.j == pytest.approx(tr.cost_terms.sum() + tr.terminal_cost)
 
 
 class TestTwoStepController:

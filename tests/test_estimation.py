@@ -17,7 +17,6 @@ from macloops.estimation import (
     general_estimate_burst,
     observer_update,
     sensor_kf_step,
-    tau_update,
     two_step_posterior,
 )
 from macloops.model import PlantModel, RngStream
@@ -34,18 +33,29 @@ UNIT_PLANT = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
 
 
 class TestTauUpdate:
+    """observer_update's last-received-packet index tau."""
+
+    @staticmethod
+    def after(tau, k, delta):
+        obs = ObserverState(xhat=np.array([1.0]), pred=np.array([1.0]), tau=tau, k=k - 1)
+        return observer_update(obs, delta, np.array([2.0]) if delta else None, [0.0],
+                               UNIT_PLANT)
+
     def test_initialization(self):
-        assert tau_update(-1, 0, 0) == -1
+        obs = ObserverState.initial(UNIT_PLANT)
+        assert obs.tau == -1
+        assert observer_update(obs, 0, None, [0.0], UNIT_PLANT).tau == -1
 
     def test_delivery_resets(self):
-        assert tau_update(1, 1, 3) == 3
+        assert self.after(1, 3, 1).tau == 3
 
     def test_miss_carries(self):
-        assert tau_update(1, 0, 3) == 1
+        assert self.after(1, 3, 0).tau == 1
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            tau_update(3, 0, 3)
+        with pytest.raises(ConfigurationError, match="y must have length 1"):
+            observer_update(ObserverState.initial(UNIT_PLANT), 1, np.array([1.0, 2.0]),
+                            [0.0], UNIT_PLANT)
 
 
 class TestObserverUpdate:

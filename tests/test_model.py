@@ -1,4 +1,5 @@
-"""Plant dynamics, the uncontrolled-process transform and seeded noise."""
+"""Plant dynamics, the innovation the scheduler sees, and seeded noise, as
+the episode engine runs them."""
 
 import numpy as np
 import pytest
@@ -9,133 +10,156 @@ from macloops.model import (
     NetworkScenario,
     PlantModel,
     RngStream,
-    plant_step,
-    psd_sqrt,
-    sample_noise,
-    scenario_equal,
-    uncontrolled_state,
 )
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
+from macloops.sim import _noise_for_loop, ce_law, run_episode, zero_law
+
+SILENT = SchedulerPolicy.innovation_threshold(1e12)
 
 
 def scalar_plant(a=1.0, b=1.0, rw=1.0, r0=1.0, **kw):
     return PlantModel(A=a, B=b, Rw=rw, R0=r0, **kw)
 
 
+def one_loop(plant, scheduler=None, horizon=3):
+    loop = LoopConfig(plant=plant, scheduler=scheduler or SchedulerPolicy.always_transmit(),
+                      horizon=horizon, Q0=np.eye(plant.n), Q1=np.eye(plant.n),
+                      Q2=np.eye(plant.m))
+    return NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
+
+
+def constant_law(u):
+    return lambda L_k, xhat: np.array(u, dtype=float)
+
+
 class TestPlantStep:
+    """The engine's state equation x+ = A x + B u + w."""
+
     def test_scalar(self):
-        m = scalar_plant()
-        assert plant_step(m, [1.0], [-0.5], [0.0]) == pytest.approx([0.5])
+        scn = one_loop(scalar_plant(rw=0.0, r0=0.0, x0_mean=[1.0]), horizon=1)
+        tr = run_episode(scn, 0, 0, constant_law([-0.5]))[0]
+        assert tr.xs.ravel() == pytest.approx([1.0, 0.5])
 
     def test_identity_dynamics(self):
         m = PlantModel(A=np.eye(2), B=np.zeros((2, 1)), Rw=np.zeros((2, 2)),
-                       R0=np.zeros((2, 2)))
-        out = plant_step(m, [1.0, 2.0], [37.0], [0.0, 0.0])
-        assert out == pytest.approx([1.0, 2.0])
+                       R0=np.zeros((2, 2)), x0_mean=[1.0, 2.0])
+        tr = run_episode(one_loop(m), 0, 0, constant_law([37.0]))[0]
+        for x in tr.xs:
+            assert x == pytest.approx([1.0, 2.0])
 
     def test_hand_arithmetic(self):
-        m = scalar_plant(a=0.75)
-        assert plant_step(m, [2.0], [0.0], [0.1]) == pytest.approx([1.6])
+        scn = one_loop(scalar_plant(a=0.75), horizon=5)
+        tr = run_episode(scn, 3, 2)[0]
+        x0, w = _noise_for_loop(scn, 3, 2, 0)
+        assert np.array_equal(tr.xs[0], x0)
+        for k in range(5):
+            want = 0.75 * tr.xs[k, 0] + tr.us[k, 0] + w[k, 0]
+            assert tr.xs[k + 1, 0] == pytest.approx(want, abs=1e-14)
 
     def test_linearity(self):
+        # noise-free, every sample delivered: the CE closed loop is linear in x0
         rng = np.random.default_rng(3)
-        m = PlantModel(A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 2)),
-                       Rw=np.eye(3), R0=np.eye(3))
+        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
         x1, x2 = rng.standard_normal(3), rng.standard_normal(3)
-        u1, u2 = rng.standard_normal(2), rng.standard_normal(2)
-        w1, w2 = rng.standard_normal(3), rng.standard_normal(3)
-        lhs = plant_step(m, x1 + x2, u1 + u2, w1 + w2)
-        rhs = plant_step(m, x1, u1, w1) + plant_step(m, x2, u2, w2)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+
+        def rollout(x0):
+            m = PlantModel(A=A, B=B, Rw=np.zeros((3, 3)), R0=np.zeros((3, 3)), x0_mean=x0)
+            return run_episode(one_loop(m, horizon=4), 0, 0)[0]
+
+        both, a, b = rollout(x1 + x2), rollout(x1), rollout(x2)
+        assert both.xs == pytest.approx(a.xs + b.xs, abs=1e-10)
+        assert both.us == pytest.approx(a.us + b.us, abs=1e-10)
 
     def test_dimension_mismatch(self):
-        m = scalar_plant()
-        with pytest.raises(ConfigurationError):
-            plant_step(m, [1.0, 2.0], [0.0], [0.0])
-        with pytest.raises(ConfigurationError):
-            plant_step(m, [1.0], [0.0, 1.0], [0.0])
+        with pytest.raises(ConfigurationError, match="B must have 1 rows"):
+            PlantModel(A=1.0, B=[[1.0], [1.0]], Rw=1.0, R0=1.0)
+        with pytest.raises(ConfigurationError, match="x0_mean"):
+            scalar_plant(x0_mean=[1.0, 2.0])
+        with pytest.raises(ConfigurationError, match="Q2"):
+            LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
+                       horizon=2, Q0=1.0, Q1=1.0, Q2=np.eye(2))
 
 
 class TestUncontrolledState:
+    """The residual x - prediction that the scheduler sees is the uncontrolled
+    process since the last delivery, free of the applied inputs."""
+
     def test_empty_control_history(self):
-        m = scalar_plant()
-        assert uncontrolled_state([], [4.2], m) == pytest.approx([4.2])
+        scn = one_loop(scalar_plant(a=0.5, x0_mean=[2.0]), SILENT)
+        tr = run_episode(scn, 1, 0)[0]
+        assert tr.pred_err_sq[0] == pytest.approx((tr.xs[0, 0] - 0.5 * 2.0) ** 2)
 
     def test_single_step(self):
-        m = scalar_plant()
-        x0, u0, w0 = 1.5, 2.0, -0.3
-        x1 = x0 + u0 + w0
-        assert uncontrolled_state([[u0]], [x1], m) == pytest.approx([x0 + w0])
+        # a delivery at every step leaves one noise draw in the next residual
+        scn = one_loop(scalar_plant(a=1.3), horizon=6)
+        tr = run_episode(scn, 2, 4)[0]
+        _, w = _noise_for_loop(scn, 2, 4, 0)
+        assert tr.pred_err_sq[1:] == pytest.approx(w[:-1, 0] ** 2, rel=1e-9)
 
     def test_two_steps_geometric_weights(self):
-        m = scalar_plant(a=0.5)
-        x2 = 7.0
-        out = uncontrolled_state([[2.0], [1.0]], [x2], m)
-        assert out == pytest.approx([x2 - (1.0 * 1.0 + 0.5 * 2.0)])
+        # never delivered: the residual accumulates A-weighted noise
+        scn = one_loop(scalar_plant(a=0.5), SILENT, horizon=6)
+        tr = run_episode(scn, 5, 1)[0]
+        x0, w = _noise_for_loop(scn, 5, 1, 0)
+        e = x0[0]
+        for k in range(6):
+            assert tr.pred_err_sq[k] == pytest.approx(e * e, rel=1e-9)
+            e = 0.5 * e + w[k, 0]
 
     def test_control_invariance_bit_identical_on_dyadic_inputs(self):
         # all quantities exactly representable, so the cancellation is exact
-        m = scalar_plant(a=0.5)
-        x0 = np.array([0.75])
-        ws = [np.array([0.25]), np.array([-0.5]), np.array([1.0])]
-        laws = [[np.array([1.0]), np.array([-0.5]), np.array([2.0])],
-                [np.array([0.0])] * 3]
-        bars = []
-        for us in laws:
-            x = x0
-            for k in range(3):
-                x = plant_step(m, x, us[k], ws[k])
-            bars.append(uncontrolled_state(us, x, m))
-        assert np.array_equal(bars[0], bars[1])
+        scn = one_loop(scalar_plant(a=0.5, rw=0.0, r0=0.0, x0_mean=[0.75]), SILENT,
+                       horizon=6)
+        runs = [run_episode(scn, 0, 0, law)[0]
+                for law in (constant_law([1.0]), constant_law([-0.5]), zero_law)]
+        assert runs[0].pred_err_sq == pytest.approx(0.375 ** 2 * 0.25 ** np.arange(6))
+        for tr in runs[1:]:
+            assert np.array_equal(tr.pred_err_sq, runs[0].pred_err_sq)
 
     def test_control_invariance_random_matrices(self):
         rng = np.random.default_rng(11)
-        m = PlantModel(A=rng.standard_normal((2, 2)) * 0.6,
-                       B=rng.standard_normal((2, 1)),
+        m = PlantModel(A=rng.standard_normal((2, 2)) * 0.6, B=rng.standard_normal((2, 1)),
                        Rw=np.eye(2), R0=np.eye(2))
-        x0 = rng.standard_normal(2)
-        ws = rng.standard_normal((6, 2))
-        laws = [rng.standard_normal((6, 1)), np.zeros((6, 1))]
-        bars = []
-        for us in laws:
-            x = x0
-            for k in range(6):
-                x = plant_step(m, x, us[k], ws[k])
-            bars.append(uncontrolled_state(list(us), x, m))
-        # float reassociation across the two paths costs a few ulps at most
-        assert bars[0] == pytest.approx(bars[1], abs=1e-12)
+        scn = one_loop(m, SchedulerPolicy.innovation_threshold(1.0), horizon=6)
+        for ep in range(20):
+            a = run_episode(scn, 7, ep, ce_law)[0]
+            b = run_episode(scn, 7, ep, zero_law)[0]
+            assert np.array_equal(a.gammas, b.gammas)
+            # float reassociation across the two paths costs a few ulps at most
+            assert a.pred_err_sq == pytest.approx(b.pred_err_sq, rel=1e-9)
 
 
 class TestSampleNoise:
+    """The engine's one noise draw: initial state and process-noise panel."""
+
+    @staticmethod
+    def noise(plant, horizon, seed=1):
+        return _noise_for_loop(one_loop(plant, horizon=horizon), seed, 0, 0)
+
     def test_zero_covariance(self):
-        out = sample_noise(RngStream(1, (0,)), [[0.0]])
-        assert out == pytest.approx([0.0])
+        x0, w = self.noise(scalar_plant(rw=0.0, r0=0.0, x0_mean=[0.3]), 4)
+        assert x0 == pytest.approx([0.3])
+        assert np.all(w == 0.0)
 
     def test_sample_mean(self):
-        gen = RngStream(123, (0,)).generator()
-        draws = np.array([sample_noise(gen, [[1.0]])[0] for _ in range(0)])
-        # vectorized equivalent: one factor, many draws
-        factor = psd_sqrt(np.array([[1.0]]))
-        draws = factor[0, 0] * gen.standard_normal(1_000_000)
-        assert abs(draws.mean()) < 0.01
+        _, w = self.noise(scalar_plant(), 1_000_000, seed=123)
+        assert abs(w.mean()) < 0.01
 
     def test_sample_variance(self):
-        gen = RngStream(77, (1,)).generator()
-        factor = psd_sqrt(np.array([[4.0]]))
-        draws = factor[0, 0] * gen.standard_normal(1_000_000)
-        assert abs(draws.var(ddof=1) - 4.0) < 0.05
+        _, w = self.noise(scalar_plant(rw=4.0), 1_000_000, seed=77)
+        assert abs(w.var(ddof=1) - 4.0) < 0.05
 
     def test_full_covariance_recovered(self):
         cov = np.array([[2.0, 0.7], [0.7, 1.0]])
-        gen = RngStream(5, ()).generator()
-        draws = np.array([sample_noise(gen, cov) for _ in range(40_000)])
-        emp = np.cov(draws.T)
-        assert emp == pytest.approx(cov, abs=0.06)
+        m = PlantModel(A=np.eye(2), B=[[0.0], [1.0]], Rw=cov, R0=np.eye(2))
+        _, w = self.noise(m, 40_000, seed=5)
+        assert np.cov(w.T) == pytest.approx(cov, abs=0.06)
 
     def test_non_psd_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sample_noise(RngStream(1, ()), [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ConfigurationError, match="Rw"):
+            PlantModel(A=np.eye(2), B=[[0.0], [1.0]], Rw=[[1.0, 2.0], [2.0, 1.0]],
+                       R0=np.eye(2))
 
 
 class TestRngStream:
@@ -190,10 +214,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             p.A[0, 0] = 2.0
 
-    def test_scenario_equal(self):
-        def build(eps):
-            loop = LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.state_threshold(eps),
-                              horizon=3, Q0=1.0, Q1=1.0, Q2=1.0)
-            return NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
-        assert scenario_equal(build(1.0), build(1.0))
-        assert not scenario_equal(build(1.0), build(2.0))
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ConfigurationError, match="A must be finite"):
+            scalar_plant(a=float("nan"))
+        with pytest.raises(ConfigurationError, match="x0_mean must be finite"):
+            scalar_plant(x0_mean=[float("inf")])
+        with pytest.raises(ConfigurationError, match="Rw must be numeric"):
+            scalar_plant(rw="one")

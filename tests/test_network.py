@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from macloops.errors import ConfigurationError
+from macloops.model import RngStream
 from macloops.network import (
     RESULT_COLLIDED,
     RESULT_SUCCESS,
@@ -41,7 +42,7 @@ class TestCrmConfig:
 
 class TestResolveContention:
     def test_single_contender_first_slot(self):
-        out = resolve_contention([7], CRM, 42)
+        out = resolve_contention([7], CRM, RngStream(42))
         assert out.delta == {7: 1}
         assert out.winners == (7,)
         assert out.attempts_used[7] == 1
@@ -49,19 +50,19 @@ class TestResolveContention:
 
     def test_two_always_transmit_contenders_all_drop(self):
         crm = CrmConfig(persistence=(1.0, 1.0, 1.0))
-        out = resolve_contention([0, 1], crm, 7)
+        out = resolve_contention([0, 1], crm, RngStream(7))
         assert out.delta == {0: 0, 1: 0}
         assert out.attempts_used == {0: 3, 1: 3}
         first = [e for e in out.events if e.slot == 1]
         assert {e.result for e in first} == {RESULT_COLLIDED}
 
     def test_first_slot_collision_moves_to_second_attempt(self):
-        out = resolve_contention([0, 1], CRM, 3)
+        out = resolve_contention([0, 1], CRM, RngStream(3))
         slot1 = [e for e in out.events if e.slot == 1]
         assert all(e.result == RESULT_COLLIDED and e.attempt == 1 for e in slot1)
 
     def test_no_contenders(self):
-        out = resolve_contention([], CRM, 0)
+        out = resolve_contention([], CRM, RngStream(0))
         assert out.delta == {}
         assert out.winners == ()
 
@@ -70,7 +71,7 @@ class TestResolveContention:
         crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=8)
         for seed in range(300):
             n = int(rng.integers(1, 9))
-            out = resolve_contention(range(n), crm, seed)
+            out = resolve_contention(range(n), crm, RngStream(seed))
             per_slot = {}
             for ev in out.events:
                 if ev.result == RESULT_SUCCESS:
@@ -79,13 +80,13 @@ class TestResolveContention:
             assert sum(out.delta.values()) == len(out.winners)
 
     def test_deterministic_given_seed(self):
-        a = resolve_contention([1, 2, 5], CRM, 99)
-        b = resolve_contention([1, 2, 5], CRM, 99)
+        a = resolve_contention([1, 2, 5], CRM, RngStream(99))
+        b = resolve_contention([1, 2, 5], CRM, RngStream(99))
         assert a == b
 
     def test_request_order_is_irrelevant(self):
-        a = resolve_contention([5, 2, 1], CRM, 99)
-        b = resolve_contention([1, 2, 5], CRM, 99)
+        a = resolve_contention([5, 2, 1], CRM, RngStream(99))
+        b = resolve_contention([1, 2, 5], CRM, RngStream(99))
         assert a == b
 
     def test_monotone_degradation_under_common_randoms(self):
@@ -93,8 +94,8 @@ class TestResolveContention:
         crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=6)
         conversions = 0
         for seed in range(400):
-            base = resolve_contention([0, 1], crm, seed)
-            more = resolve_contention([0, 1, 2], crm, seed)
+            base = resolve_contention([0, 1], crm, RngStream(seed))
+            more = resolve_contention([0, 1, 2], crm, RngStream(seed))
             for c in (0, 1):
                 if base.delta[c] == 0 and more.delta[c] == 1:
                     conversions += 1
@@ -103,7 +104,7 @@ class TestResolveContention:
     def test_attempt_counter_only_advances_on_collisions(self):
         crm = CrmConfig(persistence=(0.5, 0.5, 0.5), slots_per_sample=12)
         for seed in range(50):
-            out = resolve_contention([0, 1, 2, 3], crm, seed)
+            out = resolve_contention([0, 1, 2, 3], crm, RngStream(seed))
             for c, used in out.attempts_used.items():
                 assert used <= crm.max_attempts
 

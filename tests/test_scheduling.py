@@ -1,61 +1,57 @@
-"""Scheduler decision rules, their symmetry and information-pattern tags."""
+"""Scheduler decision rules, their symmetry and control-free tags."""
 
 import numpy as np
 import pytest
 
 from macloops.errors import ConfigurationError
 from macloops.scheduling import (
-    SchedulerInput,
     SchedulerPolicy,
     decide,
     is_symmetric_control_free,
 )
 
 
-def inp(x, pred, k=3, tau_prev=1):
-    return SchedulerInput(x=np.atleast_1d(x), pred=np.atleast_1d(pred),
-                          k=k, tau_prev=tau_prev)
+def inp(x, pred):
+    return np.atleast_1d(float(x)), np.atleast_1d(float(pred))
 
 
 class TestDecide:
     def test_innovation_threshold(self):
         pol = SchedulerPolicy.innovation_threshold(3.5)
-        assert decide(pol, inp(2.0, 0.0)) == 1       # 4 > 3.5
-        assert decide(pol, inp(1.8, 0.0)) == 0       # 3.24 <= 3.5
-        assert decide(pol, inp(6.0, 4.0)) == 1
-        assert decide(pol, inp(5.8, 4.0)) == 0
+        assert decide(pol, *inp(2.0, 0.0)) == 1       # 4 > 3.5
+        assert decide(pol, *inp(1.8, 0.0)) == 0       # 3.24 <= 3.5
+        assert decide(pol, *inp(6.0, 4.0)) == 1
+        assert decide(pol, *inp(5.8, 4.0)) == 0
 
     def test_state_threshold_strict(self):
         pol = SchedulerPolicy.state_threshold(0.0)
-        assert decide(pol, inp(0.0, 0.0)) == 0       # 0 > 0 is false
-        assert decide(pol, inp(1e-8, 0.0)) == 1
+        assert decide(pol, *inp(0.0, 0.0)) == 0       # 0 > 0 is false
+        assert decide(pol, *inp(1e-8, 0.0)) == 1
 
     def test_always(self):
-        assert decide(SchedulerPolicy.always_transmit(), inp(0.0, 0.0)) == 1
+        assert decide(SchedulerPolicy.always_transmit(), *inp(0.0, 0.0)) == 1
 
     def test_half_line(self):
         pol = SchedulerPolicy.half_line_state(0.5)
-        assert decide(pol, inp(0.5, 0.0)) == 1       # boundary included
-        assert decide(pol, inp(0.499, 0.0)) == 0
+        assert decide(pol, *inp(0.5, 0.0)) == 1       # boundary included
+        assert decide(pol, *inp(0.499, 0.0)) == 0
         le = SchedulerPolicy.half_line_state(0.5, direction="le")
-        assert decide(le, inp(0.4, 0.0)) == 1
-        assert decide(le, inp(0.6, 0.0)) == 0
+        assert decide(le, *inp(0.4, 0.0)) == 1
+        assert decide(le, *inp(0.6, 0.0)) == 0
 
     def test_half_line_needs_scalar(self):
         pol = SchedulerPolicy.half_line_state(0.5)
-        vec = SchedulerInput(x=np.array([1.0, 2.0]), pred=np.zeros(2), k=0, tau_prev=-1)
         with pytest.raises(ConfigurationError):
-            decide(pol, vec)
+            decide(pol, np.array([1.0, 2.0]), np.zeros(2))
 
     def test_vector_norm_is_euclidean(self):
         pol = SchedulerPolicy.state_threshold(4.9)
-        v = SchedulerInput(x=np.array([1.0, 2.0]), pred=np.zeros(2), k=0, tau_prev=-1)
-        assert decide(pol, v) == 1                   # 5 > 4.9
+        assert decide(pol, np.array([1.0, 2.0]), np.zeros(2)) == 1   # 5 > 4.9
 
     def test_custom_rule(self):
         pol = SchedulerPolicy.custom_symmetric(lambda r: float(r @ r) > 1.0)
-        assert decide(pol, inp(2.0, 0.5)) == 1
-        assert decide(pol, inp(0.5, 0.0)) == 0
+        assert decide(pol, *inp(2.0, 0.5)) == 1
+        assert decide(pol, *inp(0.5, 0.0)) == 0
 
 
 class TestTags:
@@ -68,10 +64,6 @@ class TestTags:
             SchedulerPolicy.custom_symmetric(lambda r: bool(abs(r[0]) > 2))
         )
 
-    def test_info_pattern_strings(self):
-        assert SchedulerPolicy.innovation_threshold(1.0).info_pattern == "control-free"
-        assert SchedulerPolicy.state_threshold(1.0).info_pattern == "uses-controls"
-
 
 class TestProperties:
     def test_symmetry_of_innovation_rule(self):
@@ -79,15 +71,15 @@ class TestProperties:
         rng = np.random.default_rng(0)
         for _ in range(200):
             r = rng.standard_normal() * 3.0
-            plus = decide(pol, inp(r, 0.0))
-            minus = decide(pol, inp(-r, 0.0))
+            plus = decide(pol, *inp(r, 0.0))
+            minus = decide(pol, *inp(-r, 0.0))
             assert plus == minus
 
     def test_request_nonincreasing_in_eps(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             r = rng.standard_normal() * 3.0
-            decisions = [decide(SchedulerPolicy.innovation_threshold(e), inp(r, 0.0))
+            decisions = [decide(SchedulerPolicy.innovation_threshold(e), *inp(r, 0.0))
                          for e in (0.0, 1.0, 2.0, 4.0, 8.0)]
             assert all(a >= b for a, b in zip(decisions, decisions[1:]))
 
@@ -98,5 +90,3 @@ class TestProperties:
             SchedulerPolicy(kind="nope")
         with pytest.raises(ConfigurationError):
             SchedulerPolicy(kind="custom")
-        with pytest.raises(ConfigurationError):
-            SchedulerInput(x=[1.0], pred=[0.0], k=2, tau_prev=2)
