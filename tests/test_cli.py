@@ -85,6 +85,23 @@ class TestParsing:
         changed["loops"][0]["scheduler"]["eps"] = 3.0
         assert emit_scenario(parse_scenario_doc(changed)) != emit_scenario(doc)
 
+    def test_matrix_plants_parse(self, tmp_path):
+        doc = {
+            "name": "vector",
+            "crm": {"persistence": [1.0]},
+            "loops": [{
+                "plant": {"A": [[1.0, 0.1], [0.0, 0.9]], "B": [[0.0], [1.0]],
+                          "Rw": [[0.1, 0.0], [0.0, 0.1]],
+                          "R0": [[1.0, 0.0], [0.0, 1.0]]},
+                "scheduler": {"kind": "innovation", "eps": 1.0},
+                "horizon": 4,
+                "weights": {"Q0": [[1.0, 0.0], [0.0, 1.0]],
+                            "Q1": [[1.0, 0.0], [0.0, 1.0]], "Q2": 1.0},
+            }],
+        }
+        scn = parse_scenario(doc)
+        assert scn.loops[0].plant.n == 2
+
     def test_scenario_hashes_are_pinned(self):
         # the canonical document, and so every manifest hash, is unchanged
         assert {name: scenario_hash(parse_scenario_doc(name)) for name in SCENARIO_HASHES} \
