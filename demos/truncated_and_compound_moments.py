@@ -37,7 +37,7 @@ def main():
 
     print("\ncompound e = X + W with W ~ N(0,1):")
     print(f"  density at 0: {compound_density(1.0, tg, 1.0, 0.0):.9f}")
-    mass = integrate(lambda e: compound_density(1.0, tg, 1.0, e, QuadratureSpec(tol=1e-10)),
+    mass = integrate(lambda e: compound_density(1.0, tg, 1.0, e),
                      -15.0, 15.0, QuadratureSpec(tol=1e-8))
     print(f"  total mass:   {mass:.9f}")
     cmean, cvar = conditional_moments_compound(1.0, tg, 1.0, 0.5)

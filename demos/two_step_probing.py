@@ -8,7 +8,6 @@ branches of the first-step outcome are solved here.
 """
 
 from macloops import (
-    QuadratureSpec,
     TruncatedGaussian,
     ce_u0,
     truncated_moments,
@@ -16,8 +15,6 @@ from macloops import (
     two_step_stationarity_residual,
     two_step_u0_optimal,
 )
-
-COARSE = QuadratureSpec(tol=1e-6)
 
 
 def main():
@@ -38,9 +35,8 @@ def main():
     print("\nbranch 0: the first sample stayed silent (x0 < 0.5 inferred)")
     xhat, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, 0.5))
     u_ce0 = ce_u0(a, b, s1, q2, xhat)
-    resid0 = two_step_stationarity_residual(a, b, q0, q1, q2, 0, 0.0, u_ce0,
-                                            quad=COARSE)
-    u_opt0 = two_step_u0_optimal(a, b, q0, q1, q2, 0, 0.0, quad=COARSE)
+    resid0 = two_step_stationarity_residual(a, b, q0, q1, q2, 0, 0.0, u_ce0)
+    u_opt0 = two_step_u0_optimal(a, b, q0, q1, q2, 0, 0.0)
     print(f"  posterior mean of x0    : {xhat:+.6f}")
     print(f"  certainty-equivalent u0 : {u_ce0:+.6f}")
     print(f"  stationarity residual   : {resid0:+.6f}")

@@ -24,6 +24,7 @@ import numbers
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -45,12 +46,7 @@ from .model import LoopConfig, NetworkScenario, PlantModel, as_vector
 from .network import CrmConfig, TrafficSource
 from .scheduling import SchedulerPolicy
 from .sim import MonteCarloResult, ce_law, monte_carlo, sweep_threshold, zero_law
-from .stats import (
-    DEFAULT_QUAD,
-    TruncatedGaussian,
-    conditional_moments_compound,
-    truncated_moments,
-)
+from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
 OUT_DIR_ENV = "MACLOOPS_OUT_DIR"
 
@@ -206,6 +202,15 @@ def _kind_fields(obj: dict, path: str, tables: dict, what: str) -> tuple[str, di
     return kind, fields
 
 
+@contextmanager
+def _at(path: str):
+    """Prefix a configuration type's validation errors with the block's path."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
 def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
     """Build the loop block, expanding `count` copies.
 
@@ -222,7 +227,7 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
     loops = []
     for i in range(fields["count"]):
         phase = plant["phase"] + i * fields["phase_step"]
-        try:
+        with _at(path):
             loops.append(LoopConfig(
                 plant=PlantModel(**{**plant, "phase": phase % max(plant["period"], 1)}),
                 scheduler=SchedulerPolicy(kind=kind, **sched),
@@ -230,8 +235,6 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
                 net_penalty=fields["net_penalty"],
                 **weights,
             ))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
     return loops
 
 
@@ -280,13 +283,18 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
         expanded = _parse_loop(block, f"loops[{bi}]")
         loops.extend(expanded)
         groups.extend([bi] * len(expanded))
+    with _at("crm"):
+        crm = CrmConfig(**crm)
+    if not isinstance(top["sources"], (list, tuple)):
+        raise ConfigurationError("scenario.sources: must be an array")
     sources = []
     for si, sd in enumerate(top["sources"]):
         kind, fields = _kind_fields(sd, f"sources[{si}]", _SOURCES, "source")
-        sources.append(TrafficSource(kind=kind, **fields))
+        with _at(f"sources[{si}]"):
+            sources.append(TrafficSource(kind=kind, **fields))
     scenario = NetworkScenario(
         loops=tuple(loops),
-        crm=CrmConfig(**crm),
+        crm=crm,
         sources=tuple(sources),
         global_horizon=top["global_horizon"],
     )
@@ -633,9 +641,8 @@ def cmd_moments(args) -> int:
     print(f"truncated moments (mu={args.mu}, var={args.var}, upper={args.upper}): "
           f"mean={mean:.9f} var={var:.9f}")
     if args.cond_upper is not None:
-        cmean, cvar = conditional_moments_compound(
-            args.a, tg, args.noise_var, args.cond_upper, DEFAULT_QUAD
-        )
+        cmean, cvar = conditional_moments_compound(args.a, tg, args.noise_var,
+                                                   args.cond_upper)
         rows += [["compound_cond_mean", _fmt(cmean)], ["compound_cond_var", _fmt(cvar)]]
         print(f"compound conditional moments (a={args.a}, noise_var={args.noise_var}, "
               f"upper={args.cond_upper}): mean={cmean:.9f} var={cvar:.9f}")

@@ -190,7 +190,7 @@ def two_step_stationarity_residual(
             tg0 = TruncatedGaussian(0.0, 1.0, threshold)
             e_max = threshold - b * u0
             ebar, _ = conditional_moments_compound(a, tg0, 1.0, e_max, quad)
-            dual = coef * b * (e_max - ebar) ** 2 * compound_density(a, tg0, 1.0, e_max, quad)
+            dual = coef * b * (e_max - ebar) ** 2 * compound_density(a, tg0, 1.0, e_max)
     except DegenerateTruncationError:
         dual = 0.0
     return resid - dual

@@ -38,13 +38,11 @@ from .stats import (
 class ObserverState:
     """Controller-side observer after processing step k.
 
-    xhat is the filtered estimate, pred the model prediction that would have
-    been (and was, on a miss) used without the step-k packet.  tau tracks the
-    last delivery, with -1 denoting the fictitious initial packet.
+    xhat is the filtered estimate.  tau tracks the last delivery, with -1
+    denoting the fictitious initial packet.
     """
 
     xhat: np.ndarray
-    pred: np.ndarray
     tau: int
     k: int
 
@@ -54,35 +52,31 @@ class ObserverState:
 
     @classmethod
     def initial(cls, model: PlantModel) -> "ObserverState":
-        x0 = np.array(model.x0_mean, dtype=float)
-        return cls(xhat=x0, pred=x0.copy(), tau=-1, k=-1)
+        return cls(xhat=np.array(model.x0_mean, dtype=float), tau=-1, k=-1)
 
 
 def observer_update(
     state: ObserverState,
     delta: int,
     y: Optional[np.ndarray],
-    u_prev,
-    model: PlantModel,
+    pred: np.ndarray,
 ) -> ObserverState:
     """Advance the observer to step k = state.k + 1.
 
-    Prediction first (model push of the previous filtered estimate through
-    the applied input), then correction: a delivered packet carries the full
-    state and resets the estimate; otherwise the prediction stands, with no
-    correction term added.
+    pred is the one-step prediction A xhat + B u_prev from the previous
+    filtered estimate through the applied input, the same one the scheduler
+    decided on.  A delivered packet carries the full state and resets the
+    estimate; otherwise the prediction stands, with no correction term added.
     """
     k = state.k + 1
-    u_prev = as_vector(u_prev, "u_prev")
-    pred = model.A @ state.xhat + model.B @ u_prev
     if delta:
         if y is None:
             raise ProtocolError(f"packet delivered at step {k} but no payload given")
         y = as_vector(y, "y")
-        if y.shape != (model.n,):
-            raise ConfigurationError(f"y must have length {model.n}")
-        return ObserverState(xhat=y.copy(), pred=pred, tau=k, k=k)
-    return ObserverState(xhat=pred, pred=pred, tau=state.tau, k=k)
+        if y.shape != pred.shape:
+            raise ConfigurationError(f"y must have length {len(pred)}")
+        return ObserverState(xhat=y.copy(), tau=k, k=k)
+    return ObserverState(xhat=pred, tau=state.tau, k=k)
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def run_episode(
             lc, tr = loops[i], traces[i]
             x = tr.xs[k]
             delta = outcome.delta.get(i, 0) if outcome is not None else 0
-            obs = observer_update(observers[i], delta, x if delta else None, u_prev[i], lc.plant)
+            obs = observer_update(observers[i], delta, x if delta else None, pred)
             observers[i] = obs
             u = control_law(solutions[i].L[k], obs.xhat)
             resid = x - pred

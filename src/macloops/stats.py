@@ -2,9 +2,10 @@
 compound (truncated-source plus Gaussian noise) density, adaptive quadrature
 and bracketed root finding.
 
-Closed forms (via erf/erfc) are the primary implementation for single
-truncations; quadrature exists as an independent cross-check and as the only
-route for the compound density, which has no closed form.
+Single truncations and the compound density are closed forms (via erf/erfc);
+the compound density is the extended skew-normal of Azzalini (1985).  The
+one quadrature level left takes the compound density's conditional moments,
+and serves the tests as an independent cross-check of the closed forms.
 """
 
 from __future__ import annotations
@@ -163,44 +164,25 @@ def truncated_moments(tg: TruncatedGaussian) -> tuple[float, float]:
     return mean, var
 
 
-def compound_density(
-    a: float,
-    tg: TruncatedGaussian,
-    noise_var: float,
-    eps: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def compound_density(a: float, tg: TruncatedGaussian, noise_var: float, eps: float) -> float:
     """Density at eps of e = a*X + W with X the truncated Gaussian and
     W ~ N(0, noise_var) independent.
 
-    Computed by quadrature of the truncated density against the shifted
-    noise kernel.  a == 0 collapses exactly to the noise density.
+    In closed form, the extended skew-normal of Azzalini (1985): the
+    untruncated law of e times Pr(X < upper | e) / Pr(X < upper), where X
+    given e is Gaussian with mean m(e) and variance v*s2/(a^2 v + s2).
+    a == 0 collapses exactly to the noise density.
     """
     if not noise_var > 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
     if a == 0.0:
         return normal_pdf(eps, 0.0, noise_var)
-    lo = tg.mean + spec.window[0] * tg.sigma
-    hi = min(tg.upper, tg.mean + spec.window[1] * tg.sigma)
-    if hi <= lo:
-        return 0.0
-    keep = tg.keep_prob()
-    mu, var = tg.mean, tg.var
-
-    def integrand(x: float) -> float:
-        return normal_pdf(x, mu, var) / keep * normal_pdf(eps - a * x, 0.0, noise_var)
-
-    return integrate(integrand, lo, hi, spec)
-
-
-def _compound_support(a: float, tg: TruncatedGaussian, noise_var: float,
-                      spec: QuadratureSpec) -> tuple[float, float]:
-    x_lo = tg.mean + spec.window[0] * tg.sigma
-    x_hi = min(tg.upper, tg.mean + spec.window[1] * tg.sigma)
-    noise_pad = abs(spec.window[0]) * math.sqrt(noise_var)
-    lo = min(a * x_lo, a * x_hi) - noise_pad
-    hi = max(a * x_lo, a * x_hi) + noise_pad
-    return lo, hi
+    mu, v = tg.mean, tg.var
+    e_var = a * a * v + noise_var
+    m = mu + a * v * (eps - a * mu) / e_var
+    sigma_star = math.sqrt(v * noise_var / e_var)
+    return (normal_pdf(eps, a * mu, e_var)
+            * std_normal_cdf((tg.upper - m) / sigma_star) / tg.keep_prob())
 
 
 def conditional_moments_compound(
@@ -212,24 +194,35 @@ def conditional_moments_compound(
 ) -> tuple[float, float]:
     """Mean and variance of e = a*X + W conditioned on e < upper.
 
-    Moments are taken by quadrature against compound_density.  The inner
-    density evaluations run with a tighter tolerance than the outer moment
-    integrals so inner error does not masquerade as outer signal.
+    The three moment integrals run over the closed-form compound_density
+    with `spec`.  The window is `spec.window` standard deviations of the
+    untruncated law of e, clipped at `upper`: the compound density is at most
+    that law's density over Pr(X < tg.upper), so the tails it leaves out stay
+    negligible.  It is also clipped where the truncation factor of the
+    density falls below Phi(spec.window[0]), so that a deep truncation, whose
+    mass sits in a narrow band at that edge, is not missed by the first
+    quadrature nodes.
     """
     if a == 0.0:
         return truncated_moments(TruncatedGaussian(0.0, noise_var, upper))
-    inner = QuadratureSpec(tol=spec.tol * 1e-2,
-                           max_subdivisions=spec.max_subdivisions,
-                           window=spec.window)
-    lo, hi = _compound_support(a, tg, noise_var, spec)
-    hi = min(hi, upper)
+    center = a * tg.mean
+    e_var = a * a * tg.var + noise_var
+    sd = math.sqrt(e_var)
+    lo = center + spec.window[0] * sd
+    hi = min(upper, center + spec.window[1] * sd)
+    sigma_star = math.sqrt(tg.var * noise_var / e_var)
+    cut = center + e_var * (tg.upper - tg.mean - spec.window[0] * sigma_star) / (a * tg.var)
+    if a > 0.0:
+        hi = min(hi, cut)
+    else:
+        lo = max(lo, cut)
     if hi <= lo:
         raise DegenerateTruncationError(
             f"conditioning bound {upper} lies below the support window [{lo}, {hi}]"
         )
 
     def dens(e: float) -> float:
-        return compound_density(a, tg, noise_var, e, inner)
+        return compound_density(a, tg, noise_var, e)
 
     mass = integrate(dens, lo, hi, spec)
     if mass < MIN_TRUNCATION_PROB:

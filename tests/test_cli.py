@@ -23,6 +23,7 @@ from macloops.cli import (
 )
 from macloops.errors import ConfigurationError
 from macloops.stats import TruncatedGaussian, truncated_moments
+from test_control import U0_OPT_SILENT
 
 
 class TestParsing:
@@ -271,6 +272,12 @@ class TestOtherCommands:
         assert float(row["optimal_u0"]) == pytest.approx(0.035253, abs=1e-4)
         assert abs(float(row["residual_at_ce"])) > 0.1
 
+    def test_two_step_silent_branch(self, tmp_path):
+        out = tmp_path / "ts0"
+        assert main(["two-step", "--branch", "delta0=0", "--out", str(out)]) == EXIT_OK
+        row = read_csv(tmp_path / "ts0.csv")[0]
+        assert float(row["optimal_u0"]) == pytest.approx(U0_OPT_SILENT, abs=1e-8)
+
     def test_moments(self, tmp_path):
         out = tmp_path / "mom"
         code = main(["moments", "--upper", "0.5", "--out", str(out)])
@@ -317,6 +324,22 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(path), "--episodes", "1",
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
         assert "loops[0].scheduler: unknown keys ['threshold']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("sources", [{"kind": "bernoulli", "rate": 1.5}],
+         "sources[0]: rate must lie in [0,1], got 1.5"),
+        ("crm", {"persistence": [1.5]}, "crm: persistence probabilities must lie in [0,1]"),
+        ("sources", {"kind": "bernoulli", "rate": 0.2}, "scenario.sources: must be an array"),
+    ])
+    def test_crm_and_source_errors_name_their_path(self, tmp_path, capsys, key, value,
+                                                   message):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--episodes", "1",
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_nan_dynamics(self, tmp_path, capsys):
         doc = json.loads(json.dumps(presets()["example3"]))

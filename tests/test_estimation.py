@@ -32,19 +32,24 @@ from macloops.stats import (
 UNIT_PLANT = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
 
 
+def predict(obs, u_prev):
+    """The one-step prediction the engine hands to observer_update."""
+    return UNIT_PLANT.A @ obs.xhat + UNIT_PLANT.B @ np.asarray(u_prev, dtype=float)
+
+
 class TestTauUpdate:
     """observer_update's last-received-packet index tau."""
 
     @staticmethod
     def after(tau, k, delta):
-        obs = ObserverState(xhat=np.array([1.0]), pred=np.array([1.0]), tau=tau, k=k - 1)
-        return observer_update(obs, delta, np.array([2.0]) if delta else None, [0.0],
-                               UNIT_PLANT)
+        obs = ObserverState(xhat=np.array([1.0]), tau=tau, k=k - 1)
+        return observer_update(obs, delta, np.array([2.0]) if delta else None,
+                               predict(obs, [0.0]))
 
     def test_initialization(self):
         obs = ObserverState.initial(UNIT_PLANT)
         assert obs.tau == -1
-        assert observer_update(obs, 0, None, [0.0], UNIT_PLANT).tau == -1
+        assert observer_update(obs, 0, None, predict(obs, [0.0])).tau == -1
 
     def test_delivery_resets(self):
         assert self.after(1, 3, 1).tau == 3
@@ -53,35 +58,35 @@ class TestTauUpdate:
         assert self.after(1, 3, 0).tau == 1
 
     def test_validation(self):
+        obs = ObserverState.initial(UNIT_PLANT)
         with pytest.raises(ConfigurationError, match="y must have length 1"):
-            observer_update(ObserverState.initial(UNIT_PLANT), 1, np.array([1.0, 2.0]),
-                            [0.0], UNIT_PLANT)
+            observer_update(obs, 1, np.array([1.0, 2.0]), predict(obs, [0.0]))
 
 
 class TestObserverUpdate:
     def test_delivery_takes_the_state(self):
         obs = ObserverState.initial(UNIT_PLANT)
-        nxt = observer_update(obs, 1, np.array([2.3]), [0.0], UNIT_PLANT)
+        nxt = observer_update(obs, 1, np.array([2.3]), predict(obs, [0.0]))
         assert nxt.xhat == pytest.approx([2.3])
         assert nxt.tau == 0 and nxt.delay == 0
 
     def test_miss_is_pure_prediction(self):
-        obs = ObserverState(xhat=np.array([1.0]), pred=np.array([1.0]), tau=0, k=0)
-        nxt = observer_update(obs, 0, None, [-0.5], UNIT_PLANT)
+        obs = ObserverState(xhat=np.array([1.0]), tau=0, k=0)
+        nxt = observer_update(obs, 0, None, predict(obs, [-0.5]))
         assert nxt.xhat == pytest.approx([0.5])
         assert nxt.tau == 0 and nxt.delay == 1
 
     def test_missing_payload_is_a_protocol_error(self):
         obs = ObserverState.initial(UNIT_PLANT)
         with pytest.raises(ProtocolError):
-            observer_update(obs, 1, None, [0.0], UNIT_PLANT)
+            observer_update(obs, 1, None, predict(obs, [0.0]))
 
     def test_delay_bookkeeping(self):
         obs = ObserverState.initial(UNIT_PLANT)
         deltas = [0, 0, 1, 0, 1, 1, 0]
         for k, d in enumerate(deltas):
             obs = observer_update(obs, d, np.array([float(k)]) if d else None,
-                                  [0.0], UNIT_PLANT)
+                                  predict(obs, [0.0]))
             assert obs.delay == obs.k - obs.tau
             assert (obs.delay == 0) == bool(d)
 
@@ -91,7 +96,7 @@ class TestObserverUpdate:
         x = np.array([rng.standard_normal()])
         for k in range(30):
             d = int(rng.random() < 0.4)
-            obs = observer_update(obs, d, x if d else None, [0.1], UNIT_PLANT)
+            obs = observer_update(obs, d, x if d else None, predict(obs, [0.1]))
             if d:
                 assert np.array_equal(obs.xhat, x)
             x = UNIT_PLANT.A @ x + UNIT_PLANT.B @ [0.1] + rng.standard_normal(1)

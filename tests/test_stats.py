@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from macloops import stats
 from macloops.errors import (
     BracketingError,
     ConfigurationError,
@@ -132,9 +133,8 @@ class TestCompoundDensity:
 
     def test_normalizes_to_one(self):
         tg = TruncatedGaussian(0.0, 1.0, 0.5)
-        inner = QuadratureSpec(tol=1e-10)
         total = integrate(
-            lambda e: compound_density(1.0, tg, 1.0, e, inner), -15.0, 15.0,
+            lambda e: compound_density(1.0, tg, 1.0, e), -15.0, 15.0,
             QuadratureSpec(tol=1e-8),
         )
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -159,6 +159,37 @@ class TestCompoundDensity:
         with pytest.raises(ConfigurationError):
             compound_density(1.0, TruncatedGaussian(0.0, 1.0, 0.5), 0.0, 0.0)
 
+    @pytest.mark.parametrize("mean,var,noise_var", [(0.0, 1.0, 1.0), (0.3, 1.7, 0.6)])
+    @pytest.mark.parametrize("a", [-2.0, -0.5, 0.3, 1.0, 1.7])
+    def test_closed_form_matches_quadrature(self, a, mean, var, noise_var):
+        tg = TruncatedGaussian(mean, var, 0.5)
+        spec = QuadratureSpec(tol=1e-12)
+        # short panels, so that no peak of the integrand falls between the
+        # first Simpson nodes; the truncated density is taken below the bound,
+        # where it is tg.pdf without the jump to zero at the bound itself
+        edges = np.linspace(mean - 12.0 * tg.sigma, tg.upper, 41)
+        for eps in np.linspace(-3.0, 3.0, 13):
+            def integrand(x):
+                return normal_pdf(x, mean, var) / tg.keep_prob() \
+                    * normal_pdf(eps - a * x, 0.0, noise_var)
+            want = sum(integrate(integrand, lo, hi, spec)
+                       for lo, hi in zip(edges[:-1], edges[1:]))
+            assert compound_density(a, tg, noise_var, eps) == pytest.approx(want, abs=1e-9)
+
+    def test_one_quadrature_level(self, monkeypatch):
+        calls = []
+
+        def counting(f, lo, hi, spec=stats.DEFAULT_QUAD):
+            calls.append(spec)
+            return integrate(f, lo, hi, spec)
+
+        monkeypatch.setattr(stats, "integrate", counting)
+        tg = TruncatedGaussian(0.0, 1.0, 0.5)
+        compound_density(1.0, tg, 1.0, 0.2)
+        assert calls == []
+        conditional_moments_compound(1.0, tg, 1.0, 0.5)
+        assert len(calls) == 3
+
 
 class TestConditionalMomentsCompound:
     def test_zero_coefficient_reduces_to_truncation(self):
@@ -172,6 +203,16 @@ class TestConditionalMomentsCompound:
         tmean, tvar = truncated_moments(tg)
         assert mean == pytest.approx(tmean, abs=1e-6)
         assert var == pytest.approx(tvar + 1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_deep_truncation_recovers_unconditional_moments(self, a):
+        # the mass sits in a band about 0.2 wide near a * upper, far inside
+        # the window the untruncated law of e gives
+        tg = TruncatedGaussian(0.0, 1.0, -6.5)
+        mean, var = conditional_moments_compound(a, tg, 0.01, 10.0)
+        tmean, tvar = truncated_moments(tg)
+        assert mean == pytest.approx(a * tmean, abs=1e-6)
+        assert var == pytest.approx(tvar + 0.01, abs=1e-6)
 
     def test_frozen_values_at_half(self):
         tg = TruncatedGaussian(0.0, 1.0, 0.5)
