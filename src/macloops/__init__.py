@@ -12,7 +12,6 @@ certainty equivalence.
 from .control import (
     CostReport,
     RiccatiSolution,
-    ce_control,
     ce_u0,
     jdp_closed_form,
     riccati_backward,
@@ -25,19 +24,14 @@ from .errors import (
     BracketingError,
     ConfigurationError,
     DegenerateTruncationError,
-    InfeasibleConditioningError,
     NumericalError,
     ProtocolError,
     QuadratureError,
 )
 from .estimation import (
-    BurstEstimate,
     ObserverState,
-    SensorKf,
     TwoStepPosterior,
-    general_estimate_burst,
     observer_update,
-    sensor_kf_step,
     two_step_posterior,
 )
 from .model import (

@@ -307,11 +307,6 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
     )
 
 
-def parse_scenario(source: Union[str, Path, dict]) -> NetworkScenario:
-    """Parse and validate a scenario, returning the built configuration."""
-    return parse_scenario_doc(source).scenario
-
-
 def _emit(obj, table: dict) -> dict:
     """The fields of `table` read off a configuration object, as JSON values."""
     out = {}
@@ -329,7 +324,7 @@ def _emit(obj, table: dict) -> dict:
 def emit_scenario(doc: ScenarioDoc) -> dict:
     """Canonical JSON form of a parsed scenario (loops fully expanded).
 
-    parse_scenario(emit_scenario(doc)) rebuilds an identical scenario, which
+    parse_scenario_doc(emit_scenario(doc)) rebuilds an identical scenario, which
     is also what the manifest hash is computed over.
     """
     scn = doc.scenario
@@ -518,21 +513,32 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _grid_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"--eps-grid: {text!r} is not a finite number")
+    return value
+
+
 def _parse_eps_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigurationError("eps grid must be start:stop:step or a comma list")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigurationError(f"bad eps grid {text!r}")
+            raise ConfigurationError("--eps-grid: must be start:stop:step or a comma list")
+        start, stop, step = (_grid_value(p) for p in parts)
+        # a step below the bounds' resolution would never advance the grid
+        if step <= math.ulp(max(abs(start), abs(stop))) or stop < start:
+            raise ConfigurationError(f"--eps-grid: bad grid {text!r}")
         values = []
         v = start
         while v <= stop + 1e-9:
             values.append(round(v, 12))
             v += step
         return values
-    return [float(p) for p in text.split(",") if p]
+    return [_grid_value(p) for p in text.split(",") if p]
 
 
 def cmd_sweep(args) -> int:

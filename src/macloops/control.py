@@ -1,4 +1,4 @@
-"""Finite-horizon Riccati machinery, certainty-equivalent control, the
+"""Finite-horizon Riccati machinery for the certainty-equivalent gains, the
 closed-form predicted cost for the prediction-observer architecture, the
 per-loop cost report, and the scalar two-step controller with its probing
 (dual-effect) correction.
@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketingError, ConfigurationError, NumericalError
+from .errors import (BracketingError, ConfigurationError, DegenerateTruncationError,
+                     NumericalError)
 from .model import as_matrix, as_vector, check_symmetric_pd, check_symmetric_psd
 from .stats import (
     DEFAULT_QUAD,
@@ -28,7 +29,6 @@ from .stats import (
     std_normal_pdf,
     truncated_moments,
 )
-from .errors import DegenerateTruncationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +82,6 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
             S[k] = 0.5 * (Sk + Sk.T)
     return RiccatiSolution(S=tuple(S), L=tuple(L), horizon=horizon, A=A, B=B, Q2=Q2)
-
-
-def ce_control(L_k, xhat) -> np.ndarray:
-    """Certainty-equivalent input -L_k xhat."""
-    L_k = as_matrix(L_k, "L_k")
-    xhat = as_vector(xhat, "xhat")
-    if L_k.shape[1] != xhat.shape[0]:
-        raise ConfigurationError(f"gain {L_k.shape} incompatible with estimate {xhat.shape}")
-    return -(L_k @ xhat)
 
 
 def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> float:
@@ -159,7 +150,6 @@ def two_step_stationarity_residual(
     u0: float,
     threshold: float = 0.5,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    include_dual_term: bool = True,
 ) -> float:
     """Derivative of the two-step cost-to-go with respect to u0.
 
@@ -175,8 +165,6 @@ def two_step_stationarity_residual(
         tg0 = TruncatedGaussian(0.0, 1.0, threshold)
         xhat00, _ = truncated_moments(tg0)
     resid = 2.0 * u0 * (q2 + b * b * s1) + 2.0 * xhat00 * a * b * s1
-    if not include_dual_term:
-        return resid
     coef = (a * a * q0 * q0 * b * b) / (q2 + b * b * q0)
     try:
         if delta0:
@@ -209,7 +197,6 @@ def two_step_u0_optimal(
     scan: tuple[float, float] = (-10.0, 10.0),
     scan_points: int = 41,
     tol: float = 1e-9,
-    include_dual_term: bool = True,
 ) -> float:
     """Solve the first-step stationarity condition for u0.
 
@@ -221,7 +208,7 @@ def two_step_u0_optimal(
     def residual(u0: float) -> float:
         return two_step_stationarity_residual(
             a, b, q0, q1, q2, delta0, x0_or_xhat, u0,
-            threshold=threshold, quad=quad, include_dual_term=include_dual_term,
+            threshold=threshold, quad=quad,
         )
 
     grid = np.linspace(scan[0], scan[1], scan_points)

@@ -30,7 +30,3 @@ class QuadratureError(NumericalError):
 
 class DegenerateTruncationError(NumericalError):
     """A conditioning event has probability too small to normalize against."""
-
-
-class InfeasibleConditioningError(NumericalError):
-    """Rejection sampling accepted too few draws to estimate a conditional mean."""

@@ -9,7 +9,6 @@ makes episodes bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,8 +32,7 @@ def _array(value, name: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         what = "matrix" if ndim == 2 else "vector"
         raise ConfigurationError(f"{name} must be a {what}, got shape {arr.shape}")
-    # a Python pass beats np.isfinite(...).all() on the tiny per-step arrays
-    if not all(map(math.isfinite, arr.ravel().tolist())):
+    if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} must be finite, got {arr.tolist()}")
     return arr
 

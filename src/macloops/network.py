@@ -85,7 +85,6 @@ class SlotOutcome:
 
     delta: dict
     attempts_used: dict
-    winners: tuple[int, ...]
     events: tuple[SlotEvent, ...]
 
 
@@ -103,7 +102,6 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
     used = {c: 0 for c in contenders}
     pending = list(contenders)
     delta = {c: 0 for c in contenders}
-    winners = []
     events = []
     for slot in range(1, crm.slots_per_sample + 1):
         if not pending:
@@ -116,7 +114,6 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
             used[c] += 1
             events.append(SlotEvent(slot, c, attempt[c], RESULT_SUCCESS))
             delta[c] = 1
-            winners.append(c)
             pending.remove(c)
         elif len(transmitters) >= 2:
             for c in transmitters:
@@ -132,8 +129,7 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
                 events.append(SlotEvent(slot, c, attempt[c], RESULT_DEFERRED))
     for c in pending:
         events.append(SlotEvent(crm.slots_per_sample, c, attempt[c], RESULT_DROPPED))
-    return SlotOutcome(delta=delta, attempts_used=used, winners=tuple(winners),
-                       events=tuple(events))
+    return SlotOutcome(delta=delta, attempts_used=used, events=tuple(events))
 
 
 @dataclass(frozen=True)

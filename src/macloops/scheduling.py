@@ -1,14 +1,13 @@
 """Scheduler policy family producing the per-sample transmission request.
 
-Four named variants plus a hook for user-supplied symmetric maps:
+Four named variants:
 
 * always      -- request every sample (the no-scheduler baseline),
 * state       -- request iff ||x||^2 > eps (depends on applied controls),
 * innovation  -- request iff ||x - prediction||^2 > eps; the innovation is a
                  pure function of the noise, so the decision is control-free
                  and symmetric,
-* halfline    -- request iff x >= c (scalar states only; uses controls),
-* custom      -- any user map of the innovation declared symmetric.
+* halfline    -- request iff x >= c (scalar states only; uses controls).
 
 `is_symmetric_control_free` is what downstream guarantees key off: such
 policies produce bit-identical request sequences under any two control laws
@@ -18,15 +17,12 @@ for a fixed noise realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-KINDS = ("always", "state", "innovation", "halfline", "custom")
-_CONTROL_FREE = {"always": True, "state": False, "innovation": True,
-                 "halfline": False, "custom": True}
+_CONTROL_FREE = {"always": True, "state": False, "innovation": True, "halfline": False}
 
 
 @dataclass(frozen=True)
@@ -35,17 +31,14 @@ class SchedulerPolicy:
     eps: float = 0.0
     threshold: float = 0.5
     direction: str = "ge"
-    rule: Optional[Callable[[np.ndarray], bool]] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _CONTROL_FREE:
             raise ConfigurationError(f"unknown scheduler kind {self.kind!r}")
-        if self.kind in ("state", "innovation") and self.eps < 0.0:
+        if self.kind in ("state", "innovation") and not self.eps >= 0.0:
             raise ConfigurationError(f"eps must be >= 0, got {self.eps}")
         if self.kind == "halfline" and self.direction not in ("ge", "le"):
             raise ConfigurationError(f"direction must be 'ge' or 'le', got {self.direction!r}")
-        if self.kind == "custom" and self.rule is None:
-            raise ConfigurationError("custom scheduler needs a rule")
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -64,13 +57,6 @@ class SchedulerPolicy:
     def half_line_state(cls, threshold: float, direction: str = "ge") -> "SchedulerPolicy":
         return cls(kind="halfline", threshold=float(threshold), direction=direction)
 
-    @classmethod
-    def custom_symmetric(cls, rule: Callable[[np.ndarray], bool]) -> "SchedulerPolicy":
-        """Wrap a user map of the innovation.  The caller declares the map
-        symmetric (rule(r) == rule(-r)); the control-free guarantees below
-        hold only if that declaration is honest."""
-        return cls(kind="custom", rule=rule)
-
 
 def decide(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> int:
     """Evaluate the policy on the state x and the prediction pred the
@@ -87,14 +73,12 @@ def decide(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> int:
     if policy.kind == "innovation":
         r = x - pred
         return 1 if float(r @ r) > policy.eps else 0
-    if policy.kind == "halfline":
-        if x.shape != (1,):
-            raise ConfigurationError("half-line scheduling is defined for scalar states only")
-        if policy.direction == "ge":
-            return 1 if x[0] >= policy.threshold else 0
-        return 1 if x[0] <= policy.threshold else 0
-    # custom symmetric map of the innovation
-    return 1 if policy.rule(x - pred) else 0
+    # half-line
+    if x.shape != (1,):
+        raise ConfigurationError("half-line scheduling is defined for scalar states only")
+    if policy.direction == "ge":
+        return 1 if x[0] >= policy.threshold else 0
+    return 1 if x[0] <= policy.threshold else 0
 
 
 def is_symmetric_control_free(policy: SchedulerPolicy) -> bool:

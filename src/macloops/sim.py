@@ -18,13 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .control import (
-    CostReport,
-    RiccatiSolution,
-    ce_control,
-    jdp_closed_form,
-    riccati_backward,
-)
+from .control import CostReport, RiccatiSolution, jdp_closed_form, riccati_backward
 from .errors import ConfigurationError
 from .estimation import ObserverState, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
@@ -41,7 +35,8 @@ ControlLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def ce_law(L_k: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    return ce_control(L_k, xhat)
+    """Certainty-equivalent input -L_k xhat."""
+    return -(L_k @ xhat)
 
 
 def zero_law(L_k: np.ndarray, xhat: np.ndarray) -> np.ndarray:
@@ -426,6 +421,8 @@ def dual_effect_experiment(
     """
     if law_a is law_b:
         raise ConfigurationError("the two control laws must differ")
+    if episodes < 1:
+        raise ConfigurationError("episodes must be >= 1")
     loops = scenario.loops
     solutions = _riccati_solutions(scenario)
     control_free = all(is_symmetric_control_free(lc.scheduler) for lc in loops)

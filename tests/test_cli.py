@@ -16,7 +16,6 @@ from macloops.cli import (
     EXIT_VALIDATION,
     emit_scenario,
     main,
-    parse_scenario,
     parse_scenario_doc,
     presets,
     scenario_hash,
@@ -41,11 +40,11 @@ class TestParsing:
         assert scn.global_horizon == 250
 
     def test_baseline_preset_always_transmits(self):
-        scn = parse_scenario("example1-baseline")
+        scn = parse_scenario_doc("example1-baseline").scenario
         assert all(lc.scheduler.kind == "always" for lc in scn.loops)
 
     def test_example3_preset_layout(self):
-        scn = parse_scenario("example3")
+        scn = parse_scenario_doc("example3").scenario
         assert len(scn.loops) == 20
         assert all(lc.plant.period == 10 for lc in scn.loops)
         assert all(lc.scheduler.kind == "innovation" and lc.scheduler.eps == 3.5
@@ -55,26 +54,26 @@ class TestParsing:
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigurationError):
-            parse_scenario("no-such-preset")
+            parse_scenario_doc("no-such-preset")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("")
         with pytest.raises(ConfigurationError, match="line 1"):
-            parse_scenario(path)
+            parse_scenario_doc(path)
 
     def test_unknown_keys_rejected_with_path(self, tmp_path):
         doc = presets()["example3"]
         bad = json.loads(json.dumps(doc))
         bad["loops"][0]["scheduler"]["epsilon"] = 1.0
         with pytest.raises(ConfigurationError, match=r"loops\[0\].scheduler"):
-            parse_scenario(bad)
+            parse_scenario_doc(bad)
 
     def test_q2_zero_is_a_validation_error(self):
         doc = json.loads(json.dumps(presets()["example3"]))
         doc["loops"][0]["weights"]["Q2"] = 0.0
         with pytest.raises(ConfigurationError, match="Q2 must be positive definite"):
-            parse_scenario(doc)
+            parse_scenario_doc(doc)
 
     def test_round_trip(self):
         for name in ("example1", "example1-baseline", "example3"):
@@ -100,7 +99,7 @@ class TestParsing:
                             "Q1": [[1.0, 0.0], [0.0, 1.0]], "Q2": 1.0},
             }],
         }
-        scn = parse_scenario(doc)
+        scn = parse_scenario_doc(doc).scenario
         assert scn.loops[0].plant.n == 2
 
     def test_scenario_hashes_are_pinned(self):
@@ -112,7 +111,7 @@ class TestParsing:
         doc = json.loads(json.dumps(presets()["example3"]))
         doc["sources"] = [{"kind": "bernoulli", "p_on": 0.3}]
         with pytest.raises(ConfigurationError, match=r"sources\[0\]: unknown keys"):
-            parse_scenario(doc)
+            parse_scenario_doc(doc)
 
     @pytest.mark.parametrize("path,where", [
         (("loops", 0, "horizon"), "loops[0].horizon"),
@@ -358,6 +357,14 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(path), "--episodes", "1",
                      "--out", str(tmp_path / "r")]) == EXIT_NUMERICAL
         assert "not finite" in capsys.readouterr().err
+
+    # the last grid's step is below the resolution of its bounds
+    @pytest.mark.parametrize("grid", ["1,x", "1:2:x", "nan,1", "1:inf:1", "1e20:2e20:1"])
+    def test_eps_grid_values_must_be_finite_numbers(self, tmp_path, capsys, grid):
+        assert main(["sweep", "--scenario", "example3", "--eps-grid", grid,
+                     "--episodes", "1", "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION
+        assert "--eps-grid" in capsys.readouterr().err
+        assert not (tmp_path / "sw_sweep.csv").exists()
 
     def test_io(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"

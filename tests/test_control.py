@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from macloops.control import (
-    ce_control,
     ce_u0,
     jdp_closed_form,
     riccati_backward,
@@ -17,7 +16,7 @@ from macloops.errors import BracketingError, ConfigurationError, NumericalError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
-from macloops.sim import run_episode
+from macloops.sim import ce_law, run_episode
 from macloops.stats import QuadratureSpec
 
 # frozen roots/residuals, verified against the Monte Carlo value-function
@@ -73,14 +72,10 @@ class TestRiccati:
 
 class TestCeControl:
     def test_examples(self):
-        assert ce_control([[0.5]], [2.0]) == pytest.approx([-1.0])
-        assert ce_control([[0.5]], [0.0]) == pytest.approx([0.0])
+        assert ce_law(np.array([[0.5]]), np.array([2.0])) == pytest.approx([-1.0])
+        assert ce_law(np.array([[0.5]]), np.array([0.0])) == pytest.approx([0.0])
         sol = riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, 2)
-        assert ce_control(sol.L[0], [1.0]) == pytest.approx([-0.6])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            ce_control(np.eye(2), [1.0])
+        assert ce_law(sol.L[0], np.array([1.0])) == pytest.approx([-0.6])
 
 
 class TestJdpClosedForm:
@@ -169,11 +164,6 @@ class TestTwoStepController:
         r = two_step_stationarity_residual(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, 0.0)
         assert r == pytest.approx(RESIDUAL_AT_CE_DELIVERED, abs=1e-9)
         assert abs(r) > 0.1
-
-    def test_without_probing_term_ce_is_recovered(self):
-        u0 = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.4,
-                                 include_dual_term=False)
-        assert u0 == pytest.approx(ce_u0(1.0, 1.0, 1.5, 1.0, 0.4), abs=1e-9)
 
     def test_optimal_root_delivered_branch(self):
         u0 = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0)

@@ -1,6 +1,7 @@
-"""The demos that call the two-step and compound-density kernels run to
-completion."""
+"""Every demo imports cleanly, and the demos that call the two-step and
+compound-density kernels run to completion."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +10,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_imports(demo):
+    # loads the module without running main(), so a demo that imports a
+    # removed name fails here
+    spec = importlib.util.spec_from_file_location(f"demo_{Path(demo).stem}",
+                                                  ROOT / "demos" / demo)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 @pytest.mark.parametrize("demo", ["truncated_and_compound_moments.py", "two_step_probing.py"])

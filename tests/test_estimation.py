@@ -1,33 +1,15 @@
-"""Observer updates, burst-noise conditioning, the sensor-side filter and the
-two-step posterior."""
+"""Observer updates, the zero conditional mean under symmetric scheduling and
+the two-step posterior."""
 
 import math
 
 import numpy as np
 import pytest
 
-from macloops.errors import (
-    ConfigurationError,
-    InfeasibleConditioningError,
-    ProtocolError,
-)
-from macloops.estimation import (
-    ObserverState,
-    SensorKf,
-    general_estimate_burst,
-    observer_update,
-    sensor_kf_step,
-    two_step_posterior,
-)
-from macloops.model import PlantModel, RngStream
-from macloops.scheduling import SchedulerPolicy
-from macloops.stats import (
-    TruncatedGaussian,
-    integrate,
-    std_normal_cdf,
-    std_normal_pdf,
-    truncated_moments,
-)
+from macloops.errors import ConfigurationError, ProtocolError
+from macloops.estimation import ObserverState, observer_update, two_step_posterior
+from macloops.model import PlantModel
+from macloops.stats import TruncatedGaussian, truncated_moments
 
 UNIT_PLANT = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
 
@@ -118,94 +100,6 @@ class TestConditionalMeanUnderSymmetricScheduling:
         assert sample.size > 1_000_000
         se = sample.std(ddof=1) / math.sqrt(sample.size)
         assert abs(sample.mean()) < 3.0 * se
-
-
-class TestGeneralEstimateBurst:
-    def test_symmetric_scheduler_is_exactly_zero(self):
-        for pol in (SchedulerPolicy.innovation_threshold(1.0),
-                    SchedulerPolicy.always_transmit()):
-            est = general_estimate_burst(UNIT_PLANT, pol, 3, RngStream(1, (0,)))
-            assert est.mean == 0.0 and est.stderr == 0.0 and est.acceptance == 1.0
-
-    def test_half_line_single_step_matches_truncation(self):
-        pol = SchedulerPolicy.half_line_state(0.5)
-        est = general_estimate_burst(UNIT_PLANT, pol, 1, RngStream(5, (0,)),
-                                     n_samples=2_000_000)
-        want, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, 0.5))
-        assert abs(est.mean - want) < 3.0 * est.stderr
-
-    def test_half_line_two_steps_matches_quadrature(self):
-        # events: w0 < 0.5 and w0 + w1 < 0.5; oracle reduces the inner
-        # integral to Gaussian partial moments and quadrates the outer one
-        c = 0.5
-        prob = integrate(lambda w: std_normal_pdf(w) * std_normal_cdf(c - w), -10.0, c)
-        num = integrate(
-            lambda w: std_normal_pdf(w) * (w * std_normal_cdf(c - w) - std_normal_pdf(c - w)),
-            -10.0, c,
-        )
-        want = num / prob
-        pol = SchedulerPolicy.half_line_state(c)
-        est = general_estimate_burst(UNIT_PLANT, pol, 2, RngStream(6, (0,)),
-                                     n_samples=2_000_000)
-        assert abs(est.mean - want) < 3.0 * est.stderr
-
-    def test_state_threshold_burst(self):
-        pol = SchedulerPolicy.state_threshold(4.0)
-        est = general_estimate_burst(UNIT_PLANT, pol, 2, RngStream(8, (0,)),
-                                     n_samples=500_000)
-        # symmetric events around zero offsets: mean stays near zero
-        assert abs(est.mean) < 4.0 * est.stderr + 1e-3
-
-    def test_offsets_shift_the_conditioning(self):
-        pol = SchedulerPolicy.half_line_state(0.5)
-        est = general_estimate_burst(UNIT_PLANT, pol, 1, RngStream(9, (0,)),
-                                     n_samples=1_000_000, offsets=[-1.0])
-        want, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, 1.5))
-        assert abs(est.mean - want) < 3.0 * est.stderr
-
-    def test_infeasible_conditioning(self):
-        pol = SchedulerPolicy.half_line_state(0.5)
-        with pytest.raises(InfeasibleConditioningError):
-            general_estimate_burst(UNIT_PLANT, pol, 1, RngStream(10, (0,)),
-                                   n_samples=100_000, offsets=[50.0])
-
-    def test_vector_plants_rejected(self):
-        plant = PlantModel(A=np.eye(2), B=np.ones((2, 1)), Rw=np.eye(2), R0=np.eye(2))
-        with pytest.raises(ConfigurationError):
-            general_estimate_burst(plant, SchedulerPolicy.half_line_state(0.5), 1,
-                                   RngStream(1, (0,)))
-
-
-class TestSensorKf:
-    def test_hand_computed_first_update(self):
-        kf = SensorKf.initial(C=1.0, Rv=1.0, z0_mean=[0.0], P0=1.0)
-        kf1 = sensor_kf_step(kf, [2.0], [0.0], UNIT_PLANT)
-        assert kf1.innovation_cov.ravel() == pytest.approx([2.0])
-        assert kf1.gain.ravel() == pytest.approx([0.5])
-        assert kf1.z_filt == pytest.approx([1.0])
-        assert kf1.P_filt.ravel() == pytest.approx([0.5])
-
-    def test_huge_measurement_noise_ignores_measurement(self):
-        kf = SensorKf.initial(C=1.0, Rv=1e9, z0_mean=[0.0], P0=1.0)
-        kf1 = sensor_kf_step(kf, [100.0], [0.0], UNIT_PLANT)
-        assert abs(kf1.z_filt[0]) < 1e-4
-
-    def test_tiny_measurement_noise_takes_measurement(self):
-        kf = SensorKf.initial(C=1.0, Rv=1e-12, z0_mean=[0.0], P0=1.0)
-        kf1 = sensor_kf_step(kf, [3.0], [0.0], UNIT_PLANT)
-        assert kf1.z_filt == pytest.approx([3.0], abs=1e-9)
-
-    def test_covariance_stays_symmetric_psd(self):
-        plant = PlantModel(A=[[0.9, 0.2], [0.0, 0.7]], B=[[1.0], [0.5]],
-                           Rw=0.1 * np.eye(2), R0=np.eye(2))
-        kf = SensorKf.initial(C=[[1.0, 0.0]], Rv=[[0.5]],
-                              z0_mean=[0.0, 0.0], P0=np.eye(2))
-        rng = np.random.default_rng(4)
-        for _ in range(10_000):
-            kf = sensor_kf_step(kf, [rng.standard_normal()], [0.0], plant)
-            P = kf.P_filt
-            assert np.allclose(P, P.T, atol=1e-12)
-            assert np.linalg.eigvalsh(P).min() > -1e-12
 
 
 class TestTwoStepPosterior:

@@ -1,7 +1,13 @@
 """Contention rounds, retransmission bookkeeping and traffic sources."""
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macloops.errors import ConfigurationError
 from macloops.model import RngStream
@@ -15,6 +21,16 @@ from macloops.network import (
 )
 
 CRM = CrmConfig(persistence=(1.0, 0.75, 0.5))
+# the contention chain of the benchmark's output checks, an oracle that does
+# not import macloops
+_ORACLES = Path(__file__).resolve().parent.parent / "benchmark" / "oracles.py"
+_spec = importlib.util.spec_from_file_location("benchmark_oracles", _ORACLES)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
+
+
+def successes(out):
+    return [ev.contender for ev in out.events if ev.result == RESULT_SUCCESS]
 
 
 class TestCrmConfig:
@@ -44,7 +60,7 @@ class TestResolveContention:
     def test_single_contender_first_slot(self):
         out = resolve_contention([7], CRM, RngStream(42))
         assert out.delta == {7: 1}
-        assert out.winners == (7,)
+        assert successes(out) == [7]
         assert out.attempts_used[7] == 1
         assert out.events[0].slot == 1 and out.events[0].result == RESULT_SUCCESS
 
@@ -64,7 +80,7 @@ class TestResolveContention:
     def test_no_contenders(self):
         out = resolve_contention([], CRM, RngStream(0))
         assert out.delta == {}
-        assert out.winners == ()
+        assert out.events == ()
 
     def test_at_most_one_success_per_mini_slot(self):
         rng = np.random.default_rng(0)
@@ -77,7 +93,7 @@ class TestResolveContention:
                 if ev.result == RESULT_SUCCESS:
                     per_slot[ev.slot] = per_slot.get(ev.slot, 0) + 1
             assert all(v == 1 for v in per_slot.values())
-            assert sum(out.delta.values()) == len(out.winners)
+            assert sorted(successes(out)) == [c for c, d in out.delta.items() if d]
 
     def test_deterministic_given_seed(self):
         a = resolve_contention([1, 2, 5], CRM, RngStream(99))
@@ -107,6 +123,40 @@ class TestResolveContention:
             out = resolve_contention([0, 1, 2, 3], crm, RngStream(seed))
             for c, used in out.attempts_used.items():
                 assert used <= crm.max_attempts
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_success_frequency_matches_exact_chain(self, k):
+        # the preset channel: persistence 1, 0.75, 0.5 over 10 mini-slots
+        crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=10)
+        rounds = 2000
+        wins = sum(resolve_contention(range(k), crm, RngStream(2024, (k, r))).delta[0]
+                   for r in range(rounds))
+        p = oracles.tagged_success_probability(k, crm.persistence, crm.slots_per_sample)
+        se = math.sqrt(p * (1.0 - p) / rounds)
+        assert abs(wins / rounds - p) <= 5.0 * se + 1e-12
+
+
+@st.composite
+def contention_rounds(draw):
+    pers = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    slots = draw(st.integers(len(pers), 12))
+    ids = draw(st.lists(st.integers(0, 1 << 17), max_size=8, unique=True))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return CrmConfig(persistence=tuple(pers), slots_per_sample=slots), ids, seed
+
+
+class TestContentionProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=contention_rounds(), data=st.data())
+    def test_round_invariants(self, case, data):
+        crm, ids, seed = case
+        out = resolve_contention(ids, crm, RngStream(seed))
+        slots = [ev.slot for ev in out.events if ev.result == RESULT_SUCCESS]
+        assert len(slots) == len(set(slots))
+        assert all(used <= crm.max_attempts for used in out.attempts_used.values())
+        assert set(out.delta) == set(ids)
+        shuffled = data.draw(st.permutations(ids))
+        assert resolve_contention(shuffled, crm, RngStream(seed)) == out
 
 
 class TestTrafficSources:

@@ -48,11 +48,6 @@ class TestDecide:
         pol = SchedulerPolicy.state_threshold(4.9)
         assert decide(pol, np.array([1.0, 2.0]), np.zeros(2)) == 1   # 5 > 4.9
 
-    def test_custom_rule(self):
-        pol = SchedulerPolicy.custom_symmetric(lambda r: float(r @ r) > 1.0)
-        assert decide(pol, *inp(2.0, 0.5)) == 1
-        assert decide(pol, *inp(0.5, 0.0)) == 0
-
 
 class TestTags:
     def test_control_free_tags(self):
@@ -60,9 +55,6 @@ class TestTags:
         assert is_symmetric_control_free(SchedulerPolicy.always_transmit())
         assert not is_symmetric_control_free(SchedulerPolicy.state_threshold(1.0))
         assert not is_symmetric_control_free(SchedulerPolicy.half_line_state(0.5))
-        assert is_symmetric_control_free(
-            SchedulerPolicy.custom_symmetric(lambda r: bool(abs(r[0]) > 2))
-        )
 
 
 class TestProperties:
@@ -90,3 +82,5 @@ class TestProperties:
             SchedulerPolicy(kind="nope")
         with pytest.raises(ConfigurationError):
             SchedulerPolicy(kind="custom")
+        with pytest.raises(ConfigurationError, match="eps must be >= 0"):
+            SchedulerPolicy.innovation_threshold(float("nan"))

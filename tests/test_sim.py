@@ -235,3 +235,8 @@ class TestDualEffectExperiment:
         scn = single_loop(SchedulerPolicy.half_line_state(0.5))
         with pytest.raises(ConfigurationError):
             dual_effect_experiment(scn, ce_law, ce_law, seed=0, episodes=2)
+
+    def test_episode_count_validated(self):
+        scn = single_loop(SchedulerPolicy.half_line_state(0.5))
+        with pytest.raises(ConfigurationError, match="episodes must be >= 1"):
+            dual_effect_experiment(scn, ce_law, zero_law, seed=0, episodes=0)
