@@ -154,6 +154,8 @@ _INTEGER_FIELDS = frozenset({
     "count", "phase_step", "period", "phase", "horizon", "max_attempts",
     "slots_per_sample", "episodes", "seed", "global_horizon",
 })
+# lower bounds of the integer fields no configuration type checks
+_MINIMUM = {"count": 1, "episodes": 1, "seed": 0}
 _MATRIX_FIELDS = frozenset({"A", "B", "Rw", "R0", "x0_mean", "Q0", "Q1", "Q2"})
 
 
@@ -185,6 +187,9 @@ def _fields(obj: dict, path: str, table: dict) -> dict:
         value = obj.get(key, default)
         if key in _INTEGER_FIELDS and value is not None:
             value = _number(value, f"{path}.{key}", int)
+            if key in _MINIMUM and value < _MINIMUM[key]:
+                raise ConfigurationError(
+                    f"{path}.{key}: must be >= {_MINIMUM[key]}, got {value}")
         elif isinstance(default, float):
             value = _number(value, f"{path}.{key}", float)
         out[key] = value
@@ -222,8 +227,6 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
     kind, sched = _kind_fields(fields["scheduler"], f"{path}.scheduler", _SCHEDULERS,
                                "scheduler")
     weights = _fields(fields["weights"], f"{path}.weights", _WEIGHTS)
-    if fields["count"] < 1:
-        raise ConfigurationError(f"{path}.count: must be >= 1, got {fields['count']}")
     loops = []
     for i in range(fields["count"]):
         phase = plant["phase"] + i * fields["phase_step"]
@@ -468,10 +471,30 @@ def _out_prefix(args, command: str, label: str) -> Path:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def _run_settings(args) -> tuple[ScenarioDoc, int, int]:
+    """The scenario, seed and episode count of a run; the flags override
+    the scenario's own values."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"--seed: must be >= 0, got {args.seed}")
+    if args.episodes is not None and args.episodes < 1:
+        raise ConfigurationError(f"--episodes: must be >= 1, got {args.episodes}")
     doc = parse_scenario_doc(args.scenario)
     seed = doc.seed if args.seed is None else args.seed
     episodes = doc.episodes if args.episodes is None else args.episodes
+    return doc, seed, episodes
+
+
+def _check_finite(args, *names: str) -> None:
+    """Reject a NaN or infinite value of the named float flags."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigurationError(f"{flag}: must be a finite number, got {value}")
+
+
+def cmd_simulate(args) -> int:
+    doc, seed, episodes = _run_settings(args)
     law = zero_law if args.law == "zero" else ce_law
     prefix = _out_prefix(args, "simulate", doc.name)
     outputs: list[Path] = []
@@ -537,15 +560,18 @@ def _parse_eps_grid(text: str) -> list[float]:
         while v <= stop + 1e-9:
             values.append(round(v, 12))
             v += step
-        return values
-    return [_grid_value(p) for p in text.split(",") if p]
+    else:
+        values = [_grid_value(p) for p in text.split(",") if p]
+    if not values:
+        raise ConfigurationError("--eps-grid: must hold at least one value")
+    if min(values) < 0.0:
+        raise ConfigurationError(f"--eps-grid: thresholds must be >= 0, got {min(values)}")
+    return values
 
 
 def cmd_sweep(args) -> int:
-    doc = parse_scenario_doc(args.scenario)
-    seed = doc.seed if args.seed is None else args.seed
-    episodes = doc.episodes if args.episodes is None else args.episodes
     grid = _parse_eps_grid(args.eps_grid)
+    doc, seed, episodes = _run_settings(args)
     result = sweep_threshold(doc.scenario, grid, seed, episodes)
     prefix = _out_prefix(args, "sweep", doc.name)
     sweep_path = prefix.with_name(prefix.name + "_sweep.csv")
@@ -602,6 +628,7 @@ def _parse_branch(text: str) -> int:
 
 def cmd_two_step(args) -> int:
     delta0 = _parse_branch(args.branch)
+    _check_finite(args, "x0", "a", "b", "q0", "q1", "q2", "threshold")
     a, b = args.a, args.b
     q0, q1, q2 = args.q0, args.q1, args.q2
     if delta0 and args.x0 is None:
@@ -641,6 +668,7 @@ def cmd_two_step(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    _check_finite(args, "mu", "var", "upper", "a", "noise_var", "cond_upper")
     tg = TruncatedGaussian(args.mu, args.var, args.upper)
     mean, var = truncated_moments(tg)
     rows = [["truncated_mean", _fmt(mean)], ["truncated_var", _fmt(var)]]

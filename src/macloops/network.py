@@ -12,20 +12,21 @@ Pending packets left when the window closes are dropped -- samples are never
 queued across sampling instants.
 
 Randomness is keyed per contender id, so runs with different contender sets
-share each contender's private draw table (common random numbers).
+share each contender's private draw table (common random numbers).  The
+engine builds those rows for a whole episode in one bulk table
+(`RngStream.uniforms`), one row per (tick, contender) candidate; a contender's
+draw in mini-slot s is column s - 1 of its row.  Draws whose outcome is
+certain, with persistence 0 or 1, are not made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from .model import RngStream
 
 RESULT_SUCCESS = "success"
 RESULT_COLLIDED = "collided"
@@ -89,15 +90,17 @@ class SlotOutcome:
 
 
 def resolve_contention(requests: Iterable[int], crm: CrmConfig,
-                       stream: RngStream) -> SlotOutcome:
+                       draws: Callable[[int], Sequence[float]]) -> SlotOutcome:
     """Run one contention round among the requesting contender ids.
 
-    Each contender's transmit draws come from its private stream
-    `stream.child(contender)`, which keeps the draws aligned across runs that
-    add or remove contenders.
+    `draws(c)` returns contender c's private row of uniforms; its draw in
+    mini-slot s is column s - 1, which keeps the draws aligned across runs
+    that add or remove contenders.  A transmit decision with persistence 0 or
+    1 is certain and draws nothing, so `draws` is called only for contenders
+    that meet a persistence strictly between 0 and 1, once each.
     """
     contenders = sorted(set(int(c) for c in requests))
-    gens = {c: stream.child(c).generator() for c in contenders}
+    rows = {}
     attempt = {c: 1 for c in contenders}
     used = {c: 0 for c in contenders}
     pending = list(contenders)
@@ -106,9 +109,16 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
     for slot in range(1, crm.slots_per_sample + 1):
         if not pending:
             break
-        transmitters = [
-            c for c in pending if gens[c].random() < crm.persistence[attempt[c] - 1]
-        ]
+        transmitters = []
+        for c in pending:
+            p = crm.persistence[attempt[c] - 1]
+            if p >= 1.0:
+                transmitters.append(c)
+            elif p > 0.0:
+                if c not in rows:
+                    rows[c] = draws(c)
+                if rows[c][slot - 1] < p:
+                    transmitters.append(c)
         if len(transmitters) == 1:
             c = transmitters[0]
             used[c] += 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,14 +70,43 @@ class LoopTrace:
     j_lambda: float
 
 
-def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int):
+NoiseFactors = tuple[np.ndarray, np.ndarray]
+
+
+def _noise_factors(scenario: NetworkScenario) -> list[NoiseFactors]:
+    """The square roots of every loop's R0 and Rw, in loop order."""
+    return [(psd_sqrt(lc.plant.R0), psd_sqrt(lc.plant.Rw)) for lc in scenario.loops]
+
+
+def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int,
+                    factors: NoiseFactors):
     """Initial state and the whole process-noise panel for one loop."""
     plant = scenario.loops[idx].plant
+    sqrt_r0, sqrt_rw = factors
     gen = RngStream(int(seed), (int(episode), idx, _ROLE_NOISE)).generator()
-    x0 = plant.x0_mean + psd_sqrt(plant.R0) @ gen.standard_normal(plant.n)
+    x0 = plant.x0_mean + sqrt_r0 @ gen.standard_normal(plant.n)
     n_steps = scenario.loops[idx].horizon
-    w = gen.standard_normal((n_steps, plant.n)) @ psd_sqrt(plant.Rw).T
+    w = gen.standard_normal((n_steps, plant.n)) @ sqrt_rw.T
     return x0, w
+
+
+def _contention_rows(stream: RngStream, keys: list[tuple[int, int]], count: int):
+    """Look up the uniform row of a (tick, contender) key of one episode.
+
+    The table holds every key the episode may contend with and is built in
+    one pass at the first lookup; an episode whose rounds are all certain
+    never builds it.
+    """
+    table, index = None, {}
+
+    def row(tick: int, contender: int) -> list[float]:
+        nonlocal table
+        if table is None:
+            table = stream.uniforms(keys, count)
+            index.update(zip(keys, range(len(keys))))
+        return table[index[(tick, contender)]].tolist()
+
+    return row
 
 
 def _riccati_solutions(scenario: NetworkScenario) -> list[RiccatiSolution]:
@@ -110,21 +140,25 @@ def run_episode(
     episode: int,
     control_law: ControlLaw = ce_law,
     solutions: Optional[Sequence[RiccatiSolution]] = None,
+    noise_factors: Optional[Sequence[NoiseFactors]] = None,
     event_log: Optional[list] = None,
 ) -> list[LoopTrace]:
     """Simulate one episode and return one trace per loop.
 
-    `solutions` may carry precomputed Riccati solutions (one per loop) to
-    avoid recomputing them across episodes.  If `event_log` is a list it
-    receives (tick, SlotOutcome) pairs for every contention round.
+    `solutions` and `noise_factors` may carry the precomputed Riccati
+    solutions and noise square roots (one per loop) to avoid recomputing
+    them across episodes.  If `event_log` is a list it receives
+    (tick, SlotOutcome) pairs for every contention round.
     """
     loops = scenario.loops
     if solutions is None:
         solutions = _riccati_solutions(scenario)
+    if noise_factors is None:
+        noise_factors = _noise_factors(scenario)
     traces = [_empty_trace(lc, i, episode) for i, lc in enumerate(loops)]
     noises = []
     for i, tr in enumerate(traces):
-        x0, w = _noise_for_loop(scenario, seed, episode, i)
+        x0, w = _noise_for_loop(scenario, seed, episode, i, noise_factors[i])
         tr.xs[0] = x0
         noises.append(w)
     # the loops sampling at each tick, in loop order, with their step index
@@ -133,20 +167,31 @@ def run_episode(
         for k, tick in enumerate(tr.ticks.tolist()):
             schedule.setdefault(tick, []).append((i, k))
 
+    # Traffic does not depend on the loops, so every source runs through the
+    # whole episode first; its contender ids are kept at the sampling ticks.
     traffic_gens = [
         RngStream(int(seed), (int(episode), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC)).generator()
         for j in range(len(scenario.sources))
     ]
     traffic_state = [0] * len(scenario.sources)
-    observers = [ObserverState.initial(lc.plant) for lc in loops]
-    u_prev = [np.zeros(lc.plant.m) for lc in loops]
-
+    active: dict[int, list[int]] = {}
     for tick in range(scenario.global_horizon + 1):
         for j, src in enumerate(scenario.sources):
             traffic_state[j] = traffic_step(src, traffic_gens[j], traffic_state[j])
-        sampling = schedule.get(tick)
-        if sampling is None:
-            continue
+        if tick in schedule:
+            active[tick] = [SOURCE_CONTENDER_BASE + j
+                            for j, on in enumerate(traffic_state) if on]
+    ticks = sorted(schedule)
+    draws = _contention_rows(
+        RngStream(int(seed), (int(episode), _ROLE_CONTENTION)),
+        [(tick, c) for tick in ticks for c in [i for i, _ in schedule[tick]] + active[tick]],
+        scenario.crm.slots_per_sample,
+    )
+    observers = [ObserverState.initial(lc.plant) for lc in loops]
+    u_prev = [np.zeros(lc.plant.m) for lc in loops]
+
+    for tick in ticks:
+        sampling = schedule[tick]
 
         # schedule
         preds, requests = [], []
@@ -162,13 +207,8 @@ def run_episode(
         # contend
         outcome = None
         if requests:
-            contenders = requests + [
-                SOURCE_CONTENDER_BASE + j
-                for j, active in enumerate(traffic_state)
-                if active
-            ]
-            stream = RngStream(int(seed), (int(episode), _ROLE_CONTENTION, tick))
-            outcome = resolve_contention(contenders, scenario.crm, stream)
+            outcome = resolve_contention(requests + active[tick], scenario.crm,
+                                         partial(draws, tick))
             if event_log is not None:
                 event_log.append((tick, outcome))
 
@@ -254,6 +294,7 @@ def monte_carlo(
         raise ConfigurationError("episodes must be >= 1")
     loops = scenario.loops
     solutions = _riccati_solutions(scenario)
+    factors = _noise_factors(scenario)
     n_loops = len(loops)
     costs = np.zeros((episodes, n_loops))
     costs_lambda = np.zeros((episodes, n_loops))
@@ -267,7 +308,7 @@ def monte_carlo(
 
     for ep in range(episodes):
         event_log = [] if event_hook is not None else None
-        traces = run_episode(scenario, seed, ep, control_law, solutions, event_log)
+        traces = run_episode(scenario, seed, ep, control_law, solutions, factors, event_log)
         if trace_hook is not None:
             trace_hook(ep, traces)
         if event_hook is not None:
@@ -425,14 +466,15 @@ def dual_effect_experiment(
         raise ConfigurationError("episodes must be >= 1")
     loops = scenario.loops
     solutions = _riccati_solutions(scenario)
+    factors = _noise_factors(scenario)
     control_free = all(is_symmetric_control_free(lc.scheduler) for lc in loops)
     identical = 0
     div_ticks = []
     mse_a = np.zeros(episodes)
     mse_b = np.zeros(episodes)
     for ep in range(episodes):
-        tr_a = run_episode(scenario, seed, ep, law_a, solutions)
-        tr_b = run_episode(scenario, seed, ep, law_b, solutions)
+        tr_a = run_episode(scenario, seed, ep, law_a, solutions, factors)
+        tr_b = run_episode(scenario, seed, ep, law_b, solutions, factors)
         same = True
         first_tick = None
         for ta, tb in zip(tr_a, tr_b):

@@ -366,6 +366,39 @@ class TestExitCodes:
         assert "--eps-grid" in capsys.readouterr().err
         assert not (tmp_path / "sw_sweep.csv").exists()
 
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        assert main(["simulate", "--scenario", "example3", "--seed", "-1",
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_scenario_seed(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["seed"] = -3
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--episodes", "1",
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert "scenario.seed: must be >= 0, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--scenario", "example3", "--eps-grid=-1,2", "--episodes", "1"],
+         "--eps-grid: thresholds must be >= 0, got -1.0"),
+        (["sweep", "--scenario", "example3", "--eps-grid", ",", "--episodes", "1"],
+         "--eps-grid: must hold at least one value"),
+        (["simulate", "--scenario", "example3", "--episodes", "0"],
+         "--episodes: must be >= 1, got 0"),
+        (["two-step", "--branch", "delta0=0", "--a", "nan"],
+         "--a: must be a finite number, got nan"),
+        (["two-step", "--branch", "delta0=1", "--x0", "inf"],
+         "--x0: must be a finite number, got inf"),
+        (["moments", "--upper", "1", "--cond-upper", "1", "--noise-var", "nan"],
+         "--noise-var: must be a finite number, got nan"),
+    ])
+    def test_bad_flags_are_named(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_io(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")

@@ -13,7 +13,7 @@ from macloops.model import (
 )
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
-from macloops.sim import _noise_for_loop, ce_law, run_episode, zero_law
+from macloops.sim import _noise_factors, _noise_for_loop, ce_law, run_episode, zero_law
 
 SILENT = SchedulerPolicy.innovation_threshold(1e12)
 
@@ -51,7 +51,7 @@ class TestPlantStep:
     def test_hand_arithmetic(self):
         scn = one_loop(scalar_plant(a=0.75), horizon=5)
         tr = run_episode(scn, 3, 2)[0]
-        x0, w = _noise_for_loop(scn, 3, 2, 0)
+        x0, w = _noise_for_loop(scn, 3, 2, 0, _noise_factors(scn)[0])
         assert np.array_equal(tr.xs[0], x0)
         for k in range(5):
             want = 0.75 * tr.xs[k, 0] + tr.us[k, 0] + w[k, 0]
@@ -94,14 +94,14 @@ class TestUncontrolledState:
         # a delivery at every step leaves one noise draw in the next residual
         scn = one_loop(scalar_plant(a=1.3), horizon=6)
         tr = run_episode(scn, 2, 4)[0]
-        _, w = _noise_for_loop(scn, 2, 4, 0)
+        _, w = _noise_for_loop(scn, 2, 4, 0, _noise_factors(scn)[0])
         assert tr.pred_err_sq[1:] == pytest.approx(w[:-1, 0] ** 2, rel=1e-9)
 
     def test_two_steps_geometric_weights(self):
         # never delivered: the residual accumulates A-weighted noise
         scn = one_loop(scalar_plant(a=0.5), SILENT, horizon=6)
         tr = run_episode(scn, 5, 1)[0]
-        x0, w = _noise_for_loop(scn, 5, 1, 0)
+        x0, w = _noise_for_loop(scn, 5, 1, 0, _noise_factors(scn)[0])
         e = x0[0]
         for k in range(6):
             assert tr.pred_err_sq[k] == pytest.approx(e * e, rel=1e-9)
@@ -135,7 +135,8 @@ class TestSampleNoise:
 
     @staticmethod
     def noise(plant, horizon, seed=1):
-        return _noise_for_loop(one_loop(plant, horizon=horizon), seed, 0, 0)
+        scn = one_loop(plant, horizon=horizon)
+        return _noise_for_loop(scn, seed, 0, 0, _noise_factors(scn)[0])
 
     def test_zero_covariance(self):
         x0, w = self.noise(scalar_plant(rw=0.0, r0=0.0, x0_mean=[0.3]), 4)
@@ -176,6 +177,28 @@ class TestRngStream:
     def test_child_extends_coordinates(self):
         s = RngStream(9, (1,)).child(2, 3)
         assert s.coords == (1, 2, 3)
+
+    # one-word seeds at both ends, a two-word seed, and one longer than the
+    # four-word pool
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 64 + 5, 2 ** 130],
+                             ids=["0", "2^32-1", "2^64+5", "2^130"])
+    def test_uniforms_equal_numpy_row_by_row(self, seed):
+        rng = np.random.default_rng(seed % 2 ** 32)
+        for count in range(1, 11):
+            for coords in ((), (int(rng.integers(0, 1000)), 2)):
+                children = [tuple(int(v) for v in rng.integers(0, 2 ** 32, 2))
+                            for _ in range(5)]
+                stream = RngStream(seed, coords)
+                rows = stream.uniforms(children, count)
+                assert rows.shape == (5, count)
+                for row, child in zip(rows, children):
+                    expected = stream.child(*child).generator().random(count)
+                    assert np.array_equal(row, expected), (seed, coords, child, count)
+
+    @pytest.mark.parametrize("child", [(2 ** 32,), (0, 2 ** 40), (2 ** 70,), (-1,)])
+    def test_uniforms_reject_coordinates_beyond_one_word(self, child):
+        with pytest.raises(ValueError, match="child coordinates"):
+            RngStream(5, (1,)).uniforms([(0,) * len(child), child], 3)
 
 
 class TestConfigValidation:

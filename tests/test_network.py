@@ -13,8 +13,12 @@ from macloops.errors import ConfigurationError
 from macloops.model import RngStream
 from macloops.network import (
     RESULT_COLLIDED,
+    RESULT_DEFERRED,
+    RESULT_DROPPED,
     RESULT_SUCCESS,
     CrmConfig,
+    SlotEvent,
+    SlotOutcome,
     TrafficSource,
     resolve_contention,
     traffic_step,
@@ -27,6 +31,11 @@ _ORACLES = Path(__file__).resolve().parent.parent / "benchmark" / "oracles.py"
 _spec = importlib.util.spec_from_file_location("benchmark_oracles", _ORACLES)
 oracles = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracles)
+
+
+def draws(stream, crm):
+    """Each contender's uniforms, from the child stream keyed by its id."""
+    return lambda c: stream.uniforms([(c,)], crm.slots_per_sample)[0]
 
 
 def successes(out):
@@ -58,7 +67,7 @@ class TestCrmConfig:
 
 class TestResolveContention:
     def test_single_contender_first_slot(self):
-        out = resolve_contention([7], CRM, RngStream(42))
+        out = resolve_contention([7], CRM, draws(RngStream(42), CRM))
         assert out.delta == {7: 1}
         assert successes(out) == [7]
         assert out.attempts_used[7] == 1
@@ -66,19 +75,19 @@ class TestResolveContention:
 
     def test_two_always_transmit_contenders_all_drop(self):
         crm = CrmConfig(persistence=(1.0, 1.0, 1.0))
-        out = resolve_contention([0, 1], crm, RngStream(7))
+        out = resolve_contention([0, 1], crm, draws(RngStream(7), crm))
         assert out.delta == {0: 0, 1: 0}
         assert out.attempts_used == {0: 3, 1: 3}
         first = [e for e in out.events if e.slot == 1]
         assert {e.result for e in first} == {RESULT_COLLIDED}
 
     def test_first_slot_collision_moves_to_second_attempt(self):
-        out = resolve_contention([0, 1], CRM, RngStream(3))
+        out = resolve_contention([0, 1], CRM, draws(RngStream(3), CRM))
         slot1 = [e for e in out.events if e.slot == 1]
         assert all(e.result == RESULT_COLLIDED and e.attempt == 1 for e in slot1)
 
     def test_no_contenders(self):
-        out = resolve_contention([], CRM, RngStream(0))
+        out = resolve_contention([], CRM, draws(RngStream(0), CRM))
         assert out.delta == {}
         assert out.events == ()
 
@@ -87,7 +96,7 @@ class TestResolveContention:
         crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=8)
         for seed in range(300):
             n = int(rng.integers(1, 9))
-            out = resolve_contention(range(n), crm, RngStream(seed))
+            out = resolve_contention(range(n), crm, draws(RngStream(seed), crm))
             per_slot = {}
             for ev in out.events:
                 if ev.result == RESULT_SUCCESS:
@@ -96,13 +105,13 @@ class TestResolveContention:
             assert sorted(successes(out)) == [c for c, d in out.delta.items() if d]
 
     def test_deterministic_given_seed(self):
-        a = resolve_contention([1, 2, 5], CRM, RngStream(99))
-        b = resolve_contention([1, 2, 5], CRM, RngStream(99))
+        a = resolve_contention([1, 2, 5], CRM, draws(RngStream(99), CRM))
+        b = resolve_contention([1, 2, 5], CRM, draws(RngStream(99), CRM))
         assert a == b
 
     def test_request_order_is_irrelevant(self):
-        a = resolve_contention([5, 2, 1], CRM, RngStream(99))
-        b = resolve_contention([1, 2, 5], CRM, RngStream(99))
+        a = resolve_contention([5, 2, 1], CRM, draws(RngStream(99), CRM))
+        b = resolve_contention([1, 2, 5], CRM, draws(RngStream(99), CRM))
         assert a == b
 
     def test_monotone_degradation_under_common_randoms(self):
@@ -110,8 +119,8 @@ class TestResolveContention:
         crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=6)
         conversions = 0
         for seed in range(400):
-            base = resolve_contention([0, 1], crm, RngStream(seed))
-            more = resolve_contention([0, 1, 2], crm, RngStream(seed))
+            base = resolve_contention([0, 1], crm, draws(RngStream(seed), crm))
+            more = resolve_contention([0, 1, 2], crm, draws(RngStream(seed), crm))
             for c in (0, 1):
                 if base.delta[c] == 0 and more.delta[c] == 1:
                     conversions += 1
@@ -120,7 +129,7 @@ class TestResolveContention:
     def test_attempt_counter_only_advances_on_collisions(self):
         crm = CrmConfig(persistence=(0.5, 0.5, 0.5), slots_per_sample=12)
         for seed in range(50):
-            out = resolve_contention([0, 1, 2, 3], crm, RngStream(seed))
+            out = resolve_contention([0, 1, 2, 3], crm, draws(RngStream(seed), crm))
             for c, used in out.attempts_used.items():
                 assert used <= crm.max_attempts
 
@@ -129,11 +138,69 @@ class TestResolveContention:
         # the preset channel: persistence 1, 0.75, 0.5 over 10 mini-slots
         crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=10)
         rounds = 2000
-        wins = sum(resolve_contention(range(k), crm, RngStream(2024, (k, r))).delta[0]
-                   for r in range(rounds))
+        wins = sum(
+            resolve_contention(range(k), crm, draws(RngStream(2024, (k, r)), crm)).delta[0]
+            for r in range(rounds))
         p = oracles.tagged_success_probability(k, crm.persistence, crm.slots_per_sample)
         se = math.sqrt(p * (1.0 - p) / rounds)
         assert abs(wins / rounds - p) <= 5.0 * se + 1e-12
+
+
+def eager_round(ids, crm, stream):
+    """Oracle: every pending contender draws from its own numpy generator in
+    every mini-slot, whatever its persistence."""
+    gens = {c: stream.child(c).generator() for c in sorted(set(ids))}
+    attempt = dict.fromkeys(gens, 1)
+    used = dict.fromkeys(gens, 0)
+    delta = dict.fromkeys(gens, 0)
+    pending = sorted(gens)
+    events = []
+    for slot in range(1, crm.slots_per_sample + 1):
+        if not pending:
+            break
+        tx = [c for c in pending if gens[c].random() < crm.persistence[attempt[c] - 1]]
+        for c in tx:
+            used[c] += 1
+        if len(tx) == 1:
+            events.append(SlotEvent(slot, tx[0], attempt[tx[0]], RESULT_SUCCESS))
+            delta[tx[0]] = 1
+            pending.remove(tx[0])
+        elif tx:
+            events += [SlotEvent(slot, c, attempt[c], RESULT_COLLIDED) for c in tx]
+            for c in tx:
+                attempt[c] += 1
+            for c in tx:
+                if attempt[c] > crm.max_attempts:
+                    events.append(SlotEvent(slot, c, attempt[c] - 1, RESULT_DROPPED))
+                    pending.remove(c)
+        events += [SlotEvent(slot, c, attempt[c], RESULT_DEFERRED)
+                   for c in pending if c not in tx]
+    events += [SlotEvent(crm.slots_per_sample, c, attempt[c], RESULT_DROPPED)
+               for c in pending]
+    return SlotOutcome(delta=delta, attempts_used=used, events=tuple(events))
+
+
+class TestCertainDraws:
+    def test_persistence_one_never_asks_for_a_row(self):
+        def no_rows(c):
+            raise AssertionError(f"asked for the row of contender {c}")
+
+        crm = CrmConfig(persistence=(1.0,))
+        for ids in ([3], [0, 1], [4, 9, 2]):
+            out = resolve_contention(ids, crm, no_rows)
+            assert sum(out.delta.values()) == (len(ids) == 1)
+
+    def test_mixed_persistence_matches_eager_draws(self):
+        rng = np.random.default_rng(11)
+        for seed in range(300):
+            pers = tuple(rng.choice([0.0, 0.35, 0.8, 1.0], size=int(rng.integers(1, 5))))
+            crm = CrmConfig(persistence=pers,
+                            slots_per_sample=int(rng.integers(len(pers), 10)))
+            ids = [int(c) for c in rng.choice(50, size=int(rng.integers(1, 7)),
+                                              replace=False)]
+            stream = RngStream(seed, (seed % 7,))
+            assert resolve_contention(ids, crm, draws(stream, crm)) \
+                == eager_round(ids, crm, stream), (pers, ids, seed)
 
 
 @st.composite
@@ -150,13 +217,13 @@ class TestContentionProperties:
     @given(case=contention_rounds(), data=st.data())
     def test_round_invariants(self, case, data):
         crm, ids, seed = case
-        out = resolve_contention(ids, crm, RngStream(seed))
+        out = resolve_contention(ids, crm, draws(RngStream(seed), crm))
         slots = [ev.slot for ev in out.events if ev.result == RESULT_SUCCESS]
         assert len(slots) == len(set(slots))
         assert all(used <= crm.max_attempts for used in out.attempts_used.values())
         assert set(out.delta) == set(ids)
         shuffled = data.draw(st.permutations(ids))
-        assert resolve_contention(shuffled, crm, RngStream(seed)) == out
+        assert resolve_contention(shuffled, crm, draws(RngStream(seed), crm)) == out
 
 
 class TestTrafficSources:

@@ -18,6 +18,7 @@ from macloops.sim import (
     sweep_threshold,
     zero_law,
 )
+from test_network import oracles
 
 
 def loop_of(scheduler, a=1.0, rw=1.0, r0=1.0, x0_mean=None, horizon=10,
@@ -230,6 +231,17 @@ class TestDualEffectExperiment:
         assert not rep.control_free
         assert rep.divergence_fraction > 0.0
         assert rep.first_divergence_ticks.size > 0
+
+    def test_step_one_divergence_share_matches_exact_integral(self):
+        # criterion 8's loop: x0 ~ N(0, 1) is requested iff x0 >= 0.5
+        scn = single_loop(SchedulerPolicy.half_line_state(0.5))
+        episodes = 10_000
+        rep = dual_effect_experiment(scn, ce_law, zero_law, seed=8, episodes=episodes)
+        gain0 = oracles.scalar_first_gain(1.0, 1.0, 1.0, 1.0, 1.0, 10)
+        p = oracles.first_step_divergence_probability(1.0, 1.0, 1.0, 1.0, gain0, 0.5)
+        share = int((rep.first_divergence_ticks == 1).sum()) / episodes
+        se = math.sqrt(p * (1.0 - p) / episodes)
+        assert abs(share - p) <= 5.0 * se, f"share {share:.4f} vs exact {p:.4f}"
 
     def test_laws_must_differ(self):
         scn = single_loop(SchedulerPolicy.half_line_state(0.5))
