@@ -250,6 +250,14 @@ class TestOtherCommands:
                      "--seed", "4", "--episodes", "3", "--out", str(out)])
         assert code == EXIT_OK
 
+    def test_sweep_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "swp"
+        code = main(["sweep", "--scenario", "example3", "--episodes", "5", "--eps-grid",
+                     "2,3.5", "--seed", "7", "--out", str(out)])
+        assert code == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "swp_sweep.csv").read_bytes()).hexdigest()
+        assert digest == "9c422ea8abdbc13cc7b5d4c6be80b670568d62602f0665ad6264b40906fedc5e"
+
     def test_riccati(self, tmp_path):
         out = tmp_path / "ric"
         code = main(["riccati", "--horizon", "2", "--out", str(out)])

@@ -1,6 +1,7 @@
 """Closed-loop episode engine: determinism, conservation, reductions and the
 paired-law experiment."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -242,6 +243,17 @@ class TestDualEffectExperiment:
         share = int((rep.first_divergence_ticks == 1).sum()) / episodes
         se = math.sqrt(p * (1.0 - p) / episodes)
         assert abs(share - p) <= 5.0 * se, f"share {share:.4f} vs exact {p:.4f}"
+
+    def test_outputs_are_pinned(self):
+        # criterion 8's loop; the values are those of the per-episode engine
+        scn = single_loop(SchedulerPolicy.half_line_state(0.5))
+        rep = dual_effect_experiment(scn, ce_law, zero_law, seed=8, episodes=2000)
+        assert [repr(v) for v in (rep.mse_a, rep.mse_b, rep.mse_diff, rep.mse_diff_se,
+                                  rep.gamma_identical_episodes)] == [
+            "3.488520489955558", "3.0147129414083285", "0.4738075485472297",
+            "0.022975611627591378", "817"]
+        assert hashlib.sha256(rep.first_divergence_ticks.tobytes()).hexdigest() == \
+            "d8e3f16cab297f3cf0f004599ee4fa5a9abab61486e5c38653ca0f95055edcf9"
 
     def test_laws_must_differ(self):
         scn = single_loop(SchedulerPolicy.half_line_state(0.5))
