@@ -213,7 +213,8 @@ def _at(path: str):
     try:
         yield
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+        where = path if exc.field is None else f"{path}.{exc.field}"
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _parse_loop(d: dict, path: str) -> list[LoopConfig]:

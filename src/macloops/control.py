@@ -64,20 +64,24 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     L = [None] * horizon
     S[horizon] = Q0
     # overflow is reported below as a NumericalError, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(horizon - 1, -1, -1):
             S_next = S[k + 1]
-            G = Q2 + B.T @ S_next @ B
+            BtS, AtS = B.T @ S_next, A.T @ S_next
+            G = Q2 + BtS @ B
+            # G is symmetric, so its 2-norm condition number is the ratio of
+            # its extreme eigenvalue magnitudes (eigvalsh is cheaper than an SVD)
             try:
-                cond = np.linalg.cond(G)
+                eig = np.abs(np.linalg.eigvalsh(G))
+                cond = eig.max() / eig.min()
             except np.linalg.LinAlgError:
                 cond = np.inf
             if not np.isfinite(cond) or cond > 1e14:
                 raise NumericalError(
                     f"Q2 + B'SB numerically singular at step {k} (cond={cond:.2e})"
                 )
-            L[k] = np.linalg.solve(G, B.T @ S_next @ A)
-            Sk = Q1 + A.T @ S_next @ A - A.T @ S_next @ B @ L[k]
+            L[k] = np.linalg.solve(G, BtS @ A)
+            Sk = Q1 + AtS @ A - AtS @ B @ L[k]
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
             S[k] = 0.5 * (Sk + Sk.T)

@@ -9,7 +9,15 @@ NumericalError to exit code 4 and file-system errors (OSError) to 5.
 
 
 class ConfigurationError(ValueError):
-    """Invalid model, scheduler, network or scenario configuration."""
+    """Invalid model, scheduler, network or scenario configuration.
+
+    `field` may name the field of the object being built that is at fault,
+    so that a parser can report its full path.
+    """
+
+    def __init__(self, message: str = "", field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ProtocolError(RuntimeError):

@@ -30,15 +30,16 @@ class ObserverState:
     """Controller-side observer after processing step k.
 
     xhat is the filtered estimate.  tau tracks the last delivery, with -1
-    denoting the fictitious initial packet.
+    denoting the fictitious initial packet.  The engine keeps one state per
+    loop for a chunk of episodes: xhat is then (E, n) and tau (E,).
     """
 
     xhat: np.ndarray
-    tau: int
+    tau: int | np.ndarray
     k: int
 
     @property
-    def delay(self) -> int:
+    def delay(self) -> int | np.ndarray:
         return self.k - self.tau
 
     @classmethod
@@ -48,7 +49,7 @@ class ObserverState:
 
 def observer_update(
     state: ObserverState,
-    delta: int,
+    delta,
     y: Optional[np.ndarray],
     pred: np.ndarray,
 ) -> ObserverState:
@@ -58,15 +59,19 @@ def observer_update(
     filtered estimate through the applied input, the same one the scheduler
     decided on.  A delivered packet carries the full state and resets the
     estimate; otherwise the prediction stands, with no correction term added.
+    delta, y and pred may carry a leading episode axis: each episode takes
+    its own row of y where its delta is set.
     """
     k = state.k + 1
-    if delta:
-        if y is None:
+    if y is None:
+        if np.asarray(delta).any():
             raise ProtocolError(f"packet delivered at step {k} but no payload given")
-        if y.shape != pred.shape:
-            raise ConfigurationError(f"y must have length {len(pred)}")
-        return ObserverState(xhat=y.copy(), tau=k, k=k)
-    return ObserverState(xhat=pred, tau=state.tau, k=k)
+        return ObserverState(xhat=pred, tau=state.tau, k=k)
+    if y.shape != pred.shape:
+        raise ConfigurationError(f"y must have length {pred.shape[-1]}")
+    delivered = np.asarray(delta) != 0
+    return ObserverState(xhat=np.where(delivered[..., None], y, pred),
+                         tau=np.where(delivered, k, state.tau), k=k)
 
 
 @dataclass(frozen=True)

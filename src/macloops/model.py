@@ -347,6 +347,10 @@ class LoopConfig:
             raise ConfigurationError(f"horizon must be a positive integer, got {self.horizon}")
         object.__setattr__(self, "horizon", int(self.horizon))
         n, m = self.plant.n, self.plant.m
+        if self.scheduler.kind == "halfline" and n != 1:
+            raise ConfigurationError(
+                f"half-line scheduling is defined for scalar states only, got n = {n}",
+                field="scheduler")
         q0 = as_matrix(self.Q0, "Q0")
         q1 = as_matrix(self.Q1, "Q1")
         q2 = as_matrix(self.Q2, "Q2")

@@ -73,9 +73,7 @@ def decide(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> int:
     if policy.kind == "innovation":
         r = x - pred
         return 1 if float(r @ r) > policy.eps else 0
-    # half-line
-    if x.shape != (1,):
-        raise ConfigurationError("half-line scheduling is defined for scalar states only")
+    # half-line, on a scalar state (LoopConfig checks the plant)
     if policy.direction == "ge":
         return 1 if x[0] >= policy.threshold else 0
     return 1 if x[0] <= policy.threshold else 0

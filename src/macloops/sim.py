@@ -8,6 +8,22 @@ integer tick grid and act only at their own sampling instants (phase +
 multiples of the period); between samples nothing is simulated.  All
 randomness is drawn from streams keyed by (master seed, episode, entity,
 role), so a (seed, episode, scenario) triple fully determines every trace.
+
+There is one engine, and it runs a chunk of up to CHUNK_EPISODES episodes
+at once: each loop's state, estimate and input are (episodes, n) arrays,
+and every tick does the prediction, observer update, control law and plant
+step once per sampling loop for the whole chunk; the residuals, errors and
+cost terms then follow from the stored steps, all steps at once.
+`run_episode` is the chunk of one episode.  A control law therefore takes
+the gain L_k and an (E, n) array of estimates and returns an (E, m) array
+of inputs, or one (m,) input that holds for every episode.  Products over
+the plant dimensions are elementwise multiply-adds in index order
+(`_sum_products`), so an episode's bits do not depend on the chunk it ran
+in.  The scheduler decision (`decide`) stays one call per episode and
+sample, and contention (`resolve_contention`) one call per episode and
+round: both branch on each episode's own values, and a round's outcome is
+a small record per contender that the event dump and the channel
+statistics read.
 """
 
 from __future__ import annotations
@@ -15,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,13 +48,35 @@ _ROLE_TRAFFIC = 1
 _ROLE_CONTENTION = 2
 # contender ids: loops use their index, sources are offset out of the way
 SOURCE_CONTENDER_BASE = 1 << 16
+# episodes advanced together by the engine
+CHUNK_EPISODES = 64
 
 ControlLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j], broadcast over the leading axes.
+
+    The terms are rounded products added in index order to +0 (as numpy's
+    `@` does, so a sum of zeros is +0), and each entry has the same bits
+    however many rows are stacked around it; BLAS (`@`) does not promise
+    that.  `M x` for every row of X is `_sum_products(M, X[..., None, :])`.
+    """
+    terms = a * b
+    out = 0.0 + terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        out = out + terms[..., j]
+    return out
+
+
+def _quad(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x' Q x for every row x of X, evaluated as (x' Q) x."""
+    return _sum_products(_sum_products(Q.T, X[..., None, :]), X)
+
+
 def ce_law(L_k: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """Certainty-equivalent input -L_k xhat."""
-    return -(L_k @ xhat)
+    """Certainty-equivalent input -L_k xhat, for every row of xhat."""
+    return -_sum_products(L_k, xhat[..., None, :])
 
 
 def zero_law(L_k: np.ndarray, xhat: np.ndarray) -> np.ndarray:
@@ -46,7 +85,11 @@ def zero_law(L_k: np.ndarray, xhat: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class LoopTrace:
-    """Everything one loop did in one episode, one row per sampling step."""
+    """Everything one loop did in one episode, one row per sampling step.
+
+    Inside the engine the same record holds a whole chunk: every per-step
+    array and the three costs then carry a leading episode axis.
+    """
 
     loop: int
     episode: int
@@ -68,6 +111,19 @@ class LoopTrace:
     terminal_cost: float
     j: float
     j_lambda: float
+
+
+_PER_STEP = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs",
+             "pred_err_sq", "taus", "delays", "cost_terms")
+
+
+def _episode_trace(batch: LoopTrace, e: int, episode: int) -> LoopTrace:
+    """Episode e of a chunk trace, as views into its arrays."""
+    return LoopTrace(
+        batch.loop, episode, batch.period, batch.phase, batch.ks, batch.ticks,
+        *(getattr(batch, name)[e] for name in _PER_STEP),
+        float(batch.terminal_cost[e]), float(batch.j[e]), float(batch.j_lambda[e]),
+    )
 
 
 NoiseFactors = tuple[np.ndarray, np.ndarray]
@@ -117,21 +173,168 @@ def _riccati_solutions(scenario: NetworkScenario) -> list[RiccatiSolution]:
     ]
 
 
-def _empty_trace(lc, idx: int, episode: int) -> LoopTrace:
-    """A trace whose per-step arrays the engine fills in place."""
-    n_steps, n, m = lc.horizon, lc.plant.n, lc.plant.m
+def _schedule(scenario: NetworkScenario) -> dict[int, list[tuple[int, int]]]:
+    """The loops sampling at each tick, in loop order, with their step index."""
+    schedule: dict[int, list[tuple[int, int]]] = {}
+    for i, lc in enumerate(scenario.loops):
+        for k in range(lc.horizon):
+            schedule.setdefault(lc.plant.phase + lc.plant.period * k, []).append((i, k))
+    return dict(sorted(schedule.items()))
+
+
+@dataclass(eq=False)
+class _ChunkDraws:
+    """Every random input of a chunk of episodes; any control law may run on it."""
+
+    episodes: range
+    schedule: dict[int, list[tuple[int, int]]]
+    x0: list[np.ndarray]              # per loop, (E, n)
+    noise: list[np.ndarray]           # per loop, (E, N, n)
+    active: list[dict[int, list[int]]]  # per episode: tick -> active source ids
+    rows: list[Callable]              # per episode: contention row lookup
+
+
+def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
+                factors: Sequence[NoiseFactors]) -> _ChunkDraws:
+    """Draw the noise, the traffic and the contention rows of a chunk.
+
+    Each episode draws from its own streams exactly as it would alone: one
+    noise generator per loop, one traffic generator per source, and one
+    contention table keyed by (episode, tick, contender).
+    """
+    schedule = _schedule(scenario)
+    x0, noise = [], []
+    for i in range(len(scenario.loops)):
+        drawn = [_noise_for_loop(scenario, seed, ep, i, factors[i]) for ep in episodes]
+        x0.append(np.array([x for x, _ in drawn]))
+        noise.append(np.array([w for _, w in drawn]))
+    # Traffic does not depend on the loops, so every source runs through the
+    # whole episode first; its contender ids are kept at the sampling ticks.
+    active, rows = [], []
+    for ep in episodes:
+        gens = [RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC))
+                .generator() for j in range(len(scenario.sources))]
+        state = [0] * len(scenario.sources)
+        on_at: dict[int, list[int]] = {}
+        for tick in range(scenario.global_horizon + 1):
+            for j, src in enumerate(scenario.sources):
+                state[j] = traffic_step(src, gens[j], state[j])
+            if tick in schedule:
+                on_at[tick] = [SOURCE_CONTENDER_BASE + j for j, on in enumerate(state) if on]
+        active.append(on_at)
+        rows.append(_contention_rows(
+            RngStream(int(seed), (int(ep), _ROLE_CONTENTION)),
+            [(tick, c) for tick, sampling in schedule.items()
+             for c in [i for i, _ in sampling] + on_at[tick]],
+            scenario.crm.slots_per_sample,
+        ))
+    return _ChunkDraws(episodes, schedule, x0, noise, active, rows)
+
+
+def _empty_batch(lc, idx: int, episodes: range) -> LoopTrace:
+    """A chunk trace whose per-step arrays the engine fills in place."""
+    n_ep, n_steps, n, m = len(episodes), lc.horizon, lc.plant.n, lc.plant.m
     ks = np.arange(n_steps)
+
+    def ints():
+        return np.zeros((n_ep, n_steps), dtype=int)
+
     return LoopTrace(
-        loop=idx, episode=episode, period=lc.plant.period, phase=lc.plant.phase,
+        loop=idx, episode=episodes[0], period=lc.plant.period, phase=lc.plant.phase,
         ks=ks, ticks=lc.plant.phase + lc.plant.period * ks,
-        xs=np.empty((n_steps + 1, n)), us=np.empty((n_steps, m)),
-        gammas=np.empty(n_steps, dtype=int), deltas=np.empty(n_steps, dtype=int),
-        attempts=np.empty(n_steps, dtype=int),
-        xhats=np.empty((n_steps, n)), errs=np.empty((n_steps, n)),
-        pred_err_sq=np.empty(n_steps),
-        taus=np.empty(n_steps, dtype=int), delays=np.empty(n_steps, dtype=int),
-        cost_terms=np.empty(n_steps), terminal_cost=0.0, j=0.0, j_lambda=0.0,
+        xs=np.empty((n_ep, n_steps + 1, n)), us=np.empty((n_ep, n_steps, m)),
+        gammas=ints(), deltas=ints(), attempts=ints(),
+        xhats=np.empty((n_ep, n_steps, n)), errs=None, pred_err_sq=None,
+        taus=ints(), delays=None, cost_terms=None,
+        terminal_cost=None, j=None, j_lambda=None,
     )
+
+
+def _run_chunk(
+    scenario: NetworkScenario,
+    draws: _ChunkDraws,
+    control_law: ControlLaw,
+    solutions: Sequence[RiccatiSolution],
+    event_logs: Optional[list[list]] = None,
+) -> list[LoopTrace]:
+    """Run one control law on a chunk's draws; one chunk trace per loop.
+
+    If `event_logs` is given it holds one list per episode, which receives
+    (tick, SlotOutcome) pairs for every contention round of that episode.
+    """
+    loops = scenario.loops
+    n_ep = len(draws.episodes)
+    batch = [_empty_batch(lc, i, draws.episodes) for i, lc in enumerate(loops)]
+    preds = [np.empty_like(tr.xhats) for tr in batch]
+    for tr, x0 in zip(batch, draws.x0):
+        tr.xs[:, 0] = x0
+    observers = [ObserverState(xhat=np.tile(lc.plant.x0_mean, (n_ep, 1)),
+                               tau=np.full(n_ep, -1), k=-1) for lc in loops]
+    # B u of the input last applied, shared by the plant step and the next prediction
+    bu_prev = [_sum_products(lc.plant.B, np.zeros((n_ep, 1, lc.plant.m))) for lc in loops]
+    everyone = range(n_ep)
+
+    for tick, sampling in draws.schedule.items():
+        # schedule: one decision per episode and sampling loop
+        requests, step_preds = {}, []
+        for i, k in sampling:
+            tr = batch[i]
+            pred = _sum_products(loops[i].plant.A, observers[i].xhat[:, None, :]) + bu_prev[i]
+            preds[i][:, k] = pred
+            step_preds.append(pred)
+            sched = loops[i].scheduler
+            gammas = [decide(sched, x, p) for x, p in zip(tr.xs[:, k], pred)]
+            tr.gammas[:, k] = gammas
+            for e in compress(everyone, gammas):
+                requests.setdefault(e, []).append(i)
+
+        # contend: one round per episode with a request
+        delivered = set()
+        for e, req in requests.items():
+            outcome = resolve_contention(req + draws.active[e][tick], scenario.crm,
+                                         partial(draws.rows[e], tick))
+            for i, k in sampling:
+                if i in outcome.delta:
+                    batch[i].deltas[e, k] = outcome.delta[i]
+                    batch[i].attempts[e, k] = outcome.attempts_used[i]
+                    if outcome.delta[i]:
+                        delivered.add(i)
+            if event_logs is not None:
+                event_logs[e].append((tick, outcome))
+
+        # deliver, estimate, control, step
+        for (i, k), pred in zip(sampling, step_preds):
+            plant, tr = loops[i].plant, batch[i]
+            x = tr.xs[:, k]
+            obs = observer_update(observers[i], tr.deltas[:, k],
+                                  x if i in delivered else None, pred)
+            observers[i] = obs
+            u = control_law(solutions[i].L[k], obs.xhat)
+            tr.us[:, k] = u
+            tr.xhats[:, k] = obs.xhat
+            tr.taus[:, k] = obs.tau
+            bu = bu_prev[i] = _sum_products(plant.B, u[..., None, :])
+            tr.xs[:, k + 1] = _sum_products(plant.A, x[:, None, :]) + bu + draws.noise[i][:, k]
+
+    # what follows from the stored steps, for all steps at once
+    for lc, tr, pred in zip(loops, batch, preds):
+        xs = tr.xs[:, :-1]
+        resid = xs - pred
+        tr.errs = xs - tr.xhats
+        tr.pred_err_sq = _sum_products(resid, resid)
+        tr.delays = tr.ks - tr.taus
+        tr.cost_terms = _quad(lc.Q1, xs) + _quad(lc.Q2, tr.us)
+        tr.terminal_cost = _quad(lc.Q0, tr.xs[:, -1])
+        # cumsum adds in step order, not numpy's pairwise sum
+        tr.j = np.cumsum(tr.cost_terms, axis=1)[:, -1] + tr.terminal_cost
+        tr.j_lambda = tr.j + lc.net_penalty * tr.deltas.sum(axis=1)
+    return batch
+
+
+def _chunks(episodes: int):
+    """The episode ranges the engine runs together, in episode order."""
+    for start in range(0, episodes, CHUNK_EPISODES):
+        yield range(start, min(start + CHUNK_EPISODES, episodes))
 
 
 def run_episode(
@@ -150,98 +353,15 @@ def run_episode(
     them across episodes.  If `event_log` is a list it receives
     (tick, SlotOutcome) pairs for every contention round.
     """
-    loops = scenario.loops
     if solutions is None:
         solutions = _riccati_solutions(scenario)
     if noise_factors is None:
         noise_factors = _noise_factors(scenario)
-    traces = [_empty_trace(lc, i, episode) for i, lc in enumerate(loops)]
-    noises = []
-    for i, tr in enumerate(traces):
-        x0, w = _noise_for_loop(scenario, seed, episode, i, noise_factors[i])
-        tr.xs[0] = x0
-        noises.append(w)
-    # the loops sampling at each tick, in loop order, with their step index
-    schedule: dict[int, list[tuple[int, int]]] = {}
-    for i, tr in enumerate(traces):
-        for k, tick in enumerate(tr.ticks.tolist()):
-            schedule.setdefault(tick, []).append((i, k))
-
-    # Traffic does not depend on the loops, so every source runs through the
-    # whole episode first; its contender ids are kept at the sampling ticks.
-    traffic_gens = [
-        RngStream(int(seed), (int(episode), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC)).generator()
-        for j in range(len(scenario.sources))
-    ]
-    traffic_state = [0] * len(scenario.sources)
-    active: dict[int, list[int]] = {}
-    for tick in range(scenario.global_horizon + 1):
-        for j, src in enumerate(scenario.sources):
-            traffic_state[j] = traffic_step(src, traffic_gens[j], traffic_state[j])
-        if tick in schedule:
-            active[tick] = [SOURCE_CONTENDER_BASE + j
-                            for j, on in enumerate(traffic_state) if on]
-    ticks = sorted(schedule)
-    draws = _contention_rows(
-        RngStream(int(seed), (int(episode), _ROLE_CONTENTION)),
-        [(tick, c) for tick in ticks for c in [i for i, _ in schedule[tick]] + active[tick]],
-        scenario.crm.slots_per_sample,
-    )
-    observers = [ObserverState.initial(lc.plant) for lc in loops]
-    u_prev = [np.zeros(lc.plant.m) for lc in loops]
-
-    for tick in ticks:
-        sampling = schedule[tick]
-
-        # schedule
-        preds, requests = [], []
-        for i, k in sampling:
-            plant = loops[i].plant
-            pred = plant.A @ observers[i].xhat + plant.B @ u_prev[i]
-            preds.append(pred)
-            gamma = decide(loops[i].scheduler, traces[i].xs[k], pred)
-            traces[i].gammas[k] = gamma
-            if gamma:
-                requests.append(i)
-
-        # contend
-        outcome = None
-        if requests:
-            outcome = resolve_contention(requests + active[tick], scenario.crm,
-                                         partial(draws, tick))
-            if event_log is not None:
-                event_log.append((tick, outcome))
-
-        # deliver, estimate, control, step
-        for (i, k), pred in zip(sampling, preds):
-            lc, tr = loops[i], traces[i]
-            x = tr.xs[k]
-            delta = outcome.delta.get(i, 0) if outcome is not None else 0
-            obs = observer_update(observers[i], delta, x if delta else None, pred)
-            observers[i] = obs
-            u = control_law(solutions[i].L[k], obs.xhat)
-            resid = x - pred
-            tr.us[k] = u
-            tr.deltas[k] = delta
-            tr.attempts[k] = outcome.attempts_used.get(i, 0) if outcome is not None else 0
-            tr.xhats[k] = obs.xhat
-            tr.errs[k] = x - obs.xhat
-            tr.pred_err_sq[k] = float(resid @ resid)
-            tr.taus[k] = obs.tau
-            tr.delays[k] = obs.delay
-            tr.cost_terms[k] = float(x @ lc.Q1 @ x) + float(u @ lc.Q2 @ u)
-            tr.xs[k + 1] = lc.plant.A @ x + lc.plant.B @ u + noises[i][k]
-            u_prev[i] = u
-
-    for lc, tr in zip(loops, traces):
-        terminal = tr.xs[-1]
-        tr.terminal_cost = float(terminal @ lc.Q0 @ terminal)
-        j = 0.0
-        for cost in tr.cost_terms.tolist():   # in step order, not numpy's pairwise sum
-            j += cost
-        tr.j = j + tr.terminal_cost
-        tr.j_lambda = tr.j + lc.net_penalty * float(tr.deltas.sum())
-    return traces
+    episode = int(episode)
+    draws = _draw_chunk(scenario, seed, range(episode, episode + 1), noise_factors)
+    batch = _run_chunk(scenario, draws, control_law, solutions,
+                       None if event_log is None else [event_log])
+    return [_episode_trace(tr, 0, episode) for tr in batch]
 
 
 @dataclass(eq=False)
@@ -287,8 +407,9 @@ def monte_carlo(
     The aggregate j_mean/j_se track the across-loop average cost per episode.
     Each loop's report also carries the closed-form predicted cost evaluated
     at the empirically averaged error covariances.  The optional hooks
-    receive (episode, traces) and (episode, contention event log) as each
-    episode completes; they exist for CSV dumping.
+    receive (episode, traces) and (episode, contention event log) once per
+    episode, in episode order, as each chunk of episodes completes; they
+    exist for CSV dumping.
     """
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
@@ -306,27 +427,32 @@ def monte_carlo(
     attempts_sum = np.zeros(n_loops)
     p_sums = [np.zeros((lc.horizon, lc.plant.n, lc.plant.n)) for lc in loops]
 
-    for ep in range(episodes):
-        event_log = [] if event_hook is not None else None
-        traces = run_episode(scenario, seed, ep, control_law, solutions, factors, event_log)
-        if trace_hook is not None:
-            trace_hook(ep, traces)
-        if event_hook is not None:
-            event_hook(ep, event_log)
-        for i, tr in enumerate(traces):
-            costs[ep, i] = tr.j
-            costs_lambda[ep, i] = tr.j_lambda
-            tx[ep, i] = tr.deltas.sum()
+    for chunk in _chunks(episodes):
+        logs = [[] for _ in chunk] if event_hook is not None else None
+        batch = _run_chunk(scenario, _draw_chunk(scenario, seed, chunk, factors),
+                           control_law, solutions, logs)
+        if trace_hook is not None or event_hook is not None:
+            for e, ep in enumerate(chunk):
+                if trace_hook is not None:
+                    trace_hook(ep, [_episode_trace(tr, e, ep) for tr in batch])
+                if event_hook is not None:
+                    event_hook(ep, logs[e])
+        rows = slice(chunk.start, chunk.stop)
+        for i, tr in enumerate(batch):
+            costs[rows, i] = tr.j
+            costs_lambda[rows, i] = tr.j_lambda
+            tx[rows, i] = tr.deltas.sum(axis=1)
             requests[i] += tr.gammas.sum()
             successes[i] += tr.deltas.sum()
             attempts_sum[i] += tr.attempts.sum()
-            steps[i] += tr.ks.size
+            steps[i] += tr.gammas.size
             sched = loops[i].scheduler
             if sched.kind in ("state", "innovation"):
                 bound_hits[i] += (tr.pred_err_sq <= sched.eps).sum()
             else:
                 bound_hits[i] = float("nan")
-            p_sums[i] += np.einsum("ki,kj->kij", tr.errs, tr.errs)
+            for outer in np.einsum("eki,ekj->ekij", tr.errs, tr.errs):
+                p_sums[i] += outer   # in episode order
 
     per_loop = []
     for i, lc in enumerate(loops):
@@ -445,6 +571,12 @@ class DualEffectReport:
     mse_diff_se: float
 
 
+def _mean_sq_err(batch: list[LoopTrace]) -> np.ndarray:
+    """Each episode's squared filtered error, averaged over steps, then loops."""
+    per_loop = [(tr.errs ** 2).sum(axis=2).mean(axis=1) for tr in batch]
+    return np.stack(per_loop, axis=1).mean(axis=1)
+
+
 def dual_effect_experiment(
     scenario: NetworkScenario,
     law_a: ControlLaw,
@@ -458,7 +590,8 @@ def dual_effect_experiment(
     across laws; under a control-dependent one they diverge with positive
     probability and drag the empirical error statistics apart.  The squared
     filtered estimation error is averaged per episode and compared as a
-    paired difference.
+    paired difference.  Each chunk's noise, traffic and contention draws are
+    drawn once and both laws run on them.
     """
     if law_a is law_b:
         raise ConfigurationError("the two control laws must differ")
@@ -472,23 +605,21 @@ def dual_effect_experiment(
     div_ticks = []
     mse_a = np.zeros(episodes)
     mse_b = np.zeros(episodes)
-    for ep in range(episodes):
-        tr_a = run_episode(scenario, seed, ep, law_a, solutions, factors)
-        tr_b = run_episode(scenario, seed, ep, law_b, solutions, factors)
-        same = True
-        first_tick = None
-        for ta, tb in zip(tr_a, tr_b):
+    never = np.iinfo(int).max
+    for chunk in _chunks(episodes):
+        draws = _draw_chunk(scenario, seed, chunk, factors)
+        batch_a = _run_chunk(scenario, draws, law_a, solutions)
+        batch_b = _run_chunk(scenario, draws, law_b, solutions)
+        first = np.full(len(chunk), never)
+        for ta, tb in zip(batch_a, batch_b):
             diff = ta.gammas != tb.gammas
-            if diff.any():
-                same = False
-                tick = int(ta.ticks[int(np.argmax(diff))])
-                first_tick = tick if first_tick is None else min(first_tick, tick)
-        if same:
-            identical += 1
-        else:
-            div_ticks.append(first_tick)
-        mse_a[ep] = np.mean([float((ta.errs ** 2).sum(axis=1).mean()) for ta in tr_a])
-        mse_b[ep] = np.mean([float((tb.errs ** 2).sum(axis=1).mean()) for tb in tr_b])
+            first = np.where(diff.any(axis=1),
+                             np.minimum(first, ta.ticks[diff.argmax(axis=1)]), first)
+        identical += int((first == never).sum())
+        div_ticks += first[first != never].tolist()
+        rows = slice(chunk.start, chunk.stop)
+        mse_a[rows] = _mean_sq_err(batch_a)
+        mse_b[rows] = _mean_sq_err(batch_b)
     diff = mse_a - mse_b
     return DualEffectReport(
         episodes=episodes,

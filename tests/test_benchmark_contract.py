@@ -1,0 +1,29 @@
+"""The engine keeps the calling contract the benchmark harness wraps.
+
+`benchmark/workloads.py` traces the engine by replacing module attributes
+(`sim.decide`, `sim.resolve_contention`, `sim.observer_update`, ...) and
+reading what they return; a traced run checks its outputs against the
+untraced ones and against independent oracles.  Running it briefly here
+makes a dropped name or a changed return type fail the test suite rather
+than the benchmark.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["flood", "innovation_dump", "paired_halfline"])
+def test_traced_benchmark_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result

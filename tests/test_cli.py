@@ -348,6 +348,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    def test_half_line_scheduler_needs_a_scalar_plant(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["plant"].update(A=[[1.0, 0.1], [0.0, 0.9]], B=[[0.0], [1.0]],
+                                        Rw=[[1.0, 0.0], [0.0, 1.0]], R0=[[1.0, 0.0], [0.0, 1.0]],
+                                        x0_mean=[0.0, 0.0])
+        doc["loops"][0]["weights"].update(Q0=[[1.0, 0.0], [0.0, 1.0]], Q1=[[1.0, 0.0], [0.0, 1.0]])
+        doc["loops"][0]["scheduler"] = {"kind": "halfline", "threshold": 0.5}
+        path = tmp_path / "halfline.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--episodes", "1",
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert ("loops[0].scheduler: half-line scheduling is defined for scalar states only"
+                in capsys.readouterr().err)
+
     def test_nan_dynamics(self, tmp_path, capsys):
         doc = json.loads(json.dumps(presets()["example3"]))
         doc["loops"][0]["plant"]["A"] = float("nan")

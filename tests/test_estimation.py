@@ -72,6 +72,17 @@ class TestObserverUpdate:
             assert obs.delay == obs.k - obs.tau
             assert (obs.delay == 0) == bool(d)
 
+    def test_episode_rows_update_independently(self):
+        # the engine's form: one row per episode of a chunk
+        obs = ObserverState(xhat=np.array([[1.0], [2.0], [3.0]]), tau=np.array([-1, 0, 1]), k=1)
+        y = np.array([[7.0], [8.0], [9.0]])
+        nxt = observer_update(obs, np.array([0, 1, 0]), y, obs.xhat * 0.5)
+        assert np.array_equal(nxt.xhat, [[0.5], [8.0], [1.5]])
+        assert np.array_equal(nxt.tau, [-1, 2, 1])
+        assert np.array_equal(nxt.delay, [3, 0, 1])
+        with pytest.raises(ProtocolError):
+            observer_update(obs, np.array([0, 1, 0]), None, obs.xhat)
+
     def test_error_resets_exactly_on_delivery(self):
         rng = np.random.default_rng(2)
         obs = ObserverState.initial(UNIT_PLANT)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from macloops.errors import ConfigurationError
+from macloops.model import LoopConfig, PlantModel
 from macloops.scheduling import (
     SchedulerPolicy,
     decide,
@@ -40,9 +41,13 @@ class TestDecide:
         assert decide(le, *inp(0.6, 0.0)) == 0
 
     def test_half_line_needs_scalar(self):
+        # checked once, when the loop is built, not on every decision
         pol = SchedulerPolicy.half_line_state(0.5)
-        with pytest.raises(ConfigurationError):
-            decide(pol, np.array([1.0, 2.0]), np.zeros(2))
+        plant = PlantModel(A=np.eye(2), B=np.ones((2, 1)), Rw=np.eye(2), R0=np.eye(2))
+        with pytest.raises(ConfigurationError, match="scalar states only") as err:
+            LoopConfig(plant=plant, scheduler=pol, horizon=2, Q0=np.eye(2), Q1=np.eye(2),
+                       Q2=1.0)
+        assert err.value.field == "scheduler"
 
     def test_vector_norm_is_euclidean(self):
         pol = SchedulerPolicy.state_threshold(4.9)

@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from macloops.cli import parse_scenario_doc
+from macloops.control import riccati_backward
 from macloops.errors import ConfigurationError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig, TrafficSource
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import (
+    CHUNK_EPISODES,
     ce_law,
     dual_effect_experiment,
     monte_carlo,
@@ -137,6 +140,65 @@ class TestRunEpisode:
         tr = run_episode(scn, seed=1, episode=0)[0]
         # the stubborn source collides with every attempt
         assert tr.deltas.sum() == 0
+
+
+def two_state_network():
+    """A 2-state loop and a scalar one on a lossy channel with a Markov and a
+    Bernoulli source."""
+    plant = PlantModel(A=[[1.0, 0.3], [-0.2, 0.9]], B=[[0.1], [1.0]],
+                       Rw=[[0.5, 0.1], [0.1, 0.4]], R0=np.eye(2), x0_mean=[0.3, -0.2],
+                       period=2)
+    vector = LoopConfig(plant=plant, scheduler=SchedulerPolicy.innovation_threshold(1.0),
+                        horizon=6, Q0=np.eye(2), Q1=[[1.5, 0.3], [0.3, 1.0]], Q2=0.7,
+                        net_penalty=0.5)
+    return NetworkScenario(
+        loops=(vector, loop_of(SchedulerPolicy.state_threshold(2.0), horizon=8)),
+        crm=CrmConfig(persistence=(1.0, 0.6, 0.3), slots_per_sample=5),
+        sources=(TrafficSource.markov_on_off(0.3, 0.4), TrafficSource.bernoulli(0.35)),
+    )
+
+
+TRACE_FIELDS = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs", "pred_err_sq",
+                "taus", "delays", "cost_terms")
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("make", [lambda: parse_scenario_doc("example1").scenario,
+                                      two_state_network], ids=["example1", "two-state"])
+    def test_traces_do_not_depend_on_the_chunk(self, make):
+        # the run straddles a chunk boundary; each episode must match its
+        # own batch-of-one run bit for bit
+        scn = make()
+        episodes = CHUNK_EPISODES + 3
+        chunked, chunked_events = {}, {}
+        monte_carlo(scn, 9, episodes, trace_hook=chunked.__setitem__,
+                    event_hook=chunked_events.__setitem__)
+        assert list(chunked) == list(chunked_events) == list(range(episodes))
+        for ep in range(episodes):
+            events = []
+            alone = run_episode(scn, 9, ep, event_log=events)
+            for a, b in zip(alone, chunked[ep]):
+                assert (a.loop, a.episode) == (b.loop, b.episode) == (a.loop, ep)
+                for name in TRACE_FIELDS:
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), (ep, name)
+                assert (a.terminal_cost, a.j, a.j_lambda) == (b.terminal_cost, b.j, b.j_lambda)
+            assert events == chunked_events[ep]
+
+
+
+    def test_sums_of_zeros_are_positive_zero(self):
+        # numpy's `@` adds its products to +0; the engine's sums must too, or
+        # a zero state would print as -0.0 in the trace CSV
+        plant = PlantModel(A=-0.5, B=-1.0, Rw=0.0, R0=0.0, x0_mean=0.0)
+        loop = LoopConfig(plant=plant, scheduler=SchedulerPolicy.innovation_threshold(1.0),
+                          horizon=3, Q0=1.0, Q1=1.0, Q2=1.0)
+        scn = NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
+        tr = run_episode(scn, 0, 0, zero_law)[0]   # never sent: xhat is the prediction
+        for name in ("xs", "xhats", "errs", "pred_err_sq", "cost_terms"):
+            assert not np.signbit(getattr(tr, name)).any(), name
+        tr = run_episode(scn, 0, 0, ce_law)[0]
+        gain = riccati_backward(-0.5, -1.0, 1.0, 1.0, 1.0, 3).L[0]
+        assert np.array_equal(np.signbit(tr.us[0]), np.signbit(-(gain @ np.zeros(1))))
 
 
 class TestMonteCarlo:
