@@ -64,16 +64,17 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     L = [None] * horizon
     S[horizon] = Q0
     # overflow is reported below as a NumericalError, not as a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon - 1, -1, -1):
             S_next = S[k + 1]
             BtS, AtS = B.T @ S_next, A.T @ S_next
             G = Q2 + BtS @ B
-            # G is symmetric, so its 2-norm condition number is the ratio of
-            # its extreme eigenvalue magnitudes (eigvalsh is cheaper than an SVD)
+            # G is symmetric positive definite, so its 2-norm condition number
+            # is the ratio of its extreme eigenvalues (eigvalsh is cheaper than
+            # an SVD); an eigenvalue that is not positive means G is singular
             try:
-                eig = np.abs(np.linalg.eigvalsh(G))
-                cond = eig.max() / eig.min()
+                eig = np.linalg.eigvalsh(G)
+                cond = eig[-1] / eig[0] if eig[0] > 0.0 else np.inf
             except np.linalg.LinAlgError:
                 cond = np.inf
             if not np.isfinite(cond) or cond > 1e14:

@@ -64,12 +64,12 @@ def observer_update(
     """
     k = state.k + 1
     if y is None:
-        if np.asarray(delta).any():
+        if np.count_nonzero(delta):
             raise ProtocolError(f"packet delivered at step {k} but no payload given")
         return ObserverState(xhat=pred, tau=state.tau, k=k)
     if y.shape != pred.shape:
         raise ConfigurationError(f"y must have length {pred.shape[-1]}")
-    delivered = np.asarray(delta) != 0
+    delivered = np.asarray(delta, dtype=bool)
     return ObserverState(xhat=np.where(delivered[..., None], y, pred),
                          tau=np.where(delivered, k, state.tau), k=k)
 

@@ -266,6 +266,8 @@ def _run_chunk(
     n_ep = len(draws.episodes)
     batch = [_empty_batch(lc, i, draws.episodes) for i, lc in enumerate(loops)]
     preds = [np.empty_like(tr.xhats) for tr in batch]
+    # each episode's (states, predictions) views, for the per-episode decisions
+    episode_rows = [list(zip(tr.xs, pred)) for tr, pred in zip(batch, preds)]
     for tr, x0 in zip(batch, draws.x0):
         tr.xs[:, 0] = x0
     observers = [ObserverState(xhat=np.tile(lc.plant.x0_mean, (n_ep, 1)),
@@ -283,7 +285,7 @@ def _run_chunk(
             preds[i][:, k] = pred
             step_preds.append(pred)
             sched = loops[i].scheduler
-            gammas = [decide(sched, x, p) for x, p in zip(tr.xs[:, k], pred)]
+            gammas = [decide(sched, xs[k], ps[k]) for xs, ps in episode_rows[i]]
             tr.gammas[:, k] = gammas
             for e in compress(everyone, gammas):
                 requests.setdefault(e, []).append(i)
