@@ -49,7 +49,7 @@ class ObserverState:
 
 def observer_update(
     state: ObserverState,
-    delta,
+    delta: int | np.ndarray,
     y: Optional[np.ndarray],
     pred: np.ndarray,
 ) -> ObserverState:
