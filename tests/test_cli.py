@@ -173,6 +173,17 @@ OUTPUT_DIGESTS = {
 }
 
 
+# The same run of example1 on a channel with persistence 1, two sources and a
+# global horizon past the last sampling tick.  Every transmit decision is
+# certain, so no contention draw is made and these bytes do not depend on the
+# layout of the contention streams.
+CERTAIN_CHANNEL_DIGESTS = {
+    "summary": "0fdfd2b4ccdd2752d6de72238d93c216b7247a3b414d74ee638898540497bf41",
+    "trace": "f9bf2248e541fd27c6440f1ebe841810425f5ce63ae9f72ab4ca4d97e5b21727",
+    "events": "53ecebd5961840bc019d2aa4ce2d14a03d53c889c99bcd1c05f65eca782b2f7a",
+}
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -225,6 +236,21 @@ class TestSimulateCommand:
         digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
                    for kind in ("summary", "trace", "events")}
         assert digests == OUTPUT_DIGESTS[(name, episodes)]
+
+    def test_certain_channel_bytes_are_pinned(self, tmp_path):
+        doc = json.loads(json.dumps(presets()["example1"]))
+        doc["crm"] = {"persistence": [1.0], "slots_per_sample": 10}
+        doc["sources"] = [{"kind": "bernoulli", "rate": 0.25},
+                          {"kind": "markov", "p_on": 0.2, "p_off": 0.5}]
+        doc["global_horizon"] = 400
+        path = tmp_path / "certain.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", "--scenario", str(path), "--seed", "7", "--episodes", "10",
+                     "--out", str(tmp_path / "run"), "--dump-trace", "--dump-events"])
+        assert code == EXIT_OK
+        digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
+                   for kind in ("summary", "trace", "events")}
+        assert digests == CERTAIN_CHANNEL_DIGESTS
 
     def test_events_dump(self, tmp_path):
         out = tmp_path / "ev"

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from macloops import sim
 from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
 from macloops.errors import ConfigurationError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
-from macloops.network import CrmConfig, TrafficSource
+from macloops.network import CrmConfig, TrafficSource, resolve_contention
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import (
     CHUNK_EPISODES,
@@ -199,6 +200,63 @@ class TestChunkedEngine:
         tr = run_episode(scn, 0, 0, ce_law)[0]
         gain = riccati_backward(-0.5, -1.0, 1.0, 1.0, 1.0, 3).L[0]
         assert np.array_equal(np.signbit(tr.us[0]), np.signbit(-(gain @ np.zeros(1))))
+
+
+def lossy_state_network(sources=1):
+    """Two state-threshold loops, whose requests follow the control law, and
+    Bernoulli sources on a channel where every transmit decision is random."""
+    return NetworkScenario(
+        loops=(loop_of(SchedulerPolicy.state_threshold(1.0), horizon=12),
+               loop_of(SchedulerPolicy.state_threshold(0.5), a=0.9, horizon=6, period=2)),
+        crm=CrmConfig(persistence=(0.7, 0.5), slots_per_sample=4),
+        sources=(TrafficSource.bernoulli(0.4),) * sources,
+    )
+
+
+def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
+    """The row every contender was handed, keyed by (episode, tick, contender)."""
+    rounds = []
+
+    def spy(requests, crm, draws):
+        seen = {}
+        rounds.append(seen)
+
+        def row(c):
+            seen[c] = list(draws(c))
+            return seen[c]
+
+        return resolve_contention(requests, crm, row)
+
+    monkeypatch.setattr(sim, "resolve_contention", spy)
+    rows = {}
+    for ep in range(episodes):
+        del rounds[:]
+        log = []
+        run_episode(scenario, seed, ep, law, event_log=log)
+        for (tick, _), seen in zip(log, rounds, strict=True):
+            rows.update(((ep, tick, c), row) for c, row in seen.items())
+    return rows
+
+
+class TestContentionDraws:
+    def test_rows_are_keyed_per_contender(self, monkeypatch):
+        # the two laws request at different ticks, so the rounds differ; a
+        # contender that contends at the same tick of an episode under both
+        # must meet the same draws (common random numbers)
+        scn = lossy_state_network()
+        a = contention_rows(monkeypatch, scn, ce_law, 30)
+        b = contention_rows(monkeypatch, scn, zero_law, 30)
+        shared = a.keys() & b.keys()
+        assert a.keys() != b.keys()
+        assert len(shared) >= 100
+        assert [k for k in sorted(shared) if a[k] != b[k]] == []
+
+    def test_adding_a_source_keeps_every_loops_rows(self, monkeypatch):
+        one = contention_rows(monkeypatch, lossy_state_network(1), ce_law, 20)
+        two = contention_rows(monkeypatch, lossy_state_network(2), ce_law, 20)
+        loops = [k for k in one.keys() & two.keys() if k[2] < sim.SOURCE_CONTENDER_BASE]
+        assert len(loops) >= 50
+        assert all(one[k] == two[k] for k in loops)
 
 
 class TestMonteCarlo:
