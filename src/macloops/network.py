@@ -11,12 +11,13 @@ success, so several contenders may deliver within one sampling interval.
 Pending packets left when the window closes are dropped -- samples are never
 queued across sampling instants.
 
-Randomness is keyed per contender id, so runs with different contender sets
-share each contender's private draw table (common random numbers).  The
-engine builds those rows for a whole episode in one bulk table
-(`RngStream.uniforms`), one row per (tick, contender) candidate; a contender's
-draw in mini-slot s is column s - 1 of its row.  Draws whose outcome is
-certain, with persistence 0 or 1, are not made.
+Randomness is keyed per contender: in each round a contender has a private
+row of uniform draws, and its draw in mini-slot s is column s - 1 of that
+row, so runs with different contender sets give each contender the same
+draws (common random numbers).  The engine takes the rows of a whole episode
+from one numpy stream, laid out contender by contender
+(`sim._contention_index`).  Draws whose outcome is certain, with persistence
+0 or 1, are not made.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
                        draws: Callable[[int], Sequence[float]]) -> SlotOutcome:
     """Run one contention round among the requesting contender ids.
 
-    `draws(c)` returns contender c's private row of uniforms; its draw in
+    `draws(c)` returns contender c's private row of draws; its draw in
     mini-slot s is column s - 1, which keeps the draws aligned across runs
     that add or remove contenders.  A transmit decision with persistence 0 or
     1 is certain and draws nothing, so `draws` is called only for contenders

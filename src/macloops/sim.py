@@ -6,8 +6,11 @@ Within a tick the order is fixed: sample/schedule, contend, deliver with
 instant ACK, estimate, control, step the plants.  Loops live on a global
 integer tick grid and act only at their own sampling instants (phase +
 multiples of the period); between samples nothing is simulated.  All
-randomness is drawn from streams keyed by (master seed, episode, entity,
-role), so a (seed, episode, scenario) triple fully determines every trace.
+randomness is drawn from streams keyed by the master seed and the episode:
+noise and traffic per (entity, role), contention per role, with its draws
+laid out contender by contender (`_contention_index`).  So a (seed,
+episode, scenario) triple fully determines every trace, and a contender
+meets the same contention draws under every control law.
 
 There is one engine, and it runs a chunk of up to CHUNK_EPISODES episodes
 at once: each loop's state, estimate and input are (episodes, n) arrays,
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import compress
 from typing import Callable, Optional, Sequence
 
@@ -146,25 +148,6 @@ def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int
     return x0, w
 
 
-def _contention_rows(stream: RngStream, keys: list[tuple[int, int]], count: int):
-    """Look up the uniform row of a (tick, contender) key of one episode.
-
-    The table holds every key the episode may contend with and is built in
-    one pass at the first lookup; an episode whose rounds are all certain
-    never builds it.
-    """
-    table, index = None, {}
-
-    def row(tick: int, contender: int) -> list[float]:
-        nonlocal table
-        if table is None:
-            table = stream.uniforms(keys, count)
-            index.update(zip(keys, range(len(keys))))
-        return table[index[(tick, contender)]].tolist()
-
-    return row
-
-
 def _riccati_solutions(scenario: NetworkScenario) -> list[RiccatiSolution]:
     """The backward Riccati solution of every loop, in loop order."""
     return [
@@ -182,6 +165,22 @@ def _schedule(scenario: NetworkScenario) -> dict[int, list[tuple[int, int]]]:
     return dict(sorted(schedule.items()))
 
 
+def _contention_index(scenario: NetworkScenario,
+                      schedule: dict[int, list[tuple[int, int]]]) -> dict[tuple[int, int], int]:
+    """The row of each (tick, contender) in an episode's contention table.
+
+    The rows go contender by contender: each loop's sampling steps, in loop
+    order, then each source at every sampling tick.  A contender's row is
+    fixed by the scenario alone, whoever else contends, and sources come
+    last, so adding one leaves every loop's rows where they were.
+    """
+    keys = [(lc.plant.phase + lc.plant.period * k, i)
+            for i, lc in enumerate(scenario.loops) for k in range(lc.horizon)]
+    keys += [(tick, SOURCE_CONTENDER_BASE + j)
+             for j in range(len(scenario.sources)) for tick in schedule]
+    return {key: row for row, key in enumerate(keys)}
+
+
 @dataclass(eq=False)
 class _ChunkDraws:
     """Every random input of a chunk of episodes; any control law may run on it."""
@@ -191,16 +190,22 @@ class _ChunkDraws:
     x0: list[np.ndarray]              # per loop, (E, n)
     noise: list[np.ndarray]           # per loop, (E, N, n)
     active: list[dict[int, list[int]]]  # per episode: tick -> active source ids
-    rows: list[Callable]              # per episode: contention row lookup
+    rows: dict[tuple[int, int], int]  # (tick, contender) -> row of a contention table
+    tables: list[Optional[np.ndarray]]  # per episode: (rows, slots) draws, or None
 
 
 def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
                 factors: Sequence[NoiseFactors]) -> _ChunkDraws:
-    """Draw the noise, the traffic and the contention rows of a chunk.
+    """Draw the noise, the traffic and the contention tables of a chunk.
 
     Each episode draws from its own streams exactly as it would alone: one
     noise generator per loop, one traffic generator per source, and one
-    contention table keyed by (episode, tick, contender).
+    contention stream, keyed by (episode, role), whose draws fill the
+    episode's (rows, slots_per_sample) table in the order of
+    `_contention_index`.  In a given scenario a contender's draws thus
+    depend only on (seed, episode, contender, tick): every control law and
+    threshold meets the same ones.  The table is drawn only if some persistence lies strictly
+    between 0 and 1; otherwise no contention draw is ever made.
     """
     schedule = _schedule(scenario)
     x0, noise = [], []
@@ -208,27 +213,26 @@ def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
         drawn = [_noise_for_loop(scenario, seed, ep, i, factors[i]) for ep in episodes]
         x0.append(np.array([x for x, _ in drawn]))
         noise.append(np.array([w for _, w in drawn]))
-    # Traffic does not depend on the loops, so every source runs through the
-    # whole episode first; its contender ids are kept at the sampling ticks.
-    active, rows = [], []
+    rows = _contention_index(scenario, schedule)
+    uncertain = any(0.0 < p < 1.0 for p in scenario.crm.persistence)
+    shape = (len(rows), scenario.crm.slots_per_sample)
+    # Traffic does not depend on the loops, so every source runs up to the
+    # last sampling tick first; its contender ids are kept at the sampling ticks.
+    active, tables = [], []
     for ep in episodes:
         gens = [RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC))
                 .generator() for j in range(len(scenario.sources))]
         state = [0] * len(scenario.sources)
         on_at: dict[int, list[int]] = {}
-        for tick in range(scenario.global_horizon + 1):
+        for tick in range(max(schedule) + 1):
             for j, src in enumerate(scenario.sources):
                 state[j] = traffic_step(src, gens[j], state[j])
             if tick in schedule:
                 on_at[tick] = [SOURCE_CONTENDER_BASE + j for j, on in enumerate(state) if on]
         active.append(on_at)
-        rows.append(_contention_rows(
-            RngStream(int(seed), (int(ep), _ROLE_CONTENTION)),
-            [(tick, c) for tick, sampling in schedule.items()
-             for c in [i for i, _ in sampling] + on_at[tick]],
-            scenario.crm.slots_per_sample,
-        ))
-    return _ChunkDraws(episodes, schedule, x0, noise, active, rows)
+        tables.append(RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator()
+                      .random(shape) if uncertain else None)
+    return _ChunkDraws(episodes, schedule, x0, noise, active, rows, tables)
 
 
 def _empty_batch(lc, idx: int, episodes: range) -> LoopTrace:
@@ -293,8 +297,9 @@ def _run_chunk(
         # contend: one round per episode with a request
         delivered = set()
         for e, req in requests.items():
+            table = draws.tables[e]
             outcome = resolve_contention(req + draws.active[e][tick], scenario.crm,
-                                         partial(draws.rows[e], tick))
+                                         lambda c: table[draws.rows[tick, c]].tolist())
             for i, k in sampling:
                 if i in outcome.delta:
                     batch[i].deltas[e, k] = outcome.delta[i]
@@ -344,24 +349,17 @@ def run_episode(
     seed: int,
     episode: int,
     control_law: ControlLaw = ce_law,
-    solutions: Optional[Sequence[RiccatiSolution]] = None,
-    noise_factors: Optional[Sequence[NoiseFactors]] = None,
     event_log: Optional[list] = None,
 ) -> list[LoopTrace]:
     """Simulate one episode and return one trace per loop.
 
-    `solutions` and `noise_factors` may carry the precomputed Riccati
-    solutions and noise square roots (one per loop) to avoid recomputing
-    them across episodes.  If `event_log` is a list it receives
-    (tick, SlotOutcome) pairs for every contention round.
+    If `event_log` is a list it receives (tick, SlotOutcome) pairs for every
+    contention round.
     """
-    if solutions is None:
-        solutions = _riccati_solutions(scenario)
-    if noise_factors is None:
-        noise_factors = _noise_factors(scenario)
     episode = int(episode)
-    draws = _draw_chunk(scenario, seed, range(episode, episode + 1), noise_factors)
-    batch = _run_chunk(scenario, draws, control_law, solutions,
+    draws = _draw_chunk(scenario, seed, range(episode, episode + 1),
+                        _noise_factors(scenario))
+    batch = _run_chunk(scenario, draws, control_law, _riccati_solutions(scenario),
                        None if event_log is None else [event_log])
     return [_episode_trace(tr, 0, episode) for tr in batch]
 

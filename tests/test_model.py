@@ -174,32 +174,6 @@ class TestRngStream:
         b = RngStream(42, (3, 2, 0)).generator().standard_normal(8)
         assert not np.array_equal(a, b)
 
-    def test_child_extends_coordinates(self):
-        s = RngStream(9, (1,)).child(2, 3)
-        assert s.coords == (1, 2, 3)
-
-    # one-word seeds at both ends, a two-word seed, and one longer than the
-    # four-word pool
-    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 64 + 5, 2 ** 130],
-                             ids=["0", "2^32-1", "2^64+5", "2^130"])
-    def test_uniforms_equal_numpy_row_by_row(self, seed):
-        rng = np.random.default_rng(seed % 2 ** 32)
-        for count in range(1, 11):
-            for coords in ((), (int(rng.integers(0, 1000)), 2)):
-                children = [tuple(int(v) for v in rng.integers(0, 2 ** 32, 2))
-                            for _ in range(5)]
-                stream = RngStream(seed, coords)
-                rows = stream.uniforms(children, count)
-                assert rows.shape == (5, count)
-                for row, child in zip(rows, children):
-                    expected = stream.child(*child).generator().random(count)
-                    assert np.array_equal(row, expected), (seed, coords, child, count)
-
-    @pytest.mark.parametrize("child", [(2 ** 32,), (0, 2 ** 40), (2 ** 70,), (-1,)])
-    def test_uniforms_reject_coordinates_beyond_one_word(self, child):
-        with pytest.raises(ValueError, match="child coordinates"):
-            RngStream(5, (1,)).uniforms([(0,) * len(child), child], 3)
-
 
 class TestConfigValidation:
     def test_period_and_phase(self):

@@ -33,9 +33,14 @@ oracles = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracles)
 
 
+def contender_stream(stream, c):
+    """The stream of contender c: `stream` with c appended to its coordinates."""
+    return RngStream(stream.master_seed, stream.coords + (c,))
+
+
 def draws(stream, crm):
-    """Each contender's uniforms, from the child stream keyed by its id."""
-    return lambda c: stream.uniforms([(c,)], crm.slots_per_sample)[0]
+    """Each contender's row, the first draws of its own stream."""
+    return lambda c: contender_stream(stream, c).generator().random(crm.slots_per_sample)
 
 
 def successes(out):
@@ -149,7 +154,7 @@ class TestResolveContention:
 def eager_round(ids, crm, stream):
     """Oracle: every pending contender draws from its own numpy generator in
     every mini-slot, whatever its persistence."""
-    gens = {c: stream.child(c).generator() for c in sorted(set(ids))}
+    gens = {c: contender_stream(stream, c).generator() for c in sorted(set(ids))}
     attempt = dict.fromkeys(gens, 1)
     used = dict.fromkeys(gens, 0)
     delta = dict.fromkeys(gens, 0)

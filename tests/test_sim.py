@@ -3,6 +3,7 @@ paired-law experiment."""
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from macloops import sim
 from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
 from macloops.errors import ConfigurationError
-from macloops.model import LoopConfig, NetworkScenario, PlantModel
-from macloops.network import CrmConfig, TrafficSource, resolve_contention
+from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream
+from macloops.network import CrmConfig, TrafficSource, resolve_contention, traffic_step
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import (
     CHUNK_EPISODES,
@@ -251,6 +252,27 @@ class TestContentionDraws:
         assert len(shared) >= 100
         assert [k for k in sorted(shared) if a[k] != b[k]] == []
 
+    # one-word seeds at both ends, a two-word seed, and one longer than
+    # numpy's four-word SeedSequence pool
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 64 + 5, 2 ** 130],
+                             ids=["0", "2^32-1", "2^64+5", "2^130"])
+    def test_table_is_one_numpy_stream_per_episode(self, seed):
+        scn = lossy_state_network(2)
+        draws = sim._draw_chunk(scn, seed, range(3, 6), sim._noise_factors(scn))
+        # loop 0 at ticks 0..11, loop 1 at ticks 0, 2, .., 10, then each
+        # source at all 12 sampling ticks
+        keys = ([(t, 0) for t in range(12)] + [(t, 1) for t in range(0, 12, 2)]
+                + [(t, sim.SOURCE_CONTENDER_BASE + j) for j in range(2) for t in range(12)])
+        assert draws.rows == {key: row for row, key in enumerate(keys)}
+        for ep, table in zip(draws.episodes, draws.tables):
+            stream = RngStream(seed, (ep, sim._ROLE_CONTENTION)).generator()
+            assert np.array_equal(table, stream.random((len(keys), 4)))
+
+    def test_certain_channel_draws_no_table(self):
+        scn = replace(lossy_state_network(), crm=CrmConfig(persistence=(1.0, 0.0, 1.0)))
+        draws = sim._draw_chunk(scn, 1, range(4), sim._noise_factors(scn))
+        assert draws.tables == [None] * 4
+
     def test_adding_a_source_keeps_every_loops_rows(self, monkeypatch):
         one = contention_rows(monkeypatch, lossy_state_network(1), ce_law, 20)
         two = contention_rows(monkeypatch, lossy_state_network(2), ce_law, 20)
@@ -285,6 +307,29 @@ class TestMonteCarlo:
         res = monte_carlo(scn, seed=21, episodes=4000)
         stats = res.per_loop[0]
         assert abs(stats.report.j_mean - stats.report.j_dp) < 4.0 * stats.report.j_se
+
+    def test_traffic_stops_at_the_last_sampling_tick(self, monkeypatch):
+        # sources only matter at sampling ticks, so a global horizon past the
+        # last one (tick 10 here) must cost nothing and change nothing
+        calls = []
+
+        def counting_step(*args):
+            calls.append(1)
+            return traffic_step(*args)
+
+        monkeypatch.setattr(sim, "traffic_step", counting_step)
+        scn = two_state_network()
+        results = []
+        for horizon in (None, 10 ** 4):
+            del calls[:]
+            results.append(monte_carlo(replace(scn, global_horizon=horizon), 4, 5))
+            assert len(calls) == 5 * 2 * 11
+        short, long = results
+        assert (short.j_mean, short.j_se) == (long.j_mean, long.j_se)
+        for a, b in zip(short.per_loop, long.per_loop):
+            assert np.array_equal(a.costs, b.costs)
+            assert (a.request_rate, a.success_rate, a.drop_rate, a.mean_attempts) == \
+                (b.request_rate, b.success_rate, b.drop_rate, b.mean_attempts)
 
     def test_rates_are_consistent(self):
         scn = single_loop(SchedulerPolicy.innovation_threshold(2.0), horizon=10)
