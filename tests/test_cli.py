@@ -156,19 +156,19 @@ SCENARIO_HASHES = {
 # updates these digests and says so in CHANGES.md.
 OUTPUT_DIGESTS = {
     ("example3", 20): {
-        "summary": "899837d531f052acf060375d3242c70b4c4dd21f2c663fe9633be50534fff889",
-        "trace": "5dc1b0ecb1e143de92bf54646dfe8bfd6c5c3a635b998594d0e52b1304940c88",
-        "events": "1e84d91127162080c38436fafaeb2c71592136bb50c4185436caba95c28decc9",
+        "summary": "9c80b2bec5ed0c88848c338b6863d14eaccd97e76e2e5367d88a2d45f4c9f924",
+        "trace": "1ca4535506dbb6daff7102a37f30f02d11eafdaea3b3fdd6835c89fa1f3d933f",
+        "events": "972145ef48b6b415c9d272ee5b9c05034b2ae49458557cf4b9ff7aadf488bfe7",
     },
     ("example1-baseline", 10): {
-        "summary": "7a299faa3785c85abc4846401c0cde2786f77c9bc2dd25a752ac767a4a349e84",
-        "trace": "b099e36a501bca7fd8ac5d6d69e4844bf14ee3e1210c88c3e03c87aa05d43148",
-        "events": "91685d1415e70985fb22209185dd95743b84705ebe6ae1c69e188f5acc889c0e",
+        "summary": "85659db552679532e97648b5194dfb6de016a3147728074976f4c4ed22ffecde",
+        "trace": "f56f5b1aeb5cdeb390b0724eff869fac37c6a07aeeb3d467541f70fbdc78434d",
+        "events": "2d2cd3cb31d63b1dbbe2dac703bbb50dd613abca838eea539f2c8e9d59eb89a0",
     },
     ("example1", 10): {
-        "summary": "8c39cf661520b275d0a58aa213de0a2603b9bf53c5fe5fa30d87a435550fd972",
-        "trace": "ad5144129a2a9e30d4f6a6d059886dd2ca9f0a8f8dc1674523c39d4c74afbb0b",
-        "events": "12f30f6ca061a1896f5e37865923aa71ace8afa681da0f0971660c519a65a89d",
+        "summary": "6001bb0699260697b6daaca818595c020b12b42802f9f57cd437e2057802c155",
+        "trace": "5f6db1ba5044af22d4aac41ba3a609b9fcbbf4f061d7f0a35b6c68773f18c5bc",
+        "events": "a09ffc6ea831083aaa3f470c43b8ed62cf8307bd1a91fb31a9d24abe556bc56a",
     },
 }
 
@@ -282,7 +282,7 @@ class TestOtherCommands:
                      "2,3.5", "--seed", "7", "--out", str(out)])
         assert code == EXIT_OK
         digest = hashlib.sha256((tmp_path / "swp_sweep.csv").read_bytes()).hexdigest()
-        assert digest == "9c422ea8abdbc13cc7b5d4c6be80b670568d62602f0665ad6264b40906fedc5e"
+        assert digest == "1c02122b157f68c8eebf14b030916c74d6a9c00cca464ef136c1128d2d0cdef5"
 
     def test_riccati(self, tmp_path):
         out = tmp_path / "ric"
