@@ -600,10 +600,15 @@ def _json_value(text: str):
 
 
 def cmd_riccati(args) -> int:
-    sol = riccati_backward(
-        _json_value(args.a), _json_value(args.b), _json_value(args.q0),
-        _json_value(args.q1), _json_value(args.q2), args.horizon,
-    )
+    try:
+        sol = riccati_backward(
+            _json_value(args.a), _json_value(args.b), _json_value(args.q0),
+            _json_value(args.q1), _json_value(args.q2), args.horizon,
+        )
+    except ConfigurationError as exc:
+        if exc.field is None:
+            raise
+        raise ConfigurationError(f"--{exc.field.lower()}: {exc}") from None
     out = Path(args.out) if args.out else Path(
         os.environ.get(OUT_DIR_ENV, ".")) / f"riccati-n{args.horizon}"
     path = out.with_name(out.name + ".csv")

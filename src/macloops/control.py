@@ -46,6 +46,8 @@ class RiccatiSolution:
 def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     """Backward Riccati recursion from S_N = Q0.
 
+    A must be n x n, B n x m, Q0 and Q1 n x n and Q2 m x m; a matrix of
+    another shape raises a ConfigurationError whose `field` names it.
     Each S_k is symmetrized after the update to stop round-off drift.  The
     gain inverse (Q2 + B'SB) is positive definite for PD Q2; a numerically
     singular one, or an S_k that overflows, raises NumericalError.
@@ -55,6 +57,15 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     Q0 = as_matrix(Q0, "Q0")
     Q1 = as_matrix(Q1, "Q1")
     Q2 = as_matrix(Q2, "Q2")
+    n, m = A.shape[0], B.shape[1]
+    if A.shape != (n, n):
+        raise ConfigurationError(f"A must be square, got shape {A.shape}", field="A")
+    for name, mat, shape in (("B", B, (n, m)), ("Q0", Q0, (n, n)), ("Q1", Q1, (n, n)),
+                             ("Q2", Q2, (m, m))):
+        if mat.shape != shape:
+            raise ConfigurationError(
+                f"{name} must be {shape[0]} x {shape[1]} (n = {n}, m = {m}), "
+                f"got shape {mat.shape}", field=name)
     check_symmetric_psd(Q0, "Q0")
     check_symmetric_psd(Q1, "Q1")
     check_symmetric_pd(Q2, "Q2")

@@ -447,6 +447,19 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--a", "[[1, 2]]"], "--a: A must be square, got shape (1, 2)"),
+        (["--a", "[[1, 0], [0, 1]]"], "--b: B must be 2 x 1 (n = 2, m = 1), got shape (1, 1)"),
+        (["--q0", "[[1, 0], [0, 1]]"], "--q0: Q0 must be 1 x 1 (n = 1, m = 1), got shape (2, 2)"),
+        (["--q1", "[[1, 0], [0, 1]]"], "--q1: Q1 must be 1 x 1 (n = 1, m = 1), got shape (2, 2)"),
+        (["--b", "[[1, 1]]"], "--q2: Q2 must be 2 x 2 (n = 1, m = 2), got shape (1, 1)"),
+    ], ids=["a-not-square", "b-rows", "q0", "q1", "q2"])
+    def test_riccati_shape_mismatch_names_the_flag(self, tmp_path, capsys, flags, message):
+        assert main(["riccati", "--horizon", "3", *flags,
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_io(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")
