@@ -204,8 +204,9 @@ def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
     episode's (rows, slots_per_sample) table in the order of
     `_contention_index`.  In a given scenario a contender's draws thus
     depend only on (seed, episode, contender, tick): every control law and
-    threshold meets the same ones.  The table is drawn only if some persistence lies strictly
-    between 0 and 1; otherwise no contention draw is ever made.
+    threshold meets the same ones.  The table is drawn only if some
+    persistence lies strictly between 0 and 1; otherwise no contention draw
+    is ever made.
     """
     schedule = _schedule(scenario)
     x0, noise = [], []
