@@ -2,11 +2,14 @@
 
 import csv
 import hashlib
+import io
 import json
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macloops.cli import (
     EXIT_IO,
@@ -14,13 +17,17 @@ from macloops.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    _fmt,
+    _vec,
     emit_scenario,
     main,
     parse_scenario_doc,
     presets,
     scenario_hash,
+    trace_rows,
 )
 from macloops.errors import ConfigurationError
+from macloops.sim import LoopTrace
 from macloops.stats import TruncatedGaussian, truncated_moments
 from test_control import U0_OPT_SILENT
 
@@ -184,6 +191,44 @@ CERTAIN_CHANNEL_DIGESTS = {
 }
 
 
+# Two 2-state loops, the second with a 2-input B, and a Bernoulli source on a
+# channel with persistence (1, 0.75, 0.5): every vector cell of the trace
+# joins several entries with ';', which no preset exercises.
+MATRIX_PLANT_DOC = {
+    "name": "matrix",
+    "seed": 7,
+    "episodes": 10,
+    "crm": {"persistence": [1.0, 0.75, 0.5], "slots_per_sample": 5},
+    "sources": [{"kind": "bernoulli", "rate": 0.3}],
+    "loops": [
+        {
+            "plant": {"A": [[1.0, 0.1], [0.0, 0.9]], "B": [[0.0], [1.0]],
+                      "Rw": [[0.2, 0.05], [0.05, 0.1]], "R0": [[1.0, 0.0], [0.0, 1.0]],
+                      "x0_mean": [0.5, -0.25]},
+            "scheduler": {"kind": "innovation", "eps": 0.2},
+            "horizon": 8,
+            "weights": {"Q0": [[1.0, 0.0], [0.0, 1.0]],
+                        "Q1": [[1.0, 0.0], [0.0, 0.5]], "Q2": 1.0},
+        },
+        {
+            "plant": {"A": [[0.9, 0.2], [-0.1, 1.05]], "B": [[1.0, 0.0], [0.5, 1.0]],
+                      "Rw": [[0.3, 0.0], [0.0, 0.3]], "R0": [[0.5, 0.1], [0.1, 0.5]],
+                      "period": 2, "phase": 1},
+            "scheduler": {"kind": "state", "eps": 0.5},
+            "horizon": 5,
+            "weights": {"Q0": [[2.0, 0.0], [0.0, 2.0]], "Q1": [[1.0, 0.0], [0.0, 1.0]],
+                        "Q2": [[1.0, 0.0], [0.0, 0.5]]},
+        },
+    ],
+}
+
+MATRIX_PLANT_DIGESTS = {
+    "summary": "ae52dd5703609a066a8c72c5766c5894270e544630a886d3415e405eafa8b5a7",
+    "trace": "918602f4f63a9f33ed509b24e2b5491ec31d36e05e1070102eb17ecc6b4c485a",
+    "events": "abbf3ef93c2bdb2088f85b0f413ffbd374c524f36603b3328e51bf4d8fbc4122",
+}
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -251,6 +296,16 @@ class TestSimulateCommand:
         digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
                    for kind in ("summary", "trace", "events")}
         assert digests == CERTAIN_CHANNEL_DIGESTS
+
+    def test_matrix_plant_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(MATRIX_PLANT_DOC))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),
+                     "--dump-trace", "--dump-events"])
+        assert code == EXIT_OK
+        digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
+                   for kind in ("summary", "trace", "events")}
+        assert digests == MATRIX_PLANT_DIGESTS
 
     def test_events_dump(self, tmp_path):
         out = tmp_path / "ev"
@@ -326,6 +381,77 @@ class TestOutputDirEnv:
         monkeypatch.setenv("MACLOOPS_OUT_DIR", str(tmp_path))
         assert main(["riccati", "--horizon", "1"]) == EXIT_OK
         assert (tmp_path / "riccati-n1.csv").exists()
+
+
+def reference_trace_rows(episode, traces):
+    """The trace rows built cell by cell with `_vec` and `_fmt`."""
+    rows = []
+    for tr in traces:
+        for k in range(tr.ks.size):
+            rows.append([
+                episode, tr.loop, int(tr.ks[k]), int(tr.ticks[k]),
+                _vec(tr.xs[k]), _vec(tr.us[k]),
+                int(tr.gammas[k]), int(tr.deltas[k]), int(tr.attempts[k]),
+                _vec(tr.xhats[k]), _vec(tr.errs[k]), _fmt(float(tr.pred_err_sq[k])),
+                int(tr.taus[k]), int(tr.delays[k]), _fmt(float(tr.cost_terms[k])),
+            ])
+        steps = tr.ks.size
+        rows.append([episode, tr.loop, steps, int(tr.phase + tr.period * steps),
+                     _vec(tr.xs[-1]), "", "", "", "", "", "", "", "", "",
+                     _fmt(tr.terminal_cost)])
+    return rows
+
+
+# any double, with the ones whose text is easy to get wrong drawn often
+TRACE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e-300, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def loop_traces(draw, loop):
+    n, m = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2]))
+    steps = draw(st.integers(1, 4))
+    period = draw(st.integers(1, 5))
+    phase = draw(st.integers(0, period - 1))
+    ks = np.arange(steps)
+
+    def floats(*shape):
+        values = draw(st.lists(TRACE_FLOATS, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        return np.array(values, dtype=float).reshape(shape)
+
+    def ints(lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=steps,
+                                      max_size=steps)), dtype=int)
+
+    return LoopTrace(
+        loop=loop, episode=0, period=period, phase=phase, ks=ks, ticks=phase + period * ks,
+        xs=floats(steps + 1, n), us=floats(steps, m),
+        gammas=ints(0, 1), deltas=ints(0, 1), attempts=ints(0, 3),
+        xhats=floats(steps, n), errs=floats(steps, n), pred_err_sq=floats(steps),
+        taus=ints(-1, steps), delays=ints(-steps, steps + 1), cost_terms=floats(steps),
+        terminal_cost=draw(TRACE_FLOATS), j=0.0, j_lambda=0.0,
+    )
+
+
+class TestTraceRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(episode=st.integers(0, 10 ** 6), data=st.data())
+    def test_rows_match_the_per_cell_reference(self, episode, data):
+        count = data.draw(st.integers(1, 3))
+        traces = [data.draw(loop_traces(i)) for i in range(count)]
+        rows = trace_rows(episode, traces)
+        expected = reference_trace_rows(episode, traces)
+        assert len(rows) == len(expected)
+
+        def text(table):
+            buf = io.StringIO()
+            csv.writer(buf).writerows(table)
+            return buf.getvalue()
+
+        assert text(rows) == text(expected)
 
 
 class TestExitCodes:
