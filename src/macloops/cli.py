@@ -26,6 +26,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -431,24 +432,34 @@ def summary_rows(result: MonteCarloResult, doc: ScenarioDoc):
     return rows
 
 
+def _cells(arr: np.ndarray) -> list[str]:
+    """One `_vec` cell per row of a 2-D array, from one `.tolist()`."""
+    if arr.shape[1] == 1:
+        return list(map(repr, arr[:, 0].tolist()))
+    return [";".join(map(repr, row)) for row in arr.tolist()]
+
+
 def trace_rows(episode: int, traces):
+    """One row per loop step plus each loop's terminal row.
+
+    The rows are built column by column: one `.tolist()` per trace array and
+    `repr` over the Python floats, with the bytes `_vec` and `_fmt` give.
+    """
     rows = []
     for tr in traces:
-        for idx in range(tr.ks.size):
-            rows.append([
-                episode, tr.loop, int(tr.ks[idx]), int(tr.ticks[idx]),
-                _vec(tr.xs[idx]), _vec(tr.us[idx]),
-                int(tr.gammas[idx]), int(tr.deltas[idx]), int(tr.attempts[idx]),
-                _vec(tr.xhats[idx]), _vec(tr.errs[idx]),
-                _fmt(float(tr.pred_err_sq[idx])),
-                int(tr.taus[idx]), int(tr.delays[idx]),
-                _fmt(float(tr.cost_terms[idx])),
-            ])
+        steps = tr.ks.size
+        xs = _cells(tr.xs)
+        rows += zip(
+            repeat(episode), repeat(tr.loop), tr.ks.tolist(), tr.ticks.tolist(),
+            xs, _cells(tr.us), tr.gammas.tolist(), tr.deltas.tolist(),
+            tr.attempts.tolist(), _cells(tr.xhats), _cells(tr.errs),
+            map(repr, tr.pred_err_sq.tolist()), tr.taus.tolist(), tr.delays.tolist(),
+            map(repr, tr.cost_terms.tolist()),
+        )
         # terminal row: state and terminal cost only
         rows.append([
-            episode, tr.loop, int(tr.ks.size), int(tr.phase + tr.period * tr.ks.size),
-            _vec(tr.xs[-1]), "", "", "", "", "", "", "", "", "",
-            _fmt(tr.terminal_cost),
+            episode, tr.loop, steps, int(tr.phase + tr.period * steps),
+            xs[-1], "", "", "", "", "", "", "", "", "", _fmt(tr.terminal_cost),
         ])
     return rows
 
@@ -456,8 +467,8 @@ def trace_rows(episode: int, traces):
 def event_rows(episode: int, event_log):
     rows = []
     for tick, outcome in event_log:
-        for ev in outcome.events:
-            rows.append([episode, tick, ev.slot, ev.contender, ev.attempt, ev.result])
+        head = (episode, tick)
+        rows += [head + ev for ev in outcome.events]
     return rows
 
 

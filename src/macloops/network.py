@@ -23,7 +23,7 @@ from one numpy stream, laid out contender by contender
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +71,7 @@ class CrmConfig:
         object.__setattr__(self, "slots_per_sample", int(slots))
 
 
-@dataclass(frozen=True)
-class SlotEvent:
+class SlotEvent(NamedTuple):
     """One contender's action in one mini-slot (for the optional trace dump)."""
 
     slot: int
@@ -100,25 +99,28 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
     1 is certain and draws nothing, so `draws` is called only for contenders
     that meet a persistence strictly between 0 and 1, once each.
     """
-    contenders = sorted(set(int(c) for c in requests))
+    contenders = sorted(set(map(int, requests)))
+    persistence, max_attempts = crm.persistence, crm.max_attempts
+    attempt = dict.fromkeys(contenders, 1)
+    used = dict.fromkeys(contenders, 0)
+    delta = dict.fromkeys(contenders, 0)
     rows = {}
-    attempt = {c: 1 for c in contenders}
-    used = {c: 0 for c in contenders}
-    pending = list(contenders)
-    delta = {c: 0 for c in contenders}
+    pending = contenders
     events = []
     for slot in range(1, crm.slots_per_sample + 1):
         if not pending:
             break
+        col = slot - 1
         transmitters = []
         for c in pending:
-            p = crm.persistence[attempt[c] - 1]
+            p = persistence[attempt[c] - 1]
             if p >= 1.0:
                 transmitters.append(c)
             elif p > 0.0:
-                if c not in rows:
-                    rows[c] = draws(c)
-                if rows[c][slot - 1] < p:
+                row = rows.get(c)
+                if row is None:
+                    row = rows[c] = draws(c)
+                if row[col] < p:
                     transmitters.append(c)
         if len(transmitters) == 1:
             c = transmitters[0]
@@ -126,20 +128,20 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
             events.append(SlotEvent(slot, c, attempt[c], RESULT_SUCCESS))
             delta[c] = 1
             pending.remove(c)
-        elif len(transmitters) >= 2:
+        elif transmitters:
             for c in transmitters:
                 used[c] += 1
                 events.append(SlotEvent(slot, c, attempt[c], RESULT_COLLIDED))
                 attempt[c] += 1
-            exhausted = [c for c in transmitters if attempt[c] > crm.max_attempts]
-            for c in exhausted:
-                events.append(SlotEvent(slot, c, attempt[c] - 1, RESULT_DROPPED))
-                pending.remove(c)
-        for c in pending:
-            if c not in transmitters:
-                events.append(SlotEvent(slot, c, attempt[c], RESULT_DEFERRED))
-    for c in pending:
-        events.append(SlotEvent(crm.slots_per_sample, c, attempt[c], RESULT_DROPPED))
+            for c in transmitters:
+                if attempt[c] > max_attempts:
+                    events.append(SlotEvent(slot, c, attempt[c] - 1, RESULT_DROPPED))
+            pending = [c for c in pending if attempt[c] <= max_attempts]
+        sent = set(transmitters)
+        events += [SlotEvent(slot, c, attempt[c], RESULT_DEFERRED)
+                   for c in pending if c not in sent]
+    events += [SlotEvent(crm.slots_per_sample, c, attempt[c], RESULT_DROPPED)
+               for c in pending]
     return SlotOutcome(delta=delta, attempts_used=used, events=tuple(events))
 
 
