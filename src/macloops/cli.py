@@ -603,18 +603,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _json_value(text: str):
+def _json_value(text: str, flag: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"cannot parse value {text!r}: {exc.msg}") from exc
+        raise ConfigurationError(f"{flag}: cannot parse value {text!r}: {exc.msg}") from exc
 
 
 def cmd_riccati(args) -> int:
     try:
         sol = riccati_backward(
-            _json_value(args.a), _json_value(args.b), _json_value(args.q0),
-            _json_value(args.q1), _json_value(args.q2), args.horizon,
+            _json_value(args.a, "--a"), _json_value(args.b, "--b"),
+            _json_value(args.q0, "--q0"), _json_value(args.q1, "--q1"),
+            _json_value(args.q2, "--q2"), args.horizon,
         )
     except ConfigurationError as exc:
         if exc.field is None:

@@ -43,20 +43,26 @@ class RiccatiSolution:
     Q2: np.ndarray
 
 
+def _field(name: str, fn, *args):
+    """fn(*args), with any ConfigurationError it raises tagged with field `name`."""
+    try:
+        return fn(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(str(exc), field=name) from None
+
+
 def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     """Backward Riccati recursion from S_N = Q0.
 
-    A must be n x n, B n x m, Q0 and Q1 n x n and Q2 m x m; a matrix of
-    another shape raises a ConfigurationError whose `field` names it.
+    A must be n x n, B n x m, Q0 and Q1 n x n and Q2 m x m, all finite,
+    Q0 and Q1 positive semi-definite, Q2 positive definite and the horizon at
+    least 1; a bad one raises a ConfigurationError whose `field` names it.
     Each S_k is symmetrized after the update to stop round-off drift.  The
     gain inverse (Q2 + B'SB) is positive definite for PD Q2; a numerically
     singular one, or an S_k that overflows, raises NumericalError.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    Q0 = as_matrix(Q0, "Q0")
-    Q1 = as_matrix(Q1, "Q1")
-    Q2 = as_matrix(Q2, "Q2")
+    A, B, Q0, Q1, Q2 = (_field(name, as_matrix, value, name) for name, value in
+                        (("A", A), ("B", B), ("Q0", Q0), ("Q1", Q1), ("Q2", Q2)))
     n, m = A.shape[0], B.shape[1]
     if A.shape != (n, n):
         raise ConfigurationError(f"A must be square, got shape {A.shape}", field="A")
@@ -66,11 +72,11 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
             raise ConfigurationError(
                 f"{name} must be {shape[0]} x {shape[1]} (n = {n}, m = {m}), "
                 f"got shape {mat.shape}", field=name)
-    check_symmetric_psd(Q0, "Q0")
-    check_symmetric_psd(Q1, "Q1")
-    check_symmetric_pd(Q2, "Q2")
+    for name, mat, check in (("Q0", Q0, check_symmetric_psd), ("Q1", Q1, check_symmetric_psd),
+                             ("Q2", Q2, check_symmetric_pd)):
+        _field(name, check, mat, name)
     if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}", field="horizon")
     S = [None] * (horizon + 1)
     L = [None] * horizon
     S[horizon] = Q0

@@ -586,6 +586,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--a", "[[1,"], "validation error: --a: cannot parse value '[[1,': Expecting value"),
+        (["--horizon", "0"], "validation error: --horizon: horizon must be >= 1, got 0"),
+        (["--q2", "0"], "validation error: --q2: Q2 must be positive definite, eigenvalues [0.]"),
+        (["--a", "NaN"], "validation error: --a: A must be finite, got [[nan]]"),
+    ], ids=["unparsable", "horizon", "q2-not-pd", "not-finite"])
+    def test_riccati_bad_value_names_the_flag(self, tmp_path, capsys, flags, message):
+        assert main(["riccati", "--horizon", "3", *flags,
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(message)
+        assert not list(tmp_path.iterdir())
+
     def test_io(self, tmp_path, capsys):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")
