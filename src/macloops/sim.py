@@ -32,6 +32,7 @@ statistics read.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Optional, Sequence
@@ -148,12 +149,28 @@ def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int
     return x0, w
 
 
-def _riccati_solutions(scenario: NetworkScenario) -> list[RiccatiSolution]:
-    """The backward Riccati solution of every loop, in loop order."""
-    return [
-        riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
-        for lc in scenario.loops
-    ]
+# Riccati solutions per scenario object: a scenario is immutable and hashed
+# by identity, and weak keys let the solutions go with it.
+_SOLUTIONS = weakref.WeakKeyDictionary()
+
+
+def _riccati_solutions(scenario: NetworkScenario) -> tuple[RiccatiSolution, ...]:
+    """The backward Riccati solution of every loop, in loop order.
+
+    Solved once per scenario object; the memo's arrays are read-only, as
+    every caller shares them.
+    """
+    solutions = _SOLUTIONS.get(scenario)
+    if solutions is None:
+        solutions = tuple(
+            riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
+            for lc in scenario.loops
+        )
+        for sol in solutions:
+            for arr in (*sol.S, *sol.L):
+                arr.flags.writeable = False
+        _SOLUTIONS[scenario] = solutions
+    return solutions
 
 
 def _schedule(scenario: NetworkScenario) -> dict[int, list[tuple[int, int]]]:

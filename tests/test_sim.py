@@ -1,12 +1,16 @@
 """Closed-loop episode engine: determinism, conservation, reductions and the
 paired-law experiment."""
 
+import gc
 import hashlib
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macloops import sim
 from macloops.cli import parse_scenario_doc
@@ -355,6 +359,70 @@ class TestMonteCarlo:
         n = np.concatenate(ns)
         r = np.corrcoef(x, n)[0, 1]
         assert abs(r) > 3.0 / math.sqrt(x.size)
+
+
+def constant_law(L_k, xhat):
+    """An input that ignores the estimate: 1 on every channel."""
+    return np.ones(L_k.shape[0])
+
+
+@st.composite
+def control_free_networks(draw):
+    """two_state_network's loops and channel under `always` or `innovation`
+    schedulers with random thresholds, and one Bernoulli source."""
+    def scheduler():
+        if draw(st.booleans()):
+            return SchedulerPolicy.always_transmit()
+        return SchedulerPolicy.innovation_threshold(draw(st.floats(0.0, 6.0)))
+
+    base = two_state_network()
+    loops = tuple(replace(lc, scheduler=scheduler()) for lc in base.loops)
+    source = TrafficSource.bernoulli(draw(st.floats(0.0, 1.0)))
+    return replace(base, loops=loops, sources=(source,))
+
+
+class TestControlFreeRequests:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scn=control_free_networks(), seed=st.integers(0, 2 ** 64 - 1))
+    def test_gammas_are_bit_identical_across_laws(self, scn, seed):
+        def gammas(law):
+            seen = []
+            monte_carlo(scn, seed, 4, law, trace_hook=lambda ep, traces: seen.append(
+                [tr.gammas.tolist() for tr in traces]))
+            return seen
+
+        reference = gammas(ce_law)
+        assert gammas(zero_law) == reference
+        assert gammas(constant_law) == reference
+
+
+class TestRiccatiMemo:
+    def test_solved_once_per_scenario_object(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return riccati_backward(*args)
+
+        monkeypatch.setattr(sim, "riccati_backward", counting)
+        scn = two_state_network()
+        loops = len(scn.loops)
+        first = run_episode(scn, 3, 0)
+        monte_carlo(scn, 3, 2)
+        dual_effect_experiment(scn, ce_law, zero_law, 3, 2)
+        again = run_episode(scn, 3, 0)
+        assert len(calls) == loops
+        for a, b in zip(first, again):
+            for name in TRACE_FIELDS:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        # an equal scenario is another object: solved again, and not kept alive
+        copy = replace(scn)
+        run_episode(copy, 3, 0)
+        assert len(calls) == 2 * loops
+        ref = weakref.ref(copy)
+        del copy
+        gc.collect()
+        assert ref() is None
 
 
 class TestSweep:
