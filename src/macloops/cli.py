@@ -7,7 +7,9 @@ state-threshold scheduler) and ``example3`` (homogeneous network with the
 innovation-threshold scheduler), are compiled in, plus the always-transmit
 baseline ``example1-baseline``.  Every run writes its outputs next to a JSON
 manifest carrying the resolved scenario hash, seed and tool version; CSV
-outputs are byte-identical across reruns with equal hash and seed.
+outputs are byte-identical across reruns with equal hash and seed.  The
+trace rows are built column by column, from one `.tolist()` per trace array,
+and an event row is the (episode, tick) pair followed by the `SlotEvent`.
 
 Exit codes: 0 success, 2 usage, 3 validation error, 4 numerical failure,
 5 file-system (I/O) error.

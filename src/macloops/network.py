@@ -18,6 +18,10 @@ draws (common random numbers).  The engine takes the rows of a whole episode
 from one numpy stream, laid out contender by contender
 (`sim._contention_index`).  Draws whose outcome is certain, with persistence
 0 or 1, are not made.
+
+A round returns its delivery and attempt counts per contender and its events,
+one `SlotEvent` named tuple (slot, contender, attempt, result) per contender
+and mini-slot, which the event dump writes as they are.
 """
 
 from __future__ import annotations
