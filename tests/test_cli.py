@@ -348,6 +348,20 @@ class TestOtherCommands:
         assert float(rows[0]["l"]) == pytest.approx(0.6, abs=1e-12)
         assert rows[2]["l"] == ""
 
+    def test_riccati_bytes_are_pinned(self, tmp_path, capsys):
+        # a 2-state plant with two inputs, so every cell holds several entries
+        code = main(["riccati", "--a", "[[1.0, 0.1], [0.0, 0.9]]",
+                     "--b", "[[1.0, 0.0], [0.5, 1.0]]", "--q0", "[[2.0, 0.0], [0.0, 2.0]]",
+                     "--q1", "[[1.0, 0.2], [0.2, 0.5]]", "--q2", "[[1.0, 0.0], [0.0, 0.5]]",
+                     "--horizon", "4", "--out", str(tmp_path / "ric")])
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "")
+        digests = [hashlib.sha256(data).hexdigest()
+                   for data in ((tmp_path / "ric.csv").read_bytes(), stdout.encode())]
+        assert digests == [
+            "cae96e9af5e4d555f4ee1415bb31ce40a440e7d0f45352c7f3fa65057198571a",
+            "f09db3ecba941cbe962f1f1ddc8e5c5c4d4360afe93117739013e37571eda96c"]
+
     def test_two_step(self, tmp_path, capsys):
         out = tmp_path / "ts"
         code = main(["two-step", "--branch", "delta0=1", "--x0", "0",

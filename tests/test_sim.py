@@ -445,6 +445,35 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_threshold(scn, [], seed=0, episodes=5)
 
+    def test_equals_monte_carlo_per_eps_bit_for_bit(self):
+        # the run straddles a chunk boundary; each column must be what a
+        # monte_carlo run of the scenario at that eps reports
+        scn = replace(two_state_network(), crm=CrmConfig(persistence=(1.0, 0.75, 0.5)),
+                      sources=(TrafficSource.bernoulli(0.3),))
+        grid = [0.25, 1.5, 4.0]
+        episodes = CHUNK_EPISODES + 3
+        res = sweep_threshold(scn, grid, seed=6, episodes=episodes)
+
+        def mean_of(values):
+            kept = [v for v in values if not math.isnan(v)]
+            return float(np.mean(kept)) if kept else float("nan")
+
+        assert res.eps.tolist() == grid
+        for col, eps in enumerate(grid):
+            loops = tuple(replace(lc, scheduler=replace(lc.scheduler, eps=eps))
+                          for lc in scn.loops)
+            mc = monte_carlo(replace(scn, loops=loops), 6, episodes)
+            stats = mc.per_loop
+            expected = [mc.j_mean, mc.j_se,
+                        float(np.mean([s.bound_prob for s in stats])),
+                        float(np.mean([s.request_rate for s in stats])),
+                        mean_of([s.success_rate for s in stats]),
+                        mean_of([s.drop_rate for s in stats])]
+            got = [getattr(res, name)[col] for name in
+                   ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate",
+                    "drop_rate")]
+            assert [repr(float(v)) for v in got] == [repr(v) for v in expected], eps
+
 
 class TestDualEffectExperiment:
     def test_control_free_schedulers_give_identical_requests(self):
@@ -487,6 +516,31 @@ class TestDualEffectExperiment:
             "0.022975611627591378", "817"]
         assert hashlib.sha256(rep.first_divergence_ticks.tobytes()).hexdigest() == \
             "d8e3f16cab297f3cf0f004599ee4fa5a9abab61486e5c38653ca0f95055edcf9"
+
+    def test_divergence_matches_two_monte_carlo_runs(self):
+        # each law alone through monte_carlo, on an episode range that
+        # straddles a chunk boundary, must request where the paired run says
+        scn = replace(single_loop(SchedulerPolicy.half_line_state(0.5)),
+                      crm=CrmConfig(persistence=(1.0, 0.75, 0.5)),
+                      sources=(TrafficSource.bernoulli(0.4),))
+        episodes = CHUNK_EPISODES + 5
+
+        def requests(law):
+            seen = []
+            monte_carlo(scn, 13, episodes, law, trace_hook=lambda ep, traces: seen.append(
+                [(tr.ticks, tr.gammas.copy()) for tr in traces]))
+            return seen
+
+        first = []
+        for loops_a, loops_b in zip(requests(ce_law), requests(zero_law)):
+            ticks = [int(ticks[np.argmax(ga != gb)])
+                     for (ticks, ga), (_, gb) in zip(loops_a, loops_b) if (ga != gb).any()]
+            if ticks:
+                first.append(min(ticks))
+        rep = dual_effect_experiment(scn, ce_law, zero_law, seed=13, episodes=episodes)
+        assert 0 < len(first) < episodes
+        assert rep.gamma_identical_episodes == episodes - len(first)
+        assert rep.first_divergence_ticks.tolist() == first
 
     def test_laws_must_differ(self):
         scn = single_loop(SchedulerPolicy.half_line_state(0.5))
