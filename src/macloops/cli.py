@@ -378,11 +378,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _vec(v: np.ndarray) -> str:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    return ";".join(repr(float(c)) for c in arr)
-
-
 def write_manifest(prefix: Path, doc: ScenarioDoc, seed: int, outputs: list[Path]) -> Path:
     manifest = {
         "scenario": doc.name,
@@ -435,7 +430,8 @@ def summary_rows(result: MonteCarloResult, doc: ScenarioDoc):
 
 
 def _cells(arr: np.ndarray) -> list[str]:
-    """One `_vec` cell per row of a 2-D array, from one `.tolist()`."""
+    """One cell per row of a 2-D array, the `repr`s of its entries joined by
+    ";", from one `.tolist()`."""
     if arr.shape[1] == 1:
         return list(map(repr, arr[:, 0].tolist()))
     return [";".join(map(repr, row)) for row in arr.tolist()]
@@ -445,7 +441,7 @@ def trace_rows(episode: int, traces):
     """One row per loop step plus each loop's terminal row.
 
     The rows are built column by column: one `.tolist()` per trace array and
-    `repr` over the Python floats, with the bytes `_vec` and `_fmt` give.
+    `repr` over the Python floats, a vector's entries joined by ";".
     """
     rows = []
     for tr in traces:
@@ -589,13 +585,9 @@ def cmd_sweep(args) -> int:
     result = sweep_threshold(doc.scenario, grid, seed, episodes)
     prefix = _out_prefix(args, "sweep", doc.name)
     sweep_path = prefix.with_name(prefix.name + "_sweep.csv")
-    rows = [
-        [_fmt(float(result.eps[i])), _fmt(float(result.j_mean[i])),
-         _fmt(float(result.j_se[i])), _fmt(float(result.bound_prob[i])),
-         _fmt(float(result.request_rate[i])), _fmt(float(result.success_rate[i])),
-         _fmt(float(result.drop_rate[i]))]
-        for i in range(result.eps.size)
-    ]
+    # the header names the result's columns
+    rows = [[_fmt(float(getattr(result, name)[i])) for name in SWEEP_HEADER]
+            for i in range(result.eps.size)]
     _write_csv(sweep_path, SWEEP_HEADER, rows)
     write_manifest(prefix, doc, seed, [sweep_path])
     best = int(np.argmin(result.j_mean))
@@ -626,13 +618,10 @@ def cmd_riccati(args) -> int:
     out = Path(args.out) if args.out else Path(
         os.environ.get(OUT_DIR_ENV, ".")) / f"riccati-n{args.horizon}"
     path = out.with_name(out.name + ".csv")
-    rows = []
-    for k in range(sol.horizon + 1):
-        gain = _vec(sol.L[k].reshape(-1)) if k < sol.horizon else ""
-        rows.append([k, _vec(sol.S[k].reshape(-1)), gain])
-    _write_csv(path, ["k", "s", "l"], rows)
-    print(f"riccati horizon={args.horizon}: S0={_vec(sol.S[0].reshape(-1))} "
-          f"L0={_vec(sol.L[0].reshape(-1))}")
+    values = _cells(np.reshape(sol.S, (sol.horizon + 1, -1)))
+    gains = _cells(np.reshape(sol.L, (sol.horizon, -1))) + [""]
+    _write_csv(path, ["k", "s", "l"], list(zip(range(sol.horizon + 1), values, gains)))
+    print(f"riccati horizon={args.horizon}: S0={values[0]} L0={gains[0]}")
     print(f"wrote {path}")
     return EXIT_OK
 

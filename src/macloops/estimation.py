@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .model import PlantModel
 from .stats import (
     DEFAULT_QUAD,
     QuadratureSpec,
@@ -37,14 +36,6 @@ class ObserverState:
     xhat: np.ndarray
     tau: int | np.ndarray
     k: int
-
-    @property
-    def delay(self) -> int | np.ndarray:
-        return self.k - self.tau
-
-    @classmethod
-    def initial(cls, model: PlantModel) -> "ObserverState":
-        return cls(xhat=np.array(model.x0_mean, dtype=float), tau=-1, k=-1)
 
 
 def observer_update(

@@ -170,10 +170,6 @@ class TrafficSource:
     def bernoulli(cls, rate: float) -> "TrafficSource":
         return cls(kind="bernoulli", rate=float(rate))
 
-    @classmethod
-    def markov_on_off(cls, p_on: float, p_off: float) -> "TrafficSource":
-        return cls(kind="markov", p_on=float(p_on), p_off=float(p_off))
-
 
 def traffic_step(source: TrafficSource, rng: np.random.Generator, prev_active: int = 0) -> int:
     """Advance the source one tick and return its activity indicator.

@@ -16,17 +16,22 @@ There is one engine, and it runs a chunk of up to CHUNK_EPISODES episodes
 at once: each loop's state, estimate and input are (episodes, n) arrays,
 and every tick does the prediction, observer update, control law and plant
 step once per sampling loop for the whole chunk; the residuals, errors and
-cost terms then follow from the stored steps, all steps at once.
-`run_episode` is the chunk of one episode.  A control law therefore takes
-the gain L_k and an (E, n) array of estimates and returns an (E, m) array
-of inputs, or one (m,) input that holds for every episode.  Products over
-the plant dimensions are elementwise multiply-adds in index order
-(`_sum_products`), so an episode's bits do not depend on the chunk it ran
-in.  The scheduler decision (`decide`) stays one call per episode and
-sample, and contention (`resolve_contention`) one call per episode and
-round: both branch on each episode's own values, and a round's outcome is
-a small record per contender that the event dump and the channel
-statistics read.
+cost terms then follow from the stored steps, all steps at once.  A control
+law therefore takes the gain L_k and an (E, n) array of estimates and
+returns an (E, m) array of inputs, or one (m,) input that holds for every
+episode.  Products over the plant dimensions are elementwise multiply-adds
+in index order (`_sum_products`), so an episode's bits do not depend on the
+chunk it ran in.  The scheduler decision (`decide`) stays one call per
+episode and sample, and contention (`resolve_contention`) one call per
+episode and round: both branch on each episode's own values, and a round's
+outcome is a small record per contender that the event dump and the
+channel statistics read.
+
+One driver, `_run_arms`, draws each chunk once and runs every arm on it:
+an arm is a (scenario variant, control law) pair.  `monte_carlo` and
+`run_episode` run one arm, `dual_effect_experiment` one per control law and
+`sweep_threshold` one per threshold, so the arms they compare meet the same
+noise, traffic and contention draws.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ _ROLE_CONTENTION = 2
 SOURCE_CONTENDER_BASE = 1 << 16
 # episodes advanced together by the engine
 CHUNK_EPISODES = 64
+# the scheduler kinds with a threshold eps on a squared norm
+_THRESHOLDS = ("state", "innovation")
 
 ControlLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -157,19 +164,23 @@ _SOLUTIONS = weakref.WeakKeyDictionary()
 def _riccati_solutions(scenario: NetworkScenario) -> tuple[RiccatiSolution, ...]:
     """The backward Riccati solution of every loop, in loop order.
 
-    Solved once per scenario object; the memo's arrays are read-only, as
-    every caller shares them.
+    Solved once per scenario object, and once for all loops with equal
+    dynamics, weights and horizon; the memo's arrays are read-only, as every
+    caller shares them.
     """
     solutions = _SOLUTIONS.get(scenario)
     if solutions is None:
-        solutions = tuple(
-            riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
-            for lc in scenario.loops
-        )
-        for sol in solutions:
+        solved, in_order = {}, []
+        for lc in scenario.loops:
+            args = (lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2)
+            key = (lc.horizon, lc.plant.n, lc.plant.m, *(a.tobytes() for a in args))
+            if key not in solved:
+                solved[key] = riccati_backward(*args, lc.horizon)
+            in_order.append(solved[key])
+        for sol in solved.values():
             for arr in (*sol.S, *sol.L):
                 arr.flags.writeable = False
-        _SOLUTIONS[scenario] = solutions
+        solutions = _SOLUTIONS[scenario] = tuple(in_order)
     return solutions
 
 
@@ -235,14 +246,16 @@ def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
     uncertain = any(0.0 < p < 1.0 for p in scenario.crm.persistence)
     shape = (len(rows), scenario.crm.slots_per_sample)
     # Traffic does not depend on the loops, so every source runs up to the
-    # last sampling tick first; its contender ids are kept at the sampling ticks.
+    # last sampling tick first; its contender ids are kept at the sampling
+    # ticks.  Without sources no tick is stepped, and every tick's list is
+    # one shared empty list.
     active, tables = [], []
     for ep in episodes:
         gens = [RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC))
                 .generator() for j in range(len(scenario.sources))]
         state = [0] * len(scenario.sources)
-        on_at: dict[int, list[int]] = {}
-        for tick in range(max(schedule) + 1):
+        on_at: dict[int, list[int]] = dict.fromkeys(schedule, [])
+        for tick in range(max(schedule) + 1 if scenario.sources else 0):
             for j, src in enumerate(scenario.sources):
                 state[j] = traffic_step(src, gens[j], state[j])
             if tick in schedule:
@@ -356,10 +369,28 @@ def _run_chunk(
     return batch
 
 
-def _chunks(episodes: int):
-    """The episode ranges the engine runs together, in episode order."""
-    for start in range(0, episodes, CHUNK_EPISODES):
-        yield range(start, min(start + CHUNK_EPISODES, episodes))
+_Arm = tuple[NetworkScenario, ControlLaw]
+
+
+def _run_arms(arms: Sequence[_Arm], seed: int, episodes: range, event_logs: bool = False):
+    """Run every arm on each chunk of `episodes`, drawing the chunk once.
+
+    The chunks hold up to CHUNK_EPISODES episodes, in episode order, and are
+    drawn from the first arm's scenario: the arms may differ in schedulers
+    and control laws, which the draws do not depend on, but not in the
+    loops' plants and horizons, the channel or the sources.  Yields
+    (chunk, one chunk trace per arm, one event log list per arm), where an
+    arm's list holds one log per episode if `event_logs` is set, else None.
+    """
+    solutions = [_riccati_solutions(scn) for scn, _ in arms]
+    factors = _noise_factors(arms[0][0])
+    for start in range(episodes.start, episodes.stop, CHUNK_EPISODES):
+        chunk = range(start, min(start + CHUNK_EPISODES, episodes.stop))
+        draws = _draw_chunk(arms[0][0], seed, chunk, factors)
+        logs = [[[] for _ in chunk] if event_logs else None for _ in arms]
+        batches = [_run_chunk(scn, draws, law, sol, log)
+                   for (scn, law), sol, log in zip(arms, solutions, logs)]
+        yield chunk, batches, logs
 
 
 def run_episode(
@@ -375,10 +406,10 @@ def run_episode(
     contention round.
     """
     episode = int(episode)
-    draws = _draw_chunk(scenario, seed, range(episode, episode + 1),
-                        _noise_factors(scenario))
-    batch = _run_chunk(scenario, draws, control_law, _riccati_solutions(scenario),
-                       None if event_log is None else [event_log])
+    _, (batch,), logs = next(_run_arms([(scenario, control_law)], seed,
+                                       range(episode, episode + 1), event_log is not None))
+    if event_log is not None:
+        event_log += logs[0][0]
     return [_episode_trace(tr, 0, episode) for tr in batch]
 
 
@@ -412,6 +443,74 @@ def _se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+class _Tally:
+    """monte_carlo's per-loop sums over one scenario's episodes, chunk by chunk."""
+
+    def __init__(self, scenario: NetworkScenario, episodes: int):
+        if episodes < 1:
+            raise ConfigurationError("episodes must be >= 1")
+        self.scenario = scenario
+        # per episode and loop: the cost, the cost with the network penalty
+        # and the transmissions
+        self.per_episode = np.zeros((3, episodes, len(scenario.loops)))
+        # per loop: requests, attempts used, and prediction errors in the bound
+        self.counts = np.zeros((3, len(scenario.loops)))
+        self.p_sums = [np.zeros((lc.horizon, lc.plant.n, lc.plant.n)) for lc in scenario.loops]
+
+    def add(self, chunk: range, batch: list[LoopTrace]) -> None:
+        rows = slice(chunk.start, chunk.stop)
+        for i, (lc, tr) in enumerate(zip(self.scenario.loops, batch)):
+            self.per_episode[:, rows, i] = tr.j, tr.j_lambda, tr.deltas.sum(axis=1)
+            hits = (tr.pred_err_sq <= lc.scheduler.eps).sum()
+            self.counts[:, i] += tr.gammas.sum(), tr.attempts.sum(), hits
+            for outer in np.einsum("eki,ekj->ekij", tr.errs, tr.errs):
+                self.p_sums[i] += outer   # in episode order
+
+    def result(self, seed: int) -> MonteCarloResult:
+        costs, costs_lambda, tx = self.per_episode
+        episodes = costs.shape[0]
+        solutions = _riccati_solutions(self.scenario)
+        per_loop = []
+        for i, lc in enumerate(self.scenario.loops):
+            p_seq = self.p_sums[i] / episodes
+            j_dp = jdp_closed_form(
+                solutions[i], lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, list(p_seq)
+            )
+            report = CostReport(
+                episodes=episodes,
+                j_mean=float(costs[:, i].mean()),
+                j_se=_se(costs[:, i]),
+                tx_mean=float(tx[:, i].mean()),
+                net_penalty=lc.net_penalty,
+                j_lambda_mean=float(costs_lambda[:, i].mean()),
+                j_dp=j_dp,
+            )
+            req, attempts, hits = self.counts[:, i]
+            successes, steps = tx[:, i].sum(), episodes * lc.horizon
+            per_loop.append(
+                LoopStats(
+                    loop=i,
+                    report=report,
+                    request_rate=float(req / steps),
+                    success_rate=float(successes / req) if req else float("nan"),
+                    drop_rate=float((req - successes) / req) if req else float("nan"),
+                    mean_attempts=float(attempts / req) if req else 0.0,
+                    bound_prob=(float(hits / steps) if lc.scheduler.kind in _THRESHOLDS
+                                else float("nan")),
+                    p_seq=p_seq,
+                    costs=costs[:, i].copy(),
+                )
+            )
+        episode_means = costs.mean(axis=1)
+        return MonteCarloResult(
+            seed=seed,
+            episodes=episodes,
+            per_loop=per_loop,
+            j_mean=float(episode_means.mean()),
+            j_se=_se(episode_means),
+        )
+
+
 def monte_carlo(
     scenario: NetworkScenario,
     seed: int,
@@ -429,86 +528,16 @@ def monte_carlo(
     episode, in episode order, as each chunk of episodes completes; they
     exist for CSV dumping.
     """
-    if episodes < 1:
-        raise ConfigurationError("episodes must be >= 1")
-    loops = scenario.loops
-    solutions = _riccati_solutions(scenario)
-    factors = _noise_factors(scenario)
-    n_loops = len(loops)
-    costs = np.zeros((episodes, n_loops))
-    costs_lambda = np.zeros((episodes, n_loops))
-    tx = np.zeros((episodes, n_loops))
-    requests = np.zeros(n_loops)
-    successes = np.zeros(n_loops)
-    bound_hits = np.zeros(n_loops)
-    steps = np.zeros(n_loops)
-    attempts_sum = np.zeros(n_loops)
-    p_sums = [np.zeros((lc.horizon, lc.plant.n, lc.plant.n)) for lc in loops]
-
-    for chunk in _chunks(episodes):
-        logs = [[] for _ in chunk] if event_hook is not None else None
-        batch = _run_chunk(scenario, _draw_chunk(scenario, seed, chunk, factors),
-                           control_law, solutions, logs)
-        if trace_hook is not None or event_hook is not None:
-            for e, ep in enumerate(chunk):
-                if trace_hook is not None:
-                    trace_hook(ep, [_episode_trace(tr, e, ep) for tr in batch])
-                if event_hook is not None:
-                    event_hook(ep, logs[e])
-        rows = slice(chunk.start, chunk.stop)
-        for i, tr in enumerate(batch):
-            costs[rows, i] = tr.j
-            costs_lambda[rows, i] = tr.j_lambda
-            tx[rows, i] = tr.deltas.sum(axis=1)
-            requests[i] += tr.gammas.sum()
-            successes[i] += tr.deltas.sum()
-            attempts_sum[i] += tr.attempts.sum()
-            steps[i] += tr.gammas.size
-            sched = loops[i].scheduler
-            if sched.kind in ("state", "innovation"):
-                bound_hits[i] += (tr.pred_err_sq <= sched.eps).sum()
-            else:
-                bound_hits[i] = float("nan")
-            for outer in np.einsum("eki,ekj->ekij", tr.errs, tr.errs):
-                p_sums[i] += outer   # in episode order
-
-    per_loop = []
-    for i, lc in enumerate(loops):
-        p_seq = p_sums[i] / episodes
-        j_dp = jdp_closed_form(
-            solutions[i], lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, list(p_seq)
-        )
-        report = CostReport(
-            episodes=episodes,
-            j_mean=float(costs[:, i].mean()),
-            j_se=_se(costs[:, i]),
-            tx_mean=float(tx[:, i].mean()),
-            net_penalty=lc.net_penalty,
-            j_lambda_mean=float(costs_lambda[:, i].mean()),
-            j_dp=j_dp,
-        )
-        req = requests[i]
-        per_loop.append(
-            LoopStats(
-                loop=i,
-                report=report,
-                request_rate=float(req / steps[i]),
-                success_rate=float(successes[i] / req) if req else float("nan"),
-                drop_rate=float((req - successes[i]) / req) if req else float("nan"),
-                mean_attempts=float(attempts_sum[i] / req) if req else 0.0,
-                bound_prob=float(bound_hits[i] / steps[i]),
-                p_seq=p_seq,
-                costs=costs[:, i].copy(),
-            )
-        )
-    episode_means = costs.mean(axis=1)
-    return MonteCarloResult(
-        seed=seed,
-        episodes=episodes,
-        per_loop=per_loop,
-        j_mean=float(episode_means.mean()),
-        j_se=_se(episode_means),
-    )
+    tally = _Tally(scenario, episodes)
+    for chunk, (batch,), logs in _run_arms([(scenario, control_law)], seed, range(episodes),
+                                           event_hook is not None):
+        for e, ep in enumerate(chunk):
+            if trace_hook is not None:
+                trace_hook(ep, [_episode_trace(tr, e, ep) for tr in batch])
+            if event_hook is not None:
+                event_hook(ep, logs[0][e])
+        tally.add(chunk, batch)
+    return tally.result(seed)
 
 
 @dataclass(eq=False)
@@ -529,47 +558,41 @@ def sweep_threshold(
     episodes: int,
     control_law: ControlLaw = ce_law,
 ) -> SweepResult:
-    """Re-run the scenario across scheduler thresholds with common seeds.
+    """Run the scenario across scheduler thresholds on common draws.
 
     Every loop must carry a threshold scheduler (state or innovation); its
-    eps is replaced by each grid value in turn.
+    eps is replaced by each grid value, and every value runs on each chunk's
+    draws as `monte_carlo` would run it alone.
     """
     eps_grid = list(eps_grid)
     if not eps_grid:
         raise ConfigurationError("eps grid must not be empty")
     for lc in scenario.loops:
-        if lc.scheduler.kind not in ("state", "innovation"):
+        if lc.scheduler.kind not in _THRESHOLDS:
             raise ConfigurationError(
                 "threshold sweep needs state or innovation schedulers, "
                 f"got {lc.scheduler.kind!r}"
             )
+    arms = [(replace(scenario, loops=tuple(
+                replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
+                for lc in scenario.loops)), control_law) for eps in eps_grid]
+    tallies = [_Tally(scn, episodes) for scn, _ in arms]
+    for chunk, batches, _ in _run_arms(arms, seed, range(episodes)):
+        for tally, batch in zip(tallies, batches):
+            tally.add(chunk, batch)
     cols = {name: [] for name in
             ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate", "drop_rate")}
-    for eps in eps_grid:
-        loops = tuple(
-            replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
-            for lc in scenario.loops
-        )
-        scn = replace(scenario, loops=loops)
-        res = monte_carlo(scn, seed, episodes, control_law)
-        stats = res.per_loop
+    for tally in tallies:
+        res = tally.result(seed)
         cols["j_mean"].append(res.j_mean)
         cols["j_se"].append(res.j_se)
-        cols["bound_prob"].append(float(np.mean([s.bound_prob for s in stats])))
-        cols["request_rate"].append(float(np.mean([s.request_rate for s in stats])))
-        rates = [s.success_rate for s in stats if not math.isnan(s.success_rate)]
-        cols["success_rate"].append(float(np.mean(rates)) if rates else float("nan"))
-        drops = [s.drop_rate for s in stats if not math.isnan(s.drop_rate)]
-        cols["drop_rate"].append(float(np.mean(drops)) if drops else float("nan"))
-    return SweepResult(
-        eps=np.array(eps_grid, dtype=float),
-        j_mean=np.array(cols["j_mean"]),
-        j_se=np.array(cols["j_se"]),
-        bound_prob=np.array(cols["bound_prob"]),
-        request_rate=np.array(cols["request_rate"]),
-        success_rate=np.array(cols["success_rate"]),
-        drop_rate=np.array(cols["drop_rate"]),
-    )
+        # each rate averaged over the loops where it is defined
+        for name in ("bound_prob", "request_rate", "success_rate", "drop_rate"):
+            rates = [getattr(s, name) for s in res.per_loop]
+            rates = [r for r in rates if not math.isnan(r)]
+            cols[name].append(float(np.mean(rates)) if rates else float("nan"))
+    return SweepResult(eps=np.array(eps_grid, dtype=float),
+                       **{name: np.array(col) for name, col in cols.items()})
 
 
 @dataclass(eq=False)
@@ -615,19 +638,14 @@ def dual_effect_experiment(
         raise ConfigurationError("the two control laws must differ")
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
-    loops = scenario.loops
-    solutions = _riccati_solutions(scenario)
-    factors = _noise_factors(scenario)
-    control_free = all(is_symmetric_control_free(lc.scheduler) for lc in loops)
+    control_free = all(is_symmetric_control_free(lc.scheduler) for lc in scenario.loops)
     identical = 0
     div_ticks = []
     mse_a = np.zeros(episodes)
     mse_b = np.zeros(episodes)
     never = np.iinfo(int).max
-    for chunk in _chunks(episodes):
-        draws = _draw_chunk(scenario, seed, chunk, factors)
-        batch_a = _run_chunk(scenario, draws, law_a, solutions)
-        batch_b = _run_chunk(scenario, draws, law_b, solutions)
+    arms = [(scenario, law_a), (scenario, law_b)]
+    for chunk, (batch_a, batch_b), _ in _run_arms(arms, seed, range(episodes)):
         first = np.full(len(chunk), never)
         for ta, tb in zip(batch_a, batch_b):
             diff = ta.gammas != tb.gammas

@@ -8,6 +8,7 @@ on exactly those assertions.
 """
 
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig, TrafficSource
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import (
+    _run_arms,
     ce_law,
     dual_effect_experiment,
     monte_carlo,
@@ -298,10 +300,13 @@ def test_criterion_08_control_dependent_scheduler_shows_the_coupling():
 def test_criterion_09_observer_mse_beats_offset_family():
     scn = single_loop(SchedulerPolicy.innovation_threshold(3.5))
     errs, silent = [], []
-    for ep in range(5000):
-        tr = run_episode(scn, seed=51, episode=ep)[0]
+
+    def keep(ep, traces):
+        tr = traces[0]
         errs.append(tr.errs[:, 0])
         silent.append(tr.deltas == 0)
+
+    monte_carlo(scn, seed=51, episodes=5000, trace_hook=keep)
     err = np.concatenate(errs)
     quiet = np.concatenate(silent)
     base = float((err ** 2).mean())
@@ -319,15 +324,18 @@ def test_criterion_09_observer_mse_beats_offset_family():
 
 def test_criterion_10_silent_burst_noise_has_zero_mean():
     scn = single_loop(SchedulerPolicy.innovation_threshold(3.5), horizon=1000)
+    # episodes 0, 1, 2, ... at seed 61, run a chunk at a time and read one
+    # episode at a time, as the stopping rule needs
+    chunks = _run_arms([(scn, ce_law)], 61, range(sys.maxsize))
+    episodes = ((tr.errs[e], tr.deltas[e]) for chunk, ((tr,),), _ in chunks
+                for e in range(len(chunk)))
     samples = []
     total = 0
-    ep = 0
     while total < 1_000_000:
-        tr = run_episode(scn, seed=61, episode=ep)[0]
-        vals = tr.errs[tr.deltas == 0, 0]
+        errs, deltas = next(episodes)
+        vals = errs[deltas == 0, 0]
         samples.append(vals)
         total += vals.size
-        ep += 1
     sample = np.concatenate(samples)
     se = sample.std(ddof=1) / math.sqrt(sample.size)
     assert abs(sample.mean()) <= 3.0 * se, (

@@ -18,7 +18,6 @@ from macloops.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     _fmt,
-    _vec,
     emit_scenario,
     main,
     parse_scenario_doc,
@@ -395,6 +394,12 @@ class TestOutputDirEnv:
         monkeypatch.setenv("MACLOOPS_OUT_DIR", str(tmp_path))
         assert main(["riccati", "--horizon", "1"]) == EXIT_OK
         assert (tmp_path / "riccati-n1.csv").exists()
+
+
+def _vec(v: np.ndarray) -> str:
+    """One trace cell, entry by entry: the `repr` of each float, joined by ";"."""
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    return ";".join(repr(float(c)) for c in arr)
 
 
 def reference_trace_rows(episode, traces):

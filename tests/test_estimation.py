@@ -12,6 +12,8 @@ from macloops.model import PlantModel
 from macloops.stats import TruncatedGaussian, truncated_moments
 
 UNIT_PLANT = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
+# the observer before step 0: the prior mean and the fictitious initial packet
+START = ObserverState(xhat=np.zeros(1), tau=-1, k=-1)
 
 
 def predict(obs, u_prev):
@@ -29,7 +31,7 @@ class TestTauUpdate:
                                predict(obs, [0.0]))
 
     def test_initialization(self):
-        obs = ObserverState.initial(UNIT_PLANT)
+        obs = START
         assert obs.tau == -1
         assert observer_update(obs, 0, None, predict(obs, [0.0])).tau == -1
 
@@ -40,37 +42,36 @@ class TestTauUpdate:
         assert self.after(1, 3, 0).tau == 1
 
     def test_validation(self):
-        obs = ObserverState.initial(UNIT_PLANT)
+        obs = START
         with pytest.raises(ConfigurationError, match="y must have length 1"):
             observer_update(obs, 1, np.array([1.0, 2.0]), predict(obs, [0.0]))
 
 
 class TestObserverUpdate:
     def test_delivery_takes_the_state(self):
-        obs = ObserverState.initial(UNIT_PLANT)
+        obs = START
         nxt = observer_update(obs, 1, np.array([2.3]), predict(obs, [0.0]))
         assert nxt.xhat == pytest.approx([2.3])
-        assert nxt.tau == 0 and nxt.delay == 0
+        assert nxt.tau == 0
 
     def test_miss_is_pure_prediction(self):
         obs = ObserverState(xhat=np.array([1.0]), tau=0, k=0)
         nxt = observer_update(obs, 0, None, predict(obs, [-0.5]))
         assert nxt.xhat == pytest.approx([0.5])
-        assert nxt.tau == 0 and nxt.delay == 1
+        assert nxt.tau == 0
 
     def test_missing_payload_is_a_protocol_error(self):
-        obs = ObserverState.initial(UNIT_PLANT)
+        obs = START
         with pytest.raises(ProtocolError):
             observer_update(obs, 1, None, predict(obs, [0.0]))
 
     def test_delay_bookkeeping(self):
-        obs = ObserverState.initial(UNIT_PLANT)
+        obs = START
         deltas = [0, 0, 1, 0, 1, 1, 0]
         for k, d in enumerate(deltas):
             obs = observer_update(obs, d, np.array([float(k)]) if d else None,
                                   predict(obs, [0.0]))
-            assert obs.delay == obs.k - obs.tau
-            assert (obs.delay == 0) == bool(d)
+            assert (obs.tau == obs.k) == bool(d)
 
     def test_episode_rows_update_independently(self):
         # the engine's form: one row per episode of a chunk
@@ -79,13 +80,12 @@ class TestObserverUpdate:
         nxt = observer_update(obs, np.array([0, 1, 0]), y, obs.xhat * 0.5)
         assert np.array_equal(nxt.xhat, [[0.5], [8.0], [1.5]])
         assert np.array_equal(nxt.tau, [-1, 2, 1])
-        assert np.array_equal(nxt.delay, [3, 0, 1])
         with pytest.raises(ProtocolError):
             observer_update(obs, np.array([0, 1, 0]), None, obs.xhat)
 
     def test_error_resets_exactly_on_delivery(self):
         rng = np.random.default_rng(2)
-        obs = ObserverState.initial(UNIT_PLANT)
+        obs = START
         x = np.array([rng.standard_normal()])
         for k in range(30):
             d = int(rng.random() < 0.4)

@@ -238,7 +238,7 @@ class TestTrafficSources:
         assert all(traffic_step(TrafficSource.bernoulli(1.0), gen) == 1 for _ in range(20))
 
     def test_markov_long_run_occupancy(self):
-        src = TrafficSource.markov_on_off(p_on=0.2, p_off=0.5)
+        src = TrafficSource(kind="markov", p_on=0.2, p_off=0.5)
         gen = np.random.default_rng(123)
         state = 0
         total = 0

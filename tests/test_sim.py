@@ -160,7 +160,7 @@ def two_state_network():
     return NetworkScenario(
         loops=(vector, loop_of(SchedulerPolicy.state_threshold(2.0), horizon=8)),
         crm=CrmConfig(persistence=(1.0, 0.6, 0.3), slots_per_sample=5),
-        sources=(TrafficSource.markov_on_off(0.3, 0.4), TrafficSource.bernoulli(0.35)),
+        sources=(TrafficSource(kind="markov", p_on=0.3, p_off=0.4), TrafficSource.bernoulli(0.35)),
     )
 
 
@@ -396,15 +396,21 @@ class TestControlFreeRequests:
         assert gammas(constant_law) == reference
 
 
+def counting_riccati(monkeypatch):
+    """The argument tuples of every riccati_backward call the engine makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return riccati_backward(*args)
+
+    monkeypatch.setattr(sim, "riccati_backward", counting)
+    return calls
+
+
 class TestRiccatiMemo:
     def test_solved_once_per_scenario_object(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return riccati_backward(*args)
-
-        monkeypatch.setattr(sim, "riccati_backward", counting)
+        calls = counting_riccati(monkeypatch)
         scn = two_state_network()
         loops = len(scn.loops)
         first = run_episode(scn, 3, 0)
@@ -423,6 +429,20 @@ class TestRiccatiMemo:
         del copy
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("name,solves", [("example1", 3), ("example3", 1)])
+    def test_equal_loops_share_one_solve(self, monkeypatch, name, solves):
+        # example1 has three plant types, example3 twenty equal loops
+        calls = counting_riccati(monkeypatch)
+        scn = parse_scenario_doc(name).scenario
+        solutions = sim._riccati_solutions(scn)
+        assert len(calls) == solves
+        assert len({id(sol) for sol in solutions}) == solves
+        for lc, sol in zip(scn.loops, solutions):
+            alone = riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
+            for shared, own in zip((*sol.S, *sol.L), (*alone.S, *alone.L)):
+                assert not shared.flags.writeable
+                assert np.array_equal(shared, own)
 
 
 class TestSweep:
