@@ -5,9 +5,9 @@ Scenarios are JSON documents with a strict schema (unknown keys are
 rejected); two presets, ``example1`` (heterogeneous network with a
 state-threshold scheduler) and ``example3`` (homogeneous network with the
 innovation-threshold scheduler), are compiled in, plus the always-transmit
-baseline ``example1-baseline``.  Every run writes its outputs next to a JSON
-manifest carrying the resolved scenario hash, seed and tool version; CSV
-outputs are byte-identical across reruns with equal hash and seed.  The
+baseline ``example1-baseline``.  `simulate` and `sweep` write their outputs
+next to a JSON manifest carrying the resolved scenario hash, seed and tool
+version; CSV outputs are byte-identical across reruns with equal hash and seed.  The
 trace rows are built column by column, from one `.tolist()` per trace array,
 and an event row is the (episode, tick) pair followed by the `SlotEvent`.
 
@@ -47,7 +47,7 @@ from .errors import ConfigurationError, NumericalError
 from .estimation import two_step_posterior
 from .model import LoopConfig, NetworkScenario, PlantModel, as_vector
 from .network import CrmConfig, TrafficSource
-from .scheduling import SchedulerPolicy
+from .scheduling import THRESHOLD_KINDS, SchedulerPolicy
 from .sim import MonteCarloResult, ce_law, monte_carlo, sweep_threshold, zero_law
 from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
@@ -417,7 +417,7 @@ def summary_rows(result: MonteCarloResult, doc: ScenarioDoc):
     for stats in result.per_loop:
         lc = doc.scenario.loops[stats.loop]
         sched = lc.scheduler
-        eps = sched.eps if sched.kind in ("state", "innovation") else float("nan")
+        eps = sched.eps if sched.kind in THRESHOLD_KINDS else float("nan")
         rep = stats.report
         rows.append([
             stats.loop, doc.groups[stats.loop], lc.plant.period, sched.kind,
@@ -501,6 +501,14 @@ def _check_finite(args, *names: str) -> None:
         if value is not None and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             raise ConfigurationError(f"{flag}: must be a finite number, got {value}")
+
+
+def _check_sign(args, name: str, strict: bool) -> None:
+    """Reject a negative value of the named float flag, and zero if `strict`."""
+    value = getattr(args, name)
+    if value < 0.0 or (strict and value == 0.0):
+        flag = "--" + name.replace("_", "-")
+        raise ConfigurationError(f"{flag}: must be {'>' if strict else '>='} 0, got {value}")
 
 
 def cmd_simulate(args) -> int:
@@ -638,6 +646,9 @@ def _parse_branch(text: str) -> int:
 def cmd_two_step(args) -> int:
     delta0 = _parse_branch(args.branch)
     _check_finite(args, "x0", "a", "b", "q0", "q1", "q2", "threshold")
+    # the scalar form of riccati's rule: Q0 and Q1 PSD, Q2 PD
+    for name in ("q0", "q1", "q2"):
+        _check_sign(args, name, strict=name == "q2")
     a, b = args.a, args.b
     q0, q1, q2 = args.q0, args.q1, args.q2
     if delta0 and args.x0 is None:
@@ -678,6 +689,7 @@ def cmd_two_step(args) -> int:
 
 def cmd_moments(args) -> int:
     _check_finite(args, "mu", "var", "upper", "a", "noise_var", "cond_upper")
+    _check_sign(args, "noise_var", strict=True)
     tg = TruncatedGaussian(args.mu, args.var, args.upper)
     mean, var = truncated_moments(tg)
     rows = [["truncated_mean", _fmt(mean)], ["truncated_var", _fmt(var)]]
@@ -690,7 +702,7 @@ def cmd_moments(args) -> int:
         print(f"compound conditional moments (a={args.a}, noise_var={args.noise_var}, "
               f"upper={args.cond_upper}): mean={cmean:.9f} var={cvar:.9f}")
     if args.out:
-        path = Path(args.out).with_suffix(".csv")
+        path = Path(args.out + ".csv")
         _write_csv(path, ["quantity", "value"], rows)
         print(f"wrote {path}")
     return EXIT_OK

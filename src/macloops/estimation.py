@@ -15,13 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .stats import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    TruncatedGaussian,
-    conditional_moments_compound,
-    truncated_moments,
-)
+from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +95,6 @@ def two_step_posterior(
     delta1: int,
     x0: Optional[float] = None,
     threshold: float = 0.5,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> TwoStepPosterior:
     """Exact posterior moments for the half-line scheduler x >= threshold with
     standard normal initial state and noise.
@@ -128,9 +121,7 @@ def two_step_posterior(
         if delta1:
             ebar1, p11 = 0.0, 0.0
         else:
-            ebar1, p11 = conditional_moments_compound(
-                a, tg0, 1.0, threshold - b * u0, quad
-            )
+            ebar1, p11 = conditional_moments_compound(a, tg0, 1.0, threshold - b * u0)
     return TwoStepPosterior(
         a=a, b=b, u0=u0, delta0=delta0, delta1=delta1, threshold=threshold,
         xbar0=xbar0, p00=p00, ebar1=ebar1, p11=p11,

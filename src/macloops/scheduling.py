@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 _CONTROL_FREE = {"always": True, "state": False, "innovation": True, "halfline": False}
+# the kinds with a threshold eps on a squared norm
+THRESHOLD_KINDS = ("state", "innovation")
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class SchedulerPolicy:
     def __post_init__(self):
         if self.kind not in _CONTROL_FREE:
             raise ConfigurationError(f"unknown scheduler kind {self.kind!r}")
-        if self.kind in ("state", "innovation") and not self.eps >= 0.0:
+        if self.kind in THRESHOLD_KINDS and not self.eps >= 0.0:
             raise ConfigurationError(f"eps must be >= 0, got {self.eps}")
         if self.kind == "halfline" and self.direction not in ("ge", "le"):
             raise ConfigurationError(f"direction must be 'ge' or 'le', got {self.direction!r}")

@@ -31,13 +31,14 @@ One driver, `_run_arms`, draws each chunk once and runs every arm on it:
 an arm is a (scenario variant, control law) pair.  `monte_carlo` and
 `run_episode` run one arm, `dual_effect_experiment` one per control law and
 `sweep_threshold` one per threshold, so the arms they compare meet the same
-noise, traffic and contention draws.
+noise, traffic and contention draws.  They also share each loop's Riccati
+gains and noise square roots, derived once per call for every distinct loop
+(`_loop_constants`); nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Optional, Sequence
@@ -49,7 +50,7 @@ from .errors import ConfigurationError
 from .estimation import ObserverState, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
 from .network import resolve_contention, traffic_step
-from .scheduling import decide, is_symmetric_control_free
+from .scheduling import THRESHOLD_KINDS, decide, is_symmetric_control_free
 
 _ROLE_NOISE = 0
 _ROLE_TRAFFIC = 1
@@ -58,8 +59,6 @@ _ROLE_CONTENTION = 2
 SOURCE_CONTENDER_BASE = 1 << 16
 # episodes advanced together by the engine
 CHUNK_EPISODES = 64
-# the scheduler kinds with a threshold eps on a squared norm
-_THRESHOLDS = ("state", "innovation")
 
 ControlLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -137,11 +136,32 @@ def _episode_trace(batch: LoopTrace, e: int, episode: int) -> LoopTrace:
 
 
 NoiseFactors = tuple[np.ndarray, np.ndarray]
+# per loop: its Riccati solution and the square roots of its R0 and Rw
+LoopConstants = list[tuple[RiccatiSolution, NoiseFactors]]
 
 
-def _noise_factors(scenario: NetworkScenario) -> list[NoiseFactors]:
-    """The square roots of every loop's R0 and Rw, in loop order."""
-    return [(psd_sqrt(lc.plant.R0), psd_sqrt(lc.plant.Rw)) for lc in scenario.loops]
+def _loop_constants(scenario: NetworkScenario) -> LoopConstants:
+    """Each loop's Riccati solution and (sqrt R0, sqrt Rw), in loop order.
+
+    Each is derived once per distinct input: the solution once for all loops
+    with equal horizon, dynamics and weights, the roots once for all loops
+    with equal R0 and Rw.  Loops share them, so the solutions' arrays are
+    read-only.
+    """
+    solved, roots, table = {}, {}, []
+    for lc in scenario.loops:
+        plant = lc.plant
+        args = (plant.A, plant.B, lc.Q0, lc.Q1, lc.Q2)
+        key = (lc.horizon, plant.n, plant.m, *(a.tobytes() for a in args))
+        if key not in solved:
+            sol = solved[key] = riccati_backward(*args, lc.horizon)
+            for arr in (*sol.S, *sol.L):
+                arr.flags.writeable = False
+        noise = (plant.R0.tobytes(), plant.Rw.tobytes())
+        if noise not in roots:
+            roots[noise] = (psd_sqrt(plant.R0), psd_sqrt(plant.Rw))
+        table.append((solved[key], roots[noise]))
+    return table
 
 
 def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int,
@@ -154,34 +174,6 @@ def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int
     n_steps = scenario.loops[idx].horizon
     w = gen.standard_normal((n_steps, plant.n)) @ sqrt_rw.T
     return x0, w
-
-
-# Riccati solutions per scenario object: a scenario is immutable and hashed
-# by identity, and weak keys let the solutions go with it.
-_SOLUTIONS = weakref.WeakKeyDictionary()
-
-
-def _riccati_solutions(scenario: NetworkScenario) -> tuple[RiccatiSolution, ...]:
-    """The backward Riccati solution of every loop, in loop order.
-
-    Solved once per scenario object, and once for all loops with equal
-    dynamics, weights and horizon; the memo's arrays are read-only, as every
-    caller shares them.
-    """
-    solutions = _SOLUTIONS.get(scenario)
-    if solutions is None:
-        solved, in_order = {}, []
-        for lc in scenario.loops:
-            args = (lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2)
-            key = (lc.horizon, lc.plant.n, lc.plant.m, *(a.tobytes() for a in args))
-            if key not in solved:
-                solved[key] = riccati_backward(*args, lc.horizon)
-            in_order.append(solved[key])
-        for sol in solved.values():
-            for arr in (*sol.S, *sol.L):
-                arr.flags.writeable = False
-        solutions = _SOLUTIONS[scenario] = tuple(in_order)
-    return solutions
 
 
 def _schedule(scenario: NetworkScenario) -> dict[int, list[tuple[int, int]]]:
@@ -223,7 +215,7 @@ class _ChunkDraws:
 
 
 def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
-                factors: Sequence[NoiseFactors]) -> _ChunkDraws:
+                constants: LoopConstants) -> _ChunkDraws:
     """Draw the noise, the traffic and the contention tables of a chunk.
 
     Each episode draws from its own streams exactly as it would alone: one
@@ -238,8 +230,8 @@ def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
     """
     schedule = _schedule(scenario)
     x0, noise = [], []
-    for i in range(len(scenario.loops)):
-        drawn = [_noise_for_loop(scenario, seed, ep, i, factors[i]) for ep in episodes]
+    for i, (_, factors) in enumerate(constants):
+        drawn = [_noise_for_loop(scenario, seed, ep, i, factors) for ep in episodes]
         x0.append(np.array([x for x, _ in drawn]))
         noise.append(np.array([w for _, w in drawn]))
     rows = _contention_index(scenario, schedule)
@@ -289,7 +281,7 @@ def _run_chunk(
     scenario: NetworkScenario,
     draws: _ChunkDraws,
     control_law: ControlLaw,
-    solutions: Sequence[RiccatiSolution],
+    constants: LoopConstants,
     event_logs: Optional[list[list]] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
@@ -347,7 +339,7 @@ def _run_chunk(
             obs = observer_update(observers[i], tr.deltas[:, k],
                                   x if i in delivered else None, pred)
             observers[i] = obs
-            u = control_law(solutions[i].L[k], obs.xhat)
+            u = control_law(constants[i][0].L[k], obs.xhat)
             tr.us[:, k] = u
             tr.xhats[:, k] = obs.xhat
             tr.taus[:, k] = obs.tau
@@ -372,24 +364,24 @@ def _run_chunk(
 _Arm = tuple[NetworkScenario, ControlLaw]
 
 
-def _run_arms(arms: Sequence[_Arm], seed: int, episodes: range, event_logs: bool = False):
+def _run_arms(arms: Sequence[_Arm], constants: LoopConstants, seed: int, episodes: range,
+              event_logs: bool = False):
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
     The chunks hold up to CHUNK_EPISODES episodes, in episode order, and are
-    drawn from the first arm's scenario: the arms may differ in schedulers
-    and control laws, which the draws do not depend on, but not in the
-    loops' plants and horizons, the channel or the sources.  Yields
-    (chunk, one chunk trace per arm, one event log list per arm), where an
-    arm's list holds one log per episode if `event_logs` is set, else None.
+    drawn from the first arm's scenario; every arm runs on the one table of
+    loop `constants`.  So the arms may differ in schedulers and control
+    laws, which neither depends on, but must not differ in plants, weights
+    or horizons, the channel or the sources.  Yields (chunk, one chunk trace
+    per arm, one event log list per arm), where an arm's list holds one log
+    per episode if `event_logs` is set, else None.
     """
-    solutions = [_riccati_solutions(scn) for scn, _ in arms]
-    factors = _noise_factors(arms[0][0])
     for start in range(episodes.start, episodes.stop, CHUNK_EPISODES):
         chunk = range(start, min(start + CHUNK_EPISODES, episodes.stop))
-        draws = _draw_chunk(arms[0][0], seed, chunk, factors)
+        draws = _draw_chunk(arms[0][0], seed, chunk, constants)
         logs = [[[] for _ in chunk] if event_logs else None for _ in arms]
-        batches = [_run_chunk(scn, draws, law, sol, log)
-                   for (scn, law), sol, log in zip(arms, solutions, logs)]
+        batches = [_run_chunk(scn, draws, law, constants, log)
+                   for (scn, law), log in zip(arms, logs)]
         yield chunk, batches, logs
 
 
@@ -406,8 +398,9 @@ def run_episode(
     contention round.
     """
     episode = int(episode)
-    _, (batch,), logs = next(_run_arms([(scenario, control_law)], seed,
-                                       range(episode, episode + 1), event_log is not None))
+    _, (batch,), logs = next(_run_arms([(scenario, control_law)], _loop_constants(scenario),
+                                       seed, range(episode, episode + 1),
+                                       event_log is not None))
     if event_log is not None:
         event_log += logs[0][0]
     return [_episode_trace(tr, 0, episode) for tr in batch]
@@ -466,15 +459,14 @@ class _Tally:
             for outer in np.einsum("eki,ekj->ekij", tr.errs, tr.errs):
                 self.p_sums[i] += outer   # in episode order
 
-    def result(self, seed: int) -> MonteCarloResult:
+    def result(self, seed: int, constants: LoopConstants) -> MonteCarloResult:
         costs, costs_lambda, tx = self.per_episode
         episodes = costs.shape[0]
-        solutions = _riccati_solutions(self.scenario)
         per_loop = []
-        for i, lc in enumerate(self.scenario.loops):
+        for i, (lc, (solution, _)) in enumerate(zip(self.scenario.loops, constants)):
             p_seq = self.p_sums[i] / episodes
             j_dp = jdp_closed_form(
-                solutions[i], lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, list(p_seq)
+                solution, lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, list(p_seq)
             )
             report = CostReport(
                 episodes=episodes,
@@ -495,7 +487,7 @@ class _Tally:
                     success_rate=float(successes / req) if req else float("nan"),
                     drop_rate=float((req - successes) / req) if req else float("nan"),
                     mean_attempts=float(attempts / req) if req else 0.0,
-                    bound_prob=(float(hits / steps) if lc.scheduler.kind in _THRESHOLDS
+                    bound_prob=(float(hits / steps) if lc.scheduler.kind in THRESHOLD_KINDS
                                 else float("nan")),
                     p_seq=p_seq,
                     costs=costs[:, i].copy(),
@@ -529,15 +521,16 @@ def monte_carlo(
     exist for CSV dumping.
     """
     tally = _Tally(scenario, episodes)
-    for chunk, (batch,), logs in _run_arms([(scenario, control_law)], seed, range(episodes),
-                                           event_hook is not None):
+    constants = _loop_constants(scenario)
+    for chunk, (batch,), logs in _run_arms([(scenario, control_law)], constants, seed,
+                                           range(episodes), event_hook is not None):
         for e, ep in enumerate(chunk):
             if trace_hook is not None:
                 trace_hook(ep, [_episode_trace(tr, e, ep) for tr in batch])
             if event_hook is not None:
                 event_hook(ep, logs[0][e])
         tally.add(chunk, batch)
-    return tally.result(seed)
+    return tally.result(seed, constants)
 
 
 @dataclass(eq=False)
@@ -568,7 +561,7 @@ def sweep_threshold(
     if not eps_grid:
         raise ConfigurationError("eps grid must not be empty")
     for lc in scenario.loops:
-        if lc.scheduler.kind not in _THRESHOLDS:
+        if lc.scheduler.kind not in THRESHOLD_KINDS:
             raise ConfigurationError(
                 "threshold sweep needs state or innovation schedulers, "
                 f"got {lc.scheduler.kind!r}"
@@ -577,13 +570,14 @@ def sweep_threshold(
                 replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
                 for lc in scenario.loops)), control_law) for eps in eps_grid]
     tallies = [_Tally(scn, episodes) for scn, _ in arms]
-    for chunk, batches, _ in _run_arms(arms, seed, range(episodes)):
+    constants = _loop_constants(scenario)
+    for chunk, batches, _ in _run_arms(arms, constants, seed, range(episodes)):
         for tally, batch in zip(tallies, batches):
             tally.add(chunk, batch)
     cols = {name: [] for name in
             ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate", "drop_rate")}
     for tally in tallies:
-        res = tally.result(seed)
+        res = tally.result(seed, constants)
         cols["j_mean"].append(res.j_mean)
         cols["j_se"].append(res.j_se)
         # each rate averaged over the loops where it is defined
@@ -645,7 +639,8 @@ def dual_effect_experiment(
     mse_b = np.zeros(episodes)
     never = np.iinfo(int).max
     arms = [(scenario, law_a), (scenario, law_b)]
-    for chunk, (batch_a, batch_b), _ in _run_arms(arms, seed, range(episodes)):
+    for chunk, (batch_a, batch_b), _ in _run_arms(arms, _loop_constants(scenario), seed,
+                                                  range(episodes)):
         first = np.full(len(chunk), never)
         for ta, tb in zip(batch_a, batch_b):
             diff = ta.gammas != tb.gammas

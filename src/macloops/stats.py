@@ -25,6 +25,12 @@ _SQRT2 = math.sqrt(2.0)
 
 # Conditioning probabilities below this are treated as degenerate.
 MIN_TRUNCATION_PROB = 1e-12
+# Integration window, in standard deviations around the integrand's natural
+# center; integrands here decay like Gaussians, so +/-10 sigma leaves tail
+# mass around 1e-23, far below the default tolerance.
+QUAD_WINDOW = (-10.0, 10.0)
+# Panels the adaptive Simpson integrator may examine before it gives up.
+QUAD_MAX_SUBDIVISIONS = 20000
 
 
 def std_normal_pdf(x: float) -> float:
@@ -82,24 +88,13 @@ class TruncatedGaussian:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the adaptive Simpson integrator.
-
-    `window` is expressed in standard deviations around the integrand's
-    natural center; integrands here decay like Gaussians, so +/-10 sigma
-    leaves tail mass around 1e-23, far below the default tolerance.
-    """
+    """The absolute tolerance of the adaptive Simpson integrator."""
 
     tol: float = 1e-8
-    max_subdivisions: int = 20000
-    window: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
-        if self.max_subdivisions < 1:
-            raise ConfigurationError("max_subdivisions must be at least 1")
-        if not self.window[0] < self.window[1]:
-            raise ConfigurationError(f"window must satisfy lo < hi, got {self.window}")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -110,7 +105,7 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD) -> f
 
     Panels are bisected until the Richardson error estimate of each panel
     falls under its share of the absolute tolerance.  Raises QuadratureError
-    if the subdivision budget is exhausted.
+    if more than QUAD_MAX_SUBDIVISIONS panels are needed.
     """
     if hi <= lo:
         return 0.0
@@ -125,9 +120,9 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD) -> f
     while stack:
         a, b, fa, fm, fb, s_ab, tol = stack.pop()
         used += 1
-        if used > spec.max_subdivisions:
+        if used > QUAD_MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"quadrature did not converge within {spec.max_subdivisions} subdivisions"
+                f"quadrature did not converge within {QUAD_MAX_SUBDIVISIONS} subdivisions"
             )
         m = 0.5 * (a + b)
         lm = 0.5 * (a + m)
@@ -195,23 +190,25 @@ def conditional_moments_compound(
     """Mean and variance of e = a*X + W conditioned on e < upper.
 
     The three moment integrals run over the closed-form compound_density
-    with `spec`.  The window is `spec.window` standard deviations of the
+    with `spec`.  The window is QUAD_WINDOW standard deviations of the
     untruncated law of e, clipped at `upper`: the compound density is at most
     that law's density over Pr(X < tg.upper), so the tails it leaves out stay
     negligible.  It is also clipped where the truncation factor of the
-    density falls below Phi(spec.window[0]), so that a deep truncation, whose
+    density falls below Phi(QUAD_WINDOW[0]), so that a deep truncation, whose
     mass sits in a narrow band at that edge, is not missed by the first
     quadrature nodes.
     """
+    if not noise_var > 0.0:
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
     if a == 0.0:
         return truncated_moments(TruncatedGaussian(0.0, noise_var, upper))
     center = a * tg.mean
     e_var = a * a * tg.var + noise_var
     sd = math.sqrt(e_var)
-    lo = center + spec.window[0] * sd
-    hi = min(upper, center + spec.window[1] * sd)
+    lo = center + QUAD_WINDOW[0] * sd
+    hi = min(upper, center + QUAD_WINDOW[1] * sd)
     sigma_star = math.sqrt(tg.var * noise_var / e_var)
-    cut = center + e_var * (tg.upper - tg.mean - spec.window[0] * sigma_star) / (a * tg.var)
+    cut = center + e_var * (tg.upper - tg.mean - QUAD_WINDOW[0] * sigma_star) / (a * tg.var)
     if a > 0.0:
         hi = min(hi, cut)
     else:

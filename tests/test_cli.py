@@ -388,6 +388,11 @@ class TestOtherCommands:
         assert rows["truncated_mean"] == pytest.approx(want[0])
         assert rows["truncated_var"] == pytest.approx(want[1])
 
+    def test_moments_keeps_a_dotted_prefix(self, tmp_path):
+        assert main(["moments", "--upper", "0.5",
+                     "--out", str(tmp_path / "mom-upper0.5")]) == EXIT_OK
+        assert [p.name for p in tmp_path.iterdir()] == ["mom-upper0.5.csv"]
+
 
 class TestOutputDirEnv:
     def test_default_directory_comes_from_env(self, tmp_path, monkeypatch):
@@ -586,6 +591,17 @@ class TestExitCodes:
          "--x0: must be a finite number, got inf"),
         (["moments", "--upper", "1", "--cond-upper", "1", "--noise-var", "nan"],
          "--noise-var: must be a finite number, got nan"),
+        # the scalar form of riccati's rule: Q0 and Q1 PSD, Q2 PD, and a noise variance > 0
+        (["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "-1"],
+         "--q2: must be > 0, got -1.0"),
+        (["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "0"],
+         "--q2: must be > 0, got 0.0"),
+        (["two-step", "--branch", "delta0=1", "--x0", "0", "--q0", "-1"],
+         "--q0: must be >= 0, got -1.0"),
+        (["two-step", "--branch", "delta0=0", "--q1", "-3"],
+         "--q1: must be >= 0, got -3.0"),
+        (["moments", "--upper", "0.5", "--a", "1", "--noise-var", "-0.5", "--cond-upper", "0.5"],
+         "--noise-var: must be > 0, got -0.5"),
     ])
     def test_bad_flags_are_named(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_VALIDATION

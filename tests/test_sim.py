@@ -1,10 +1,8 @@
 """Closed-loop episode engine: determinism, conservation, reductions and the
 paired-law experiment."""
 
-import gc
 import hashlib
 import math
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +14,7 @@ from macloops import sim
 from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
 from macloops.errors import ConfigurationError
-from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream
+from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream, psd_sqrt
 from macloops.network import CrmConfig, TrafficSource, resolve_contention, traffic_step
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import (
@@ -262,7 +260,7 @@ class TestContentionDraws:
                              ids=["0", "2^32-1", "2^64+5", "2^130"])
     def test_table_is_one_numpy_stream_per_episode(self, seed):
         scn = lossy_state_network(2)
-        draws = sim._draw_chunk(scn, seed, range(3, 6), sim._noise_factors(scn))
+        draws = sim._draw_chunk(scn, seed, range(3, 6), sim._loop_constants(scn))
         # loop 0 at ticks 0..11, loop 1 at ticks 0, 2, .., 10, then each
         # source at all 12 sampling ticks
         keys = ([(t, 0) for t in range(12)] + [(t, 1) for t in range(0, 12, 2)]
@@ -274,7 +272,7 @@ class TestContentionDraws:
 
     def test_certain_channel_draws_no_table(self):
         scn = replace(lossy_state_network(), crm=CrmConfig(persistence=(1.0, 0.0, 1.0)))
-        draws = sim._draw_chunk(scn, 1, range(4), sim._noise_factors(scn))
+        draws = sim._draw_chunk(scn, 1, range(4), sim._loop_constants(scn))
         assert draws.tables == [None] * 4
 
     def test_adding_a_source_keeps_every_loops_rows(self, monkeypatch):
@@ -351,10 +349,13 @@ class TestMonteCarlo:
                  loop_of(SchedulerPolicy.state_threshold(1.0), horizon=20))
         scn = NetworkScenario(loops=loops, crm=CrmConfig(persistence=(1.0, 0.75, 0.5)))
         xs, ns = [], []
-        for ep in range(1500):
-            tr1, tr2 = run_episode(scn, seed=31, episode=ep)
+
+        def keep(ep, traces):
+            tr1, tr2 = traces
             xs.append(np.abs(tr1.xs[:-1, 0]))
             ns.append(tr2.gammas)
+
+        monte_carlo(scn, 31, 1500, trace_hook=keep)
         x = np.concatenate(xs)
         n = np.concatenate(ns)
         r = np.corrcoef(x, n)[0, 1]
@@ -396,53 +397,64 @@ class TestControlFreeRequests:
         assert gammas(constant_law) == reference
 
 
-def counting_riccati(monkeypatch):
-    """The argument tuples of every riccati_backward call the engine makes."""
-    calls = []
+def counting(monkeypatch, name):
+    """The positional arguments of every call the engine makes to sim.<name>."""
+    calls, real = [], getattr(sim, name)
 
-    def counting(*args):
+    def wrapper(*args):
         calls.append(args)
-        return riccati_backward(*args)
+        return real(*args)
 
-    monkeypatch.setattr(sim, "riccati_backward", counting)
+    monkeypatch.setattr(sim, name, wrapper)
     return calls
 
 
 class TestRiccatiMemo:
-    def test_solved_once_per_scenario_object(self, monkeypatch):
-        calls = counting_riccati(monkeypatch)
-        scn = two_state_network()
-        loops = len(scn.loops)
-        first = run_episode(scn, 3, 0)
-        monte_carlo(scn, 3, 2)
-        dual_effect_experiment(scn, ce_law, zero_law, 3, 2)
-        again = run_episode(scn, 3, 0)
-        assert len(calls) == loops
-        for a, b in zip(first, again):
-            for name in TRACE_FIELDS:
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        # an equal scenario is another object: solved again, and not kept alive
-        copy = replace(scn)
-        run_episode(copy, 3, 0)
-        assert len(calls) == 2 * loops
-        ref = weakref.ref(copy)
-        del copy
-        gc.collect()
-        assert ref() is None
+    def test_derived_once_per_call_and_shared_across_arms(self, monkeypatch):
+        example1 = parse_scenario_doc("example1").scenario
+        example3 = parse_scenario_doc("example3").scenario
+        solves = counting(monkeypatch, "riccati_backward")
+        roots = counting(monkeypatch, "psd_sqrt")
+        chunks = counting(monkeypatch, "_run_chunk")
 
-    @pytest.mark.parametrize("name,solves", [("example1", 3), ("example3", 1)])
-    def test_equal_loops_share_one_solve(self, monkeypatch, name, solves):
+        def derived():
+            """The solves, the roots and the distinct tables the arms ran on since
+            the last call."""
+            counts = (len(solves), len(roots), len({id(args[3]) for args in chunks}))
+            for calls in (solves, roots, chunks):
+                calls.clear()
+            return counts
+
+        # twenty equal loops: one solve and one pair of roots for all 16 thresholds
+        sweep_threshold(example3, np.linspace(0.5, 8.0, 16), 3, 2)
+        assert derived() == (1, 2, 1)
+        # three plant types, two laws
+        dual_effect_experiment(example1, ce_law, zero_law, 3, 2)
+        assert derived() == (3, 6, 1)
+        # nothing is kept between calls
+        monte_carlo(example1, 3, 2)
+        monte_carlo(example1, 3, 2)
+        assert derived()[:2] == (2 * 3, 2 * 6)
+
+    # the ids predate the roots count
+    @pytest.mark.parametrize("name,solves,roots", [("example1", 3, 6), ("example3", 1, 2)],
+                             ids=["example1-3", "example3-1"])
+    def test_equal_loops_share_one_solve(self, monkeypatch, name, solves, roots):
         # example1 has three plant types, example3 twenty equal loops
-        calls = counting_riccati(monkeypatch)
+        solve_calls = counting(monkeypatch, "riccati_backward")
+        root_calls = counting(monkeypatch, "psd_sqrt")
         scn = parse_scenario_doc(name).scenario
-        solutions = sim._riccati_solutions(scn)
-        assert len(calls) == solves
-        assert len({id(sol) for sol in solutions}) == solves
-        for lc, sol in zip(scn.loops, solutions):
+        constants = sim._loop_constants(scn)
+        assert (len(solve_calls), len(root_calls)) == (solves, roots)
+        assert len({id(sol) for sol, _ in constants}) == solves
+        assert len({id(factors) for _, factors in constants}) == roots // 2
+        for lc, (sol, (sqrt_r0, sqrt_rw)) in zip(scn.loops, constants):
             alone = riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
             for shared, own in zip((*sol.S, *sol.L), (*alone.S, *alone.L)):
                 assert not shared.flags.writeable
                 assert np.array_equal(shared, own)
+            assert np.array_equal(sqrt_r0, psd_sqrt(lc.plant.R0))
+            assert np.array_equal(sqrt_rw, psd_sqrt(lc.plant.Rw))
 
 
 class TestSweep:
