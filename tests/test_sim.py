@@ -434,7 +434,7 @@ class TestRiccatiMemo:
         # nothing is kept between calls
         monte_carlo(example1, 3, 2)
         monte_carlo(example1, 3, 2)
-        assert derived()[:2] == (2 * 3, 2 * 6)
+        assert derived() == (2 * 3, 2 * 6, 2)
 
     # the ids predate the roots count
     @pytest.mark.parametrize("name,solves,roots", [("example1", 3, 6), ("example3", 1, 2)],
