@@ -17,17 +17,28 @@ row, so runs with different contender sets give each contender the same
 draws (common random numbers).  The engine takes the rows of a whole episode
 from one numpy stream, laid out contender by contender
 (`sim._contention_index`).  Draws whose outcome is certain, with persistence
-0 or 1, are not made.
+0 or 1, are not needed.
 
-A round returns its delivery and attempt counts per contender and its events,
-one `SlotEvent` named tuple (slot, contender, attempt, result) per contender
-and mini-slot, which the event dump writes as they are.
+Two forms of a round run the same rule.  `resolve_contention` runs one round
+among a set of contender ids and is the reference the tests check against.
+`contend` runs one round per row of a boolean (rows, contenders) request mask
+at once, with one array step per mini-slot; the engine calls it once per
+tick for every episode of a chunk with a request.  Either way a round
+yields its delivery and attempt counts per contender and its events, one
+`SlotEvent` named tuple (slot, contender, attempt, result) per contender and
+mini-slot, which the event dump writes as they are; `ContentionRounds.outcomes`
+rebuilds them from the array round's per-slot masks.
+
+A traffic source makes one uniform draw per tick whatever its kind:
+`traffic_step` advances it by one tick, and `traffic_activity` turns a whole
+vector of draws into the same activity indicators at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -149,6 +160,114 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
     return SlotOutcome(delta=delta, attempts_used=used, events=tuple(events))
 
 
+# the results in the order a mini-slot's events are emitted
+_RESULTS = (RESULT_SUCCESS, RESULT_COLLIDED, RESULT_DROPPED, RESULT_DEFERRED)
+
+
+@dataclass(eq=False)
+class ContentionRounds:
+    """The outcome of `contend`: one round per row of its request mask.
+
+    `delta` and `used` hold each contender's delivery and attempts used,
+    zero where it did not request.  `slots` holds, per mini-slot that some
+    row still contended in, the (attempt, transmitted, won, pending) masks:
+    the attempt each contender was on when the slot began, and who was
+    still pending when it ended; it is None unless `contend` kept them.
+    """
+
+    requests: np.ndarray    # (rows, contenders) bool
+    delta: np.ndarray       # (rows, contenders) bool
+    used: np.ndarray        # (rows, contenders) int
+    attempt: np.ndarray     # (rows, contenders) int: the attempt after the last slot
+    pending: np.ndarray     # (rows, contenders) bool: left pending when the window closed
+    slots_per_sample: int
+    slots: Optional[list[tuple[np.ndarray, ...]]]
+
+    def outcomes(self, ids: Sequence[int]) -> list[SlotOutcome]:
+        """Each row's round as `resolve_contention` returns it, where column c
+        is contender ids[c] and the columns are in increasing id order."""
+        n_rows, n_cols = self.requests.shape
+        if not self.requests.any():
+            return [SlotOutcome(delta={}, attempts_used={}, events=()) for _ in range(n_rows)]
+        ids = np.asarray(ids)
+        attempt, tx, won, pending = (np.stack(masks, axis=1) for masks in zip(*self.slots))
+        n_slots = tx.shape[1]
+        # event masks per (row, slot, result, contender), where np.nonzero
+        # walks them in the order a round emits its events: within a slot the
+        # one success or every collision, then the contenders dropped after
+        # colliding, then those deferring.  The extra last slot holds the
+        # drops when the window closes.
+        kinds = np.zeros((n_rows, n_slots + 1, len(_RESULTS), n_cols), dtype=bool)
+        kinds[:, :-1, 0] = won
+        kinds[:, :-1, 1] = collided = tx & ~won
+        kinds[:, :-1, 2] = collided & ~pending
+        kinds[:, :-1, 3] = pending & ~tx
+        kinds[:, -1, 2] = self.pending
+        attempts = np.concatenate((attempt, self.attempt[:, None]), axis=1)
+        slot_no = np.arange(1, n_slots + 2)
+        slot_no[-1] = self.slots_per_sample
+        row, s, kind, col = np.nonzero(kinds)
+        # tuple.__new__ builds each SlotEvent without NamedTuple's Python-level __new__
+        events = list(map(tuple.__new__, repeat(SlotEvent), zip(
+            slot_no[s].tolist(), ids[col].tolist(), attempts[row, s, col].tolist(),
+            map(_RESULTS.__getitem__, kind.tolist()))))
+        ev_bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
+        req_row, req_col = np.nonzero(self.requests)
+        contenders = ids[req_col].tolist()
+        delta = self.delta[req_row, req_col].astype(int).tolist()
+        used = self.used[req_row, req_col].tolist()
+        req_bounds = np.searchsorted(req_row, np.arange(n_rows + 1)).tolist()
+        out = []
+        for r in range(n_rows):
+            a, b = req_bounds[r], req_bounds[r + 1]
+            out.append(SlotOutcome(delta=dict(zip(contenders[a:b], delta[a:b])),
+                                   attempts_used=dict(zip(contenders[a:b], used[a:b])),
+                                   events=tuple(events[ev_bounds[r]:ev_bounds[r + 1]])))
+        return out
+
+
+def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
+            keep_slots: bool = False) -> ContentionRounds:
+    """Run one contention round per row of the (rows, contenders) request mask.
+
+    `draws[r, c, s - 1]` is column c's draw in mini-slot s of row r; it may
+    be None when every persistence is 0 or 1.  Each row runs the rule of
+    `resolve_contention` on its requesting columns: a pending contender on
+    attempt a transmits if p = persistence[a - 1] >= 1, or if 0 < p < 1 and
+    its draw is below p; a lone transmitter wins, and each of several burns
+    an attempt and is dropped past `max_attempts`.  `keep_slots` keeps the
+    per-slot masks that `ContentionRounds.outcomes` reads.
+    """
+    # the persistence of attempt a at index a; attempt max_attempts + 1 is
+    # never pending, and its 0 pads the table
+    persistence = np.array((0.0,) + crm.persistence + (0.0,))
+    requests = np.asarray(requests, dtype=bool)
+    pending = requests.copy()
+    attempt = np.ones(pending.shape, dtype=int)
+    delta = np.zeros(pending.shape, dtype=bool)
+    slots = [] if keep_slots else None
+    for col in range(crm.slots_per_sample):
+        if not pending.any():
+            break
+        p = persistence.take(attempt)
+        if draws is None:
+            tx = pending & (p >= 1.0)
+        else:
+            # a draw lies in [0, 1): it is below every p >= 1 and no p == 0
+            tx = pending & (draws[:, :, col] < p)
+        won = tx & (tx.sum(axis=1, keepdims=True) == 1)
+        delta |= won
+        before = attempt
+        attempt = attempt + (tx ^ won)
+        pending = pending ^ won
+        pending &= attempt <= crm.max_attempts
+        if keep_slots:
+            slots.append((before, tx, won, pending))
+    # every transmission but a success burned an attempt
+    used = attempt - 1 + delta
+    return ContentionRounds(requests, delta, used, attempt, pending, crm.slots_per_sample, slots)
+
+
 @dataclass(frozen=True)
 class TrafficSource:
     """Exogenous traffic: i.i.d. Bernoulli or a two-state Markov on/off chain."""
@@ -182,3 +301,18 @@ def traffic_step(source: TrafficSource, rng: np.random.Generator, prev_active: i
     if prev_active:
         return 0 if rng.random() < source.p_off else 1
     return 1 if rng.random() < source.p_on else 0
+
+
+def traffic_activity(source: TrafficSource, u: np.ndarray) -> np.ndarray:
+    """The source's activity indicator at every tick, as a bool array.
+
+    `u` holds one uniform draw per tick, the draws `traffic_step` makes when
+    it steps the source from inactive one tick at a time.
+    """
+    if source.kind == "bernoulli":
+        return u < source.rate
+    on, path = False, []
+    for v in u.tolist():
+        on = v >= source.p_off if on else v < source.p_on
+        path.append(on)
+    return np.array(path, dtype=bool)

@@ -21,11 +21,18 @@ law therefore takes the gain L_k and an (E, n) array of estimates and
 returns an (E, m) array of inputs, or one (m,) input that holds for every
 episode.  Products over the plant dimensions are elementwise multiply-adds
 in index order (`_sum_products`), so an episode's bits do not depend on the
-chunk it ran in.  The scheduler decision (`decide`) stays one call per
-episode and sample, and contention (`resolve_contention`) one call per
-episode and round: both branch on each episode's own values, and a round's
-outcome is a small record per contender that the event dump and the
-channel statistics read.
+chunk it ran in.  The channel runs on the chunk too.  At each tick every
+sampling loop takes its scheduler decision for all episodes in one array
+expression (`_requests`, the rule of `scheduling.decide`), and one
+array round (`network.contend`) resolves the contention of every episode
+with a request: its columns are the sampling loops, then the sources, in
+contender-id order, and each row meets that episode's own draws.  The
+per-episode (tick, SlotOutcome) records of the event dump are rebuilt from
+the round's per-slot masks, and only when the dump asks for them.  Each
+source's activity comes from one vector of draws per episode
+(`network.traffic_activity`).  `decide`, `resolve_contention` and
+`traffic_step` stay as the per-episode, per-round and per-tick references
+the array forms are tested against.
 
 One driver, `_run_arms`, draws each chunk once and runs every arm on it:
 an arm is a (scenario variant, control law) pair.  `monte_carlo` and
@@ -40,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,8 +55,12 @@ from .control import CostReport, RiccatiSolution, jdp_closed_form, riccati_backw
 from .errors import ConfigurationError
 from .estimation import ObserverState, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
-from .network import resolve_contention, traffic_step
-from .scheduling import THRESHOLD_KINDS, decide, is_symmetric_control_free
+from .network import contend, traffic_activity
+# The per-round, per-tick and per-episode reference rules the engine's array
+# forms reproduce; benchmark/workloads.py wraps these names here.
+from .network import resolve_contention, traffic_step  # noqa: F401
+from .scheduling import THRESHOLD_KINDS, SchedulerPolicy, is_symmetric_control_free
+from .scheduling import decide  # noqa: F401
 
 _ROLE_NOISE = 0
 _ROLE_TRAFFIC = 1
@@ -209,9 +219,9 @@ class _ChunkDraws:
     schedule: dict[int, list[tuple[int, int]]]
     x0: list[np.ndarray]              # per loop, (E, n)
     noise: list[np.ndarray]           # per loop, (E, N, n)
-    active: list[dict[int, list[int]]]  # per episode: tick -> active source ids
+    active: np.ndarray                # (E, sampling ticks, sources) bool
     rows: dict[tuple[int, int], int]  # (tick, contender) -> row of a contention table
-    tables: list[Optional[np.ndarray]]  # per episode: (rows, slots) draws, or None
+    tables: Optional[np.ndarray]      # (E, rows, slots) draws, or None
 
 
 def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
@@ -224,9 +234,11 @@ def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
     episode's (rows, slots_per_sample) table in the order of
     `_contention_index`.  In a given scenario a contender's draws thus
     depend only on (seed, episode, contender, tick): every control law and
-    threshold meets the same ones.  The table is drawn only if some
+    threshold meets the same ones.  The tables are drawn only if some
     persistence lies strictly between 0 and 1; otherwise no contention draw
-    is ever made.
+    is ever made.  Traffic does not depend on the loops: each source makes
+    one draw per tick up to the last sampling tick, and its activity is
+    kept at the sampling ticks.
     """
     schedule = _schedule(scenario)
     x0, noise = [], []
@@ -235,27 +247,36 @@ def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
         x0.append(np.array([x for x, _ in drawn]))
         noise.append(np.array([w for _, w in drawn]))
     rows = _contention_index(scenario, schedule)
-    uncertain = any(0.0 < p < 1.0 for p in scenario.crm.persistence)
-    shape = (len(rows), scenario.crm.slots_per_sample)
-    # Traffic does not depend on the loops, so every source runs up to the
-    # last sampling tick first; its contender ids are kept at the sampling
-    # ticks.  Without sources no tick is stepped, and every tick's list is
-    # one shared empty list.
-    active, tables = [], []
-    for ep in episodes:
-        gens = [RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC))
-                .generator() for j in range(len(scenario.sources))]
-        state = [0] * len(scenario.sources)
-        on_at: dict[int, list[int]] = dict.fromkeys(schedule, [])
-        for tick in range(max(schedule) + 1 if scenario.sources else 0):
-            for j, src in enumerate(scenario.sources):
-                state[j] = traffic_step(src, gens[j], state[j])
-            if tick in schedule:
-                on_at[tick] = [SOURCE_CONTENDER_BASE + j for j, on in enumerate(state) if on]
-        active.append(on_at)
-        tables.append(RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator()
-                      .random(shape) if uncertain else None)
+    ticks = np.fromiter(schedule, dtype=int)
+    sources = scenario.sources
+    active = np.zeros((len(episodes), ticks.size, len(sources)), dtype=bool)
+    for e, ep in enumerate(episodes):
+        for j, src in enumerate(sources):
+            gen = RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC)
+                            ).generator()
+            active[e, :, j] = traffic_activity(src, gen.random(ticks[-1] + 1))[ticks]
+    tables = None
+    if any(0.0 < p < 1.0 for p in scenario.crm.persistence):
+        tables = np.empty((len(episodes), len(rows), scenario.crm.slots_per_sample))
+        for e, ep in enumerate(episodes):
+            RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
     return _ChunkDraws(episodes, schedule, x0, noise, active, rows, tables)
+
+
+def _requests(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """The scheduler's request for every row of the states x and predictions
+    pred, as a bool array: the rule of `decide`, with its squared norms
+    taken by `_sum_products` as the trace's `pred_err_sq` is."""
+    if policy.kind == "always":
+        return np.ones(x.shape[0], dtype=bool)
+    if policy.kind == "state":
+        return _sum_products(x, x) > policy.eps
+    if policy.kind == "innovation":
+        r = x - pred
+        return _sum_products(r, r) > policy.eps
+    if policy.direction == "ge":
+        return x[:, 0] >= policy.threshold
+    return x[:, 0] <= policy.threshold
 
 
 def _empty_batch(lc, idx: int, episodes: range) -> LoopTrace:
@@ -293,51 +314,52 @@ def _run_chunk(
     n_ep = len(draws.episodes)
     batch = [_empty_batch(lc, i, draws.episodes) for i, lc in enumerate(loops)]
     preds = [np.empty_like(tr.xhats) for tr in batch]
-    # each episode's (states, predictions) views, for the per-episode decisions
-    episode_rows = [list(zip(tr.xs, pred)) for tr, pred in zip(batch, preds)]
     for tr, x0 in zip(batch, draws.x0):
         tr.xs[:, 0] = x0
     observers = [ObserverState(xhat=np.tile(lc.plant.x0_mean, (n_ep, 1)),
                                tau=np.full(n_ep, -1), k=-1) for lc in loops]
     # B u of the input last applied, shared by the plant step and the next prediction
     bu_prev = [_sum_products(lc.plant.B, np.zeros((n_ep, 1, lc.plant.m))) for lc in loops]
-    everyone = range(n_ep)
 
-    for tick, sampling in draws.schedule.items():
-        # schedule: one decision per episode and sampling loop
-        requests, step_preds = {}, []
+    sources = [SOURCE_CONTENDER_BASE + j for j in range(len(scenario.sources))]
+    keep_slots = event_logs is not None
+
+    for t, (tick, sampling) in enumerate(draws.schedule.items()):
+        # schedule: one decision per sampling loop for the whole chunk
+        wants, step_preds = [], []
         for i, k in sampling:
             tr = batch[i]
             pred = _sum_products(loops[i].plant.A, observers[i].xhat[:, None, :]) + bu_prev[i]
             preds[i][:, k] = pred
             step_preds.append(pred)
-            sched = loops[i].scheduler
-            gammas = [decide(sched, xs[k], ps[k]) for xs, ps in episode_rows[i]]
-            tr.gammas[:, k] = gammas
-            for e in compress(everyone, gammas):
-                requests.setdefault(e, []).append(i)
+            want = _requests(loops[i].scheduler, tr.xs[:, k], pred)
+            tr.gammas[:, k] = want
+            wants.append(want)
 
-        # contend: one round per episode with a request
-        delivered = set()
-        for e, req in requests.items():
-            table = draws.tables[e]
-            outcome = resolve_contention(req + draws.active[e][tick], scenario.crm,
-                                         lambda c: table[draws.rows[tick, c]].tolist())
-            for i, k in sampling:
-                if i in outcome.delta:
-                    batch[i].deltas[e, k] = outcome.delta[i]
-                    batch[i].attempts[e, k] = outcome.attempts_used[i]
-                    if outcome.delta[i]:
-                        delivered.add(i)
-            if event_logs is not None:
-                event_logs[e].append((tick, outcome))
+        # contend: one round per episode with a loop's request, all at once;
+        # the columns are the sampling loops, then the sources, in id order
+        wants = np.stack(wants, axis=1)
+        asking = np.flatnonzero(wants.any(axis=1))
+        if asking.size:
+            ids = [i for i, _ in sampling] + sources
+            table = None
+            if draws.tables is not None:
+                table = draws.tables[np.ix_(asking, [draws.rows[tick, c] for c in ids])]
+            rounds = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
+                             scenario.crm, table, keep_slots)
+            for col, (i, k) in enumerate(sampling):
+                batch[i].deltas[asking, k] = rounds.delta[:, col]
+                batch[i].attempts[asking, k] = rounds.used[:, col]
+            if keep_slots:
+                for e, outcome in zip(asking.tolist(), rounds.outcomes(ids)):
+                    event_logs[e].append((tick, outcome))
 
         # deliver, estimate, control, step
         for (i, k), pred in zip(sampling, step_preds):
             plant, tr = loops[i].plant, batch[i]
             x = tr.xs[:, k]
-            obs = observer_update(observers[i], tr.deltas[:, k],
-                                  x if i in delivered else None, pred)
+            delta = tr.deltas[:, k]
+            obs = observer_update(observers[i], delta, x if delta.any() else None, pred)
             observers[i] = obs
             u = control_law(constants[i][0].L[k], obs.xhat)
             tr.us[:, k] = u

@@ -17,6 +17,7 @@ from .errors import (
     BracketingError,
     ConfigurationError,
     DegenerateTruncationError,
+    NumericalError,
     QuadratureError,
 )
 
@@ -204,10 +205,16 @@ def conditional_moments_compound(
         return truncated_moments(TruncatedGaussian(0.0, noise_var, upper))
     center = a * tg.mean
     e_var = a * a * tg.var + noise_var
+    sigma_star = math.sqrt(tg.var * noise_var / e_var)
+    # the density divides by sigma_star, the window's cut by a * var
+    if not (sigma_star > 0.0 and a * tg.var != 0.0):
+        raise NumericalError(
+            f"a = {a} with var = {tg.var} and noise_var = {noise_var} puts the law of "
+            f"a*X + W out of floating-point range (a^2 var + noise_var = {e_var})"
+        )
     sd = math.sqrt(e_var)
     lo = center + QUAD_WINDOW[0] * sd
     hi = min(upper, center + QUAD_WINDOW[1] * sd)
-    sigma_star = math.sqrt(tg.var * noise_var / e_var)
     cut = center + e_var * (tg.upper - tg.mean - QUAD_WINDOW[0] * sigma_star) / (a * tg.var)
     if a > 0.0:
         hi = min(hi, cut)

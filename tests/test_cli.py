@@ -490,6 +490,16 @@ class TestExitCodes:
     def test_numerical(self):
         assert main(["moments", "--upper", "-8.0"]) == EXIT_NUMERICAL
 
+    # a^2 var overflows, a * var underflows, var * noise_var underflows
+    @pytest.mark.parametrize("flags", [["--a", "1e200"], ["--a", "1e-200", "--var", "1e-200"],
+                                       ["--a", "1", "--var", "1e-200", "--noise-var", "1e-200"]],
+                             ids=["overflow", "a-var-underflow", "noise-underflow"])
+    def test_compound_law_out_of_range(self, tmp_path, capsys, flags):
+        argv = ["moments", "--upper", "0.5", "--cond-upper", "0.5", "--out", str(tmp_path / "m")]
+        assert main(argv + flags) == EXIT_NUMERICAL
+        assert "out of floating-point range" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_non_integral_horizon(self, tmp_path, capsys):
         doc = json.loads(json.dumps(presets()["example3"]))
         doc["loops"][0]["horizon"] = 10.7

@@ -20,7 +20,9 @@ from macloops.network import (
     SlotEvent,
     SlotOutcome,
     TrafficSource,
+    contend,
     resolve_contention,
+    traffic_activity,
     traffic_step,
 )
 
@@ -231,6 +233,62 @@ class TestContentionProperties:
         assert resolve_contention(shuffled, crm, draws(RngStream(seed), crm)) == out
 
 
+# persistences drawn from the whole interval and from its certain ends
+persistences = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                        min_size=1, max_size=4)
+
+
+@st.composite
+def array_rounds(draw):
+    """A batch of rounds: a channel, the contender ids of the columns (loops,
+    then sources, in id order), a request mask and the draws, or None on a
+    channel whose every persistence is 0 or 1."""
+    pers = draw(persistences)
+    crm = CrmConfig(persistence=tuple(pers), slots_per_sample=draw(st.integers(len(pers), 12)))
+    loops = sorted(draw(st.lists(st.integers(0, 40), max_size=6, unique=True)))
+    ids = loops + [(1 << 16) + j for j in range(draw(st.integers(0, 3)))]
+    n_rows = draw(st.integers(1, 5))
+    requests = np.array(draw(st.lists(st.lists(st.booleans(), min_size=len(ids),
+                                                max_size=len(ids)),
+                                       min_size=n_rows, max_size=n_rows)),
+                        dtype=bool).reshape(n_rows, len(ids))
+    table = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(
+        (n_rows, len(ids), crm.slots_per_sample))
+    if all(p in (0.0, 1.0) for p in pers) and draw(st.booleans()):
+        table = None
+    return crm, ids, requests, table
+
+
+class TestArrayRound:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=array_rounds())
+    def test_matches_the_per_round_reference(self, case):
+        # every row of the array round must be the round resolve_contention
+        # runs on that row's contenders and draws, event for event
+        crm, ids, requests, table = case
+        rounds = contend(requests, crm, table, keep_slots=True)
+        plain = contend(requests, crm, table)
+        assert np.array_equal(plain.delta, rounds.delta)
+        assert np.array_equal(plain.used, rounds.used)
+        outcomes = rounds.outcomes(ids)
+        assert len(outcomes) == requests.shape[0]
+        for r, got in enumerate(outcomes):
+            def row(c, r=r):
+                assert table is not None, "a certain channel needs no draws"
+                return table[r, ids.index(c)].tolist()
+
+            want = resolve_contention([c for c, on in zip(ids, requests[r]) if on], crm, row)
+            assert got.delta == want.delta and list(got.delta) == list(want.delta)
+            assert got.attempts_used == want.attempts_used
+            assert got.events == want.events
+            assert all(type(v) is int for ev in got.events for v in ev[:3])
+            wanted = {ids[c]: (rounds.delta[r, c], rounds.used[r, c])
+                      for c in range(len(ids)) if requests[r, c]}
+            assert wanted == {c: (want.delta[c], want.attempts_used[c]) for c in want.delta}
+            assert not rounds.delta[r][~requests[r]].any()
+            assert not rounds.used[r][~requests[r]].any()
+
+
 class TestTrafficSources:
     def test_bernoulli_extremes(self):
         gen = np.random.default_rng(0)
@@ -253,3 +311,21 @@ class TestTrafficSources:
             TrafficSource.bernoulli(1.5)
         with pytest.raises(ConfigurationError):
             TrafficSource(kind="poisson")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["bernoulli", "markov"]),
+           rates=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 3),
+           ticks=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_activity_matches_stepping(self, kind, rates, ticks, seed):
+        # one draw per tick either way: the vector of draws gives the path
+        # that stepping the source one tick at a time gives
+        rate, p_on, p_off = rates
+        src = TrafficSource(kind=kind, rate=rate, p_on=p_on, p_off=p_off)
+        gen = np.random.default_rng(seed)
+        state, stepped = 0, []
+        for _ in range(ticks):
+            state = traffic_step(src, gen, state)
+            stepped.append(state)
+        batched = traffic_activity(src, np.random.default_rng(seed).random(ticks))
+        assert batched.dtype == bool
+        assert batched.tolist() == [bool(on) for on in stepped]

@@ -15,8 +15,8 @@ from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
 from macloops.errors import ConfigurationError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream, psd_sqrt
-from macloops.network import CrmConfig, TrafficSource, resolve_contention, traffic_step
-from macloops.scheduling import SchedulerPolicy
+from macloops.network import CrmConfig, TrafficSource, contend, traffic_step
+from macloops.scheduling import SchedulerPolicy, decide
 from macloops.sim import (
     CHUNK_EPISODES,
     ce_law,
@@ -220,24 +220,23 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     """The row every contender was handed, keyed by (episode, tick, contender)."""
     rounds = []
 
-    def spy(requests, crm, draws):
-        seen = {}
-        rounds.append(seen)
+    def spy(requests, crm, draws, keep_slots=False):
+        rounds.append((requests, draws))
+        return contend(requests, crm, draws, keep_slots)
 
-        def row(c):
-            seen[c] = list(draws(c))
-            return seen[c]
-
-        return resolve_contention(requests, crm, row)
-
-    monkeypatch.setattr(sim, "resolve_contention", spy)
+    monkeypatch.setattr(sim, "contend", spy)
     rows = {}
     for ep in range(episodes):
         del rounds[:]
         log = []
         run_episode(scenario, seed, ep, law, event_log=log)
-        for (tick, _), seen in zip(log, rounds, strict=True):
-            rows.update(((ep, tick, c), row) for c, row in seen.items())
+        # a one-episode chunk: one round, of one row, per logged tick; the
+        # requesting columns are the round's contenders in id order
+        for (tick, outcome), (requests, draws) in zip(log, rounds, strict=True):
+            assert requests.shape[0] == 1
+            cols = np.flatnonzero(requests[0])
+            rows.update(((ep, tick, c), draws[0, col].tolist())
+                        for c, col in zip(outcome.delta, cols, strict=True))
     return rows
 
 
@@ -273,7 +272,24 @@ class TestContentionDraws:
     def test_certain_channel_draws_no_table(self):
         scn = replace(lossy_state_network(), crm=CrmConfig(persistence=(1.0, 0.0, 1.0)))
         draws = sim._draw_chunk(scn, 1, range(4), sim._loop_constants(scn))
-        assert draws.tables == [None] * 4
+        assert draws.tables is None
+
+    def test_traffic_matches_stepping_each_source(self):
+        # a Markov and a Bernoulli source, each stepped tick by tick from its
+        # own stream, must be active exactly where the chunk says
+        scn = two_state_network()
+        draws = sim._draw_chunk(scn, 7, range(2, 6), sim._loop_constants(scn))
+        ticks = list(draws.schedule)
+        assert draws.active.shape == (4, len(ticks), 2)
+        for e, ep in enumerate(draws.episodes):
+            for j, src in enumerate(scn.sources):
+                gen = RngStream(7, (ep, sim.SOURCE_CONTENDER_BASE + j,
+                                    sim._ROLE_TRAFFIC)).generator()
+                state, on_at = 0, {}
+                for tick in range(ticks[-1] + 1):
+                    state = traffic_step(src, gen, state)
+                    on_at[tick] = bool(state)
+                assert draws.active[e, :, j].tolist() == [on_at[t] for t in ticks]
 
     def test_adding_a_source_keeps_every_loops_rows(self, monkeypatch):
         one = contention_rows(monkeypatch, lossy_state_network(1), ce_law, 20)
@@ -281,6 +297,52 @@ class TestContentionDraws:
         loops = [k for k in one.keys() & two.keys() if k[2] < sim.SOURCE_CONTENDER_BASE]
         assert len(loops) >= 50
         assert all(one[k] == two[k] for k in loops)
+
+
+def matrix_loop(n, scheduler, seed):
+    """A stable n-state, one-input loop with random dynamics and noise."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a *= 0.95 / max(abs(np.linalg.eigvals(a)))
+    noise = rng.normal(size=(n, n))
+    plant = PlantModel(A=a, B=rng.normal(size=(n, 1)), Rw=noise @ noise.T + 0.1 * np.eye(n),
+                       R0=np.eye(n), x0_mean=rng.normal(size=n))
+    return LoopConfig(plant=plant, scheduler=scheduler, horizon=15, Q0=np.eye(n),
+                      Q1=np.eye(n), Q2=1.0)
+
+
+class TestMatrixDecisions:
+    def test_decisions_agree_with_the_recorded_errors(self):
+        # n = 2 and 3: an innovation loop requests exactly where its recorded
+        # squared prediction error exceeds eps, so the bound count is the
+        # complement of the request count; a state loop decides as `decide`
+        # does on the state before the input
+        loops = tuple(matrix_loop(n, make(eps), 10 * n + j)
+                      for n in (2, 3)
+                      for j, (make, eps) in enumerate(
+                          [(SchedulerPolicy.innovation_threshold, 2.5),
+                           (SchedulerPolicy.state_threshold, 4.0)]))
+        scn = NetworkScenario(loops=loops, crm=CrmConfig(persistence=(1.0, 0.6, 0.3),
+                                                         slots_per_sample=5),
+                              sources=(TrafficSource.bernoulli(0.2),))
+        episodes = CHUNK_EPISODES + 6
+        traces = {}
+        res = monte_carlo(scn, 12, episodes, trace_hook=traces.__setitem__)
+        for i, lc in enumerate(scn.loops):
+            gammas = np.array([traces[ep][i].gammas for ep in range(episodes)])
+            assert 0 < gammas.sum() < gammas.size
+            if lc.scheduler.kind == "innovation":
+                errs = np.array([traces[ep][i].pred_err_sq for ep in range(episodes)])
+                assert np.array_equal(gammas, errs > lc.scheduler.eps)
+                steps = episodes * lc.horizon
+                stats = res.per_loop[i]
+                assert stats.request_rate == gammas.sum() / steps
+                assert stats.bound_prob == (steps - gammas.sum()) / steps
+            else:
+                for ep in range(episodes):
+                    tr = traces[ep][i]
+                    assert tr.gammas.tolist() == [decide(lc.scheduler, x, None)
+                                                  for x in tr.xs[:-1]]
 
 
 class TestMonteCarlo:
@@ -312,20 +374,29 @@ class TestMonteCarlo:
 
     def test_traffic_stops_at_the_last_sampling_tick(self, monkeypatch):
         # sources only matter at sampling ticks, so a global horizon past the
-        # last one (tick 10 here) must cost nothing and change nothing
-        calls = []
+        # last one (tick 10 here) must cost nothing and change nothing: each
+        # source's generator makes exactly one draw per tick up to it
+        made = []
+        real = RngStream.generator
 
-        def counting_step(*args):
-            calls.append(1)
-            return traffic_step(*args)
+        def generator(stream):
+            gen = real(stream)
+            made.append((stream, gen))
+            return gen
 
-        monkeypatch.setattr(sim, "traffic_step", counting_step)
+        monkeypatch.setattr(RngStream, "generator", generator)
         scn = two_state_network()
         results = []
         for horizon in (None, 10 ** 4):
-            del calls[:]
+            del made[:]
             results.append(monte_carlo(replace(scn, global_horizon=horizon), 4, 5))
-            assert len(calls) == 5 * 2 * 11
+            traffic = [(stream, gen) for stream, gen in made
+                       if stream.coords[-1] == sim._ROLE_TRAFFIC]
+            assert len(traffic) == 5 * 2
+            for stream, gen in traffic:
+                expected = real(stream)
+                expected.random(11)
+                assert gen.bit_generator.state == expected.bit_generator.state
         short, long = results
         assert (short.j_mean, short.j_se) == (long.j_mean, long.j_se)
         for a, b in zip(short.per_loop, long.per_loop):
