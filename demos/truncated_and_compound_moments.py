@@ -1,8 +1,9 @@
 """Truncated-Gaussian moments three ways: closed form, quadrature, sampling.
 
-Also evaluates the compound density of a*X + W (X truncated, W Gaussian) and
-its conditional moments under an extra upper bound, the machinery behind the
-two-step posterior.
+Also evaluates the compound density of a*X + W (X truncated, W Gaussian),
+checks by quadrature that it integrates to one, and prints its conditional
+moments under an extra upper bound, in closed form as the moments of a
+truncated bivariate normal: the machinery behind the two-step posterior.
 """
 
 import numpy as np

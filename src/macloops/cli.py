@@ -612,17 +612,25 @@ def _json_value(text: str, flag: str):
         raise ConfigurationError(f"{flag}: cannot parse value {text!r}: {exc.msg}") from exc
 
 
-def cmd_riccati(args) -> int:
+def _flagged(flags: dict, fn, *args):
+    """fn(*args), with a ConfigurationError whose field is a key of `flags`
+    reported under that flag."""
     try:
-        sol = riccati_backward(
-            _json_value(args.a, "--a"), _json_value(args.b, "--b"),
-            _json_value(args.q0, "--q0"), _json_value(args.q1, "--q1"),
-            _json_value(args.q2, "--q2"), args.horizon,
-        )
+        return fn(*args)
     except ConfigurationError as exc:
-        if exc.field is None:
+        if exc.field not in flags:
             raise
-        raise ConfigurationError(f"--{exc.field.lower()}: {exc}") from None
+        raise ConfigurationError(f"{flags[exc.field]}: {exc}") from None
+
+
+def cmd_riccati(args) -> int:
+    sol = _flagged(
+        {name: f"--{name.lower()}" for name in ("A", "B", "Q0", "Q1", "Q2", "horizon")},
+        riccati_backward,
+        _json_value(args.a, "--a"), _json_value(args.b, "--b"),
+        _json_value(args.q0, "--q0"), _json_value(args.q1, "--q1"),
+        _json_value(args.q2, "--q2"), args.horizon,
+    )
     out = Path(args.out) if args.out else Path(
         os.environ.get(OUT_DIR_ENV, ".")) / f"riccati-n{args.horizon}"
     path = out.with_name(out.name + ".csv")
@@ -657,7 +665,8 @@ def cmd_two_step(args) -> int:
     if delta0:
         xhat00 = args.x0
     else:
-        xhat00, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, args.threshold))
+        tg0 = _flagged({"upper": "--threshold"}, TruncatedGaussian, 0.0, 1.0, args.threshold)
+        xhat00, _ = truncated_moments(tg0)
     u0_ce = ce_u0(a, b, s1, q2, xhat00)
     residual_ce = two_step_stationarity_residual(
         a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0, u0_ce,
@@ -690,7 +699,8 @@ def cmd_two_step(args) -> int:
 def cmd_moments(args) -> int:
     _check_finite(args, "mu", "var", "upper", "a", "noise_var", "cond_upper")
     _check_sign(args, "noise_var", strict=True)
-    tg = TruncatedGaussian(args.mu, args.var, args.upper)
+    tg = _flagged({"mean": "--mu", "var": "--var", "upper": "--upper"},
+                  TruncatedGaussian, args.mu, args.var, args.upper)
     mean, var = truncated_moments(tg)
     rows = [["truncated_mean", _fmt(mean)], ["truncated_var", _fmt(var)]]
     print(f"truncated moments (mu={args.mu}, var={args.var}, upper={args.upper}): "

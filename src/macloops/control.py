@@ -20,7 +20,6 @@ from .errors import (BracketingError, ConfigurationError, DegenerateTruncationEr
                      NumericalError)
 from .model import as_matrix, as_vector, check_symmetric_pd, check_symmetric_psd
 from .stats import (
-    DEFAULT_QUAD,
     QuadratureSpec,
     TruncatedGaussian,
     compound_density,
@@ -171,14 +170,14 @@ def two_step_stationarity_residual(
     x0_or_xhat: float,
     u0: float,
     threshold: float = 0.5,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Derivative of the two-step cost-to-go with respect to u0.
 
     The first two terms are the CE optimality condition; the last is the
     probing term through the next-step error covariance, whose truncation
-    bound moves with u0.  When the conditioning event's probability
-    underflows, the density factor vanishes as well, so the term is zero.
+    bound moves with u0.  The density factor is evaluated first: where it
+    underflows to 0 the term is zero, and so it is when the conditioning
+    event's probability is degenerate.
     """
     s1 = two_step_s1(a, b, q0, q1, q2)
     if delta0:
@@ -188,22 +187,26 @@ def two_step_stationarity_residual(
         xhat00, _ = truncated_moments(tg0)
     resid = 2.0 * u0 * (q2 + b * b * s1) + 2.0 * xhat00 * a * b * s1
     coef = (a * a * q0 * q0 * b * b) / (q2 + b * b * q0)
+    if delta0:
+        bound = threshold - a * float(x0_or_xhat) - b * u0
+        if bound < -37.0:
+            # density factor underflows; the probing term is gone
+            return resid
+        density = std_normal_pdf(bound)
+    else:
+        bound = threshold - b * u0
+        density = compound_density(a, tg0, 1.0, bound)
+    if density == 0.0:
+        # no probing term, and (bound - mean) ** 2 below may overflow
+        return resid
     try:
         if delta0:
-            w_max = threshold - a * float(x0_or_xhat) - b * u0
-            if w_max < -37.0:
-                # density factor underflows; the probing term is gone
-                return resid
-            wbar, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, w_max))
-            dual = coef * b * (w_max - wbar) ** 2 * std_normal_pdf(w_max)
+            mean, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, bound))
         else:
-            tg0 = TruncatedGaussian(0.0, 1.0, threshold)
-            e_max = threshold - b * u0
-            ebar, _ = conditional_moments_compound(a, tg0, 1.0, e_max, quad)
-            dual = coef * b * (e_max - ebar) ** 2 * compound_density(a, tg0, 1.0, e_max)
+            mean, _ = conditional_moments_compound(a, tg0, 1.0, bound)
     except DegenerateTruncationError:
-        dual = 0.0
-    return resid - dual
+        return resid
+    return resid - coef * b * (bound - mean) ** 2 * density
 
 
 def two_step_u0_optimal(
@@ -215,7 +218,7 @@ def two_step_u0_optimal(
     delta0: int,
     x0_or_xhat: float,
     threshold: float = 0.5,
-    quad: QuadratureSpec = DEFAULT_QUAD,
+    quad: Optional[QuadratureSpec] = None,
     scan: tuple[float, float] = (-10.0, 10.0),
     scan_points: int = 41,
     tol: float = 1e-9,
@@ -225,12 +228,15 @@ def two_step_u0_optimal(
     Scans the window for a sign change of the residual, then hands the
     bracket to the guarded root finder.  Raises BracketingError when no sign
     change exists in the window.
+
+    `quad` is accepted and ignored: the residual is a closed form and runs
+    no quadrature.  The keyword stays only because benchmark/workloads.py
+    still passes one.
     """
 
     def residual(u0: float) -> float:
         return two_step_stationarity_residual(
-            a, b, q0, q1, q2, delta0, x0_or_xhat, u0,
-            threshold=threshold, quad=quad,
+            a, b, q0, q1, q2, delta0, x0_or_xhat, u0, threshold=threshold,
         )
 
     grid = np.linspace(scan[0], scan[1], scan_points)

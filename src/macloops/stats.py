@@ -1,11 +1,15 @@
 """Scalar Gaussian machinery: densities, one-sided truncated moments, the
-compound (truncated-source plus Gaussian noise) density, adaptive quadrature
-and bracketed root finding.
+compound (truncated-source plus Gaussian noise) density and its conditional
+moments, the bivariate normal distribution function, adaptive quadrature and
+bracketed root finding.
 
-Single truncations and the compound density are closed forms (via erf/erfc);
-the compound density is the extended skew-normal of Azzalini (1985).  The
-one quadrature level left takes the compound density's conditional moments,
-and serves the tests as an independent cross-check of the closed forms.
+Every quantity the two-step analysis needs is a closed form (via erf/erfc):
+the compound density is the extended skew-normal of Azzalini (1985), and its
+moments under an extra bound are those of a bivariate normal truncated to a
+quadrant, Tallis (1961) and Rosenbaum (1961), with the bivariate normal
+probability from Genz (2004).  No runtime path integrates numerically; the
+adaptive Simpson integrator serves the tests as an independent cross-check
+of the closed forms.
 """
 
 from __future__ import annotations
@@ -23,15 +27,33 @@ from .errors import (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+_TWO_PI = 2.0 * math.pi
 
 # Conditioning probabilities below this are treated as degenerate.
 MIN_TRUNCATION_PROB = 1e-12
-# Integration window, in standard deviations around the integrand's natural
-# center; integrands here decay like Gaussians, so +/-10 sigma leaves tail
-# mass around 1e-23, far below the default tolerance.
-QUAD_WINDOW = (-10.0, 10.0)
+# Equal panels the adaptive Simpson integrator starts from, so that a narrow
+# peak cannot fall between the five nodes of a single first estimate.
+QUAD_START_PANELS = 32
 # Panels the adaptive Simpson integrator may examine before it gives up.
 QUAD_MAX_SUBDIVISIONS = 20000
+
+# 20-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights, largest node first (Genz's tables, checked to 1e-17 against an
+# mpmath evaluation).  Held as literals, so that importing this module does not
+# load numpy.polynomial.
+_GL20_X = (0.9931285991850949, 0.9639719272779138, 0.912234428251326,
+           0.8391169718222188, 0.7463319064601508, 0.636053680726515,
+           0.5108670019508271, 0.37370608871541955, 0.22778585114164507,
+           0.07652652113349734)
+_GL20_W = (0.017614007139152118, 0.04060142980038694, 0.06267204833410907,
+           0.08327674157670475, 0.10193011981724044, 0.11819453196151841,
+           0.13168863844917664, 0.14209610931838204, 0.14917298647260374,
+           0.15275338713072584)
+# (weight, node) pairs of the rule moved to [0, 2], the form BVNU sums over
+_BVN_NODES = tuple(zip(_GL20_W * 2, [1.0 - x for x in _GL20_X] + [1.0 + x for x in _GL20_X]))
+# A standardized bound beyond this is as good as infinite in every term of the
+# compound conditional moments and of Phi2 (phi and Phi saturate near 38).
+_SATURATED = 1e3
 
 
 def std_normal_pdf(x: float) -> float:
@@ -55,7 +77,10 @@ def normal_pdf(x: float, mean: float = 0.0, var: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class TruncatedGaussian:
-    """A Gaussian X ~ N(mean, var) conditioned on X < upper."""
+    """A Gaussian X ~ N(mean, var) conditioned on X < upper.
+
+    A bad parameter raises a ConfigurationError whose `field` names it.
+    """
 
     mean: float
     var: float
@@ -63,13 +88,15 @@ class TruncatedGaussian:
 
     def __post_init__(self):
         if not (self.var > 0.0 and math.isfinite(self.var)):
-            raise ConfigurationError(f"var must be positive and finite, got {self.var}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.upper)):
-            raise ConfigurationError("mean and upper bound must be finite")
+            raise ConfigurationError(f"var must be positive and finite, got {self.var}",
+                                     field="var")
+        for name in ("mean", "upper"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError("mean and upper bound must be finite", field=name)
         if self.keep_prob() <= 0.0:
             raise ConfigurationError(
                 "truncation keeps no probability mass "
-                f"(upper={self.upper}, mean={self.mean}, var={self.var})"
+                f"(upper={self.upper}, mean={self.mean}, var={self.var})", field="upper"
             )
 
     @property
@@ -104,18 +131,22 @@ DEFAULT_QUAD = QuadratureSpec()
 def integrate(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Adaptive Simpson integration of f over [lo, hi].
 
-    Panels are bisected until the Richardson error estimate of each panel
-    falls under its share of the absolute tolerance.  Raises QuadratureError
-    if more than QUAD_MAX_SUBDIVISIONS panels are needed.
+    The interval starts as QUAD_START_PANELS equal panels, each with an equal
+    share of the absolute tolerance; panels are bisected until the Richardson
+    error estimate of each falls under its share.  Raises QuadratureError if
+    more than QUAD_MAX_SUBDIVISIONS panels are needed.
     """
     if hi <= lo:
         return 0.0
-    flo, fhi = f(lo), f(hi)
-    mid = 0.5 * (lo + hi)
-    fmid = f(mid)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    width = (hi - lo) / QUAD_START_PANELS
+    edges = [lo + i * width for i in range(QUAD_START_PANELS)] + [hi]
+    values = [f(x) for x in edges]
+    tol = spec.tol / QUAD_START_PANELS
     # stack entries: (a, b, fa, fm, fb, simpson(a,b), tol share)
-    stack = [(lo, hi, flo, fmid, fhi, whole, spec.tol)]
+    stack = []
+    for a, b, fa, fb in zip(edges, edges[1:], values, values[1:]):
+        fm = f(0.5 * (a + b))
+        stack.append((a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol))
     total = 0.0
     used = 0
     while stack:
@@ -181,61 +212,129 @@ def compound_density(a: float, tg: TruncatedGaussian, noise_var: float, eps: flo
             * std_normal_cdf((tg.upper - m) / sigma_star) / tg.keep_prob())
 
 
+def _bvnu(h: float, k: float, rho: float, r: float) -> float:
+    """Pr(Z1 > h, Z2 > k) for standard normals with correlation rho.
+
+    A port of Genz's BVNU (Genz 2004, "Numerical computation of rectangular
+    bivariate and trivariate normal and t probabilities", Statistics and
+    Computing 14:251-260) on the 20-point Gauss-Legendre rule: the
+    Drezner-Wesolowsky (1990) integral over the correlation below
+    |rho| = 0.925, Genz's expansion in sqrt(1 - rho^2) above.  The caller
+    passes r = sqrt(1 - rho^2) > 0 itself, computed without the cancellation
+    of 1 - rho^2, and the expansion uses only r and |h - k| / r.  h and k
+    must lie within +/-_SATURATED.
+    """
+    hk = h * k
+    if abs(rho) < 0.925:
+        hs = 0.5 * (h * h + k * k)
+        asr = 0.5 * math.asin(rho)
+        total = 0.0
+        for w, x in _BVN_NODES:
+            sn = math.sin(asr * x)
+            total += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        bvn = total * asr / _TWO_PI + std_normal_cdf(-h) * std_normal_cdf(-k)
+        return max(0.0, min(1.0, bvn))
+    if rho < 0.0:
+        k, hk = -k, -hk
+    b = abs(h - k)
+    bs = b * b
+    d = b / r
+    rs = r * r
+    c = (4.0 - hk) / 8.0
+    dc = (12.0 - hk) / 80.0
+    bvn = 0.0
+    asr = -0.5 * (d * d + hk)
+    if asr > -100.0:
+        bvn = r * math.exp(asr) * (1.0 - c * (bs - rs) * (1.0 - dc * bs) / 3.0
+                                   + c * dc * rs * rs)
+    if hk > -100.0:
+        bvn -= (math.exp(-0.5 * hk) * _SQRT_2PI * std_normal_cdf(-d) * b
+                * (1.0 - c * bs * (1.0 - dc * bs) / 3.0))
+    half = 0.5 * r
+    total = 0.0
+    for w, x in _BVN_NODES:
+        q = d / (0.5 * x)
+        asr = -0.5 * (q * q + hk)
+        if asr > -100.0:
+            xs = (half * x) ** 2
+            root = math.sqrt(1.0 - xs)
+            ep = math.exp(-0.5 * hk * xs / (1.0 + root) ** 2) / root
+            total += w * math.exp(asr) * (1.0 + c * xs * (1.0 + 5.0 * dc * xs) - ep)
+    bvn = (half * total - bvn) / _TWO_PI
+    if rho > 0.0:
+        bvn += std_normal_cdf(-max(h, k))
+    elif h >= k:
+        bvn = -bvn
+    elif h < 0.0:
+        bvn = std_normal_cdf(k) - std_normal_cdf(h) - bvn
+    else:
+        bvn = std_normal_cdf(-h) - std_normal_cdf(-k) - bvn
+    return max(0.0, min(1.0, bvn))
+
+
 def conditional_moments_compound(
     a: float,
     tg: TruncatedGaussian,
     noise_var: float,
     upper: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> tuple[float, float]:
     """Mean and variance of e = a*X + W conditioned on e < upper.
 
-    The three moment integrals run over the closed-form compound_density
-    with `spec`.  The window is QUAD_WINDOW standard deviations of the
-    untruncated law of e, clipped at `upper`: the compound density is at most
-    that law's density over Pr(X < tg.upper), so the tails it leaves out stay
-    negligible.  It is also clipped where the truncation factor of the
-    density falls below Phi(QUAD_WINDOW[0]), so that a deep truncation, whose
-    mass sits in a narrow band at that edge, is not missed by the first
-    quadrature nodes.
+    (X, e) is bivariate normal truncated to the quadrant X < tg.upper,
+    e < upper, so the moments are closed forms: Tallis (1961), "The moment
+    generating function of the truncated multi-normal distribution", and
+    Rosenbaum (1961), "Moments of a truncated bivariate normal
+    distribution", both J. R. Statist. Soc. B 23.  With X ~ N(mu, v) before
+    truncation at c and W ~ N(0, s2), let
+
+        sigma_e^2 = a^2 v + s2,  rho = a sqrt(v) / sigma_e,  r = sqrt(s2 / sigma_e^2),
+        h = (c - mu) / sqrt(v),  k = (upper - a mu) / sigma_e,
+        P = Phi2(h, k; rho),  t = (k - rho h) / r,
+        A = phi(h) Phi(t),  B = phi(k) Phi((h - rho k) / r),
+        m1 = -(rho A + B) / P,
+        m2 = 1 - (rho^2 h A + k B - rho r phi(h) phi(t)) / P;
+
+    then the mean is a mu + sigma_e m1 and the variance sigma_e^2 (m2 - m1^2).
+    r equals sqrt(1 - rho^2) but is taken from the noise share, which keeps
+    it exact where 1 - rho^2 rounds to 0 (|a| of 1e8 and beyond); Phi2 is
+    _bvnu with the same r.  Raises DegenerateTruncationError when
+    Pr(e < upper | X < c) = P / Phi(h) falls below MIN_TRUNCATION_PROB, and
+    NumericalError when the law of e leaves floating-point range.
     """
     if not noise_var > 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
     if a == 0.0:
         return truncated_moments(TruncatedGaussian(0.0, noise_var, upper))
-    center = a * tg.mean
-    e_var = a * a * tg.var + noise_var
-    sigma_star = math.sqrt(tg.var * noise_var / e_var)
-    # the density divides by sigma_star, the window's cut by a * var
-    if not (sigma_star > 0.0 and a * tg.var != 0.0):
+    mu, v = tg.mean, tg.var
+    e_var = a * a * v + noise_var
+    r = math.sqrt(noise_var / e_var)
+    # the formulas divide by r, compound_density at the same law divides by
+    # sigma_star, and a * var == 0 means the X part of e has underflowed
+    sigma_star = math.sqrt(v * noise_var / e_var)
+    if not (r > 0.0 and sigma_star > 0.0 and a * v != 0.0 and math.isfinite(a * mu)):
         raise NumericalError(
-            f"a = {a} with var = {tg.var} and noise_var = {noise_var} puts the law of "
+            f"a = {a} with var = {v} and noise_var = {noise_var} puts the law of "
             f"a*X + W out of floating-point range (a^2 var + noise_var = {e_var})"
         )
     sd = math.sqrt(e_var)
-    lo = center + QUAD_WINDOW[0] * sd
-    hi = min(upper, center + QUAD_WINDOW[1] * sd)
-    cut = center + e_var * (tg.upper - tg.mean - QUAD_WINDOW[0] * sigma_star) / (a * tg.var)
-    if a > 0.0:
-        hi = min(hi, cut)
-    else:
-        lo = max(lo, cut)
-    if hi <= lo:
-        raise DegenerateTruncationError(
-            f"conditioning bound {upper} lies below the support window [{lo}, {hi}]"
-        )
-
-    def dens(e: float) -> float:
-        return compound_density(a, tg, noise_var, e)
-
-    mass = integrate(dens, lo, hi, spec)
+    rho = a * tg.sigma / sd
+    # clipping changes no digit and keeps a bound that overflowed to inf out
+    # of the products below (h is above -38: tg keeps some mass)
+    h = min((tg.upper - mu) / tg.sigma, _SATURATED)
+    k = min(max((upper - a * mu) / sd, -_SATURATED), _SATURATED)
+    P = _bvnu(-h, -k, rho, r)
+    mass = P / tg.keep_prob()
     if mass < MIN_TRUNCATION_PROB:
         raise DegenerateTruncationError(
             f"conditioning probability {mass:.3e} < {MIN_TRUNCATION_PROB}"
         )
-    mean = integrate(lambda e: e * dens(e), lo, hi, spec) / mass
-    var = integrate(lambda e: (e - mean) ** 2 * dens(e), lo, hi, spec) / mass
-    return mean, var
+    ph = std_normal_pdf(h)
+    t = (k - rho * h) / r
+    A = ph * std_normal_cdf(t)
+    B = std_normal_pdf(k) * std_normal_cdf((h - rho * k) / r)
+    m1 = -(rho * A + B) / P
+    m2 = 1.0 - (rho * rho * h * A + k * B - rho * r * ph * std_normal_pdf(t)) / P
+    return a * mu + sd * m1, e_var * (m2 - m1 * m1)
 
 
 def find_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:

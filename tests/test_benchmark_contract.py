@@ -1,11 +1,12 @@
 """The engine keeps the calling contract the benchmark harness wraps.
 
 `benchmark/workloads.py` traces the engine by replacing module attributes
-(`sim.decide`, `sim.resolve_contention`, `sim.observer_update`, ...) and
-reading what they return; a traced run checks its outputs against the
-untraced ones and against independent oracles.  Running it briefly here
-makes a dropped name or a changed return type fail the test suite rather
-than the benchmark.
+(`sim.decide`, `sim.resolve_contention`, `sim.observer_update`,
+`stats.integrate`, ...) and reading what they return, and its two-step
+workload passes `quad=` a `stats.QuadratureSpec`; a traced run checks its
+outputs against the untraced ones and against independent oracles.  Running
+it briefly here makes a dropped name, keyword or changed return type fail
+the test suite rather than the benchmark.
 """
 
 import json
@@ -18,7 +19,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["flood", "innovation_dump", "paired_halfline"])
+@pytest.mark.parametrize("workload", ["flood", "innovation_dump", "paired_halfline",
+                                      "two_step_silent"])
 def test_traced_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload", workload,

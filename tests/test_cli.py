@@ -379,6 +379,24 @@ class TestOtherCommands:
         row = read_csv(tmp_path / "ts0.csv")[0]
         assert float(row["optimal_u0"]) == pytest.approx(U0_OPT_SILENT, abs=1e-8)
 
+    # the probing term's density factor underflows to 0 and its squared
+    # distance to the bound would overflow
+    @pytest.mark.parametrize("threshold", ["1e155", "1e300"])
+    @pytest.mark.parametrize("branch", [["delta0=0"], ["delta0=1", "--x0", "0.7"]],
+                             ids=["silent", "delivered"])
+    def test_two_step_far_threshold_is_certainty_equivalent(self, tmp_path, branch, threshold):
+        assert main(["two-step", "--branch", *branch, "--threshold", threshold,
+                     "--out", str(tmp_path / "ts")]) == EXIT_OK
+        row = read_csv(tmp_path / "ts.csv")[0]
+        assert float(row["optimal_u0"]) == pytest.approx(float(row["ce_u0"]), abs=1e-8)
+
+    def test_moments_large_source_coefficient(self, tmp_path):
+        assert main(["moments", "--upper", "0.5", "--cond-upper", "0.5", "--a", "1e5",
+                     "--out", str(tmp_path / "mom")]) == EXIT_OK
+        rows = {r["quantity"]: float(r["value"]) for r in read_csv(tmp_path / "mom.csv")}
+        assert rows["compound_cond_mean"] == pytest.approx(-79788.13777466229, rel=1e-10)
+        assert rows["compound_cond_var"] == pytest.approx(3633813177.382621, rel=1e-10)
+
     def test_moments(self, tmp_path):
         out = tmp_path / "mom"
         code = main(["moments", "--upper", "0.5", "--out", str(out)])
@@ -612,6 +630,15 @@ class TestExitCodes:
          "--q1: must be >= 0, got -3.0"),
         (["moments", "--upper", "0.5", "--a", "1", "--noise-var", "-0.5", "--cond-upper", "0.5"],
          "--noise-var: must be > 0, got -0.5"),
+        # the truncated Gaussian's own checks
+        (["moments", "--upper", "1", "--var", "0"],
+         "--var: var must be positive and finite, got 0.0"),
+        (["moments", "--upper", "1", "--var", "-1"],
+         "--var: var must be positive and finite, got -1.0"),
+        (["moments", "--upper", "-40"],
+         "--upper: truncation keeps no probability mass (upper=-40.0, mean=0.0, var=1.0)"),
+        (["two-step", "--branch", "delta0=0", "--threshold", "-40"],
+         "--threshold: truncation keeps no probability mass (upper=-40.0, mean=0.0, var=1.0)"),
     ])
     def test_bad_flags_are_named(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_VALIDATION

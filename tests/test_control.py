@@ -17,14 +17,12 @@ from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import ce_law, run_episode
-from macloops.stats import QuadratureSpec
 
 # frozen roots/residuals, verified against the Monte Carlo value-function
 # oracle in the acceptance suite and a high-precision solve
 U0_OPT_DELIVERED_X0_ZERO = 0.0352530991991542
 RESIDUAL_AT_CE_DELIVERED = -0.179272506039651
 U0_OPT_SILENT = 0.351953030730028
-COARSE_QUAD = QuadratureSpec(tol=1e-6)
 
 
 class TestRiccati:
@@ -170,7 +168,7 @@ class TestTwoStepController:
         assert u0 == pytest.approx(U0_OPT_DELIVERED_X0_ZERO, abs=1e-7)
 
     def test_optimal_root_silent_branch(self):
-        u0 = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0.0, quad=COARSE_QUAD)
+        u0 = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0.0)
         assert u0 == pytest.approx(U0_OPT_SILENT, abs=1e-5)
 
     def test_probing_pushes_toward_the_boundary(self):

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from macloops import stats
+from macloops.cli import main
+from macloops.control import two_step_stationarity_residual, two_step_u0_optimal
 from macloops.errors import (
     BracketingError,
     ConfigurationError,
     DegenerateTruncationError,
     QuadratureError,
 )
+from macloops.estimation import two_step_posterior
 from macloops.stats import (
     QuadratureSpec,
     TruncatedGaussian,
@@ -25,6 +28,7 @@ from macloops.stats import (
     std_normal_pdf,
     truncated_moments,
 )
+from test_control import U0_OPT_SILENT
 
 # frozen from the quadrature oracle below (cross-checked to 1e-12 by an
 # independent high-precision evaluation)
@@ -74,6 +78,15 @@ class TestIntegrate:
 
     def test_empty_interval(self):
         assert integrate(lambda x: 1.0, 1.0, 1.0) == 0.0
+
+    def test_narrow_peak_off_the_first_nodes(self):
+        # the mass sits within about 1 of the upper end of a 12.5-wide
+        # interval, between the nodes of a single first Simpson estimate
+        tg = TruncatedGaussian(0.0, 1.0, 0.5)
+        got = integrate(lambda x: tg.pdf(x) * std_normal_pdf(-3.0 + 2.0 * x),
+                        -12.0, 0.5, QuadratureSpec(tol=1e-12))
+        assert got == pytest.approx(compound_density(-2.0, tg, 1.0, -3.0), abs=1e-12)
+        assert got == pytest.approx(6.1644e-3, abs=1e-7)
 
     def test_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(stats, "QUAD_MAX_SUBDIVISIONS", 4)
@@ -177,22 +190,52 @@ class TestCompoundDensity:
                        for lo, hi in zip(edges[:-1], edges[1:]))
             assert compound_density(a, tg, noise_var, eps) == pytest.approx(want, abs=1e-9)
 
-    def test_one_quadrature_level(self, monkeypatch):
-        calls = []
 
-        def counting(f, lo, hi, spec=stats.DEFAULT_QUAD):
-            calls.append(spec)
-            return integrate(f, lo, hi, spec)
-
-        monkeypatch.setattr(stats, "integrate", counting)
-        tg = TruncatedGaussian(0.0, 1.0, 0.5)
-        compound_density(1.0, tg, 1.0, 0.2)
-        assert calls == []
-        conditional_moments_compound(1.0, tg, 1.0, 0.5)
-        assert len(calls) == 3
+# (a, mean, var, noise_var, truncation bound, conditioning bound) -> mean and
+# variance of e = a*X + W given e < bound, from mpmath at 50 and at 70 digits
+# (which agree to every printed digit): the moment integrals of the extended
+# skew-normal density of e, phi(z) Phi((h - rho z) / r) in standard units,
+# split around the step at z = h / rho.  Independent of the bivariate closed
+# form and of its Phi2.
+HIGH_PRECISION_MOMENTS = [
+    ((1.0, 0.0, 1.0, 1.0, 0.5, 0.5), -0.9361186367614046, 0.9112917557656174),
+    ((-1.0, 0.0, 1.0, 1.0, 0.5, 0.5), -0.4480712853099914, 0.48846140803020943),
+    ((10.0, 0.0, 1.0, 1.0, 0.5, 0.5), -7.703066386646271, 37.811239751198336),
+    ((-10.0, 0.0, 1.0, 1.0, 0.5, 0.5), -2.289174554828656, 2.9758433333570213),
+    ((100.0, 0.0, 1.0, 1.0, 0.5, 0.5), -79.47440825963875, 3645.081227650444),
+    ((1e5, 0.0, 1.0, 1.0, 0.5, 0.5), -79788.13777466229, 3633813177.382621),
+    ((1e8, 0.0, 1.0, 1.0, 0.5, 0.5), -79788455.76197666, 3633802287224867.5),
+    # rho = 0.995 and a deep truncation: the mass is a band near a * upper
+    ((1.0, 0.0, 1.0, 0.01, -6.5, 10.0), -6.6473013611904905, 0.03084346125323911),
+    ((1.7, 0.3, 1.7, 0.6, 0.5, -0.4), -1.9896946672338787, 1.5832456438080513),
+]
 
 
 class TestConditionalMomentsCompound:
+    @pytest.mark.parametrize("case,mean,var", HIGH_PRECISION_MOMENTS,
+                             ids=[f"a={c[0]:g},c={c[4]:g}" for c, _, _ in HIGH_PRECISION_MOMENTS])
+    def test_matches_high_precision_values(self, case, mean, var):
+        a, mu, v, noise_var, c, bound = case
+        got_mean, got_var = conditional_moments_compound(
+            a, TruncatedGaussian(mu, v, c), noise_var, bound)
+        assert got_mean == pytest.approx(mean, rel=1e-10)
+        assert got_var == pytest.approx(var, rel=1e-10)
+
+    def test_no_runtime_path_integrates(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a runtime path called stats.integrate")
+
+        monkeypatch.setattr(stats, "integrate", refuse)
+        tg = TruncatedGaussian(0.0, 1.0, 0.5)
+        assert conditional_moments_compound(1.0, tg, 1.0, 0.5) == pytest.approx(
+            (COND_MEAN_AT_HALF, COND_VAR_AT_HALF), abs=1e-6)
+        assert two_step_stationarity_residual(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0.0, 0.3) != 0.0
+        assert two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0.0) == pytest.approx(
+            U0_OPT_SILENT, abs=1e-8)
+        assert two_step_posterior(1.0, 1.0, 0.3, 0, 0).p11 > 0.0
+        assert main(["moments", "--upper", "0.5", "--a", "1", "--cond-upper", "0.5",
+                     "--out", str(tmp_path / "m")]) == 0
+
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_rejects_a_noise_variance_not_above_zero(self, a):
         tg = TruncatedGaussian(0.0, 1.0, 0.5)
