@@ -228,6 +228,34 @@ MATRIX_PLANT_DIGESTS = {
 }
 
 
+# One scalar loop and one Bernoulli source on a channel with persistence
+# (1, 0.5), over 70 episodes, so the run straddles a chunk boundary.  Each
+# episode's noise and traffic streams are keyed by the first loop and the
+# first source, so these bytes hold whatever the layout of further loops'
+# and sources' draws.
+ONE_LOOP_DOC = {
+    "name": "one-loop",
+    "seed": 7,
+    "episodes": 70,
+    "crm": {"persistence": [1.0, 0.5], "slots_per_sample": 5},
+    "sources": [{"kind": "bernoulli", "rate": 0.4}],
+    "loops": [
+        {
+            "plant": {"A": 1.2, "B": 1.0, "Rw": 0.5, "R0": 2.0, "x0_mean": 0.3},
+            "scheduler": {"kind": "innovation", "eps": 1.0},
+            "horizon": 12,
+            "weights": {"Q0": 1.0, "Q1": 1.0, "Q2": 1.0},
+        },
+    ],
+}
+
+ONE_LOOP_DIGESTS = {
+    "summary": "fccd1cff22d842bd2e50314d046f03afdafc63814e423c7a0c38bd6705604894",
+    "trace": "f4d5264a3d219d6f990447c15e0d1aab5f5c5ed3bc2bf77774072580e9100046",
+    "events": "ac25e3987bb6a02efd8e4415bb604229c52fe8c1a4e95078400854008342f48f",
+}
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -305,6 +333,16 @@ class TestSimulateCommand:
         digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
                    for kind in ("summary", "trace", "events")}
         assert digests == MATRIX_PLANT_DIGESTS
+
+    def test_one_loop_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "one-loop.json"
+        path.write_text(json.dumps(ONE_LOOP_DOC))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),
+                     "--dump-trace", "--dump-events"])
+        assert code == EXIT_OK
+        digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
+                   for kind in ("summary", "trace", "events")}
+        assert digests == ONE_LOOP_DIGESTS
 
     def test_events_dump(self, tmp_path):
         out = tmp_path / "ev"
