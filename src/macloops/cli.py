@@ -672,13 +672,25 @@ def cmd_two_step(args) -> int:
         a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0, u0_ce,
         threshold=args.threshold,
     )
+    # the scan window follows the problem's scale: centred on the CE input,
+    # which grows with |a|, and never narrower than the solver's default
+    half = max(10.0, abs(u0_ce))
     u0_opt = two_step_u0_optimal(
         a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0,
-        threshold=args.threshold,
+        threshold=args.threshold, scan=(u0_ce - half, u0_ce + half),
     )
-    post = two_step_posterior(a, b, u0_opt, delta0, 0,
-                              x0=args.x0 if delta0 else None,
-                              threshold=args.threshold)
+    try:
+        post = two_step_posterior(a, b, u0_opt, delta0, 0,
+                                  x0=args.x0 if delta0 else None,
+                                  threshold=args.threshold)
+    except ConfigurationError as exc:
+        # delta0=1: the step-1 noise bound is built from the flags, not one of them
+        if not delta0 or exc.field != "upper":
+            raise
+        bound = args.threshold - a * args.x0 - b * u0_opt
+        raise ConfigurationError(
+            f"--threshold: the delta1 = 0 event has probability 0: its noise bound "
+            f"threshold - a*x0 - b*u0 = {bound} keeps no probability mass") from None
     u1 = two_step_u1(a, b, q0, q2, post.xhat11)
     out = Path(args.out) if args.out else Path(
         os.environ.get(OUT_DIR_ENV, ".")) / f"two-step-d{delta0}"

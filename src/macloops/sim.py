@@ -6,11 +6,12 @@ Within a tick the order is fixed: sample/schedule, contend, deliver with
 instant ACK, estimate, control, step the plants.  Loops live on a global
 integer tick grid and act only at their own sampling instants (phase +
 multiples of the period); between samples nothing is simulated.  All
-randomness is drawn from streams keyed by the master seed and the episode:
-noise and traffic per (entity, role), contention per role, with its draws
-laid out contender by contender (`_contention_index`).  So a (seed,
-episode, scenario) triple fully determines every trace, and a contender
-meets the same contention draws under every control law.
+randomness is drawn from three streams per episode, keyed by the master
+seed, the episode and the role (`_draw_chunk`): the noise, laid out loop by
+loop; the traffic, one row per source; the contention, laid out contender
+by contender (`_contention_index`).  So a (seed, episode, scenario) triple
+fully determines every trace, and a contender meets the same contention
+draws under every control law.
 
 There is one engine, and it runs a chunk of up to CHUNK_EPISODES episodes
 at once: each loop's state, estimate and input are (episodes, n) arrays,
@@ -174,18 +175,6 @@ def _loop_constants(scenario: NetworkScenario) -> LoopConstants:
     return table
 
 
-def _noise_for_loop(scenario: NetworkScenario, seed: int, episode: int, idx: int,
-                    factors: NoiseFactors):
-    """Initial state and the whole process-noise panel for one loop."""
-    plant = scenario.loops[idx].plant
-    sqrt_r0, sqrt_rw = factors
-    gen = RngStream(int(seed), (int(episode), idx, _ROLE_NOISE)).generator()
-    x0 = plant.x0_mean + sqrt_r0 @ gen.standard_normal(plant.n)
-    n_steps = scenario.loops[idx].horizon
-    w = gen.standard_normal((n_steps, plant.n)) @ sqrt_rw.T
-    return x0, w
-
-
 def _schedule(scenario: NetworkScenario) -> dict[int, list[tuple[int, int]]]:
     """The loops sampling at each tick, in loop order, with their step index."""
     schedule: dict[int, list[tuple[int, int]]] = {}
@@ -225,39 +214,54 @@ class _ChunkDraws:
 
 
 def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
-                constants: LoopConstants) -> _ChunkDraws:
+                roots: Sequence[NoiseFactors]) -> _ChunkDraws:
     """Draw the noise, the traffic and the contention tables of a chunk.
 
-    Each episode draws from its own streams exactly as it would alone: one
-    noise generator per loop, one traffic generator per source, and one
-    contention stream, keyed by (episode, role), whose draws fill the
-    episode's (rows, slots_per_sample) table in the order of
-    `_contention_index`.  In a given scenario a contender's draws thus
-    depend only on (seed, episode, contender, tick): every control law and
-    threshold meets the same ones.  The tables are drawn only if some
-    persistence lies strictly between 0 and 1; otherwise no contention draw
-    is ever made.  Traffic does not depend on the loops: each source makes
-    one draw per tick up to the last sampling tick, and its activity is
-    kept at the sampling ticks.
+    `roots` holds each loop's (sqrt R0, sqrt Rw).  Each episode draws from
+    three streams, exactly as it would alone:
+    - noise, keyed (episode, 0, noise): one `standard_normal` row holding
+      the loops' blocks in loop order, each the loop's n draws for x0, then
+      its N x n process-noise draws;
+    - traffic, keyed (episode, SOURCE_CONTENDER_BASE, traffic): one
+      `random((sources, last sampling tick + 1))` table, row j for source j,
+      one draw per tick, whose activity is kept at the sampling ticks; none
+      without sources;
+    - contention, keyed (episode, contention): the (rows, slots_per_sample)
+      table in the order of `_contention_index`, drawn only if some
+      persistence lies strictly between 0 and 1.
+    The noise and traffic keys are those of the first loop and the first
+    source.  Appending a loop leaves every earlier loop's block where it
+    was, and in a given scenario a contender's draws depend only on (seed,
+    episode, contender, tick): every control law and threshold meets the
+    same ones.  The roots multiply the blocks by `_sum_products`, so an
+    episode's bits do not depend on its chunk.
     """
     schedule = _schedule(scenario)
-    x0, noise = [], []
-    for i, (_, factors) in enumerate(constants):
-        drawn = [_noise_for_loop(scenario, seed, ep, i, factors) for ep in episodes]
-        x0.append(np.array([x for x, _ in drawn]))
-        noise.append(np.array([w for _, w in drawn]))
+    n_ep = len(episodes)
+    sizes = [lc.plant.n * (lc.horizon + 1) for lc in scenario.loops]
+    z = np.empty((n_ep, sum(sizes)))
+    for e, ep in enumerate(episodes):
+        RngStream(int(seed), (int(ep), 0, _ROLE_NOISE)).generator().standard_normal(out=z[e])
+    x0, noise, start = [], [], 0
+    for lc, (sqrt_r0, sqrt_rw), size in zip(scenario.loops, roots, sizes):
+        n = lc.plant.n
+        block = z[:, start:start + size]
+        start += size
+        x0.append(lc.plant.x0_mean + _sum_products(sqrt_r0, block[:, None, :n]))
+        noise.append(_sum_products(sqrt_rw, block[:, n:].reshape(n_ep, lc.horizon, 1, n)))
     rows = _contention_index(scenario, schedule)
     ticks = np.fromiter(schedule, dtype=int)
     sources = scenario.sources
-    active = np.zeros((len(episodes), ticks.size, len(sources)), dtype=bool)
-    for e, ep in enumerate(episodes):
-        for j, src in enumerate(sources):
-            gen = RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE + j, _ROLE_TRAFFIC)
-                            ).generator()
-            active[e, :, j] = traffic_activity(src, gen.random(ticks[-1] + 1))[ticks]
+    active = np.zeros((n_ep, ticks.size, len(sources)), dtype=bool)
+    if sources:
+        for e, ep in enumerate(episodes):
+            u = RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE, _ROLE_TRAFFIC)
+                          ).generator().random((len(sources), ticks[-1] + 1))
+            for j, src in enumerate(sources):
+                active[e, :, j] = traffic_activity(src, u[j])[ticks]
     tables = None
     if any(0.0 < p < 1.0 for p in scenario.crm.persistence):
-        tables = np.empty((len(episodes), len(rows), scenario.crm.slots_per_sample))
+        tables = np.empty((n_ep, len(rows), scenario.crm.slots_per_sample))
         for e, ep in enumerate(episodes):
             RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
     return _ChunkDraws(episodes, schedule, x0, noise, active, rows, tables)
@@ -398,9 +402,10 @@ def _run_arms(arms: Sequence[_Arm], constants: LoopConstants, seed: int, episode
     per arm, one event log list per arm), where an arm's list holds one log
     per episode if `event_logs` is set, else None.
     """
+    roots = [factors for _, factors in constants]
     for start in range(episodes.start, episodes.stop, CHUNK_EPISODES):
         chunk = range(start, min(start + CHUNK_EPISODES, episodes.stop))
-        draws = _draw_chunk(arms[0][0], seed, chunk, constants)
+        draws = _draw_chunk(arms[0][0], seed, chunk, roots)
         logs = [[[] for _ in chunk] if event_logs else None for _ in arms]
         batches = [_run_chunk(scn, draws, law, constants, log)
                    for (scn, law), log in zip(arms, logs)]

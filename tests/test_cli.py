@@ -158,23 +158,27 @@ SCENARIO_HASHES = {
 
 # SHA-256 of `simulate --scenario NAME --seed 7 --episodes E --dump-trace
 # --dump-events`, measured with numpy 2.4.6 (the draws come from numpy's
-# samplers).  A change that alters the random-stream layout on purpose
-# updates these digests and says so in CHANGES.md.
+# samplers).  Each episode has three streams (`sim._draw_chunk`): noise keyed
+# (episode, 0, noise), laid out loop by loop; traffic keyed (episode,
+# SOURCE_CONTENDER_BASE, traffic), one row per source; contention keyed
+# (episode, contention), laid out contender by contender.  A change that
+# alters the random-stream layout on purpose updates these digests and says
+# so in CHANGES.md.
 OUTPUT_DIGESTS = {
     ("example3", 20): {
-        "summary": "9c80b2bec5ed0c88848c338b6863d14eaccd97e76e2e5367d88a2d45f4c9f924",
-        "trace": "1ca4535506dbb6daff7102a37f30f02d11eafdaea3b3fdd6835c89fa1f3d933f",
-        "events": "972145ef48b6b415c9d272ee5b9c05034b2ae49458557cf4b9ff7aadf488bfe7",
+        "summary": "bf3bf9f2647aff84102d9cbbf86de3b471369c7a3acc8018d5a73789a946ce04",
+        "trace": "49e25b30311d941ba5bab59ef6325fb42b5cf17c48258c1ef6d80bf5a7a84b76",
+        "events": "f00e6dbbc4f9307cfa0c9eee37666ef28a83734676914be6191ebcecf2891db7",
     },
     ("example1-baseline", 10): {
-        "summary": "85659db552679532e97648b5194dfb6de016a3147728074976f4c4ed22ffecde",
-        "trace": "f56f5b1aeb5cdeb390b0724eff869fac37c6a07aeeb3d467541f70fbdc78434d",
+        "summary": "80352dc5a95ad4715a1ddf2e200e9b4ef1c98044a6f577368f9f2a2cd558df41",
+        "trace": "bae4bf7b88aa158eb4e03a0a44df0f641b7a3e011a25a7f0a5e48686942913b6",
         "events": "2d2cd3cb31d63b1dbbe2dac703bbb50dd613abca838eea539f2c8e9d59eb89a0",
     },
     ("example1", 10): {
-        "summary": "6001bb0699260697b6daaca818595c020b12b42802f9f57cd437e2057802c155",
-        "trace": "5f6db1ba5044af22d4aac41ba3a609b9fcbbf4f061d7f0a35b6c68773f18c5bc",
-        "events": "a09ffc6ea831083aaa3f470c43b8ed62cf8307bd1a91fb31a9d24abe556bc56a",
+        "summary": "72873ff3e1466583f09e242757618884fcb8c5158004e8516c88466cdf794c85",
+        "trace": "47c685eb3de9720cb4f154a4fb6e7ab48c6e60e7478a2761584562870ce178d6",
+        "events": "c11f4133eceb9fac79b387ebaa385e5993229594f3cb0f8c87ec44f102fe10a4",
     },
 }
 
@@ -184,9 +188,9 @@ OUTPUT_DIGESTS = {
 # certain, so no contention draw is made and these bytes do not depend on the
 # layout of the contention streams.
 CERTAIN_CHANNEL_DIGESTS = {
-    "summary": "0fdfd2b4ccdd2752d6de72238d93c216b7247a3b414d74ee638898540497bf41",
-    "trace": "f9bf2248e541fd27c6440f1ebe841810425f5ce63ae9f72ab4ca4d97e5b21727",
-    "events": "53ecebd5961840bc019d2aa4ce2d14a03d53c889c99bcd1c05f65eca782b2f7a",
+    "summary": "642506b4d887227152755f701f6c28a085b6781078e507df62004380ae2b5ba6",
+    "trace": "0794e6477fb043b4add163c15f8dbd14ff48bc0e8c27014448a8b7d1376bd95b",
+    "events": "34118129a410ed255c9739619d42149a1514949f077db0df4719d859aaa2b46f",
 }
 
 
@@ -222,9 +226,9 @@ MATRIX_PLANT_DOC = {
 }
 
 MATRIX_PLANT_DIGESTS = {
-    "summary": "ae52dd5703609a066a8c72c5766c5894270e544630a886d3415e405eafa8b5a7",
-    "trace": "918602f4f63a9f33ed509b24e2b5491ec31d36e05e1070102eb17ecc6b4c485a",
-    "events": "abbf3ef93c2bdb2088f85b0f413ffbd374c524f36603b3328e51bf4d8fbc4122",
+    "summary": "d00f1618ee7de4e3c9d4509d1bf9fc32c11daf5ab5ac911b3c2ba929df8fdec5",
+    "trace": "bb6637edc335ab6486fd406a2d2ead8b31ee7454397f8fac074db457bb538829",
+    "events": "e2a6cbb71fd30f752e0c3fc6bbcdc1a4f39d045f36211ea2f13c0f4b574cedc3",
 }
 
 
@@ -374,7 +378,7 @@ class TestOtherCommands:
                      "2,3.5", "--seed", "7", "--out", str(out)])
         assert code == EXIT_OK
         digest = hashlib.sha256((tmp_path / "swp_sweep.csv").read_bytes()).hexdigest()
-        assert digest == "1c02122b157f68c8eebf14b030916c74d6a9c00cca464ef136c1128d2d0cdef5"
+        assert digest == "45ad602ebb92796bc1aca3609f307d77e429777a69a577b0a831a55eab346195"
 
     def test_riccati(self, tmp_path):
         out = tmp_path / "ric"
@@ -416,6 +420,15 @@ class TestOtherCommands:
         assert main(["two-step", "--branch", "delta0=0", "--out", str(out)]) == EXIT_OK
         row = read_csv(tmp_path / "ts0.csv")[0]
         assert float(row["optimal_u0"]) == pytest.approx(U0_OPT_SILENT, abs=1e-8)
+
+    # the CE input grows with |a| (about 10.1 at a = 20), past any fixed window
+    @pytest.mark.parametrize("a", ["20", "50", "1e3", "1e6"])
+    def test_two_step_silent_branch_at_scale(self, tmp_path, a):
+        assert main(["two-step", "--branch", "delta0=0", "--a", a,
+                     "--out", str(tmp_path / "ts")]) == EXIT_OK
+        row = read_csv(tmp_path / "ts.csv")[0]
+        # the probing input overshoots the CE one
+        assert 1.0 < float(row["optimal_u0"]) / float(row["ce_u0"]) < 1.25
 
     # the probing term's density factor underflows to 0 and its squared
     # distance to the bound would overflow
@@ -677,6 +690,9 @@ class TestExitCodes:
          "--upper: truncation keeps no probability mass (upper=-40.0, mean=0.0, var=1.0)"),
         (["two-step", "--branch", "delta0=0", "--threshold", "-40"],
          "--threshold: truncation keeps no probability mass (upper=-40.0, mean=0.0, var=1.0)"),
+        (["two-step", "--branch", "delta0=1", "--x0", "0", "--threshold", "-40"],
+         "--threshold: the delta1 = 0 event has probability 0: its noise bound "
+         "threshold - a*x0 - b*u0 = -40.0 keeps no probability mass"),
     ])
     def test_bad_flags_are_named(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_VALIDATION

@@ -14,7 +14,7 @@ from macloops.model import (
 )
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
-from macloops.sim import _noise_for_loop, ce_law, run_episode, zero_law
+from macloops.sim import _draw_chunk, ce_law, run_episode, zero_law
 
 SILENT = SchedulerPolicy.innovation_threshold(1e12)
 
@@ -30,10 +30,13 @@ def one_loop(plant, scheduler=None, horizon=3):
     return NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
 
 
-def noise_roots(scn):
-    """The (sqrt R0, sqrt Rw) the engine draws loop 0's noise with."""
+def loop_noise(scn, seed, episode):
+    """Loop 0's initial state and process-noise panel in one episode, as the
+    engine draws them, with the (sqrt R0, sqrt Rw) it takes."""
     plant = scn.loops[0].plant
-    return psd_sqrt(plant.R0), psd_sqrt(plant.Rw)
+    draws = _draw_chunk(scn, seed, range(episode, episode + 1),
+                        [(psd_sqrt(plant.R0), psd_sqrt(plant.Rw))])
+    return draws.x0[0][0], draws.noise[0][0]
 
 
 def constant_law(u):
@@ -58,7 +61,7 @@ class TestPlantStep:
     def test_hand_arithmetic(self):
         scn = one_loop(scalar_plant(a=0.75), horizon=5)
         tr = run_episode(scn, 3, 2)[0]
-        x0, w = _noise_for_loop(scn, 3, 2, 0, noise_roots(scn))
+        x0, w = loop_noise(scn, 3, 2)
         assert np.array_equal(tr.xs[0], x0)
         for k in range(5):
             want = 0.75 * tr.xs[k, 0] + tr.us[k, 0] + w[k, 0]
@@ -101,14 +104,14 @@ class TestUncontrolledState:
         # a delivery at every step leaves one noise draw in the next residual
         scn = one_loop(scalar_plant(a=1.3), horizon=6)
         tr = run_episode(scn, 2, 4)[0]
-        _, w = _noise_for_loop(scn, 2, 4, 0, noise_roots(scn))
+        _, w = loop_noise(scn, 2, 4)
         assert tr.pred_err_sq[1:] == pytest.approx(w[:-1, 0] ** 2, rel=1e-9)
 
     def test_two_steps_geometric_weights(self):
         # never delivered: the residual accumulates A-weighted noise
         scn = one_loop(scalar_plant(a=0.5), SILENT, horizon=6)
         tr = run_episode(scn, 5, 1)[0]
-        x0, w = _noise_for_loop(scn, 5, 1, 0, noise_roots(scn))
+        x0, w = loop_noise(scn, 5, 1)
         e = x0[0]
         for k in range(6):
             assert tr.pred_err_sq[k] == pytest.approx(e * e, rel=1e-9)
@@ -143,7 +146,7 @@ class TestSampleNoise:
     @staticmethod
     def noise(plant, horizon, seed=1):
         scn = one_loop(plant, horizon=horizon)
-        return _noise_for_loop(scn, seed, 0, 0, noise_roots(scn))
+        return loop_noise(scn, seed, 0)
 
     def test_zero_covariance(self):
         x0, w = self.noise(scalar_plant(rw=0.0, r0=0.0, x0_mean=[0.3]), 4)

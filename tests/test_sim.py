@@ -205,6 +205,11 @@ class TestChunkedEngine:
         assert np.array_equal(np.signbit(tr.us[0]), np.signbit(-(gain @ np.zeros(1))))
 
 
+def noise_roots(scenario):
+    """Each loop's (sqrt R0, sqrt Rw), the factors `_draw_chunk` takes."""
+    return [(psd_sqrt(lc.plant.R0), psd_sqrt(lc.plant.Rw)) for lc in scenario.loops]
+
+
 def lossy_state_network(sources=1):
     """Two state-threshold loops, whose requests follow the control law, and
     Bernoulli sources on a channel where every transmit decision is random."""
@@ -240,6 +245,12 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     return rows
 
 
+# one-word seeds at both ends, a two-word seed, and one longer than numpy's
+# four-word SeedSequence pool
+FOUR_SEEDS = pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 64 + 5, 2 ** 130],
+                                     ids=["0", "2^32-1", "2^64+5", "2^130"])
+
+
 class TestContentionDraws:
     def test_rows_are_keyed_per_contender(self, monkeypatch):
         # the two laws request at different ticks, so the rounds differ; a
@@ -253,13 +264,10 @@ class TestContentionDraws:
         assert len(shared) >= 100
         assert [k for k in sorted(shared) if a[k] != b[k]] == []
 
-    # one-word seeds at both ends, a two-word seed, and one longer than
-    # numpy's four-word SeedSequence pool
-    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 64 + 5, 2 ** 130],
-                             ids=["0", "2^32-1", "2^64+5", "2^130"])
+    @FOUR_SEEDS
     def test_table_is_one_numpy_stream_per_episode(self, seed):
         scn = lossy_state_network(2)
-        draws = sim._draw_chunk(scn, seed, range(3, 6), sim._loop_constants(scn))
+        draws = sim._draw_chunk(scn, seed, range(3, 6), noise_roots(scn))
         # loop 0 at ticks 0..11, loop 1 at ticks 0, 2, .., 10, then each
         # source at all 12 sampling ticks
         keys = ([(t, 0) for t in range(12)] + [(t, 1) for t in range(0, 12, 2)]
@@ -271,22 +279,25 @@ class TestContentionDraws:
 
     def test_certain_channel_draws_no_table(self):
         scn = replace(lossy_state_network(), crm=CrmConfig(persistence=(1.0, 0.0, 1.0)))
-        draws = sim._draw_chunk(scn, 1, range(4), sim._loop_constants(scn))
+        draws = sim._draw_chunk(scn, 1, range(4), noise_roots(scn))
         assert draws.tables is None
 
     def test_traffic_matches_stepping_each_source(self):
-        # a Markov and a Bernoulli source, each stepped tick by tick from its
-        # own stream, must be active exactly where the chunk says
+        # a Markov and a Bernoulli source, each stepped tick by tick through
+        # its row of the episode's traffic stream, must be active exactly
+        # where the chunk says
         scn = two_state_network()
-        draws = sim._draw_chunk(scn, 7, range(2, 6), sim._loop_constants(scn))
+        draws = sim._draw_chunk(scn, 7, range(2, 6), noise_roots(scn))
         ticks = list(draws.schedule)
+        span = ticks[-1] + 1
         assert draws.active.shape == (4, len(ticks), 2)
         for e, ep in enumerate(draws.episodes):
             for j, src in enumerate(scn.sources):
-                gen = RngStream(7, (ep, sim.SOURCE_CONTENDER_BASE + j,
+                gen = RngStream(7, (ep, sim.SOURCE_CONTENDER_BASE,
                                     sim._ROLE_TRAFFIC)).generator()
+                gen.random(j * span)   # the rows of the sources before j
                 state, on_at = 0, {}
-                for tick in range(ticks[-1] + 1):
+                for tick in range(span):
                     state = traffic_step(src, gen, state)
                     on_at[tick] = bool(state)
                 assert draws.active[e, :, j].tolist() == [on_at[t] for t in ticks]
@@ -297,6 +308,71 @@ class TestContentionDraws:
         loops = [k for k in one.keys() & two.keys() if k[2] < sim.SOURCE_CONTENDER_BASE]
         assert len(loops) >= 50
         assert all(one[k] == two[k] for k in loops)
+
+
+def matvec(mat, vec):
+    """mat @ vec with each entry's products added in index order to +0."""
+    return np.array([sum((mat[i, j] * vec[j] for j in range(vec.size)), 0.0)
+                     for i in range(mat.shape[0])])
+
+
+def layered_network():
+    """A 2-state, a 3-state and a scalar loop of different horizons and two
+    sources of different kinds."""
+    base = two_state_network()
+    return replace(base, global_horizon=None, loops=base.loops + (
+        matrix_loop(3, SchedulerPolicy.innovation_threshold(1.0), 3),))
+
+
+class TestNoiseAndTrafficDraws:
+    @FOUR_SEEDS
+    def test_noise_is_one_numpy_stream_per_episode(self, seed):
+        # each loop reads its block of the episode's noise stream, in loop
+        # order: n draws for x0, then its N x n process noise
+        scn = layered_network()
+        roots = noise_roots(scn)
+        draws = sim._draw_chunk(scn, seed, range(3, 6), roots)
+        for e, ep in enumerate(draws.episodes):
+            stream = RngStream(seed, (ep, 0, sim._ROLE_NOISE)).generator()
+            for i, (lc, (sqrt_r0, sqrt_rw)) in enumerate(zip(scn.loops, roots)):
+                n = lc.plant.n
+                x0 = lc.plant.x0_mean + matvec(sqrt_r0, stream.standard_normal(n))
+                w = [matvec(sqrt_rw, z) for z in stream.standard_normal((lc.horizon, n))]
+                assert np.array_equal(draws.x0[i][e], x0), (ep, i)
+                assert np.array_equal(draws.noise[i][e], np.array(w)), (ep, i)
+
+    @FOUR_SEEDS
+    def test_appending_a_loop_or_a_source_keeps_every_loops_noise(self, seed):
+        base = layered_network()
+        longer = loop_of(SchedulerPolicy.always_transmit(), horizon=40)
+        more_loops = replace(base, global_horizon=None, loops=base.loops + (longer,))
+        more_sources = replace(base, sources=base.sources + (TrafficSource.bernoulli(0.5),))
+        draws = sim._draw_chunk(base, seed, range(3, 6), noise_roots(base))
+        for scn in (more_loops, more_sources):
+            other = sim._draw_chunk(scn, seed, range(3, 6), noise_roots(scn))
+            for i in range(len(base.loops)):
+                assert np.array_equal(other.x0[i], draws.x0[i])
+                assert np.array_equal(other.noise[i], draws.noise[i])
+        # the sampling ticks are unchanged, so the earlier sources' rows are too
+        other = sim._draw_chunk(more_sources, seed, range(3, 6), noise_roots(more_sources))
+        assert np.array_equal(other.active[:, :, :2], draws.active)
+
+    @FOUR_SEEDS
+    def test_matrix_draws_do_not_depend_on_the_chunk(self, seed):
+        # n = 2 plants: every product over the plant dimensions must have the
+        # same bits in a chunk of CHUNK_EPISODES as in a chunk of one
+        scn = replace(two_state_network(), global_horizon=None, loops=(
+            two_state_network().loops[0],
+            matrix_loop(2, SchedulerPolicy.state_threshold(2.0), 4)))
+        roots = noise_roots(scn)
+        chunk = sim._draw_chunk(scn, seed, range(CHUNK_EPISODES), roots)
+        for ep in range(CHUNK_EPISODES):
+            alone = sim._draw_chunk(scn, seed, range(ep, ep + 1), roots)
+            for i in range(len(scn.loops)):
+                assert np.array_equal(alone.x0[i][0], chunk.x0[i][ep])
+                assert np.array_equal(alone.noise[i][0], chunk.noise[i][ep])
+            assert np.array_equal(alone.active[0], chunk.active[ep])
+            assert np.array_equal(alone.tables[0], chunk.tables[ep])
 
 
 def matrix_loop(n, scheduler, seed):
@@ -375,7 +451,8 @@ class TestMonteCarlo:
     def test_traffic_stops_at_the_last_sampling_tick(self, monkeypatch):
         # sources only matter at sampling ticks, so a global horizon past the
         # last one (tick 10 here) must cost nothing and change nothing: each
-        # source's generator makes exactly one draw per tick up to it
+        # episode's traffic generator makes exactly one draw per source and
+        # tick up to it
         made = []
         real = RngStream.generator
 
@@ -392,10 +469,10 @@ class TestMonteCarlo:
             results.append(monte_carlo(replace(scn, global_horizon=horizon), 4, 5))
             traffic = [(stream, gen) for stream, gen in made
                        if stream.coords[-1] == sim._ROLE_TRAFFIC]
-            assert len(traffic) == 5 * 2
+            assert len(traffic) == 5
             for stream, gen in traffic:
                 expected = real(stream)
-                expected.random(11)
+                expected.random(2 * 11)
                 assert gen.bit_generator.state == expected.bit_generator.state
         short, long = results
         assert (short.j_mean, short.j_se) == (long.j_mean, long.j_se)
