@@ -668,6 +668,9 @@ def cmd_two_step(args) -> int:
         tg0 = _flagged({"upper": "--threshold"}, TruncatedGaussian, 0.0, 1.0, args.threshold)
         xhat00, _ = truncated_moments(tg0)
     u0_ce = ce_u0(a, b, s1, q2, xhat00)
+    if not math.isfinite(u0_ce):
+        # the scan window below is centred on it
+        raise NumericalError(f"the certainty-equivalent input overflows: {u0_ce}")
     residual_ce = two_step_stationarity_residual(
         a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0, u0_ce,
         threshold=args.threshold,

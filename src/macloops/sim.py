@@ -30,7 +30,7 @@ with a request: its columns are the sampling loops, then the sources, in
 contender-id order, and each row meets that episode's own draws.  The
 per-episode (tick, SlotOutcome) records of the event dump are rebuilt from
 the round's per-slot masks, and only when the dump asks for them.  Each
-source's activity comes from one vector of draws per episode
+source's activity comes from its row of the episode's traffic table
 (`network.traffic_activity`).  `decide`, `resolve_contention` and
 `traffic_step` stay as the per-episode, per-round and per-tick references
 the array forms are tested against.

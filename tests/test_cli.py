@@ -569,6 +569,13 @@ class TestExitCodes:
         assert "out of floating-point range" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_two_step_overflowing_ce_input(self, tmp_path, capsys):
+        # a * b * s1 overflows at a = 1e150, so no scan window can be centred
+        assert main(["two-step", "--branch", "delta0=0", "--a", "1e150",
+                     "--out", str(tmp_path / "ts")]) == EXIT_NUMERICAL
+        assert "the certainty-equivalent input overflows: inf" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_non_integral_horizon(self, tmp_path, capsys):
         doc = json.loads(json.dumps(presets()["example3"]))
         doc["loops"][0]["horizon"] = 10.7

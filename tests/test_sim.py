@@ -353,8 +353,8 @@ class TestNoiseAndTrafficDraws:
             for i in range(len(base.loops)):
                 assert np.array_equal(other.x0[i], draws.x0[i])
                 assert np.array_equal(other.noise[i], draws.noise[i])
-        # the sampling ticks are unchanged, so the earlier sources' rows are too
-        other = sim._draw_chunk(more_sources, seed, range(3, 6), noise_roots(more_sources))
+        # `other` has the extra source, and the same sampling ticks: the
+        # earlier sources' rows are unchanged too
         assert np.array_equal(other.active[:, :, :2], draws.active)
 
     @FOUR_SEEDS
