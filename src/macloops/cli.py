@@ -26,7 +26,7 @@ import numbers
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -261,15 +261,15 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
     if isinstance(source, dict):
         doc = source
     else:
-        name = str(source)
-        if name in presets():
-            doc = presets()[name]
+        name, table = str(source), presets()
+        if name in table:
+            doc = table[name]
         else:
             path = Path(name)
             if not path.exists():
                 raise ConfigurationError(
                     f"scenario {name!r} is neither a preset "
-                    f"({', '.join(sorted(presets()))}) nor a readable file"
+                    f"({', '.join(sorted(table))}) nor a readable file"
                 )
             try:
                 doc = json.loads(path.read_text())
@@ -364,12 +364,17 @@ def scenario_hash(doc: ScenarioDoc) -> str:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _open_csv(stack: ExitStack, path: Path, header: list[str]):
+    """A csv writer on `path` that has written `header`; `stack` closes the file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    writer = csv.writer(stack.enter_context(open(path, "w", newline="")))
+    writer.writerow(header)
+    return writer
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with ExitStack() as stack:
+        _open_csv(stack, path, header).writerows(rows)
 
 
 def _fmt(value) -> str:
@@ -516,33 +521,18 @@ def cmd_simulate(args) -> int:
     law = zero_law if args.law == "zero" else ce_law
     prefix = _out_prefix(args, "simulate", doc.name)
     outputs: list[Path] = []
-
-    trace_path = prefix.with_name(prefix.name + "_trace.csv")
-    event_path = prefix.with_name(prefix.name + "_events.csv")
-    trace_sink = event_sink = None
-    trace_fh = event_fh = None
-    if args.dump_trace:
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        trace_fh = open(trace_path, "w", newline="")
-        trace_writer = csv.writer(trace_fh)
-        trace_writer.writerow(TRACE_HEADER)
-        trace_sink = lambda ep, traces: trace_writer.writerows(trace_rows(ep, traces))
-        outputs.append(trace_path)
-    if args.dump_events:
-        event_path.parent.mkdir(parents=True, exist_ok=True)
-        event_fh = open(event_path, "w", newline="")
-        event_writer = csv.writer(event_fh)
-        event_writer.writerow(EVENT_HEADER)
-        event_sink = lambda ep, log: event_writer.writerows(event_rows(ep, log))
-        outputs.append(event_path)
-    try:
-        result = monte_carlo(doc.scenario, seed, episodes, law,
-                             trace_hook=trace_sink, event_hook=event_sink)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-        if event_fh:
-            event_fh.close()
+    hooks = {}
+    # the hooks look trace_rows and event_rows up in this module as they run
+    with ExitStack() as stack:
+        if args.dump_trace:
+            outputs.append(prefix.with_name(prefix.name + "_trace.csv"))
+            trace = _open_csv(stack, outputs[-1], TRACE_HEADER)
+            hooks["trace_hook"] = lambda ep, traces: trace.writerows(trace_rows(ep, traces))
+        if args.dump_events:
+            outputs.append(prefix.with_name(prefix.name + "_events.csv"))
+            events = _open_csv(stack, outputs[-1], EVENT_HEADER)
+            hooks["event_hook"] = lambda ep, log: events.writerows(event_rows(ep, log))
+        result = monte_carlo(doc.scenario, seed, episodes, law, **hooks)
 
     summary_path = prefix.with_name(prefix.name + "_summary.csv")
     _write_csv(summary_path, SUMMARY_HEADER, summary_rows(result, doc))
@@ -668,19 +658,12 @@ def cmd_two_step(args) -> int:
         tg0 = _flagged({"upper": "--threshold"}, TruncatedGaussian, 0.0, 1.0, args.threshold)
         xhat00, _ = truncated_moments(tg0)
     u0_ce = ce_u0(a, b, s1, q2, xhat00)
-    if not math.isfinite(u0_ce):
-        # the scan window below is centred on it
-        raise NumericalError(f"the certainty-equivalent input overflows: {u0_ce}")
+    # solved before the residual at u0_ce: it raises NumericalError if u0_ce is not finite
+    u0_opt = two_step_u0_optimal(a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0,
+                                 threshold=args.threshold)
     residual_ce = two_step_stationarity_residual(
         a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0, u0_ce,
         threshold=args.threshold,
-    )
-    # the scan window follows the problem's scale: centred on the CE input,
-    # which grows with |a|, and never narrower than the solver's default
-    half = max(10.0, abs(u0_ce))
-    u0_opt = two_step_u0_optimal(
-        a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0,
-        threshold=args.threshold, scan=(u0_ce - half, u0_ce + half),
     )
     try:
         post = two_step_posterior(a, b, u0_opt, delta0, 0,

@@ -219,7 +219,7 @@ def two_step_u0_optimal(
     x0_or_xhat: float,
     threshold: float = 0.5,
     quad: Optional[QuadratureSpec] = None,
-    scan: tuple[float, float] = (-10.0, 10.0),
+    scan: Optional[tuple[float, float]] = None,
     scan_points: int = 41,
     tol: float = 1e-9,
 ) -> float:
@@ -227,7 +227,10 @@ def two_step_u0_optimal(
 
     Scans the window for a sign change of the residual, then hands the
     bracket to the guarded root finder.  Raises BracketingError when no sign
-    change exists in the window.
+    change exists in the window.  The default window follows the problem's
+    scale: it is centred on the CE input, which grows with |a|, with
+    half-width max(10, |u0_ce|); a CE input that is not finite raises
+    NumericalError.
 
     `quad` is accepted and ignored: the residual is a closed form and runs
     no quadrature.  The keyword stays only because benchmark/workloads.py
@@ -239,6 +242,16 @@ def two_step_u0_optimal(
             a, b, q0, q1, q2, delta0, x0_or_xhat, u0, threshold=threshold,
         )
 
+    if scan is None:
+        if delta0:
+            xhat00 = float(x0_or_xhat)
+        else:
+            xhat00, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, threshold))
+        u0_ce = ce_u0(a, b, two_step_s1(a, b, q0, q1, q2), q2, xhat00)
+        if not np.isfinite(u0_ce):
+            raise NumericalError(f"the certainty-equivalent input overflows: {u0_ce}")
+        half = max(10.0, abs(u0_ce))
+        scan = (u0_ce - half, u0_ce + half)
     grid = np.linspace(scan[0], scan[1], scan_points)
     values = [residual(float(u)) for u in grid]
     for i in range(len(grid) - 1):

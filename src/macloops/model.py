@@ -5,12 +5,9 @@ All configuration types are immutable after construction (arrays are frozen),
 so scenarios can be shared freely across concurrent episode workers.  Every
 random draw flows through an explicitly coordinated RngStream, one numpy
 stream per (master seed, coordinates), which is what makes episodes
-bit-reproducible.  The engine draws each episode from three streams
-(`sim._draw_chunk`): its noise, laid out loop by loop, keyed (episode, 0,
-noise); its traffic, one row per source, keyed (episode,
-SOURCE_CONTENDER_BASE, traffic); and its contention, laid out contender by
-contender, keyed (episode, contention).  The noise and traffic keys are
-those of the first loop and the first source.
+bit-reproducible.  The engine draws each episode from three streams, its
+noise, its traffic and its contention, keyed and laid out as `sim._Layout`
+states.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ Randomness is keyed per contender: in each round a contender has a private
 row of uniform draws, and its draw in mini-slot s is column s - 1 of that
 row, so runs with different contender sets give each contender the same
 draws (common random numbers).  The engine takes the rows of a whole episode
-from one numpy stream, laid out contender by contender
-(`sim._contention_index`).  Draws whose outcome is certain, with persistence
-0 or 1, are not needed.
+from one numpy stream, in the order `sim._Layout` states.  Draws whose
+outcome is certain, with persistence 0 or 1, are not needed.
 
 Two forms of a round run the same rule.  `resolve_contention` runs one round
 among a set of contender ids and is the reference the tests check against.

@@ -7,11 +7,9 @@ instant ACK, estimate, control, step the plants.  Loops live on a global
 integer tick grid and act only at their own sampling instants (phase +
 multiples of the period); between samples nothing is simulated.  All
 randomness is drawn from three streams per episode, keyed by the master
-seed, the episode and the role (`_draw_chunk`): the noise, laid out loop by
-loop; the traffic, one row per source; the contention, laid out contender
-by contender (`_contention_index`).  So a (seed, episode, scenario) triple
-fully determines every trace, and a contender meets the same contention
-draws under every control law.
+seed, the episode and the role, in the order `_Layout` states.  So a (seed,
+episode, scenario) triple fully determines every trace, and a contender
+meets the same draws under every control law.
 
 There is one engine, and it runs a chunk of up to CHUNK_EPISODES episodes
 at once: each loop's state, estimate and input are (episodes, n) arrays,
@@ -26,22 +24,21 @@ chunk it ran in.  The channel runs on the chunk too.  At each tick every
 sampling loop takes its scheduler decision for all episodes in one array
 expression (`_requests`, the rule of `scheduling.decide`), and one
 array round (`network.contend`) resolves the contention of every episode
-with a request: its columns are the sampling loops, then the sources, in
-contender-id order, and each row meets that episode's own draws.  The
-per-episode (tick, SlotOutcome) records of the event dump are rebuilt from
-the round's per-slot masks, and only when the dump asks for them.  Each
-source's activity comes from its row of the episode's traffic table
-(`network.traffic_activity`).  `decide`, `resolve_contention` and
-`traffic_step` stay as the per-episode, per-round and per-tick references
-the array forms are tested against.
+with a request: its columns are the tick's contenders in id order, and each
+row meets that episode's own draws.  The per-episode (tick, SlotOutcome)
+records of the event dump are rebuilt from the round's per-slot masks, and
+only when the dump asks for them.  Each source's activity comes from its
+row of the episode's traffic table (`network.traffic_activity`).
+`decide`, `resolve_contention` and `traffic_step` stay as the per-episode,
+per-round and per-tick references the array forms are tested against.
 
 One driver, `_run_arms`, draws each chunk once and runs every arm on it:
 an arm is a (scenario variant, control law) pair.  `monte_carlo` and
 `run_episode` run one arm, `dual_effect_experiment` one per control law and
 `sweep_threshold` one per threshold, so the arms they compare meet the same
-noise, traffic and contention draws.  They also share each loop's Riccati
-gains and noise square roots, derived once per call for every distinct loop
-(`_loop_constants`); nothing is kept between calls.
+noise, traffic and contention draws.  Each call derives the loops' Riccati
+gains once for every distinct loop (`_loop_constants`) and the layout once
+(`_layout`); nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -146,20 +143,13 @@ def _episode_trace(batch: LoopTrace, e: int, episode: int) -> LoopTrace:
     )
 
 
-NoiseFactors = tuple[np.ndarray, np.ndarray]
-# per loop: its Riccati solution and the square roots of its R0 and Rw
-LoopConstants = list[tuple[RiccatiSolution, NoiseFactors]]
+def _loop_constants(scenario: NetworkScenario) -> list[RiccatiSolution]:
+    """Each loop's Riccati solution, in loop order.
 
-
-def _loop_constants(scenario: NetworkScenario) -> LoopConstants:
-    """Each loop's Riccati solution and (sqrt R0, sqrt Rw), in loop order.
-
-    Each is derived once per distinct input: the solution once for all loops
-    with equal horizon, dynamics and weights, the roots once for all loops
-    with equal R0 and Rw.  Loops share them, so the solutions' arrays are
-    read-only.
+    One solution is derived for all loops with equal horizon, dynamics and
+    weights.  Loops share it, so its arrays are read-only.
     """
-    solved, roots, table = {}, {}, []
+    solved, table = {}, []
     for lc in scenario.loops:
         plant = lc.plant
         args = (plant.A, plant.B, lc.Q0, lc.Q1, lc.Q2)
@@ -168,36 +158,66 @@ def _loop_constants(scenario: NetworkScenario) -> LoopConstants:
             sol = solved[key] = riccati_backward(*args, lc.horizon)
             for arr in (*sol.S, *sol.L):
                 arr.flags.writeable = False
-        noise = (plant.R0.tobytes(), plant.Rw.tobytes())
-        if noise not in roots:
-            roots[noise] = (psd_sqrt(plant.R0), psd_sqrt(plant.Rw))
-        table.append((solved[key], roots[noise]))
+        table.append(solved[key])
     return table
 
 
-def _schedule(scenario: NetworkScenario) -> dict[int, list[tuple[int, int]]]:
-    """The loops sampling at each tick, in loop order, with their step index."""
-    schedule: dict[int, list[tuple[int, int]]] = {}
-    for i, lc in enumerate(scenario.loops):
-        for k in range(lc.horizon):
-            schedule.setdefault(lc.plant.phase + lc.plant.period * k, []).append((i, k))
-    return dict(sorted(schedule.items()))
+@dataclass(eq=False)
+class _Layout:
+    """Where an episode's draws go and when the loops sample, for one
+    scenario; `_run_arms` derives it once per call.
 
-
-def _contention_index(scenario: NetworkScenario,
-                      schedule: dict[int, list[tuple[int, int]]]) -> dict[tuple[int, int], int]:
-    """The row of each (tick, contender) in an episode's contention table.
-
-    The rows go contender by contender: each loop's sampling steps, in loop
-    order, then each source at every sampling tick.  A contender's row is
-    fixed by the scenario alone, whoever else contends, and sources come
-    last, so adding one leaves every loop's rows where they were.
+    An episode draws from three streams, keyed by the master seed:
+    - noise, keyed (episode, 0, noise): one `standard_normal` row of the
+      loops' blocks in loop order, each the loop's n draws for x0 and then
+      its N x n process-noise draws, turned into noise by its `roots`;
+    - traffic, keyed (episode, SOURCE_CONTENDER_BASE, traffic): one
+      `random((sources, last sampling tick + 1))` table, row j for source j,
+      read at the sampling ticks; none without sources;
+    - contention, keyed (episode, contention): a (rows, slots_per_sample)
+      table, drawn only if some persistence lies strictly between 0 and 1,
+      whose rows go contender by contender: each loop's sampling steps in
+      loop order, then each source at every sampling tick.
+    The noise and traffic keys are those of the first loop and the first
+    source.  Appending a loop or a source moves no earlier block or row, and
+    a contender's draws depend only on (seed, episode, contender, tick), so
+    every control law and threshold meets the same ones.  The entries are
+    the contention rows in tick order, and within a tick in contender-id
+    order: the sampling loops, then every source.
     """
-    keys = [(lc.plant.phase + lc.plant.period * k, i)
-            for i, lc in enumerate(scenario.loops) for k in range(lc.horizon)]
-    keys += [(tick, SOURCE_CONTENDER_BASE + j)
-             for j in range(len(scenario.sources)) for tick in schedule]
-    return {key: row for row, key in enumerate(keys)}
+
+    roots: list[tuple[np.ndarray, np.ndarray]]  # per loop, (sqrt R0, sqrt Rw)
+    sizes: list[int]       # per loop, its n (N + 1) draws of the noise row
+    ticks: np.ndarray      # the sampling ticks, ascending
+    starts: list[int]      # tick t's entries are starts[t] to starts[t + 1]
+    contenders: list[int]  # per entry, the loop index or the source's id
+    steps: list[int]       # per entry, the loop's step or the tick's index
+    rows: np.ndarray       # per entry, its row of the contention table
+
+
+def _layout(scenario: NetworkScenario) -> _Layout:
+    """The scenario's layout; one pair of noise roots is derived for all
+    loops with equal R0 and Rw."""
+    loops, n_src = scenario.loops, len(scenario.sources)
+    memo, roots = {}, []
+    for lc in loops:
+        key = (lc.plant.R0.tobytes(), lc.plant.Rw.tobytes())
+        if key not in memo:
+            memo[key] = (psd_sqrt(lc.plant.R0), psd_sqrt(lc.plant.Rw))
+        roots.append(memo[key])
+    # every entry in the contention table's order, then sorted by tick
+    loop_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon) for lc in loops]
+    ticks, per_tick = np.unique(np.concatenate(loop_ticks), return_counts=True)
+    at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
+    source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
+    contenders = np.concatenate([np.full(lc.horizon, i) for i, lc in enumerate(loops)]
+                                + [np.repeat(source_ids, ticks.size)])
+    steps = np.concatenate([np.arange(lc.horizon) for lc in loops]
+                           + [np.tile(np.arange(ticks.size), n_src)])
+    rows = np.argsort(at, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(per_tick + n_src)))
+    return _Layout(roots, [lc.plant.n * (lc.horizon + 1) for lc in loops], ticks,
+                   starts.tolist(), contenders[rows].tolist(), steps[rows].tolist(), rows)
 
 
 @dataclass(eq=False)
@@ -205,53 +225,32 @@ class _ChunkDraws:
     """Every random input of a chunk of episodes; any control law may run on it."""
 
     episodes: range
-    schedule: dict[int, list[tuple[int, int]]]
     x0: list[np.ndarray]              # per loop, (E, n)
     noise: list[np.ndarray]           # per loop, (E, N, n)
     active: np.ndarray                # (E, sampling ticks, sources) bool
-    rows: dict[tuple[int, int], int]  # (tick, contender) -> row of a contention table
     tables: Optional[np.ndarray]      # (E, rows, slots) draws, or None
 
 
-def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
-                roots: Sequence[NoiseFactors]) -> _ChunkDraws:
+def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
+                episodes: range) -> _ChunkDraws:
     """Draw the noise, the traffic and the contention tables of a chunk.
 
-    `roots` holds each loop's (sqrt R0, sqrt Rw).  Each episode draws from
-    three streams, exactly as it would alone:
-    - noise, keyed (episode, 0, noise): one `standard_normal` row holding
-      the loops' blocks in loop order, each the loop's n draws for x0, then
-      its N x n process-noise draws;
-    - traffic, keyed (episode, SOURCE_CONTENDER_BASE, traffic): one
-      `random((sources, last sampling tick + 1))` table, row j for source j,
-      one draw per tick, whose activity is kept at the sampling ticks; none
-      without sources;
-    - contention, keyed (episode, contention): the (rows, slots_per_sample)
-      table in the order of `_contention_index`, drawn only if some
-      persistence lies strictly between 0 and 1.
-    The noise and traffic keys are those of the first loop and the first
-    source.  Appending a loop leaves every earlier loop's block where it
-    was, and in a given scenario a contender's draws depend only on (seed,
-    episode, contender, tick): every control law and threshold meets the
-    same ones.  The roots multiply the blocks by `_sum_products`, so an
-    episode's bits do not depend on its chunk.
+    Each episode draws exactly as it would alone, in the order of `_Layout`.
+    The roots multiply the noise blocks by `_sum_products`, so an episode's
+    bits do not depend on its chunk.
     """
-    schedule = _schedule(scenario)
     n_ep = len(episodes)
-    sizes = [lc.plant.n * (lc.horizon + 1) for lc in scenario.loops]
-    z = np.empty((n_ep, sum(sizes)))
+    z = np.empty((n_ep, sum(layout.sizes)))
     for e, ep in enumerate(episodes):
         RngStream(int(seed), (int(ep), 0, _ROLE_NOISE)).generator().standard_normal(out=z[e])
     x0, noise, start = [], [], 0
-    for lc, (sqrt_r0, sqrt_rw), size in zip(scenario.loops, roots, sizes):
+    for lc, (sqrt_r0, sqrt_rw), size in zip(scenario.loops, layout.roots, layout.sizes):
         n = lc.plant.n
         block = z[:, start:start + size]
         start += size
         x0.append(lc.plant.x0_mean + _sum_products(sqrt_r0, block[:, None, :n]))
         noise.append(_sum_products(sqrt_rw, block[:, n:].reshape(n_ep, lc.horizon, 1, n)))
-    rows = _contention_index(scenario, schedule)
-    ticks = np.fromiter(schedule, dtype=int)
-    sources = scenario.sources
+    ticks, sources = layout.ticks, scenario.sources
     active = np.zeros((n_ep, ticks.size, len(sources)), dtype=bool)
     if sources:
         for e, ep in enumerate(episodes):
@@ -261,10 +260,10 @@ def _draw_chunk(scenario: NetworkScenario, seed: int, episodes: range,
                 active[e, :, j] = traffic_activity(src, u[j])[ticks]
     tables = None
     if any(0.0 < p < 1.0 for p in scenario.crm.persistence):
-        tables = np.empty((n_ep, len(rows), scenario.crm.slots_per_sample))
+        tables = np.empty((n_ep, layout.rows.size, scenario.crm.slots_per_sample))
         for e, ep in enumerate(episodes):
             RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
-    return _ChunkDraws(episodes, schedule, x0, noise, active, rows, tables)
+    return _ChunkDraws(episodes, x0, noise, active, tables)
 
 
 def _requests(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -304,9 +303,10 @@ def _empty_batch(lc, idx: int, episodes: range) -> LoopTrace:
 
 def _run_chunk(
     scenario: NetworkScenario,
+    layout: _Layout,
     draws: _ChunkDraws,
     control_law: ControlLaw,
-    constants: LoopConstants,
+    solutions: Sequence[RiccatiSolution],
     event_logs: Optional[list[list]] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
@@ -325,10 +325,13 @@ def _run_chunk(
     # B u of the input last applied, shared by the plant step and the next prediction
     bu_prev = [_sum_products(lc.plant.B, np.zeros((n_ep, 1, lc.plant.m))) for lc in loops]
 
-    sources = [SOURCE_CONTENDER_BASE + j for j in range(len(scenario.sources))]
+    n_src = len(scenario.sources)
     keep_slots = event_logs is not None
 
-    for t, (tick, sampling) in enumerate(draws.schedule.items()):
+    for t, tick in enumerate(layout.ticks.tolist()):
+        # the tick's entries: its sampling loops, then every source
+        lo, hi = layout.starts[t], layout.starts[t + 1]
+        sampling = list(zip(layout.contenders[lo:hi - n_src], layout.steps[lo:hi - n_src]))
         # schedule: one decision per sampling loop for the whole chunk
         wants, step_preds = [], []
         for i, k in sampling:
@@ -341,14 +344,14 @@ def _run_chunk(
             wants.append(want)
 
         # contend: one round per episode with a loop's request, all at once;
-        # the columns are the sampling loops, then the sources, in id order
+        # the columns are the tick's entries
         wants = np.stack(wants, axis=1)
         asking = np.flatnonzero(wants.any(axis=1))
         if asking.size:
-            ids = [i for i, _ in sampling] + sources
+            ids = layout.contenders[lo:hi]
             table = None
             if draws.tables is not None:
-                table = draws.tables[np.ix_(asking, [draws.rows[tick, c] for c in ids])]
+                table = draws.tables[np.ix_(asking, layout.rows[lo:hi])]
             rounds = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
                              scenario.crm, table, keep_slots)
             for col, (i, k) in enumerate(sampling):
@@ -365,7 +368,7 @@ def _run_chunk(
             delta = tr.deltas[:, k]
             obs = observer_update(observers[i], delta, x if delta.any() else None, pred)
             observers[i] = obs
-            u = control_law(constants[i][0].L[k], obs.xhat)
+            u = control_law(solutions[i].L[k], obs.xhat)
             tr.us[:, k] = u
             tr.xhats[:, k] = obs.xhat
             tr.taus[:, k] = obs.tau
@@ -390,24 +393,25 @@ def _run_chunk(
 _Arm = tuple[NetworkScenario, ControlLaw]
 
 
-def _run_arms(arms: Sequence[_Arm], constants: LoopConstants, seed: int, episodes: range,
-              event_logs: bool = False):
+def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: int,
+              episodes: range, event_logs: bool = False):
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
-    The chunks hold up to CHUNK_EPISODES episodes, in episode order, and are
-    drawn from the first arm's scenario; every arm runs on the one table of
-    loop `constants`.  So the arms may differ in schedulers and control
-    laws, which neither depends on, but must not differ in plants, weights
-    or horizons, the channel or the sources.  Yields (chunk, one chunk trace
+    The chunks hold up to CHUNK_EPISODES episodes, in episode order.  The
+    layout is derived once, from the first arm's scenario, and every chunk
+    is drawn on it; every arm runs on the one list of loop Riccati
+    `solutions`.  So the arms may differ in schedulers and control laws,
+    which neither depends on, but must not differ in plants, weights or
+    horizons, the channel or the sources.  Yields (chunk, one chunk trace
     per arm, one event log list per arm), where an arm's list holds one log
     per episode if `event_logs` is set, else None.
     """
-    roots = [factors for _, factors in constants]
+    layout = _layout(arms[0][0])
     for start in range(episodes.start, episodes.stop, CHUNK_EPISODES):
         chunk = range(start, min(start + CHUNK_EPISODES, episodes.stop))
-        draws = _draw_chunk(arms[0][0], seed, chunk, roots)
+        draws = _draw_chunk(arms[0][0], layout, seed, chunk)
         logs = [[[] for _ in chunk] if event_logs else None for _ in arms]
-        batches = [_run_chunk(scn, draws, law, constants, log)
+        batches = [_run_chunk(scn, layout, draws, law, solutions, log)
                    for (scn, law), log in zip(arms, logs)]
         yield chunk, batches, logs
 
@@ -486,11 +490,11 @@ class _Tally:
             for outer in np.einsum("eki,ekj->ekij", tr.errs, tr.errs):
                 self.p_sums[i] += outer   # in episode order
 
-    def result(self, seed: int, constants: LoopConstants) -> MonteCarloResult:
+    def result(self, seed: int, solutions: Sequence[RiccatiSolution]) -> MonteCarloResult:
         costs, costs_lambda, tx = self.per_episode
         episodes = costs.shape[0]
         per_loop = []
-        for i, (lc, (solution, _)) in enumerate(zip(self.scenario.loops, constants)):
+        for i, (lc, solution) in enumerate(zip(self.scenario.loops, solutions)):
             p_seq = self.p_sums[i] / episodes
             j_dp = jdp_closed_form(
                 solution, lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, list(p_seq)
@@ -548,8 +552,8 @@ def monte_carlo(
     exist for CSV dumping.
     """
     tally = _Tally(scenario, episodes)
-    constants = _loop_constants(scenario)
-    for chunk, (batch,), logs in _run_arms([(scenario, control_law)], constants, seed,
+    solutions = _loop_constants(scenario)
+    for chunk, (batch,), logs in _run_arms([(scenario, control_law)], solutions, seed,
                                            range(episodes), event_hook is not None):
         for e, ep in enumerate(chunk):
             if trace_hook is not None:
@@ -557,7 +561,7 @@ def monte_carlo(
             if event_hook is not None:
                 event_hook(ep, logs[0][e])
         tally.add(chunk, batch)
-    return tally.result(seed, constants)
+    return tally.result(seed, solutions)
 
 
 @dataclass(eq=False)
@@ -597,14 +601,14 @@ def sweep_threshold(
                 replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
                 for lc in scenario.loops)), control_law) for eps in eps_grid]
     tallies = [_Tally(scn, episodes) for scn, _ in arms]
-    constants = _loop_constants(scenario)
-    for chunk, batches, _ in _run_arms(arms, constants, seed, range(episodes)):
+    solutions = _loop_constants(scenario)
+    for chunk, batches, _ in _run_arms(arms, solutions, seed, range(episodes)):
         for tally, batch in zip(tallies, batches):
             tally.add(chunk, batch)
     cols = {name: [] for name in
             ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate", "drop_rate")}
     for tally in tallies:
-        res = tally.result(seed, constants)
+        res = tally.result(seed, solutions)
         cols["j_mean"].append(res.j_mean)
         cols["j_se"].append(res.j_se)
         # each rate averaged over the loops where it is defined

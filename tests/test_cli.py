@@ -25,6 +25,7 @@ from macloops.cli import (
     scenario_hash,
     trace_rows,
 )
+from macloops.control import two_step_u0_optimal
 from macloops.errors import ConfigurationError
 from macloops.sim import LoopTrace
 from macloops.stats import TruncatedGaussian, truncated_moments
@@ -158,12 +159,10 @@ SCENARIO_HASHES = {
 
 # SHA-256 of `simulate --scenario NAME --seed 7 --episodes E --dump-trace
 # --dump-events`, measured with numpy 2.4.6 (the draws come from numpy's
-# samplers).  Each episode has three streams (`sim._draw_chunk`): noise keyed
-# (episode, 0, noise), laid out loop by loop; traffic keyed (episode,
-# SOURCE_CONTENDER_BASE, traffic), one row per source; contention keyed
-# (episode, contention), laid out contender by contender.  A change that
-# alters the random-stream layout on purpose updates these digests and says
-# so in CHANGES.md.
+# samplers).  Each episode has three streams, noise, traffic and contention,
+# keyed and laid out as `sim._Layout` states.  A change that alters the
+# random-stream layout on purpose updates these digests and says so in
+# CHANGES.md.
 OUTPUT_DIGESTS = {
     ("example3", 20): {
         "summary": "bf3bf9f2647aff84102d9cbbf86de3b471369c7a3acc8018d5a73789a946ce04",
@@ -429,6 +428,14 @@ class TestOtherCommands:
         row = read_csv(tmp_path / "ts.csv")[0]
         # the probing input overshoots the CE one
         assert 1.0 < float(row["optimal_u0"]) / float(row["ce_u0"]) < 1.25
+
+    def test_two_step_default_window_is_the_commands(self, tmp_path):
+        # the library's default scan window is the one the command uses, so
+        # a = 20 solves there too
+        assert main(["two-step", "--branch", "delta0=0", "--a", "20",
+                     "--out", str(tmp_path / "ts")]) == EXIT_OK
+        row = read_csv(tmp_path / "ts.csv")[0]
+        assert two_step_u0_optimal(20.0, 1, 1, 1, 1, 0, 0.0) == float(row["optimal_u0"])
 
     # the probing term's density factor underflows to 0 and its squared
     # distance to the bound would overflow

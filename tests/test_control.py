@@ -187,5 +187,6 @@ class TestTwoStepController:
         assert gaps[-1] < 1e-8
 
     def test_no_root_in_window(self):
+        # the root lies near the CE input -60, outside the window
         with pytest.raises(BracketingError):
-            two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 100.0)
+            two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 100.0, scan=(-10.0, 10.0))

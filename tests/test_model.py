@@ -10,11 +10,10 @@ from macloops.model import (
     NetworkScenario,
     PlantModel,
     RngStream,
-    psd_sqrt,
 )
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
-from macloops.sim import _draw_chunk, ce_law, run_episode, zero_law
+from macloops.sim import _draw_chunk, _layout, ce_law, run_episode, zero_law
 
 SILENT = SchedulerPolicy.innovation_threshold(1e12)
 
@@ -32,10 +31,8 @@ def one_loop(plant, scheduler=None, horizon=3):
 
 def loop_noise(scn, seed, episode):
     """Loop 0's initial state and process-noise panel in one episode, as the
-    engine draws them, with the (sqrt R0, sqrt Rw) it takes."""
-    plant = scn.loops[0].plant
-    draws = _draw_chunk(scn, seed, range(episode, episode + 1),
-                        [(psd_sqrt(plant.R0), psd_sqrt(plant.Rw))])
+    engine draws them; no Riccati recursion is solved."""
+    draws = _draw_chunk(scn, _layout(scn), seed, range(episode, episode + 1))
     return draws.x0[0][0], draws.noise[0][0]
 
 

@@ -206,7 +206,7 @@ class TestChunkedEngine:
 
 
 def noise_roots(scenario):
-    """Each loop's (sqrt R0, sqrt Rw), the factors `_draw_chunk` takes."""
+    """Each loop's (sqrt R0, sqrt Rw), derived without the engine's layout."""
     return [(psd_sqrt(lc.plant.R0), psd_sqrt(lc.plant.Rw)) for lc in scenario.loops]
 
 
@@ -245,6 +245,17 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     return rows
 
 
+def layout_rows(layout):
+    """The contention-table row of each (tick, contender), in the layout's
+    entry order."""
+    rows = {}
+    for t, tick in enumerate(layout.ticks.tolist()):
+        lo, hi = layout.starts[t], layout.starts[t + 1]
+        rows.update(((tick, c), row) for c, row in
+                    zip(layout.contenders[lo:hi], layout.rows[lo:hi].tolist(), strict=True))
+    return rows
+
+
 # one-word seeds at both ends, a two-word seed, and one longer than numpy's
 # four-word SeedSequence pool
 FOUR_SEEDS = pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 64 + 5, 2 ** 130],
@@ -267,19 +278,23 @@ class TestContentionDraws:
     @FOUR_SEEDS
     def test_table_is_one_numpy_stream_per_episode(self, seed):
         scn = lossy_state_network(2)
-        draws = sim._draw_chunk(scn, seed, range(3, 6), noise_roots(scn))
+        layout = sim._layout(scn)
+        draws = sim._draw_chunk(scn, layout, seed, range(3, 6))
         # loop 0 at ticks 0..11, loop 1 at ticks 0, 2, .., 10, then each
         # source at all 12 sampling ticks
         keys = ([(t, 0) for t in range(12)] + [(t, 1) for t in range(0, 12, 2)]
                 + [(t, sim.SOURCE_CONTENDER_BASE + j) for j in range(2) for t in range(12)])
-        assert draws.rows == {key: row for row, key in enumerate(keys)}
+        rows = layout_rows(layout)
+        assert rows == {key: row for row, key in enumerate(keys)}
+        # the entries run in tick order, and in contender-id order within a tick
+        assert list(rows) == sorted(rows)
         for ep, table in zip(draws.episodes, draws.tables):
             stream = RngStream(seed, (ep, sim._ROLE_CONTENTION)).generator()
             assert np.array_equal(table, stream.random((len(keys), 4)))
 
     def test_certain_channel_draws_no_table(self):
         scn = replace(lossy_state_network(), crm=CrmConfig(persistence=(1.0, 0.0, 1.0)))
-        draws = sim._draw_chunk(scn, 1, range(4), noise_roots(scn))
+        draws = sim._draw_chunk(scn, sim._layout(scn), 1, range(4))
         assert draws.tables is None
 
     def test_traffic_matches_stepping_each_source(self):
@@ -287,8 +302,9 @@ class TestContentionDraws:
         # its row of the episode's traffic stream, must be active exactly
         # where the chunk says
         scn = two_state_network()
-        draws = sim._draw_chunk(scn, 7, range(2, 6), noise_roots(scn))
-        ticks = list(draws.schedule)
+        layout = sim._layout(scn)
+        draws = sim._draw_chunk(scn, layout, 7, range(2, 6))
+        ticks = layout.ticks.tolist()
         span = ticks[-1] + 1
         assert draws.active.shape == (4, len(ticks), 2)
         for e, ep in enumerate(draws.episodes):
@@ -331,7 +347,7 @@ class TestNoiseAndTrafficDraws:
         # order: n draws for x0, then its N x n process noise
         scn = layered_network()
         roots = noise_roots(scn)
-        draws = sim._draw_chunk(scn, seed, range(3, 6), roots)
+        draws = sim._draw_chunk(scn, sim._layout(scn), seed, range(3, 6))
         for e, ep in enumerate(draws.episodes):
             stream = RngStream(seed, (ep, 0, sim._ROLE_NOISE)).generator()
             for i, (lc, (sqrt_r0, sqrt_rw)) in enumerate(zip(scn.loops, roots)):
@@ -347,9 +363,9 @@ class TestNoiseAndTrafficDraws:
         longer = loop_of(SchedulerPolicy.always_transmit(), horizon=40)
         more_loops = replace(base, global_horizon=None, loops=base.loops + (longer,))
         more_sources = replace(base, sources=base.sources + (TrafficSource.bernoulli(0.5),))
-        draws = sim._draw_chunk(base, seed, range(3, 6), noise_roots(base))
+        draws = sim._draw_chunk(base, sim._layout(base), seed, range(3, 6))
         for scn in (more_loops, more_sources):
-            other = sim._draw_chunk(scn, seed, range(3, 6), noise_roots(scn))
+            other = sim._draw_chunk(scn, sim._layout(scn), seed, range(3, 6))
             for i in range(len(base.loops)):
                 assert np.array_equal(other.x0[i], draws.x0[i])
                 assert np.array_equal(other.noise[i], draws.noise[i])
@@ -364,10 +380,10 @@ class TestNoiseAndTrafficDraws:
         scn = replace(two_state_network(), global_horizon=None, loops=(
             two_state_network().loops[0],
             matrix_loop(2, SchedulerPolicy.state_threshold(2.0), 4)))
-        roots = noise_roots(scn)
-        chunk = sim._draw_chunk(scn, seed, range(CHUNK_EPISODES), roots)
+        layout = sim._layout(scn)
+        chunk = sim._draw_chunk(scn, layout, seed, range(CHUNK_EPISODES))
         for ep in range(CHUNK_EPISODES):
-            alone = sim._draw_chunk(scn, seed, range(ep, ep + 1), roots)
+            alone = sim._draw_chunk(scn, layout, seed, range(ep, ep + 1))
             for i in range(len(scn.loops)):
                 assert np.array_equal(alone.x0[i][0], chunk.x0[i][ep])
                 assert np.array_equal(alone.noise[i][0], chunk.noise[i][ep])
@@ -568,7 +584,7 @@ class TestRiccatiMemo:
         def derived():
             """The solves, the roots and the distinct tables the arms ran on since
             the last call."""
-            counts = (len(solves), len(roots), len({id(args[3]) for args in chunks}))
+            counts = (len(solves), len(roots), len({id(args[4]) for args in chunks}))
             for calls in (solves, roots, chunks):
                 calls.clear()
             return counts
@@ -592,17 +608,39 @@ class TestRiccatiMemo:
         solve_calls = counting(monkeypatch, "riccati_backward")
         root_calls = counting(monkeypatch, "psd_sqrt")
         scn = parse_scenario_doc(name).scenario
-        constants = sim._loop_constants(scn)
+        solutions = sim._loop_constants(scn)
+        layout = sim._layout(scn)
         assert (len(solve_calls), len(root_calls)) == (solves, roots)
-        assert len({id(sol) for sol, _ in constants}) == solves
-        assert len({id(factors) for _, factors in constants}) == roots // 2
-        for lc, (sol, (sqrt_r0, sqrt_rw)) in zip(scn.loops, constants):
+        assert len({id(sol) for sol in solutions}) == solves
+        assert len({id(factors) for factors in layout.roots}) == roots // 2
+        for lc, sol, (sqrt_r0, sqrt_rw) in zip(scn.loops, solutions, layout.roots, strict=True):
             alone = riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
             for shared, own in zip((*sol.S, *sol.L), (*alone.S, *alone.L)):
                 assert not shared.flags.writeable
                 assert np.array_equal(shared, own)
             assert np.array_equal(sqrt_r0, psd_sqrt(lc.plant.R0))
             assert np.array_equal(sqrt_rw, psd_sqrt(lc.plant.Rw))
+
+
+class TestLayout:
+    def test_built_once_per_call(self, monkeypatch):
+        layouts = counting(monkeypatch, "_layout")
+        chunks = counting(monkeypatch, "_draw_chunk")
+        scn = lossy_state_network()
+
+        def built():
+            """The layouts built and the chunks drawn since the last call."""
+            counts = (len(layouts), len(chunks))
+            layouts.clear()
+            chunks.clear()
+            return counts
+
+        monte_carlo(scn, 3, 3 * CHUNK_EPISODES)
+        assert built() == (1, 3)
+        sweep_threshold(scn, [0.5, 1.0, 2.0], 3, 2 * CHUNK_EPISODES)
+        assert built() == (1, 2)
+        dual_effect_experiment(scn, ce_law, zero_law, 3, 2 * CHUNK_EPISODES)
+        assert built() == (1, 2)
 
 
 class TestSweep:
