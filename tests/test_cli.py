@@ -259,6 +259,58 @@ ONE_LOOP_DIGESTS = {
 }
 
 
+# Eight loops whose (n, m, horizon) alternate in loop order: scalar loops of
+# horizon 10 on three periods and phases, with every scheduler kind (always,
+# state, innovation, half-line ge and le), two 2-state loops of horizon 8 and
+# a scalar loop of horizon 7; one Bernoulli and one Markov source on a
+# channel whose persistence lies strictly inside (0, 1).  70 episodes cross
+# a chunk boundary.  No preset mixes plant shapes, horizons or scheduler
+# kinds, so only this run checks which contention column each loop takes.
+_SCALAR_WEIGHTS = {"Q0": 1.0, "Q1": 1.0, "Q2": 1.0}
+_MATRIX_WEIGHTS = {"Q0": [[1.0, 0.0], [0.0, 1.0]], "Q1": [[1.0, 0.0], [0.0, 0.5]], "Q2": 1.0}
+MIXED_STACKS_DOC = {
+    "name": "mixed-stacks",
+    "seed": 11,
+    "episodes": 70,
+    "crm": {"persistence": [0.8, 0.6, 0.5], "slots_per_sample": 6},
+    "sources": [{"kind": "bernoulli", "rate": 0.3},
+                {"kind": "markov", "p_on": 0.2, "p_off": 0.4}],
+    "loops": [
+        {"plant": {"A": 1.1, "B": 1.0, "Rw": 0.5, "R0": 1.0, "x0_mean": 0.2},
+         "scheduler": {"kind": "always"}, "horizon": 10, "weights": _SCALAR_WEIGHTS},
+        {"plant": {"A": [[1.0, 0.1], [0.0, 0.9]], "B": [[0.0], [1.0]],
+                   "Rw": [[0.2, 0.05], [0.05, 0.1]], "R0": [[1.0, 0.0], [0.0, 1.0]],
+                   "x0_mean": [0.5, -0.25]},
+         "scheduler": {"kind": "innovation", "eps": 0.2}, "horizon": 8,
+         "weights": _MATRIX_WEIGHTS},
+        {"plant": {"A": 0.9, "B": 0.5, "Rw": 1.0, "R0": 2.0, "period": 3, "phase": 2},
+         "scheduler": {"kind": "state", "eps": 1.5}, "horizon": 10, "weights": _SCALAR_WEIGHTS},
+        {"plant": {"A": 1.2, "B": 1.0, "Rw": 0.8, "R0": 1.0},
+         "scheduler": {"kind": "innovation", "eps": 1.0}, "horizon": 7,
+         "weights": _SCALAR_WEIGHTS},
+        {"plant": {"A": 1.0, "B": 1.0, "Rw": 1.0, "R0": 1.0, "period": 2},
+         "scheduler": {"kind": "innovation", "eps": 2.0}, "horizon": 10,
+         "weights": _SCALAR_WEIGHTS},
+        {"plant": {"A": [[0.9, 0.2], [-0.1, 1.05]], "B": [[1.0], [0.5]],
+                   "Rw": [[0.3, 0.0], [0.0, 0.3]], "R0": [[0.5, 0.1], [0.1, 0.5]],
+                   "period": 2, "phase": 1},
+         "scheduler": {"kind": "state", "eps": 0.5}, "horizon": 8, "weights": _MATRIX_WEIGHTS},
+        {"plant": {"A": 1.0, "B": 1.0, "Rw": 1.0, "R0": 1.0, "x0_mean": -0.3},
+         "scheduler": {"kind": "halfline", "threshold": 0.5, "direction": "ge"},
+         "horizon": 10, "weights": _SCALAR_WEIGHTS},
+        {"plant": {"A": 0.8, "B": 1.0, "Rw": 1.5, "R0": 1.0, "period": 2, "phase": 1},
+         "scheduler": {"kind": "halfline", "threshold": -0.5, "direction": "le"},
+         "horizon": 10, "weights": {"Q0": 2.0, "Q1": 1.0, "Q2": 0.5}},
+    ],
+}
+
+MIXED_STACKS_DIGESTS = {
+    "summary": "1f5b00ee1533a399b2f9cd4fc5587e6b49d6ff80e9f7b960cb0d06db78016096",
+    "trace": "d5200082db7cb154c76afb9b4057ac3a9c7d4c09d1c02e50ced89cd4ac932280",
+    "events": "0a4b4d32000e70fa3bd8d06c3582cd9acb2829427e0c621f5b0eafb723c304e8",
+}
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -346,6 +398,16 @@ class TestSimulateCommand:
         digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
                    for kind in ("summary", "trace", "events")}
         assert digests == ONE_LOOP_DIGESTS
+
+    def test_mixed_stacks_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(MIXED_STACKS_DOC))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),
+                     "--dump-trace", "--dump-events"])
+        assert code == EXIT_OK
+        digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
+                   for kind in ("summary", "trace", "events")}
+        assert digests == MIXED_STACKS_DIGESTS
 
     def test_events_dump(self, tmp_path):
         out = tmp_path / "ev"
