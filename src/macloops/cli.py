@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import os
+import platform
 import sys
 import time
 from contextlib import ExitStack, contextmanager
@@ -383,12 +384,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_manifest(prefix: Path, doc: ScenarioDoc, seed: int, outputs: list[Path]) -> Path:
+def write_manifest(prefix: Path, doc: ScenarioDoc, seed: int, outputs: list[Path],
+                   argv: Sequence[str]) -> Path:
+    """Record what ran: the scenario, the seed, the command line and the
+    versions; the draws, and so the output bytes, come from numpy's
+    samplers."""
     manifest = {
         "scenario": doc.name,
         "scenario_hash": scenario_hash(doc),
         "seed": seed,
+        "argv": list(argv),
         "tool_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "outputs": [str(p) for p in outputs],
     }
@@ -537,7 +545,7 @@ def cmd_simulate(args) -> int:
     summary_path = prefix.with_name(prefix.name + "_summary.csv")
     _write_csv(summary_path, SUMMARY_HEADER, summary_rows(result, doc))
     outputs.insert(0, summary_path)
-    write_manifest(prefix, doc, seed, outputs)
+    write_manifest(prefix, doc, seed, outputs, args.argv)
     print(f"simulate {doc.name}: episodes={episodes} seed={seed} "
           f"mean cost {result.j_mean:.4f} +/- {result.j_se:.4f}")
     print(f"wrote {summary_path}")
@@ -587,7 +595,7 @@ def cmd_sweep(args) -> int:
     rows = [[_fmt(float(getattr(result, name)[i])) for name in SWEEP_HEADER]
             for i in range(result.eps.size)]
     _write_csv(sweep_path, SWEEP_HEADER, rows)
-    write_manifest(prefix, doc, seed, [sweep_path])
+    write_manifest(prefix, doc, seed, [sweep_path], args.argv)
     best = int(np.argmin(result.j_mean))
     print(f"sweep {doc.name}: best eps={result.eps[best]} "
           f"cost {result.j_mean[best]:.4f} +/- {result.j_se[best]:.4f}")
@@ -787,10 +795,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    args.argv = argv
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -32,10 +32,13 @@ from .stats import (
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Backward value matrices S_0..S_N and gains L_0..L_{N-1}."""
+    """Backward value matrices S_0..S_N, gains L_0..L_{N-1}, and the weights
+    W_k = L_k' (Q2 + B'S_{k+1}B) L_k of the filtered error covariances in
+    the predicted cost, stacked as an (N, n, n) array."""
 
     S: tuple
     L: tuple
+    W: np.ndarray
     horizon: int
     A: np.ndarray
     B: np.ndarray
@@ -78,6 +81,7 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}", field="horizon")
     S = [None] * (horizon + 1)
     L = [None] * horizon
+    W = [None] * horizon
     S[horizon] = Q0
     # overflow is reported below as a NumericalError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,11 +102,13 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
                     f"Q2 + B'SB numerically singular at step {k} (cond={cond:.2e})"
                 )
             L[k] = np.linalg.solve(G, BtS @ A)
+            W[k] = L[k].T @ G @ L[k]
             Sk = Q1 + AtS @ A - AtS @ B @ L[k]
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
             S[k] = 0.5 * (Sk + Sk.T)
-    return RiccatiSolution(S=tuple(S), L=tuple(L), horizon=horizon, A=A, B=B, Q2=Q2)
+    return RiccatiSolution(S=tuple(S), L=tuple(L), W=np.array(W), horizon=horizon, A=A, B=B,
+                           Q2=Q2)
 
 
 def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> float:
@@ -110,7 +116,9 @@ def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> flo
 
     p_seq supplies the per-step filtered error covariances P_{n|n} for
     n = 0..N-1 (empirical averages are fine); everything else comes from the
-    Riccati solution.
+    Riccati solution.  A non-finite P_{n|n} raises a ConfigurationError
+    naming p_seq[n].  The terms tr(S_{n+1} Rw) + tr(W_n P_n) are added in
+    step order.
     """
     xhat0 = as_vector(xhat0, "xhat0")
     P0 = as_matrix(P0, "P0")
@@ -119,14 +127,23 @@ def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> flo
         raise ConfigurationError(
             f"p_seq must have length {ric.horizon}, got {len(p_seq)}"
         )
+    n = ric.W.shape[-1]
+    try:
+        P = np.asarray(p_seq, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError("p_seq must hold numeric n x n matrices") from None
+    if P.ndim == 1:
+        P = P[:, None, None]
+    if P.shape != ric.W.shape:
+        raise ConfigurationError(f"p_seq must hold {n} x {n} matrices, got shape {P.shape}")
+    bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
+    if bad.size:
+        raise ConfigurationError(f"p_seq[{bad[0]}] must be finite, got {P[bad[0]].tolist()}")
     total = float(xhat0 @ ric.S[0] @ xhat0) + float(np.trace(ric.S[0] @ P0))
-    B, Q2 = ric.B, ric.Q2
-    for n in range(ric.horizon):
-        S_next = ric.S[n + 1]
-        L_n = ric.L[n]
-        weight = L_n.T @ (Q2 + B.T @ S_next @ B) @ L_n
-        P_n = as_matrix(p_seq[n], f"p_seq[{n}]")
-        total += float(np.trace(S_next @ Rw)) + float(np.trace(weight @ P_n))
+    noise = np.trace(np.matmul(ric.S[1:], Rw), axis1=1, axis2=2)
+    error = np.trace(np.matmul(ric.W, P), axis1=1, axis2=2)
+    for term in (noise + error).tolist():
+        total += term
     return total
 
 

@@ -23,8 +23,9 @@ class ObserverState:
     """Controller-side observer after processing step k.
 
     xhat is the filtered estimate.  tau tracks the last delivery, with -1
-    denoting the fictitious initial packet.  The engine keeps one state per
-    loop for a chunk of episodes: xhat is then (E, n) and tau (E,).
+    denoting the fictitious initial packet.  The engine updates a stack's
+    sampling loops for a chunk of episodes at once: xhat is then (E, l, n),
+    tau (E, l) and k may be the (l,) array of the loops' steps.
     """
 
     xhat: np.ndarray

@@ -12,20 +12,25 @@ episode, scenario) triple fully determines every trace, and a contender
 meets the same draws under every control law.
 
 There is one engine, and it runs a chunk of up to CHUNK_EPISODES episodes
-at once: each loop's state, estimate and input are (episodes, n) arrays,
-and every tick does the prediction, observer update, control law and plant
-step once per sampling loop for the whole chunk; the residuals, errors and
-cost terms then follow from the stored steps, all steps at once.  A control
-law therefore takes the gain L_k and an (E, n) array of estimates and
-returns an (E, m) array of inputs, or one (m,) input that holds for every
-episode.  Products over the plant dimensions are elementwise multiply-adds
-in index order (`_sum_products`), so an episode's bits do not depend on the
-chunk it ran in.  The channel runs on the chunk too.  At each tick every
-sampling loop takes its scheduler decision for all episodes in one array
-expression (`_requests`, the rule of `scheduling.decide`), and one
-array round (`network.contend`) resolves the contention of every episode
-with a request: its columns are the tick's contenders in id order, and each
-row meets that episode's own draws.  The per-episode (tick, SlotOutcome)
+at once.  The loops of equal (n, m, horizon) form a stack (`_Stack`), whose
+states, estimates and inputs are (episodes, loops, n) arrays, and every
+tick does the prediction, scheduler decision, observer update, control law
+and plant step once per stack, for its sampling loops and the whole chunk;
+the residuals, errors and cost terms then follow from the stored steps,
+all steps at once, and each loop's trace is a view into its stack's
+arrays.  A control law therefore takes the (l, m, n) gains L_k of a
+stack's l sampling loops and an (E, l, n) array of their estimates, and
+returns an (E, l, m) array of inputs or any shape that broadcasts to it,
+such as one (m,) input for every episode and loop.  Products over the
+plant dimensions are elementwise multiply-adds in index order
+(`_sum_products`), so an episode's bits do not depend on the chunk it ran
+in, nor a loop's on its stack.  The channel runs on the chunk too.  At
+each tick every stack takes its sampling loops' scheduler decisions for
+all episodes in one array expression (`_requests`, the rule of
+`scheduling.decide`), and one array round (`network.contend`) resolves
+the contention of every episode with a request: its columns are the
+tick's contenders in id order, and each row meets that episode's own
+draws.  The per-episode (tick, SlotOutcome)
 records of the event dump are rebuilt from the round's per-slot masks, and
 only when the dump asks for them.  Each source's activity comes from its
 row of the episode's traffic table (`network.traffic_activity`).
@@ -37,8 +42,9 @@ an arm is a (scenario variant, control law) pair.  `monte_carlo` and
 `run_episode` run one arm, `dual_effect_experiment` one per control law and
 `sweep_threshold` one per threshold, so the arms they compare meet the same
 noise, traffic and contention draws.  Each call derives the loops' Riccati
-gains once for every distinct loop (`_loop_constants`) and the layout once
-(`_layout`); nothing is kept between calls.
+gains once for every distinct loop (`_loop_constants`), the layout once
+(`_layout`) and what every tick does once (`_plan`); nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -87,17 +93,20 @@ def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _quad(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """x' Q x for every row x of X, evaluated as (x' Q) x."""
-    return _sum_products(_sum_products(Q.T, X[..., None, :]), X)
+    """x' Q x for every row x of X, evaluated as (x' Q) x; Q may carry
+    leading axes that broadcast against those of X."""
+    return _sum_products(_sum_products(np.swapaxes(Q, -1, -2), X[..., None, :]), X)
 
 
 def ce_law(L_k: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """Certainty-equivalent input -L_k xhat, for every row of xhat."""
+    """Certainty-equivalent input -L_k xhat: each loop's gain in the (l, m, n)
+    L_k times its estimates in the (E, l, n) xhat, for every episode."""
     return -_sum_products(L_k, xhat[..., None, :])
 
 
 def zero_law(L_k: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    return np.zeros(L_k.shape[0])
+    """No input: an (l, m) array of zeros, which holds for every episode."""
+    return np.zeros(L_k.shape[:-1])
 
 
 @dataclass(eq=False)
@@ -156,10 +165,56 @@ def _loop_constants(scenario: NetworkScenario) -> list[RiccatiSolution]:
         key = (lc.horizon, plant.n, plant.m, *(a.tobytes() for a in args))
         if key not in solved:
             sol = solved[key] = riccati_backward(*args, lc.horizon)
-            for arr in (*sol.S, *sol.L):
+            for arr in (*sol.S, *sol.L, sol.W):
                 arr.flags.writeable = False
         table.append(solved[key])
     return table
+
+
+@dataclass(eq=False)
+class _Stack:
+    """The loops of one (n, m, horizon), in loop order, with their matrices
+    stacked along a loop axis.  A chunk holds their steps in (E, L_s, ...)
+    arrays, and each tick runs their sampling loops as one array step."""
+
+    loops: list[int]       # loop indices, ascending
+    horizon: int
+    block: slice | np.ndarray   # the members' blocks of the noise row
+    x0_mean: np.ndarray    # (L_s, n)
+    sqrt_r0: np.ndarray    # (L_s, n, n)
+    sqrt_rw: np.ndarray    # (L_s, 1, n, n), one per process-noise step
+    A: np.ndarray          # (L_s, n, n)
+    B: np.ndarray          # (L_s, n, m)
+    Q0: np.ndarray         # (L_s, n, n)
+    Q1: np.ndarray         # (L_s, 1, n, n), one per step
+    Q2: np.ndarray         # (L_s, 1, m, m), one per step
+    net_penalty: np.ndarray  # (L_s,)
+    ticks: list[np.ndarray]  # per member, its sampling ticks
+
+
+def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) -> _Stack:
+    lcs = [loops[i] for i in members]
+    size = int(offsets[members[0] + 1] - offsets[members[0]])
+    starts = offsets[members]
+    if np.all(np.diff(starts) == size):
+        block = slice(int(starts[0]), int(starts[0]) + len(members) * size)
+    else:
+        block = starts[:, None] + np.arange(size)
+
+    def stacked(values):
+        return np.stack(list(values))
+
+    return _Stack(
+        loops=members, horizon=lcs[0].horizon, block=block,
+        x0_mean=stacked(lc.plant.x0_mean for lc in lcs),
+        sqrt_r0=stacked(roots[i][0] for i in members),
+        sqrt_rw=stacked(roots[i][1] for i in members)[:, None],
+        A=stacked(lc.plant.A for lc in lcs), B=stacked(lc.plant.B for lc in lcs),
+        Q0=stacked(lc.Q0 for lc in lcs), Q1=stacked(lc.Q1 for lc in lcs)[:, None],
+        Q2=stacked(lc.Q2 for lc in lcs)[:, None],
+        net_penalty=np.array([lc.net_penalty for lc in lcs], dtype=float),
+        ticks=[loop_ticks[i] for i in members],
+    )
 
 
 @dataclass(eq=False)
@@ -183,16 +238,19 @@ class _Layout:
     a contender's draws depend only on (seed, episode, contender, tick), so
     every control law and threshold meets the same ones.  The entries are
     the contention rows in tick order, and within a tick in contender-id
-    order: the sampling loops, then every source.
+    order: the sampling loops, then every source.  The loops are grouped in
+    stacks of equal (n, m, horizon), in order of their first loop; a stack's
+    noise is drawn straight into its stacked arrays.
     """
 
     roots: list[tuple[np.ndarray, np.ndarray]]  # per loop, (sqrt R0, sqrt Rw)
-    sizes: list[int]       # per loop, its n (N + 1) draws of the noise row
+    width: int             # the draws of the noise row
     ticks: np.ndarray      # the sampling ticks, ascending
     starts: list[int]      # tick t's entries are starts[t] to starts[t + 1]
     contenders: list[int]  # per entry, the loop index or the source's id
     steps: list[int]       # per entry, the loop's step or the tick's index
     rows: np.ndarray       # per entry, its row of the contention table
+    stacks: list[_Stack]
 
 
 def _layout(scenario: NetworkScenario) -> _Layout:
@@ -216,8 +274,86 @@ def _layout(scenario: NetworkScenario) -> _Layout:
                            + [np.tile(np.arange(ticks.size), n_src)])
     rows = np.argsort(at, kind="stable")
     starts = np.concatenate(([0], np.cumsum(per_tick + n_src)))
-    return _Layout(roots, [lc.plant.n * (lc.horizon + 1) for lc in loops], ticks,
-                   starts.tolist(), contenders[rows].tolist(), steps[rows].tolist(), rows)
+    offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
+    groups = {}
+    for i, lc in enumerate(loops):
+        groups.setdefault((lc.plant.n, lc.plant.m, lc.horizon), []).append(i)
+    stacks = [_stack(loops, members, roots, loop_ticks, offsets) for members in groups.values()]
+    return _Layout(roots, int(offsets[-1]), ticks, starts.tolist(), contenders[rows].tolist(),
+                   steps[rows].tolist(), rows, stacks)
+
+
+def _index(values: list[int]) -> slice | np.ndarray:
+    """values as a slice if they run up by one, else as an index array."""
+    if values == list(range(values[0], values[0] + len(values))):
+        return slice(values[0], values[0] + len(values))
+    return np.array(values)
+
+
+@dataclass(eq=False)
+class _Step:
+    """One stack's sampling loops at one tick.
+
+    `slots` and `k` are a slice and an int when the loops are consecutive
+    members at one step, so that the stack's arrays are read and written
+    by basic indexing; otherwise both are index arrays.
+    """
+
+    stack: int
+    slots: slice | np.ndarray   # the loops' slots in the stack
+    k: int | np.ndarray         # their steps
+    cols: slice | np.ndarray    # their columns of the tick's contention round
+    A: np.ndarray               # (l, n, n)
+    B: np.ndarray               # (l, n, m)
+    L: np.ndarray               # (l, m, n): the gains at their steps
+
+
+@dataclass(eq=False)
+class _Tick:
+    tick: int
+    rows: np.ndarray    # the contention-table rows of the tick's entries
+    ids: list[int]      # its contenders: the sampling loops, then every source
+    n_loops: int        # its sampling loops
+    steps: list[_Step]
+
+
+@dataclass(eq=False)
+class _Plan:
+    """What every tick does, for one call: `_run_arms` derives it once from
+    the layout and the loops' Riccati gains, and every arm and chunk runs
+    on it."""
+
+    layout: _Layout
+    ticks: list[_Tick]
+
+
+def _plan(layout: _Layout, solutions: Sequence[RiccatiSolution], n_src: int) -> _Plan:
+    where = {i: (s, slot) for s, st in enumerate(layout.stacks) for slot, i in enumerate(st.loops)}
+    # per stack, each member's gains stacked (L_s, N, m, n); loops share a solution's
+    stacked = {}
+    for sol in solutions:
+        if id(sol) not in stacked:
+            stacked[id(sol)] = np.stack(sol.L)
+    gains = [np.stack([stacked[id(solutions[i])] for i in st.loops]) for st in layout.stacks]
+    ticks = []
+    for t, tick in enumerate(layout.ticks.tolist()):
+        lo, hi = layout.starts[t], layout.starts[t + 1]
+        groups = {}
+        for col, (i, k) in enumerate(zip(layout.contenders[lo:hi - n_src],
+                                         layout.steps[lo:hi - n_src])):
+            s, slot = where[i]
+            groups.setdefault(s, []).append((col, slot, k))
+        steps = []
+        for s, entries in groups.items():
+            cols, slots, ks = (list(v) for v in zip(*entries))
+            sel, k = _index(slots), ks[0]
+            if isinstance(sel, np.ndarray) or ks != [k] * len(ks):
+                sel, k = np.array(slots), np.array(ks)
+            st = layout.stacks[s]
+            steps.append(_Step(s, sel, k, _index(cols), st.A[sel], st.B[sel], gains[s][sel, k]))
+        ticks.append(_Tick(tick, layout.rows[lo:hi], layout.contenders[lo:hi],
+                           hi - lo - n_src, steps))
+    return _Plan(layout, ticks)
 
 
 @dataclass(eq=False)
@@ -225,8 +361,10 @@ class _ChunkDraws:
     """Every random input of a chunk of episodes; any control law may run on it."""
 
     episodes: range
-    x0: list[np.ndarray]              # per loop, (E, n)
-    noise: list[np.ndarray]           # per loop, (E, N, n)
+    stack_x0: list[np.ndarray]        # per stack, (E, L_s, n)
+    stack_noise: list[np.ndarray]     # per stack, (E, L_s, N, n)
+    x0: list[np.ndarray]              # per loop, (E, n): a view of its stack's
+    noise: list[np.ndarray]           # per loop, (E, N, n): a view of its stack's
     active: np.ndarray                # (E, sampling ticks, sources) bool
     tables: Optional[np.ndarray]      # (E, rows, slots) draws, or None
 
@@ -240,16 +378,21 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
     bits do not depend on its chunk.
     """
     n_ep = len(episodes)
-    z = np.empty((n_ep, sum(layout.sizes)))
+    z = np.empty((n_ep, layout.width))
     for e, ep in enumerate(episodes):
         RngStream(int(seed), (int(ep), 0, _ROLE_NOISE)).generator().standard_normal(out=z[e])
-    x0, noise, start = [], [], 0
-    for lc, (sqrt_r0, sqrt_rw), size in zip(scenario.loops, layout.roots, layout.sizes):
-        n = lc.plant.n
-        block = z[:, start:start + size]
-        start += size
-        x0.append(lc.plant.x0_mean + _sum_products(sqrt_r0, block[:, None, :n]))
-        noise.append(_sum_products(sqrt_rw, block[:, n:].reshape(n_ep, lc.horizon, 1, n)))
+    stack_x0, stack_noise = [], []
+    x0, noise = [None] * len(scenario.loops), [None] * len(scenario.loops)
+    for st in layout.stacks:
+        n_loops, n = st.x0_mean.shape
+        block = z[:, st.block].reshape(n_ep, n_loops, -1)
+        st_x0 = st.x0_mean + _sum_products(st.sqrt_r0, block[..., None, :n])
+        st_noise = _sum_products(st.sqrt_rw,
+                                 block[..., n:].reshape(n_ep, n_loops, st.horizon, 1, n))
+        stack_x0.append(st_x0)
+        stack_noise.append(st_noise)
+        for slot, i in enumerate(st.loops):
+            x0[i], noise[i] = st_x0[:, slot], st_noise[:, slot]
     ticks, sources = layout.ticks, scenario.sources
     active = np.zeros((n_ep, ticks.size, len(sources)), dtype=bool)
     if sources:
@@ -263,131 +406,188 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
         tables = np.empty((n_ep, layout.rows.size, scenario.crm.slots_per_sample))
         for e, ep in enumerate(episodes):
             RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
-    return _ChunkDraws(episodes, x0, noise, active, tables)
+    return _ChunkDraws(episodes, stack_x0, stack_noise, x0, noise, active, tables)
 
 
-def _requests(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """The scheduler's request for every row of the states x and predictions
-    pred, as a bool array: the rule of `decide`, with its squared norms
-    taken by `_sum_products` as the trace's `pred_err_sq` is."""
-    if policy.kind == "always":
-        return np.ones(x.shape[0], dtype=bool)
-    if policy.kind == "state":
-        return _sum_products(x, x) > policy.eps
-    if policy.kind == "innovation":
-        r = x - pred
-        return _sum_products(r, r) > policy.eps
-    if policy.direction == "ge":
-        return x[:, 0] >= policy.threshold
-    return x[:, 0] <= policy.threshold
+@dataclass(eq=False)
+class _Rule:
+    """One arm's scheduler rule for one stack: the rule kinds its members
+    use, each with the mask of its members (None if all use it), and each
+    member's eps, or its threshold under a half-line rule."""
+
+    kinds: list[tuple[str, Optional[np.ndarray]]]   # "always", "state", "innovation", "ge", "le"
+    param: np.ndarray                               # (L_s,)
 
 
-def _empty_batch(lc, idx: int, episodes: range) -> LoopTrace:
-    """A chunk trace whose per-step arrays the engine fills in place."""
-    n_ep, n_steps, n, m = len(episodes), lc.horizon, lc.plant.n, lc.plant.m
-    ks = np.arange(n_steps)
+def _rules(scenario: NetworkScenario, layout: _Layout) -> list[_Rule]:
+    """The scenario's request rule for each stack of the layout."""
+    rules = []
+    for st in layout.stacks:
+        policies = [scenario.loops[i].scheduler for i in st.loops]
+        kinds = np.array([p.direction if p.kind == "halfline" else p.kind for p in policies])
+        param = np.array([p.threshold if p.kind == "halfline" else p.eps for p in policies])
+        distinct = list(dict.fromkeys(kinds.tolist()))
+        rules.append(_Rule([(kind, None if len(distinct) == 1 else kinds == kind)
+                            for kind in distinct], param))
+    return rules
 
-    def ints():
-        return np.zeros((n_ep, n_steps), dtype=int)
 
-    return LoopTrace(
-        loop=idx, episode=episodes[0], period=lc.plant.period, phase=lc.plant.phase,
-        ks=ks, ticks=lc.plant.phase + lc.plant.period * ks,
-        xs=np.empty((n_ep, n_steps + 1, n)), us=np.empty((n_ep, n_steps, m)),
-        gammas=ints(), deltas=ints(), attempts=ints(),
-        xhats=np.empty((n_ep, n_steps, n)), errs=None, pred_err_sq=None,
-        taus=ints(), delays=None, cost_terms=None,
-        terminal_cost=None, j=None, j_lambda=None,
+def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """The scheduler's request of the stack's loops at `slots` for every row
+    of the (E, l, n) states x and predictions pred, as a bool array: the
+    rule of `decide`, with its squared norms taken by `_sum_products` as
+    the trace's `pred_err_sq` is."""
+    want = None
+    for kind, members in rule.kinds:
+        if kind == "always":
+            hit = np.ones(x.shape[:-1], dtype=bool)
+        elif kind == "state":
+            hit = _sum_products(x, x) > rule.param[slots]
+        elif kind == "innovation":
+            r = x - pred
+            hit = _sum_products(r, r) > rule.param[slots]
+        elif kind == "ge":
+            hit = x[..., 0] >= rule.param[slots]
+        else:
+            hit = x[..., 0] <= rule.param[slots]
+        if members is None:
+            return hit
+        hit &= members[slots]
+        want = hit if want is None else want | hit
+    return want
+
+
+@dataclass(eq=False)
+class _StackSteps:
+    """A chunk's steps of one stack, as (E, L_s, ...) arrays that the engine
+    fills in place.  xhats and taus hold the observer's prior in step slot
+    0, so the estimate after step k sits in slot k + 1."""
+
+    xs: np.ndarray          # (E, L_s, N + 1, n)
+    us: np.ndarray          # (E, L_s, N, m)
+    gammas: np.ndarray
+    deltas: np.ndarray
+    attempts: np.ndarray
+    xhats: np.ndarray       # (E, L_s, N + 1, n)
+    taus: np.ndarray        # (E, L_s, N + 1)
+    preds: np.ndarray       # (E, L_s, N, n)
+    bu: np.ndarray          # (E, L_s, n): B u of the input last applied
+
+
+def _stack_steps(st: _Stack, x0: np.ndarray, n_ep: int) -> _StackSteps:
+    n_loops, n = st.x0_mean.shape
+    shape = (n_ep, n_loops, st.horizon)
+    xs = np.empty((n_ep, n_loops, st.horizon + 1, n))
+    xs[:, :, 0] = x0
+    xhats = np.empty((n_ep, n_loops, st.horizon + 1, n))
+    xhats[:, :, 0] = st.x0_mean
+    taus = np.zeros((n_ep, n_loops, st.horizon + 1), dtype=int)
+    taus[:, :, 0] = -1
+    return _StackSteps(
+        xs=xs, us=np.empty(shape + (st.B.shape[-1],)), gammas=np.zeros(shape, dtype=int),
+        deltas=np.zeros(shape, dtype=int), attempts=np.zeros(shape, dtype=int),
+        xhats=xhats, taus=taus, preds=np.empty(shape + (n,)),
+        bu=np.zeros((n_ep, n_loops, n)),
     )
 
 
 def _run_chunk(
     scenario: NetworkScenario,
-    layout: _Layout,
+    rules: Sequence[_Rule],
     draws: _ChunkDraws,
     control_law: ControlLaw,
-    solutions: Sequence[RiccatiSolution],
+    plan: _Plan,
     event_logs: Optional[list[list]] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    If `event_logs` is given it holds one list per episode, which receives
-    (tick, SlotOutcome) pairs for every contention round of that episode.
+    `rules` holds the request rule of each stack.  If `event_logs` is given
+    it holds one list per episode, which receives (tick, SlotOutcome) pairs
+    for every contention round of that episode.
     """
-    loops = scenario.loops
+    stacks = plan.layout.stacks
     n_ep = len(draws.episodes)
-    batch = [_empty_batch(lc, i, draws.episodes) for i, lc in enumerate(loops)]
-    preds = [np.empty_like(tr.xhats) for tr in batch]
-    for tr, x0 in zip(batch, draws.x0):
-        tr.xs[:, 0] = x0
-    observers = [ObserverState(xhat=np.tile(lc.plant.x0_mean, (n_ep, 1)),
-                               tau=np.full(n_ep, -1), k=-1) for lc in loops]
-    # B u of the input last applied, shared by the plant step and the next prediction
-    bu_prev = [_sum_products(lc.plant.B, np.zeros((n_ep, 1, lc.plant.m))) for lc in loops]
-
-    n_src = len(scenario.sources)
+    runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
     keep_slots = event_logs is not None
 
-    for t, tick in enumerate(layout.ticks.tolist()):
-        # the tick's entries: its sampling loops, then every source
-        lo, hi = layout.starts[t], layout.starts[t + 1]
-        sampling = list(zip(layout.contenders[lo:hi - n_src], layout.steps[lo:hi - n_src]))
-        # schedule: one decision per sampling loop for the whole chunk
-        wants, step_preds = [], []
-        for i, k in sampling:
-            tr = batch[i]
-            pred = _sum_products(loops[i].plant.A, observers[i].xhat[:, None, :]) + bu_prev[i]
-            preds[i][:, k] = pred
-            step_preds.append(pred)
-            want = _requests(loops[i].scheduler, tr.xs[:, k], pred)
-            tr.gammas[:, k] = want
+    for t, tick in enumerate(plan.ticks):
+        # schedule: one decision per stack for its sampling loops, whole chunk
+        priors, wants = [], []
+        for step in tick.steps:
+            run, j, k = runs[step.stack], step.slots, step.k
+            prior = ObserverState(xhat=run.xhats[:, j, k], tau=run.taus[:, j, k], k=k - 1)
+            pred = _sum_products(step.A, prior.xhat[..., None, :]) + run.bu[:, j]
+            run.preds[:, j, k] = pred
+            want = _requests(rules[step.stack], j, run.xs[:, j, k], pred)
+            run.gammas[:, j, k] = want
+            priors.append((prior, pred))
             wants.append(want)
+        if len(wants) == 1:
+            # one stack holds every sampling loop, in column order
+            wants = wants[0]
+        else:
+            cols = np.empty((n_ep, tick.n_loops), dtype=bool)
+            for step, want in zip(tick.steps, wants):
+                cols[:, step.cols] = want
+            wants = cols
 
         # contend: one round per episode with a loop's request, all at once;
         # the columns are the tick's entries
-        wants = np.stack(wants, axis=1)
         asking = np.flatnonzero(wants.any(axis=1))
         if asking.size:
-            ids = layout.contenders[lo:hi]
             table = None
             if draws.tables is not None:
-                table = draws.tables[np.ix_(asking, layout.rows[lo:hi])]
+                table = draws.tables[np.ix_(asking, tick.rows)]
             rounds = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
                              scenario.crm, table, keep_slots)
-            for col, (i, k) in enumerate(sampling):
-                batch[i].deltas[asking, k] = rounds.delta[:, col]
-                batch[i].attempts[asking, k] = rounds.used[:, col]
+            for step in tick.steps:
+                run = runs[step.stack]
+                rows = asking if isinstance(step.slots, slice) else asking[:, None]
+                run.deltas[rows, step.slots, step.k] = rounds.delta[:, step.cols]
+                run.attempts[rows, step.slots, step.k] = rounds.used[:, step.cols]
             if keep_slots:
-                for e, outcome in zip(asking.tolist(), rounds.outcomes(ids)):
-                    event_logs[e].append((tick, outcome))
+                for e, outcome in zip(asking.tolist(), rounds.outcomes(tick.ids)):
+                    event_logs[e].append((tick.tick, outcome))
 
         # deliver, estimate, control, step
-        for (i, k), pred in zip(sampling, step_preds):
-            plant, tr = loops[i].plant, batch[i]
-            x = tr.xs[:, k]
-            delta = tr.deltas[:, k]
-            obs = observer_update(observers[i], delta, x if delta.any() else None, pred)
-            observers[i] = obs
-            u = control_law(solutions[i].L[k], obs.xhat)
-            tr.us[:, k] = u
-            tr.xhats[:, k] = obs.xhat
-            tr.taus[:, k] = obs.tau
-            bu = bu_prev[i] = _sum_products(plant.B, u[..., None, :])
-            tr.xs[:, k + 1] = _sum_products(plant.A, x[:, None, :]) + bu + draws.noise[i][:, k]
+        for step, (prior, pred) in zip(tick.steps, priors):
+            run, j, k = runs[step.stack], step.slots, step.k
+            x = run.xs[:, j, k]
+            delta = run.deltas[:, j, k]
+            obs = observer_update(prior, delta, x if delta.any() else None, pred)
+            u = control_law(step.L, obs.xhat)
+            run.us[:, j, k] = u
+            run.xhats[:, j, k + 1] = obs.xhat
+            run.taus[:, j, k + 1] = obs.tau
+            bu = run.bu[:, j] = _sum_products(step.B, u[..., None, :])
+            run.xs[:, j, k + 1] = (_sum_products(step.A, x[..., None, :]) + bu
+                                   + draws.stack_noise[step.stack][:, j, k])
 
-    # what follows from the stored steps, for all steps at once
-    for lc, tr, pred in zip(loops, batch, preds):
-        xs = tr.xs[:, :-1]
-        resid = xs - pred
-        tr.errs = xs - tr.xhats
-        tr.pred_err_sq = _sum_products(resid, resid)
-        tr.delays = tr.ks - tr.taus
-        tr.cost_terms = _quad(lc.Q1, xs) + _quad(lc.Q2, tr.us)
-        tr.terminal_cost = _quad(lc.Q0, tr.xs[:, -1])
+    # what follows from the stored steps, for all steps at once; each loop's
+    # trace is a view into its stack's arrays
+    traces = [None] * len(scenario.loops)
+    for st, run in zip(stacks, runs):
+        ks = np.arange(st.horizon)
+        xs, xhats, taus = run.xs[:, :, :-1], run.xhats[:, :, 1:], run.taus[:, :, 1:]
+        resid = xs - run.preds
+        per_step = dict(
+            xs=run.xs, us=run.us, gammas=run.gammas, deltas=run.deltas,
+            attempts=run.attempts, xhats=xhats, errs=xs - xhats,
+            pred_err_sq=_sum_products(resid, resid), taus=taus, delays=ks - taus,
+            cost_terms=_quad(st.Q1, xs) + _quad(st.Q2, run.us),
+        )
+        terminal = _quad(st.Q0, run.xs[:, :, -1])
         # cumsum adds in step order, not numpy's pairwise sum
-        tr.j = np.cumsum(tr.cost_terms, axis=1)[:, -1] + tr.terminal_cost
-        tr.j_lambda = tr.j + lc.net_penalty * tr.deltas.sum(axis=1)
-    return batch
+        j = np.cumsum(per_step["cost_terms"], axis=-1)[..., -1] + terminal
+        j_lambda = j + st.net_penalty * run.deltas.sum(axis=-1)
+        for slot, i in enumerate(st.loops):
+            plant = scenario.loops[i].plant
+            traces[i] = LoopTrace(
+                i, draws.episodes[0], plant.period, plant.phase, ks, st.ticks[slot],
+                **{name: arr[:, slot] for name, arr in per_step.items()},
+                terminal_cost=terminal[:, slot], j=j[:, slot], j_lambda=j_lambda[:, slot],
+            )
+    return traces
 
 
 _Arm = tuple[NetworkScenario, ControlLaw]
@@ -398,21 +598,25 @@ def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: 
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
     The chunks hold up to CHUNK_EPISODES episodes, in episode order.  The
-    layout is derived once, from the first arm's scenario, and every chunk
-    is drawn on it; every arm runs on the one list of loop Riccati
-    `solutions`.  So the arms may differ in schedulers and control laws,
-    which neither depends on, but must not differ in plants, weights or
-    horizons, the channel or the sources.  Yields (chunk, one chunk trace
-    per arm, one event log list per arm), where an arm's list holds one log
-    per episode if `event_logs` is set, else None.
+    layout and the plan are derived once, from the first arm's scenario and
+    the one list of loop Riccati `solutions`, and every chunk is drawn on
+    the layout and every arm runs on the plan.  So the arms may differ in
+    schedulers and control laws, which neither depends on, but must not
+    differ in plants, weights or horizons, the channel or the sources.
+    Yields (chunk, one chunk trace per arm, one event log list per arm),
+    where an arm's list holds one log per episode if `event_logs` is set,
+    else None.
     """
-    layout = _layout(arms[0][0])
+    scenario = arms[0][0]
+    layout = _layout(scenario)
+    plan = _plan(layout, solutions, len(scenario.sources))
+    rules = [_rules(scn, layout) for scn, _ in arms]
     for start in range(episodes.start, episodes.stop, CHUNK_EPISODES):
         chunk = range(start, min(start + CHUNK_EPISODES, episodes.stop))
-        draws = _draw_chunk(arms[0][0], layout, seed, chunk)
+        draws = _draw_chunk(scenario, layout, seed, chunk)
         logs = [[[] for _ in chunk] if event_logs else None for _ in arms]
-        batches = [_run_chunk(scn, layout, draws, law, solutions, log)
-                   for (scn, law), log in zip(arms, logs)]
+        batches = [_run_chunk(scn, rule, draws, law, plan, log)
+                   for (scn, law), rule, log in zip(arms, rules, logs)]
         yield chunk, batches, logs
 
 
@@ -487,8 +691,10 @@ class _Tally:
             self.per_episode[:, rows, i] = tr.j, tr.j_lambda, tr.deltas.sum(axis=1)
             hits = (tr.pred_err_sq <= lc.scheduler.eps).sum()
             self.counts[:, i] += tr.gammas.sum(), tr.attempts.sum(), hits
-            for outer in np.einsum("eki,ekj->ekij", tr.errs, tr.errs):
-                self.p_sums[i] += outer   # in episode order
+            outer = np.einsum("eki,ekj->ekij", tr.errs, tr.errs)
+            # cumsum adds in episode order, onto the sum so far
+            self.p_sums[i] = np.cumsum(np.concatenate((self.p_sums[i][None], outer)),
+                                       axis=0)[-1]
 
     def result(self, seed: int, solutions: Sequence[RiccatiSolution]) -> MonteCarloResult:
         costs, costs_lambda, tx = self.per_episode
@@ -497,7 +703,7 @@ class _Tally:
         for i, (lc, solution) in enumerate(zip(self.scenario.loops, solutions)):
             p_seq = self.p_sums[i] / episodes
             j_dp = jdp_closed_form(
-                solution, lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, list(p_seq)
+                solution, lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, p_seq
             )
             report = CostReport(
                 episodes=episodes,

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import platform
 from collections import defaultdict
 
 import numpy as np
@@ -327,6 +328,10 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["seed"] == 2
         assert manifest["scenario_hash"] == scenario_hash(parse_scenario_doc("example3"))
+        assert manifest["argv"] == ["simulate", "--scenario", "example3", "--seed", "2",
+                                    "--episodes", "5", "--out", str(out)]
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--scenario", "example3", "--seed", "9",

@@ -99,6 +99,26 @@ class TestJdpClosedForm:
         with pytest.raises(ConfigurationError):
             jdp_closed_form(sol, [0.0], [[1.0]], [[1.0]], [np.zeros((1, 1))])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_names_the_non_finite_step(self, bad):
+        sol = riccati_backward(np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2), 5)
+        p_seq = [np.eye(2) for _ in range(5)]
+        p_seq[3] = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ConfigurationError, match=r"p_seq\[3\]"):
+            jdp_closed_form(sol, [0.0, 0.0], np.eye(2), np.eye(2), p_seq)
+
+    def test_error_weights_are_the_gain_quadratic(self):
+        # W_k = L_k'(Q2 + B'S_{k+1}B)L_k, bit for bit, for a 2-state,
+        # 2-input plant
+        A = np.array([[1.1, 0.3], [-0.2, 0.8]])
+        B = np.array([[1.0, 0.2], [0.4, 0.9]])
+        Q2 = np.array([[1.0, 0.1], [0.1, 0.5]])
+        sol = riccati_backward(A, B, np.eye(2), np.diag([1.0, 2.0]), Q2, 6)
+        assert sol.W.shape == (6, 2, 2)
+        for k in range(6):
+            L = sol.L[k]
+            assert np.array_equal(sol.W[k], L.T @ (Q2 + B.T @ sol.S[k + 1] @ B) @ L), k
+
 
 class TestEvaluateCost:
     """The cost the episode engine accumulates over one trace."""

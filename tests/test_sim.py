@@ -188,7 +188,32 @@ class TestChunkedEngine:
                 assert (a.terminal_cost, a.j, a.j_lambda) == (b.terminal_cost, b.j, b.j_lambda)
             assert events == chunked_events[ep]
 
+    def test_one_input_holds_for_every_episode_and_loop(self):
+        # example1's loops form one stack, called with several sampling loops
+        # per tick; a law's single (m,) input must reach every episode and
+        # loop, bit for bit as the full (E, l, m) array of it does
+        scn = parse_scenario_doc("example1").scenario
+        widths = []
 
+        def one(L_k, xhat):
+            widths.append(L_k.shape[0])
+            return np.array([0.25])
+
+        def full(L_k, xhat):
+            return np.full(xhat.shape[:-1] + (1,), 0.25)
+
+        runs = []
+        for law in (one, full):
+            seen = []
+            monte_carlo(scn, 4, CHUNK_EPISODES + 2, law,
+                        trace_hook=lambda ep, traces: seen.append(traces))
+            runs.append(seen)
+        assert max(widths) > 1
+        for traces_one, traces_full in zip(*runs, strict=True):
+            for a, b in zip(traces_one, traces_full, strict=True):
+                assert np.all(a.us == 0.25)
+                for name in TRACE_FIELDS:
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_sums_of_zeros_are_positive_zero(self):
         # numpy's `@` adds its products to +0; the engine's sums must too, or
@@ -527,8 +552,8 @@ class TestMonteCarlo:
 
 
 def constant_law(L_k, xhat):
-    """An input that ignores the estimate: 1 on every channel."""
-    return np.ones(L_k.shape[0])
+    """An input that ignores the estimate: 1 on every channel of every loop."""
+    return np.ones(L_k.shape[:-1])
 
 
 @st.composite
