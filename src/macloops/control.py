@@ -40,9 +40,6 @@ class RiccatiSolution:
     L: tuple
     W: np.ndarray
     horizon: int
-    A: np.ndarray
-    B: np.ndarray
-    Q2: np.ndarray
 
 
 def _field(name: str, fn, *args):
@@ -107,8 +104,7 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
             S[k] = 0.5 * (Sk + Sk.T)
-    return RiccatiSolution(S=tuple(S), L=tuple(L), W=np.array(W), horizon=horizon, A=A, B=B,
-                           Q2=Q2)
+    return RiccatiSolution(S=tuple(S), L=tuple(L), W=np.array(W), horizon=horizon)
 
 
 def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> float:
