@@ -542,6 +542,7 @@ def _run_chunk(
                              scenario.crm, table, keep_slots)
             for step in tick.steps:
                 run = runs[step.stack]
+                # with index-array slots and steps, the rows must broadcast as a column
                 rows = asking if isinstance(step.slots, slice) else asking[:, None]
                 run.deltas[rows, step.slots, step.k] = rounds.delta[:, step.cols]
                 run.attempts[rows, step.slots, step.k] = rounds.used[:, step.cols]
