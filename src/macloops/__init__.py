@@ -54,6 +54,7 @@ from .scheduling import (
 )
 from .sim import (
     DualEffectReport,
+    EventTable,
     LoopTrace,
     MonteCarloResult,
     SweepResult,

@@ -8,8 +8,12 @@ innovation-threshold scheduler), are compiled in, plus the always-transmit
 baseline ``example1-baseline``.  `simulate` and `sweep` write their outputs
 next to a JSON manifest carrying the resolved scenario hash, seed and tool
 version; CSV outputs are byte-identical across reruns with equal hash and seed.  The
-trace rows are built column by column, from one `.tolist()` per trace array,
-and an event row is the (episode, tick) pair followed by the `SlotEvent`.
+trace and event dumps are written a chunk of episodes at a time, as CSV
+lines formatted straight from the engine's arrays: one `.tolist()` per
+column per loop per chunk, `repr` for floats and a `%` template per row.
+An event row is a row of the chunk's `sim.EventTable`, its result code
+written as the result's name.  No `repr` holds a comma, a quote or a line
+break, so the lines are the bytes `csv.writer` would write.
 
 Exit codes: 0 success, 2 usage, 3 validation error, 4 numerical failure,
 5 file-system (I/O) error.
@@ -29,7 +33,6 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -47,9 +50,9 @@ from .control import (
 from .errors import ConfigurationError, NumericalError
 from .estimation import two_step_posterior
 from .model import LoopConfig, NetworkScenario, PlantModel, as_vector
-from .network import CrmConfig, TrafficSource
+from .network import RESULTS, CrmConfig, TrafficSource
 from .scheduling import THRESHOLD_KINDS, SchedulerPolicy
-from .sim import MonteCarloResult, ce_law, monte_carlo, sweep_threshold, zero_law
+from .sim import EventTable, MonteCarloResult, ce_law, monte_carlo, sweep_threshold, zero_law
 from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
 OUT_DIR_ENV = "MACLOOPS_OUT_DIR"
@@ -366,16 +369,16 @@ def scenario_hash(doc: ScenarioDoc) -> str:
 # ---------------------------------------------------------------------------
 
 def _open_csv(stack: ExitStack, path: Path, header: list[str]):
-    """A csv writer on `path` that has written `header`; `stack` closes the file."""
+    """`path` opened for CSV text, with `header` written; `stack` closes it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    writer = csv.writer(stack.enter_context(open(path, "w", newline="")))
-    writer.writerow(header)
-    return writer
+    out = stack.enter_context(open(path, "w", newline=""))
+    csv.writer(out).writerow(header)
+    return out
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with ExitStack() as stack:
-        _open_csv(stack, path, header).writerows(rows)
+        csv.writer(_open_csv(stack, path, header)).writerows(rows)
 
 
 def _fmt(value) -> str:
@@ -385,10 +388,10 @@ def _fmt(value) -> str:
 
 
 def write_manifest(prefix: Path, doc: ScenarioDoc, seed: int, outputs: list[Path],
-                   argv: Sequence[str]) -> Path:
-    """Record what ran: the scenario, the seed, the command line and the
-    versions; the draws, and so the output bytes, come from numpy's
-    samplers."""
+                   argv: Sequence[str], wall_s: float) -> Path:
+    """Record what ran: the scenario, the seed, the command line, the
+    versions and the run's wall time in seconds; the draws, and so the
+    output bytes, come from numpy's samplers."""
     manifest = {
         "scenario": doc.name,
         "scenario_hash": scenario_hash(doc),
@@ -398,6 +401,7 @@ def write_manifest(prefix: Path, doc: ScenarioDoc, seed: int, outputs: list[Path
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "wall_s": wall_s,
         "outputs": [str(p) for p in outputs],
     }
     path = prefix.with_name(prefix.name + "_manifest.json")
@@ -442,45 +446,56 @@ def summary_rows(result: MonteCarloResult, doc: ScenarioDoc):
     return rows
 
 
-def _cells(arr: np.ndarray) -> list[str]:
-    """One cell per row of a 2-D array, the `repr`s of its entries joined by
-    ";", from one `.tolist()`."""
-    if arr.shape[1] == 1:
-        return list(map(repr, arr[:, 0].tolist()))
-    return [";".join(map(repr, row)) for row in arr.tolist()]
+def _cells(arr: np.ndarray) -> list:
+    """One cell per vector along the last axis of `arr`, in C order, from
+    one `.tolist()`: the float itself for a 1-vector, else the `repr`s of
+    the entries joined by ";".  A float's `str` is its `repr`, so `%s`
+    writes either kind of cell."""
+    if arr.shape[-1] == 1:
+        return arr.reshape(-1).tolist()
+    return [";".join(map(repr, row)) for row in arr.reshape(-1, arr.shape[-1]).tolist()]
 
 
-def trace_rows(episode: int, traces):
-    """One row per loop step plus each loop's terminal row.
+def trace_rows(episodes: range, traces) -> list[str]:
+    """The CSV lines of a chunk's trace: for each episode, each loop's step
+    rows and then its terminal row, which holds the state and the terminal
+    cost only.
 
-    The rows are built column by column: one `.tolist()` per trace array and
-    `repr` over the Python floats, a vector's entries joined by ";".
+    `traces` are the chunk traces, one per loop with a leading episode
+    axis.  Each column is one `.tolist()` per loop, a vector's entries
+    joined by ";"; each line is one `%` template.
     """
-    rows = []
+    blocks = []
     for tr in traces:
         steps = tr.ks.size
-        xs = _cells(tr.xs)
-        rows += zip(
-            repeat(episode), repeat(tr.loop), tr.ks.tolist(), tr.ticks.tolist(),
-            xs, _cells(tr.us), tr.gammas.tolist(), tr.deltas.tolist(),
-            tr.attempts.tolist(), _cells(tr.xhats), _cells(tr.errs),
-            map(repr, tr.pred_err_sq.tolist()), tr.taus.tolist(), tr.delays.tolist(),
-            map(repr, tr.cost_terms.tolist()),
+        # the (loop, k, tick) cells do not depend on the episode
+        heads = [f"{tr.loop},{k},{tick}" for k, tick in zip(tr.ks.tolist(), tr.ticks.tolist())]
+        cols = (
+            _cells(tr.xs[:, :-1]), _cells(tr.us), tr.gammas.ravel().tolist(),
+            tr.deltas.ravel().tolist(), tr.attempts.ravel().tolist(), _cells(tr.xhats),
+            _cells(tr.errs), tr.pred_err_sq.ravel().tolist(), tr.taus.ravel().tolist(),
+            tr.delays.ravel().tolist(), tr.cost_terms.ravel().tolist(),
         )
-        # terminal row: state and terminal cost only
-        rows.append([
-            episode, tr.loop, steps, int(tr.phase + tr.period * steps),
-            xs[-1], "", "", "", "", "", "", "", "", "", _fmt(tr.terminal_cost),
-        ])
-    return rows
-
-
-def event_rows(episode: int, event_log):
+        lines = list(map("%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, zip(
+            [ep for ep in episodes for _ in range(steps)], heads * len(episodes), *cols)))
+        end = f"{tr.loop},{steps},{tr.phase + tr.period * steps}"
+        ends = list(map(("%s," + end + ",%s" + "," * 10 + "%s\r\n").__mod__, zip(
+            episodes, _cells(tr.xs[:, -1]), tr.terminal_cost.tolist())))
+        blocks.append((steps, lines, ends))
     rows = []
-    for tick, outcome in event_log:
-        head = (episode, tick)
-        rows += [head + ev for ev in outcome.events]
+    for e in range(len(episodes)):
+        for steps, lines, ends in blocks:
+            rows += lines[e * steps:(e + 1) * steps]
+            rows.append(ends[e])
     return rows
+
+
+def event_rows(episodes: range, events: EventTable) -> list[str]:
+    """The CSV lines of a chunk's event table, one per event, each result
+    written as its name; the table carries each event's episode."""
+    episode, tick, slot, contender, attempt, result = (col.tolist() for col in events)
+    return list(map("%s,%s,%s,%s,%s,%s\r\n".__mod__, zip(
+        episode, tick, slot, contender, attempt, map(RESULTS.__getitem__, result))))
 
 
 def _out_prefix(args, command: str, label: str) -> Path:
@@ -525,27 +540,31 @@ def _check_sign(args, name: str, strict: bool) -> None:
 
 
 def cmd_simulate(args) -> int:
+    started = time.perf_counter()
     doc, seed, episodes = _run_settings(args)
     law = zero_law if args.law == "zero" else ce_law
     prefix = _out_prefix(args, "simulate", doc.name)
     outputs: list[Path] = []
     hooks = {}
-    # the hooks look trace_rows and event_rows up in this module as they run
+    # each chunk's lines go out as they are formatted; the hooks look
+    # trace_rows and event_rows up in this module as they run
     with ExitStack() as stack:
         if args.dump_trace:
             outputs.append(prefix.with_name(prefix.name + "_trace.csv"))
             trace = _open_csv(stack, outputs[-1], TRACE_HEADER)
-            hooks["trace_hook"] = lambda ep, traces: trace.writerows(trace_rows(ep, traces))
+            hooks["trace_hook"] = lambda chunk, traces: trace.writelines(
+                trace_rows(chunk, traces))
         if args.dump_events:
             outputs.append(prefix.with_name(prefix.name + "_events.csv"))
             events = _open_csv(stack, outputs[-1], EVENT_HEADER)
-            hooks["event_hook"] = lambda ep, log: events.writerows(event_rows(ep, log))
+            hooks["event_hook"] = lambda chunk, table: events.writelines(
+                event_rows(chunk, table))
         result = monte_carlo(doc.scenario, seed, episodes, law, **hooks)
 
     summary_path = prefix.with_name(prefix.name + "_summary.csv")
     _write_csv(summary_path, SUMMARY_HEADER, summary_rows(result, doc))
     outputs.insert(0, summary_path)
-    write_manifest(prefix, doc, seed, outputs, args.argv)
+    write_manifest(prefix, doc, seed, outputs, args.argv, time.perf_counter() - started)
     print(f"simulate {doc.name}: episodes={episodes} seed={seed} "
           f"mean cost {result.j_mean:.4f} +/- {result.j_se:.4f}")
     print(f"wrote {summary_path}")
@@ -586,6 +605,7 @@ def _parse_eps_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    started = time.perf_counter()
     grid = _parse_eps_grid(args.eps_grid)
     doc, seed, episodes = _run_settings(args)
     result = sweep_threshold(doc.scenario, grid, seed, episodes)
@@ -595,7 +615,7 @@ def cmd_sweep(args) -> int:
     rows = [[_fmt(float(getattr(result, name)[i])) for name in SWEEP_HEADER]
             for i in range(result.eps.size)]
     _write_csv(sweep_path, SWEEP_HEADER, rows)
-    write_manifest(prefix, doc, seed, [sweep_path], args.argv)
+    write_manifest(prefix, doc, seed, [sweep_path], args.argv, time.perf_counter() - started)
     best = int(np.argmin(result.j_mean))
     print(f"sweep {doc.name}: best eps={result.eps[best]} "
           f"cost {result.j_mean[best]:.4f} +/- {result.j_se[best]:.4f}")

@@ -24,9 +24,11 @@ among a set of contender ids and is the reference the tests check against.
 at once, with one array step per mini-slot; the engine calls it once per
 tick for every episode of a chunk with a request.  Either way a round
 yields its delivery and attempt counts per contender and its events, one
-`SlotEvent` named tuple (slot, contender, attempt, result) per contender and
-mini-slot, which the event dump writes as they are; `ContentionRounds.outcomes`
-rebuilds them from the array round's per-slot masks.
+(slot, contender, attempt, result) per contender and mini-slot.
+`resolve_contention` gives them as `SlotEvent` named tuples.
+`ContentionRounds.events` derives them from the array round's per-slot
+masks as int columns, which the engine's event table and the event dump
+read, and `ContentionRounds.outcomes` builds the `SlotEvent`s from them.
 
 A traffic source makes one uniform draw per tick whatever its kind:
 `traffic_step` advances it by one tick, and `traffic_activity` turns a whole
@@ -86,7 +88,10 @@ class CrmConfig:
 
 
 class SlotEvent(NamedTuple):
-    """One contender's action in one mini-slot (for the optional trace dump)."""
+    """One contender's action in one mini-slot, as `resolve_contention` and
+    `run_episode`'s event log give it.  The event dump writes the same four
+    fields from the engine's event table, where the result is its code in
+    RESULTS."""
 
     slot: int
     contender: int
@@ -159,8 +164,9 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
     return SlotOutcome(delta=delta, attempts_used=used, events=tuple(events))
 
 
-# the results in the order a mini-slot's events are emitted
-_RESULTS = (RESULT_SUCCESS, RESULT_COLLIDED, RESULT_DROPPED, RESULT_DEFERRED)
+# the results in the order a mini-slot's events are emitted; an event's
+# result code is its index here
+RESULTS = (RESULT_SUCCESS, RESULT_COLLIDED, RESULT_DROPPED, RESULT_DEFERRED)
 
 
 @dataclass(eq=False)
@@ -182,13 +188,14 @@ class ContentionRounds:
     slots_per_sample: int
     slots: Optional[list[tuple[np.ndarray, ...]]]
 
-    def outcomes(self, ids: Sequence[int]) -> list[SlotOutcome]:
-        """Each row's round as `resolve_contention` returns it, where column c
-        is contender ids[c] and the columns are in increasing id order."""
+    def events(self, ids: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """Every row's events as equal-length int arrays (row, slot,
+        contender, attempt, result), where column c is contender ids[c] and
+        a result is its code in RESULTS.  They run row by row, and within a
+        row in the order `resolve_contention` emits them."""
         n_rows, n_cols = self.requests.shape
         if not self.requests.any():
-            return [SlotOutcome(delta={}, attempts_used={}, events=()) for _ in range(n_rows)]
-        ids = np.asarray(ids)
+            return (np.zeros(0, dtype=int),) * 5
         attempt, tx, won, pending = (np.stack(masks, axis=1) for masks in zip(*self.slots))
         n_slots = tx.shape[1]
         # event masks per (row, slot, result, contender), where np.nonzero
@@ -196,7 +203,7 @@ class ContentionRounds:
         # one success or every collision, then the contenders dropped after
         # colliding, then those deferring.  The extra last slot holds the
         # drops when the window closes.
-        kinds = np.zeros((n_rows, n_slots + 1, len(_RESULTS), n_cols), dtype=bool)
+        kinds = np.zeros((n_rows, n_slots + 1, len(RESULTS), n_cols), dtype=bool)
         kinds[:, :-1, 0] = won
         kinds[:, :-1, 1] = collided = tx & ~won
         kinds[:, :-1, 2] = collided & ~pending
@@ -205,14 +212,21 @@ class ContentionRounds:
         attempts = np.concatenate((attempt, self.attempt[:, None]), axis=1)
         slot_no = np.arange(1, n_slots + 2)
         slot_no[-1] = self.slots_per_sample
-        row, s, kind, col = np.nonzero(kinds)
+        row, s, result, col = np.nonzero(kinds)
+        return row, slot_no[s], np.asarray(ids)[col], attempts[row, s, col], result
+
+    def outcomes(self, ids: Sequence[int]) -> list[SlotOutcome]:
+        """Each row's round as `resolve_contention` returns it, where column c
+        is contender ids[c] and the columns are in increasing id order."""
+        n_rows = self.requests.shape[0]
+        row, slot, contender, attempt, result = self.events(ids)
         # tuple.__new__ builds each SlotEvent without NamedTuple's Python-level __new__
         events = list(map(tuple.__new__, repeat(SlotEvent), zip(
-            slot_no[s].tolist(), ids[col].tolist(), attempts[row, s, col].tolist(),
-            map(_RESULTS.__getitem__, kind.tolist()))))
+            slot.tolist(), contender.tolist(), attempt.tolist(),
+            map(RESULTS.__getitem__, result.tolist()))))
         ev_bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
         req_row, req_col = np.nonzero(self.requests)
-        contenders = ids[req_col].tolist()
+        contenders = np.asarray(ids)[req_col].tolist()
         delta = self.delta[req_row, req_col].astype(int).tolist()
         used = self.used[req_row, req_col].tolist()
         req_bounds = np.searchsorted(req_row, np.arange(n_rows + 1)).tolist()

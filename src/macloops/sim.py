@@ -30,10 +30,12 @@ all episodes in one array expression (`_requests`, the rule of
 `scheduling.decide`), and one array round (`network.contend`) resolves
 the contention of every episode with a request: its columns are the
 tick's contenders in id order, and each row meets that episode's own
-draws.  The per-episode (tick, SlotOutcome)
-records of the event dump are rebuilt from the round's per-slot masks, and
-only when the dump asks for them.  Each source's activity comes from its
-row of the episode's traffic table (`network.traffic_activity`).
+draws.  Only when the event dump asks for them, each round keeps its
+per-slot masks, and the chunk's events become one `EventTable` of int
+columns (`ContentionRounds.events`, then one stable sort by episode), which
+`monte_carlo` hands to its event hook once per chunk, as it hands the chunk
+traces to its trace hook.  Each source's activity comes from its row of the
+episode's traffic table (`network.traffic_activity`).
 `decide`, `resolve_contention` and `traffic_step` stay as the per-episode,
 per-round and per-tick references the array forms are tested against.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -150,6 +152,20 @@ def _episode_trace(batch: LoopTrace, e: int, episode: int) -> LoopTrace:
         *(getattr(batch, name)[e] for name in _PER_STEP),
         float(batch.terminal_cost[e]), float(batch.j[e]), float(batch.j_lambda[e]),
     )
+
+
+class EventTable(NamedTuple):
+    """A chunk's contention events, one entry per contender and mini-slot,
+    as equal-length int arrays.  A result is its code in `network.RESULTS`.
+    The entries run by episode, then tick, then in the order the tick's
+    round emits them, which is the order of `run_episode`'s event log."""
+
+    episode: np.ndarray
+    tick: np.ndarray
+    slot: np.ndarray
+    contender: np.ndarray
+    attempt: np.ndarray
+    result: np.ndarray
 
 
 def _loop_constants(scenario: NetworkScenario) -> list[RiccatiSolution]:
@@ -312,7 +328,7 @@ class _Step:
 class _Tick:
     tick: int
     rows: np.ndarray    # the contention-table rows of the tick's entries
-    ids: list[int]      # its contenders: the sampling loops, then every source
+    ids: np.ndarray     # its contenders: the sampling loops, then every source
     n_loops: int        # its sampling loops
     steps: list[_Step]
 
@@ -351,7 +367,7 @@ def _plan(layout: _Layout, solutions: Sequence[RiccatiSolution], n_src: int) -> 
                 sel, k = np.array(slots), np.array(ks)
             st = layout.stacks[s]
             steps.append(_Step(s, sel, k, _index(cols), st.A[sel], st.B[sel], gains[s][sel, k]))
-        ticks.append(_Tick(tick, layout.rows[lo:hi], layout.contenders[lo:hi],
+        ticks.append(_Tick(tick, layout.rows[lo:hi], np.array(layout.contenders[lo:hi]),
                            hi - lo - n_src, steps))
     return _Plan(layout, ticks)
 
@@ -497,18 +513,20 @@ def _run_chunk(
     draws: _ChunkDraws,
     control_law: ControlLaw,
     plan: _Plan,
-    event_logs: Optional[list[list]] = None,
+    rounds_log: Optional[list] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    `rules` holds the request rule of each stack.  If `event_logs` is given
-    it holds one list per episode, which receives (tick, SlotOutcome) pairs
-    for every contention round of that episode.
+    `rules` holds the request rule of each stack.  If `rounds_log` is a
+    list it receives (tick, ids, asking, rounds) for every tick with a
+    contention round: the tick's contender ids, the chunk rows of the
+    episodes that contended, and the `ContentionRounds` with its per-slot
+    masks.
     """
     stacks = plan.layout.stacks
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
-    keep_slots = event_logs is not None
+    keep_slots = rounds_log is not None
 
     for t, tick in enumerate(plan.ticks):
         # schedule: one decision per stack for its sampling loops, whole chunk
@@ -547,8 +565,7 @@ def _run_chunk(
                 run.deltas[rows, step.slots, step.k] = rounds.delta[:, step.cols]
                 run.attempts[rows, step.slots, step.k] = rounds.used[:, step.cols]
             if keep_slots:
-                for e, outcome in zip(asking.tolist(), rounds.outcomes(tick.ids)):
-                    event_logs[e].append((tick.tick, outcome))
+                rounds_log.append((tick.tick, tick.ids, asking, rounds))
 
         # deliver, estimate, control, step
         for step, (prior, pred) in zip(tick.steps, priors):
@@ -595,7 +612,7 @@ _Arm = tuple[NetworkScenario, ControlLaw]
 
 
 def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: int,
-              episodes: range, event_logs: bool = False):
+              episodes: range, keep_rounds: bool = False):
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
     The chunks hold up to CHUNK_EPISODES episodes, in episode order.  The
@@ -604,8 +621,8 @@ def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: 
     the layout and every arm runs on the plan.  So the arms may differ in
     schedulers and control laws, which neither depends on, but must not
     differ in plants, weights or horizons, the channel or the sources.
-    Yields (chunk, one chunk trace per arm, one event log list per arm),
-    where an arm's list holds one log per episode if `event_logs` is set,
+    Yields (chunk, one chunk trace per arm, one rounds log per arm), where
+    an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.
     """
     scenario = arms[0][0]
@@ -615,9 +632,12 @@ def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: 
     for start in range(episodes.start, episodes.stop, CHUNK_EPISODES):
         chunk = range(start, min(start + CHUNK_EPISODES, episodes.stop))
         draws = _draw_chunk(scenario, layout, seed, chunk)
-        logs = [[[] for _ in chunk] if event_logs else None for _ in arms]
+        logs = [[] if keep_rounds else None for _ in arms]
         batches = [_run_chunk(scn, rule, draws, law, plan, log)
                    for (scn, law), rule, log in zip(arms, rules, logs)]
+        # the traces do not refer to the draws: free them while the caller
+        # reads the chunk
+        del draws
         yield chunk, batches, logs
 
 
@@ -634,12 +654,26 @@ def run_episode(
     contention round.
     """
     episode = int(episode)
-    _, (batch,), logs = next(_run_arms([(scenario, control_law)], _loop_constants(scenario),
-                                       seed, range(episode, episode + 1),
-                                       event_log is not None))
+    _, (batch,), (log,) = next(_run_arms([(scenario, control_law)], _loop_constants(scenario),
+                                         seed, range(episode, episode + 1),
+                                         event_log is not None))
     if event_log is not None:
-        event_log += logs[0][0]
+        event_log += [(tick, rounds.outcomes(ids)[0]) for tick, ids, _, rounds in log]
     return [_episode_trace(tr, 0, episode) for tr in batch]
+
+
+def _event_table(chunk: range, rounds_log: list) -> EventTable:
+    """The event table of a chunk from its rounds log: each round's events
+    in tick order, then one stable sort by episode."""
+    parts = []
+    for tick, ids, asking, rounds in rounds_log:
+        row, *columns = rounds.events(ids)
+        parts.append((asking[row], np.full(row.size, tick), *columns))
+    if not parts:
+        return EventTable(*(np.zeros(0, dtype=int),) * 6)
+    episode, *columns = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(episode, kind="stable")
+    return EventTable(episode[order] + chunk.start, *(col[order] for col in columns))
 
 
 @dataclass(eq=False)
@@ -746,27 +780,28 @@ def monte_carlo(
     seed: int,
     episodes: int,
     control_law: ControlLaw = ce_law,
-    trace_hook: Optional[Callable[[int, list], None]] = None,
-    event_hook: Optional[Callable[[int, list], None]] = None,
+    trace_hook: Optional[Callable[[range, list[LoopTrace]], None]] = None,
+    event_hook: Optional[Callable[[range, EventTable], None]] = None,
 ) -> MonteCarloResult:
     """Run `episodes` independent episodes and aggregate per-loop statistics.
 
     The aggregate j_mean/j_se track the across-loop average cost per episode.
     Each loop's report also carries the closed-form predicted cost evaluated
-    at the empirically averaged error covariances.  The optional hooks
-    receive (episode, traces) and (episode, contention event log) once per
-    episode, in episode order, as each chunk of episodes completes; they
-    exist for CSV dumping.
+    at the empirically averaged error covariances.  The optional hooks run
+    once per chunk, in episode order, as the chunk completes, with the
+    chunk's `range` of episodes: `trace_hook` gets the chunk traces, one
+    per loop with a leading episode axis, and `event_hook` gets the chunk's
+    `EventTable`.  They exist for CSV dumping; the traces are views into
+    the engine's arrays.
     """
     tally = _Tally(scenario, episodes)
     solutions = _loop_constants(scenario)
-    for chunk, (batch,), logs in _run_arms([(scenario, control_law)], solutions, seed,
-                                           range(episodes), event_hook is not None):
-        for e, ep in enumerate(chunk):
-            if trace_hook is not None:
-                trace_hook(ep, [_episode_trace(tr, e, ep) for tr in batch])
-            if event_hook is not None:
-                event_hook(ep, logs[0][e])
+    for chunk, (batch,), (log,) in _run_arms([(scenario, control_law)], solutions, seed,
+                                             range(episodes), event_hook is not None):
+        if trace_hook is not None:
+            trace_hook(chunk, batch)
+        if event_hook is not None:
+            event_hook(chunk, _event_table(chunk, log))
         tally.add(chunk, batch)
     return tally.result(seed, solutions)
 

@@ -44,6 +44,7 @@ from macloops.stats import (
     integrate,
     truncated_moments,
 )
+from test_sim import per_episode
 
 REF_BASELINE_COST = (45.3074, 10.0028, 6.1213)
 REF_SCHEDULED_COST = (23.5785, 8.3489, 5.3803)
@@ -307,7 +308,7 @@ def test_criterion_09_observer_mse_beats_offset_family():
         errs.append(tr.errs[:, 0])
         silent.append(tr.deltas == 0)
 
-    monte_carlo(scn, seed=51, episodes=5000, trace_hook=keep)
+    monte_carlo(scn, seed=51, episodes=5000, trace_hook=per_episode(keep))
     err = np.concatenate(errs)
     quiet = np.concatenate(silent)
     base = float((err ** 2).mean())

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import platform
 from collections import defaultdict
 
@@ -28,7 +29,7 @@ from macloops.cli import (
 )
 from macloops.control import two_step_u0_optimal
 from macloops.errors import ConfigurationError
-from macloops.sim import LoopTrace
+from macloops.sim import LoopTrace, _episode_trace
 from macloops.stats import TruncatedGaussian, truncated_moments
 from test_control import U0_OPT_SILENT
 
@@ -332,6 +333,8 @@ class TestSimulateCommand:
                                     "--episodes", "5", "--out", str(out)]
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
+        wall_s = manifest["wall_s"]
+        assert isinstance(wall_s, float) and math.isfinite(wall_s) and wall_s >= 0.0
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--scenario", "example3", "--seed", "9",
@@ -421,6 +424,24 @@ class TestSimulateCommand:
         rows = read_csv(tmp_path / "ev_events.csv")
         assert rows, "contention events expected"
         assert {r["result"] for r in rows} <= {"success", "collided", "deferred", "dropped"}
+
+    def test_events_dump_without_requests_is_its_header(self, tmp_path):
+        # no prediction error reaches the threshold, so no round runs: the
+        # chunk's event table is empty, the events CSV is its header line
+        # alone, and the trace is that of a run without the event dump
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["scheduler"]["eps"] = 1e300
+        path = tmp_path / "quiet.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--scenario", str(path), "--seed", "4", "--episodes", "3",
+                "--dump-trace"]
+        assert main(argv + ["--out", str(tmp_path / "both"), "--dump-events"]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "alone")]) == EXIT_OK
+        assert (tmp_path / "both_events.csv").read_bytes() == \
+            b"episode,tick,slot,contender,attempt,result\r\n"
+        trace = (tmp_path / "both_trace.csv").read_bytes()
+        assert trace == (tmp_path / "alone_trace.csv").read_bytes()
+        assert {row["gamma"] for row in read_csv(tmp_path / "both_trace.csv")} == {"0", ""}
 
 
 class TestOtherCommands:
@@ -577,7 +598,9 @@ TRACE_FLOATS = st.one_of(
 
 
 @st.composite
-def loop_traces(draw, loop):
+def loop_traces(draw, loop, episodes):
+    """A chunk trace of one loop: every per-step array and the costs carry
+    a leading axis of `episodes`."""
     n, m = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2]))
     steps = draw(st.integers(1, 4))
     period = draw(st.integers(1, 5))
@@ -585,13 +608,15 @@ def loop_traces(draw, loop):
     ks = np.arange(steps)
 
     def floats(*shape):
+        shape = (episodes,) + shape
         values = draw(st.lists(TRACE_FLOATS, min_size=int(np.prod(shape)),
                                max_size=int(np.prod(shape))))
         return np.array(values, dtype=float).reshape(shape)
 
     def ints(lo, hi):
-        return np.array(draw(st.lists(st.integers(lo, hi), min_size=steps,
-                                      max_size=steps)), dtype=int)
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=episodes * steps,
+                                      max_size=episodes * steps)), dtype=int
+                        ).reshape(episodes, steps)
 
     return LoopTrace(
         loop=loop, episode=0, period=period, phase=phase, ks=ks, ticks=phase + period * ks,
@@ -599,26 +624,27 @@ def loop_traces(draw, loop):
         gammas=ints(0, 1), deltas=ints(0, 1), attempts=ints(0, 3),
         xhats=floats(steps, n), errs=floats(steps, n), pred_err_sq=floats(steps),
         taus=ints(-1, steps), delays=ints(-steps, steps + 1), cost_terms=floats(steps),
-        terminal_cost=draw(TRACE_FLOATS), j=0.0, j_lambda=0.0,
+        terminal_cost=floats(), j=np.zeros(episodes), j_lambda=np.zeros(episodes),
     )
 
 
 class TestTraceRows:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(episode=st.integers(0, 10 ** 6), data=st.data())
-    def test_rows_match_the_per_cell_reference(self, episode, data):
+    @given(start=st.integers(0, 10 ** 6), data=st.data())
+    def test_rows_match_the_per_cell_reference(self, start, data):
+        # a chunk's lines are the csv.writer text of the reference rows of
+        # each of its episodes in turn, one line per row
+        episodes = range(start, start + data.draw(st.integers(1, 3)))
         count = data.draw(st.integers(1, 3))
-        traces = [data.draw(loop_traces(i)) for i in range(count)]
-        rows = trace_rows(episode, traces)
-        expected = reference_trace_rows(episode, traces)
-        assert len(rows) == len(expected)
-
-        def text(table):
-            buf = io.StringIO()
-            csv.writer(buf).writerows(table)
-            return buf.getvalue()
-
-        assert text(rows) == text(expected)
+        traces = [data.draw(loop_traces(i, len(episodes))) for i in range(count)]
+        lines = trace_rows(episodes, traces)
+        expected = [row for e, ep in enumerate(episodes) for row in
+                    reference_trace_rows(ep, [_episode_trace(tr, e, ep) for tr in traces])]
+        assert len(lines) == len(expected)
+        assert all(line.endswith("\r\n") for line in lines)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(expected)
+        assert "".join(lines) == buf.getvalue()
 
 
 class TestExitCodes:

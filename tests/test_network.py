@@ -16,6 +16,7 @@ from macloops.network import (
     RESULT_DEFERRED,
     RESULT_DROPPED,
     RESULT_SUCCESS,
+    RESULTS,
     CrmConfig,
     SlotEvent,
     SlotOutcome,
@@ -272,6 +273,12 @@ class TestArrayRound:
         assert np.array_equal(plain.used, rounds.used)
         outcomes = rounds.outcomes(ids)
         assert len(outcomes) == requests.shape[0]
+        # the event columns run row by row; a row's entries are its events
+        columns = rounds.events(ids)
+        assert len({col.size for col in columns}) == 1
+        assert all(col.dtype.kind == "i" for col in columns)
+        event_row, *columns = columns
+        assert np.all(np.diff(event_row) >= 0)
         for r, got in enumerate(outcomes):
             def row(c, r=r):
                 assert table is not None, "a certain channel needs no draws"
@@ -282,6 +289,9 @@ class TestArrayRound:
             assert got.attempts_used == want.attempts_used
             assert got.events == want.events
             assert all(type(v) is int for ev in got.events for v in ev[:3])
+            slot, contender, attempt, result = (col[event_row == r].tolist() for col in columns)
+            assert list(zip(slot, contender, attempt, map(RESULTS.__getitem__, result),
+                            strict=True)) == list(want.events)
             wanted = {ids[c]: (rounds.delta[r, c], rounds.used[r, c])
                       for c in range(len(ids)) if requests[r, c]}
             assert wanted == {c: (want.delta[c], want.attempts_used[c]) for c in want.delta}

@@ -15,7 +15,7 @@ from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
 from macloops.errors import ConfigurationError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream, psd_sqrt
-from macloops.network import CrmConfig, TrafficSource, contend, traffic_step
+from macloops.network import RESULTS, CrmConfig, TrafficSource, contend, traffic_step
 from macloops.scheduling import SchedulerPolicy, decide
 from macloops.sim import (
     CHUNK_EPISODES,
@@ -40,6 +40,15 @@ def loop_of(scheduler, a=1.0, rw=1.0, r0=1.0, x0_mean=None, horizon=10,
 def single_loop(scheduler, crm=None, **kw):
     crm = crm or CrmConfig(persistence=(1.0,))
     return NetworkScenario(loops=(loop_of(scheduler, **kw),), crm=crm)
+
+
+def per_episode(hook):
+    """A chunk trace hook for `monte_carlo` that calls hook(episode, traces)
+    for each episode of the chunk in turn, with one `LoopTrace` per loop."""
+    def chunk_hook(episodes, traces):
+        for e, ep in enumerate(episodes):
+            hook(ep, [sim._episode_trace(tr, e, ep) for tr in traces])
+    return chunk_hook
 
 
 class TestRunEpisode:
@@ -171,13 +180,19 @@ class TestChunkedEngine:
                                       two_state_network], ids=["example1", "two-state"])
     def test_traces_do_not_depend_on_the_chunk(self, make):
         # the run straddles a chunk boundary; each episode must match its
-        # own batch-of-one run bit for bit
+        # own batch-of-one run bit for bit, and its event log must be its
+        # rows of its chunk's event table, event for event
         scn = make()
         episodes = CHUNK_EPISODES + 3
-        chunked, chunked_events = {}, {}
-        monte_carlo(scn, 9, episodes, trace_hook=chunked.__setitem__,
-                    event_hook=chunked_events.__setitem__)
-        assert list(chunked) == list(chunked_events) == list(range(episodes))
+        chunked, tables = {}, []
+        monte_carlo(scn, 9, episodes, trace_hook=per_episode(chunked.__setitem__),
+                    event_hook=lambda chunk, table: tables.append((chunk, table)))
+        assert list(chunked) == list(range(episodes))
+        assert [chunk for chunk, _ in tables] == [range(0, CHUNK_EPISODES),
+                                                  range(CHUNK_EPISODES, episodes)]
+        rows = [row for chunk, table in tables
+                for row in zip(*(col.tolist() for col in table), strict=True)]
+        assert rows == sorted(rows, key=lambda row: row[0])
         for ep in range(episodes):
             events = []
             alone = run_episode(scn, 9, ep, event_log=events)
@@ -186,7 +201,10 @@ class TestChunkedEngine:
                 for name in TRACE_FIELDS:
                     assert np.array_equal(getattr(a, name), getattr(b, name)), (ep, name)
                 assert (a.terminal_cost, a.j, a.j_lambda) == (b.terminal_cost, b.j, b.j_lambda)
-            assert events == chunked_events[ep]
+            assert events, ep
+            assert [(tick, *ev) for tick, outcome in events for ev in outcome.events] == \
+                [(tick, slot, c, attempt, RESULTS[result])
+                 for e, tick, slot, c, attempt, result in rows if e == ep]
 
     def test_one_input_holds_for_every_episode_and_loop(self):
         # example1's loops form one stack, called with several sampling loops
@@ -206,7 +224,7 @@ class TestChunkedEngine:
         for law in (one, full):
             seen = []
             monte_carlo(scn, 4, CHUNK_EPISODES + 2, law,
-                        trace_hook=lambda ep, traces: seen.append(traces))
+                        trace_hook=per_episode(lambda ep, traces: seen.append(traces)))
             runs.append(seen)
         assert max(widths) > 1
         for traces_one, traces_full in zip(*runs, strict=True):
@@ -444,7 +462,7 @@ class TestMatrixDecisions:
                               sources=(TrafficSource.bernoulli(0.2),))
         episodes = CHUNK_EPISODES + 6
         traces = {}
-        res = monte_carlo(scn, 12, episodes, trace_hook=traces.__setitem__)
+        res = monte_carlo(scn, 12, episodes, trace_hook=per_episode(traces.__setitem__))
         for i, lc in enumerate(scn.loops):
             gammas = np.array([traces[ep][i].gammas for ep in range(episodes)])
             assert 0 < gammas.sum() < gammas.size
@@ -544,7 +562,7 @@ class TestMonteCarlo:
             xs.append(np.abs(tr1.xs[:-1, 0]))
             ns.append(tr2.gammas)
 
-        monte_carlo(scn, 31, 1500, trace_hook=keep)
+        monte_carlo(scn, 31, 1500, trace_hook=per_episode(keep))
         x = np.concatenate(xs)
         n = np.concatenate(ns)
         r = np.corrcoef(x, n)[0, 1]
@@ -577,8 +595,8 @@ class TestControlFreeRequests:
     def test_gammas_are_bit_identical_across_laws(self, scn, seed):
         def gammas(law):
             seen = []
-            monte_carlo(scn, seed, 4, law, trace_hook=lambda ep, traces: seen.append(
-                [tr.gammas.tolist() for tr in traces]))
+            monte_carlo(scn, seed, 4, law, trace_hook=per_episode(
+                lambda ep, traces: seen.append([tr.gammas.tolist() for tr in traces])))
             return seen
 
         reference = gammas(ce_law)
@@ -770,8 +788,8 @@ class TestDualEffectExperiment:
 
         def requests(law):
             seen = []
-            monte_carlo(scn, 13, episodes, law, trace_hook=lambda ep, traces: seen.append(
-                [(tr.ticks, tr.gammas.copy()) for tr in traces]))
+            monte_carlo(scn, 13, episodes, law, trace_hook=per_episode(
+                lambda ep, traces: seen.append([(tr.ticks, tr.gammas.copy()) for tr in traces])))
             return seen
 
         first = []
