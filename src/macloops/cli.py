@@ -229,23 +229,27 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
 
     `phase_step` staggers the copies' sampling phases by that many ticks
     (modulo the period); without it all copies share the block's phase.
+    Copies of one phase share one `LoopConfig`, which is immutable, so each
+    distinct phase is built and validated once.
     """
     fields = _fields(d, path, _LOOP_BLOCK)
     plant = _fields(fields["plant"], f"{path}.plant", _PLANT)
     kind, sched = _kind_fields(fields["scheduler"], f"{path}.scheduler", _SCHEDULERS,
                                "scheduler")
     weights = _fields(fields["weights"], f"{path}.weights", _WEIGHTS)
-    loops = []
+    loops, built = [], {}
     for i in range(fields["count"]):
-        phase = plant["phase"] + i * fields["phase_step"]
-        with _at(path):
-            loops.append(LoopConfig(
-                plant=PlantModel(**{**plant, "phase": phase % max(plant["period"], 1)}),
-                scheduler=SchedulerPolicy(kind=kind, **sched),
-                horizon=fields["horizon"],
-                net_penalty=fields["net_penalty"],
-                **weights,
-            ))
+        phase = (plant["phase"] + i * fields["phase_step"]) % max(plant["period"], 1)
+        if phase not in built:
+            with _at(path):
+                built[phase] = LoopConfig(
+                    plant=PlantModel(**{**plant, "phase": phase}),
+                    scheduler=SchedulerPolicy(kind=kind, **sched),
+                    horizon=fields["horizon"],
+                    net_penalty=fields["net_penalty"],
+                    **weights,
+                )
+        loops.append(built[phase])
     return loops
 
 

@@ -56,7 +56,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_symmetric_psd(mat: np.ndarray, name: str) -> None:
+def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> None:
+    """Reject a matrix that is not symmetric positive semi-definite, or not
+    positive definite if `definite` is set."""
     if mat.shape[0] != mat.shape[1]:
         raise ConfigurationError(f"{name} must be square, got shape {mat.shape}")
     if not np.allclose(mat, mat.T, atol=1e-10):
@@ -64,13 +66,36 @@ def check_symmetric_psd(mat: np.ndarray, name: str) -> None:
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     if eigs.min(initial=0.0) < -PSD_CLIP * max(1.0, abs(eigs).max(initial=0.0)):
         raise ConfigurationError(f"{name} must be positive semi-definite, eigenvalues {eigs}")
-
-
-def check_symmetric_pd(mat: np.ndarray, name: str) -> None:
-    check_symmetric_psd(mat, name)
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if eigs.min() <= 0.0:
+    if definite and eigs.min() <= 0.0:
         raise ConfigurationError(f"{name} must be positive definite, eigenvalues {eigs}")
+
+
+def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
+    """The dynamics A, B and the LQ weights Q0, Q1, Q2 as float matrices.
+
+    A must be n x n, B n x m, Q0 and Q1 n x n and Q2 m x m, all finite,
+    Q0 and Q1 positive semi-definite and Q2 positive definite; a bad one
+    raises a ConfigurationError whose `field` names it.
+    """
+    mats = []
+    try:
+        for name, value in (("A", A), ("B", B), ("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
+            mats.append(as_matrix(value, name))
+        A, B, Q0, Q1, Q2 = mats
+        n, m = A.shape[0], B.shape[1]
+        name = "A"
+        if A.shape != (n, n):
+            raise ConfigurationError(f"A must be square, got shape {A.shape}")
+        for name, mat, shape in (("B", B, (n, m)), ("Q0", Q0, (n, n)), ("Q1", Q1, (n, n)),
+                                 ("Q2", Q2, (m, m))):
+            if mat.shape != shape:
+                raise ConfigurationError(f"{name} must be {shape[0]} x {shape[1]} "
+                                         f"(n = {n}, m = {m}), got shape {mat.shape}")
+        for name, mat in (("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
+            check_symmetric_psd(mat, name, definite=name == "Q2")
+    except ConfigurationError as exc:
+        raise ConfigurationError(str(exc), field=name) from None
+    return A, B, Q0, Q1, Q2
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -171,24 +196,14 @@ class LoopConfig:
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ConfigurationError(f"horizon must be a positive integer, got {self.horizon}")
         object.__setattr__(self, "horizon", int(self.horizon))
-        n, m = self.plant.n, self.plant.m
+        n = self.plant.n
         if self.scheduler.kind == "halfline" and n != 1:
             raise ConfigurationError(
                 f"half-line scheduling is defined for scalar states only, got n = {n}",
                 field="scheduler")
-        q0 = as_matrix(self.Q0, "Q0")
-        q1 = as_matrix(self.Q1, "Q1")
-        q2 = as_matrix(self.Q2, "Q2")
-        if q0.shape != (n, n) or q1.shape != (n, n):
-            raise ConfigurationError("Q0 and Q1 must be n x n")
-        if q2.shape != (m, m):
-            raise ConfigurationError("Q2 must be m x m")
-        check_symmetric_psd(q0, "Q0")
-        check_symmetric_psd(q1, "Q1")
-        check_symmetric_pd(q2, "Q2")
-        object.__setattr__(self, "Q0", _freeze(q0))
-        object.__setattr__(self, "Q1", _freeze(q1))
-        object.__setattr__(self, "Q2", _freeze(q2))
+        weights = lq_matrices(self.plant.A, self.plant.B, self.Q0, self.Q1, self.Q2)[2:]
+        for name, mat in zip(("Q0", "Q1", "Q2"), weights):
+            object.__setattr__(self, name, _freeze(mat))
         if self.net_penalty < 0.0:
             raise ConfigurationError(f"net_penalty must be >= 0, got {self.net_penalty}")
 

@@ -27,8 +27,8 @@ yields its delivery and attempt counts per contender and its events, one
 (slot, contender, attempt, result) per contender and mini-slot.
 `resolve_contention` gives them as `SlotEvent` named tuples.
 `ContentionRounds.events` derives them from the array round's per-slot
-masks as int columns, which the engine's event table and the event dump
-read, and `ContentionRounds.outcomes` builds the `SlotEvent`s from them.
+masks as int columns, the engine's one form of its events, which its event
+table and the event dump read.
 
 A traffic source makes one uniform draw per tick whatever its kind:
 `traffic_step` advances it by one tick, and `traffic_activity` turns a whole
@@ -38,7 +38,6 @@ vector of draws into the same activity indicators at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -88,10 +87,9 @@ class CrmConfig:
 
 
 class SlotEvent(NamedTuple):
-    """One contender's action in one mini-slot, as `resolve_contention` and
-    `run_episode`'s event log give it.  The event dump writes the same four
-    fields from the engine's event table, where the result is its code in
-    RESULTS."""
+    """One contender's action in one mini-slot, as `resolve_contention`
+    gives it.  The engine's event table and the event dump hold the same
+    four fields as int columns, where the result is its code in RESULTS."""
 
     slot: int
     contender: int
@@ -215,29 +213,6 @@ class ContentionRounds:
         row, s, result, col = np.nonzero(kinds)
         return row, slot_no[s], np.asarray(ids)[col], attempts[row, s, col], result
 
-    def outcomes(self, ids: Sequence[int]) -> list[SlotOutcome]:
-        """Each row's round as `resolve_contention` returns it, where column c
-        is contender ids[c] and the columns are in increasing id order."""
-        n_rows = self.requests.shape[0]
-        row, slot, contender, attempt, result = self.events(ids)
-        # tuple.__new__ builds each SlotEvent without NamedTuple's Python-level __new__
-        events = list(map(tuple.__new__, repeat(SlotEvent), zip(
-            slot.tolist(), contender.tolist(), attempt.tolist(),
-            map(RESULTS.__getitem__, result.tolist()))))
-        ev_bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
-        req_row, req_col = np.nonzero(self.requests)
-        contenders = np.asarray(ids)[req_col].tolist()
-        delta = self.delta[req_row, req_col].astype(int).tolist()
-        used = self.used[req_row, req_col].tolist()
-        req_bounds = np.searchsorted(req_row, np.arange(n_rows + 1)).tolist()
-        out = []
-        for r in range(n_rows):
-            a, b = req_bounds[r], req_bounds[r + 1]
-            out.append(SlotOutcome(delta=dict(zip(contenders[a:b], delta[a:b])),
-                                   attempts_used=dict(zip(contenders[a:b], used[a:b])),
-                                   events=tuple(events[ev_bounds[r]:ev_bounds[r + 1]])))
-        return out
-
 
 def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
             keep_slots: bool = False) -> ContentionRounds:
@@ -249,7 +224,7 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
     attempt a transmits if p = persistence[a - 1] >= 1, or if 0 < p < 1 and
     its draw is below p; a lone transmitter wins, and each of several burns
     an attempt and is dropped past `max_attempts`.  `keep_slots` keeps the
-    per-slot masks that `ContentionRounds.outcomes` reads.
+    per-slot masks that `ContentionRounds.events` reads.
     """
     # the persistence of attempt a at index a; attempt max_attempts + 1 is
     # never pending, and its 0 pads the table

@@ -34,8 +34,9 @@ draws.  Only when the event dump asks for them, each round keeps its
 per-slot masks, and the chunk's events become one `EventTable` of int
 columns (`ContentionRounds.events`, then one stable sort by episode), which
 `monte_carlo` hands to its event hook once per chunk, as it hands the chunk
-traces to its trace hook.  Each source's activity comes from its row of the
-episode's traffic table (`network.traffic_activity`).
+traces to its trace hook.  That table is the engine's one form of its
+events; `run_episode` returns traces only.  Each source's activity comes
+from its row of the episode's traffic table (`network.traffic_activity`).
 `decide`, `resolve_contention` and `traffic_step` stay as the per-episode,
 per-round and per-tick references the array forms are tested against.
 
@@ -158,7 +159,7 @@ class EventTable(NamedTuple):
     """A chunk's contention events, one entry per contender and mini-slot,
     as equal-length int arrays.  A result is its code in `network.RESULTS`.
     The entries run by episode, then tick, then in the order the tick's
-    round emits them, which is the order of `run_episode`'s event log."""
+    round emits them, as `network.resolve_contention` does."""
 
     episode: np.ndarray
     tick: np.ndarray
@@ -379,8 +380,6 @@ class _ChunkDraws:
     episodes: range
     stack_x0: list[np.ndarray]        # per stack, (E, L_s, n)
     stack_noise: list[np.ndarray]     # per stack, (E, L_s, N, n)
-    x0: list[np.ndarray]              # per loop, (E, n): a view of its stack's
-    noise: list[np.ndarray]           # per loop, (E, N, n): a view of its stack's
     active: np.ndarray                # (E, sampling ticks, sources) bool
     tables: Optional[np.ndarray]      # (E, rows, slots) draws, or None
 
@@ -398,17 +397,12 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
     for e, ep in enumerate(episodes):
         RngStream(int(seed), (int(ep), 0, _ROLE_NOISE)).generator().standard_normal(out=z[e])
     stack_x0, stack_noise = [], []
-    x0, noise = [None] * len(scenario.loops), [None] * len(scenario.loops)
     for st in layout.stacks:
         n_loops, n = st.x0_mean.shape
         block = z[:, st.block].reshape(n_ep, n_loops, -1)
-        st_x0 = st.x0_mean + _sum_products(st.sqrt_r0, block[..., None, :n])
-        st_noise = _sum_products(st.sqrt_rw,
-                                 block[..., n:].reshape(n_ep, n_loops, st.horizon, 1, n))
-        stack_x0.append(st_x0)
-        stack_noise.append(st_noise)
-        for slot, i in enumerate(st.loops):
-            x0[i], noise[i] = st_x0[:, slot], st_noise[:, slot]
+        stack_x0.append(st.x0_mean + _sum_products(st.sqrt_r0, block[..., None, :n]))
+        stack_noise.append(_sum_products(
+            st.sqrt_rw, block[..., n:].reshape(n_ep, n_loops, st.horizon, 1, n)))
     ticks, sources = layout.ticks, scenario.sources
     active = np.zeros((n_ep, ticks.size, len(sources)), dtype=bool)
     if sources:
@@ -422,7 +416,7 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
         tables = np.empty((n_ep, layout.rows.size, scenario.crm.slots_per_sample))
         for e, ep in enumerate(episodes):
             RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
-    return _ChunkDraws(episodes, stack_x0, stack_noise, x0, noise, active, tables)
+    return _ChunkDraws(episodes, stack_x0, stack_noise, active, tables)
 
 
 @dataclass(eq=False)
@@ -646,19 +640,14 @@ def run_episode(
     seed: int,
     episode: int,
     control_law: ControlLaw = ce_law,
-    event_log: Optional[list] = None,
 ) -> list[LoopTrace]:
-    """Simulate one episode and return one trace per loop.
-
-    If `event_log` is a list it receives (tick, SlotOutcome) pairs for every
-    contention round.
-    """
+    """Simulate one episode and return one trace per loop, as views into
+    the arrays of its one-episode chunk.  Its contention events are its rows
+    of the `EventTable` that `monte_carlo`'s event hook gets for the same
+    seed."""
     episode = int(episode)
-    _, (batch,), (log,) = next(_run_arms([(scenario, control_law)], _loop_constants(scenario),
-                                         seed, range(episode, episode + 1),
-                                         event_log is not None))
-    if event_log is not None:
-        event_log += [(tick, rounds.outcomes(ids)[0]) for tick, ids, _, rounds in log]
+    _, (batch,), _ = next(_run_arms([(scenario, control_law)], _loop_constants(scenario),
+                                    seed, range(episode, episode + 1)))
     return [_episode_trace(tr, 0, episode) for tr in batch]
 
 

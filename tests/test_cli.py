@@ -84,6 +84,21 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="Q2 must be positive definite"):
             parse_scenario_doc(doc)
 
+    def test_weight_shape_error_names_the_weight(self):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["weights"]["Q0"] = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ConfigurationError) as info:
+            parse_scenario_doc(doc)
+        assert str(info.value) == \
+            "loops[0].Q0: Q0 must be 1 x 1 (n = 1, m = 1), got shape (2, 2)"
+
+    @pytest.mark.parametrize("name,distinct", [("example1", 3), ("example3", 2)])
+    def test_copies_of_one_phase_share_one_loop(self, name, distinct):
+        # a block's copies are built once per distinct sampling phase
+        loops = parse_scenario_doc(name).scenario.loops
+        assert len(loops) == 20
+        assert len({id(lc) for lc in loops}) == distinct
+
     def test_round_trip(self):
         for name in ("example1", "example1-baseline", "example3"):
             doc = parse_scenario_doc(name)

@@ -29,11 +29,20 @@ def one_loop(plant, scheduler=None, horizon=3):
     return NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
 
 
+def loop_draws(layout, draws, i):
+    """Loop i's (E, n) initial states and (E, N, n) process noise in a
+    chunk's draws: its slot of its stack's arrays."""
+    s, st = next((s, st) for s, st in enumerate(layout.stacks) if i in st.loops)
+    slot = st.loops.index(i)
+    return draws.stack_x0[s][:, slot], draws.stack_noise[s][:, slot]
+
+
 def loop_noise(scn, seed, episode):
     """Loop 0's initial state and process-noise panel in one episode, as the
     engine draws them; no Riccati recursion is solved."""
-    draws = _draw_chunk(scn, _layout(scn), seed, range(episode, episode + 1))
-    return draws.x0[0][0], draws.noise[0][0]
+    layout = _layout(scn)
+    x0, noise = loop_draws(layout, _draw_chunk(scn, layout, seed, range(episode, episode + 1)), 0)
+    return x0[0], noise[0]
 
 
 def constant_law(u):

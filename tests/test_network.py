@@ -271,24 +271,18 @@ class TestArrayRound:
         plain = contend(requests, crm, table)
         assert np.array_equal(plain.delta, rounds.delta)
         assert np.array_equal(plain.used, rounds.used)
-        outcomes = rounds.outcomes(ids)
-        assert len(outcomes) == requests.shape[0]
         # the event columns run row by row; a row's entries are its events
         columns = rounds.events(ids)
         assert len({col.size for col in columns}) == 1
         assert all(col.dtype.kind == "i" for col in columns)
         event_row, *columns = columns
         assert np.all(np.diff(event_row) >= 0)
-        for r, got in enumerate(outcomes):
+        for r in range(requests.shape[0]):
             def row(c, r=r):
                 assert table is not None, "a certain channel needs no draws"
                 return table[r, ids.index(c)].tolist()
 
             want = resolve_contention([c for c, on in zip(ids, requests[r]) if on], crm, row)
-            assert got.delta == want.delta and list(got.delta) == list(want.delta)
-            assert got.attempts_used == want.attempts_used
-            assert got.events == want.events
-            assert all(type(v) is int for ev in got.events for v in ev[:3])
             slot, contender, attempt, result = (col[event_row == r].tolist() for col in columns)
             assert list(zip(slot, contender, attempt, map(RESULTS.__getitem__, result),
                             strict=True)) == list(want.events)

@@ -15,7 +15,7 @@ from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
 from macloops.errors import ConfigurationError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream, psd_sqrt
-from macloops.network import RESULTS, CrmConfig, TrafficSource, contend, traffic_step
+from macloops.network import CrmConfig, TrafficSource, contend, traffic_step
 from macloops.scheduling import SchedulerPolicy, decide
 from macloops.sim import (
     CHUNK_EPISODES,
@@ -26,6 +26,7 @@ from macloops.sim import (
     sweep_threshold,
     zero_law,
 )
+from test_model import loop_draws
 from test_network import oracles
 
 
@@ -124,16 +125,19 @@ class TestRunEpisode:
         loops = (loop_of(SchedulerPolicy.always_transmit(), period=2, horizon=3),
                  loop_of(SchedulerPolicy.always_transmit(), period=3, horizon=2))
         scn = NetworkScenario(loops=loops, crm=CrmConfig(persistence=(1.0, 0.75, 0.5)))
-        events = []
-        traces = run_episode(scn, seed=5, episode=0, event_log=events)
+        traces = run_episode(scn, seed=5, episode=0)
         assert list(traces[0].ticks) == [0, 2, 4]
         assert list(traces[1].ticks) == [0, 3]
-        # only tick 0 has two contenders; every other round is a lone request
-        rounds = {tick: out for tick, out in events}
-        assert len(rounds[0].delta) == 2
-        for tick, out in rounds.items():
-            if tick != 0:
-                assert len(out.delta) == 1 and sum(out.delta.values()) == 1
+        # only tick 0 has two contenders; every other round is a lone
+        # request, which gets through
+        tables = []
+        monte_carlo(scn, 5, 1, event_hook=lambda chunk, table: tables.append(table))
+        contenders = {}
+        for tick, c in zip(tables[0].tick.tolist(), tables[0].contender.tolist()):
+            contenders.setdefault(tick, set()).add(c)
+        assert contenders == {0: {0, 1}, 2: {0}, 3: {1}, 4: {0}}
+        for tr in traces:
+            assert np.all(tr.deltas[tr.ticks != 0] == 1)
 
     def test_network_penalty_accumulates_per_delivery(self):
         plant = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
@@ -179,9 +183,9 @@ class TestChunkedEngine:
     @pytest.mark.parametrize("make", [lambda: parse_scenario_doc("example1").scenario,
                                       two_state_network], ids=["example1", "two-state"])
     def test_traces_do_not_depend_on_the_chunk(self, make):
-        # the run straddles a chunk boundary; each episode must match its
-        # own batch-of-one run bit for bit, and its event log must be its
-        # rows of its chunk's event table, event for event
+        # the run straddles a chunk boundary; each episode's traces and its
+        # rows of its chunk's event table must match its own one-episode
+        # chunk bit for bit and event for event
         scn = make()
         episodes = CHUNK_EPISODES + 3
         chunked, tables = {}, []
@@ -193,18 +197,19 @@ class TestChunkedEngine:
         rows = [row for chunk, table in tables
                 for row in zip(*(col.tolist() for col in table), strict=True)]
         assert rows == sorted(rows, key=lambda row: row[0])
+        solutions = sim._loop_constants(scn)
         for ep in range(episodes):
-            events = []
-            alone = run_episode(scn, 9, ep, event_log=events)
-            for a, b in zip(alone, chunked[ep]):
+            alone = range(ep, ep + 1)
+            _, (batch,), (log,) = next(sim._run_arms([(scn, ce_law)], solutions, 9, alone,
+                                                     keep_rounds=True))
+            for a, b in zip((sim._episode_trace(tr, 0, ep) for tr in batch), chunked[ep]):
                 assert (a.loop, a.episode) == (b.loop, b.episode) == (a.loop, ep)
                 for name in TRACE_FIELDS:
                     assert np.array_equal(getattr(a, name), getattr(b, name)), (ep, name)
                 assert (a.terminal_cost, a.j, a.j_lambda) == (b.terminal_cost, b.j, b.j_lambda)
+            events = list(zip(*(col.tolist() for col in sim._event_table(alone, log))))
             assert events, ep
-            assert [(tick, *ev) for tick, outcome in events for ev in outcome.events] == \
-                [(tick, slot, c, attempt, RESULTS[result])
-                 for e, tick, slot, c, attempt, result in rows if e == ep]
+            assert events == [row for row in rows if row[0] == ep]
 
     def test_one_input_holds_for_every_episode_and_loop(self):
         # example1's loops form one stack, called with several sampling loops
@@ -266,25 +271,24 @@ def lossy_state_network(sources=1):
 
 def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     """The row every contender was handed, keyed by (episode, tick, contender)."""
-    rounds = []
+    handed = []
 
     def spy(requests, crm, draws, keep_slots=False):
-        rounds.append((requests, draws))
+        handed.append(draws)
         return contend(requests, crm, draws, keep_slots)
 
     monkeypatch.setattr(sim, "contend", spy)
     rows = {}
-    for ep in range(episodes):
-        del rounds[:]
-        log = []
-        run_episode(scenario, seed, ep, law, event_log=log)
-        # a one-episode chunk: one round, of one row, per logged tick; the
-        # requesting columns are the round's contenders in id order
-        for (tick, outcome), (requests, draws) in zip(log, rounds, strict=True):
-            assert requests.shape[0] == 1
-            cols = np.flatnonzero(requests[0])
-            rows.update(((ep, tick, c), draws[0, col].tolist())
-                        for c, col in zip(outcome.delta, cols, strict=True))
+    for chunk, _, (log,) in sim._run_arms([(scenario, law)], sim._loop_constants(scenario),
+                                          seed, range(episodes), keep_rounds=True):
+        # one round per logged tick, whose row r is the asking[r]th episode
+        # of the chunk and whose column c is contender ids[c]
+        for (tick, ids, asking, rounds), draws in zip(log, handed, strict=True):
+            for r, e in enumerate(asking.tolist()):
+                cols = np.flatnonzero(rounds.requests[r])
+                rows.update(((chunk[e], tick, c), draws[r, col].tolist())
+                            for c, col in zip(ids[cols].tolist(), cols))
+        del handed[:]
     return rows
 
 
@@ -390,15 +394,17 @@ class TestNoiseAndTrafficDraws:
         # order: n draws for x0, then its N x n process noise
         scn = layered_network()
         roots = noise_roots(scn)
-        draws = sim._draw_chunk(scn, sim._layout(scn), seed, range(3, 6))
+        layout = sim._layout(scn)
+        draws = sim._draw_chunk(scn, layout, seed, range(3, 6))
         for e, ep in enumerate(draws.episodes):
             stream = RngStream(seed, (ep, 0, sim._ROLE_NOISE)).generator()
             for i, (lc, (sqrt_r0, sqrt_rw)) in enumerate(zip(scn.loops, roots)):
                 n = lc.plant.n
                 x0 = lc.plant.x0_mean + matvec(sqrt_r0, stream.standard_normal(n))
                 w = [matvec(sqrt_rw, z) for z in stream.standard_normal((lc.horizon, n))]
-                assert np.array_equal(draws.x0[i][e], x0), (ep, i)
-                assert np.array_equal(draws.noise[i][e], np.array(w)), (ep, i)
+                x0s, noise = loop_draws(layout, draws, i)
+                assert np.array_equal(x0s[e], x0), (ep, i)
+                assert np.array_equal(noise[e], np.array(w)), (ep, i)
 
     @FOUR_SEEDS
     def test_appending_a_loop_or_a_source_keeps_every_loops_noise(self, seed):
@@ -406,12 +412,14 @@ class TestNoiseAndTrafficDraws:
         longer = loop_of(SchedulerPolicy.always_transmit(), horizon=40)
         more_loops = replace(base, global_horizon=None, loops=base.loops + (longer,))
         more_sources = replace(base, sources=base.sources + (TrafficSource.bernoulli(0.5),))
-        draws = sim._draw_chunk(base, sim._layout(base), seed, range(3, 6))
+        layout = sim._layout(base)
+        draws = sim._draw_chunk(base, layout, seed, range(3, 6))
         for scn in (more_loops, more_sources):
-            other = sim._draw_chunk(scn, sim._layout(scn), seed, range(3, 6))
+            other_layout = sim._layout(scn)
+            other = sim._draw_chunk(scn, other_layout, seed, range(3, 6))
             for i in range(len(base.loops)):
-                assert np.array_equal(other.x0[i], draws.x0[i])
-                assert np.array_equal(other.noise[i], draws.noise[i])
+                for a, b in zip(loop_draws(other_layout, other, i), loop_draws(layout, draws, i)):
+                    assert np.array_equal(a, b)
         # `other` has the extra source, and the same sampling ticks: the
         # earlier sources' rows are unchanged too
         assert np.array_equal(other.active[:, :, :2], draws.active)
@@ -428,8 +436,8 @@ class TestNoiseAndTrafficDraws:
         for ep in range(CHUNK_EPISODES):
             alone = sim._draw_chunk(scn, layout, seed, range(ep, ep + 1))
             for i in range(len(scn.loops)):
-                assert np.array_equal(alone.x0[i][0], chunk.x0[i][ep])
-                assert np.array_equal(alone.noise[i][0], chunk.noise[i][ep])
+                for a, b in zip(loop_draws(layout, alone, i), loop_draws(layout, chunk, i)):
+                    assert np.array_equal(a[0], b[ep])
             assert np.array_equal(alone.active[0], chunk.active[ep])
             assert np.array_equal(alone.tables[0], chunk.tables[ep])
 
