@@ -32,7 +32,7 @@ import platform
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -154,12 +154,11 @@ _LOOP = {"horizon": _REQUIRED, "net_penalty": 0.0}
 _LOOP_BLOCK = {"plant": _REQUIRED, "scheduler": _REQUIRED, "weights": _REQUIRED,
                **_LOOP, "count": 1, "phase_step": 0}
 _RUN = {"name": "scenario", "episodes": 1000, "seed": 1}
-_SCENARIO = {"loops": _REQUIRED, "crm": _REQUIRED, "sources": (), "global_horizon": None,
-             **_RUN}
+_SCENARIO = {"loops": _REQUIRED, "crm": _REQUIRED, "sources": (), **_RUN}
 
 _INTEGER_FIELDS = frozenset({
     "count", "phase_step", "period", "phase", "horizon", "max_attempts",
-    "slots_per_sample", "episodes", "seed", "global_horizon",
+    "slots_per_sample", "episodes", "seed",
 })
 # lower bounds of the integer fields no configuration type checks
 _MINIMUM = {"count": 1, "episodes": 1, "seed": 0}
@@ -192,7 +191,7 @@ def _fields(obj: dict, path: str, table: dict) -> dict:
     out = {}
     for key, default in table.items():
         value = obj.get(key, default)
-        if key in _INTEGER_FIELDS and value is not None:
+        if key in _INTEGER_FIELDS:
             value = _number(value, f"{path}.{key}", int)
             if key in _MINIMUM and value < _MINIMUM[key]:
                 raise ConfigurationError(
@@ -215,12 +214,15 @@ def _kind_fields(obj: dict, path: str, tables: dict, what: str) -> tuple[str, di
 
 
 @contextmanager
-def _at(path: str):
-    """Prefix a configuration type's validation errors with the block's path."""
+def _at(path: str, block: str = "", keys=()):
+    """Prefix a configuration type's validation errors with the document
+    path of the field at fault: the block's path, then the error's field,
+    which lives in the sub-block `block` if it is one of `keys`."""
     try:
         yield
     except ConfigurationError as exc:
-        where = path if exc.field is None else f"{path}.{exc.field}"
+        field = f"{block}.{exc.field}" if exc.field in keys else exc.field
+        where = path if field is None else f"{path}.{field}"
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
@@ -228,23 +230,27 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
     """Build the loop block, expanding `count` copies.
 
     `phase_step` staggers the copies' sampling phases by that many ticks
-    (modulo the period); without it all copies share the block's phase.
-    Copies of one phase share one `LoopConfig`, which is immutable, so each
-    distinct phase is built and validated once.
+    (modulo the period) from the block's own phase, which must lie in
+    [0, period).  Copies of one phase share one `LoopConfig`, which is
+    immutable, so each distinct phase is built and validated once.
     """
     fields = _fields(d, path, _LOOP_BLOCK)
     plant = _fields(fields["plant"], f"{path}.plant", _PLANT)
     kind, sched = _kind_fields(fields["scheduler"], f"{path}.scheduler", _SCHEDULERS,
                                "scheduler")
     weights = _fields(fields["weights"], f"{path}.weights", _WEIGHTS)
+    with _at(f"{path}.plant"):
+        first = PlantModel(**plant)
+    with _at(f"{path}.scheduler"):
+        scheduler = SchedulerPolicy(kind=kind, **sched)
     loops, built = [], {}
     for i in range(fields["count"]):
-        phase = (plant["phase"] + i * fields["phase_step"]) % max(plant["period"], 1)
+        phase = (first.phase + i * fields["phase_step"]) % first.period
         if phase not in built:
-            with _at(path):
+            with _at(path, "weights", _WEIGHTS):
                 built[phase] = LoopConfig(
-                    plant=PlantModel(**{**plant, "phase": phase}),
-                    scheduler=SchedulerPolicy(kind=kind, **sched),
+                    plant=first if phase == first.phase else replace(first, phase=phase),
+                    scheduler=scheduler,
                     horizon=fields["horizon"],
                     net_penalty=fields["net_penalty"],
                     **weights,
@@ -311,7 +317,6 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
         loops=tuple(loops),
         crm=crm,
         sources=tuple(sources),
-        global_horizon=top["global_horizon"],
     )
     return ScenarioDoc(
         name=str(top["name"]),
@@ -355,7 +360,6 @@ def emit_scenario(doc: ScenarioDoc) -> dict:
     ]
     return {
         **_emit(doc, _RUN),
-        "global_horizon": scn.global_horizon,
         "crm": _emit(scn.crm, _CRM),
         "sources": [{"kind": src.kind, **_emit(src, _SOURCES[src.kind])}
                     for src in scn.sources],
@@ -383,12 +387,6 @@ def _open_csv(stack: ExitStack, path: Path, header: list[str]):
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with ExitStack() as stack:
         csv.writer(_open_csv(stack, path, header)).writerows(rows)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_manifest(prefix: Path, doc: ScenarioDoc, seed: int, outputs: list[Path],
@@ -442,10 +440,9 @@ def summary_rows(result: MonteCarloResult, doc: ScenarioDoc):
         rep = stats.report
         rows.append([
             stats.loop, doc.groups[stats.loop], lc.plant.period, sched.kind,
-            _fmt(eps), rep.episodes, _fmt(rep.j_mean), _fmt(rep.j_se),
-            _fmt(rep.j_lambda_mean), _fmt(rep.j_dp), _fmt(rep.tx_mean),
-            _fmt(stats.request_rate), _fmt(stats.success_rate),
-            _fmt(stats.drop_rate), _fmt(stats.bound_prob),
+            eps, rep.episodes, rep.j_mean, rep.j_se, rep.j_lambda_mean, rep.j_dp,
+            rep.tx_mean, stats.request_rate, stats.success_rate, stats.drop_rate,
+            stats.bound_prob,
         ])
     return rows
 
@@ -616,8 +613,7 @@ def cmd_sweep(args) -> int:
     prefix = _out_prefix(args, "sweep", doc.name)
     sweep_path = prefix.with_name(prefix.name + "_sweep.csv")
     # the header names the result's columns
-    rows = [[_fmt(float(getattr(result, name)[i])) for name in SWEEP_HEADER]
-            for i in range(result.eps.size)]
+    rows = zip(*(getattr(result, name).tolist() for name in SWEEP_HEADER))
     _write_csv(sweep_path, SWEEP_HEADER, rows)
     write_manifest(prefix, doc, seed, [sweep_path], args.argv, time.perf_counter() - started)
     best = int(np.argmin(result.j_mean))
@@ -716,9 +712,8 @@ def cmd_two_step(args) -> int:
     header = ["delta0", "x0", "xhat00", "s1", "ce_u0", "residual_at_ce",
               "optimal_u0", "gap", "u1_at_optimal"]
     _write_csv(path, header, [[
-        delta0, _fmt(float(args.x0) if args.x0 is not None else float("nan")),
-        _fmt(float(xhat00)), _fmt(s1), _fmt(u0_ce), _fmt(residual_ce),
-        _fmt(u0_opt), _fmt(u0_opt - u0_ce), _fmt(u1),
+        delta0, float("nan") if args.x0 is None else args.x0, xhat00, s1, u0_ce,
+        residual_ce, u0_opt, u0_opt - u0_ce, u1,
     ]])
     print(f"two-step delta0={delta0}: CE u0 = {u0_ce:.6f}, optimal u0 = {u0_opt:.6f}")
     print(f"stationarity residual at the CE point: {residual_ce:.6f}")
@@ -732,13 +727,13 @@ def cmd_moments(args) -> int:
     tg = _flagged({"mean": "--mu", "var": "--var", "upper": "--upper"},
                   TruncatedGaussian, args.mu, args.var, args.upper)
     mean, var = truncated_moments(tg)
-    rows = [["truncated_mean", _fmt(mean)], ["truncated_var", _fmt(var)]]
+    rows = [["truncated_mean", mean], ["truncated_var", var]]
     print(f"truncated moments (mu={args.mu}, var={args.var}, upper={args.upper}): "
           f"mean={mean:.9f} var={var:.9f}")
     if args.cond_upper is not None:
         cmean, cvar = conditional_moments_compound(args.a, tg, args.noise_var,
                                                    args.cond_upper)
-        rows += [["compound_cond_mean", _fmt(cmean)], ["compound_cond_var", _fmt(cvar)]]
+        rows += [["compound_cond_mean", cmean], ["compound_cond_var", cvar]]
         print(f"compound conditional moments (a={args.a}, noise_var={args.noise_var}, "
               f"upper={args.cond_upper}): mean={cmean:.9f} var={cvar:.9f}")
     if args.out:

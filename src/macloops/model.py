@@ -12,6 +12,8 @@ states.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,18 +32,19 @@ def _array(value, name: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be numeric, got {value!r}") from None
+        raise ConfigurationError(f"{name} must be numeric, got {value!r}", field=name) from None
     arr = np.atleast_2d(arr) if ndim == 2 else np.atleast_1d(arr)
     if arr.ndim != ndim:
         what = "matrix" if ndim == 2 else "vector"
-        raise ConfigurationError(f"{name} must be a {what}, got shape {arr.shape}")
+        raise ConfigurationError(f"{name} must be a {what}, got shape {arr.shape}", field=name)
     if not np.isfinite(arr).all():
-        raise ConfigurationError(f"{name} must be finite, got {arr.tolist()}")
+        raise ConfigurationError(f"{name} must be finite, got {arr.tolist()}", field=name)
     return arr
 
 
 def as_matrix(value, name: str) -> np.ndarray:
-    """Coerce a scalar or nested sequence to a finite 2-D float array."""
+    """Coerce a scalar or nested sequence to a finite 2-D float array; a
+    bad value raises a ConfigurationError whose `field` is `name`."""
     return _array(value, name, 2)
 
 
@@ -58,16 +61,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> None:
     """Reject a matrix that is not symmetric positive semi-definite, or not
-    positive definite if `definite` is set."""
+    positive definite if `definite` is set, with `name` as the field."""
     if mat.shape[0] != mat.shape[1]:
-        raise ConfigurationError(f"{name} must be square, got shape {mat.shape}")
+        raise ConfigurationError(f"{name} must be square, got shape {mat.shape}", field=name)
     if not np.allclose(mat, mat.T, atol=1e-10):
-        raise ConfigurationError(f"{name} must be symmetric")
+        raise ConfigurationError(f"{name} must be symmetric", field=name)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     if eigs.min(initial=0.0) < -PSD_CLIP * max(1.0, abs(eigs).max(initial=0.0)):
-        raise ConfigurationError(f"{name} must be positive semi-definite, eigenvalues {eigs}")
+        raise ConfigurationError(f"{name} must be positive semi-definite, eigenvalues {eigs}",
+                                 field=name)
     if definite and eigs.min() <= 0.0:
-        raise ConfigurationError(f"{name} must be positive definite, eigenvalues {eigs}")
+        raise ConfigurationError(f"{name} must be positive definite, eigenvalues {eigs}",
+                                 field=name)
+
+
+def _integer(value, name: str, what: str, low: int, high: float = math.inf) -> int:
+    """`value` as an int in [low, high); anything else, NaN and infinities
+    included, raises a ConfigurationError whose `field` is `name`."""
+    if not (isinstance(value, numbers.Real) and low <= value < high and value == int(value)):
+        raise ConfigurationError(f"{name} must be {what}, got {value}", field=name)
+    return int(value)
 
 
 def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
@@ -77,24 +90,18 @@ def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
     Q0 and Q1 positive semi-definite and Q2 positive definite; a bad one
     raises a ConfigurationError whose `field` names it.
     """
-    mats = []
-    try:
-        for name, value in (("A", A), ("B", B), ("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
-            mats.append(as_matrix(value, name))
-        A, B, Q0, Q1, Q2 = mats
-        n, m = A.shape[0], B.shape[1]
-        name = "A"
-        if A.shape != (n, n):
-            raise ConfigurationError(f"A must be square, got shape {A.shape}")
-        for name, mat, shape in (("B", B, (n, m)), ("Q0", Q0, (n, n)), ("Q1", Q1, (n, n)),
-                                 ("Q2", Q2, (m, m))):
-            if mat.shape != shape:
-                raise ConfigurationError(f"{name} must be {shape[0]} x {shape[1]} "
-                                         f"(n = {n}, m = {m}), got shape {mat.shape}")
-        for name, mat in (("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
-            check_symmetric_psd(mat, name, definite=name == "Q2")
-    except ConfigurationError as exc:
-        raise ConfigurationError(str(exc), field=name) from None
+    A, B, Q0, Q1, Q2 = (as_matrix(value, name) for name, value in
+                        (("A", A), ("B", B), ("Q0", Q0), ("Q1", Q1), ("Q2", Q2)))
+    n, m = A.shape[0], B.shape[1]
+    if A.shape != (n, n):
+        raise ConfigurationError(f"A must be square, got shape {A.shape}", field="A")
+    for name, mat, shape in (("B", B, (n, m)), ("Q0", Q0, (n, n)), ("Q1", Q1, (n, n)),
+                             ("Q2", Q2, (m, m))):
+        if mat.shape != shape:
+            raise ConfigurationError(f"{name} must be {shape[0]} x {shape[1]} "
+                                     f"(n = {n}, m = {m}), got shape {mat.shape}", field=name)
+    for name, mat in (("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
+        check_symmetric_psd(mat, name, definite=name == "Q2")
     return A, B, Q0, Q1, Q2
 
 
@@ -143,33 +150,28 @@ class PlantModel:
     phase: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(as_matrix(self.A, "A")))
-        object.__setattr__(self, "B", _freeze(as_matrix(self.B, "B")))
-        object.__setattr__(self, "Rw", _freeze(as_matrix(self.Rw, "Rw")))
-        object.__setattr__(self, "R0", _freeze(as_matrix(self.R0, "R0")))
+        for name in ("A", "B", "Rw", "R0"):
+            object.__setattr__(self, name, _freeze(as_matrix(getattr(self, name), name)))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
-            raise ConfigurationError(f"A must be square, got {self.A.shape}")
+            raise ConfigurationError(f"A must be square, got {self.A.shape}", field="A")
         if self.B.shape[0] != n:
-            raise ConfigurationError(
-                f"B must have {n} rows to match A, got {self.B.shape}"
-            )
-        if self.Rw.shape != (n, n) or self.R0.shape != (n, n):
-            raise ConfigurationError("Rw and R0 must be n x n")
-        check_symmetric_psd(self.Rw, "Rw")
-        check_symmetric_psd(self.R0, "R0")
+            raise ConfigurationError(f"B must have {n} rows to match A, got {self.B.shape}",
+                                     field="B")
+        for name in ("Rw", "R0"):
+            mat = getattr(self, name)
+            if mat.shape != (n, n):
+                raise ConfigurationError(f"{name} must be {n} x {n}, got shape {mat.shape}",
+                                         field=name)
+            check_symmetric_psd(mat, name)
         mean = np.zeros(n) if self.x0_mean is None else as_vector(self.x0_mean, "x0_mean")
         if mean.shape != (n,):
-            raise ConfigurationError(f"x0_mean must have length {n}")
+            raise ConfigurationError(f"x0_mean must have length {n}", field="x0_mean")
         object.__setattr__(self, "x0_mean", _freeze(mean))
-        if int(self.period) != self.period or self.period < 1:
-            raise ConfigurationError(f"period must be a positive integer, got {self.period}")
-        object.__setattr__(self, "period", int(self.period))
-        if int(self.phase) != self.phase or not 0 <= self.phase < self.period:
-            raise ConfigurationError(
-                f"phase must be an integer in [0, period), got {self.phase}"
-            )
-        object.__setattr__(self, "phase", int(self.phase))
+        period = _integer(self.period, "period", "a positive integer", 1)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "phase", _integer(
+            self.phase, "phase", "an integer in [0, period)", 0, period))
 
     @property
     def n(self) -> int:
@@ -193,9 +195,8 @@ class LoopConfig:
     net_penalty: float = 0.0
 
     def __post_init__(self):
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ConfigurationError(f"horizon must be a positive integer, got {self.horizon}")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon",
+                           _integer(self.horizon, "horizon", "a positive integer", 1))
         n = self.plant.n
         if self.scheduler.kind == "halfline" and n != 1:
             raise ConfigurationError(
@@ -204,8 +205,9 @@ class LoopConfig:
         weights = lq_matrices(self.plant.A, self.plant.B, self.Q0, self.Q1, self.Q2)[2:]
         for name, mat in zip(("Q0", "Q1", "Q2"), weights):
             object.__setattr__(self, name, _freeze(mat))
-        if self.net_penalty < 0.0:
-            raise ConfigurationError(f"net_penalty must be >= 0, got {self.net_penalty}")
+        if not (isinstance(self.net_penalty, numbers.Real) and 0.0 <= self.net_penalty < math.inf):
+            raise ConfigurationError(f"net_penalty must be a finite number >= 0, "
+                                     f"got {self.net_penalty}", field="net_penalty")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,18 +217,9 @@ class NetworkScenario:
     loops: tuple[LoopConfig, ...]
     crm: CrmConfig
     sources: tuple[TrafficSource, ...] = ()
-    global_horizon: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "loops", tuple(self.loops))
         object.__setattr__(self, "sources", tuple(self.sources))
         if not self.loops:
             raise ConfigurationError("scenario needs at least one loop")
-        needed = max(lc.plant.phase + lc.horizon * lc.plant.period for lc in self.loops)
-        horizon = needed if self.global_horizon is None else int(self.global_horizon)
-        if horizon < needed:
-            raise ConfigurationError(
-                f"global_horizon {horizon} cannot contain the slowest loop "
-                f"(needs {needed} ticks)"
-            )
-        object.__setattr__(self, "global_horizon", horizon)

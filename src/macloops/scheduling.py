@@ -16,7 +16,9 @@ for a fixed noise realization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,11 +38,16 @@ class SchedulerPolicy:
 
     def __post_init__(self):
         if self.kind not in _CONTROL_FREE:
-            raise ConfigurationError(f"unknown scheduler kind {self.kind!r}")
-        if self.kind in THRESHOLD_KINDS and not self.eps >= 0.0:
-            raise ConfigurationError(f"eps must be >= 0, got {self.eps}")
-        if self.kind == "halfline" and self.direction not in ("ge", "le"):
-            raise ConfigurationError(f"direction must be 'ge' or 'le', got {self.direction!r}")
+            raise ConfigurationError(f"unknown scheduler kind {self.kind!r}", field="kind")
+        if self.kind in THRESHOLD_KINDS and not (isinstance(self.eps, Real) and self.eps >= 0.0):
+            raise ConfigurationError(f"eps must be >= 0, got {self.eps}", field="eps")
+        if self.kind == "halfline":
+            if not (isinstance(self.threshold, Real) and not math.isnan(self.threshold)):
+                raise ConfigurationError(f"threshold must be a number, got {self.threshold}",
+                                         field="threshold")
+            if self.direction not in ("ge", "le"):
+                raise ConfigurationError(
+                    f"direction must be 'ge' or 'le', got {self.direction!r}", field="direction")
 
     # -- constructors -------------------------------------------------------
     @classmethod

@@ -811,13 +811,12 @@ def sweep_threshold(
     eps_grid: Sequence[float],
     seed: int,
     episodes: int,
-    control_law: ControlLaw = ce_law,
 ) -> SweepResult:
     """Run the scenario across scheduler thresholds on common draws.
 
     Every loop must carry a threshold scheduler (state or innovation); its
     eps is replaced by each grid value, and every value runs on each chunk's
-    draws as `monte_carlo` would run it alone.
+    draws as `monte_carlo` would run it alone, under the CE law.
     """
     eps_grid = list(eps_grid)
     if not eps_grid:
@@ -830,7 +829,7 @@ def sweep_threshold(
             )
     arms = [(replace(scenario, loops=tuple(
                 replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
-                for lc in scenario.loops)), control_law) for eps in eps_grid]
+                for lc in scenario.loops)), ce_law) for eps in eps_grid]
     tallies = [_Tally(scn, episodes) for scn, _ in arms]
     solutions = _loop_constants(scenario)
     for chunk, batches, _ in _run_arms(arms, solutions, seed, range(episodes)):

@@ -337,12 +337,13 @@ def conditional_moments_compound(
     return a * mu + sd * m1, e_var * (m2 - m1 * m1)
 
 
-def find_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def find_root(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Root of f in [lo, hi] by bisection refined with secant steps.
 
     The bracket is maintained at every step, so convergence is guaranteed;
     secant candidates are only accepted when they fall strictly inside the
-    current bracket.  Stops when |f| <= tol or the bracket width <= tol.
+    current bracket.  Stops when |f| <= tol, the bracket width <= tol or
+    after 200 steps, at the bracket's midpoint.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -355,7 +356,7 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) 
         )
     width_two_ago = math.inf
     width_one_ago = hi - lo
-    for _ in range(max_iter):
+    for _ in range(200):
         width = hi - lo
         if width <= tol:
             return 0.5 * (lo + hi)

@@ -19,7 +19,6 @@ from macloops.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
-    _fmt,
     emit_scenario,
     main,
     parse_scenario_doc,
@@ -46,7 +45,6 @@ class TestParsing:
         assert all(lc.scheduler.kind == "state" and lc.scheduler.eps == 2.5
                    for lc in scn.loops)
         assert scn.crm.persistence == (1.0, 0.75, 0.5)
-        assert scn.global_horizon == 250
 
     def test_baseline_preset_always_transmits(self):
         scn = parse_scenario_doc("example1-baseline").scenario
@@ -90,7 +88,7 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as info:
             parse_scenario_doc(doc)
         assert str(info.value) == \
-            "loops[0].Q0: Q0 must be 1 x 1 (n = 1, m = 1), got shape (2, 2)"
+            "loops[0].weights.Q0: Q0 must be 1 x 1 (n = 1, m = 1), got shape (2, 2)"
 
     @pytest.mark.parametrize("name,distinct", [("example1", 3), ("example3", 2)])
     def test_copies_of_one_phase_share_one_loop(self, name, distinct):
@@ -147,7 +145,6 @@ class TestParsing:
         (("crm", "slots_per_sample"), "crm.slots_per_sample"),
         (("episodes",), "scenario.episodes"),
         (("seed",), "scenario.seed"),
-        (("global_horizon",), "scenario.global_horizon"),
     ])
     def test_integer_fields_reject_fractions(self, path, where):
         doc = json.loads(json.dumps(presets()["example3"]))
@@ -159,6 +156,30 @@ class TestParsing:
             parse_scenario_doc(doc)
         assert str(info.value) == f"{where}: must be an integer, got 10.7"
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("plant", "A"), math.nan, "loops[0].plant.A: A must be finite, got [[nan]]"),
+        (("plant", "Rw"), -1.0, "loops[0].plant.Rw: Rw must be positive semi-definite"),
+        (("plant", "phase"), -3, "loops[0].plant.phase: phase must be an integer in [0, period), "
+                                 "got -3"),
+        (("plant", "phase"), 12, "loops[0].plant.phase: phase must be an integer in [0, period), "
+                                 "got 12"),
+        (("plant", "period"), None, "loops[0].plant.period: must be an integer, got None"),
+        (("scheduler", "eps"), -1.0, "loops[0].scheduler.eps: eps must be >= 0, got -1.0"),
+        (("weights", "Q1"), -1.0, "loops[0].weights.Q1: Q1 must be positive semi-definite"),
+        (("net_penalty",), -1.0, "loops[0].net_penalty: net_penalty must be a finite number >= 0"),
+    ], ids=["nan-A", "negative-Rw", "negative-phase", "phase-past-period", "null-period",
+            "negative-eps", "negative-Q1", "negative-penalty"])
+    def test_loop_block_errors_name_the_field(self, path, value, message):
+        # the block's own phase is checked before `phase_step` staggers the copies
+        doc = json.loads(json.dumps(presets()["example3"]))
+        block = doc["loops"][0]
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        with pytest.raises(ConfigurationError) as info:
+            parse_scenario_doc(doc)
+        assert str(info.value).startswith(message)
+
     def test_integral_floats_accepted(self):
         doc = json.loads(json.dumps(presets()["example3"]))
         doc["loops"][0]["horizon"] = 10.0
@@ -169,9 +190,9 @@ class TestParsing:
 
 
 SCENARIO_HASHES = {
-    "example1": "448292ff8c24c2d390407d574d2deb23b3518e7d80612e8bd75adc8c8c0bd580",
-    "example1-baseline": "d7b69e899585c874b995967b1c2b098713726fac35f7f9037d82219ae7bc0fa8",
-    "example3": "6fa0abebe149d1226be44e3c34c2ed0d96b43e45921284cc0fb3069198a4e5f8",
+    "example1": "af04115c346fbe72654608dc1a5c1e89b9dc545822603d7fc07a109f9c2f50da",
+    "example1-baseline": "711bfe92725173a467ddeafbf4f634d2bdb20e748782ebdd009a4e1d95027af6",
+    "example3": "3d2e41a1e24eabaf508009a93681606261809d7ce6921390d9b6e6fb56d501e3",
 }
 
 # SHA-256 of `simulate --scenario NAME --seed 7 --episodes E --dump-trace
@@ -392,7 +413,6 @@ class TestSimulateCommand:
         doc["crm"] = {"persistence": [1.0], "slots_per_sample": 10}
         doc["sources"] = [{"kind": "bernoulli", "rate": 0.25},
                           {"kind": "markov", "p_on": 0.2, "p_off": 0.5}]
-        doc["global_horizon"] = 400
         path = tmp_path / "certain.json"
         path.write_text(json.dumps(doc))
         code = main(["simulate", "--scenario", str(path), "--seed", "7", "--episodes", "10",
@@ -587,7 +607,7 @@ def _vec(v: np.ndarray) -> str:
 
 
 def reference_trace_rows(episode, traces):
-    """The trace rows built cell by cell with `_vec` and `_fmt`."""
+    """The trace rows built cell by cell with `_vec` and `repr`."""
     rows = []
     for tr in traces:
         for k in range(tr.ks.size):
@@ -595,13 +615,13 @@ def reference_trace_rows(episode, traces):
                 episode, tr.loop, int(tr.ks[k]), int(tr.ticks[k]),
                 _vec(tr.xs[k]), _vec(tr.us[k]),
                 int(tr.gammas[k]), int(tr.deltas[k]), int(tr.attempts[k]),
-                _vec(tr.xhats[k]), _vec(tr.errs[k]), _fmt(float(tr.pred_err_sq[k])),
-                int(tr.taus[k]), int(tr.delays[k]), _fmt(float(tr.cost_terms[k])),
+                _vec(tr.xhats[k]), _vec(tr.errs[k]), repr(float(tr.pred_err_sq[k])),
+                int(tr.taus[k]), int(tr.delays[k]), repr(float(tr.cost_terms[k])),
             ])
         steps = tr.ks.size
         rows.append([episode, tr.loop, steps, int(tr.phase + tr.period * steps),
                      _vec(tr.xs[-1]), "", "", "", "", "", "", "", "", "",
-                     _fmt(tr.terminal_cost)])
+                     repr(float(tr.terminal_cost))])
     return rows
 
 
@@ -714,6 +734,7 @@ class TestExitCodes:
          "sources[0]: rate must lie in [0,1], got 1.5"),
         ("crm", {"persistence": [1.5]}, "crm: persistence probabilities must lie in [0,1]"),
         ("sources", {"kind": "bernoulli", "rate": 0.2}, "scenario.sources: must be an array"),
+        ("global_horizon", 400, "scenario: unknown keys ['global_horizon']"),
     ])
     def test_crm_and_source_errors_name_their_path(self, tmp_path, capsys, key, value,
                                                    message):

@@ -214,13 +214,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             NetworkScenario(loops=(), crm=CrmConfig(persistence=(1.0,)))
 
-    def test_global_horizon_must_fit_slowest_loop(self):
-        loop = LoopConfig(plant=scalar_plant(period=10),
-                          scheduler=SchedulerPolicy.always_transmit(),
-                          horizon=10, Q0=1.0, Q1=1.0, Q2=1.0)
-        with pytest.raises(ConfigurationError):
-            NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)),
-                            global_horizon=50)
+    @pytest.mark.parametrize("build,field", [
+        (lambda: scalar_plant(period=float("nan")), "period"),
+        (lambda: scalar_plant(period=float("inf")), "period"),
+        (lambda: scalar_plant(period=10, phase=float("nan")), "phase"),
+        (lambda: LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
+                            horizon=float("nan"), Q0=1.0, Q1=1.0, Q2=1.0), "horizon"),
+        (lambda: LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
+                            horizon=2, Q0=1.0, Q1=1.0, Q2=1.0, net_penalty=float("nan")),
+         "net_penalty"),
+        (lambda: SchedulerPolicy("halfline", threshold=float("nan")), "threshold"),
+    ], ids=["nan-period", "inf-period", "nan-phase", "nan-horizon", "nan-penalty",
+            "nan-threshold"])
+    def test_non_finite_settings_name_their_field(self, build, field):
+        with pytest.raises(ConfigurationError) as info:
+            build()
+        assert type(info.value) is ConfigurationError
+        assert info.value.field == field
 
     def test_immutables(self):
         p = scalar_plant()
