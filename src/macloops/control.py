@@ -66,12 +66,18 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
             G = Q2 + BtS @ B
             # G is symmetric positive definite, so its 2-norm condition number
             # is the ratio of its extreme eigenvalues (eigvalsh is cheaper than
-            # an SVD); an eigenvalue that is not positive means G is singular
-            try:
-                eig = np.linalg.eigvalsh(G)
-                cond = eig[-1] / eig[0] if eig[0] > 0.0 else np.inf
-            except np.linalg.LinAlgError:
-                cond = np.inf
+            # an SVD); an eigenvalue that is not positive means G is singular.
+            # A 1 x 1 G is its one eigenvalue: cond is 1 if G is finite and
+            # positive, else not finite.
+            if G.shape == (1, 1):
+                g = G[0, 0]
+                cond = g / g if g > 0.0 else np.inf
+            else:
+                try:
+                    eig = np.linalg.eigvalsh(G)
+                    cond = eig[-1] / eig[0] if eig[0] > 0.0 else np.inf
+                except np.linalg.LinAlgError:
+                    cond = np.inf
             if not np.isfinite(cond) or cond > 1e14:
                 raise NumericalError(
                     f"Q2 + B'SB numerically singular at step {k} (cond={cond:.2e})"
@@ -110,15 +116,28 @@ def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> flo
         P = P[:, None, None]
     if P.shape != ric.W.shape:
         raise ConfigurationError(f"p_seq must hold {n} x {n} matrices, got shape {P.shape}")
-    bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
+    return float(jdp_stack(np.stack(ric.S)[None], ric.W[None], xhat0[None], P0[None],
+                           Rw[None], P[None])[0])
+
+
+def jdp_stack(S, W, xhat0, P0, Rw, P) -> np.ndarray:
+    """`jdp_closed_form` for l loops of equal n and horizon N at once.
+
+    S is (l, N + 1, n, n), W and P are (l, N, n, n), xhat0 is (l, n), and
+    P0 and Rw are (l, n, n); one predicted cost per loop.  Each loop's terms
+    are added in step order.  A non-finite P_{n|n} raises a
+    ConfigurationError naming p_seq[n].
+    """
+    bad = np.argwhere(~np.isfinite(P).all(axis=(-2, -1)))
     if bad.size:
-        raise ConfigurationError(f"p_seq[{bad[0]}] must be finite, got {P[bad[0]].tolist()}")
-    total = float(xhat0 @ ric.S[0] @ xhat0) + float(np.trace(ric.S[0] @ P0))
-    noise = np.trace(np.matmul(ric.S[1:], Rw), axis1=1, axis2=2)
-    error = np.trace(np.matmul(ric.W, P), axis1=1, axis2=2)
-    for term in (noise + error).tolist():
-        total += term
-    return total
+        loop, k = bad[0]
+        raise ConfigurationError(f"p_seq[{k}] must be finite, got {P[loop, k].tolist()}")
+    head = ((xhat0[:, None, :] @ S[:, 0] @ xhat0[:, :, None])[:, 0, 0]
+            + np.trace(S[:, 0] @ P0, axis1=1, axis2=2))
+    noise = np.trace(S[:, 1:] @ Rw[:, None], axis1=2, axis2=3)
+    error = np.trace(W @ P, axis1=2, axis2=3)
+    # cumsum adds in step order, onto the first two terms
+    return np.cumsum(np.concatenate((head[:, None], noise + error), axis=1), axis=1)[:, -1]
 
 
 @dataclass(frozen=True)

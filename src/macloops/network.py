@@ -63,27 +63,29 @@ class CrmConfig:
     slots_per_sample: int = 0
 
     def __post_init__(self):
+        # model imports this module, so its integer check is imported late
+        from .model import _integer
+
         pers = tuple(float(p) for p in self.persistence)
         if not pers:
             raise ConfigurationError("persistence list must not be empty")
         if any(not (0.0 <= p <= 1.0) for p in pers):
             raise ConfigurationError(f"persistence probabilities must lie in [0,1]: {pers}")
         object.__setattr__(self, "persistence", pers)
-        rmax = self.max_attempts if self.max_attempts else len(pers)
-        if rmax < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
+        # 0 stands for the default: one attempt per probability, one slot per attempt
+        rmax = _integer(self.max_attempts, "max_attempts", "an integer >= 0", 0) or len(pers)
         if rmax != len(pers):
             raise ConfigurationError(
                 f"need one persistence probability per attempt: {len(pers)} given, "
                 f"max_attempts={rmax}"
             )
-        object.__setattr__(self, "max_attempts", int(rmax))
-        slots = self.slots_per_sample if self.slots_per_sample else rmax
+        object.__setattr__(self, "max_attempts", rmax)
+        slots = _integer(self.slots_per_sample, "slots_per_sample", "an integer >= 0", 0) or rmax
         if slots < rmax:
             raise ConfigurationError(
                 f"slots_per_sample ({slots}) must be >= max_attempts ({rmax})"
             )
-        object.__setattr__(self, "slots_per_sample", int(slots))
+        object.__setattr__(self, "slots_per_sample", slots)
 
 
 class SlotEvent(NamedTuple):

@@ -11,8 +11,12 @@ seed, the episode and the role, in the order `_Layout` states.  So a (seed,
 episode, scenario) triple fully determines every trace, and a contender
 meets the same draws under every control law.
 
-There is one engine, and it runs a chunk of up to CHUNK_EPISODES episodes
-at once.  The loops of equal (n, m, horizon) form a stack (`_Stack`), whose
+There is one engine, and it runs a chunk of episodes at once.  A chunk
+holds as many episodes as fit in CHUNK_CELLS array cells, and at least
+one: an episode's cells are its draws (the noise row, and the contention
+table if it is drawn) and its stacks' step arrays (`_Layout.cells`), so a
+small network runs in long chunks and a large one in short ones.  The
+loops of equal (n, m, horizon) form a stack (`_Stack`), whose
 states, estimates and inputs are (episodes, loops, n) arrays, and every
 tick does the prediction, scheduler decision, observer update, control law
 and plant step once per stack, for its sampling loops and the whole chunk;
@@ -58,7 +62,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import CostReport, RiccatiSolution, jdp_closed_form, riccati_backward
+from .control import CostReport, RiccatiSolution, jdp_stack, riccati_backward
 from .errors import ConfigurationError
 from .estimation import ObserverState, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
@@ -74,8 +78,8 @@ _ROLE_TRAFFIC = 1
 _ROLE_CONTENTION = 2
 # contender ids: loops use their index, sources are offset out of the way
 SOURCE_CONTENDER_BASE = 1 << 16
-# episodes advanced together by the engine
-CHUNK_EPISODES = 64
+# the array cells of a chunk of episodes, which sets its length (`_run_arms`)
+CHUNK_CELLS = 1 << 19
 
 ControlLaw = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -262,6 +266,8 @@ class _Layout:
 
     roots: list[tuple[np.ndarray, np.ndarray]]  # per loop, (sqrt R0, sqrt Rw)
     width: int             # the draws of the noise row
+    slots: int             # the contention table's columns, 0 if it is not drawn
+    cells: int             # one episode's draws and stack step arrays
     ticks: np.ndarray      # the sampling ticks, ascending
     starts: list[int]      # tick t's entries are starts[t] to starts[t + 1]
     contenders: list[int]  # per entry, the loop index or the source's id
@@ -292,12 +298,26 @@ def _layout(scenario: NetworkScenario) -> _Layout:
     rows = np.argsort(at, kind="stable")
     starts = np.concatenate(([0], np.cumsum(per_tick + n_src)))
     offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
+    stacks = [_stack(loops, members, roots, loop_ticks, offsets)
+              for members in _stack_members(loops)]
+    crm = scenario.crm
+    slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
+    # a loop's arrays in `_StackSteps`: xs, xhats and taus hold N + 1 steps,
+    # us, preds and the three int arrays N, and bu one
+    step_cells = sum((lc.horizon + 1) * (2 * lc.plant.n + 1)
+                     + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
+    cells = int(offsets[-1]) + rows.size * slots + step_cells
+    return _Layout(roots, int(offsets[-1]), slots, cells, ticks, starts.tolist(),
+                   contenders[rows].tolist(), steps[rows].tolist(), rows, stacks)
+
+
+def _stack_members(loops) -> list[list[int]]:
+    """The loop indices of each stack: loops of equal (n, m, horizon), the
+    stacks in order of their first loop."""
     groups = {}
     for i, lc in enumerate(loops):
         groups.setdefault((lc.plant.n, lc.plant.m, lc.horizon), []).append(i)
-    stacks = [_stack(loops, members, roots, loop_ticks, offsets) for members in groups.values()]
-    return _Layout(roots, int(offsets[-1]), ticks, starts.tolist(), contenders[rows].tolist(),
-                   steps[rows].tolist(), rows, stacks)
+    return list(groups.values())
 
 
 def _index(values: list[int]) -> slice | np.ndarray:
@@ -412,8 +432,8 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
             for j, src in enumerate(sources):
                 active[e, :, j] = traffic_activity(src, u[j])[ticks]
     tables = None
-    if any(0.0 < p < 1.0 for p in scenario.crm.persistence):
-        tables = np.empty((n_ep, layout.rows.size, scenario.crm.slots_per_sample))
+    if layout.slots:
+        tables = np.empty((n_ep, layout.rows.size, layout.slots))
         for e, ep in enumerate(episodes):
             RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
     return _ChunkDraws(episodes, stack_x0, stack_noise, active, tables)
@@ -508,6 +528,7 @@ def _run_chunk(
     control_law: ControlLaw,
     plan: _Plan,
     rounds_log: Optional[list] = None,
+    tally: Optional[_Tally] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
@@ -515,7 +536,7 @@ def _run_chunk(
     list it receives (tick, ids, asking, rounds) for every tick with a
     contention round: the tick's contender ids, the chunk rows of the
     episodes that contended, and the `ContentionRounds` with its per-slot
-    masks.
+    masks.  A `tally` takes each stack's steps as they stand.
     """
     stacks = plan.layout.stacks
     n_ep = len(draws.episodes)
@@ -578,7 +599,7 @@ def _run_chunk(
     # what follows from the stored steps, for all steps at once; each loop's
     # trace is a view into its stack's arrays
     traces = [None] * len(scenario.loops)
-    for st, run in zip(stacks, runs):
+    for s, (st, run) in enumerate(zip(stacks, runs)):
         ks = np.arange(st.horizon)
         xs, xhats, taus = run.xs[:, :, :-1], run.xhats[:, :, 1:], run.taus[:, :, 1:]
         resid = xs - run.preds
@@ -592,6 +613,8 @@ def _run_chunk(
         # cumsum adds in step order, not numpy's pairwise sum
         j = np.cumsum(per_step["cost_terms"], axis=-1)[..., -1] + terminal
         j_lambda = j + st.net_penalty * run.deltas.sum(axis=-1)
+        if tally is not None:
+            tally.add(draws.episodes, s, per_step, j, j_lambda)
         for slot, i in enumerate(st.loops):
             plant = scenario.loops[i].plant
             traces[i] = LoopTrace(
@@ -606,10 +629,13 @@ _Arm = tuple[NetworkScenario, ControlLaw]
 
 
 def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: int,
-              episodes: range, keep_rounds: bool = False):
+              episodes: range, keep_rounds: bool = False,
+              tallies: Optional[Sequence[_Tally]] = None):
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
-    The chunks hold up to CHUNK_EPISODES episodes, in episode order.  The
+    The chunks run in episode order.  Each holds CHUNK_CELLS // cells
+    episodes, and at least one, where cells are one episode's draws and
+    stack step arrays (`_Layout.cells`); the last may hold fewer.  The
     layout and the plan are derived once, from the first arm's scenario and
     the one list of loop Riccati `solutions`, and every chunk is drawn on
     the layout and every arm runs on the plan.  So the arms may differ in
@@ -617,18 +643,21 @@ def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: 
     differ in plants, weights or horizons, the channel or the sources.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
-    else None.
+    else None.  Given `tallies`, one per arm, each arm's chunk is added to
+    its tally before the chunk is yielded.
     """
     scenario = arms[0][0]
     layout = _layout(scenario)
     plan = _plan(layout, solutions, len(scenario.sources))
     rules = [_rules(scn, layout) for scn, _ in arms]
-    for start in range(episodes.start, episodes.stop, CHUNK_EPISODES):
-        chunk = range(start, min(start + CHUNK_EPISODES, episodes.stop))
+    tallies = tallies or [None] * len(arms)
+    size = max(1, CHUNK_CELLS // layout.cells)
+    for start in range(episodes.start, episodes.stop, size):
+        chunk = range(start, min(start + size, episodes.stop))
         draws = _draw_chunk(scenario, layout, seed, chunk)
         logs = [[] if keep_rounds else None for _ in arms]
-        batches = [_run_chunk(scn, rule, draws, law, plan, log)
-                   for (scn, law), rule, log in zip(arms, rules, logs)]
+        batches = [_run_chunk(scn, rule, draws, law, plan, log, tally)
+                   for (scn, law), rule, log, tally in zip(arms, rules, logs, tallies)]
         # the traces do not refer to the draws: free them while the caller
         # reads the chunk
         del draws
@@ -696,39 +725,59 @@ def _se(values: np.ndarray) -> float:
 
 
 class _Tally:
-    """monte_carlo's per-loop sums over one scenario's episodes, chunk by chunk."""
+    """monte_carlo's per-loop sums over one scenario's episodes, chunk by
+    chunk, taken a stack at a time."""
 
     def __init__(self, scenario: NetworkScenario, episodes: int):
         if episodes < 1:
             raise ConfigurationError("episodes must be >= 1")
         self.scenario = scenario
+        self.stacks = _stack_members(scenario.loops)
         # per episode and loop: the cost, the cost with the network penalty
         # and the transmissions
         self.per_episode = np.zeros((3, episodes, len(scenario.loops)))
         # per loop: requests, attempts used, and prediction errors in the bound
         self.counts = np.zeros((3, len(scenario.loops)))
-        self.p_sums = [np.zeros((lc.horizon, lc.plant.n, lc.plant.n)) for lc in scenario.loops]
+        # per stack: its members' eps, and their sums of error outer products
+        self.eps, self.p_sums = [], []
+        for members in self.stacks:
+            lcs = [scenario.loops[i] for i in members]
+            n = lcs[0].plant.n
+            self.eps.append(np.array([lc.scheduler.eps for lc in lcs])[:, None])
+            self.p_sums.append(np.zeros((len(members), lcs[0].horizon, n, n)))
 
-    def add(self, chunk: range, batch: list[LoopTrace]) -> None:
-        rows = slice(chunk.start, chunk.stop)
-        for i, (lc, tr) in enumerate(zip(self.scenario.loops, batch)):
-            self.per_episode[:, rows, i] = tr.j, tr.j_lambda, tr.deltas.sum(axis=1)
-            hits = (tr.pred_err_sq <= lc.scheduler.eps).sum()
-            self.counts[:, i] += tr.gammas.sum(), tr.attempts.sum(), hits
-            outer = np.einsum("eki,ekj->ekij", tr.errs, tr.errs)
-            # cumsum adds in episode order, onto the sum so far
-            self.p_sums[i] = np.cumsum(np.concatenate((self.p_sums[i][None], outer)),
-                                       axis=0)[-1]
+    def add(self, chunk: range, s: int, steps: dict, j: np.ndarray, j_lambda: np.ndarray):
+        """Add the chunk's steps of stack s: `steps` holds its per-step
+        arrays under their `LoopTrace` names, and j and j_lambda its costs,
+        each with (episode, member) leading axes."""
+        members = self.stacks[s]
+        self.per_episode[:, chunk.start:chunk.stop, members] = (
+            j, j_lambda, steps["deltas"].sum(axis=-1))
+        hits = steps["pred_err_sq"] <= self.eps[s]
+        self.counts[:, members] += (steps["gammas"].sum(axis=(0, 2)),
+                                    steps["attempts"].sum(axis=(0, 2)), hits.sum(axis=(0, 2)))
+        errs = steps["errs"]
+        outer = np.einsum("elki,elkj->elkij", errs, errs)
+        # cumsum adds in episode order, onto the sum so far
+        self.p_sums[s] = np.cumsum(np.concatenate((self.p_sums[s][None], outer)), axis=0)[-1]
 
     def result(self, seed: int, solutions: Sequence[RiccatiSolution]) -> MonteCarloResult:
         costs, costs_lambda, tx = self.per_episode
         episodes = costs.shape[0]
+        loops = self.scenario.loops
+        p_seqs, j_dps = [None] * len(loops), np.empty(len(loops))
+        for members, p_sums in zip(self.stacks, self.p_sums):
+            p_seq = p_sums / episodes
+            plants = [loops[i].plant for i in members]
+            j_dps[members] = jdp_stack(
+                *(np.array([getattr(solutions[i], name) for i in members]) for name in "SW"),
+                *(np.array([getattr(plant, name) for plant in plants])
+                  for name in ("x0_mean", "R0", "Rw")),
+                p_seq)
+            for slot, i in enumerate(members):
+                p_seqs[i] = p_seq[slot]
         per_loop = []
-        for i, (lc, solution) in enumerate(zip(self.scenario.loops, solutions)):
-            p_seq = self.p_sums[i] / episodes
-            j_dp = jdp_closed_form(
-                solution, lc.plant.x0_mean, lc.plant.R0, lc.plant.Rw, p_seq
-            )
+        for i, lc in enumerate(loops):
             report = CostReport(
                 episodes=episodes,
                 j_mean=float(costs[:, i].mean()),
@@ -736,7 +785,7 @@ class _Tally:
                 tx_mean=float(tx[:, i].mean()),
                 net_penalty=lc.net_penalty,
                 j_lambda_mean=float(costs_lambda[:, i].mean()),
-                j_dp=j_dp,
+                j_dp=float(j_dps[i]),
             )
             req, attempts, hits = self.counts[:, i]
             successes, steps = tx[:, i].sum(), episodes * lc.horizon
@@ -750,7 +799,7 @@ class _Tally:
                     mean_attempts=float(attempts / req) if req else 0.0,
                     bound_prob=(float(hits / steps) if lc.scheduler.kind in THRESHOLD_KINDS
                                 else float("nan")),
-                    p_seq=p_seq,
+                    p_seq=p_seqs[i],
                     costs=costs[:, i].copy(),
                 )
             )
@@ -786,12 +835,11 @@ def monte_carlo(
     tally = _Tally(scenario, episodes)
     solutions = _loop_constants(scenario)
     for chunk, (batch,), (log,) in _run_arms([(scenario, control_law)], solutions, seed,
-                                             range(episodes), event_hook is not None):
+                                             range(episodes), event_hook is not None, [tally]):
         if trace_hook is not None:
             trace_hook(chunk, batch)
         if event_hook is not None:
             event_hook(chunk, _event_table(chunk, log))
-        tally.add(chunk, batch)
     return tally.result(seed, solutions)
 
 
@@ -832,9 +880,8 @@ def sweep_threshold(
                 for lc in scenario.loops)), ce_law) for eps in eps_grid]
     tallies = [_Tally(scn, episodes) for scn, _ in arms]
     solutions = _loop_constants(scenario)
-    for chunk, batches, _ in _run_arms(arms, solutions, seed, range(episodes)):
-        for tally, batch in zip(tallies, batches):
-            tally.add(chunk, batch)
+    for _ in _run_arms(arms, solutions, seed, range(episodes), tallies=tallies):
+        pass
     cols = {name: [] for name in
             ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate", "drop_rate")}
     for tally in tallies:

@@ -31,6 +31,7 @@ from macloops.errors import ConfigurationError
 from macloops.sim import LoopTrace, _episode_trace
 from macloops.stats import TruncatedGaussian, truncated_moments
 from test_control import U0_OPT_SILENT
+from test_sim import chunks_of
 
 
 class TestParsing:
@@ -270,7 +271,8 @@ MATRIX_PLANT_DIGESTS = {
 
 
 # One scalar loop and one Bernoulli source on a channel with persistence
-# (1, 0.5), over 70 episodes, so the run straddles a chunk boundary.  Each
+# (1, 0.5), over 70 episodes, run in chunks of 64 so that the run straddles
+# a chunk boundary.  Each
 # episode's noise and traffic streams are keyed by the first loop and the
 # first source, so these bytes hold whatever the layout of further loops'
 # and sources' draws.
@@ -301,8 +303,8 @@ ONE_LOOP_DIGESTS = {
 # horizon 10 on three periods and phases, with every scheduler kind (always,
 # state, innovation, half-line ge and le), two 2-state loops of horizon 8 and
 # a scalar loop of horizon 7; one Bernoulli and one Markov source on a
-# channel whose persistence lies strictly inside (0, 1).  70 episodes cross
-# a chunk boundary.  No preset mixes plant shapes, horizons or scheduler
+# channel whose persistence lies strictly inside (0, 1).  70 episodes in
+# chunks of 64 cross a chunk boundary.  No preset mixes plant shapes, horizons or scheduler
 # kinds, so only this run checks which contention column each loop takes.
 _SCALAR_WEIGHTS = {"Q0": 1.0, "Q1": 1.0, "Q2": 1.0}
 _MATRIX_WEIGHTS = {"Q0": [[1.0, 0.0], [0.0, 1.0]], "Q1": [[1.0, 0.0], [0.0, 0.5]], "Q2": 1.0}
@@ -432,7 +434,8 @@ class TestSimulateCommand:
                    for kind in ("summary", "trace", "events")}
         assert digests == MATRIX_PLANT_DIGESTS
 
-    def test_one_loop_bytes_are_pinned(self, tmp_path):
+    def test_one_loop_bytes_are_pinned(self, tmp_path, monkeypatch):
+        chunks_of(monkeypatch, parse_scenario_doc(ONE_LOOP_DOC).scenario)
         path = tmp_path / "one-loop.json"
         path.write_text(json.dumps(ONE_LOOP_DOC))
         code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),
@@ -442,7 +445,8 @@ class TestSimulateCommand:
                    for kind in ("summary", "trace", "events")}
         assert digests == ONE_LOOP_DIGESTS
 
-    def test_mixed_stacks_bytes_are_pinned(self, tmp_path):
+    def test_mixed_stacks_bytes_are_pinned(self, tmp_path, monkeypatch):
+        chunks_of(monkeypatch, parse_scenario_doc(MIXED_STACKS_DOC).scenario)
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(MIXED_STACKS_DOC))
         code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),

@@ -67,6 +67,22 @@ class TestRiccati:
         with pytest.raises(NumericalError, match="not finite"):
             riccati_backward(1e200, 1.0, 1.0, 1.0, 1.0, 10)
 
+    def test_non_finite_scalar_gain_inverse_is_singular(self):
+        # m = 1: B'SB = 1e400 overflows at the last step, so G is not finite
+        with pytest.raises(NumericalError, match=r"numerically singular at step 9 \(cond="):
+            riccati_backward(1.0, 1e200, 1.0, 1.0, 1.0, 10)
+
+    def test_ill_conditioned_gain_inverse_is_singular(self):
+        # m = 2: the second input is neither weighted nor felt, so G has the
+        # eigenvalues 2 and 1e-16 at the last step
+        q2 = np.diag([1.0, 1e-16])
+        with pytest.raises(NumericalError,
+                           match=r"numerically singular at step 4 \(cond=2\.00e\+16\)"):
+            riccati_backward(1.0, [[1.0, 0.0]], 1.0, 1.0, q2, 5)
+        # the same G one order better conditioned passes
+        sol = riccati_backward(1.0, [[1.0, 0.0]], 1.0, 1.0, np.diag([1.0, 1e-13]), 5)
+        assert np.isfinite(sol.S[0]).all()
+
 
 class TestCeControl:
     def test_examples(self):

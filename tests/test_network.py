@@ -72,6 +72,13 @@ class TestCrmConfig:
         with pytest.raises(ConfigurationError):
             CrmConfig(persistence=(1.0, 0.5), max_attempts=3)
 
+    @pytest.mark.parametrize("field", ["slots_per_sample", "max_attempts"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5, -2], ids=["nan", "fraction", "negative"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigurationError) as info:
+            CrmConfig(persistence=(1.0, 0.5), **{field: value})
+        assert info.value.field == field
+
 
 class TestResolveContention:
     def test_single_contender_first_slot(self):

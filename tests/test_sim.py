@@ -18,7 +18,6 @@ from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream, p
 from macloops.network import CrmConfig, TrafficSource, contend, traffic_step
 from macloops.scheduling import SchedulerPolicy, decide
 from macloops.sim import (
-    CHUNK_EPISODES,
     ce_law,
     dual_effect_experiment,
     monte_carlo,
@@ -41,6 +40,16 @@ def loop_of(scheduler, a=1.0, rw=1.0, r0=1.0, x0_mean=None, horizon=10,
 def single_loop(scheduler, crm=None, **kw):
     crm = crm or CrmConfig(persistence=(1.0,))
     return NetworkScenario(loops=(loop_of(scheduler, **kw),), crm=crm)
+
+
+# the chunk length the boundary-crossing tests force
+CHUNK = 64
+
+
+def chunks_of(monkeypatch, scenario, episodes=CHUNK):
+    """Make the engine run `scenario` in chunks of `episodes` episodes, by
+    setting the cell budget to that many episodes' cells."""
+    monkeypatch.setattr(sim, "CHUNK_CELLS", episodes * sim._layout(scenario).cells)
 
 
 def per_episode(hook):
@@ -182,18 +191,18 @@ TRACE_FIELDS = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs", "pr
 class TestChunkedEngine:
     @pytest.mark.parametrize("make", [lambda: parse_scenario_doc("example1").scenario,
                                       two_state_network], ids=["example1", "two-state"])
-    def test_traces_do_not_depend_on_the_chunk(self, make):
+    def test_traces_do_not_depend_on_the_chunk(self, monkeypatch, make):
         # the run straddles a chunk boundary; each episode's traces and its
         # rows of its chunk's event table must match its own one-episode
         # chunk bit for bit and event for event
         scn = make()
-        episodes = CHUNK_EPISODES + 3
+        chunks_of(monkeypatch, scn)
+        episodes = CHUNK + 3
         chunked, tables = {}, []
         monte_carlo(scn, 9, episodes, trace_hook=per_episode(chunked.__setitem__),
                     event_hook=lambda chunk, table: tables.append((chunk, table)))
         assert list(chunked) == list(range(episodes))
-        assert [chunk for chunk, _ in tables] == [range(0, CHUNK_EPISODES),
-                                                  range(CHUNK_EPISODES, episodes)]
+        assert [chunk for chunk, _ in tables] == [range(0, CHUNK), range(CHUNK, episodes)]
         rows = [row for chunk, table in tables
                 for row in zip(*(col.tolist() for col in table), strict=True)]
         assert rows == sorted(rows, key=lambda row: row[0])
@@ -211,11 +220,13 @@ class TestChunkedEngine:
             assert events, ep
             assert events == [row for row in rows if row[0] == ep]
 
-    def test_one_input_holds_for_every_episode_and_loop(self):
+    def test_one_input_holds_for_every_episode_and_loop(self, monkeypatch):
         # example1's loops form one stack, called with several sampling loops
         # per tick; a law's single (m,) input must reach every episode and
-        # loop, bit for bit as the full (E, l, m) array of it does
+        # loop, bit for bit as the full (E, l, m) array of it does, in either
+        # chunk of the run
         scn = parse_scenario_doc("example1").scenario
+        chunks_of(monkeypatch, scn)
         widths = []
 
         def one(L_k, xhat):
@@ -228,7 +239,7 @@ class TestChunkedEngine:
         runs = []
         for law in (one, full):
             seen = []
-            monte_carlo(scn, 4, CHUNK_EPISODES + 2, law,
+            monte_carlo(scn, 4, CHUNK + 2, law,
                         trace_hook=per_episode(lambda ep, traces: seen.append(traces)))
             runs.append(seen)
         assert max(widths) > 1
@@ -427,13 +438,13 @@ class TestNoiseAndTrafficDraws:
     @FOUR_SEEDS
     def test_matrix_draws_do_not_depend_on_the_chunk(self, seed):
         # n = 2 plants: every product over the plant dimensions must have the
-        # same bits in a chunk of CHUNK_EPISODES as in a chunk of one
+        # same bits in a chunk of CHUNK episodes as in a chunk of one
         scn = replace(two_state_network(), loops=(
             two_state_network().loops[0],
             matrix_loop(2, SchedulerPolicy.state_threshold(2.0), 4)))
         layout = sim._layout(scn)
-        chunk = sim._draw_chunk(scn, layout, seed, range(CHUNK_EPISODES))
-        for ep in range(CHUNK_EPISODES):
+        chunk = sim._draw_chunk(scn, layout, seed, range(CHUNK))
+        for ep in range(CHUNK):
             alone = sim._draw_chunk(scn, layout, seed, range(ep, ep + 1))
             for i in range(len(scn.loops)):
                 for a, b in zip(loop_draws(layout, alone, i), loop_draws(layout, chunk, i)):
@@ -455,7 +466,7 @@ def matrix_loop(n, scheduler, seed):
 
 
 class TestMatrixDecisions:
-    def test_decisions_agree_with_the_recorded_errors(self):
+    def test_decisions_agree_with_the_recorded_errors(self, monkeypatch):
         # n = 2 and 3: an innovation loop requests exactly where its recorded
         # squared prediction error exceeds eps, so the bound count is the
         # complement of the request count; a state loop decides as `decide`
@@ -468,7 +479,8 @@ class TestMatrixDecisions:
         scn = NetworkScenario(loops=loops, crm=CrmConfig(persistence=(1.0, 0.6, 0.3),
                                                          slots_per_sample=5),
                               sources=(TrafficSource.bernoulli(0.2),))
-        episodes = CHUNK_EPISODES + 6
+        chunks_of(monkeypatch, scn)
+        episodes = CHUNK + 6
         traces = {}
         res = monte_carlo(scn, 12, episodes, trace_hook=per_episode(traces.__setitem__))
         for i, lc in enumerate(scn.loops):
@@ -664,9 +676,10 @@ class TestRiccatiMemo:
 
 class TestLayout:
     def test_built_once_per_call(self, monkeypatch):
+        scn = lossy_state_network()
+        chunks_of(monkeypatch, scn)
         layouts = counting(monkeypatch, "_layout")
         chunks = counting(monkeypatch, "_draw_chunk")
-        scn = lossy_state_network()
 
         def built():
             """The layouts built and the chunks drawn since the last call."""
@@ -675,11 +688,11 @@ class TestLayout:
             chunks.clear()
             return counts
 
-        monte_carlo(scn, 3, 3 * CHUNK_EPISODES)
+        monte_carlo(scn, 3, 3 * CHUNK)
         assert built() == (1, 3)
-        sweep_threshold(scn, [0.5, 1.0, 2.0], 3, 2 * CHUNK_EPISODES)
+        sweep_threshold(scn, [0.5, 1.0, 2.0], 3, 2 * CHUNK)
         assert built() == (1, 2)
-        dual_effect_experiment(scn, ce_law, zero_law, 3, 2 * CHUNK_EPISODES)
+        dual_effect_experiment(scn, ce_law, zero_law, 3, 2 * CHUNK)
         assert built() == (1, 2)
 
 
@@ -703,13 +716,14 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_threshold(scn, [], seed=0, episodes=5)
 
-    def test_equals_monte_carlo_per_eps_bit_for_bit(self):
+    def test_equals_monte_carlo_per_eps_bit_for_bit(self, monkeypatch):
         # the run straddles a chunk boundary; each column must be what a
         # monte_carlo run of the scenario at that eps reports
         scn = replace(two_state_network(), crm=CrmConfig(persistence=(1.0, 0.75, 0.5)),
                       sources=(TrafficSource.bernoulli(0.3),))
+        chunks_of(monkeypatch, scn)
         grid = [0.25, 1.5, 4.0]
-        episodes = CHUNK_EPISODES + 3
+        episodes = CHUNK + 3
         res = sweep_threshold(scn, grid, seed=6, episodes=episodes)
 
         def mean_of(values):
@@ -775,13 +789,14 @@ class TestDualEffectExperiment:
         assert hashlib.sha256(rep.first_divergence_ticks.tobytes()).hexdigest() == \
             "d8e3f16cab297f3cf0f004599ee4fa5a9abab61486e5c38653ca0f95055edcf9"
 
-    def test_divergence_matches_two_monte_carlo_runs(self):
+    def test_divergence_matches_two_monte_carlo_runs(self, monkeypatch):
         # each law alone through monte_carlo, on an episode range that
         # straddles a chunk boundary, must request where the paired run says
         scn = replace(single_loop(SchedulerPolicy.half_line_state(0.5)),
                       crm=CrmConfig(persistence=(1.0, 0.75, 0.5)),
                       sources=(TrafficSource.bernoulli(0.4),))
-        episodes = CHUNK_EPISODES + 5
+        chunks_of(monkeypatch, scn)
+        episodes = CHUNK + 5
 
         def requests(law):
             seen = []
@@ -809,3 +824,69 @@ class TestDualEffectExperiment:
         scn = single_loop(SchedulerPolicy.half_line_state(0.5))
         with pytest.raises(ConfigurationError, match="episodes must be >= 1"):
             dual_effect_experiment(scn, ce_law, zero_law, seed=0, episodes=0)
+
+
+def chunk_cells(monkeypatch, scenario, episodes):
+    """The chunks of a monte_carlo run, each with the array cells it takes:
+    the noise row and contention table it draws, and the step arrays its
+    stacks fill, counted from the arrays themselves."""
+    cells, draw, stack_steps = {}, sim._draw_chunk, sim._stack_steps
+
+    def draw_spy(scn, layout, seed, chunk):
+        draws = draw(scn, layout, seed, chunk)
+        table = 0 if draws.tables is None else draws.tables.size
+        cells[chunk] = len(chunk) * layout.width + table
+        return draws
+
+    def steps_spy(st, x0, n_ep):
+        run = stack_steps(st, x0, n_ep)
+        cells[list(cells)[-1]] += sum(arr.size for arr in vars(run).values())
+        return run
+
+    monkeypatch.setattr(sim, "_draw_chunk", draw_spy)
+    monkeypatch.setattr(sim, "_stack_steps", steps_spy)
+    monte_carlo(scenario, 2, episodes)
+    return cells
+
+
+def flood_network():
+    """example1-baseline's twenty loops, every sample requested, with four
+    Bernoulli sources on its channel."""
+    base = parse_scenario_doc("example1-baseline").scenario
+    return replace(base, sources=(TrafficSource.bernoulli(0.25),) * 4)
+
+
+class TestChunkSize:
+    def test_one_scalar_loop_runs_450_pairs_in_one_chunk(self, monkeypatch):
+        # criterion 8's loop, at the benchmark's batch of the paired experiment
+        scn = single_loop(SchedulerPolicy.half_line_state(0.5))
+        chunks = counting(monkeypatch, "_draw_chunk")
+        dual_effect_experiment(scn, ce_law, zero_law, 3, 450)
+        assert [args[3] for args in chunks] == [range(450)]
+
+    @pytest.mark.parametrize("make", [flood_network,
+                                      lambda: parse_scenario_doc("example3").scenario],
+                             ids=["flood", "example3"])
+    def test_twenty_loops_get_at_least_64_episodes(self, monkeypatch, make):
+        cells = chunk_cells(monkeypatch, make(), 130)
+        assert len(list(cells)[0]) >= 64
+
+    @pytest.mark.parametrize("make", [lossy_state_network, two_state_network, layered_network,
+                                      lambda: single_loop(SchedulerPolicy.half_line_state(0.5))],
+                             ids=["lossy", "two-state", "layered", "one-loop"])
+    @pytest.mark.parametrize("budget", [0.5, 1, 3, 3.5, None],
+                             ids=["half-episode", "one", "three", "three-and-a-half", "default"])
+    def test_chunks_fill_the_cell_budget(self, monkeypatch, make, budget):
+        # every chunk but a one-episode one fits the budget, and every chunk
+        # but the last would not fit one more episode
+        scn = make()
+        per_episode_cells = sim._layout(scn).cells
+        if budget is not None:
+            monkeypatch.setattr(sim, "CHUNK_CELLS", int(budget * per_episode_cells))
+        cells = chunk_cells(monkeypatch, scn, 10)
+        assert [ep for chunk in cells for ep in chunk] == list(range(10))
+        for chunk, used in cells.items():
+            assert used == len(chunk) * per_episode_cells
+            assert used <= sim.CHUNK_CELLS or len(chunk) == 1
+        for chunk in list(cells)[:-1]:
+            assert (len(chunk) + 1) * per_episode_cells > sim.CHUNK_CELLS
