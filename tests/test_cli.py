@@ -272,10 +272,9 @@ MATRIX_PLANT_DIGESTS = {
 
 # One scalar loop and one Bernoulli source on a channel with persistence
 # (1, 0.5), over 70 episodes, run in chunks of 64 so that the run straddles
-# a chunk boundary.  Each
-# episode's noise and traffic streams are keyed by the first loop and the
-# first source, so these bytes hold whatever the layout of further loops'
-# and sources' draws.
+# a chunk boundary.  Each episode's noise and traffic streams are keyed by
+# the first loop and the first source, so these bytes hold whatever the
+# layout of further loops' and sources' draws.
 ONE_LOOP_DOC = {
     "name": "one-loop",
     "seed": 7,
@@ -304,8 +303,9 @@ ONE_LOOP_DIGESTS = {
 # state, innovation, half-line ge and le), two 2-state loops of horizon 8 and
 # a scalar loop of horizon 7; one Bernoulli and one Markov source on a
 # channel whose persistence lies strictly inside (0, 1).  70 episodes in
-# chunks of 64 cross a chunk boundary.  No preset mixes plant shapes, horizons or scheduler
-# kinds, so only this run checks which contention column each loop takes.
+# chunks of 64 cross a chunk boundary.  No preset mixes plant shapes,
+# horizons or scheduler kinds, so only this run checks which contention
+# column each loop takes.
 _SCALAR_WEIGHTS = {"Q0": 1.0, "Q1": 1.0, "Q2": 1.0}
 _MATRIX_WEIGHTS = {"Q0": [[1.0, 0.0], [0.0, 1.0]], "Q1": [[1.0, 0.0], [0.0, 0.5]], "Q2": 1.0}
 MIXED_STACKS_DOC = {
