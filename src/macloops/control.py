@@ -32,12 +32,13 @@ from .stats import (
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Backward value matrices S_0..S_N, gains L_0..L_{N-1}, and the weights
+    """Backward value matrices S_0..S_N as an (N + 1, n, n) array, gains
+    L_0..L_{N-1} as an (N, m, n) array, and the weights
     W_k = L_k' (Q2 + B'S_{k+1}B) L_k of the filtered error covariances in
-    the predicted cost, stacked as an (N, n, n) array."""
+    the predicted cost as an (N, n, n) array; S[k] is S_k, and so on."""
 
-    S: tuple
-    L: tuple
+    S: np.ndarray
+    L: np.ndarray
     W: np.ndarray
     horizon: int
 
@@ -88,7 +89,7 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
             S[k] = 0.5 * (Sk + Sk.T)
-    return RiccatiSolution(S=tuple(S), L=tuple(L), W=np.array(W), horizon=horizon)
+    return RiccatiSolution(S=np.array(S), L=np.array(L), W=np.array(W), horizon=horizon)
 
 
 def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> float:
@@ -116,7 +117,7 @@ def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> flo
         P = P[:, None, None]
     if P.shape != ric.W.shape:
         raise ConfigurationError(f"p_seq must hold {n} x {n} matrices, got shape {P.shape}")
-    return float(jdp_stack(np.stack(ric.S)[None], ric.W[None], xhat0[None], P0[None],
+    return float(jdp_stack(ric.S[None], ric.W[None], xhat0[None], P0[None],
                            Rw[None], P[None])[0])
 
 

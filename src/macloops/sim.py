@@ -48,10 +48,12 @@ One driver, `_run_arms`, draws each chunk once and runs every arm on it:
 an arm is a (scenario variant, control law) pair.  `monte_carlo` and
 `run_episode` run one arm, `dual_effect_experiment` one per control law and
 `sweep_threshold` one per threshold, so the arms they compare meet the same
-noise, traffic and contention draws.  Each call derives the loops' Riccati
-gains once for every distinct loop (`_loop_constants`), the layout once
-(`_layout`) and what every tick does once (`_plan`); nothing is kept
-between calls.
+noise, traffic and contention draws.  Each call derives everything it
+needs from its scenario once, in `_layout`: one Riccati solution for all
+loops with equal dynamics, weights and horizon, one pair of noise roots for
+all with equal R0 and Rw, the stacks with their members' matrices, roots
+and solutions stacked, and the plan of what every tick does.  Every arm,
+chunk and tally reads that layout; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import CostReport, RiccatiSolution, jdp_stack, riccati_backward
+from .control import CostReport, jdp_stack, riccati_backward
 from .errors import ConfigurationError
 from .estimation import ObserverState, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
@@ -173,35 +175,19 @@ class EventTable(NamedTuple):
     result: np.ndarray
 
 
-def _loop_constants(scenario: NetworkScenario) -> list[RiccatiSolution]:
-    """Each loop's Riccati solution, in loop order.
-
-    One solution is derived for all loops with equal horizon, dynamics and
-    weights.  Loops share it, so its arrays are read-only.
-    """
-    solved, table = {}, []
-    for lc in scenario.loops:
-        plant = lc.plant
-        args = (plant.A, plant.B, lc.Q0, lc.Q1, lc.Q2)
-        key = (lc.horizon, plant.n, plant.m, *(a.tobytes() for a in args))
-        if key not in solved:
-            sol = solved[key] = riccati_backward(*args, lc.horizon)
-            for arr in (*sol.S, *sol.L, sol.W):
-                arr.flags.writeable = False
-        table.append(solved[key])
-    return table
-
-
 @dataclass(eq=False)
 class _Stack:
-    """The loops of one (n, m, horizon), in loop order, with their matrices
-    stacked along a loop axis.  A chunk holds their steps in (E, L_s, ...)
-    arrays, and each tick runs their sampling loops as one array step."""
+    """The loops of one (n, m, horizon), in loop order, with their matrices,
+    noise roots and Riccati solutions stacked along a loop axis.  A chunk
+    holds their steps in (E, L_s, ...) arrays, and each tick runs their
+    sampling loops as one array step."""
 
     loops: list[int]       # loop indices, ascending
     horizon: int
     block: slice | np.ndarray   # the members' blocks of the noise row
     x0_mean: np.ndarray    # (L_s, n)
+    R0: np.ndarray         # (L_s, n, n)
+    Rw: np.ndarray         # (L_s, n, n)
     sqrt_r0: np.ndarray    # (L_s, n, n)
     sqrt_rw: np.ndarray    # (L_s, 1, n, n), one per process-noise step
     A: np.ndarray          # (L_s, n, n)
@@ -209,11 +195,15 @@ class _Stack:
     Q0: np.ndarray         # (L_s, n, n)
     Q1: np.ndarray         # (L_s, 1, n, n), one per step
     Q2: np.ndarray         # (L_s, 1, m, m), one per step
+    S: np.ndarray          # (L_s, N + 1, n, n): the Riccati value matrices
+    L: np.ndarray          # (L_s, N, m, n): the gains
+    W: np.ndarray          # (L_s, N, n, n): the error weights of the predicted cost
     net_penalty: np.ndarray  # (L_s,)
     ticks: list[np.ndarray]  # per member, its sampling ticks
 
 
-def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) -> _Stack:
+def _stack(loops, members: list[int], solutions, roots, loop_ticks,
+           offsets: np.ndarray) -> _Stack:
     lcs = [loops[i] for i in members]
     size = int(offsets[members[0] + 1] - offsets[members[0]])
     starts = offsets[members]
@@ -228,103 +218,17 @@ def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) ->
     return _Stack(
         loops=members, horizon=lcs[0].horizon, block=block,
         x0_mean=stacked(lc.plant.x0_mean for lc in lcs),
+        R0=stacked(lc.plant.R0 for lc in lcs), Rw=stacked(lc.plant.Rw for lc in lcs),
         sqrt_r0=stacked(roots[i][0] for i in members),
         sqrt_rw=stacked(roots[i][1] for i in members)[:, None],
         A=stacked(lc.plant.A for lc in lcs), B=stacked(lc.plant.B for lc in lcs),
         Q0=stacked(lc.Q0 for lc in lcs), Q1=stacked(lc.Q1 for lc in lcs)[:, None],
         Q2=stacked(lc.Q2 for lc in lcs)[:, None],
+        S=stacked(solutions[i].S for i in members), L=stacked(solutions[i].L for i in members),
+        W=stacked(solutions[i].W for i in members),
         net_penalty=np.array([lc.net_penalty for lc in lcs], dtype=float),
         ticks=[loop_ticks[i] for i in members],
     )
-
-
-@dataclass(eq=False)
-class _Layout:
-    """Where an episode's draws go and when the loops sample, for one
-    scenario; `_run_arms` derives it once per call.
-
-    An episode draws from three streams, keyed by the master seed:
-    - noise, keyed (episode, 0, noise): one `standard_normal` row of the
-      loops' blocks in loop order, each the loop's n draws for x0 and then
-      its N x n process-noise draws, turned into noise by its `roots`;
-    - traffic, keyed (episode, SOURCE_CONTENDER_BASE, traffic): one
-      `random((sources, last sampling tick + 1))` table, row j for source j,
-      read at the sampling ticks; none without sources;
-    - contention, keyed (episode, contention): a (rows, slots_per_sample)
-      table, drawn only if some persistence lies strictly between 0 and 1,
-      whose rows go contender by contender: each loop's sampling steps in
-      loop order, then each source at every sampling tick.
-    The noise and traffic keys are those of the first loop and the first
-    source.  Appending a loop or a source moves no earlier block or row, and
-    a contender's draws depend only on (seed, episode, contender, tick), so
-    every control law and threshold meets the same ones.  The entries are
-    the contention rows in tick order, and within a tick in contender-id
-    order: the sampling loops, then every source.  The loops are grouped in
-    stacks of equal (n, m, horizon), in order of their first loop; a stack's
-    noise is drawn straight into its stacked arrays.
-    """
-
-    roots: list[tuple[np.ndarray, np.ndarray]]  # per loop, (sqrt R0, sqrt Rw)
-    width: int             # the draws of the noise row
-    slots: int             # the contention table's columns, 0 if it is not drawn
-    cells: int             # one episode's draws and stack step arrays
-    ticks: np.ndarray      # the sampling ticks, ascending
-    starts: list[int]      # tick t's entries are starts[t] to starts[t + 1]
-    contenders: list[int]  # per entry, the loop index or the source's id
-    steps: list[int]       # per entry, the loop's step or the tick's index
-    rows: np.ndarray       # per entry, its row of the contention table
-    stacks: list[_Stack]
-
-
-def _layout(scenario: NetworkScenario) -> _Layout:
-    """The scenario's layout; one pair of noise roots is derived for all
-    loops with equal R0 and Rw."""
-    loops, n_src = scenario.loops, len(scenario.sources)
-    memo, roots = {}, []
-    for lc in loops:
-        key = (lc.plant.R0.tobytes(), lc.plant.Rw.tobytes())
-        if key not in memo:
-            memo[key] = (psd_sqrt(lc.plant.R0), psd_sqrt(lc.plant.Rw))
-        roots.append(memo[key])
-    # every entry in the contention table's order, then sorted by tick
-    loop_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon) for lc in loops]
-    ticks, per_tick = np.unique(np.concatenate(loop_ticks), return_counts=True)
-    at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
-    source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
-    contenders = np.concatenate([np.full(lc.horizon, i) for i, lc in enumerate(loops)]
-                                + [np.repeat(source_ids, ticks.size)])
-    steps = np.concatenate([np.arange(lc.horizon) for lc in loops]
-                           + [np.tile(np.arange(ticks.size), n_src)])
-    rows = np.argsort(at, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(per_tick + n_src)))
-    offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
-    stacks = [_stack(loops, members, roots, loop_ticks, offsets)
-              for members in _stack_members(loops)]
-    crm = scenario.crm
-    slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
-    # a loop's arrays in `_StackSteps`: xs, xhats and taus hold N + 1 steps,
-    # us, preds and the three int arrays N, and bu one
-    step_cells = sum((lc.horizon + 1) * (2 * lc.plant.n + 1)
-                     + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
-    cells = int(offsets[-1]) + rows.size * slots + step_cells
-    return _Layout(roots, int(offsets[-1]), slots, cells, ticks, starts.tolist(),
-                   contenders[rows].tolist(), steps[rows].tolist(), rows, stacks)
-
-
-def _stack_members(loops) -> list[list[int]]:
-    """The loop indices of each stack: loops of equal (n, m, horizon), the
-    stacks in order of their first loop."""
-    groups = {}
-    for i, lc in enumerate(loops):
-        groups.setdefault((lc.plant.n, lc.plant.m, lc.horizon), []).append(i)
-    return list(groups.values())
-
-
-def _index(values: list[int]) -> slice | np.ndarray:
-    """values as a slice if they run up by one, else as an index array."""
-    if values == list(range(values[0], values[0] + len(values))):
-        return slice(values[0], values[0] + len(values))
-    return np.array(values)
 
 
 @dataclass(eq=False)
@@ -355,42 +259,107 @@ class _Tick:
 
 
 @dataclass(eq=False)
-class _Plan:
-    """What every tick does, for one call: `_run_arms` derives it once from
-    the layout and the loops' Riccati gains, and every arm and chunk runs
-    on it."""
+class _Layout:
+    """Everything a call derives from its scenario: where an episode's draws
+    go, when the loops sample, their stacks and what every tick does.  Each
+    call derives it once (`_layout`), and every arm, chunk and tally reads it.
 
-    layout: _Layout
-    ticks: list[_Tick]
+    An episode draws from three streams, keyed by the master seed:
+    - noise, keyed (episode, 0, noise): one `standard_normal` row of the
+      loops' blocks in loop order, each the loop's n draws for x0 and then
+      its N x n process-noise draws, turned into noise by its stack's roots;
+    - traffic, keyed (episode, SOURCE_CONTENDER_BASE, traffic): one
+      `random((sources, last sampling tick + 1))` table, row j for source j,
+      read at the sampling ticks; none without sources;
+    - contention, keyed (episode, contention): a (rows, slots_per_sample)
+      table, drawn only if some persistence lies strictly between 0 and 1,
+      whose rows go contender by contender: each loop's sampling steps in
+      loop order, then each source at every sampling tick.
+    The noise and traffic keys are those of the first loop and the first
+    source.  Appending a loop or a source moves no earlier block or row, and
+    a contender's draws depend only on (seed, episode, contender, tick), so
+    every control law and threshold meets the same ones.  Each tick of the
+    plan reads its contention rows in contender-id order: the sampling
+    loops, then every source.  The loops are grouped in stacks of equal
+    (n, m, horizon), in order of their first loop; a stack's noise is drawn
+    straight into its stacked arrays.
+    """
+
+    width: int             # the draws of the noise row
+    rows: int              # the contention table's rows
+    slots: int             # the contention table's columns, 0 if it is not drawn
+    cells: int             # one episode's draws and stack step arrays
+    ticks: np.ndarray      # the sampling ticks, ascending
+    stacks: list[_Stack]
+    plan: list[_Tick]      # per sampling tick, what it does
 
 
-def _plan(layout: _Layout, solutions: Sequence[RiccatiSolution], n_src: int) -> _Plan:
-    where = {i: (s, slot) for s, st in enumerate(layout.stacks) for slot, i in enumerate(st.loops)}
-    # per stack, each member's gains stacked (L_s, N, m, n); loops share a solution's
-    stacked = {}
-    for sol in solutions:
-        if id(sol) not in stacked:
-            stacked[id(sol)] = np.stack(sol.L)
-    gains = [np.stack([stacked[id(solutions[i])] for i in st.loops]) for st in layout.stacks]
-    ticks = []
-    for t, tick in enumerate(layout.ticks.tolist()):
-        lo, hi = layout.starts[t], layout.starts[t + 1]
+def _layout(scenario: NetworkScenario) -> _Layout:
+    """The scenario's layout.  One Riccati solution is derived for all loops
+    with equal horizon, dynamics and weights, and one pair of noise roots
+    for all loops with equal R0 and Rw."""
+    loops, n_src = scenario.loops, len(scenario.sources)
+    solved, rooted, solutions, roots, members = {}, {}, [], [], {}
+    for i, lc in enumerate(loops):
+        plant = lc.plant
+        args = (plant.A, plant.B, lc.Q0, lc.Q1, lc.Q2)
+        key = (lc.horizon, plant.n, plant.m, *(a.tobytes() for a in args))
+        if key not in solved:
+            solved[key] = riccati_backward(*args, lc.horizon)
+        solutions.append(solved[key])
+        key = (plant.R0.tobytes(), plant.Rw.tobytes())
+        if key not in rooted:
+            rooted[key] = (psd_sqrt(plant.R0), psd_sqrt(plant.Rw))
+        roots.append(rooted[key])
+        members.setdefault((plant.n, plant.m, lc.horizon), []).append(i)
+    # every entry in the contention table's order, then sorted by tick
+    loop_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon) for lc in loops]
+    ticks, per_tick = np.unique(np.concatenate(loop_ticks), return_counts=True)
+    at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
+    source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
+    contenders = np.concatenate([np.full(lc.horizon, i) for i, lc in enumerate(loops)]
+                                + [np.repeat(source_ids, ticks.size)])
+    steps = np.concatenate([np.arange(lc.horizon) for lc in loops]
+                           + [np.tile(np.arange(ticks.size), n_src)])
+    rows = np.argsort(at, kind="stable")
+    contenders, steps = contenders[rows], steps[rows].tolist()
+    starts = np.concatenate(([0], np.cumsum(per_tick + n_src))).tolist()
+    offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
+    stacks = [_stack(loops, group, solutions, roots, loop_ticks, offsets)
+              for group in members.values()]
+    where = {i: (s, slot) for s, st in enumerate(stacks) for slot, i in enumerate(st.loops)}
+    plan = []
+    for t, tick in enumerate(ticks.tolist()):
+        lo, hi = starts[t], starts[t + 1]
         groups = {}
-        for col, (i, k) in enumerate(zip(layout.contenders[lo:hi - n_src],
-                                         layout.steps[lo:hi - n_src])):
+        for col, (i, k) in enumerate(zip(contenders[lo:hi - n_src].tolist(),
+                                         steps[lo:hi - n_src])):
             s, slot = where[i]
             groups.setdefault(s, []).append((col, slot, k))
-        steps = []
+        tick_steps = []
         for s, entries in groups.items():
             cols, slots, ks = (list(v) for v in zip(*entries))
             sel, k = _index(slots), ks[0]
             if isinstance(sel, np.ndarray) or ks != [k] * len(ks):
                 sel, k = np.array(slots), np.array(ks)
-            st = layout.stacks[s]
-            steps.append(_Step(s, sel, k, _index(cols), st.A[sel], st.B[sel], gains[s][sel, k]))
-        ticks.append(_Tick(tick, layout.rows[lo:hi], np.array(layout.contenders[lo:hi]),
-                           hi - lo - n_src, steps))
-    return _Plan(layout, ticks)
+            st = stacks[s]
+            tick_steps.append(_Step(s, sel, k, _index(cols), st.A[sel], st.B[sel], st.L[sel, k]))
+        plan.append(_Tick(tick, rows[lo:hi], contenders[lo:hi], hi - lo - n_src, tick_steps))
+    crm = scenario.crm
+    slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
+    # a loop's arrays in `_StackSteps`: xs, xhats and taus hold N + 1 steps,
+    # us, preds and the three int arrays N, and bu one
+    step_cells = sum((lc.horizon + 1) * (2 * lc.plant.n + 1)
+                     + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
+    cells = int(offsets[-1]) + rows.size * slots + step_cells
+    return _Layout(int(offsets[-1]), rows.size, slots, cells, ticks, stacks, plan)
+
+
+def _index(values: list[int]) -> slice | np.ndarray:
+    """values as a slice if they run up by one, else as an index array."""
+    if values == list(range(values[0], values[0] + len(values))):
+        return slice(values[0], values[0] + len(values))
+    return np.array(values)
 
 
 @dataclass(eq=False)
@@ -433,7 +402,7 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
                 active[e, :, j] = traffic_activity(src, u[j])[ticks]
     tables = None
     if layout.slots:
-        tables = np.empty((n_ep, layout.rows.size, layout.slots))
+        tables = np.empty((n_ep, layout.rows, layout.slots))
         for e, ep in enumerate(episodes):
             RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
     return _ChunkDraws(episodes, stack_x0, stack_noise, active, tables)
@@ -526,7 +495,7 @@ def _run_chunk(
     rules: Sequence[_Rule],
     draws: _ChunkDraws,
     control_law: ControlLaw,
-    plan: _Plan,
+    layout: _Layout,
     rounds_log: Optional[list] = None,
     tally: Optional[_Tally] = None,
 ) -> list[LoopTrace]:
@@ -538,12 +507,12 @@ def _run_chunk(
     episodes that contended, and the `ContentionRounds` with its per-slot
     masks.  A `tally` takes each stack's steps as they stand.
     """
-    stacks = plan.layout.stacks
+    stacks = layout.stacks
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
     keep_slots = rounds_log is not None
 
-    for t, tick in enumerate(plan.ticks):
+    for t, tick in enumerate(layout.plan):
         # schedule: one decision per stack for its sampling loops, whole chunk
         priors, wants = [], []
         for step in tick.steps:
@@ -628,27 +597,23 @@ def _run_chunk(
 _Arm = tuple[NetworkScenario, ControlLaw]
 
 
-def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: int,
-              episodes: range, keep_rounds: bool = False,
-              tallies: Optional[Sequence[_Tally]] = None):
+def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
+              keep_rounds: bool = False, tallies: Optional[Sequence[_Tally]] = None):
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
     The chunks run in episode order.  Each holds CHUNK_CELLS // cells
     episodes, and at least one, where cells are one episode's draws and
-    stack step arrays (`_Layout.cells`); the last may hold fewer.  The
-    layout and the plan are derived once, from the first arm's scenario and
-    the one list of loop Riccati `solutions`, and every chunk is drawn on
-    the layout and every arm runs on the plan.  So the arms may differ in
-    schedulers and control laws, which neither depends on, but must not
-    differ in plants, weights or horizons, the channel or the sources.
+    stack step arrays (`_Layout.cells`); the last may hold fewer.  Every
+    chunk is drawn on the one `layout`, the first arm's, and every arm runs
+    on it.  So the arms may differ in schedulers and control laws, which
+    the layout does not depend on, but must not differ in plants, weights
+    or horizons, the channel or the sources.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.  Given `tallies`, one per arm, each arm's chunk is added to
     its tally before the chunk is yielded.
     """
     scenario = arms[0][0]
-    layout = _layout(scenario)
-    plan = _plan(layout, solutions, len(scenario.sources))
     rules = [_rules(scn, layout) for scn, _ in arms]
     tallies = tallies or [None] * len(arms)
     size = max(1, CHUNK_CELLS // layout.cells)
@@ -656,7 +621,7 @@ def _run_arms(arms: Sequence[_Arm], solutions: Sequence[RiccatiSolution], seed: 
         chunk = range(start, min(start + size, episodes.stop))
         draws = _draw_chunk(scenario, layout, seed, chunk)
         logs = [[] if keep_rounds else None for _ in arms]
-        batches = [_run_chunk(scn, rule, draws, law, plan, log, tally)
+        batches = [_run_chunk(scn, rule, draws, law, layout, log, tally)
                    for (scn, law), rule, log, tally in zip(arms, rules, logs, tallies)]
         # the traces do not refer to the draws: free them while the caller
         # reads the chunk
@@ -675,8 +640,8 @@ def run_episode(
     of the `EventTable` that `monte_carlo`'s event hook gets for the same
     seed."""
     episode = int(episode)
-    _, (batch,), _ = next(_run_arms([(scenario, control_law)], _loop_constants(scenario),
-                                    seed, range(episode, episode + 1)))
+    _, (batch,), _ = next(_run_arms([(scenario, control_law)], _layout(scenario), seed,
+                                    range(episode, episode + 1)))
     return [_episode_trace(tr, 0, episode) for tr in batch]
 
 
@@ -718,6 +683,12 @@ class MonteCarloResult:
     j_se: float
 
 
+def _check_episodes(episodes: int) -> None:
+    """Reject a run of fewer than one episode, before anything is derived."""
+    if episodes < 1:
+        raise ConfigurationError("episodes must be >= 1")
+
+
 def _se(values: np.ndarray) -> float:
     if values.size < 2:
         return float("nan")
@@ -728,29 +699,23 @@ class _Tally:
     """monte_carlo's per-loop sums over one scenario's episodes, chunk by
     chunk, taken a stack at a time."""
 
-    def __init__(self, scenario: NetworkScenario, episodes: int):
-        if episodes < 1:
-            raise ConfigurationError("episodes must be >= 1")
-        self.scenario = scenario
-        self.stacks = _stack_members(scenario.loops)
+    def __init__(self, scenario: NetworkScenario, layout: _Layout, episodes: int):
+        self.scenario, self.stacks = scenario, layout.stacks
         # per episode and loop: the cost, the cost with the network penalty
         # and the transmissions
         self.per_episode = np.zeros((3, episodes, len(scenario.loops)))
         # per loop: requests, attempts used, and prediction errors in the bound
         self.counts = np.zeros((3, len(scenario.loops)))
         # per stack: its members' eps, and their sums of error outer products
-        self.eps, self.p_sums = [], []
-        for members in self.stacks:
-            lcs = [scenario.loops[i] for i in members]
-            n = lcs[0].plant.n
-            self.eps.append(np.array([lc.scheduler.eps for lc in lcs])[:, None])
-            self.p_sums.append(np.zeros((len(members), lcs[0].horizon, n, n)))
+        self.eps = [np.array([scenario.loops[i].scheduler.eps for i in st.loops])[:, None]
+                    for st in self.stacks]
+        self.p_sums = [np.zeros(st.W.shape) for st in self.stacks]
 
     def add(self, chunk: range, s: int, steps: dict, j: np.ndarray, j_lambda: np.ndarray):
         """Add the chunk's steps of stack s: `steps` holds its per-step
         arrays under their `LoopTrace` names, and j and j_lambda its costs,
         each with (episode, member) leading axes."""
-        members = self.stacks[s]
+        members = self.stacks[s].loops
         self.per_episode[:, chunk.start:chunk.stop, members] = (
             j, j_lambda, steps["deltas"].sum(axis=-1))
         hits = steps["pred_err_sq"] <= self.eps[s]
@@ -761,20 +726,15 @@ class _Tally:
         # cumsum adds in episode order, onto the sum so far
         self.p_sums[s] = np.cumsum(np.concatenate((self.p_sums[s][None], outer)), axis=0)[-1]
 
-    def result(self, seed: int, solutions: Sequence[RiccatiSolution]) -> MonteCarloResult:
+    def result(self, seed: int) -> MonteCarloResult:
         costs, costs_lambda, tx = self.per_episode
         episodes = costs.shape[0]
         loops = self.scenario.loops
         p_seqs, j_dps = [None] * len(loops), np.empty(len(loops))
-        for members, p_sums in zip(self.stacks, self.p_sums):
+        for st, p_sums in zip(self.stacks, self.p_sums):
             p_seq = p_sums / episodes
-            plants = [loops[i].plant for i in members]
-            j_dps[members] = jdp_stack(
-                *(np.array([getattr(solutions[i], name) for i in members]) for name in "SW"),
-                *(np.array([getattr(plant, name) for plant in plants])
-                  for name in ("x0_mean", "R0", "Rw")),
-                p_seq)
-            for slot, i in enumerate(members):
+            j_dps[st.loops] = jdp_stack(st.S, st.W, st.x0_mean, st.R0, st.Rw, p_seq)
+            for slot, i in enumerate(st.loops):
                 p_seqs[i] = p_seq[slot]
         per_loop = []
         for i, lc in enumerate(loops):
@@ -832,15 +792,16 @@ def monte_carlo(
     `EventTable`.  They exist for CSV dumping; the traces are views into
     the engine's arrays.
     """
-    tally = _Tally(scenario, episodes)
-    solutions = _loop_constants(scenario)
-    for chunk, (batch,), (log,) in _run_arms([(scenario, control_law)], solutions, seed,
+    _check_episodes(episodes)
+    layout = _layout(scenario)
+    tally = _Tally(scenario, layout, episodes)
+    for chunk, (batch,), (log,) in _run_arms([(scenario, control_law)], layout, seed,
                                              range(episodes), event_hook is not None, [tally]):
         if trace_hook is not None:
             trace_hook(chunk, batch)
         if event_hook is not None:
             event_hook(chunk, _event_table(chunk, log))
-    return tally.result(seed, solutions)
+    return tally.result(seed)
 
 
 @dataclass(eq=False)
@@ -878,14 +839,15 @@ def sweep_threshold(
     arms = [(replace(scenario, loops=tuple(
                 replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
                 for lc in scenario.loops)), ce_law) for eps in eps_grid]
-    tallies = [_Tally(scn, episodes) for scn, _ in arms]
-    solutions = _loop_constants(scenario)
-    for _ in _run_arms(arms, solutions, seed, range(episodes), tallies=tallies):
+    _check_episodes(episodes)
+    layout = _layout(scenario)
+    tallies = [_Tally(scn, layout, episodes) for scn, _ in arms]
+    for _ in _run_arms(arms, layout, seed, range(episodes), tallies=tallies):
         pass
     cols = {name: [] for name in
             ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate", "drop_rate")}
     for tally in tallies:
-        res = tally.result(seed, solutions)
+        res = tally.result(seed)
         cols["j_mean"].append(res.j_mean)
         cols["j_se"].append(res.j_se)
         # each rate averaged over the loops where it is defined
@@ -938,8 +900,7 @@ def dual_effect_experiment(
     """
     if law_a is law_b:
         raise ConfigurationError("the two control laws must differ")
-    if episodes < 1:
-        raise ConfigurationError("episodes must be >= 1")
+    _check_episodes(episodes)
     control_free = all(is_symmetric_control_free(lc.scheduler) for lc in scenario.loops)
     identical = 0
     div_ticks = []
@@ -947,7 +908,7 @@ def dual_effect_experiment(
     mse_b = np.zeros(episodes)
     never = np.iinfo(int).max
     arms = [(scenario, law_a), (scenario, law_b)]
-    for chunk, (batch_a, batch_b), _ in _run_arms(arms, _loop_constants(scenario), seed,
+    for chunk, (batch_a, batch_b), _ in _run_arms(arms, _layout(scenario), seed,
                                                   range(episodes)):
         first = np.full(len(chunk), never)
         for ta, tb in zip(batch_a, batch_b):

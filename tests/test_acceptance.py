@@ -28,7 +28,7 @@ from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig, TrafficSource
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import (
-    _loop_constants,
+    _layout,
     _run_arms,
     ce_law,
     dual_effect_experiment,
@@ -328,7 +328,7 @@ def test_criterion_10_silent_burst_noise_has_zero_mean():
     scn = single_loop(SchedulerPolicy.innovation_threshold(3.5), horizon=1000)
     # episodes 0, 1, 2, ... at seed 61, run a chunk at a time and read one
     # episode at a time, as the stopping rule needs
-    chunks = _run_arms([(scn, ce_law)], _loop_constants(scn), 61, range(sys.maxsize))
+    chunks = _run_arms([(scn, ce_law)], _layout(scn), 61, range(sys.maxsize))
     episodes = ((tr.errs[e], tr.deltas[e]) for chunk, ((tr,),), _ in chunks
                 for e in range(len(chunk)))
     samples = []

@@ -16,7 +16,7 @@ import pytest
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
-from macloops.sim import _loop_constants, _run_arms, ce_law
+from macloops.sim import _layout, _run_arms, ce_law
 
 EPISODES = 5000
 SEED = 5
@@ -35,7 +35,7 @@ def paired_runs(policy):
     scn = NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
     arms = [(scn, ce_law)] + [(scn, scaled_law(alpha)) for alpha in ALPHAS]
     costs, gammas = [[] for _ in arms], [[] for _ in arms]
-    for _, batches, _ in _run_arms(arms, _loop_constants(scn), SEED, range(EPISODES)):
+    for _, batches, _ in _run_arms(arms, _layout(scn), SEED, range(EPISODES)):
         for arm, (tr,) in enumerate(batches):
             costs[arm].append(tr.j)
             gammas[arm].append(tr.gammas)

@@ -206,10 +206,10 @@ class TestChunkedEngine:
         rows = [row for chunk, table in tables
                 for row in zip(*(col.tolist() for col in table), strict=True)]
         assert rows == sorted(rows, key=lambda row: row[0])
-        solutions = sim._loop_constants(scn)
+        layout = sim._layout(scn)
         for ep in range(episodes):
             alone = range(ep, ep + 1)
-            _, (batch,), (log,) = next(sim._run_arms([(scn, ce_law)], solutions, 9, alone,
+            _, (batch,), (log,) = next(sim._run_arms([(scn, ce_law)], layout, 9, alone,
                                                      keep_rounds=True))
             for a, b in zip((sim._episode_trace(tr, 0, ep) for tr in batch), chunked[ep]):
                 assert (a.loop, a.episode) == (b.loop, b.episode) == (a.loop, ep)
@@ -290,7 +290,7 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
 
     monkeypatch.setattr(sim, "contend", spy)
     rows = {}
-    for chunk, _, (log,) in sim._run_arms([(scenario, law)], sim._loop_constants(scenario),
+    for chunk, _, (log,) in sim._run_arms([(scenario, law)], sim._layout(scenario),
                                           seed, range(episodes), keep_rounds=True):
         # one round per logged tick, whose row r is the asking[r]th episode
         # of the chunk and whose column c is contender ids[c]
@@ -304,13 +304,12 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
 
 
 def layout_rows(layout):
-    """The contention-table row of each (tick, contender), in the layout's
-    entry order."""
+    """The contention-table row of each (tick, contender), in the order of
+    the layout's plan."""
     rows = {}
-    for t, tick in enumerate(layout.ticks.tolist()):
-        lo, hi = layout.starts[t], layout.starts[t + 1]
-        rows.update(((tick, c), row) for c, row in
-                    zip(layout.contenders[lo:hi], layout.rows[lo:hi].tolist(), strict=True))
+    for tick in layout.plan:
+        rows.update(((tick.tick, c), row) for c, row in
+                    zip(tick.ids.tolist(), tick.rows.tolist(), strict=True))
     return rows
 
 
@@ -660,18 +659,18 @@ class TestRiccatiMemo:
         solve_calls = counting(monkeypatch, "riccati_backward")
         root_calls = counting(monkeypatch, "psd_sqrt")
         scn = parse_scenario_doc(name).scenario
-        solutions = sim._loop_constants(scn)
         layout = sim._layout(scn)
         assert (len(solve_calls), len(root_calls)) == (solves, roots)
-        assert len({id(sol) for sol in solutions}) == solves
-        assert len({id(factors) for factors in layout.roots}) == roots // 2
-        for lc, sol, (sqrt_r0, sqrt_rw) in zip(scn.loops, solutions, layout.roots, strict=True):
-            alone = riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
-            for shared, own in zip((*sol.S, *sol.L), (*alone.S, *alone.L)):
-                assert not shared.flags.writeable
-                assert np.array_equal(shared, own)
-            assert np.array_equal(sqrt_r0, psd_sqrt(lc.plant.R0))
-            assert np.array_equal(sqrt_rw, psd_sqrt(lc.plant.Rw))
+        members = [i for st in layout.stacks for i in st.loops]
+        assert sorted(members) == list(range(len(scn.loops)))
+        for st in layout.stacks:
+            for slot, i in enumerate(st.loops):
+                lc = scn.loops[i]
+                alone = riccati_backward(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2, lc.horizon)
+                assert np.array_equal(st.S[slot], alone.S)
+                assert np.array_equal(st.L[slot], alone.L)
+                assert np.array_equal(st.sqrt_r0[slot], psd_sqrt(lc.plant.R0))
+                assert np.array_equal(st.sqrt_rw[slot, 0], psd_sqrt(lc.plant.Rw))
 
 
 class TestLayout:
