@@ -63,6 +63,13 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
+# simulate formats and writes a chunk's trace lines this many episodes at a
+# time, so the dump's memory does not grow with the engine's chunk length
+DUMP_EPISODES = 64
+# the fields of a chunk trace that carry a leading episode axis
+_EPISODE_FIELDS = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs", "pred_err_sq",
+                   "taus", "delays", "cost_terms", "terminal_cost", "j", "j_lambda")
+
 
 # ---------------------------------------------------------------------------
 # presets
@@ -491,6 +498,15 @@ def trace_rows(episodes: range, traces) -> list[str]:
     return rows
 
 
+def _write_trace(out, chunk: range, traces) -> None:
+    """Write a chunk's trace lines, DUMP_EPISODES episodes at a time."""
+    for lo in range(0, len(chunk), DUMP_EPISODES):
+        part = slice(lo, lo + DUMP_EPISODES)
+        out.writelines(trace_rows(chunk[part], [
+            replace(tr, **{name: getattr(tr, name)[part] for name in _EPISODE_FIELDS})
+            for tr in traces]))
+
+
 def event_rows(episodes: range, events: EventTable) -> list[str]:
     """The CSV lines of a chunk's event table, one per event, each result
     written as its name; the table carries each event's episode."""
@@ -553,8 +569,7 @@ def cmd_simulate(args) -> int:
         if args.dump_trace:
             outputs.append(prefix.with_name(prefix.name + "_trace.csv"))
             trace = _open_csv(stack, outputs[-1], TRACE_HEADER)
-            hooks["trace_hook"] = lambda chunk, traces: trace.writelines(
-                trace_rows(chunk, traces))
+            hooks["trace_hook"] = lambda chunk, traces: _write_trace(trace, chunk, traces)
         if args.dump_events:
             outputs.append(prefix.with_name(prefix.name + "_events.csv"))
             events = _open_csv(stack, outputs[-1], EVENT_HEADER)

@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import CostReport, jdp_stack, riccati_backward
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .estimation import ObserverState, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
 from .network import contend, traffic_activity
@@ -490,6 +490,25 @@ def _stack_steps(st: _Stack, x0: np.ndarray, n_ep: int) -> _StackSteps:
     )
 
 
+def _breakdown(scenario: NetworkScenario, chunk: range, stacks: Sequence[_Stack],
+               bad: Sequence[np.ndarray], what: str) -> NumericalError:
+    """The NumericalError that names the first (episode, tick, loop), in
+    that order, where a stack's (E, L_s, steps) mask in `bad` holds; a
+    loop's step k is at tick phase + period * k."""
+    found = []
+    for st, mask in zip(stacks, bad):
+        k = mask.argmax(axis=-1)
+        for e, slot in zip(*np.nonzero(mask.any(axis=-1))):
+            plant = scenario.loops[st.loops[slot]].plant
+            found.append((int(e), plant.phase + plant.period * int(k[e, slot]), st.loops[slot]))
+    e, tick, loop = min(found)
+    return NumericalError(f"{what} of loop {loop} is not finite at tick {tick} "
+                          f"of episode {chunk[e]}")
+
+
+# an overflow is reported as a NumericalError that says where it happened,
+# not as numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(
     scenario: NetworkScenario,
     rules: Sequence[_Rule],
@@ -502,10 +521,12 @@ def _run_chunk(
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
     `rules` holds the request rule of each stack.  If `rounds_log` is a
-    list it receives (tick, ids, asking, rounds) for every tick with a
-    contention round: the tick's contender ids, the chunk rows of the
-    episodes that contended, and the `ContentionRounds` with its per-slot
-    masks.  A `tally` takes each stack's steps as they stand.
+    list it receives (tick, asking, events) for every tick with a
+    contention round: the chunk rows of the episodes that contended, and
+    the round's `ContentionRounds.events`, taken at once so that no tick's
+    per-slot masks outlive it.  A `tally` takes each stack's steps as they
+    stand.  A state or a cost that is not finite raises a NumericalError
+    naming its episode, loop and tick.
     """
     stacks = layout.stacks
     n_ep = len(draws.episodes)
@@ -549,7 +570,7 @@ def _run_chunk(
                 run.deltas[rows, step.slots, step.k] = rounds.delta[:, step.cols]
                 run.attempts[rows, step.slots, step.k] = rounds.used[:, step.cols]
             if keep_slots:
-                rounds_log.append((tick.tick, tick.ids, asking, rounds))
+                rounds_log.append((tick.tick, asking, rounds.events(tick.ids)))
 
         # deliver, estimate, control, step
         for step, (prior, pred) in zip(tick.steps, priors):
@@ -564,6 +585,10 @@ def _run_chunk(
             bu = run.bu[:, j] = _sum_products(step.B, u[..., None, :])
             run.xs[:, j, k + 1] = (_sum_products(step.A, x[..., None, :]) + bu
                                    + draws.stack_noise[step.stack][:, j, k])
+
+    if not all(np.isfinite(run.xs).all() for run in runs):
+        raise _breakdown(scenario, draws.episodes, stacks,
+                         [~np.isfinite(run.xs).all(axis=-1) for run in runs], "the state")
 
     # what follows from the stored steps, for all steps at once; each loop's
     # trace is a view into its stack's arrays
@@ -581,6 +606,9 @@ def _run_chunk(
         terminal = _quad(st.Q0, run.xs[:, :, -1])
         # cumsum adds in step order, not numpy's pairwise sum
         j = np.cumsum(per_step["cost_terms"], axis=-1)[..., -1] + terminal
+        if not np.isfinite(j).all():
+            costs = np.concatenate((per_step["cost_terms"], terminal[..., None]), axis=-1)
+            raise _breakdown(scenario, draws.episodes, [st], [~np.isfinite(costs)], "the cost")
         j_lambda = j + st.net_penalty * run.deltas.sum(axis=-1)
         if tally is not None:
             tally.add(draws.episodes, s, per_step, j, j_lambda)
@@ -624,9 +652,10 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
         batches = [_run_chunk(scn, rule, draws, law, layout, log, tally)
                    for (scn, law), rule, log, tally in zip(arms, rules, logs, tallies)]
         # the traces do not refer to the draws: free them while the caller
-        # reads the chunk
+        # reads the chunk, and hold no chunk while the next one runs
         del draws
         yield chunk, batches, logs
+        del batches, logs
 
 
 def run_episode(
@@ -649,8 +678,7 @@ def _event_table(chunk: range, rounds_log: list) -> EventTable:
     """The event table of a chunk from its rounds log: each round's events
     in tick order, then one stable sort by episode."""
     parts = []
-    for tick, ids, asking, rounds in rounds_log:
-        row, *columns = rounds.events(ids)
+    for tick, asking, (row, *columns) in rounds_log:
         parts.append((asking[row], np.full(row.size, tick), *columns))
     if not parts:
         return EventTable(*(np.zeros(0, dtype=int),) * 6)
@@ -801,6 +829,7 @@ def monte_carlo(
             trace_hook(chunk, batch)
         if event_hook is not None:
             event_hook(chunk, _event_table(chunk, log))
+        del batch, log
     return tally.result(seed)
 
 

@@ -782,6 +782,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")]) == EXIT_NUMERICAL
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,scheduler,flags,what,tick", [
+        ("simulate", {"kind": "always"}, ["--law", "zero"], "state", 31),
+        ("simulate", {"kind": "innovation", "eps": 1e300}, [], "cost", 15),
+        ("sweep", {"kind": "innovation", "eps": 1.0}, ["--eps-grid", "1e300"], "cost", 15),
+    ], ids=["simulate-zero-law", "simulate-ce-law", "sweep"])
+    def test_breakdown_names_episode_loop_and_tick(self, tmp_path, capsys, command, scheduler,
+                                                   flags, what, tick):
+        # x+ = 1e10 x + B u + w overflows: under the zero law the state does
+        # at tick 31; under the CE law the innovation passes 1e300 near tick
+        # 15, and the input that answers it has a square that overflows
+        doc = {"name": "blowup", "seed": 0, "episodes": 3, "crm": {"persistence": [1.0]},
+               "loops": [{"plant": {"A": 1e10, "B": 1.0, "Rw": 1.0, "R0": 1.0},
+                          "scheduler": scheduler, "horizon": 40,
+                          "weights": {"Q0": 1.0, "Q1": 1.0, "Q2": 1.0}}]}
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / "r")]
+                     + flags) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical failure: the {what} of loop 0 is not finite at tick {tick} "
+            "of episode 0\n")
+
     # the last grid's step is below the resolution of its bounds
     @pytest.mark.parametrize("grid", ["1,x", "1:2:x", "nan,1", "1:inf:1", "1e20:2e20:1"])
     def test_eps_grid_values_must_be_finite_numbers(self, tmp_path, capsys, grid):

@@ -8,7 +8,10 @@ import pytest
 
 from macloops.errors import ConfigurationError, ProtocolError
 from macloops.estimation import ObserverState, observer_update, two_step_posterior
-from macloops.model import PlantModel
+from macloops.model import LoopConfig, NetworkScenario, PlantModel
+from macloops.network import CrmConfig
+from macloops.scheduling import SchedulerPolicy
+from macloops.sim import monte_carlo
 from macloops.stats import TruncatedGaussian, truncated_moments
 
 UNIT_PLANT = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
@@ -111,6 +114,44 @@ class TestConditionalMeanUnderSymmetricScheduling:
         assert sample.size > 1_000_000
         se = sample.std(ddof=1) / math.sqrt(sample.size)
         assert abs(sample.mean()) < 3.0 * se
+
+    @staticmethod
+    def silent_errors(scheduler):
+        """Per step, the filtered errors of the episodes that kept silent at
+        it: one scalar loop, A = B = Rw = R0 = 1, horizon 10, on a certain
+        channel, at seed 5 over 20,000 episodes."""
+        loop = LoopConfig(plant=UNIT_PLANT, scheduler=scheduler, horizon=10,
+                          Q0=1.0, Q1=1.0, Q2=1.0)
+        scn = NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
+        errs, gammas = [], []
+
+        def hook(chunk, traces):
+            errs.append(traces[0].errs[..., 0])
+            gammas.append(traces[0].gammas)
+
+        monte_carlo(scn, 5, 20_000, trace_hook=hook)
+        errs, silent = np.concatenate(errs), np.concatenate(gammas) == 0
+        return [errs[silent[:, k], k] for k in range(errs.shape[1])]
+
+    @staticmethod
+    def mean_and_se(sample):
+        return sample.mean(), sample.std(ddof=1) / math.sqrt(sample.size)
+
+    def test_half_line_rule_biases_the_silent_error(self):
+        # the paper's point for asymmetric rules: silence under x >= 0.5 says
+        # x0 < 0.5, so the observer's prior mean 0 is off by the mean of a
+        # standard normal truncated above at 0.5 (-0.509)
+        mean, se = self.mean_and_se(self.silent_errors(SchedulerPolicy.half_line_state(0.5))[0])
+        want = truncated_moments(TruncatedGaussian(0.0, 1.0, 0.5))[0]
+        assert abs(mean - want) < 4.0 * se
+        assert abs(mean) > 10.0 * se
+
+    def test_innovation_rule_keeps_the_silent_error_centred(self):
+        # a rule symmetric in the innovation leaves silence uninformative
+        # about its sign (Bar-Shalom and Tse, 1974): zero mean at every step
+        for k, sample in enumerate(self.silent_errors(SchedulerPolicy.innovation_threshold(3.5))):
+            mean, se = self.mean_and_se(sample)
+            assert abs(mean) < 3.0 * se, k
 
 
 class TestTwoStepPosterior:

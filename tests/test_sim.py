@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from macloops import sim
 from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
-from macloops.errors import ConfigurationError
+from macloops.errors import ConfigurationError, NumericalError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream, psd_sqrt
 from macloops.network import CrmConfig, TrafficSource, contend, traffic_step
 from macloops.scheduling import SchedulerPolicy, decide
@@ -285,18 +285,21 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     handed = []
 
     def spy(requests, crm, draws, keep_slots=False):
-        handed.append(draws)
+        handed.append((requests, draws))
         return contend(requests, crm, draws, keep_slots)
 
     monkeypatch.setattr(sim, "contend", spy)
+    layout = sim._layout(scenario)
+    tick_ids = {tick.tick: tick.ids for tick in layout.plan}
     rows = {}
-    for chunk, _, (log,) in sim._run_arms([(scenario, law)], sim._layout(scenario),
+    for chunk, _, (log,) in sim._run_arms([(scenario, law)], layout,
                                           seed, range(episodes), keep_rounds=True):
         # one round per logged tick, whose row r is the asking[r]th episode
         # of the chunk and whose column c is contender ids[c]
-        for (tick, ids, asking, rounds), draws in zip(log, handed, strict=True):
+        for (tick, asking, _), (requests, draws) in zip(log, handed, strict=True):
+            ids = tick_ids[tick]
             for r, e in enumerate(asking.tolist()):
-                cols = np.flatnonzero(rounds.requests[r])
+                cols = np.flatnonzero(requests[r])
                 rows.update(((chunk[e], tick, c), draws[r, col].tolist())
                             for c, col in zip(ids[cols].tolist(), cols))
         del handed[:]
@@ -517,6 +520,40 @@ class TestMonteCarlo:
         scn = single_loop(SchedulerPolicy.always_transmit(), horizon=3)
         with pytest.raises(ConfigurationError):
             monte_carlo(scn, seed=0, episodes=0)
+
+    def test_breakdown_names_the_first_episode_loop_and_tick(self, monkeypatch):
+        # loop 1 is x+ = 10 x + w under the zero law, which overflows at its
+        # last step in some episodes; its zero state weights keep its costs
+        # finite.  The error names the first episode whose state overflows,
+        # found by the same recursion in plain floats, here in the second
+        # chunk, and the tick of that step, phase + period * 308
+        big = LoopConfig(plant=PlantModel(A=10.0, B=1.0, Rw=1.0, R0=1.0, period=2, phase=1),
+                         scheduler=SchedulerPolicy.always_transmit(), horizon=308,
+                         Q0=0.0, Q1=0.0, Q2=1.0)
+        scn = NetworkScenario(loops=(loop_of(SchedulerPolicy.always_transmit(), a=0.5,
+                                             horizon=5), big),
+                              crm=CrmConfig(persistence=(1.0,)))
+        layout = sim._layout(scn)
+        x0, w = loop_draws(layout, sim._draw_chunk(scn, layout, 0, range(40)), 1)
+        with np.errstate(over="ignore"):
+            x = x0[:, 0]
+            for k in range(308):
+                x = 10.0 * x + w[:, k, 0]
+        first = int(np.flatnonzero(~np.isfinite(x))[0])
+        assert first >= 8
+        chunks_of(monkeypatch, scn, 8)
+        message = f"the state of loop 1 is not finite at tick 617 of episode {first}"
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            monte_carlo(scn, 0, 40, zero_law)
+
+    def test_cost_overflow_is_a_breakdown(self):
+        # x stays finite, but (1e200)^2 does not: a cost that overflows is
+        # reported, not averaged as inf
+        scn = single_loop(SchedulerPolicy.always_transmit(), x0_mean=[1e200], r0=0.0,
+                          horizon=3)
+        with pytest.raises(NumericalError,
+                           match="^the cost of loop 0 is not finite at tick 0 of episode 0$"):
+            monte_carlo(scn, 0, 2)
 
     def test_predicted_cost_matches_simulation(self):
         # with a delivery-per-request channel the closed-form cost evaluated

@@ -23,7 +23,8 @@ metric over every section of the file, under "claim".
 
 The machine note records whether PYTHONDONTWRITEBYTECODE is set: with it,
 every benchmark process compiles macloops from source, so `peak_rss_mb` and
-`setup_s` move with the size of `src/`.
+`setup_s` move with the size of `src/`.  So the file also records each
+side's `src_lines`, the line count of `src/macloops/*.py` in its tree.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def unpack(rev: str, into: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(into, filter="data")
     return git("rev-parse", "--short", f"{rev}^{{commit}}").decode().strip()
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of `src/macloops/*.py` in `tree`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src/macloops").glob("*.py"))
 
 
 def bench(tree: Path, workload: str, seed: int, *flags: str) -> dict:
@@ -157,6 +163,7 @@ def main() -> int:
             "pythondontwritebytecode": no_bytecode,
             "parent_commit": commits["parent"],
             "change_commit": commits["change"],
+            "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
             "method": "alternating parent/change pairs per workload (even pairs parent "
                       "first), each side run from a git archive of its commit; median and "
                       "quartiles (inclusive method) per side; within_bound compares the "
