@@ -66,9 +66,6 @@ EXIT_IO = 5
 # simulate formats and writes a chunk's trace lines this many episodes at a
 # time, so the dump's memory does not grow with the engine's chunk length
 DUMP_EPISODES = 64
-# the fields of a chunk trace that carry a leading episode axis
-_EPISODE_FIELDS = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs", "pred_err_sq",
-                   "taus", "delays", "cost_terms", "terminal_cost", "j", "j_lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +499,7 @@ def _write_trace(out, chunk: range, traces) -> None:
     """Write a chunk's trace lines, DUMP_EPISODES episodes at a time."""
     for lo in range(0, len(chunk), DUMP_EPISODES):
         part = slice(lo, lo + DUMP_EPISODES)
-        out.writelines(trace_rows(chunk[part], [
-            replace(tr, **{name: getattr(tr, name)[part] for name in _EPISODE_FIELDS})
-            for tr in traces]))
+        out.writelines(trace_rows(chunk[part], [tr.part(part) for tr in traces]))
 
 
 def event_rows(episodes: range, events: EventTable) -> list[str]:

@@ -147,6 +147,11 @@ class LoopTrace:
     j: float
     j_lambda: float
 
+    def part(self, episodes: slice) -> LoopTrace:
+        """The given episodes of a chunk trace, as views into its arrays."""
+        return replace(self, **{name: getattr(self, name)[episodes]
+                                for name in (*_PER_STEP, "terminal_cost", "j", "j_lambda")})
+
 
 _PER_STEP = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs",
              "pred_err_sq", "taus", "delays", "cost_terms")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macloops import cli
 from macloops.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -436,6 +437,18 @@ class TestSimulateCommand:
 
     def test_one_loop_bytes_are_pinned(self, tmp_path, monkeypatch):
         chunks_of(monkeypatch, parse_scenario_doc(ONE_LOOP_DOC).scenario)
+        path = tmp_path / "one-loop.json"
+        path.write_text(json.dumps(ONE_LOOP_DOC))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),
+                     "--dump-trace", "--dump-events"])
+        assert code == EXIT_OK
+        digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
+                   for kind in ("summary", "trace", "events")}
+        assert digests == ONE_LOOP_DIGESTS
+
+    def test_one_loop_bytes_hold_in_dump_slices(self, tmp_path, monkeypatch):
+        # the 70 episodes run as one chunk and are dumped 16 at a time
+        monkeypatch.setattr(cli, "DUMP_EPISODES", 16)
         path = tmp_path / "one-loop.json"
         path.write_text(json.dumps(ONE_LOOP_DOC))
         code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),
