@@ -25,11 +25,9 @@ from .errors import (
     ConfigurationError,
     DegenerateTruncationError,
     NumericalError,
-    ProtocolError,
     QuadratureError,
 )
 from .estimation import (
-    ObserverState,
     TwoStepPosterior,
     observer_update,
     two_step_posterior,

@@ -20,10 +20,6 @@ class ConfigurationError(ValueError):
         self.field = field
 
 
-class ProtocolError(RuntimeError):
-    """Simulation-protocol violation, e.g. a delivered packet without a payload."""
-
-
 class NumericalError(RuntimeError):
     """A numeric routine failed to produce a trustworthy result."""
 

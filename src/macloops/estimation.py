@@ -1,6 +1,5 @@
-"""Observers: the model-prediction observer used at the controller side, the
-last-received-packet bookkeeping, and the exact truncated-Gaussian posterior
-for the scalar two-step problem.
+"""Observers: the model-prediction observer used at the controller side and
+the exact truncated-Gaussian posterior for the scalar two-step problem.
 
 The prediction observer is the MMSE estimator whenever the scheduler is a
 symmetric function of the innovation (the accumulated noise it quantizes has
@@ -14,32 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
 
-@dataclass(frozen=True, eq=False)
-class ObserverState:
-    """Controller-side observer after processing step k.
-
-    xhat is the filtered estimate.  tau tracks the last delivery, with -1
-    denoting the fictitious initial packet.  The engine updates a stack's
-    sampling loops for a chunk of episodes at once: xhat is then (E, l, n),
-    tau (E, l) and k may be the (l,) array of the loops' steps.
-    """
-
-    xhat: np.ndarray
-    tau: int | np.ndarray
-    k: int
-
-
-def observer_update(
-    state: ObserverState,
-    delta: int | np.ndarray,
-    y: Optional[np.ndarray],
-    pred: np.ndarray,
-) -> ObserverState:
-    """Advance the observer to step k = state.k + 1.
+def observer_update(delta: int | np.ndarray, y: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """The filtered estimate after one step: the delivered state y where
+    delta is set, else the prediction pred.
 
     pred is the one-step prediction A xhat + B u_prev from the previous
     filtered estimate through the applied input, the same one the scheduler
@@ -48,16 +28,9 @@ def observer_update(
     delta, y and pred may carry a leading episode axis: each episode takes
     its own row of y where its delta is set.
     """
-    k = state.k + 1
-    if y is None:
-        if np.count_nonzero(delta):
-            raise ProtocolError(f"packet delivered at step {k} but no payload given")
-        return ObserverState(xhat=pred, tau=state.tau, k=k)
     if y.shape != pred.shape:
         raise ConfigurationError(f"y must have length {pred.shape[-1]}")
-    delivered = np.asarray(delta, dtype=bool)
-    return ObserverState(xhat=np.where(delivered[..., None], y, pred),
-                         tau=np.where(delivered, k, state.tau), k=k)
+    return np.where(np.asarray(delta, dtype=bool)[..., None], y, pred)
 
 
 @dataclass(frozen=True)

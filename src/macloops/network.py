@@ -25,10 +25,10 @@ at once, with one array step per mini-slot; the engine calls it once per
 tick for every episode of a chunk with a request.  Either way a round
 yields its delivery and attempt counts per contender and its events, one
 (slot, contender, attempt, result) per contender and mini-slot.
-`resolve_contention` gives them as `SlotEvent` named tuples.
-`ContentionRounds.events` derives them from the array round's per-slot
-masks as int columns, the engine's one form of its events, which its event
-table and the event dump read.
+`resolve_contention` gives them as `SlotEvent` named tuples.  `contend`
+returns a `Round`, whose events, when it is given the contenders' ids, are
+int columns derived from its per-slot masks: the engine's one form of its
+events, which its event table and the event dump read.
 
 A traffic source makes one uniform draw per tick whatever its kind:
 `traffic_step` advances it by one tick, and `traffic_activity` turns a whole
@@ -169,55 +169,18 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
 RESULTS = (RESULT_SUCCESS, RESULT_COLLIDED, RESULT_DROPPED, RESULT_DEFERRED)
 
 
-@dataclass(eq=False)
-class ContentionRounds:
-    """The outcome of `contend`: one round per row of its request mask.
+class Round(NamedTuple):
+    """The outcome of `contend`, one round per row of its request mask: each
+    contender's delivery (bool) and attempts used, zero where it did not
+    request, and the rows' events, None unless `contend` was given ids."""
 
-    `delta` and `used` hold each contender's delivery and attempts used,
-    zero where it did not request.  `slots` holds, per mini-slot that some
-    row still contended in, the (attempt, transmitted, won, pending) masks:
-    the attempt each contender was on when the slot began, and who was
-    still pending when it ended; it is None unless `contend` kept them.
-    """
-
-    requests: np.ndarray    # (rows, contenders) bool
-    delta: np.ndarray       # (rows, contenders) bool
-    used: np.ndarray        # (rows, contenders) int
-    attempt: np.ndarray     # (rows, contenders) int: the attempt after the last slot
-    pending: np.ndarray     # (rows, contenders) bool: left pending when the window closed
-    slots_per_sample: int
-    slots: Optional[list[tuple[np.ndarray, ...]]]
-
-    def events(self, ids: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """Every row's events as equal-length int arrays (row, slot,
-        contender, attempt, result), where column c is contender ids[c] and
-        a result is its code in RESULTS.  They run row by row, and within a
-        row in the order `resolve_contention` emits them."""
-        n_rows, n_cols = self.requests.shape
-        if not self.requests.any():
-            return (np.zeros(0, dtype=int),) * 5
-        attempt, tx, won, pending = (np.stack(masks, axis=1) for masks in zip(*self.slots))
-        n_slots = tx.shape[1]
-        # event masks per (row, slot, result, contender), where np.nonzero
-        # walks them in the order a round emits its events: within a slot the
-        # one success or every collision, then the contenders dropped after
-        # colliding, then those deferring.  The extra last slot holds the
-        # drops when the window closes.
-        kinds = np.zeros((n_rows, n_slots + 1, len(RESULTS), n_cols), dtype=bool)
-        kinds[:, :-1, 0] = won
-        kinds[:, :-1, 1] = collided = tx & ~won
-        kinds[:, :-1, 2] = collided & ~pending
-        kinds[:, :-1, 3] = pending & ~tx
-        kinds[:, -1, 2] = self.pending
-        attempts = np.concatenate((attempt, self.attempt[:, None]), axis=1)
-        slot_no = np.arange(1, n_slots + 2)
-        slot_no[-1] = self.slots_per_sample
-        row, s, result, col = np.nonzero(kinds)
-        return row, slot_no[s], np.asarray(ids)[col], attempts[row, s, col], result
+    delta: np.ndarray
+    used: np.ndarray
+    events: Optional[tuple[np.ndarray, ...]]
 
 
 def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
-            keep_slots: bool = False) -> ContentionRounds:
+            ids: Optional[Sequence[int]] = None) -> Round:
     """Run one contention round per row of the (rows, contenders) request mask.
 
     `draws[r, c, s - 1]` is column c's draw in mini-slot s of row r; it may
@@ -225,8 +188,11 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
     `resolve_contention` on its requesting columns: a pending contender on
     attempt a transmits if p = persistence[a - 1] >= 1, or if 0 < p < 1 and
     its draw is below p; a lone transmitter wins, and each of several burns
-    an attempt and is dropped past `max_attempts`.  `keep_slots` keeps the
-    per-slot masks that `ContentionRounds.events` reads.
+    an attempt and is dropped past `max_attempts`.  Given `ids`, where
+    column c is contender ids[c], the round also gives its events as
+    equal-length int arrays (row, slot, contender, attempt, result), where a
+    result is its code in RESULTS.  They run row by row, and within a row in
+    the order `resolve_contention` emits them.
     """
     # the persistence of attempt a at index a; attempt max_attempts + 1 is
     # never pending, and its 0 pads the table
@@ -235,7 +201,9 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
     pending = requests.copy()
     attempt = np.ones(pending.shape, dtype=int)
     delta = np.zeros(pending.shape, dtype=bool)
-    slots = [] if keep_slots else None
+    # per mini-slot that some row contends in: the attempts as it began, and
+    # who transmitted, won and was still pending as it ended
+    slots = []
     for col in range(crm.slots_per_sample):
         if not pending.any():
             break
@@ -251,11 +219,34 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
         attempt = attempt + (tx ^ won)
         pending = pending ^ won
         pending &= attempt <= crm.max_attempts
-        if keep_slots:
+        if ids is not None:
             slots.append((before, tx, won, pending))
     # every transmission but a success burned an attempt
     used = attempt - 1 + delta
-    return ContentionRounds(requests, delta, used, attempt, pending, crm.slots_per_sample, slots)
+    if ids is None:
+        return Round(delta, used, None)
+    n_rows, n_cols = requests.shape
+    if not requests.any():
+        return Round(delta, used, (np.zeros(0, dtype=int),) * 5)
+    before, tx, won, left = (np.stack(masks, axis=1) for masks in zip(*slots))
+    n_slots = tx.shape[1]
+    # event masks per (row, slot, result, contender), where np.nonzero walks
+    # them in the order a round emits its events: within a slot the one
+    # success or every collision, then the contenders dropped after
+    # colliding, then those deferring.  The extra last slot holds the drops
+    # when the window closes.
+    kinds = np.zeros((n_rows, n_slots + 1, len(RESULTS), n_cols), dtype=bool)
+    kinds[:, :-1, 0] = won
+    kinds[:, :-1, 1] = collided = tx & ~won
+    kinds[:, :-1, 2] = collided & ~left
+    kinds[:, :-1, 3] = left & ~tx
+    kinds[:, -1, 2] = pending
+    attempts = np.concatenate((before, attempt[:, None]), axis=1)
+    slot_no = np.arange(1, n_slots + 2)
+    slot_no[-1] = crm.slots_per_sample
+    row, s, result, col = np.nonzero(kinds)
+    return Round(delta, used, (row, slot_no[s], np.asarray(ids)[col], attempts[row, s, col],
+                               result))
 
 
 @dataclass(frozen=True)

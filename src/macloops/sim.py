@@ -20,8 +20,8 @@ loops of equal (n, m, horizon) form a stack (`_Stack`), whose
 states, estimates and inputs are (episodes, loops, n) arrays, and every
 tick does the prediction, scheduler decision, observer update, control law
 and plant step once per stack, for its sampling loops and the whole chunk;
-the residuals, errors and cost terms then follow from the stored steps,
-all steps at once, and each loop's trace is a view into its stack's
+the residuals, errors, delivery ages and cost terms then follow from the
+stored steps, all steps at once, and each loop's trace is a view into its stack's
 arrays.  A control law therefore takes the (l, m, n) gains L_k of a
 stack's l sampling loops and an (E, l, n) array of their estimates, and
 returns an (E, l, m) array of inputs or any shape that broadcasts to it,
@@ -34,13 +34,14 @@ all episodes in one array expression (`_requests`, the rule of
 `scheduling.decide`), and one array round (`network.contend`) resolves
 the contention of every episode with a request: its columns are the
 tick's contenders in id order, and each row meets that episode's own
-draws.  Only when the event dump asks for them, each round keeps its
-per-slot masks, and the chunk's events become one `EventTable` of int
-columns (`ContentionRounds.events`, then one stable sort by episode), which
-`monte_carlo` hands to its event hook once per chunk, as it hands the chunk
-traces to its trace hook.  That table is the engine's one form of its
-events; `run_episode` returns traces only.  Each source's activity comes
-from its row of the episode's traffic table (`network.traffic_activity`).
+draws.  Only when the event dump asks for them, each round also derives
+its events from its per-slot masks, and the chunk's events become one
+`EventTable` of int columns (the rounds' `Round.events`, then one stable
+sort by episode), which `monte_carlo` hands to its event hook once per
+chunk, as it hands the chunk traces to its trace hook.  That table is the
+engine's one form of its events; `run_episode` returns traces only.  Each
+source's activity comes from its row of the episode's traffic table
+(`network.traffic_activity`).
 `decide`, `resolve_contention` and `traffic_step` stay as the per-episode,
 per-round and per-tick references the array forms are tested against.
 
@@ -66,7 +67,7 @@ import numpy as np
 
 from .control import CostReport, jdp_stack, riccati_backward
 from .errors import ConfigurationError, NumericalError
-from .estimation import ObserverState, observer_update
+from .estimation import observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
 from .network import contend, traffic_activity
 # The per-round, per-tick and per-episode reference rules the engine's array
@@ -352,9 +353,9 @@ def _layout(scenario: NetworkScenario) -> _Layout:
         plan.append(_Tick(tick, rows[lo:hi], contenders[lo:hi], hi - lo - n_src, tick_steps))
     crm = scenario.crm
     slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
-    # a loop's arrays in `_StackSteps`: xs, xhats and taus hold N + 1 steps,
-    # us, preds and the three int arrays N, and bu one
-    step_cells = sum((lc.horizon + 1) * (2 * lc.plant.n + 1)
+    # a loop's arrays in `_StackSteps`: xs and xhats hold N + 1 steps, us,
+    # preds and the three int arrays N, and bu one
+    step_cells = sum((lc.horizon + 1) * 2 * lc.plant.n
                      + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
     cells = int(offsets[-1]) + rows.size * slots + step_cells
     return _Layout(int(offsets[-1]), rows.size, slots, cells, ticks, stacks, plan)
@@ -464,8 +465,8 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
 @dataclass(eq=False)
 class _StackSteps:
     """A chunk's steps of one stack, as (E, L_s, ...) arrays that the engine
-    fills in place.  xhats and taus hold the observer's prior in step slot
-    0, so the estimate after step k sits in slot k + 1."""
+    fills in place.  xhats holds the observer's prior in step slot 0, so
+    the estimate after step k sits in slot k + 1."""
 
     xs: np.ndarray          # (E, L_s, N + 1, n)
     us: np.ndarray          # (E, L_s, N, m)
@@ -473,7 +474,6 @@ class _StackSteps:
     deltas: np.ndarray
     attempts: np.ndarray
     xhats: np.ndarray       # (E, L_s, N + 1, n)
-    taus: np.ndarray        # (E, L_s, N + 1)
     preds: np.ndarray       # (E, L_s, N, n)
     bu: np.ndarray          # (E, L_s, n): B u of the input last applied
 
@@ -485,12 +485,10 @@ def _stack_steps(st: _Stack, x0: np.ndarray, n_ep: int) -> _StackSteps:
     xs[:, :, 0] = x0
     xhats = np.empty((n_ep, n_loops, st.horizon + 1, n))
     xhats[:, :, 0] = st.x0_mean
-    taus = np.zeros((n_ep, n_loops, st.horizon + 1), dtype=int)
-    taus[:, :, 0] = -1
     return _StackSteps(
         xs=xs, us=np.empty(shape + (st.B.shape[-1],)), gammas=np.zeros(shape, dtype=int),
         deltas=np.zeros(shape, dtype=int), attempts=np.zeros(shape, dtype=int),
-        xhats=xhats, taus=taus, preds=np.empty(shape + (n,)),
+        xhats=xhats, preds=np.empty(shape + (n,)),
         bu=np.zeros((n_ep, n_loops, n)),
     )
 
@@ -525,30 +523,29 @@ def _run_chunk(
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    `rules` holds the request rule of each stack.  If `rounds_log` is a
-    list it receives (tick, asking, events) for every tick with a
-    contention round: the chunk rows of the episodes that contended, and
-    the round's `ContentionRounds.events`, taken at once so that no tick's
-    per-slot masks outlive it.  A `tally` takes each stack's steps as they
-    stand.  A state or a cost that is not finite raises a NumericalError
-    naming its episode, loop and tick.
+    `rules` holds the request rule of each stack.  The observer's estimate
+    is the delivered state or the prediction (`observer_update`); each
+    step's delivery age follows from the deltas once the ticks are done.
+    If `rounds_log` is a list it receives (tick, asking, events) for every
+    tick with a contention round: the chunk rows of the episodes that
+    contended, and the round's `Round.events`.  A `tally` takes each
+    stack's steps as they stand.  A state or a cost that is not finite
+    raises a NumericalError naming its episode, loop and tick.
     """
     stacks = layout.stacks
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
-    keep_slots = rounds_log is not None
 
     for t, tick in enumerate(layout.plan):
         # schedule: one decision per stack for its sampling loops, whole chunk
-        priors, wants = [], []
+        preds, wants = [], []
         for step in tick.steps:
             run, j, k = runs[step.stack], step.slots, step.k
-            prior = ObserverState(xhat=run.xhats[:, j, k], tau=run.taus[:, j, k], k=k - 1)
-            pred = _sum_products(step.A, prior.xhat[..., None, :]) + run.bu[:, j]
+            pred = _sum_products(step.A, run.xhats[:, j, k][..., None, :]) + run.bu[:, j]
             run.preds[:, j, k] = pred
             want = _requests(rules[step.stack], j, run.xs[:, j, k], pred)
             run.gammas[:, j, k] = want
-            priors.append((prior, pred))
+            preds.append(pred)
             wants.append(want)
         if len(wants) == 1:
             # one stack holds every sampling loop, in column order
@@ -566,27 +563,25 @@ def _run_chunk(
             table = None
             if draws.tables is not None:
                 table = draws.tables[np.ix_(asking, tick.rows)]
-            rounds = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
-                             scenario.crm, table, keep_slots)
+            rnd = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
+                          scenario.crm, table, None if rounds_log is None else tick.ids)
             for step in tick.steps:
                 run = runs[step.stack]
                 # with index-array slots and steps, the rows must broadcast as a column
                 rows = asking if isinstance(step.slots, slice) else asking[:, None]
-                run.deltas[rows, step.slots, step.k] = rounds.delta[:, step.cols]
-                run.attempts[rows, step.slots, step.k] = rounds.used[:, step.cols]
-            if keep_slots:
-                rounds_log.append((tick.tick, asking, rounds.events(tick.ids)))
+                run.deltas[rows, step.slots, step.k] = rnd.delta[:, step.cols]
+                run.attempts[rows, step.slots, step.k] = rnd.used[:, step.cols]
+            if rounds_log is not None:
+                rounds_log.append((tick.tick, asking, rnd.events))
 
         # deliver, estimate, control, step
-        for step, (prior, pred) in zip(tick.steps, priors):
+        for step, pred in zip(tick.steps, preds):
             run, j, k = runs[step.stack], step.slots, step.k
             x = run.xs[:, j, k]
-            delta = run.deltas[:, j, k]
-            obs = observer_update(prior, delta, x if delta.any() else None, pred)
-            u = control_law(step.L, obs.xhat)
+            xhat = observer_update(run.deltas[:, j, k], x, pred)
+            u = control_law(step.L, xhat)
             run.us[:, j, k] = u
-            run.xhats[:, j, k + 1] = obs.xhat
-            run.taus[:, j, k + 1] = obs.tau
+            run.xhats[:, j, k + 1] = xhat
             bu = run.bu[:, j] = _sum_products(step.B, u[..., None, :])
             run.xs[:, j, k + 1] = (_sum_products(step.A, x[..., None, :]) + bu
                                    + draws.stack_noise[step.stack][:, j, k])
@@ -600,7 +595,9 @@ def _run_chunk(
     traces = [None] * len(scenario.loops)
     for s, (st, run) in enumerate(zip(stacks, runs)):
         ks = np.arange(st.horizon)
-        xs, xhats, taus = run.xs[:, :, :-1], run.xhats[:, :, 1:], run.taus[:, :, 1:]
+        xs, xhats = run.xs[:, :, :-1], run.xhats[:, :, 1:]
+        # the last step k' <= k with a delivery, -1 for the initial packet
+        taus = np.maximum.accumulate(np.where(run.deltas == 1, ks, -1), axis=-1)
         resid = xs - run.preds
         per_step = dict(
             xs=run.xs, us=run.us, gammas=run.gammas, deltas=run.deltas,

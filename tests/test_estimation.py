@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from macloops.errors import ConfigurationError, ProtocolError
-from macloops.estimation import ObserverState, observer_update, two_step_posterior
+from macloops.errors import ConfigurationError
+from macloops.estimation import observer_update, two_step_posterior
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
@@ -15,86 +15,42 @@ from macloops.sim import monte_carlo
 from macloops.stats import TruncatedGaussian, truncated_moments
 
 UNIT_PLANT = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
-# the observer before step 0: the prior mean and the fictitious initial packet
-START = ObserverState(xhat=np.zeros(1), tau=-1, k=-1)
 
 
-def predict(obs, u_prev):
+def predict(xhat, u_prev):
     """The one-step prediction the engine hands to observer_update."""
-    return UNIT_PLANT.A @ obs.xhat + UNIT_PLANT.B @ np.asarray(u_prev, dtype=float)
-
-
-class TestTauUpdate:
-    """observer_update's last-received-packet index tau."""
-
-    @staticmethod
-    def after(tau, k, delta):
-        obs = ObserverState(xhat=np.array([1.0]), tau=tau, k=k - 1)
-        return observer_update(obs, delta, np.array([2.0]) if delta else None,
-                               predict(obs, [0.0]))
-
-    def test_initialization(self):
-        obs = START
-        assert obs.tau == -1
-        assert observer_update(obs, 0, None, predict(obs, [0.0])).tau == -1
-
-    def test_delivery_resets(self):
-        assert self.after(1, 3, 1).tau == 3
-
-    def test_miss_carries(self):
-        assert self.after(1, 3, 0).tau == 1
-
-    def test_validation(self):
-        obs = START
-        with pytest.raises(ConfigurationError, match="y must have length 1"):
-            observer_update(obs, 1, np.array([1.0, 2.0]), predict(obs, [0.0]))
+    return UNIT_PLANT.A @ xhat + UNIT_PLANT.B @ np.asarray(u_prev, dtype=float)
 
 
 class TestObserverUpdate:
     def test_delivery_takes_the_state(self):
-        obs = START
-        nxt = observer_update(obs, 1, np.array([2.3]), predict(obs, [0.0]))
-        assert nxt.xhat == pytest.approx([2.3])
-        assert nxt.tau == 0
+        xhat = observer_update(1, np.array([2.3]), predict(np.zeros(1), [0.0]))
+        assert xhat == pytest.approx([2.3])
 
     def test_miss_is_pure_prediction(self):
-        obs = ObserverState(xhat=np.array([1.0]), tau=0, k=0)
-        nxt = observer_update(obs, 0, None, predict(obs, [-0.5]))
-        assert nxt.xhat == pytest.approx([0.5])
-        assert nxt.tau == 0
+        xhat = observer_update(0, np.array([7.0]), predict(np.array([1.0]), [-0.5]))
+        assert xhat == pytest.approx([0.5])
 
-    def test_missing_payload_is_a_protocol_error(self):
-        obs = START
-        with pytest.raises(ProtocolError):
-            observer_update(obs, 1, None, predict(obs, [0.0]))
-
-    def test_delay_bookkeeping(self):
-        obs = START
-        deltas = [0, 0, 1, 0, 1, 1, 0]
-        for k, d in enumerate(deltas):
-            obs = observer_update(obs, d, np.array([float(k)]) if d else None,
-                                  predict(obs, [0.0]))
-            assert (obs.tau == obs.k) == bool(d)
+    def test_validation(self):
+        with pytest.raises(ConfigurationError, match="y must have length 1"):
+            observer_update(1, np.array([1.0, 2.0]), predict(np.zeros(1), [0.0]))
 
     def test_episode_rows_update_independently(self):
         # the engine's form: one row per episode of a chunk
-        obs = ObserverState(xhat=np.array([[1.0], [2.0], [3.0]]), tau=np.array([-1, 0, 1]), k=1)
+        pred = np.array([[0.5], [1.0], [1.5]])
         y = np.array([[7.0], [8.0], [9.0]])
-        nxt = observer_update(obs, np.array([0, 1, 0]), y, obs.xhat * 0.5)
-        assert np.array_equal(nxt.xhat, [[0.5], [8.0], [1.5]])
-        assert np.array_equal(nxt.tau, [-1, 2, 1])
-        with pytest.raises(ProtocolError):
-            observer_update(obs, np.array([0, 1, 0]), None, obs.xhat)
+        xhat = observer_update(np.array([0, 1, 0]), y, pred)
+        assert np.array_equal(xhat, [[0.5], [8.0], [1.5]])
 
     def test_error_resets_exactly_on_delivery(self):
         rng = np.random.default_rng(2)
-        obs = START
+        xhat = np.zeros(1)
         x = np.array([rng.standard_normal()])
         for k in range(30):
             d = int(rng.random() < 0.4)
-            obs = observer_update(obs, d, x if d else None, predict(obs, [0.1]))
-            if d:
-                assert np.array_equal(obs.xhat, x)
+            pred = predict(xhat, [0.1])
+            xhat = observer_update(d, x, pred)
+            assert np.array_equal(xhat, x if d else pred)
             x = UNIT_PLANT.A @ x + UNIT_PLANT.B @ [0.1] + rng.standard_normal(1)
 
 

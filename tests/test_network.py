@@ -274,12 +274,13 @@ class TestArrayRound:
         # every row of the array round must be the round resolve_contention
         # runs on that row's contenders and draws, event for event
         crm, ids, requests, table = case
-        rounds = contend(requests, crm, table, keep_slots=True)
+        rounds = contend(requests, crm, table, ids)
         plain = contend(requests, crm, table)
         assert np.array_equal(plain.delta, rounds.delta)
         assert np.array_equal(plain.used, rounds.used)
+        assert plain.events is None
         # the event columns run row by row; a row's entries are its events
-        columns = rounds.events(ids)
+        columns = rounds.events
         assert len({col.size for col in columns}) == 1
         assert all(col.dtype.kind == "i" for col in columns)
         event_row, *columns = columns

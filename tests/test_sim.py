@@ -284,9 +284,9 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     """The row every contender was handed, keyed by (episode, tick, contender)."""
     handed = []
 
-    def spy(requests, crm, draws, keep_slots=False):
+    def spy(requests, crm, draws, ids=None):
         handed.append((requests, draws))
-        return contend(requests, crm, draws, keep_slots)
+        return contend(requests, crm, draws, ids)
 
     monkeypatch.setattr(sim, "contend", spy)
     layout = sim._layout(scenario)
@@ -398,6 +398,27 @@ def layered_network():
     base = two_state_network()
     return replace(base, loops=base.loops + (
         matrix_loop(3, SchedulerPolicy.innovation_threshold(1.0), 3),))
+
+
+class TestDeliveryAge:
+    def test_tau_is_the_last_delivery(self, monkeypatch):
+        # tau at step k is the last step k' <= k with a delivery, or -1 for
+        # the fictitious initial packet, across 8-episode chunks
+        scn = lossy_state_network()
+        chunks_of(monkeypatch, scn, 8)
+        seen = []
+        monte_carlo(scn, 3, 20, trace_hook=per_episode(lambda ep, traces: seen.extend(traces)))
+        assert len(seen) == 2 * 20
+        for tr in seen:
+            last = -1
+            for k in range(tr.ks.size):
+                if tr.deltas[k] == 1:
+                    last = k
+                assert tr.taus[k] == last
+            assert np.array_equal(tr.delays, tr.ks - tr.taus)
+        # the channel loses requests, and some episodes start silent
+        assert any((tr.gammas > tr.deltas).any() for tr in seen)
+        assert any(tr.taus[0] == -1 for tr in seen)
 
 
 class TestNoiseAndTrafficDraws:
