@@ -13,7 +13,8 @@ lines formatted straight from the engine's arrays: one `.tolist()` per
 column per loop per chunk, `repr` for floats and a `%` template per row.
 An event row is a row of the chunk's `sim.EventTable`, its result code
 written as the result's name.  No `repr` holds a comma, a quote or a line
-break, so the lines are the bytes `csv.writer` would write.
+break, so the lines are the bytes `csv.writer` would write.  A run that
+raises deletes the dumps it had opened.
 
 Exit codes: 0 success, 2 usage, 3 validation error, 4 numerical failure,
 5 file-system (I/O) error.
@@ -560,17 +561,25 @@ def cmd_simulate(args) -> int:
     hooks = {}
     # each chunk's lines go out as they are formatted; the hooks look
     # trace_rows and event_rows up in this module as they run
-    with ExitStack() as stack:
-        if args.dump_trace:
-            outputs.append(prefix.with_name(prefix.name + "_trace.csv"))
-            trace = _open_csv(stack, outputs[-1], TRACE_HEADER)
-            hooks["trace_hook"] = lambda chunk, traces: _write_trace(trace, chunk, traces)
-        if args.dump_events:
-            outputs.append(prefix.with_name(prefix.name + "_events.csv"))
-            events = _open_csv(stack, outputs[-1], EVENT_HEADER)
-            hooks["event_hook"] = lambda chunk, table: events.writelines(
-                event_rows(chunk, table))
-        result = monte_carlo(doc.scenario, seed, episodes, law, **hooks)
+    try:
+        with ExitStack() as stack:
+            if args.dump_trace:
+                path = prefix.with_name(prefix.name + "_trace.csv")
+                trace = _open_csv(stack, path, TRACE_HEADER)
+                outputs.append(path)
+                hooks["trace_hook"] = lambda chunk, traces: _write_trace(trace, chunk, traces)
+            if args.dump_events:
+                path = prefix.with_name(prefix.name + "_events.csv")
+                events = _open_csv(stack, path, EVENT_HEADER)
+                outputs.append(path)
+                hooks["event_hook"] = lambda chunk, table: events.writelines(
+                    event_rows(chunk, table))
+            result = monte_carlo(doc.scenario, seed, episodes, law, **hooks)
+    except BaseException:
+        # a failed run leaves no partial dump behind
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        raise
 
     summary_path = prefix.with_name(prefix.name + "_summary.csv")
     _write_csv(summary_path, SUMMARY_HEADER, summary_rows(result, doc))

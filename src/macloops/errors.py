@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: two kinds.
 
 ConfigurationError covers bad inputs detected before any computation runs
 (dimension mismatches, invalid probabilities, non-PSD covariances).

@@ -21,9 +21,9 @@ states, estimates and inputs are (episodes, loops, n) arrays, and every
 tick does the prediction, scheduler decision, observer update, control law
 and plant step once per stack, for its sampling loops and the whole chunk;
 the residuals, errors, delivery ages and cost terms then follow from the
-stored steps, all steps at once, and each loop's trace is a view into its stack's
-arrays.  A control law therefore takes the (l, m, n) gains L_k of a
-stack's l sampling loops and an (E, l, n) array of their estimates, and
+stored steps, all steps at once, and each loop's trace is a view into its
+stack's arrays.  A control law therefore takes the (l, m, n) gains L_k of
+a stack's l sampling loops and an (E, l, n) array of their estimates, and
 returns an (E, l, m) array of inputs or any shape that broadcasts to it,
 such as one (m,) input for every episode and loop.  Products over the
 plant dimensions are elementwise multiply-adds in index order

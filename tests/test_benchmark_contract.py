@@ -6,7 +6,9 @@
 workload passes `quad=` a `stats.QuadratureSpec`; a traced run checks its
 outputs against the untraced ones and against independent oracles.  Running
 it briefly here makes a dropped name, keyword or changed return type fail
-the test suite rather than the benchmark.
+the test suite rather than the benchmark.  The engine's workloads must also
+count calls to every wrapped name the engine feeds, so that an engine which
+stops calling one fails here instead of leaving its metric at 0.
 """
 
 import json
@@ -17,6 +19,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# the call counts of the wrapped names the engine calls on every run
+ENGINE_COUNTS = ("estimation.observer_calls", "control.law_calls", "control.riccati_calls",
+                 "model.psd_sqrt_calls", "model.stream_calls")
+ENGINE_WORKLOADS = ("flood", "innovation_dump", "paired_halfline")
 
 
 @pytest.mark.parametrize("workload", ["flood", "innovation_dump", "paired_halfline",
@@ -29,3 +35,6 @@ def test_traced_benchmark_run_is_correct(workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
+    if workload in ENGINE_WORKLOADS:
+        for name in ENGINE_COUNTS:
+            assert result["metrics"][name]["value"] > 0, name

@@ -797,14 +797,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,scheduler,flags,what,tick", [
         ("simulate", {"kind": "always"}, ["--law", "zero"], "state", 31),
+        ("simulate", {"kind": "always"}, ["--law", "zero", "--dump-trace", "--dump-events"],
+         "state", 31),
         ("simulate", {"kind": "innovation", "eps": 1e300}, [], "cost", 15),
         ("sweep", {"kind": "innovation", "eps": 1.0}, ["--eps-grid", "1e300"], "cost", 15),
-    ], ids=["simulate-zero-law", "simulate-ce-law", "sweep"])
+    ], ids=["simulate-zero-law", "simulate-zero-law-dumps", "simulate-ce-law", "sweep"])
     def test_breakdown_names_episode_loop_and_tick(self, tmp_path, capsys, command, scheduler,
                                                    flags, what, tick):
         # x+ = 1e10 x + B u + w overflows: under the zero law the state does
         # at tick 31; under the CE law the innovation passes 1e300 near tick
-        # 15, and the input that answers it has a square that overflows
+        # 15, and the input that answers it has a square that overflows.
+        # A failed run leaves no CSV behind, not even the dumps it opened.
         doc = {"name": "blowup", "seed": 0, "episodes": 3, "crm": {"persistence": [1.0]},
                "loops": [{"plant": {"A": 1e10, "B": 1.0, "Rw": 1.0, "R0": 1.0},
                           "scheduler": scheduler, "horizon": 40,
@@ -816,6 +819,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"numerical failure: the {what} of loop 0 is not finite at tick {tick} "
             "of episode 0\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["blowup.json"]
 
     # the last grid's step is below the resolution of its bounds
     @pytest.mark.parametrize("grid", ["1,x", "1:2:x", "nan,1", "1:inf:1", "1e20:2e20:1"])

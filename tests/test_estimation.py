@@ -73,21 +73,24 @@ class TestConditionalMeanUnderSymmetricScheduling:
 
     @staticmethod
     def silent_errors(scheduler):
-        """Per step, the filtered errors of the episodes that kept silent at
-        it: one scalar loop, A = B = Rw = R0 = 1, horizon 10, on a certain
-        channel, at seed 5 over 20,000 episodes."""
+        """Per step, the filtered errors and the predictions of the episodes
+        that kept silent at it, where the estimate is the prediction: one
+        scalar loop, A = B = Rw = R0 = 1, horizon 10, on a certain channel,
+        at seed 5 over 20,000 episodes."""
         loop = LoopConfig(plant=UNIT_PLANT, scheduler=scheduler, horizon=10,
                           Q0=1.0, Q1=1.0, Q2=1.0)
         scn = NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
-        errs, gammas = [], []
+        errs, preds, gammas = [], [], []
 
         def hook(chunk, traces):
             errs.append(traces[0].errs[..., 0])
+            preds.append(traces[0].xhats[..., 0])
             gammas.append(traces[0].gammas)
 
         monte_carlo(scn, 5, 20_000, trace_hook=hook)
-        errs, silent = np.concatenate(errs), np.concatenate(gammas) == 0
-        return [errs[silent[:, k], k] for k in range(errs.shape[1])]
+        errs, preds = np.concatenate(errs), np.concatenate(preds)
+        silent = np.concatenate(gammas) == 0
+        return [(errs[silent[:, k], k], preds[silent[:, k], k]) for k in range(errs.shape[1])]
 
     @staticmethod
     def mean_and_se(sample):
@@ -97,7 +100,8 @@ class TestConditionalMeanUnderSymmetricScheduling:
         # the paper's point for asymmetric rules: silence under x >= 0.5 says
         # x0 < 0.5, so the observer's prior mean 0 is off by the mean of a
         # standard normal truncated above at 0.5 (-0.509)
-        mean, se = self.mean_and_se(self.silent_errors(SchedulerPolicy.half_line_state(0.5))[0])
+        errs, _ = self.silent_errors(SchedulerPolicy.half_line_state(0.5))[0]
+        mean, se = self.mean_and_se(errs)
         want = truncated_moments(TruncatedGaussian(0.0, 1.0, 0.5))[0]
         assert abs(mean - want) < 4.0 * se
         assert abs(mean) > 10.0 * se
@@ -105,9 +109,21 @@ class TestConditionalMeanUnderSymmetricScheduling:
     def test_innovation_rule_keeps_the_silent_error_centred(self):
         # a rule symmetric in the innovation leaves silence uninformative
         # about its sign (Bar-Shalom and Tse, 1974): zero mean at every step
-        for k, sample in enumerate(self.silent_errors(SchedulerPolicy.innovation_threshold(3.5))):
-            mean, se = self.mean_and_se(sample)
+        steps = self.silent_errors(SchedulerPolicy.innovation_threshold(3.5))
+        for k, (errs, _) in enumerate(steps):
+            mean, se = self.mean_and_se(errs)
             assert abs(mean) < 3.0 * se, k
+
+    def test_state_rule_pulls_the_silent_error_against_the_prediction(self):
+        # silence under |x|^2 <= 1 says the state lies in [-1, 1], wherever
+        # the prediction is: a rule that is not symmetric in the innovation
+        # makes the prediction a biased estimate, too far from 0 on either side
+        steps = self.silent_errors(SchedulerPolicy.state_threshold(1.0))
+        for k, (errs, preds) in enumerate(steps[1:], start=1):
+            for sign in (1.0, -1.0):
+                mean, se = self.mean_and_se(errs[sign * preds > 0.0])
+                assert sign * mean < 0.0, (k, sign)
+                assert abs(mean) > 10.0 * se, (k, sign)
 
 
 class TestTwoStepPosterior:
