@@ -13,8 +13,8 @@ lines formatted straight from the engine's arrays: one `.tolist()` per
 column per loop per chunk, `repr` for floats and a `%` template per row.
 An event row is a row of the chunk's `sim.EventTable`, its result code
 written as the result's name.  No `repr` holds a comma, a quote or a line
-break, so the lines are the bytes `csv.writer` would write.  A run that
-raises deletes the dumps it had opened.
+break, so the lines are the bytes `csv.writer` would write.  A `simulate`
+run that raises deletes the dumps and the summary it had written.
 
 Exit codes: 0 success, 2 usage, 3 validation error, 4 numerical failure,
 5 file-system (I/O) error.
@@ -575,16 +575,15 @@ def cmd_simulate(args) -> int:
                 hooks["event_hook"] = lambda chunk, table: events.writelines(
                     event_rows(chunk, table))
             result = monte_carlo(doc.scenario, seed, episodes, law, **hooks)
+        summary_path = prefix.with_name(prefix.name + "_summary.csv")
+        _write_csv(summary_path, SUMMARY_HEADER, summary_rows(result, doc))
+        outputs.insert(0, summary_path)
+        write_manifest(prefix, doc, seed, outputs, args.argv, time.perf_counter() - started)
     except BaseException:
-        # a failed run leaves no partial dump behind
+        # a failed run leaves no dump or summary without its manifest
         for path in outputs:
             path.unlink(missing_ok=True)
         raise
-
-    summary_path = prefix.with_name(prefix.name + "_summary.csv")
-    _write_csv(summary_path, SUMMARY_HEADER, summary_rows(result, doc))
-    outputs.insert(0, summary_path)
-    write_manifest(prefix, doc, seed, outputs, args.argv, time.perf_counter() - started)
     print(f"simulate {doc.name}: episodes={episodes} seed={seed} "
           f"mean cost {result.j_mean:.4f} +/- {result.j_se:.4f}")
     print(f"wrote {summary_path}")

@@ -916,3 +916,12 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", "example3", "--episodes", "1",
                      "--out", str(blocker / "run")]) == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    def test_io_after_the_dumps_leaves_no_dump(self, tmp_path, capsys):
+        # the dumps are complete when the summary cannot be written; without
+        # a summary and a manifest they go too
+        (tmp_path / "run_summary.csv").mkdir()
+        assert main(["simulate", "--scenario", "example3", "--episodes", "2", "--dump-trace",
+                     "--dump-events", "--out", str(tmp_path / "run")]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["run_summary.csv"]
