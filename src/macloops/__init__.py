@@ -29,6 +29,7 @@ from .errors import (
 )
 from .estimation import (
     TwoStepPosterior,
+    last_delivery,
     observer_update,
     two_step_posterior,
 )

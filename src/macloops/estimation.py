@@ -33,6 +33,14 @@ def observer_update(delta: int | np.ndarray, y: np.ndarray, pred: np.ndarray) ->
     return np.where(np.asarray(delta, dtype=bool)[..., None], y, pred)
 
 
+def last_delivery(deltas: np.ndarray) -> np.ndarray:
+    """tau_k along the last (step) axis of a 0/1 deltas array: the last step
+    k' <= k whose packet was delivered, or -1 for the fictitious initial
+    packet when there is none yet."""
+    ks = np.arange(np.shape(deltas)[-1])
+    return np.maximum.accumulate(np.where(np.asarray(deltas) == 1, ks, -1), axis=-1)
+
+
 @dataclass(frozen=True)
 class TwoStepPosterior:
     """Per-branch conditional moments for the scalar two-step problem.

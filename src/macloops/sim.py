@@ -67,7 +67,7 @@ import numpy as np
 
 from .control import CostReport, jdp_stack, riccati_backward
 from .errors import ConfigurationError, NumericalError
-from .estimation import observer_update
+from .estimation import last_delivery, observer_update
 from .model import NetworkScenario, RngStream, psd_sqrt
 from .network import contend, traffic_activity
 # The per-round, per-tick and per-episode reference rules the engine's array
@@ -596,8 +596,7 @@ def _run_chunk(
     for s, (st, run) in enumerate(zip(stacks, runs)):
         ks = np.arange(st.horizon)
         xs, xhats = run.xs[:, :, :-1], run.xhats[:, :, 1:]
-        # the last step k' <= k with a delivery, -1 for the initial packet
-        taus = np.maximum.accumulate(np.where(run.deltas == 1, ks, -1), axis=-1)
+        taus = last_delivery(run.deltas)
         resid = xs - run.preds
         per_step = dict(
             xs=run.xs, us=run.us, gammas=run.gammas, deltas=run.deltas,

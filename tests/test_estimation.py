@@ -1,4 +1,4 @@
-"""Observer updates, the zero conditional mean under symmetric scheduling and
+"""Observer updates, delivery ages, the zero conditional mean under symmetric scheduling and
 the two-step posterior."""
 
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from macloops.errors import ConfigurationError
-from macloops.estimation import observer_update, two_step_posterior
+from macloops.estimation import last_delivery, observer_update, two_step_posterior
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
@@ -22,6 +22,21 @@ def predict(xhat, u_prev):
     return UNIT_PLANT.A @ xhat + UNIT_PLANT.B @ np.asarray(u_prev, dtype=float)
 
 
+class TestTauUpdate:
+    """last_delivery's last-received-packet index tau."""
+
+    def test_initialization(self):
+        # no delivery yet: the fictitious initial packet at k = -1
+        assert np.array_equal(last_delivery(np.array([0])), [-1])
+        assert np.array_equal(last_delivery(np.array([0, 0, 0])), [-1, -1, -1])
+
+    def test_delivery_resets(self):
+        assert last_delivery(np.array([0, 1, 0, 1]))[3] == 3
+
+    def test_miss_carries(self):
+        assert last_delivery(np.array([0, 1, 0, 0]))[3] == 1
+
+
 class TestObserverUpdate:
     def test_delivery_takes_the_state(self):
         xhat = observer_update(1, np.array([2.3]), predict(np.zeros(1), [0.0]))
@@ -34,6 +49,15 @@ class TestObserverUpdate:
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="y must have length 1"):
             observer_update(1, np.array([1.0, 2.0]), predict(np.zeros(1), [0.0]))
+
+    def test_delay_bookkeeping(self):
+        deltas = np.array([0, 0, 1, 0, 1, 1, 0])
+        taus = last_delivery(deltas)
+        for k, d in enumerate(deltas):
+            assert (taus[k] == k) == bool(d)
+        # the engine's form: episode rows along the leading axes
+        rows = np.array([[deltas, 1 - deltas]])
+        assert np.array_equal(last_delivery(rows), [[taus, [0, 1, 1, 3, 3, 3, 6]]])
 
     def test_episode_rows_update_independently(self):
         # the engine's form: one row per episode of a chunk
