@@ -38,6 +38,7 @@ from .model import (
     NetworkScenario,
     PlantModel,
     RngStream,
+    pcg64_states,
 )
 from .network import (
     CrmConfig,

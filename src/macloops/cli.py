@@ -301,7 +301,6 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
 
     top = _fields(doc, "scenario", _SCENARIO)
     crm = _fields(top["crm"], "crm", _CRM)
-    crm["persistence"] = tuple(as_vector(crm["persistence"], "crm.persistence"))
     if not isinstance(top["loops"], list) or not top["loops"]:
         raise ConfigurationError("scenario.loops: must be a non-empty array")
     loops, groups = [], []
@@ -310,6 +309,7 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
         loops.extend(expanded)
         groups.extend([bi] * len(expanded))
     with _at("crm"):
+        crm["persistence"] = tuple(as_vector(crm["persistence"], "persistence"))
         crm = CrmConfig(**crm)
     if not isinstance(top["sources"], (list, tuple)):
         raise ConfigurationError("scenario.sources: must be an array")

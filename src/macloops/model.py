@@ -7,7 +7,10 @@ random draw flows through an explicitly coordinated RngStream, one numpy
 stream per (master seed, coordinates), which is what makes episodes
 bit-reproducible.  The engine draws each episode from three streams, its
 noise, its traffic and its contention, keyed and laid out as `sim._Layout`
-states.
+states.  It seeds the streams of a whole chunk of episodes at once:
+`pcg64_states` computes the PCG64 state numpy's SeedSequence gives each
+spawn key, and the engine checks the first of each chunk and role against
+`RngStream.generator`.
 """
 
 from __future__ import annotations
@@ -121,6 +124,10 @@ class RngStream:
 
     Identical coordinates yield identical draw sequences; distinct coordinates
     yield statistically independent streams (numpy SeedSequence spawning).
+    `generator` builds one stream the way numpy does, and is the reference
+    for `pcg64_states`, which gives the starting states of many streams at
+    once; the engine seeds its streams that way and checks the first of each
+    chunk and role against this one.
     """
 
     master_seed: int
@@ -129,6 +136,98 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.coords)
         return np.random.Generator(np.random.PCG64(seq))
+
+
+# numpy's SeedSequence constants (pool of 4 words) and PCG64's multiplier;
+# NEP 19 keeps the seeding algorithms fixed across numpy releases
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: 32-bit words, lowest first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+# Both mixing steps run on Python ints and on uint32 arrays alike; the
+# constants stay masked Python ints, since numpy scalars warn on overflow.
+def _hashmix(value, h: int):
+    """SeedSequence's hashmix of `value`: the mixed value and the next hash constant."""
+    value = value ^ h
+    h = h * _MULT_A & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that `RngStream(seed, key).generator()` starts
+    from, for each row `key` of the (E, K) array of non-negative int spawn
+    keys, all rows at once.
+
+    It runs numpy's SeedSequence over the chunk: the seed's words, padded
+    with zeros to the pool size when a key is present, fill the pool and are
+    mixed across it; every further word, the seed's and then the key's,
+    gets the extra mixing pass, one array step per word for all rows.  Then
+    `generate_state(4, uint64)`, and PCG64's two-step `srandom` on 128-bit
+    Python ints.
+    """
+    keys = np.asarray(keys, dtype=object).reshape(len(keys), -1)
+    entropy = _words(seed)
+    if keys.shape[1]:
+        entropy += [0] * (_POOL - len(entropy))
+    h, pool = _INIT_A, []
+    for i in range(_POOL):
+        word, h = _hashmix(entropy[i] if i < len(entropy) else 0, h)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], word)
+    # the key's words, left-aligned per row, and how many each row has
+    words, present = [], []
+    for col in keys.T:
+        valid = np.ones(len(keys), dtype=bool)
+        while valid.any():
+            words.append((col & _MASK32).astype(np.uint32))
+            present.append(valid)
+            col = col >> 32
+            valid = col > 0
+    words = np.array(words, dtype=np.uint32).reshape(-1, len(keys))
+    present = np.array(present, dtype=bool).reshape(words.shape)
+    order = np.argsort(~present, axis=0, kind="stable")
+    words, lengths = np.take_along_axis(words, order, axis=0), present.sum(axis=0)
+    pool = [np.full(len(keys), word, dtype=np.uint32) for word in pool]
+    extra = [np.full(len(keys), word, dtype=np.uint32) for word in entropy[_POOL:]]
+    for j, src in enumerate(extra + list(words)):
+        valid = j < len(extra) + lengths
+        for dst in range(_POOL):
+            word, h = _hashmix(src, h)
+            pool[dst] = np.where(valid, _mix(pool[dst], word), pool[dst])
+    h, state = _INIT_B, []
+    for i in range(2 * _POOL):
+        word = pool[i % _POOL] ^ h
+        h = h * _MULT_B & _MASK32
+        word = word * h & _MASK32
+        state.append((word ^ word >> 16).astype(np.uint64))
+    # little-endian word pairs, as Python ints: seed = s0 << 64 | s1 and
+    # sequence = i0 << 64 | i1
+    s0, s1, i0, i1 = ((state[2 * k] | state[2 * k + 1] << 32).astype(object) for k in range(4))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    start = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    return list(zip(start.tolist(), inc.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

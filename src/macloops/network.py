@@ -37,6 +37,7 @@ vector of draws into the same activity indicators at once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -66,11 +67,20 @@ class CrmConfig:
         # model imports this module, so its integer check is imported late
         from .model import _integer
 
-        pers = tuple(float(p) for p in self.persistence)
+        try:
+            pers = tuple(self.persistence)
+        except TypeError:
+            raise ConfigurationError(f"persistence must be a list of probabilities, "
+                                     f"got {self.persistence}", field="persistence") from None
         if not pers:
-            raise ConfigurationError("persistence list must not be empty")
+            raise ConfigurationError("persistence list must not be empty", field="persistence")
+        if not all(isinstance(p, numbers.Real) for p in pers):
+            raise ConfigurationError(f"persistence probabilities must be numbers, got {pers}",
+                                     field="persistence")
+        pers = tuple(map(float, pers))
         if any(not (0.0 <= p <= 1.0) for p in pers):
-            raise ConfigurationError(f"persistence probabilities must lie in [0,1]: {pers}")
+            raise ConfigurationError(f"persistence probabilities must lie in [0,1]: {pers}",
+                                     field="persistence")
         object.__setattr__(self, "persistence", pers)
         # 0 stands for the default: one attempt per probability, one slot per attempt
         rmax = _integer(self.max_attempts, "max_attempts", "an integer >= 0", 0) or len(pers)
@@ -263,8 +273,8 @@ class TrafficSource:
             raise ConfigurationError(f"unknown traffic source kind {self.kind!r}")
         for name in ("rate", "p_on", "p_off"):
             p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ConfigurationError(f"{name} must lie in [0,1], got {p}")
+            if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
+                raise ConfigurationError(f"{name} must lie in [0,1], got {p}", field=name)
 
     @classmethod
     def bernoulli(cls, rate: float) -> "TrafficSource":
@@ -285,15 +295,19 @@ def traffic_step(source: TrafficSource, rng: np.random.Generator, prev_active: i
 
 
 def traffic_activity(source: TrafficSource, u: np.ndarray) -> np.ndarray:
-    """The source's activity indicator at every tick, as a bool array.
+    """The source's activity indicator at every tick, as a bool array of the
+    shape of `u`.
 
-    `u` holds one uniform draw per tick, the draws `traffic_step` makes when
-    it steps the source from inactive one tick at a time.
+    `u` holds one uniform draw per tick along its last axis, the draws
+    `traffic_step` makes when it steps the source from inactive one tick at
+    a time; any leading axes, such as a chunk's episodes, are independent
+    paths.  A Markov source steps one tick column at a time for all of them.
     """
     if source.kind == "bernoulli":
         return u < source.rate
-    on, path = False, []
-    for v in u.tolist():
-        on = v >= source.p_off if on else v < source.p_on
-        path.append(on)
-    return np.array(path, dtype=bool)
+    active = np.empty(u.shape, dtype=bool)
+    on = np.zeros(u.shape[:-1], dtype=bool)
+    for t in range(u.shape[-1]):
+        on = np.where(on, u[..., t] >= source.p_off, u[..., t] < source.p_on)
+        active[..., t] = on
+    return active

@@ -9,7 +9,10 @@ multiples of the period); between samples nothing is simulated.  All
 randomness is drawn from three streams per episode, keyed by the master
 seed, the episode and the role, in the order `_Layout` states.  So a (seed,
 episode, scenario) triple fully determines every trace, and a contender
-meets the same draws under every control law.
+meets the same draws under every control law.  A chunk's streams of one
+role are seeded in one pass (`_streams`, `model.pcg64_states`) and drawn
+from one reused generator, whose first state is checked against the
+reference `RngStream.generator` once per chunk and role.
 
 There is one engine, and it runs a chunk of episodes at once.  A chunk
 holds as many episodes as fit in CHUNK_CELLS array cells, and at least
@@ -68,7 +71,7 @@ import numpy as np
 from .control import CostReport, jdp_stack, riccati_backward
 from .errors import ConfigurationError, NumericalError
 from .estimation import last_delivery, observer_update
-from .model import NetworkScenario, RngStream, psd_sqrt
+from .model import NetworkScenario, RngStream, _integer, pcg64_states, psd_sqrt
 from .network import contend, traffic_activity
 # The per-round, per-tick and per-episode reference rules the engine's array
 # forms reproduce; benchmark/workloads.py wraps these names here.
@@ -379,18 +382,43 @@ class _ChunkDraws:
     tables: Optional[np.ndarray]      # (E, rows, slots) draws, or None
 
 
+def _streams(seed: int, episodes: range, *key: int):
+    """Yield, for each episode in turn, a generator at the start of the
+    stream `RngStream(seed, (episode, *key))`.
+
+    It is one generator, reused: built once as that reference for the first
+    episode, then set to each episode's state from `pcg64_states` before it
+    is yielded.  The first state must equal the reference's, or numpy seeds
+    its streams in some other way than `pcg64_states` computes.
+    """
+    gen = RngStream(seed, (episodes[0], *key)).generator()
+    states = pcg64_states(seed, [(ep, *key) for ep in episodes])
+    bitgen = gen.bit_generator
+    # the fresh state: has_uint32 and uinteger are 0
+    state = bitgen.state
+    if state["state"] != {"state": states[0][0], "inc": states[0][1]}:
+        raise NumericalError(
+            f"batched seeding of stream {(episodes[0], *key)} of seed {seed} disagrees "
+            f"with SeedSequence and PCG64 of numpy {np.__version__}")
+    for start, inc in states:
+        state["state"] = {"state": start, "inc": inc}
+        bitgen.state = state
+        yield gen
+
+
 def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
                 episodes: range) -> _ChunkDraws:
     """Draw the noise, the traffic and the contention tables of a chunk.
 
-    Each episode draws exactly as it would alone, in the order of `_Layout`.
-    The roots multiply the noise blocks by `_sum_products`, so an episode's
-    bits do not depend on its chunk.
+    Each episode draws exactly as it would alone, in the order of `_Layout`,
+    from its stream of each role, which `_streams` seeds for the whole
+    chunk at once.  The roots multiply the noise blocks by `_sum_products`,
+    so an episode's bits do not depend on its chunk.
     """
     n_ep = len(episodes)
     z = np.empty((n_ep, layout.width))
-    for e, ep in enumerate(episodes):
-        RngStream(int(seed), (int(ep), 0, _ROLE_NOISE)).generator().standard_normal(out=z[e])
+    for e, gen in enumerate(_streams(seed, episodes, 0, _ROLE_NOISE)):
+        gen.standard_normal(out=z[e])
     stack_x0, stack_noise = [], []
     for st in layout.stacks:
         n_loops, n = st.x0_mean.shape
@@ -401,16 +429,23 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
     ticks, sources = layout.ticks, scenario.sources
     active = np.zeros((n_ep, ticks.size, len(sources)), dtype=bool)
     if sources:
-        for e, ep in enumerate(episodes):
-            u = RngStream(int(seed), (int(ep), SOURCE_CONTENDER_BASE, _ROLE_TRAFFIC)
-                          ).generator().random((len(sources), ticks[-1] + 1))
+        # each episode's (sources, last sampling tick + 1) table, drawn into
+        # one array of at most CHUNK_CELLS draws at a time
+        shape = (len(sources), ticks[-1] + 1)
+        block = max(1, CHUNK_CELLS // math.prod(shape))
+        u = np.empty((min(n_ep, block), *shape))
+        streams = _streams(seed, episodes, SOURCE_CONTENDER_BASE, _ROLE_TRAFFIC)
+        for lo in range(0, n_ep, block):
+            part = u[:n_ep - lo]
+            for row, gen in zip(part, streams):
+                gen.random(out=row)
             for j, src in enumerate(sources):
-                active[e, :, j] = traffic_activity(src, u[j])[ticks]
+                active[lo:lo + len(part), :, j] = traffic_activity(src, part[:, j])[:, ticks]
     tables = None
     if layout.slots:
         tables = np.empty((n_ep, layout.rows, layout.slots))
-        for e, ep in enumerate(episodes):
-            RngStream(int(seed), (int(ep), _ROLE_CONTENTION)).generator().random(out=tables[e])
+        for e, gen in enumerate(_streams(seed, episodes, _ROLE_CONTENTION)):
+            gen.random(out=tables[e])
     return _ChunkDraws(episodes, stack_x0, stack_noise, active, tables)
 
 
@@ -669,7 +704,8 @@ def run_episode(
     the arrays of its one-episode chunk.  Its contention events are its rows
     of the `EventTable` that `monte_carlo`'s event hook gets for the same
     seed."""
-    episode = int(episode)
+    seed = _integer(seed, "seed", "an integer >= 0", 0)
+    episode = _integer(episode, "episode", "an integer >= 0", 0)
     _, (batch,), _ = next(_run_arms([(scenario, control_law)], _layout(scenario), seed,
                                     range(episode, episode + 1)))
     return [_episode_trace(tr, 0, episode) for tr in batch]
@@ -712,10 +748,13 @@ class MonteCarloResult:
     j_se: float
 
 
-def _check_episodes(episodes: int) -> None:
-    """Reject a run of fewer than one episode, before anything is derived."""
+def _check_run(seed: int, episodes: int) -> int:
+    """The seed as an int.  A seed that is not an integer >= 0, or a run of
+    fewer than one episode, is rejected before anything is derived."""
+    seed = _integer(seed, "seed", "an integer >= 0", 0)
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
+    return seed
 
 
 def _se(values: np.ndarray) -> float:
@@ -821,7 +860,7 @@ def monte_carlo(
     `EventTable`.  They exist for CSV dumping; the traces are views into
     the engine's arrays.
     """
-    _check_episodes(episodes)
+    seed = _check_run(seed, episodes)
     layout = _layout(scenario)
     tally = _Tally(scenario, layout, episodes)
     for chunk, (batch,), (log,) in _run_arms([(scenario, control_law)], layout, seed,
@@ -857,6 +896,7 @@ def sweep_threshold(
     eps is replaced by each grid value, and every value runs on each chunk's
     draws as `monte_carlo` would run it alone, under the CE law.
     """
+    seed = _check_run(seed, episodes)
     eps_grid = list(eps_grid)
     if not eps_grid:
         raise ConfigurationError("eps grid must not be empty")
@@ -869,7 +909,6 @@ def sweep_threshold(
     arms = [(replace(scenario, loops=tuple(
                 replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
                 for lc in scenario.loops)), ce_law) for eps in eps_grid]
-    _check_episodes(episodes)
     layout = _layout(scenario)
     tallies = [_Tally(scn, layout, episodes) for scn, _ in arms]
     for _ in _run_arms(arms, layout, seed, range(episodes), tallies=tallies):
@@ -930,7 +969,7 @@ def dual_effect_experiment(
     """
     if law_a is law_b:
         raise ConfigurationError("the two control laws must differ")
-    _check_episodes(episodes)
+    seed = _check_run(seed, episodes)
     control_free = all(is_symmetric_control_free(lc.scheduler) for lc in scenario.loops)
     identical = 0
     div_ticks = []

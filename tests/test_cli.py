@@ -748,10 +748,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value,message", [
         ("sources", [{"kind": "bernoulli", "rate": 1.5}],
-         "sources[0]: rate must lie in [0,1], got 1.5"),
-        ("crm", {"persistence": [1.5]}, "crm: persistence probabilities must lie in [0,1]"),
+         "sources[0].rate: rate must lie in [0,1], got 1.5"),
+        ("crm", {"persistence": [1.5]},
+         "crm.persistence: persistence probabilities must lie in [0,1]"),
         ("sources", {"kind": "bernoulli", "rate": 0.2}, "scenario.sources: must be an array"),
         ("global_horizon", 400, "scenario: unknown keys ['global_horizon']"),
+        ("crm", {"persistence": ["a"]}, "crm.persistence: persistence must be numeric"),
     ])
     def test_crm_and_source_errors_name_their_path(self, tmp_path, capsys, key, value,
                                                    message):

@@ -1,17 +1,22 @@
 """Plant dynamics, the innovation the scheduler sees, and seeded noise, as
 the episode engine runs them."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from macloops.errors import ConfigurationError
+from macloops import model, sim
+from macloops.cli import EXIT_NUMERICAL, main
+from macloops.errors import ConfigurationError, NumericalError
 from macloops.model import (
     LoopConfig,
     NetworkScenario,
     PlantModel,
     RngStream,
+    pcg64_states,
 )
-from macloops.network import CrmConfig
+from macloops.network import CrmConfig, TrafficSource
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import _draw_chunk, _layout, ce_law, run_episode, zero_law
 
@@ -189,6 +194,60 @@ class TestRngStream:
         a = RngStream(42, (3, 1, 0)).generator().standard_normal(8)
         b = RngStream(42, (3, 2, 0)).generator().standard_normal(8)
         assert not np.array_equal(a, b)
+
+
+# the spawn key of each role after the episode: noise, traffic, contention
+ROLE_KEYS = [(0, sim._ROLE_NOISE), (sim.SOURCE_CONTENDER_BASE, sim._ROLE_TRAFFIC),
+             (sim._ROLE_CONTENTION,)]
+
+
+class TestBatchedSeeding:
+    @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 + 5, 2 ** 130] + [
+        int(s) for s in np.random.default_rng(24).integers(0, 2 ** 63, 4, dtype=np.uint64)])
+    @pytest.mark.parametrize("role", ROLE_KEYS, ids=["noise", "traffic", "contention"])
+    def test_states_match_numpy(self, seed, role):
+        # episodes of one, two and three 32-bit words in one batch
+        episodes = [0, 1, 7, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 + 5]
+        keys = [(ep, *role) for ep in episodes]
+        want = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
+                for key in keys]
+        got = [{"state": state, "inc": inc} for state, inc in pcg64_states(seed, keys)]
+        assert got == want, f"numpy {np.__version__} seeds SeedSequence and PCG64 differently"
+
+    def test_chunk_across_two_to_the_32_draws_each_episodes_streams(self, monkeypatch):
+        scn = replace(one_loop(scalar_plant(), horizon=4),
+                      crm=CrmConfig(persistence=(0.5, 0.5)),
+                      sources=(TrafficSource.bernoulli(0.3),
+                               TrafficSource(kind="markov", p_on=0.3, p_off=0.5)))
+        layout = _layout(scn)
+        episodes = range(2 ** 32 - 2, 2 ** 32 + 2)
+        batched = _draw_chunk(scn, layout, 11, episodes)
+
+        def one_by_one(seed, episodes, *key):
+            for ep in episodes:
+                yield RngStream(seed, (ep, *key)).generator()
+
+        monkeypatch.setattr(sim, "_streams", one_by_one)
+        reference = _draw_chunk(scn, layout, 11, episodes)
+        assert batched.tables is not None and batched.active.any()
+        for name in ("stack_x0", "stack_noise"):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(getattr(batched, name), getattr(reference, name), strict=True))
+        assert np.array_equal(batched.active, reference.active)
+        assert np.array_equal(batched.tables, reference.tables)
+
+    def test_a_wrong_constant_is_a_numerical_error(self, monkeypatch, tmp_path, capsys):
+        # each chunk checks its first stream of each role against numpy's
+        monkeypatch.setattr(model, "_MIX_MULT_L", model._MIX_MULT_L ^ 1)
+        with pytest.raises(NumericalError, match=f"numpy {np.__version__}"):
+            sim.monte_carlo(one_loop(scalar_plant()), 3, 5)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", "example3", "--episodes", "3", "--out", str(out),
+                     "--dump-trace", "--dump-events"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: batched seeding of stream (0, 0, 0) of seed")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigValidation:

@@ -64,6 +64,14 @@ class TestCrmConfig:
         with pytest.raises(ConfigurationError):
             CrmConfig(persistence=(1.0, 1.2))
 
+    @pytest.mark.parametrize("persistence", [(1.0, 1.2), (math.nan,), ("a",), (0.5, None), (),
+                                             0.5],
+                             ids=["above-one", "nan", "string", "none", "empty", "scalar"])
+    def test_persistence_errors_name_the_field(self, persistence):
+        with pytest.raises(ConfigurationError) as info:
+            CrmConfig(persistence=persistence)
+        assert info.value.field == "persistence"
+
     def test_slots_must_cover_attempts(self):
         with pytest.raises(ConfigurationError):
             CrmConfig(persistence=(1.0, 0.5), slots_per_sample=1)
@@ -323,6 +331,23 @@ class TestTrafficSources:
             TrafficSource.bernoulli(1.5)
         with pytest.raises(ConfigurationError):
             TrafficSource(kind="poisson")
+
+    @pytest.mark.parametrize("field", ["rate", "p_on", "p_off"])
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan, "x", None],
+                             ids=["above-one", "negative", "nan", "string", "none"])
+    def test_probabilities_name_their_field(self, field, value):
+        with pytest.raises(ConfigurationError) as info:
+            TrafficSource(kind="markov", **{field: value})
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "markov"])
+    def test_activity_runs_each_path_of_the_leading_axes(self, kind):
+        # a chunk's (episodes, sources, ticks) draws give each row the path
+        # that row alone gives
+        src = TrafficSource(kind=kind, rate=0.3, p_on=0.3, p_off=0.6)
+        u = np.random.default_rng(5).random((4, 3, 50))
+        rows = [traffic_activity(src, row) for row in u.reshape(-1, 50)]
+        assert np.array_equal(traffic_activity(src, u), np.reshape(rows, u.shape))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(["bernoulli", "markov"]),

@@ -188,6 +188,42 @@ TRACE_FIELDS = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs", "pr
                 "taus", "delays", "cost_terms")
 
 
+# each public run with a given seed, on a one-loop state-threshold scenario
+RUNS = {
+    "monte_carlo": lambda scn, seed: monte_carlo(scn, seed, 2),
+    "run_episode": lambda scn, seed: run_episode(scn, seed, 0),
+    "sweep_threshold": lambda scn, seed: sweep_threshold(scn, [1.0], seed, 2),
+    "dual_effect_experiment": lambda scn, seed: dual_effect_experiment(
+        scn, ce_law, zero_law, seed, 2),
+}
+
+
+class TestRunArguments:
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    @pytest.mark.parametrize("seed", [1.5, "7", -3, math.nan, None],
+                             ids=["fraction", "string", "negative", "nan", "none"])
+    def test_bad_seed_is_rejected_before_anything_is_derived(self, monkeypatch, run, seed):
+        def layout(scenario):
+            raise AssertionError("derived a layout")
+
+        monkeypatch.setattr(sim, "_layout", layout)
+        with pytest.raises(ConfigurationError) as info:
+            run(single_loop(SchedulerPolicy.state_threshold(1.0)), seed)
+        assert info.value.field == "seed"
+        assert str(info.value) == f"seed must be an integer >= 0, got {seed}"
+
+    @pytest.mark.parametrize("episode", [-1, 2.5, "3"], ids=["negative", "fraction", "string"])
+    def test_bad_episode_is_rejected(self, episode):
+        with pytest.raises(ConfigurationError) as info:
+            run_episode(single_loop(SchedulerPolicy.state_threshold(1.0)), 5, episode)
+        assert info.value.field == "episode"
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_integral_seeds_run_as_their_int(self, run):
+        scn = single_loop(SchedulerPolicy.state_threshold(1.0))
+        assert repr(run(scn, 3.0)) == repr(run(scn, np.int64(3))) == repr(run(scn, 3))
+
+
 class TestChunkedEngine:
     @pytest.mark.parametrize("make", [lambda: parse_scenario_doc("example1").scenario,
                                       two_state_network], ids=["example1", "two-state"])
@@ -377,6 +413,16 @@ class TestContentionDraws:
                     state = traffic_step(src, gen, state)
                     on_at[tick] = bool(state)
                 assert draws.active[e, :, j].tolist() == [on_at[t] for t in ticks]
+
+    def test_traffic_tables_drawn_in_blocks_give_the_chunks_activity(self, monkeypatch):
+        # a budget of two episodes' traffic tables draws a 5-episode chunk's
+        # tables in blocks of 2, 2 and 1
+        scn = two_state_network()
+        layout = sim._layout(scn)
+        whole = sim._draw_chunk(scn, layout, 7, range(5))
+        monkeypatch.setattr(sim, "CHUNK_CELLS", 2 * len(scn.sources) * (layout.ticks[-1] + 1))
+        blocks = sim._draw_chunk(scn, layout, 7, range(5))
+        assert np.array_equal(blocks.active, whole.active)
 
     def test_adding_a_source_keeps_every_loops_rows(self, monkeypatch):
         one = contention_rows(monkeypatch, lossy_state_network(1), ce_law, 20)
@@ -586,25 +632,32 @@ class TestMonteCarlo:
 
     def test_traffic_stops_at_the_last_sampling_tick(self, monkeypatch):
         # sources only matter at sampling ticks, so each episode's traffic
-        # generator makes exactly one draw per source and tick up to the
-        # last one (tick 10 here)
-        made = []
-        real = RngStream.generator
+        # stream makes exactly one draw per source and tick up to the last
+        # one (tick 10 here)
+        after, real = {}, sim._streams
 
-        def generator(stream):
-            gen = real(stream)
-            made.append((stream, gen))
-            return gen
+        class Recorded:
+            """An episode's stream that records its state after each draw."""
 
-        monkeypatch.setattr(RngStream, "generator", generator)
+            def __init__(self, gen, ep):
+                self.gen, self.ep = gen, ep
+
+            def random(self, *args, **kwargs):
+                out = self.gen.random(*args, **kwargs)
+                after[self.ep] = self.gen.bit_generator.state
+                return out
+
+        def streams(seed, episodes, *key):
+            for ep, gen in zip(episodes, real(seed, episodes, *key)):
+                yield Recorded(gen, ep) if key[-1] == sim._ROLE_TRAFFIC else gen
+
+        monkeypatch.setattr(sim, "_streams", streams)
         monte_carlo(two_state_network(), 4, 5)
-        traffic = [(stream, gen) for stream, gen in made
-                   if stream.coords[-1] == sim._ROLE_TRAFFIC]
-        assert len(traffic) == 5
-        for stream, gen in traffic:
-            expected = real(stream)
+        assert sorted(after) == list(range(5))
+        for ep, state in after.items():
+            expected = RngStream(4, (ep, sim.SOURCE_CONTENDER_BASE, sim._ROLE_TRAFFIC)).generator()
             expected.random(2 * 11)
-            assert gen.bit_generator.state == expected.bit_generator.state
+            assert state == expected.bit_generator.state
 
     def test_rates_are_consistent(self):
         scn = single_loop(SchedulerPolicy.innovation_threshold(2.0), horizon=10)
