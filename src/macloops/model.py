@@ -176,46 +176,48 @@ def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
     from, for each row `key` of the (E, K) array of non-negative int spawn
     keys, all rows at once.
 
-    It runs numpy's SeedSequence over the chunk: the seed's words, padded
-    with zeros to the pool size when a key is present, fill the pool and are
-    mixed across it; every further word, the seed's and then the key's,
-    gets the extra mixing pass, one array step per word for all rows.  Then
+    It runs numpy's SeedSequence for all rows at once: the seed's 32-bit
+    words, zero-padded to the pool size, fill the pool and are mixed across
+    it; every further word, the seed's and then the key's, gets the extra
+    mixing pass, one array step per word position.  Then
     `generate_state(4, uint64)`, and PCG64's two-step `srandom` on 128-bit
     Python ints.
     """
     keys = np.asarray(keys, dtype=object).reshape(len(keys), -1)
+    n = len(keys)
+    # without a key numpy does not pad, but fills the pool with the hashmix
+    # of 0 all the same
     entropy = _words(seed)
-    if keys.shape[1]:
-        entropy += [0] * (_POOL - len(entropy))
+    entropy += [0] * (_POOL - len(entropy))
     h, pool = _INIT_A, []
     for i in range(_POOL):
-        word, h = _hashmix(entropy[i] if i < len(entropy) else 0, h)
+        word, h = _hashmix(entropy[i], h)
         pool.append(word)
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 word, h = _hashmix(pool[src], h)
                 pool[dst] = _mix(pool[dst], word)
-    # the key's words, left-aligned per row, and how many each row has
-    words, present = [], []
+    # each row's further words, left-aligned: the seed's past the pool, then
+    # each key entry's as numpy splits it; a row has `lengths` of them
+    words = [np.full(n, word, dtype=np.uint32) for word in entropy[_POOL:]]
+    present = [np.ones(n, dtype=bool)] * len(words)
     for col in keys.T:
-        valid = np.ones(len(keys), dtype=bool)
+        valid = np.ones(n, dtype=bool)
         while valid.any():
             words.append((col & _MASK32).astype(np.uint32))
             present.append(valid)
             col = col >> 32
             valid = col > 0
-    words = np.array(words, dtype=np.uint32).reshape(-1, len(keys))
+    words = np.array(words, dtype=np.uint32).reshape(-1, n)
     present = np.array(present, dtype=bool).reshape(words.shape)
     order = np.argsort(~present, axis=0, kind="stable")
     words, lengths = np.take_along_axis(words, order, axis=0), present.sum(axis=0)
-    pool = [np.full(len(keys), word, dtype=np.uint32) for word in pool]
-    extra = [np.full(len(keys), word, dtype=np.uint32) for word in entropy[_POOL:]]
-    for j, src in enumerate(extra + list(words)):
-        valid = j < len(extra) + lengths
+    pool = [np.full(n, word, dtype=np.uint32) for word in pool]
+    for j, src in enumerate(words):
         for dst in range(_POOL):
             word, h = _hashmix(src, h)
-            pool[dst] = np.where(valid, _mix(pool[dst], word), pool[dst])
+            pool[dst] = np.where(j < lengths, _mix(pool[dst], word), pool[dst])
     h, state = _INIT_B, []
     for i in range(2 * _POOL):
         word = pool[i % _POOL] ^ h
