@@ -156,14 +156,20 @@ def _words(value: int) -> list[int]:
     return words
 
 
-# Both mixing steps run on Python ints and on uint32 arrays alike; the
-# constants stay masked Python ints, since numpy scalars warn on overflow.
-def _hashmix(value, h: int):
-    """SeedSequence's hashmix of `value`: the mixed value and the next hash constant."""
-    value = value ^ h
-    h = h * _MULT_A & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
+def _constants(h: int, mult: int, calls: int) -> list[int]:
+    """The hash constants of `calls` hashing calls from h: call i XORs in
+    the i-th and multiplies by the next, each the last one times `mult`."""
+    out = [h]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# The hashing and mixing steps run on Python ints and uint32 arrays alike;
+# the constants stay masked Python ints, since numpy scalars warn on overflow.
+def _hash(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -178,55 +184,59 @@ def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
 
     It runs numpy's SeedSequence for all rows at once: the seed's 32-bit
     words, zero-padded to the pool size, fill the pool and are mixed across
-    it; every further word, the seed's and then the key's, gets the extra
-    mixing pass, one array step per word position.  Then
-    `generate_state(4, uint64)`, and PCG64's two-step `srandom` on 128-bit
-    Python ints.
+    it, the same for every row; every further word, the seed's and then the
+    key's, is hashed with four constants and mixed into the four pool words,
+    one array step per word position.  Then `generate_state(4, uint64)`,
+    and PCG64's two-step `srandom` on 128-bit Python ints.
     """
-    keys = np.asarray(keys, dtype=object).reshape(len(keys), -1)
+    try:
+        keys = np.array(keys, dtype=np.int64).reshape(len(keys), -1)
+    except OverflowError:
+        # entries past int64 are split as Python ints
+        keys = np.array(keys, dtype=object).reshape(len(keys), -1)
     n = len(keys)
-    # without a key numpy does not pad, but fills the pool with the hashmix
-    # of 0 all the same
+    # without a key numpy does not pad, but fills the pool with the hash of 0
+    # all the same
     entropy = _words(seed)
     entropy += [0] * (_POOL - len(entropy))
-    h, pool = _INIT_A, []
-    for i in range(_POOL):
-        word, h = _hashmix(entropy[i], h)
-        pool.append(word)
+    # each row's further words, left-aligned: the seed's past the pool, then
+    # each key entry's in turn, split as numpy splits it (0 is one word); a
+    # row has `lengths` of them
+    levels, rest, valid = [], keys, np.ones(keys.shape, dtype=bool)
+    while not levels or valid.any():
+        levels.append(((rest & _MASK32).astype(np.uint32), valid))
+        rest = rest >> 32
+        valid = rest > 0
+    words, present = (np.stack(arrays).transpose(2, 0, 1).reshape(-1, n)
+                      for arrays in zip(*levels))
+    extra = len(entropy) - _POOL
+    words = np.concatenate((np.repeat(np.array(entropy[_POOL:], dtype=np.uint32)[:, None],
+                                      n, axis=1), words))
+    present = np.concatenate((np.ones((extra, n), dtype=bool), present))
+    lengths = present.sum(axis=0)
+    if not present.all():
+        words = np.take_along_axis(words, np.argsort(~present, axis=0, kind="stable"), axis=0)
+    # one hashing call per pool word, one per ordered pair of pool words,
+    # then four per further word
+    c = _constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(words))
+    pool = [_hash(entropy[i], c[i], c[i + 1]) for i in range(_POOL)]
+    i = _POOL
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                word, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], word)
-    # each row's further words, left-aligned: the seed's past the pool, then
-    # each key entry's as numpy splits it; a row has `lengths` of them
-    words = [np.full(n, word, dtype=np.uint32) for word in entropy[_POOL:]]
-    present = [np.ones(n, dtype=bool)] * len(words)
-    for col in keys.T:
-        valid = np.ones(n, dtype=bool)
-        while valid.any():
-            words.append((col & _MASK32).astype(np.uint32))
-            present.append(valid)
-            col = col >> 32
-            valid = col > 0
-    words = np.array(words, dtype=np.uint32).reshape(-1, n)
-    present = np.array(present, dtype=bool).reshape(words.shape)
-    order = np.argsort(~present, axis=0, kind="stable")
-    words, lengths = np.take_along_axis(words, order, axis=0), present.sum(axis=0)
-    pool = [np.full(n, word, dtype=np.uint32) for word in pool]
-    for j, src in enumerate(words):
-        for dst in range(_POOL):
-            word, h = _hashmix(src, h)
-            pool[dst] = np.where(j < lengths, _mix(pool[dst], word), pool[dst])
-    h, state = _INIT_B, []
-    for i in range(2 * _POOL):
-        word = pool[i % _POOL] ^ h
-        h = h * _MULT_B & _MASK32
-        word = word * h & _MASK32
-        state.append((word ^ word >> 16).astype(np.uint64))
-    # little-endian word pairs, as Python ints: seed = s0 << 64 | s1 and
-    # sequence = i0 << 64 | i1
-    s0, s1, i0, i1 = ((state[2 * k] | state[2 * k + 1] << 32).astype(object) for k in range(4))
+                pool[dst] = _mix(pool[dst], _hash(pool[src], c[i], c[i + 1]))
+                i += 1
+    c = np.array(c[i:], dtype=np.uint32)
+    hashed = _hash(words[:, None], c[:-1].reshape(-1, _POOL, 1), c[1:].reshape(-1, _POOL, 1))
+    pool = np.repeat(np.array(pool, dtype=np.uint32)[:, None], n, axis=1)
+    for j, row in enumerate(hashed):
+        pool = np.where(j < lengths, _mix(pool, row), pool)
+    # generate_state(4, uint64): eight words from the pool, twice round,
+    # paired little-endian into seed = s0 << 64 | s1, sequence = i0 << 64 | i1
+    c = np.array(_constants(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)[:, None]
+    state = _hash(pool, c[:-1].reshape(2, _POOL, 1), c[1:].reshape(2, _POOL, 1))
+    state = state.reshape(2 * _POOL, n).astype(np.uint64)
+    s0, s1, i0, i1 = (state[0::2] | state[1::2] << 32).astype(object)
     inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
     start = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
     return list(zip(start.tolist(), inc.tolist()))

@@ -391,8 +391,14 @@ def _streams(seed: int, episodes: range, *key: int):
     is yielded.  The first state must equal the reference's, or numpy seeds
     its streams in some other way than `pcg64_states` computes.
     """
+    try:
+        first = np.arange(episodes.start, episodes.stop, dtype=np.int64)
+    except OverflowError:
+        first = np.array(episodes, dtype=object)
+    keys = np.empty((len(episodes), 1 + len(key)), dtype=first.dtype)
+    keys[:, 0], keys[:, 1:] = first, key
     gen = RngStream(seed, (episodes[0], *key)).generator()
-    states = pcg64_states(seed, [(ep, *key) for ep in episodes])
+    states = pcg64_states(seed, keys)
     bitgen = gen.bit_generator
     # the fresh state: has_uint32 and uinteger are 0
     state = bitgen.state
