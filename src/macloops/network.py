@@ -32,7 +32,8 @@ events, which its event table and the event dump read.
 
 A traffic source makes one uniform draw per tick whatever its kind:
 `traffic_step` advances it by one tick, and `traffic_activity` turns a whole
-vector of draws into the same activity indicators at once.
+array of draws, one path per leading index, into the same activity
+indicators at once.
 """
 
 from __future__ import annotations
