@@ -13,7 +13,6 @@ from .control import (
     CostReport,
     RiccatiSolution,
     ce_u0,
-    jdp_closed_form,
     riccati_backward,
     two_step_s1,
     two_step_stationarity_residual,

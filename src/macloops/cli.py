@@ -670,9 +670,9 @@ def cmd_riccati(args) -> int:
     out = Path(args.out) if args.out else Path(
         os.environ.get(OUT_DIR_ENV, ".")) / f"riccati-n{args.horizon}"
     path = out.with_name(out.name + ".csv")
-    values = _cells(np.reshape(sol.S, (sol.horizon + 1, -1)))
-    gains = _cells(np.reshape(sol.L, (sol.horizon, -1))) + [""]
-    _write_csv(path, ["k", "s", "l"], zip(range(sol.horizon + 1), values, gains))
+    values = _cells(np.reshape(sol.S, (args.horizon + 1, -1)))
+    gains = _cells(np.reshape(sol.L, (args.horizon, -1))) + [""]
+    _write_csv(path, ["k", "s", "l"], zip(range(args.horizon + 1), values, gains))
     print(f"riccati horizon={args.horizon}: S0={values[0]} L0={gains[0]}")
     print(f"wrote {path}")
     return EXIT_OK

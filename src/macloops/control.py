@@ -12,13 +12,13 @@ with the bracketed root finder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import (BracketingError, ConfigurationError, DegenerateTruncationError,
                      NumericalError)
-from .model import as_matrix, as_vector, lq_matrices
+from .model import lq_matrices
 from .stats import (
     QuadratureSpec,
     TruncatedGaussian,
@@ -40,7 +40,6 @@ class RiccatiSolution:
     S: np.ndarray
     L: np.ndarray
     W: np.ndarray
-    horizon: int
 
 
 def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
@@ -89,45 +88,22 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
             S[k] = 0.5 * (Sk + Sk.T)
-    return RiccatiSolution(S=np.array(S), L=np.array(L), W=np.array(W), horizon=horizon)
-
-
-def jdp_closed_form(ric: RiccatiSolution, xhat0, P0, Rw, p_seq: Sequence) -> float:
-    """Predicted cost of the prediction-observer loop.
-
-    p_seq supplies the per-step filtered error covariances P_{n|n} for
-    n = 0..N-1 (empirical averages are fine); everything else comes from the
-    Riccati solution.  A non-finite P_{n|n} raises a ConfigurationError
-    naming p_seq[n].  The terms tr(S_{n+1} Rw) + tr(W_n P_n) are added in
-    step order.
-    """
-    xhat0 = as_vector(xhat0, "xhat0")
-    P0 = as_matrix(P0, "P0")
-    Rw = as_matrix(Rw, "Rw")
-    if len(p_seq) != ric.horizon:
-        raise ConfigurationError(
-            f"p_seq must have length {ric.horizon}, got {len(p_seq)}"
-        )
-    n = ric.W.shape[-1]
-    try:
-        P = np.asarray(p_seq, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError("p_seq must hold numeric n x n matrices") from None
-    if P.ndim == 1:
-        P = P[:, None, None]
-    if P.shape != ric.W.shape:
-        raise ConfigurationError(f"p_seq must hold {n} x {n} matrices, got shape {P.shape}")
-    return float(jdp_stack(ric.S[None], ric.W[None], xhat0[None], P0[None],
-                           Rw[None], P[None])[0])
+    return RiccatiSolution(S=np.array(S), L=np.array(L), W=np.array(W))
 
 
 def jdp_stack(S, W, xhat0, P0, Rw, P) -> np.ndarray:
-    """`jdp_closed_form` for l loops of equal n and horizon N at once.
+    """Predicted cost of the prediction-observer loop, for l loops of equal
+    n and horizon N at once:
 
-    S is (l, N + 1, n, n), W and P are (l, N, n, n), xhat0 is (l, n), and
-    P0 and Rw are (l, n, n); one predicted cost per loop.  Each loop's terms
-    are added in step order.  A non-finite P_{n|n} raises a
-    ConfigurationError naming p_seq[n].
+        xhat0' S_0 xhat0 + tr(S_0 P0) + sum_k [tr(S_{k+1} Rw) + tr(W_k P_k)]
+
+    S and W are the value matrices and error weights of each loop's
+    `RiccatiSolution`, as (l, N + 1, n, n) and (l, N, n, n) arrays; P holds
+    each loop's filtered error covariances P_{k|k} for k = 0..N-1 (empirical
+    averages are fine) as an (l, N, n, n) array.  xhat0 is (l, n), and P0
+    and Rw are (l, n, n).  One predicted cost per loop, whose terms are
+    added in step order.  A non-finite P_{k|k} raises a ConfigurationError
+    naming p_seq[k].
     """
     bad = np.argwhere(~np.isfinite(P).all(axis=(-2, -1)))
     if bad.size:

@@ -79,9 +79,10 @@ def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> N
 
 
 def _integer(value, name: str, what: str, low: int, high: float = math.inf) -> int:
-    """`value` as an int in [low, high); anything else, NaN and infinities
-    included, raises a ConfigurationError whose `field` is `name`."""
-    if not (isinstance(value, numbers.Real) and low <= value < high and value == int(value)):
+    """`value` as an int in [low, high); anything else, bools, NaN and
+    infinities included, raises a ConfigurationError whose `field` is `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value < high and value == int(value))):
         raise ConfigurationError(f"{name} must be {what}, got {value}", field=name)
     return int(value)
 

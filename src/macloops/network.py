@@ -274,12 +274,13 @@ class TrafficSource:
             raise ConfigurationError(f"unknown traffic source kind {self.kind!r}")
         for name in ("rate", "p_on", "p_off"):
             p = getattr(self, name)
-            if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
+            if isinstance(p, bool) or not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
                 raise ConfigurationError(f"{name} must lie in [0,1], got {p}", field=name)
+            object.__setattr__(self, name, float(p))
 
     @classmethod
     def bernoulli(cls, rate: float) -> "TrafficSource":
-        return cls(kind="bernoulli", rate=float(rate))
+        return cls(kind="bernoulli", rate=rate)
 
 
 def traffic_step(source: TrafficSource, rng: np.random.Generator, prev_active: int = 0) -> int:

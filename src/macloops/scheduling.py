@@ -39,10 +39,15 @@ class SchedulerPolicy:
     def __post_init__(self):
         if self.kind not in _CONTROL_FREE:
             raise ConfigurationError(f"unknown scheduler kind {self.kind!r}", field="kind")
-        if self.kind in THRESHOLD_KINDS and not (isinstance(self.eps, Real) and self.eps >= 0.0):
+        for name in ("eps", "threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}", field=name)
+            object.__setattr__(self, name, float(value))
+        if self.kind in THRESHOLD_KINDS and not self.eps >= 0.0:
             raise ConfigurationError(f"eps must be >= 0, got {self.eps}", field="eps")
         if self.kind == "halfline":
-            if not (isinstance(self.threshold, Real) and not math.isnan(self.threshold)):
+            if math.isnan(self.threshold):
                 raise ConfigurationError(f"threshold must be a number, got {self.threshold}",
                                          field="threshold")
             if self.direction not in ("ge", "le"):
@@ -56,15 +61,15 @@ class SchedulerPolicy:
 
     @classmethod
     def state_threshold(cls, eps: float) -> "SchedulerPolicy":
-        return cls(kind="state", eps=float(eps))
+        return cls(kind="state", eps=eps)
 
     @classmethod
     def innovation_threshold(cls, eps: float) -> "SchedulerPolicy":
-        return cls(kind="innovation", eps=float(eps))
+        return cls(kind="innovation", eps=eps)
 
     @classmethod
     def half_line_state(cls, threshold: float, direction: str = "ge") -> "SchedulerPolicy":
-        return cls(kind="halfline", threshold=float(threshold), direction=direction)
+        return cls(kind="halfline", threshold=threshold, direction=direction)
 
 
 def decide(policy: SchedulerPolicy, x: np.ndarray, pred: np.ndarray) -> int:

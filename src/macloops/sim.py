@@ -16,22 +16,23 @@ reference `RngStream.generator` once per chunk and role.
 
 There is one engine, and it runs a chunk of episodes at once.  A chunk
 holds as many episodes as fit in CHUNK_CELLS array cells, and at least
-one: an episode's cells are its draws (the noise row, and the contention
-table if it is drawn) and its stacks' step arrays (`_Layout.cells`), so a
-small network runs in long chunks and a large one in short ones.  The
-loops of equal (n, m, horizon) form a stack (`_Stack`), whose
-states, estimates and inputs are (episodes, loops, n) arrays, and every
-tick does the prediction, scheduler decision, observer update, control law
-and plant step once per stack, for its sampling loops and the whole chunk;
-the residuals, errors, delivery ages and cost terms then follow from the
-stored steps, all steps at once, and each loop's trace is a view into its
-stack's arrays.  A control law therefore takes the (l, m, n) gains L_k of
-a stack's l sampling loops and an (E, l, n) array of their estimates, and
-returns an (E, l, m) array of inputs or any shape that broadcasts to it,
-such as one (m,) input for every episode and loop.  Products over the
-plant dimensions are elementwise multiply-adds in index order
-(`_sum_products`), so an episode's bits do not depend on the chunk it ran
-in, nor a loop's on its stack.  The channel runs on the chunk too.  At
+one: an episode's cells are its draws (the noise row, the traffic table,
+and the contention table if it is drawn) and its stacks' step arrays
+(`_Layout.cells`), so a small network runs in long chunks and a large one
+in short ones.  The loops of equal (n, m, horizon) form a stack
+(`_Stack`), whose states, estimates and inputs are (episodes, loops, n)
+arrays and whose matrices and gains the plan's steps (`_Step`) index, and
+every tick does the prediction, scheduler decision, observer update,
+control law and plant step once per stack, for its sampling loops and the
+whole chunk; the residuals, errors, delivery ages and cost terms then
+follow from the stored steps, all steps at once, and each loop's trace is
+a view into its stack's arrays.  A control law therefore takes the
+(l, m, n) gains L_k of a stack's l sampling loops and an (E, l, n) array
+of their estimates, and returns an (E, l, m) array of inputs or any shape
+that broadcasts to it, such as one (m,) input for every episode and loop.
+Products over the plant dimensions are elementwise multiply-adds in index
+order (`_sum_products`), so an episode's bits do not depend on the chunk
+it ran in, nor a loop's on its stack.  The channel runs on the chunk too.  At
 each tick every stack takes its sampling loops' scheduler decisions for
 all episodes in one array expression (`_requests`, the rule of
 `scheduling.decide`), and one array round (`network.contend`) resolves
@@ -193,7 +194,7 @@ class _Stack:
 
     loops: list[int]       # loop indices, ascending
     horizon: int
-    block: slice | np.ndarray   # the members' blocks of the noise row
+    block: np.ndarray      # (L_s, n (N + 1)): the members' indices in the noise row
     x0_mean: np.ndarray    # (L_s, n)
     R0: np.ndarray         # (L_s, n, n)
     Rw: np.ndarray         # (L_s, n, n)
@@ -215,17 +216,13 @@ def _stack(loops, members: list[int], solutions, roots, loop_ticks,
            offsets: np.ndarray) -> _Stack:
     lcs = [loops[i] for i in members]
     size = int(offsets[members[0] + 1] - offsets[members[0]])
-    starts = offsets[members]
-    if np.all(np.diff(starts) == size):
-        block = slice(int(starts[0]), int(starts[0]) + len(members) * size)
-    else:
-        block = starts[:, None] + np.arange(size)
 
     def stacked(values):
         return np.stack(list(values))
 
     return _Stack(
-        loops=members, horizon=lcs[0].horizon, block=block,
+        loops=members, horizon=lcs[0].horizon,
+        block=offsets[members][:, None] + np.arange(size),
         x0_mean=stacked(lc.plant.x0_mean for lc in lcs),
         R0=stacked(lc.plant.R0 for lc in lcs), Rw=stacked(lc.plant.Rw for lc in lcs),
         sqrt_r0=stacked(roots[i][0] for i in members),
@@ -242,7 +239,9 @@ def _stack(loops, members: list[int], solutions, roots, loop_ticks,
 
 @dataclass(eq=False)
 class _Step:
-    """One stack's sampling loops at one tick.
+    """One stack's sampling loops at one tick, as indices into the stack:
+    their matrices are `A[slots]` and `B[slots]` and their gains
+    `L[slots, k]` of the stack's arrays.
 
     `slots` and `k` are a slice and an int when the loops are consecutive
     members at one step, so that the stack's arrays are read and written
@@ -253,9 +252,6 @@ class _Step:
     slots: slice | np.ndarray   # the loops' slots in the stack
     k: int | np.ndarray         # their steps
     cols: slice | np.ndarray    # their columns of the tick's contention round
-    A: np.ndarray               # (l, n, n)
-    B: np.ndarray               # (l, n, m)
-    L: np.ndarray               # (l, m, n): the gains at their steps
 
 
 @dataclass(eq=False)
@@ -291,13 +287,13 @@ class _Layout:
     plan reads its contention rows in contender-id order: the sampling
     loops, then every source.  The loops are grouped in stacks of equal
     (n, m, horizon), in order of their first loop; a stack's noise is drawn
-    straight into its stacked arrays.
+    straight into its stacked arrays, and a tick's steps index them.
     """
 
     width: int             # the draws of the noise row
     rows: int              # the contention table's rows
     slots: int             # the contention table's columns, 0 if it is not drawn
-    cells: int             # one episode's draws and stack step arrays
+    cells: int             # one episode's noise row, tables and stack step arrays
     ticks: np.ndarray      # the sampling ticks, ascending
     stacks: list[_Stack]
     plan: list[_Tick]      # per sampling tick, what it does
@@ -351,8 +347,7 @@ def _layout(scenario: NetworkScenario) -> _Layout:
             sel, k = _index(slots), ks[0]
             if isinstance(sel, np.ndarray) or ks != [k] * len(ks):
                 sel, k = np.array(slots), np.array(ks)
-            st = stacks[s]
-            tick_steps.append(_Step(s, sel, k, _index(cols), st.A[sel], st.B[sel], st.L[sel, k]))
+            tick_steps.append(_Step(s, sel, k, _index(cols)))
         plan.append(_Tick(tick, rows[lo:hi], contenders[lo:hi], hi - lo - n_src, tick_steps))
     crm = scenario.crm
     slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
@@ -360,7 +355,7 @@ def _layout(scenario: NetworkScenario) -> _Layout:
     # preds and the three int arrays N, and bu one
     step_cells = sum((lc.horizon + 1) * 2 * lc.plant.n
                      + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
-    cells = int(offsets[-1]) + rows.size * slots + step_cells
+    cells = int(offsets[-1]) + n_src * int(ticks[-1] + 1) + rows.size * slots + step_cells
     return _Layout(int(offsets[-1]), rows.size, slots, cells, ticks, stacks, plan)
 
 
@@ -414,7 +409,8 @@ def _streams(seed: int, episodes: range, *key: int):
 
 def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
                 episodes: range) -> _ChunkDraws:
-    """Draw the noise, the traffic and the contention tables of a chunk.
+    """Draw the noise, the traffic and the contention tables of a chunk,
+    each role in one pass over the chunk's episodes.
 
     Each episode draws exactly as it would alone, in the order of `_Layout`,
     from its stream of each role, which `_streams` seeds for the whole
@@ -428,25 +424,19 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
     stack_x0, stack_noise = [], []
     for st in layout.stacks:
         n_loops, n = st.x0_mean.shape
-        block = z[:, st.block].reshape(n_ep, n_loops, -1)
+        block = z[:, st.block]
         stack_x0.append(st.x0_mean + _sum_products(st.sqrt_r0, block[..., None, :n]))
         stack_noise.append(_sum_products(
             st.sqrt_rw, block[..., n:].reshape(n_ep, n_loops, st.horizon, 1, n)))
     ticks, sources = layout.ticks, scenario.sources
     active = np.zeros((n_ep, ticks.size, len(sources)), dtype=bool)
     if sources:
-        # each episode's (sources, last sampling tick + 1) table, drawn into
-        # one array of at most CHUNK_CELLS draws at a time
-        shape = (len(sources), ticks[-1] + 1)
-        block = max(1, CHUNK_CELLS // math.prod(shape))
-        u = np.empty((min(n_ep, block), *shape))
-        streams = _streams(seed, episodes, SOURCE_CONTENDER_BASE, _ROLE_TRAFFIC)
-        for lo in range(0, n_ep, block):
-            part = u[:n_ep - lo]
-            for row, gen in zip(part, streams):
-                gen.random(out=row)
-            for j, src in enumerate(sources):
-                active[lo:lo + len(part), :, j] = traffic_activity(src, part[:, j])[:, ticks]
+        # each episode's (sources, last sampling tick + 1) traffic table
+        u = np.empty((n_ep, len(sources), ticks[-1] + 1))
+        for row, gen in zip(u, _streams(seed, episodes, SOURCE_CONTENDER_BASE, _ROLE_TRAFFIC)):
+            gen.random(out=row)
+        for j, src in enumerate(sources):
+            active[:, :, j] = traffic_activity(src, u[:, j])[:, ticks]
     tables = None
     if layout.slots:
         tables = np.empty((n_ep, layout.rows, layout.slots))
@@ -458,11 +448,11 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
 @dataclass(eq=False)
 class _Rule:
     """One arm's scheduler rule for one stack: the rule kinds its members
-    use, each with the mask of its members (None if all use it), and each
-    member's eps, or its threshold under a half-line rule."""
+    use, each with the mask of the members that use it, and each member's
+    eps, or its threshold under a half-line rule."""
 
-    kinds: list[tuple[str, Optional[np.ndarray]]]   # "always", "state", "innovation", "ge", "le"
-    param: np.ndarray                               # (L_s,)
+    kinds: list[tuple[str, np.ndarray]]   # "always", "state", "innovation", "ge", "le"
+    param: np.ndarray                     # (L_s,)
 
 
 def _rules(scenario: NetworkScenario, layout: _Layout) -> list[_Rule]:
@@ -472,9 +462,8 @@ def _rules(scenario: NetworkScenario, layout: _Layout) -> list[_Rule]:
         policies = [scenario.loops[i].scheduler for i in st.loops]
         kinds = np.array([p.direction if p.kind == "halfline" else p.kind for p in policies])
         param = np.array([p.threshold if p.kind == "halfline" else p.eps for p in policies])
-        distinct = list(dict.fromkeys(kinds.tolist()))
-        rules.append(_Rule([(kind, None if len(distinct) == 1 else kinds == kind)
-                            for kind in distinct], param))
+        rules.append(_Rule([(kind, kinds == kind) for kind in dict.fromkeys(kinds.tolist())],
+                           param))
     return rules
 
 
@@ -483,10 +472,10 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
     of the (E, l, n) states x and predictions pred, as a bool array: the
     rule of `decide`, with its squared norms taken by `_sum_products` as
     the trace's `pred_err_sq` is."""
-    want = None
+    want = np.zeros(x.shape[:-1], dtype=bool)
     for kind, members in rule.kinds:
         if kind == "always":
-            hit = np.ones(x.shape[:-1], dtype=bool)
+            hit = True
         elif kind == "state":
             hit = _sum_products(x, x) > rule.param[slots]
         elif kind == "innovation":
@@ -496,10 +485,7 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
             hit = x[..., 0] >= rule.param[slots]
         else:
             hit = x[..., 0] <= rule.param[slots]
-        if members is None:
-            return hit
-        hit &= members[slots]
-        want = hit if want is None else want | hit
+        want |= hit & members[slots]
     return want
 
 
@@ -579,23 +565,14 @@ def _run_chunk(
 
     for t, tick in enumerate(layout.plan):
         # schedule: one decision per stack for its sampling loops, whole chunk
-        preds, wants = [], []
+        preds, wants = [], np.empty((n_ep, tick.n_loops), dtype=bool)
         for step in tick.steps:
-            run, j, k = runs[step.stack], step.slots, step.k
-            pred = _sum_products(step.A, run.xhats[:, j, k][..., None, :]) + run.bu[:, j]
+            st, run, j, k = stacks[step.stack], runs[step.stack], step.slots, step.k
+            pred = _sum_products(st.A[j], run.xhats[:, j, k][..., None, :]) + run.bu[:, j]
             run.preds[:, j, k] = pred
             want = _requests(rules[step.stack], j, run.xs[:, j, k], pred)
-            run.gammas[:, j, k] = want
+            run.gammas[:, j, k] = wants[:, step.cols] = want
             preds.append(pred)
-            wants.append(want)
-        if len(wants) == 1:
-            # one stack holds every sampling loop, in column order
-            wants = wants[0]
-        else:
-            cols = np.empty((n_ep, tick.n_loops), dtype=bool)
-            for step, want in zip(tick.steps, wants):
-                cols[:, step.cols] = want
-            wants = cols
 
         # contend: one round per episode with a loop's request, all at once;
         # the columns are the tick's entries
@@ -617,14 +594,14 @@ def _run_chunk(
 
         # deliver, estimate, control, step
         for step, pred in zip(tick.steps, preds):
-            run, j, k = runs[step.stack], step.slots, step.k
+            st, run, j, k = stacks[step.stack], runs[step.stack], step.slots, step.k
             x = run.xs[:, j, k]
             xhat = observer_update(run.deltas[:, j, k], x, pred)
-            u = control_law(step.L, xhat)
+            u = control_law(st.L[j, k], xhat)
             run.us[:, j, k] = u
             run.xhats[:, j, k + 1] = xhat
-            bu = run.bu[:, j] = _sum_products(step.B, u[..., None, :])
-            run.xs[:, j, k + 1] = (_sum_products(step.A, x[..., None, :]) + bu
+            bu = run.bu[:, j] = _sum_products(st.B[j], u[..., None, :])
+            run.xs[:, j, k + 1] = (_sum_products(st.A[j], x[..., None, :]) + bu
                                    + draws.stack_noise[step.stack][:, j, k])
 
     if not all(np.isfinite(run.xs).all() for run in runs):
@@ -672,12 +649,13 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
     The chunks run in episode order.  Each holds CHUNK_CELLS // cells
-    episodes, and at least one, where cells are one episode's draws and
-    stack step arrays (`_Layout.cells`); the last may hold fewer.  Every
-    chunk is drawn on the one `layout`, the first arm's, and every arm runs
-    on it.  So the arms may differ in schedulers and control laws, which
-    the layout does not depend on, but must not differ in plants, weights
-    or horizons, the channel or the sources.
+    episodes, and at least one, where cells are one episode's noise row,
+    traffic and contention tables and stack step arrays (`_Layout.cells`);
+    the last may hold fewer.  Every chunk is drawn on the one `layout`, the
+    first arm's, and every arm runs on it.  So the arms may differ in
+    schedulers and control laws, which the layout does not depend on, but
+    must not differ in plants, weights or horizons, the channel or the
+    sources.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.  Given `tallies`, one per arm, each arm's chunk is added to
@@ -754,13 +732,12 @@ class MonteCarloResult:
     j_se: float
 
 
-def _check_run(seed: int, episodes: int) -> int:
-    """The seed as an int.  A seed that is not an integer >= 0, or a run of
-    fewer than one episode, is rejected before anything is derived."""
-    seed = _integer(seed, "seed", "an integer >= 0", 0)
-    if episodes < 1:
-        raise ConfigurationError("episodes must be >= 1")
-    return seed
+def _check_run(seed: int, episodes: int) -> tuple[int, int]:
+    """The seed and the episode count as ints.  A seed that is not an
+    integer >= 0, or a count that is not an integer >= 1, is rejected
+    before anything is derived."""
+    return (_integer(seed, "seed", "an integer >= 0", 0),
+            _integer(episodes, "episodes", "an integer >= 1", 1))
 
 
 def _se(values: np.ndarray) -> float:
@@ -866,7 +843,7 @@ def monte_carlo(
     `EventTable`.  They exist for CSV dumping; the traces are views into
     the engine's arrays.
     """
-    seed = _check_run(seed, episodes)
+    seed, episodes = _check_run(seed, episodes)
     layout = _layout(scenario)
     tally = _Tally(scenario, layout, episodes)
     for chunk, (batch,), (log,) in _run_arms([(scenario, control_law)], layout, seed,
@@ -902,7 +879,7 @@ def sweep_threshold(
     eps is replaced by each grid value, and every value runs on each chunk's
     draws as `monte_carlo` would run it alone, under the CE law.
     """
-    seed = _check_run(seed, episodes)
+    seed, episodes = _check_run(seed, episodes)
     eps_grid = list(eps_grid)
     if not eps_grid:
         raise ConfigurationError("eps grid must not be empty")
@@ -913,7 +890,7 @@ def sweep_threshold(
                 f"got {lc.scheduler.kind!r}"
             )
     arms = [(replace(scenario, loops=tuple(
-                replace(lc, scheduler=replace(lc.scheduler, eps=float(eps)))
+                replace(lc, scheduler=replace(lc.scheduler, eps=eps))
                 for lc in scenario.loops)), ce_law) for eps in eps_grid]
     layout = _layout(scenario)
     tallies = [_Tally(scn, layout, episodes) for scn, _ in arms]
@@ -975,7 +952,7 @@ def dual_effect_experiment(
     """
     if law_a is law_b:
         raise ConfigurationError("the two control laws must differ")
-    seed = _check_run(seed, episodes)
+    seed, episodes = _check_run(seed, episodes)
     control_free = all(is_symmetric_control_free(lc.scheduler) for lc in scenario.loops)
     identical = 0
     div_ticks = []

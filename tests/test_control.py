@@ -5,7 +5,7 @@ import pytest
 
 from macloops.control import (
     ce_u0,
-    jdp_closed_form,
+    jdp_stack,
     riccati_backward,
     two_step_s1,
     two_step_stationarity_residual,
@@ -92,28 +92,27 @@ class TestCeControl:
         assert ce_law(sol.L[0], np.array([1.0])) == pytest.approx([-0.6])
 
 
+def jdp(sol, xhat0, P0, Rw, p_seq):
+    """The predicted cost of one loop: `jdp_stack` on a stack of one."""
+    args = (np.asarray(v, dtype=float)[None] for v in (xhat0, P0, Rw, p_seq))
+    return float(jdp_stack(sol.S[None], sol.W[None], *args)[0])
+
+
 class TestJdpClosedForm:
     def test_one_step_example(self):
         sol = riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, 1)
-        val = jdp_closed_form(sol, [0.0], [[1.0]], [[1.0]], [np.zeros((1, 1))])
+        val = jdp(sol, [0.0], [[1.0]], [[1.0]], [np.zeros((1, 1))])
         assert val == pytest.approx(2.5, abs=1e-12)
 
     def test_no_uncertainty_no_cost(self):
         sol = riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, 3)
-        val = jdp_closed_form(sol, [0.0], [[0.0]], [[0.0]],
-                              [np.zeros((1, 1))] * 3)
+        val = jdp(sol, [0.0], [[0.0]], [[0.0]], [np.zeros((1, 1))] * 3)
         assert val == 0.0
 
     def test_deterministic_rollout_equals_initial_value(self):
         sol = riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, 2)
-        val = jdp_closed_form(sol, [1.0], [[0.0]], [[0.0]],
-                              [np.zeros((1, 1))] * 2)
+        val = jdp(sol, [1.0], [[0.0]], [[0.0]], [np.zeros((1, 1))] * 2)
         assert val == pytest.approx(1.6, abs=1e-12)
-
-    def test_needs_full_p_sequence(self):
-        sol = riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, 3)
-        with pytest.raises(ConfigurationError):
-            jdp_closed_form(sol, [0.0], [[1.0]], [[1.0]], [np.zeros((1, 1))])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_names_the_non_finite_step(self, bad):
@@ -121,7 +120,22 @@ class TestJdpClosedForm:
         p_seq = [np.eye(2) for _ in range(5)]
         p_seq[3] = np.array([[1.0, 0.0], [0.0, bad]])
         with pytest.raises(ConfigurationError, match=r"p_seq\[3\]"):
-            jdp_closed_form(sol, [0.0, 0.0], np.eye(2), np.eye(2), p_seq)
+            jdp(sol, [0.0, 0.0], np.eye(2), np.eye(2), p_seq)
+
+    def test_each_loop_of_a_stack_costs_as_it_would_alone(self):
+        rng = np.random.default_rng(25)
+        loops = []
+        for a in (0.9, 1.2, 0.5):
+            sol = riccati_backward([[a, 0.2], [0.0, 0.7]], [[0.0], [1.0]], np.eye(2),
+                                   np.eye(2), 1.0, 4)
+            p_seq = [np.eye(2) * rng.random() for _ in range(4)]
+            loops.append((sol, rng.standard_normal(2), np.eye(2) * rng.random(),
+                          np.eye(2) * rng.random(), p_seq))
+        stacked = jdp_stack(*(np.array([getattr(lp[0], name) for lp in loops])
+                              for name in ("S", "W")),
+                            *(np.array([lp[i] for lp in loops], dtype=float)
+                              for i in range(1, 5)))
+        assert stacked.tolist() == [jdp(*lp) for lp in loops]
 
     def test_error_weights_are_the_gain_quadratic(self):
         # W_k = L_k'(Q2 + B'S_{k+1}B)L_k, bit for bit, for a 2-state,

@@ -8,6 +8,7 @@ import pytest
 
 from macloops import model, sim
 from macloops.cli import EXIT_NUMERICAL, main
+from macloops.control import RiccatiSolution
 from macloops.errors import ConfigurationError, NumericalError
 from macloops.model import (
     LoopConfig,
@@ -42,10 +43,20 @@ def loop_draws(layout, draws, i):
     return draws.stack_x0[s][:, slot], draws.stack_noise[s][:, slot]
 
 
+def unsolved(A, B, Q0, Q1, Q2, horizon):
+    """A Riccati solution of zeros in the shapes `riccati_backward` gives."""
+    n, m = np.shape(B)
+    return RiccatiSolution(S=np.zeros((horizon + 1, n, n)), L=np.zeros((horizon, m, n)),
+                           W=np.zeros((horizon, n, n)))
+
+
 def loop_noise(scn, seed, episode):
     """Loop 0's initial state and process-noise panel in one episode, as the
-    engine draws them; no Riccati recursion is solved."""
-    layout = _layout(scn)
+    engine draws them.  The draws read no Riccati solution, so the layout is
+    built with the recursion stubbed out: none is solved."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "riccati_backward", unsolved)
+        layout = _layout(scn)
     x0, noise = loop_draws(layout, _draw_chunk(scn, layout, seed, range(episode, episode + 1)), 0)
     return x0[0], noise[0]
 
@@ -290,6 +301,33 @@ class TestConfigValidation:
             build()
         assert type(info.value) is ConfigurationError
         assert info.value.field == field
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: scalar_plant(period=True), "period"),
+        (lambda: LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
+                            horizon=True, Q0=1.0, Q1=1.0, Q2=1.0), "horizon"),
+        (lambda: CrmConfig(persistence=(1.0,), max_attempts=True), "max_attempts"),
+        (lambda: TrafficSource.bernoulli("x"), "rate"),
+        (lambda: TrafficSource(kind="bernoulli", rate=True), "rate"),
+        (lambda: SchedulerPolicy.state_threshold("x"), "eps"),
+        (lambda: SchedulerPolicy.state_threshold(None), "eps"),
+        (lambda: SchedulerPolicy(kind="state", eps=True), "eps"),
+        (lambda: SchedulerPolicy.innovation_threshold("x"), "eps"),
+        (lambda: SchedulerPolicy.half_line_state("x"), "threshold"),
+    ], ids=["bool-period", "bool-horizon", "bool-attempts", "text-rate", "bool-rate",
+            "text-eps", "none-eps", "bool-eps", "text-innovation-eps", "text-threshold"])
+    def test_bool_and_text_settings_name_their_field(self, build, field):
+        with pytest.raises(ConfigurationError) as info:
+            build()
+        assert type(info.value) is ConfigurationError
+        assert info.value.field == field
+
+    def test_integral_settings_are_stored_as_floats(self):
+        settings = [TrafficSource.bernoulli(1).rate, TrafficSource(kind="markov", p_on=0).p_on,
+                    SchedulerPolicy.state_threshold(3).eps,
+                    SchedulerPolicy.innovation_threshold(np.int64(2)).eps,
+                    SchedulerPolicy.half_line_state(1).threshold]
+        assert [(type(v), v) for v in settings] == [(float, v) for v in (1, 0, 3, 2, 1)]
 
     def test_immutables(self):
         p = scalar_plant()

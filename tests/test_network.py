@@ -1,6 +1,8 @@
 """Contention rounds, retransmission bookkeeping and traffic sources."""
 
+import collections
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -307,6 +309,93 @@ class TestArrayRound:
             assert wanted == {c: (want.delta[c], want.attempts_used[c]) for c in want.delta}
             assert not rounds.delta[r][~requests[r]].any()
             assert not rounds.used[r][~requests[r]].any()
+
+
+def tagged_round_law(k, persistence, slots):
+    """Oracle: the exact law of one contender's (delivered, attempts used)
+    in a round among k symmetric contenders, from the finite-window chain
+    of the counts of pending contenders on each attempt.
+
+    In a mini-slot each pending contender on attempt r transmits with
+    probability persistence[r - 1]; a lone transmitter delivers on that
+    attempt, and two or more all move up an attempt, those on the last one
+    to be dropped.  The outcomes are (1, r), delivered on attempt r;
+    (0, R), dropped after colliding on the last attempt R; and (0, a - 1),
+    still pending on attempt a when the window closes.  By exchangeability
+    one contender's law is the expected count of each outcome over k.
+    """
+    law = {}
+
+    def add(outcome, mass):
+        law[outcome] = law.get(outcome, 0.0) + mass / k
+
+    states = {(k,) + (0,) * (len(persistence) - 1): 1.0}
+    for _ in range(slots):
+        following = {}
+        for counts, prob in states.items():
+            for sent in itertools.product(*(range(c + 1) for c in counts)):
+                mass = prob * math.prod(math.comb(c, t) * p ** t * (1.0 - p) ** (c - t)
+                                        for c, t, p in zip(counts, sent, persistence))
+                left = [c - t for c, t in zip(counts, sent)]
+                if sum(sent) == 1:
+                    add((1, sent.index(1) + 1), mass)
+                elif sum(sent) > 1:
+                    add((0, len(persistence)), mass * sent[-1])
+                    for r, t in enumerate(sent[:-1]):
+                        left[r + 1] += t
+                else:
+                    left = counts
+                following[tuple(left)] = following.get(tuple(left), 0.0) + mass
+        states = following
+    for counts, prob in states.items():
+        for used, c in enumerate(counts):
+            add((0, used), prob * c)
+    return law
+
+
+def chi2_sf(stat, dof):
+    """P(X > stat) for X ~ chi-square(dof), from the series of the lower
+    regularized incomplete gamma function."""
+    a, x = dof / 2.0, stat / 2.0
+    if x <= 0.0:
+        return 1.0
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-16 * total:
+        n += 1
+        term *= x / (a + n)
+        total += term
+    return 1.0 - math.exp(a * math.log(x) - x - math.lgamma(a)) * total
+
+
+class TestChannelDistribution:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_tagged_outcomes_follow_the_exact_chain(self, k):
+        # the preset channel; one round per row, and only column 0 is read,
+        # so the counted outcomes are independent
+        crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=10)
+        rounds = 20_000
+        draws = np.random.default_rng((2025, k)).random((rounds, k, crm.slots_per_sample))
+        rnd = contend(np.ones((rounds, k), dtype=bool), crm, draws)
+        seen = collections.Counter(zip(rnd.delta[:, 0].astype(int).tolist(),
+                                       rnd.used[:, 0].tolist()))
+        law = tagged_round_law(k, crm.persistence, crm.slots_per_sample)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert set(seen) <= {o for o, p in law.items() if p > 0.0}
+        # outcomes expected fewer than 5 times are pooled into one cell
+        cells, pooled = [], [0, 0.0]
+        for outcome, p in law.items():
+            if rounds * p >= 5.0:
+                cells.append((seen[outcome], rounds * p))
+            else:
+                pooled[0] += seen[outcome]
+                pooled[1] += rounds * p
+        if pooled[1] > 0.0:
+            cells.append(tuple(pooled))
+        stat = sum((obs - exp) ** 2 / exp for obs, exp in cells)
+        # a lone contender always delivers on its first attempt: one cell,
+        # which the support check covers
+        assert len(cells) == 1 or chi2_sf(stat, len(cells) - 1) > 1e-3, (k, seen, law)
 
 
 class TestTrafficSources:

@@ -198,10 +198,19 @@ RUNS = {
 }
 
 
+# each public run of a given episode count, on the same scenario
+COUNTED_RUNS = {
+    "monte_carlo": lambda scn, episodes: monte_carlo(scn, 1, episodes),
+    "sweep_threshold": lambda scn, episodes: sweep_threshold(scn, [1.0], 1, episodes),
+    "dual_effect_experiment": lambda scn, episodes: dual_effect_experiment(
+        scn, ce_law, zero_law, 1, episodes),
+}
+
+
 class TestRunArguments:
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
-    @pytest.mark.parametrize("seed", [1.5, "7", -3, math.nan, None],
-                             ids=["fraction", "string", "negative", "nan", "none"])
+    @pytest.mark.parametrize("seed", [1.5, "7", -3, math.nan, None, True],
+                             ids=["fraction", "string", "negative", "nan", "none", "bool"])
     def test_bad_seed_is_rejected_before_anything_is_derived(self, monkeypatch, run, seed):
         def layout(scenario):
             raise AssertionError("derived a layout")
@@ -211,6 +220,31 @@ class TestRunArguments:
             run(single_loop(SchedulerPolicy.state_threshold(1.0)), seed)
         assert info.value.field == "seed"
         assert str(info.value) == f"seed must be an integer >= 0, got {seed}"
+
+    @pytest.mark.parametrize("run", COUNTED_RUNS.values(), ids=COUNTED_RUNS.keys())
+    @pytest.mark.parametrize("episodes", [0, 2.5, "7", math.nan, None, True],
+                             ids=["zero", "fraction", "string", "nan", "none", "bool"])
+    def test_bad_episode_count_is_rejected_before_anything_is_derived(self, monkeypatch, run,
+                                                                        episodes):
+        def layout(scenario):
+            raise AssertionError("derived a layout")
+
+        monkeypatch.setattr(sim, "_layout", layout)
+        with pytest.raises(ConfigurationError) as info:
+            run(single_loop(SchedulerPolicy.state_threshold(1.0)), episodes)
+        assert info.value.field == "episodes"
+        assert str(info.value) == f"episodes must be an integer >= 1, got {episodes}"
+
+    @pytest.mark.parametrize("run", COUNTED_RUNS.values(), ids=COUNTED_RUNS.keys())
+    def test_integral_episode_counts_run_as_their_int(self, run):
+        scn = single_loop(SchedulerPolicy.state_threshold(1.0))
+        assert repr(run(scn, 2.0)) == repr(run(scn, np.int64(2))) == repr(run(scn, 2))
+
+    @pytest.mark.parametrize("eps", ["x", None, True], ids=["string", "none", "bool"])
+    def test_bad_sweep_value_names_eps(self, eps):
+        with pytest.raises(ConfigurationError) as info:
+            sweep_threshold(single_loop(SchedulerPolicy.state_threshold(1.0)), [1.0, eps], 1, 2)
+        assert info.value.field == "eps"
 
     @pytest.mark.parametrize("episode", [-1, 2.5, "3"], ids=["negative", "fraction", "string"])
     def test_bad_episode_is_rejected(self, episode):
@@ -413,16 +447,6 @@ class TestContentionDraws:
                     state = traffic_step(src, gen, state)
                     on_at[tick] = bool(state)
                 assert draws.active[e, :, j].tolist() == [on_at[t] for t in ticks]
-
-    def test_traffic_tables_drawn_in_blocks_give_the_chunks_activity(self, monkeypatch):
-        # a budget of two episodes' traffic tables draws a 5-episode chunk's
-        # tables in blocks of 2, 2 and 1
-        scn = two_state_network()
-        layout = sim._layout(scn)
-        whole = sim._draw_chunk(scn, layout, 7, range(5))
-        monkeypatch.setattr(sim, "CHUNK_CELLS", 2 * len(scn.sources) * (layout.ticks[-1] + 1))
-        blocks = sim._draw_chunk(scn, layout, 7, range(5))
-        assert np.array_equal(blocks.active, whole.active)
 
     def test_adding_a_source_keeps_every_loops_rows(self, monkeypatch):
         one = contention_rows(monkeypatch, lossy_state_network(1), ce_law, 20)
@@ -932,20 +956,26 @@ class TestDualEffectExperiment:
 
     def test_episode_count_validated(self):
         scn = single_loop(SchedulerPolicy.half_line_state(0.5))
-        with pytest.raises(ConfigurationError, match="episodes must be >= 1"):
+        with pytest.raises(ConfigurationError, match="episodes must be an integer >= 1"):
             dual_effect_experiment(scn, ce_law, zero_law, seed=0, episodes=0)
 
 
 def chunk_cells(monkeypatch, scenario, episodes):
     """The chunks of a monte_carlo run, each with the array cells it takes:
-    the noise row and contention table it draws, and the step arrays its
-    stacks fill, counted from the arrays themselves."""
-    cells, draw, stack_steps = {}, sim._draw_chunk, sim._stack_steps
+    the noise row, the traffic table and the contention table it draws, and
+    the step arrays its stacks fill, counted from the arrays themselves."""
+    cells, traffic = {}, []
+    draw, stack_steps, activity = sim._draw_chunk, sim._stack_steps, sim.traffic_activity
+
+    def activity_spy(src, u):
+        traffic.append(u.size)
+        return activity(src, u)
 
     def draw_spy(scn, layout, seed, chunk):
         draws = draw(scn, layout, seed, chunk)
         table = 0 if draws.tables is None else draws.tables.size
-        cells[chunk] = len(chunk) * layout.width + table
+        cells[chunk] = len(chunk) * layout.width + sum(traffic) + table
+        traffic.clear()
         return draws
 
     def steps_spy(st, x0, n_ep):
@@ -955,6 +985,7 @@ def chunk_cells(monkeypatch, scenario, episodes):
 
     monkeypatch.setattr(sim, "_draw_chunk", draw_spy)
     monkeypatch.setattr(sim, "_stack_steps", steps_spy)
+    monkeypatch.setattr(sim, "traffic_activity", activity_spy)
     monte_carlo(scenario, 2, episodes)
     return cells
 
