@@ -27,7 +27,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import platform
 import sys
@@ -50,10 +49,11 @@ from .control import (
 )
 from .errors import ConfigurationError, NumericalError
 from .estimation import two_step_posterior
-from .model import LoopConfig, NetworkScenario, PlantModel, as_vector
+from .model import LoopConfig, NetworkScenario, PlantModel, _integer, as_vector
 from .network import RESULTS, CrmConfig, TrafficSource
 from .scheduling import THRESHOLD_KINDS, SchedulerPolicy
-from .sim import EventTable, MonteCarloResult, ce_law, monte_carlo, sweep_threshold, zero_law
+from .sim import (EventTable, MonteCarloResult, _check_run, ce_law, monte_carlo,
+                  sweep_threshold, zero_law)
 from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
 OUT_DIR_ENV = "MACLOOPS_OUT_DIR"
@@ -161,29 +161,15 @@ _LOOP_BLOCK = {"plant": _REQUIRED, "scheduler": _REQUIRED, "weights": _REQUIRED,
 _RUN = {"name": "scenario", "episodes": 1000, "seed": 1}
 _SCENARIO = {"loops": _REQUIRED, "crm": _REQUIRED, "sources": (), **_RUN}
 
-_INTEGER_FIELDS = frozenset({
-    "count", "phase_step", "period", "phase", "horizon", "max_attempts",
-    "slots_per_sample", "episodes", "seed",
-})
-# lower bounds of the integer fields no configuration type checks
-_MINIMUM = {"count": 1, "episodes": 1, "seed": 0}
 _MATRIX_FIELDS = frozenset({"A", "B", "Rw", "R0", "x0_mean", "Q0", "Q1", "Q2"})
-
-
-def _number(value, path: str, kind: type):
-    """A number field; an integer field must hold an integral value."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value)
-            or (kind is int and (math.isinf(value) or value != int(value)))):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{path}: must be {what}, got {value!r}")
-    return kind(value)
 
 
 def _fields(obj: dict, path: str, table: dict) -> dict:
     """Check a block's keys against its table and fill in the defaults.
 
-    Integer fields and fields with a float default are checked as numbers;
-    matrices and strings are left to the configuration types.
+    The configuration types check the values and name the field at fault;
+    `count`, `phase_step`, `episodes` and `seed`, which no type holds, are
+    checked where they are read.
     """
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -193,18 +179,7 @@ def _fields(obj: dict, path: str, table: dict) -> dict:
     missing = sorted(k for k, d in table.items() if d is _REQUIRED and k not in obj)
     if missing:
         raise ConfigurationError(f"{path}: missing keys {missing}")
-    out = {}
-    for key, default in table.items():
-        value = obj.get(key, default)
-        if key in _INTEGER_FIELDS:
-            value = _number(value, f"{path}.{key}", int)
-            if key in _MINIMUM and value < _MINIMUM[key]:
-                raise ConfigurationError(
-                    f"{path}.{key}: must be >= {_MINIMUM[key]}, got {value}")
-        elif isinstance(default, float):
-            value = _number(value, f"{path}.{key}", float)
-        out[key] = value
-    return out
+    return {key: obj.get(key, default) for key, default in table.items()}
 
 
 def _kind_fields(obj: dict, path: str, tables: dict, what: str) -> tuple[str, dict]:
@@ -240,6 +215,9 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
     immutable, so each distinct phase is built and validated once.
     """
     fields = _fields(d, path, _LOOP_BLOCK)
+    with _at(path):
+        count = _integer(fields["count"], "count", "an integer >= 1", 1)
+        phase_step = _integer(fields["phase_step"], "phase_step", "an integer", -math.inf)
     plant = _fields(fields["plant"], f"{path}.plant", _PLANT)
     kind, sched = _kind_fields(fields["scheduler"], f"{path}.scheduler", _SCHEDULERS,
                                "scheduler")
@@ -249,8 +227,8 @@ def _parse_loop(d: dict, path: str) -> list[LoopConfig]:
     with _at(f"{path}.scheduler"):
         scheduler = SchedulerPolicy(kind=kind, **sched)
     loops, built = [], {}
-    for i in range(fields["count"]):
-        phase = (first.phase + i * fields["phase_step"]) % first.period
+    for i in range(count):
+        phase = (first.phase + i * phase_step) % first.period
         if phase not in built:
             with _at(path, "weights", _WEIGHTS):
                 built[phase] = LoopConfig(
@@ -300,6 +278,8 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
                 raise ConfigurationError(f"{path}: top level must be an object")
 
     top = _fields(doc, "scenario", _SCENARIO)
+    with _at("scenario"):
+        seed, episodes = _check_run(top["seed"], top["episodes"])
     crm = _fields(top["crm"], "crm", _CRM)
     if not isinstance(top["loops"], list) or not top["loops"]:
         raise ConfigurationError("scenario.loops: must be a non-empty array")
@@ -318,16 +298,12 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
         kind, fields = _kind_fields(sd, f"sources[{si}]", _SOURCES, "source")
         with _at(f"sources[{si}]"):
             sources.append(TrafficSource(kind=kind, **fields))
-    scenario = NetworkScenario(
-        loops=tuple(loops),
-        crm=crm,
-        sources=tuple(sources),
-    )
+    scenario = NetworkScenario(loops=loops, crm=crm, sources=sources)
     return ScenarioDoc(
         name=str(top["name"]),
         scenario=scenario,
-        episodes=top["episodes"],
-        seed=top["seed"],
+        episodes=episodes,
+        seed=seed,
         groups=tuple(groups),
     )
 

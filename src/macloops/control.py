@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (BracketingError, ConfigurationError, DegenerateTruncationError,
                      NumericalError)
-from .model import lq_matrices
+from .model import _integer, lq_matrices
 from .stats import (
     QuadratureSpec,
     TruncatedGaussian,
@@ -45,15 +45,14 @@ class RiccatiSolution:
 def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     """Backward Riccati recursion from S_N = Q0.
 
-    The matrices must pass `model.lq_matrices` and the horizon must be at
-    least 1; a bad one raises a ConfigurationError whose `field` names it.
+    The matrices must pass `model.lq_matrices` and the horizon must be an
+    integer >= 1; a bad one raises a ConfigurationError whose `field` names it.
     Each S_k is symmetrized after the update to stop round-off drift.  The
     gain inverse (Q2 + B'SB) is positive definite for PD Q2; a numerically
     singular one, or an S_k that overflows, raises NumericalError.
     """
     A, B, Q0, Q1, Q2 = lq_matrices(A, B, Q0, Q1, Q2)
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}", field="horizon")
+    horizon = _integer(horizon, "horizon", "a positive integer", 1)
     S = [None] * (horizon + 1)
     L = [None] * horizon
     W = [None] * horizon

@@ -78,12 +78,12 @@ def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> N
                                  field=name)
 
 
-def _integer(value, name: str, what: str, low: int, high: float = math.inf) -> int:
-    """`value` as an int in [low, high); anything else, bools, NaN and
-    infinities included, raises a ConfigurationError whose `field` is `name`."""
+def _integer(value, name: str, what: str, low: float, high: float = math.inf) -> int:
+    """`value` as an int in [low, high), low possibly -inf; anything else,
+    bools, NaN and infinities included, raises a ConfigurationError whose `field` is `name`."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (low <= value < high and value == int(value))):
-        raise ConfigurationError(f"{name} must be {what}, got {value}", field=name)
+            or not (low <= value < high and value % 1 == 0)):
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}", field=name)
     return int(value)
 
 
@@ -317,9 +317,12 @@ class LoopConfig:
         weights = lq_matrices(self.plant.A, self.plant.B, self.Q0, self.Q1, self.Q2)[2:]
         for name, mat in zip(("Q0", "Q1", "Q2"), weights):
             object.__setattr__(self, name, _freeze(mat))
-        if not (isinstance(self.net_penalty, numbers.Real) and 0.0 <= self.net_penalty < math.inf):
-            raise ConfigurationError(f"net_penalty must be a finite number >= 0, "
-                                     f"got {self.net_penalty}", field="net_penalty")
+        penalty = self.net_penalty
+        if (isinstance(penalty, bool) or not isinstance(penalty, numbers.Real)
+                or not 0.0 <= penalty < math.inf):
+            raise ConfigurationError(f"net_penalty must be a finite number >= 0, got {penalty!r}",
+                                     field="net_penalty")
+        object.__setattr__(self, "net_penalty", float(penalty))
 
 
 @dataclass(frozen=True, eq=False)

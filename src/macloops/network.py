@@ -275,7 +275,7 @@ class TrafficSource:
         for name in ("rate", "p_on", "p_off"):
             p = getattr(self, name)
             if isinstance(p, bool) or not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
-                raise ConfigurationError(f"{name} must lie in [0,1], got {p}", field=name)
+                raise ConfigurationError(f"{name} must lie in [0,1], got {p!r}", field=name)
             object.__setattr__(self, name, float(p))
 
     @classmethod

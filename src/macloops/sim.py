@@ -56,9 +56,10 @@ an arm is a (scenario variant, control law) pair.  `monte_carlo` and
 noise, traffic and contention draws.  Each call derives everything it
 needs from its scenario once, in `_layout`: one Riccati solution for all
 loops with equal dynamics, weights and horizon, one pair of noise roots for
-all with equal R0 and Rw, the stacks with their members' matrices, roots
-and solutions stacked, and the plan of what every tick does.  Every arm,
-chunk and tally reads that layout; nothing is kept between calls.
+all with equal R0 and Rw, and the stacks with their members' matrices,
+roots and solutions stacked.  `_run_arms` derives from it the plan of what
+every tick does (`_plan`), once per call; a draw alone needs no plan.
+Every arm, chunk and tally reads that layout; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -266,8 +267,8 @@ class _Tick:
 @dataclass(eq=False)
 class _Layout:
     """Everything a call derives from its scenario: where an episode's draws
-    go, when the loops sample, their stacks and what every tick does.  Each
-    call derives it once (`_layout`), and every arm, chunk and tally reads it.
+    go, when the loops sample and their stacks, but not what every tick does
+    (`_plan`).  Each call derives it once, and every arm, chunk and tally reads it.
 
     An episode draws from three streams, keyed by the master seed:
     - noise, keyed (episode, 0, noise): one `standard_normal` row of the
@@ -291,12 +292,12 @@ class _Layout:
     """
 
     width: int             # the draws of the noise row
-    rows: int              # the contention table's rows
+    rows: int              # the contention table's rows: the loops' steps, then the sources'
     slots: int             # the contention table's columns, 0 if it is not drawn
     cells: int             # one episode's noise row, tables and stack step arrays
     ticks: np.ndarray      # the sampling ticks, ascending
+    sources: int           # the exogenous sources
     stacks: list[_Stack]
-    plan: list[_Tick]      # per sampling tick, what it does
 
 
 def _layout(scenario: NetworkScenario) -> _Layout:
@@ -317,22 +318,38 @@ def _layout(scenario: NetworkScenario) -> _Layout:
             rooted[key] = (psd_sqrt(plant.R0), psd_sqrt(plant.Rw))
         roots.append(rooted[key])
         members.setdefault((plant.n, plant.m, lc.horizon), []).append(i)
-    # every entry in the contention table's order, then sorted by tick
     loop_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon) for lc in loops]
-    ticks, per_tick = np.unique(np.concatenate(loop_ticks), return_counts=True)
-    at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
-    source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
-    contenders = np.concatenate([np.full(lc.horizon, i) for i, lc in enumerate(loops)]
-                                + [np.repeat(source_ids, ticks.size)])
-    steps = np.concatenate([np.arange(lc.horizon) for lc in loops]
-                           + [np.tile(np.arange(ticks.size), n_src)])
-    rows = np.argsort(at, kind="stable")
-    contenders, steps = contenders[rows], steps[rows].tolist()
-    starts = np.concatenate(([0], np.cumsum(per_tick + n_src))).tolist()
+    ticks = np.unique(np.concatenate(loop_ticks))
     offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
     stacks = [_stack(loops, group, solutions, roots, loop_ticks, offsets)
               for group in members.values()]
+    rows = sum(lc.horizon for lc in loops) + n_src * ticks.size
+    crm = scenario.crm
+    slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
+    # a loop's arrays in `_StackSteps`: xs and xhats hold N + 1 steps, us,
+    # preds and the three int arrays N, and bu one
+    step_cells = sum((lc.horizon + 1) * 2 * lc.plant.n
+                     + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
+    cells = int(offsets[-1]) + n_src * int(ticks[-1] + 1) + rows * slots + step_cells
+    return _Layout(int(offsets[-1]), rows, slots, cells, ticks, n_src, stacks)
+
+
+def _plan(layout: _Layout) -> list[_Tick]:
+    """Per sampling tick, what it does: its contention-table rows and
+    contenders, in contender-id order, and a step per stack that samples."""
+    stacks, ticks, n_src = layout.stacks, layout.ticks, layout.sources
     where = {i: (s, slot) for s, st in enumerate(stacks) for slot, i in enumerate(st.loops)}
+    loop_ticks = [stacks[s].ticks[slot] for _, (s, slot) in sorted(where.items())]
+    # every entry in the contention table's order, then sorted by tick
+    at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
+    source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
+    contenders = np.concatenate([np.full(t.size, i) for i, t in enumerate(loop_ticks)]
+                                + [np.repeat(source_ids, ticks.size)])
+    steps = np.concatenate([np.arange(t.size) for t in loop_ticks]
+                           + [np.tile(np.arange(ticks.size), n_src)])
+    rows = np.argsort(at, kind="stable")
+    contenders, steps = contenders[rows], steps[rows].tolist()
+    starts = np.searchsorted(at[rows], ticks).tolist() + [rows.size]
     plan = []
     for t, tick in enumerate(ticks.tolist()):
         lo, hi = starts[t], starts[t + 1]
@@ -349,14 +366,7 @@ def _layout(scenario: NetworkScenario) -> _Layout:
                 sel, k = np.array(slots), np.array(ks)
             tick_steps.append(_Step(s, sel, k, _index(cols)))
         plan.append(_Tick(tick, rows[lo:hi], contenders[lo:hi], hi - lo - n_src, tick_steps))
-    crm = scenario.crm
-    slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
-    # a loop's arrays in `_StackSteps`: xs and xhats hold N + 1 steps, us,
-    # preds and the three int arrays N, and bu one
-    step_cells = sum((lc.horizon + 1) * 2 * lc.plant.n
-                     + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
-    cells = int(offsets[-1]) + n_src * int(ticks[-1] + 1) + rows.size * slots + step_cells
-    return _Layout(int(offsets[-1]), rows.size, slots, cells, ticks, stacks, plan)
+    return plan
 
 
 def _index(values: list[int]) -> slice | np.ndarray:
@@ -545,12 +555,14 @@ def _run_chunk(
     draws: _ChunkDraws,
     control_law: ControlLaw,
     layout: _Layout,
+    plan: Sequence[_Tick],
     rounds_log: Optional[list] = None,
     tally: Optional[_Tally] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    `rules` holds the request rule of each stack.  The observer's estimate
+    `rules` holds the request rule of each stack, and `plan` what each
+    sampling tick of the layout does (`_plan`).  The observer's estimate
     is the delivered state or the prediction (`observer_update`); each
     step's delivery age follows from the deltas once the ticks are done.
     If `rounds_log` is a list it receives (tick, asking, events) for every
@@ -563,7 +575,7 @@ def _run_chunk(
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
 
-    for t, tick in enumerate(layout.plan):
+    for t, tick in enumerate(plan):
         # schedule: one decision per stack for its sampling loops, whole chunk
         preds, wants = [], np.empty((n_ep, tick.n_loops), dtype=bool)
         for step in tick.steps:
@@ -652,16 +664,16 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
     episodes, and at least one, where cells are one episode's noise row,
     traffic and contention tables and stack step arrays (`_Layout.cells`);
     the last may hold fewer.  Every chunk is drawn on the one `layout`, the
-    first arm's, and every arm runs on it.  So the arms may differ in
-    schedulers and control laws, which the layout does not depend on, but
-    must not differ in plants, weights or horizons, the channel or the
-    sources.
+    first arm's, and every arm runs on it by the one plan derived from it.
+    So the arms may differ in schedulers and control laws, which the layout
+    does not depend on, but must not differ in plants, weights or horizons,
+    the channel or the sources.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.  Given `tallies`, one per arm, each arm's chunk is added to
     its tally before the chunk is yielded.
     """
-    scenario = arms[0][0]
+    scenario, plan = arms[0][0], _plan(layout)
     rules = [_rules(scn, layout) for scn, _ in arms]
     tallies = tallies or [None] * len(arms)
     size = max(1, CHUNK_CELLS // layout.cells)
@@ -669,7 +681,7 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
         chunk = range(start, min(start + size, episodes.stop))
         draws = _draw_chunk(scenario, layout, seed, chunk)
         logs = [[] if keep_rounds else None for _ in arms]
-        batches = [_run_chunk(scn, rule, draws, law, layout, log, tally)
+        batches = [_run_chunk(scn, rule, draws, law, layout, plan, log, tally)
                    for (scn, law), rule, log, tally in zip(arms, rules, logs, tallies)]
         # the traces do not refer to the draws: free them while the caller
         # reads the chunk, and hold no chunk while the next one runs

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import (
     BracketingError,
@@ -87,9 +88,14 @@ class TruncatedGaussian:
     upper: float
 
     def __post_init__(self):
-        if not (self.var > 0.0 and math.isfinite(self.var)):
-            raise ConfigurationError(f"var must be positive and finite, got {self.var}",
-                                     field="var")
+        mean, var, upper = self.mean, self.var, self.upper
+        # floats, numpy's included, pass at once: the two-step residuals build many
+        if not (isinstance(mean, float) and isinstance(var, float) and isinstance(upper, float)):
+            for name, value in (("mean", mean), ("var", var), ("upper", upper)):
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise ConfigurationError(f"{name} must be a number, got {value!r}", field=name)
+        if not (var > 0.0 and math.isfinite(var)):
+            raise ConfigurationError(f"var must be positive and finite, got {var}", field="var")
         for name in ("mean", "upper"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError("mean and upper bound must be finite", field=name)

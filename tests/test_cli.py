@@ -156,7 +156,12 @@ class TestParsing:
         block[path[-1]] = 10.7
         with pytest.raises(ConfigurationError) as info:
             parse_scenario_doc(doc)
-        assert str(info.value) == f"{where}: must be an integer, got 10.7"
+        what = {"horizon": "a positive integer", "count": "an integer >= 1",
+                "phase_step": "an integer", "period": "a positive integer",
+                "phase": "an integer in [0, period)", "max_attempts": "an integer >= 0",
+                "slots_per_sample": "an integer >= 0", "episodes": "an integer >= 1",
+                "seed": "an integer >= 0"}[path[-1]]
+        assert str(info.value) == f"{where}: {path[-1]} must be {what}, got 10.7"
 
     @pytest.mark.parametrize("path,value,message", [
         (("plant", "A"), math.nan, "loops[0].plant.A: A must be finite, got [[nan]]"),
@@ -165,7 +170,8 @@ class TestParsing:
                                  "got -3"),
         (("plant", "phase"), 12, "loops[0].plant.phase: phase must be an integer in [0, period), "
                                  "got 12"),
-        (("plant", "period"), None, "loops[0].plant.period: must be an integer, got None"),
+        (("plant", "period"), None, "loops[0].plant.period: period must be a positive integer, "
+                                    "got None"),
         (("scheduler", "eps"), -1.0, "loops[0].scheduler.eps: eps must be >= 0, got -1.0"),
         (("weights", "Q1"), -1.0, "loops[0].weights.Q1: Q1 must be positive semi-definite"),
         (("net_penalty",), -1.0, "loops[0].net_penalty: net_penalty must be a finite number >= 0"),
@@ -181,6 +187,14 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as info:
             parse_scenario_doc(doc)
         assert str(info.value).startswith(message)
+
+    def test_quoted_integer_is_named_by_its_type(self):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["plant"]["period"] = "10"
+        with pytest.raises(ConfigurationError) as info:
+            parse_scenario_doc(doc)
+        message = str(info.value)
+        assert message.startswith("loops[0].plant.period:") and message.endswith("got '10'")
 
     def test_integral_floats_accepted(self):
         doc = json.loads(json.dumps(presets()["example3"]))
@@ -843,7 +857,7 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--scenario", str(path), "--episodes", "1",
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
-        assert "scenario.seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert "scenario.seed: seed must be an integer >= 0, got -3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
         (["sweep", "--scenario", "example3", "--eps-grid=-1,2", "--episodes", "1"],
@@ -902,7 +916,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags,message", [
         (["--a", "[[1,"], "validation error: --a: cannot parse value '[[1,': Expecting value"),
-        (["--horizon", "0"], "validation error: --horizon: horizon must be >= 1, got 0"),
+        (["--horizon", "0"],
+         "validation error: --horizon: horizon must be a positive integer, got 0"),
         (["--q2", "0"], "validation error: --q2: Q2 must be positive definite, eigenvalues [0.]"),
         (["--a", "NaN"], "validation error: --a: A must be finite, got [[nan]]"),
     ], ids=["unparsable", "horizon", "q2-not-pd", "not-finite"])

@@ -63,6 +63,18 @@ class TestRiccati:
         with pytest.raises(ConfigurationError):
             riccati_backward(1.0, 1.0, 1.0, 1.0, 0.0, 2)
 
+    @pytest.mark.parametrize("horizon", [0, 2.5, "3", True], ids=["zero", "fraction", "text",
+                                                                 "bool"])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        with pytest.raises(ConfigurationError) as info:
+            riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, horizon)
+        assert info.value.field == "horizon"
+        assert str(info.value) == f"horizon must be a positive integer, got {horizon!r}"
+
+    def test_integral_float_horizon_runs_as_its_int(self):
+        assert np.array_equal(riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, 3.0).S,
+                              riccati_backward(1.0, 1.0, 1.0, 1.0, 1.0, 3).S)
+
     def test_overflow_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="not finite"):
             riccati_backward(1e200, 1.0, 1.0, 1.0, 1.0, 10)

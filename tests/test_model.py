@@ -329,6 +329,17 @@ class TestConfigValidation:
                     SchedulerPolicy.half_line_state(1).threshold]
         assert [(type(v), v) for v in settings] == [(float, v) for v in (1, 0, 3, 2, 1)]
 
+    def test_net_penalty_is_stored_as_a_float(self):
+        loop = LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
+                          horizon=2, Q0=1.0, Q1=1.0, Q2=1.0, net_penalty=1)
+        assert (type(loop.net_penalty), loop.net_penalty) == (float, 1.0)
+
+    def test_bool_net_penalty_names_its_field(self):
+        with pytest.raises(ConfigurationError) as info:
+            LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
+                       horizon=2, Q0=1.0, Q1=1.0, Q2=1.0, net_penalty=True)
+        assert info.value.field == "net_penalty"
+
     def test_immutables(self):
         p = scalar_plant()
         with pytest.raises(ValueError):

@@ -219,7 +219,7 @@ class TestRunArguments:
         with pytest.raises(ConfigurationError) as info:
             run(single_loop(SchedulerPolicy.state_threshold(1.0)), seed)
         assert info.value.field == "seed"
-        assert str(info.value) == f"seed must be an integer >= 0, got {seed}"
+        assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
 
     @pytest.mark.parametrize("run", COUNTED_RUNS.values(), ids=COUNTED_RUNS.keys())
     @pytest.mark.parametrize("episodes", [0, 2.5, "7", math.nan, None, True],
@@ -233,7 +233,7 @@ class TestRunArguments:
         with pytest.raises(ConfigurationError) as info:
             run(single_loop(SchedulerPolicy.state_threshold(1.0)), episodes)
         assert info.value.field == "episodes"
-        assert str(info.value) == f"episodes must be an integer >= 1, got {episodes}"
+        assert str(info.value) == f"episodes must be an integer >= 1, got {episodes!r}"
 
     @pytest.mark.parametrize("run", COUNTED_RUNS.values(), ids=COUNTED_RUNS.keys())
     def test_integral_episode_counts_run_as_their_int(self, run):
@@ -360,7 +360,7 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
 
     monkeypatch.setattr(sim, "contend", spy)
     layout = sim._layout(scenario)
-    tick_ids = {tick.tick: tick.ids for tick in layout.plan}
+    tick_ids = {tick.tick: tick.ids for tick in sim._plan(layout)}
     rows = {}
     for chunk, _, (log,) in sim._run_arms([(scenario, law)], layout,
                                           seed, range(episodes), keep_rounds=True):
@@ -380,7 +380,7 @@ def layout_rows(layout):
     """The contention-table row of each (tick, contender), in the order of
     the layout's plan."""
     rows = {}
-    for tick in layout.plan:
+    for tick in sim._plan(layout):
         rows.update(((tick.tick, c), row) for c, row in
                     zip(tick.ids.tolist(), tick.rows.tolist(), strict=True))
     return rows
@@ -591,6 +591,37 @@ class TestMatrixDecisions:
                     tr = traces[ep][i]
                     assert tr.gammas.tolist() == [decide(lc.scheduler, x, None)
                                                   for x in tr.xs[:-1]]
+
+    @pytest.mark.parametrize("a,x0,rule,expected", [
+        (0.5, [0.75], "ge", 1),
+        (0.5, [0.75], "le", 1),
+        (0.5, [0.75], "state", 0),
+        ([[0.5, 0.25], [0.0, 0.75]], [0.5, -1.5], "state", 0),
+        (0.5, [0.75], "innovation", 0),
+        ([[0.5, 0.25], [0.0, 0.75]], [0.5, -1.5], "innovation", 0),
+        (0.5, [0.75], "always", 1),
+        ([[0.5, 0.25], [0.0, 0.75]], [0.5, -1.5], "always", 1),
+    ], ids=["halfline-ge", "halfline-le", "state-scalar", "state-n2", "innovation-scalar",
+            "innovation-n2", "always-scalar", "always-n2"])
+    def test_first_decision_on_a_rule_boundary(self, a, x0, rule, expected):
+        # a noise-free loop in dyadic values, so every product and sum is
+        # exact: its first state x0 and first prediction A x0 put the rule
+        # exactly on its boundary, where random states never land
+        a, x0 = np.atleast_2d(a), np.array(x0)
+        n, r = x0.size, x0 - a @ x0
+        policy = {"ge": SchedulerPolicy.half_line_state(x0[0], "ge"),
+                  "le": SchedulerPolicy.half_line_state(x0[0], "le"),
+                  "state": SchedulerPolicy.state_threshold(x0 @ x0),
+                  "innovation": SchedulerPolicy.innovation_threshold(r @ r),
+                  "always": SchedulerPolicy.always_transmit()}[rule]
+        plant = PlantModel(A=a, B=np.ones((n, 1)), Rw=np.zeros((n, n)), R0=np.zeros((n, n)),
+                           x0_mean=x0)
+        scn = NetworkScenario(loops=(LoopConfig(plant=plant, scheduler=policy, horizon=2,
+                                                Q0=np.eye(n), Q1=np.eye(n), Q2=1.0),),
+                              crm=CrmConfig(persistence=(1.0,)))
+        tr = run_episode(scn, 0, 0)[0]
+        assert tr.xs[0].tolist() == x0.tolist()
+        assert tr.gammas[0] == decide(policy, x0, a @ x0) == expected
 
 
 class TestMonteCarlo:
@@ -828,6 +859,36 @@ class TestLayout:
         assert built() == (1, 2)
         dual_effect_experiment(scn, ce_law, zero_law, 3, 2 * CHUNK)
         assert built() == (1, 2)
+
+    def test_one_plan_per_call_shared_by_its_chunks_and_arms(self, monkeypatch):
+        scn = lossy_state_network()
+        chunks_of(monkeypatch, scn)
+        plans = counting(monkeypatch, "_plan")
+        runs = counting(monkeypatch, "_run_chunk")
+
+        def derived():
+            """The plans derived, the chunk runs and the distinct plans they
+            followed since the last call."""
+            counts = (len(plans), len(runs), len({id(args[5]) for args in runs}))
+            plans.clear()
+            runs.clear()
+            return counts
+
+        monte_carlo(scn, 3, 3 * CHUNK)
+        assert derived() == (1, 3, 1)
+        sweep_threshold(scn, [0.5, 1.0, 2.0], 3, 2 * CHUNK)
+        assert derived() == (1, 3 * 2, 1)
+        dual_effect_experiment(scn, ce_law, zero_law, 3, 2 * CHUNK)
+        assert derived() == (1, 2 * 2, 1)
+        run_episode(scn, 3, 5)
+        assert derived() == (1, 1, 1)
+
+    def test_drawing_a_chunk_derives_no_plan(self, monkeypatch):
+        scn = lossy_state_network()
+        plans = counting(monkeypatch, "_plan")
+        layout = sim._layout(scn)
+        sim._draw_chunk(scn, layout, 3, range(4))
+        assert plans == []
 
 
 class TestSweep:

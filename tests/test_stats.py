@@ -138,6 +138,20 @@ class TestTruncatedMoments:
         with pytest.raises(ConfigurationError):
             TruncatedGaussian(0.0, 1.0, -40.0)  # no mass kept at all
 
+    @pytest.mark.parametrize("args,field", [
+        ((0.0, "1", 0.5), "var"),
+        ((0.0, True, 0.5), "var"),
+        (("0", 1.0, 0.5), "mean"),
+        ((False, 1.0, 0.5), "mean"),
+        ((0.0, 1.0, None), "upper"),
+    ], ids=["text-var", "bool-var", "text-mean", "bool-mean", "none-upper"])
+    def test_non_numbers_name_their_field(self, args, field):
+        with pytest.raises(ConfigurationError) as info:
+            TruncatedGaussian(*args)
+        assert info.value.field == field
+        value = dict(zip(("mean", "var", "upper"), args))[field]
+        assert str(info.value) == f"{field} must be a number, got {value!r}"
+
 
 class TestCompoundDensity:
     def test_zero_coefficient_collapses_to_noise(self):
