@@ -49,7 +49,7 @@ from .control import (
 )
 from .errors import ConfigurationError, NumericalError
 from .estimation import two_step_posterior
-from .model import LoopConfig, NetworkScenario, PlantModel, _integer, as_vector
+from .model import LoopConfig, NetworkScenario, PlantModel, _integer
 from .network import RESULTS, CrmConfig, TrafficSource
 from .scheduling import THRESHOLD_KINDS, SchedulerPolicy
 from .sim import (EventTable, MonteCarloResult, _check_run, ce_law, monte_carlo,
@@ -289,7 +289,6 @@ def parse_scenario_doc(source: Union[str, Path, dict]) -> ScenarioDoc:
         loops.extend(expanded)
         groups.extend([bi] * len(expanded))
     with _at("crm"):
-        crm["persistence"] = tuple(as_vector(crm["persistence"], "persistence"))
         crm = CrmConfig(**crm)
     if not isinstance(top["sources"], (list, tuple)):
         raise ConfigurationError("scenario.sources: must be an array")

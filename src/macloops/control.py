@@ -11,6 +11,7 @@ with the bracketed root finder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .model import _integer, lq_matrices
 from .stats import (
     QuadratureSpec,
     TruncatedGaussian,
+    _standard_truncated_moments,
     compound_density,
     conditional_moments_compound,
     find_root,
@@ -163,9 +165,13 @@ def two_step_stationarity_residual(
     probing term through the next-step error covariance, whose truncation
     bound moves with u0.  The density factor is evaluated first: where it
     underflows to 0 the term is zero, and so it is when the conditioning
-    event's probability is degenerate.
+    event's probability is degenerate.  An s1 that is not finite raises
+    NumericalError, and a noise bound that is NaN a ConfigurationError whose
+    `field` is `upper`.
     """
     s1 = two_step_s1(a, b, q0, q1, q2)
+    if not math.isfinite(s1):
+        raise NumericalError(f"s1 is not finite: the one-step Riccati update overflows ({s1})")
     if delta0:
         xhat00 = float(x0_or_xhat)
     else:
@@ -187,7 +193,10 @@ def two_step_stationarity_residual(
         return resid
     try:
         if delta0:
-            mean, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, bound))
+            # +-inf returned above, so only a NaN bound is left to reject
+            if not math.isfinite(bound):
+                raise ConfigurationError(f"upper must be finite, got {bound}", field="upper")
+            mean, _ = _standard_truncated_moments(bound)
         else:
             mean, _ = conditional_moments_compound(a, tg0, 1.0, bound)
     except DegenerateTruncationError:
@@ -211,12 +220,14 @@ def two_step_u0_optimal(
 ) -> float:
     """Solve the first-step stationarity condition for u0.
 
-    Scans the window for a sign change of the residual, then hands the
-    bracket to the guarded root finder.  Raises BracketingError when no sign
-    change exists in the window.  The default window follows the problem's
-    scale: it is centred on the CE input, which grows with |a|, with
-    half-width max(10, |u0_ce|); a CE input that is not finite raises
-    NumericalError.
+    Scans the window's `scan_points` evenly spaced points from the left and
+    stops at the first exact zero of the residual, which it returns, or at
+    the first sign change, whose bracket and its two known residuals go to
+    the guarded root finder; the points beyond are never evaluated.  Raises
+    BracketingError when no sign change exists in the window.  The default
+    window follows the problem's scale: it is centred on the CE input, which
+    grows with |a|, with half-width max(10, |u0_ce|); a CE input that is not
+    finite raises NumericalError.
 
     `quad` is accepted and ignored: the residual is a closed form and runs
     no quadrature.  The keyword stays only because benchmark/workloads.py
@@ -238,15 +249,18 @@ def two_step_u0_optimal(
             raise NumericalError(f"the certainty-equivalent input overflows: {u0_ce}")
         half = max(10.0, abs(u0_ce))
         scan = (u0_ce - half, u0_ce + half)
-    grid = np.linspace(scan[0], scan[1], scan_points)
-    values = [residual(float(u)) for u in grid]
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            return float(grid[i])
-        if values[i] * values[i + 1] < 0.0:
-            return find_root(residual, float(grid[i]), float(grid[i + 1]), tol=tol)
-    if values[-1] == 0.0:
-        return float(grid[-1])
+    grid = np.linspace(scan[0], scan[1], scan_points).tolist()
+    lo = grid[0]
+    flo = residual(lo)
+    for hi in grid[1:]:
+        if flo == 0.0:
+            return lo
+        fhi = residual(hi)
+        if flo * fhi < 0.0:
+            return find_root(residual, lo, hi, tol=tol, ends=(flo, fhi))
+        lo, flo = hi, fhi
+    if flo == 0.0:
+        return lo
     raise BracketingError(
         f"no sign change of the stationarity residual in [{scan[0]}, {scan[1]}]"
     )

@@ -75,8 +75,8 @@ class CrmConfig:
                                      f"got {self.persistence}", field="persistence") from None
         if not pers:
             raise ConfigurationError("persistence list must not be empty", field="persistence")
-        if not all(isinstance(p, numbers.Real) for p in pers):
-            raise ConfigurationError(f"persistence probabilities must be numbers, got {pers}",
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in pers):
+            raise ConfigurationError(f"persistence must be numeric probabilities, got {pers}",
                                      field="persistence")
         pers = tuple(map(float, pers))
         if any(not (0.0 <= p <= 1.0) for p in pers):

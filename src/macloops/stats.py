@@ -185,16 +185,21 @@ def truncated_moments(tg: TruncatedGaussian) -> tuple[float, float]:
     deep into the lower tail.  Raises DegenerateTruncationError when the
     kept probability falls below MIN_TRUNCATION_PROB.
     """
-    alpha = (tg.upper - tg.mean) / tg.sigma
+    z_mean, z_var = _standard_truncated_moments((tg.upper - tg.mean) / tg.sigma)
+    return tg.mean + tg.sigma * z_mean, tg.var * z_var
+
+
+def _standard_truncated_moments(alpha: float) -> tuple[float, float]:
+    """Mean and variance of Z ~ N(0, 1) given Z < alpha, for a finite alpha:
+    the standard-normal arithmetic of `truncated_moments`, which callers
+    with a standard bound use without building a TruncatedGaussian."""
     keep = std_normal_cdf(alpha)
     if keep < MIN_TRUNCATION_PROB:
         raise DegenerateTruncationError(
             f"truncation keeps probability {keep:.3e} < {MIN_TRUNCATION_PROB}"
         )
     lam = std_normal_pdf(alpha) / keep
-    mean = tg.mean - tg.sigma * lam
-    var = tg.var * (1.0 - alpha * lam - lam * lam)
-    return mean, var
+    return -lam, 1.0 - alpha * lam - lam * lam
 
 
 def compound_density(a: float, tg: TruncatedGaussian, noise_var: float, eps: float) -> float:
@@ -343,15 +348,17 @@ def conditional_moments_compound(
     return a * mu + sd * m1, e_var * (m2 - m1 * m1)
 
 
-def find_root(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def find_root(f, lo: float, hi: float, tol: float = 1e-10, *,
+              ends: tuple[float, float] | None = None) -> float:
     """Root of f in [lo, hi] by bisection refined with secant steps.
 
     The bracket is maintained at every step, so convergence is guaranteed;
     secant candidates are only accepted when they fall strictly inside the
     current bracket.  Stops when |f| <= tol, the bracket width <= tol or
-    after 200 steps, at the bracket's midpoint.
+    after 200 steps, at the bracket's midpoint.  A caller that already knows
+    f(lo) and f(hi) passes them as `ends`, and f is not called at lo or hi.
     """
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = (f(lo), f(hi)) if ends is None else ends
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -768,6 +768,8 @@ class TestExitCodes:
         ("sources", {"kind": "bernoulli", "rate": 0.2}, "scenario.sources: must be an array"),
         ("global_horizon", 400, "scenario: unknown keys ['global_horizon']"),
         ("crm", {"persistence": ["a"]}, "crm.persistence: persistence must be numeric"),
+        ("crm", {"persistence": [True, 0.75, 0.5]},
+         "crm.persistence: persistence must be numeric probabilities, got (True, 0.75, 0.5)"),
     ])
     def test_crm_and_source_errors_name_their_path(self, tmp_path, capsys, key, value,
                                                    message):

@@ -1,8 +1,11 @@
 """Riccati recursion, cost accumulation and the two-step probing controller."""
 
+import math
+
 import numpy as np
 import pytest
 
+from macloops import control
 from macloops.control import (
     ce_u0,
     jdp_stack,
@@ -17,6 +20,7 @@ from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import ce_law, run_episode
+from macloops.stats import TruncatedGaussian, find_root, truncated_moments
 
 # frozen roots/residuals, verified against the Monte Carlo value-function
 # oracle in the acceptance suite and a high-precision solve
@@ -252,3 +256,107 @@ class TestTwoStepController:
         # the root lies near the CE input -60, outside the window
         with pytest.raises(BracketingError):
             two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 100.0, scan=(-10.0, 10.0))
+
+    def test_overflowing_s1_is_a_numerical_error(self):
+        # a^2 q0 overflows, so s1 is inf - inf, which would make every residual NaN
+        with pytest.raises(NumericalError, match="s1 is not finite"):
+            two_step_stationarity_residual(1e200, 1, 1, 1, 1, 1, 1.0, 0.0)
+        with pytest.raises(NumericalError, match="s1 is not finite"):
+            two_step_u0_optimal(1e200, 1.0, 1.0, 1.0, 1.0, 1, 1.0, scan=(-10.0, 10.0))
+
+
+def full_scan_u0(a, delta0, x0, threshold, scan, scan_points=41, tol=1e-9):
+    """The reference solve of b = q0 = q1 = q2 = 1: the residual at every
+    point of the window's grid, then the root finder on the first sign
+    change, which evaluates the bracket's ends again."""
+
+    def residual(u0):
+        return two_step_stationarity_residual(a, 1.0, 1.0, 1.0, 1.0, delta0, x0, u0,
+                                              threshold=threshold)
+
+    grid = np.linspace(scan[0], scan[1], scan_points)
+    values = [residual(float(u)) for u in grid]
+    for i in range(len(grid) - 1):
+        if values[i] == 0.0:
+            return float(grid[i])
+        if values[i] * values[i + 1] < 0.0:
+            return find_root(residual, float(grid[i]), float(grid[i + 1]), tol=tol)
+    if values[-1] == 0.0:
+        return float(grid[-1])
+    raise BracketingError(f"no sign change in [{scan[0]}, {scan[1]}]")
+
+
+def ce_window(a, delta0, x0, threshold):
+    """The default scan window: centred on the CE input, half-width max(10, |u0_ce|)."""
+    xhat00 = x0 if delta0 else truncated_moments(TruncatedGaussian(0.0, 1.0, threshold))[0]
+    u0_ce = ce_u0(a, 1.0, two_step_s1(a, 1.0, 1.0, 1.0, 1.0), 1.0, xhat00)
+    half = max(10.0, abs(u0_ce))
+    return u0_ce - half, u0_ce + half
+
+
+class TestLazyScan:
+    """The scan stops at its first sign change and hands the root finder the
+    two residuals it already has; every result is bit-identical to the full
+    scan's."""
+
+    @pytest.mark.parametrize("a", [-2.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("x0", [-1.5, 0.0, 0.7, 4.0])
+    def test_delivered_matches_the_full_scan(self, a, threshold, x0):
+        window = ce_window(a, 1, x0, threshold)
+        want = full_scan_u0(a, 1, x0, threshold, window)
+        assert two_step_u0_optimal(a, 1.0, 1.0, 1.0, 1.0, 1, x0, threshold=threshold).hex() \
+            == want.hex()
+        narrow = full_scan_u0(a, 1, x0, threshold, (-30.0, 30.0), scan_points=7)
+        assert two_step_u0_optimal(a, 1.0, 1.0, 1.0, 1.0, 1, x0, threshold=threshold,
+                                   scan=(-30.0, 30.0), scan_points=7).hex() == narrow.hex()
+
+    @pytest.mark.parametrize("a", [-2.0, 1.0, 3.0])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 2.0])
+    def test_silent_matches_the_full_scan(self, a, threshold):
+        want = full_scan_u0(a, 0, 0.0, threshold, ce_window(a, 0, 0.0, threshold))
+        assert two_step_u0_optimal(a, 1.0, 1.0, 1.0, 1.0, 0, 0.0,
+                                   threshold=threshold).hex() == want.hex()
+
+    # at x0 = 0 and a far threshold the probing term underflows, so the
+    # residual is 2 u0 (q2 + b^2 s1): exactly 0 at the grid point u0 = 0
+    @pytest.mark.parametrize("scan,points", [((-2.0, 2.0), 5), ((0.0, 2.0), 3),
+                                             ((-2.0, 0.0), 3)],
+                             ids=["inside", "first", "last"])
+    def test_exact_zero_at_a_grid_point(self, scan, points):
+        assert two_step_stationarity_residual(1.0, 1, 1, 1, 1, 1, 0.0, 0.0, threshold=40.0) == 0.0
+        want = full_scan_u0(1.0, 1, 0.0, 40.0, scan, scan_points=points)
+        got = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, threshold=40.0, scan=scan,
+                                  scan_points=points)
+        assert got.hex() == want.hex() == (0.0).hex()
+
+    def test_no_sign_change_raises_as_the_full_scan(self):
+        with pytest.raises(BracketingError):
+            full_scan_u0(1.0, 1, 100.0, 0.5, (-10.0, 10.0))
+        with pytest.raises(BracketingError):
+            two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 100.0, scan=(-10.0, 10.0))
+
+    def test_nan_x0_names_the_bound(self):
+        for solve in (lambda: full_scan_u0(1.0, 1, math.nan, 0.5, (-1.0, 1.0)),
+                      lambda: two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, math.nan,
+                                                  scan=(-1.0, 1.0))):
+            with pytest.raises(ConfigurationError) as info:
+                solve()
+            assert info.value.field == "upper"
+
+    def test_scan_stops_at_the_first_sign_change(self, monkeypatch):
+        seen = []
+        residual = control.two_step_stationarity_residual
+
+        def spy(*args, **kwargs):
+            seen.append(args[7])
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(control, "two_step_stationarity_residual", spy)
+        grid = np.linspace(-10.0, 10.0, 41).tolist()
+        u0 = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, scan=(-10.0, 10.0))
+        # the root 0.035 lies between grid points 20 and 21: those two and
+        # the points before them are scanned, once each, and no point after
+        hi = grid.index(next(u for u in grid if u > u0))
+        assert seen[:hi + 1] == grid[:hi + 1]
+        assert all(grid[hi - 1] < u < grid[hi] for u in seen[hi + 1:])

@@ -67,8 +67,9 @@ class TestCrmConfig:
             CrmConfig(persistence=(1.0, 1.2))
 
     @pytest.mark.parametrize("persistence", [(1.0, 1.2), (math.nan,), ("a",), (0.5, None), (),
-                                             0.5],
-                             ids=["above-one", "nan", "string", "none", "empty", "scalar"])
+                                             0.5, (True,), (1.0, False, 0.5)],
+                             ids=["above-one", "nan", "string", "none", "empty", "scalar",
+                                  "true", "false"])
     def test_persistence_errors_name_the_field(self, persistence):
         with pytest.raises(ConfigurationError) as info:
             CrmConfig(persistence=persistence)

@@ -326,6 +326,34 @@ class TestFindRoot:
         f = lambda x: math.tanh(60.0 * (x - 0.3))
         assert find_root(f, -100.0, 100.0, tol=1e-10) == pytest.approx(0.3, abs=1e-8)
 
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda x: x ** 3 - 2.0, 1.0, 2.0),
+        (lambda x: math.tanh(60.0 * (x - 0.3)), -100.0, 100.0),
+        (lambda u: two_step_stationarity_residual(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, u),
+         0.0, 0.5),
+    ], ids=["cube", "shoulders", "residual"])
+    def test_known_ends_give_the_same_root_with_two_fewer_calls(self, f, lo, hi):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        want = find_root(counted, lo, hi, tol=1e-12)
+        without = len(calls)
+        calls.clear()
+        got = find_root(counted, lo, hi, tol=1e-12, ends=(f(lo), f(hi)))
+        assert got.hex() == want.hex()
+        assert len(calls) == without - 2
+        assert lo not in calls and hi not in calls
+
+    def test_known_ends_of_one_sign(self):
+        f = lambda x: x * x + 1.0
+        calls = []
+        with pytest.raises(BracketingError):
+            find_root(lambda x: calls.append(x) or f(x), -1.0, 1.0, ends=(f(-1.0), f(1.0)))
+        assert calls == []
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             QuadratureSpec(tol=0.0)
