@@ -44,6 +44,23 @@ class RiccatiSolution:
     W: np.ndarray
 
 
+def _lq_stack(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
+    """The five (P, ., .) stacks of P problems as float arrays; B, Q0, Q1
+    and Q2 must be stacks of as many matrices as A, and each problem must
+    pass `model.lq_matrices`, or a ConfigurationError names the field."""
+    for name, mat in (("B", B), ("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
+        try:
+            shape = np.shape(mat)
+        except ValueError:
+            shape = None
+        if shape is None or len(shape) != 3 or shape[0] != len(A):
+            raise ConfigurationError(f"{name} must be a stack of {len(A)} matrices as A is, "
+                                     f"got shape {shape}", field=name)
+    for problem in zip(A, B, Q0, Q1, Q2):
+        lq_matrices(*problem)
+    return tuple(np.asarray(mat, dtype=float) for mat in (A, B, Q0, Q1, Q2))
+
+
 def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     """Backward Riccati recursion from S_N = Q0.
 
@@ -52,44 +69,64 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     Each S_k is symmetrized after the update to stop round-off drift.  The
     gain inverse (Q2 + B'SB) is positive definite for PD Q2; a numerically
     singular one, or an S_k that overflows, raises NumericalError.
+
+    The five matrices may also be stacks of P problems of equal n and m, as
+    (P, n, n), (P, n, m) and (P, m, m) arrays; all P run in one recursion
+    over the leading problem axis, and the solution's arrays carry it.  Each
+    problem's S, L and W have the bits of its solve alone.
     """
-    A, B, Q0, Q1, Q2 = lq_matrices(A, B, Q0, Q1, Q2)
+    try:
+        stacked = np.ndim(A) == 3
+    except ValueError:
+        # a ragged A, which lq_matrices rejects and names
+        stacked = False
+    if stacked:
+        A, B, Q0, Q1, Q2 = _lq_stack(A, B, Q0, Q1, Q2)
+    else:
+        A, B, Q0, Q1, Q2 = (mat[None] for mat in lq_matrices(A, B, Q0, Q1, Q2))
     horizon = _integer(horizon, "horizon", "a positive integer", 1)
-    S = [None] * (horizon + 1)
-    L = [None] * horizon
-    W = [None] * horizon
-    S[horizon] = Q0
-    # overflow is reported below as a NumericalError, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    count, n, m = B.shape
+    S = np.empty((count, horizon + 1, n, n))
+    L = np.empty((count, horizon, m, n))
+    W = np.empty((count, horizon, n, n))
+    S[:, horizon] = Q0
+    At, Bt = A.swapaxes(-1, -2), B.swapaxes(-1, -2)
+    # overflow is reported below as a NumericalError, not as a warning, and
+    # so is a singular G, whose cond divides by a zero eigenvalue
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(horizon - 1, -1, -1):
-            S_next = S[k + 1]
-            BtS, AtS = B.T @ S_next, A.T @ S_next
+            S_next = S[:, k + 1]
+            BtS, AtS = Bt @ S_next, At @ S_next
             G = Q2 + BtS @ B
             # G is symmetric positive definite, so its 2-norm condition number
             # is the ratio of its extreme eigenvalues (eigvalsh is cheaper than
             # an SVD); an eigenvalue that is not positive means G is singular.
             # A 1 x 1 G is its one eigenvalue: cond is 1 if G is finite and
             # positive, else not finite.
-            if G.shape == (1, 1):
-                g = G[0, 0]
-                cond = g / g if g > 0.0 else np.inf
+            if m == 1:
+                g = G[:, 0, 0]
+                cond = np.where(g > 0.0, g / g, np.inf)
             else:
                 try:
                     eig = np.linalg.eigvalsh(G)
-                    cond = eig[-1] / eig[0] if eig[0] > 0.0 else np.inf
+                    cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
                 except np.linalg.LinAlgError:
-                    cond = np.inf
-            if not np.isfinite(cond) or cond > 1e14:
+                    cond = np.full(count, np.inf)
+            bad = ~(cond <= 1e14)
+            if bad.any():
                 raise NumericalError(
-                    f"Q2 + B'SB numerically singular at step {k} (cond={cond:.2e})"
+                    f"Q2 + B'SB numerically singular at step {k} "
+                    f"(cond={cond[bad.argmax()]:.2e})"
                 )
-            L[k] = np.linalg.solve(G, BtS @ A)
-            W[k] = L[k].T @ G @ L[k]
-            Sk = Q1 + AtS @ A - AtS @ B @ L[k]
+            L_k = L[:, k] = np.linalg.solve(G, BtS @ A)
+            W[:, k] = L_k.swapaxes(-1, -2) @ G @ L_k
+            Sk = Q1 + AtS @ A - AtS @ B @ L_k
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
-            S[k] = 0.5 * (Sk + Sk.T)
-    return RiccatiSolution(S=np.array(S), L=np.array(L), W=np.array(W))
+            S[:, k] = 0.5 * (Sk + Sk.swapaxes(-1, -2))
+    if stacked:
+        return RiccatiSolution(S=S, L=L, W=W)
+    return RiccatiSolution(S=S[0], L=L[0], W=W[0])
 
 
 def jdp_stack(S, W, xhat0, P0, Rw, P) -> np.ndarray:
@@ -224,7 +261,9 @@ def two_step_u0_optimal(
     stops at the first exact zero of the residual, which it returns, or at
     the first sign change, whose bracket and its two known residuals go to
     the guarded root finder; the points beyond are never evaluated.  Raises
-    BracketingError when no sign change exists in the window.  The default
+    BracketingError when no sign change exists in the window, and a
+    `scan_points` that is not an integer >= 2 a ConfigurationError whose
+    `field` names it.  The default
     window follows the problem's scale: it is centred on the CE input, which
     grows with |a|, with half-width max(10, |u0_ce|); a CE input that is not
     finite raises NumericalError.
@@ -233,6 +272,8 @@ def two_step_u0_optimal(
     no quadrature.  The keyword stays only because benchmark/workloads.py
     still passes one.
     """
+
+    scan_points = _integer(scan_points, "scan_points", "an integer >= 2", 2)
 
     def residual(u0: float) -> float:
         return two_step_stationarity_residual(

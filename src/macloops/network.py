@@ -22,7 +22,8 @@ Two forms of a round run the same rule.  `resolve_contention` runs one round
 among a set of contender ids and is the reference the tests check against.
 `contend` runs one round per row of a boolean (rows, contenders) request mask
 at once, with one array step per mini-slot; the engine calls it once per
-tick for every episode of a chunk with a request.  Either way a round
+tick for every episode of a chunk with a request, and once per chunk for
+all the ticks whose rounds are known before the first (`sim._Ahead`).  Either way a round
 yields its delivery and attempt counts per contender and its events, one
 (slot, contender, attempt, result) per contender and mini-slot.
 `resolve_contention` gives them as `SlotEvent` named tuples.  `contend`
@@ -200,10 +201,14 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
     attempt a transmits if p = persistence[a - 1] >= 1, or if 0 < p < 1 and
     its draw is below p; a lone transmitter wins, and each of several burns
     an attempt and is dropped past `max_attempts`.  Given `ids`, where
-    column c is contender ids[c], the round also gives its events as
+    column c is contender ids[c], or ids[r, c] in row r if `ids` is a
+    (rows, contenders) array, the round also gives its events as
     equal-length int arrays (row, slot, contender, attempt, result), where a
     result is its code in RESULTS.  They run row by row, and within a row in
-    the order `resolve_contention` emits them.
+    the order `resolve_contention` emits them.  Each row's round is its own:
+    the rows of a batch give what each would give alone, and a column that
+    does not request never transmits, so rows of different rounds may share
+    one call, padded to one width.
     """
     # the persistence of attempt a at index a; attempt max_attempts + 1 is
     # never pending, and its 0 pads the table
@@ -256,8 +261,9 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
     slot_no = np.arange(1, n_slots + 2)
     slot_no[-1] = crm.slots_per_sample
     row, s, result, col = np.nonzero(kinds)
-    return Round(delta, used, (row, slot_no[s], np.asarray(ids)[col], attempts[row, s, col],
-                               result))
+    ids = np.asarray(ids)
+    contender = ids[row, col] if ids.ndim == 2 else ids[col]
+    return Round(delta, used, (row, slot_no[s], contender, attempts[row, s, col], result))
 
 
 @dataclass(frozen=True)

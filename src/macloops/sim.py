@@ -38,8 +38,14 @@ all episodes in one array expression (`_requests`, the rule of
 `scheduling.decide`), and one array round (`network.contend`) resolves
 the contention of every episode with a request: its columns are the
 tick's contenders in id order, and each row meets that episode's own
-draws.  Only when the event dump asks for them, each round also derives
-its events from its per-slot masks, and the chunk's events become one
+draws.  Rounds ahead: at a fixed tick, where every sampling loop is under
+the `always` rule, every episode requests whatever the run computes, so
+the round follows from the draws alone; one `contend` call per chunk
+resolves the rounds of all its fixed ticks before the first tick, one row
+per (tick, episode) in tick-major order (`_Ahead`, `_rounds_ahead`), and
+each fixed tick reads its rows.  Only when the event dump asks for them,
+each round also derives its events from its per-slot masks (a fixed
+tick's are its rows' share of the one call's), and the chunk's events become one
 `EventTable` of int columns (the rounds' `Round.events`, then one stable
 sort by episode), which `monte_carlo` hands to its event hook once per
 chunk, as it hands the chunk traces to its trace hook.  That table is the
@@ -54,11 +60,13 @@ an arm is a (scenario variant, control law) pair.  `monte_carlo` and
 `run_episode` run one arm, `dual_effect_experiment` one per control law and
 `sweep_threshold` one per threshold, so the arms they compare meet the same
 noise, traffic and contention draws.  Each call derives everything it
-needs from its scenario once, in `_layout`: one Riccati solution for all
-loops with equal dynamics, weights and horizon, one pair of noise roots for
-all with equal R0 and Rw, and the stacks with their members' matrices,
-roots and solutions stacked.  `_run_arms` derives from it the plan of what
-every tick does (`_plan`), once per call; a draw alone needs no plan.
+needs from its scenario once, in `_layout`: one Riccati recursion per
+stack over its distinct (A, B, Q0, Q1, Q2) problems (`riccati_backward` on
+stacked matrices), one pair of noise roots for all loops with equal R0 and
+Rw, and the stacks with their members' matrices, roots and solutions
+stacked.  `_run_arms` derives from it the plan of what every tick does
+(`_plan`) and each arm's fixed ticks (`_ahead`), once per call; a draw
+alone needs neither.
 Every arm, chunk and tally reads that layout; nothing is kept between calls.
 """
 
@@ -74,7 +82,7 @@ from .control import CostReport, jdp_stack, riccati_backward
 from .errors import ConfigurationError, NumericalError
 from .estimation import last_delivery, observer_update
 from .model import NetworkScenario, RngStream, _integer, pcg64_states, psd_sqrt
-from .network import contend, traffic_activity
+from .network import Round, contend, traffic_activity
 # The per-round, per-tick and per-episode reference rules the engine's array
 # forms reproduce; benchmark/workloads.py wraps these names here.
 from .network import resolve_contention, traffic_step  # noqa: F401
@@ -213,14 +221,21 @@ class _Stack:
     ticks: list[np.ndarray]  # per member, its sampling ticks
 
 
-def _stack(loops, members: list[int], solutions, roots, loop_ticks,
-           offsets: np.ndarray) -> _Stack:
+def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) -> _Stack:
+    """The stack of the given loops, whose Riccati problems are solved in
+    one recursion over the distinct ones (`riccati_backward` on stacks)."""
     lcs = [loops[i] for i in members]
     size = int(offsets[members[0] + 1] - offsets[members[0]])
 
     def stacked(values):
         return np.stack(list(values))
 
+    # each member's index among the distinct problems, in order of first use
+    problems = [(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2) for lc in lcs]
+    keys = {}
+    which = [keys.setdefault(tuple(a.tobytes() for a in args), len(keys)) for args in problems]
+    firsts = [problems[which.index(p)] for p in range(len(keys))]
+    solution = riccati_backward(*map(stacked, zip(*firsts)), lcs[0].horizon)
     return _Stack(
         loops=members, horizon=lcs[0].horizon,
         block=offsets[members][:, None] + np.arange(size),
@@ -231,8 +246,7 @@ def _stack(loops, members: list[int], solutions, roots, loop_ticks,
         A=stacked(lc.plant.A for lc in lcs), B=stacked(lc.plant.B for lc in lcs),
         Q0=stacked(lc.Q0 for lc in lcs), Q1=stacked(lc.Q1 for lc in lcs)[:, None],
         Q2=stacked(lc.Q2 for lc in lcs)[:, None],
-        S=stacked(solutions[i].S for i in members), L=stacked(solutions[i].L for i in members),
-        W=stacked(solutions[i].W for i in members),
+        S=solution.S[which], L=solution.L[which], W=solution.W[which],
         net_penalty=np.array([lc.net_penalty for lc in lcs], dtype=float),
         ticks=[loop_ticks[i] for i in members],
     )
@@ -301,18 +315,14 @@ class _Layout:
 
 
 def _layout(scenario: NetworkScenario) -> _Layout:
-    """The scenario's layout.  One Riccati solution is derived for all loops
-    with equal horizon, dynamics and weights, and one pair of noise roots
-    for all loops with equal R0 and Rw."""
+    """The scenario's layout.  One Riccati recursion solves each stack's
+    distinct problems, one solution for all its loops with equal dynamics
+    and weights, and one pair of noise roots serves all loops with equal R0
+    and Rw."""
     loops, n_src = scenario.loops, len(scenario.sources)
-    solved, rooted, solutions, roots, members = {}, {}, [], [], {}
+    rooted, roots, members = {}, [], {}
     for i, lc in enumerate(loops):
         plant = lc.plant
-        args = (plant.A, plant.B, lc.Q0, lc.Q1, lc.Q2)
-        key = (lc.horizon, plant.n, plant.m, *(a.tobytes() for a in args))
-        if key not in solved:
-            solved[key] = riccati_backward(*args, lc.horizon)
-        solutions.append(solved[key])
         key = (plant.R0.tobytes(), plant.Rw.tobytes())
         if key not in rooted:
             rooted[key] = (psd_sqrt(plant.R0), psd_sqrt(plant.Rw))
@@ -321,7 +331,7 @@ def _layout(scenario: NetworkScenario) -> _Layout:
     loop_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon) for lc in loops]
     ticks = np.unique(np.concatenate(loop_ticks))
     offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
-    stacks = [_stack(loops, group, solutions, roots, loop_ticks, offsets)
+    stacks = [_stack(loops, group, roots, loop_ticks, offsets)
               for group in members.values()]
     rows = sum(lc.horizon for lc in loops) + n_src * ticks.size
     crm = scenario.crm
@@ -500,6 +510,77 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
 
 
 @dataclass(eq=False)
+class _Ahead:
+    """One arm's fixed ticks: those where every sampling loop requests under
+    the `always` rule.  At such a tick every episode contends with all the
+    tick's entries, and its round depends on the draws alone, so the rounds
+    of all fixed ticks run before the first tick (`_rounds_ahead`).  Each
+    fixed tick's entries are its plan's (`_Tick.rows`, `_Tick.ids`), padded
+    to the widest fixed tick by columns that never request."""
+
+    ticks: np.ndarray    # (T,) the fixed ticks' indices in the plan
+    rows: np.ndarray     # (T, W) their contention-table rows, padded with row 0
+    ids: np.ndarray      # (T, W) their contenders, padded with -1
+    asks: np.ndarray     # (T, W) where each entry's request lies in an episode's
+                         # (T, 2 + sources) lanes: 0 a loop, 1 a pad, 2 + j source j
+
+
+def _ahead(rules: Sequence[_Rule], plan: Sequence[_Tick], n_src: int) -> _Ahead:
+    """The fixed ticks of the plan under the given stack rules."""
+    always = [dict(rule.kinds).get("always") for rule in rules]
+    fixed = [t for t, tick in enumerate(plan)
+             if all(always[step.stack] is not None and always[step.stack][step.slots].all()
+                    for step in tick.steps)]
+    shape = (len(fixed), max((plan[t].ids.size for t in fixed), default=0))
+    rows, ids, lanes = np.zeros(shape, dtype=int), np.full(shape, -1), np.ones(shape, dtype=int)
+    for f, t in enumerate(fixed):
+        tick = plan[t]
+        rows[f, :tick.ids.size], ids[f, :tick.ids.size] = tick.rows, tick.ids
+        lanes[f, :tick.n_loops] = 0
+        lanes[f, tick.n_loops:tick.ids.size] = 2 + np.arange(n_src)
+    asks = (2 + n_src) * np.arange(len(fixed))[:, None] + lanes
+    return _Ahead(np.array(fixed, dtype=int), rows, ids, asks)
+
+
+def _rounds_ahead(crm, ahead: _Ahead, plan: Sequence[_Tick], draws: _ChunkDraws,
+                  with_events: bool) -> dict[int, Round]:
+    """The round of each fixed tick of the chunk, by its index in the plan,
+    from one `contend` call whose rows are the (tick, episode) pairs in
+    tick-major order.  A round treats each row on its own, and a column
+    that never requests never transmits, so each tick's rows, sliced to its
+    columns, are the round a call for that tick alone gives, events and all."""
+    n_ticks, width = ahead.rows.shape
+    if not n_ticks:
+        return {}
+    n_ep = len(draws.episodes)
+    e = np.arange(n_ep)[:, None]
+    # per episode and fixed tick: loops ask, pads do not, sources if active
+    asks = np.zeros((n_ep, n_ticks, 2 + draws.active.shape[-1]), dtype=bool)
+    asks[..., 0] = True
+    asks[..., 2:] = draws.active[:, ahead.ticks]
+    # one gather each, straight into (ticks, episodes, width[, slots])
+    requests = asks.ravel().take(asks[0].size * e + ahead.asks[:, None])
+    table = None
+    if draws.tables is not None:
+        n_rows, n_slots = draws.tables.shape[1:]
+        table = draws.tables.reshape(-1, n_slots).take(n_rows * e + ahead.rows[:, None], axis=0)
+        table = table.reshape(n_ticks * n_ep, width, n_slots)
+    rnd = contend(requests.reshape(n_ticks * n_ep, width), crm, table,
+                  np.repeat(ahead.ids, n_ep, axis=0) if with_events else None)
+    if with_events:
+        bounds = np.searchsorted(rnd.events[0], n_ep * np.arange(n_ticks + 1)).tolist()
+    rounds = {}
+    for f, t in enumerate(ahead.ticks.tolist()):
+        rows, cols = slice(f * n_ep, (f + 1) * n_ep), slice(plan[t].ids.size)
+        events = None
+        if with_events:
+            row, *columns = (col[bounds[f]:bounds[f + 1]] for col in rnd.events)
+            events = (row - f * n_ep, *columns)
+        rounds[t] = Round(rnd.delta[rows, cols], rnd.used[rows, cols], events)
+    return rounds
+
+
+@dataclass(eq=False)
 class _StackSteps:
     """A chunk's steps of one stack, as (E, L_s, ...) arrays that the engine
     fills in place.  xhats holds the observer's prior in step slot 0, so
@@ -556,13 +637,16 @@ def _run_chunk(
     control_law: ControlLaw,
     layout: _Layout,
     plan: Sequence[_Tick],
+    ahead: _Ahead,
     rounds_log: Optional[list] = None,
     tally: Optional[_Tally] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    `rules` holds the request rule of each stack, and `plan` what each
-    sampling tick of the layout does (`_plan`).  The observer's estimate
+    `rules` holds the request rule of each stack, `plan` what each
+    sampling tick of the layout does (`_plan`), and `ahead` its fixed ticks
+    under these rules (`_ahead`), whose rounds all run before the first
+    tick; every other tick runs its own round.  The observer's estimate
     is the delivered state or the prediction (`observer_update`); each
     step's delivery age follows from the deltas once the ticks are done.
     If `rounds_log` is a list it receives (tick, asking, events) for every
@@ -574,6 +658,8 @@ def _run_chunk(
     stacks = layout.stacks
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
+    fixed = _rounds_ahead(scenario.crm, ahead, plan, draws, rounds_log is not None)
+    everyone = np.arange(n_ep)
 
     for t, tick in enumerate(plan):
         # schedule: one decision per stack for its sampling loops, whole chunk
@@ -587,14 +673,19 @@ def _run_chunk(
             preds.append(pred)
 
         # contend: one round per episode with a loop's request, all at once;
-        # the columns are the tick's entries
-        asking = np.flatnonzero(wants.any(axis=1))
-        if asking.size:
-            table = None
-            if draws.tables is not None:
-                table = draws.tables[np.ix_(asking, tick.rows)]
-            rnd = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
-                          scenario.crm, table, None if rounds_log is None else tick.ids)
+        # the columns are the tick's entries.  A fixed tick's round is known.
+        rnd = fixed.get(t)
+        if rnd is not None:
+            asking = everyone
+        else:
+            asking = np.flatnonzero(wants.any(axis=1))
+            if asking.size:
+                table = None
+                if draws.tables is not None:
+                    table = draws.tables[np.ix_(asking, tick.rows)]
+                rnd = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
+                              scenario.crm, table, None if rounds_log is None else tick.ids)
+        if rnd is not None:
             for step in tick.steps:
                 run = runs[step.stack]
                 # with index-array slots and steps, the rows must broadcast as a column
@@ -675,14 +766,16 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
     """
     scenario, plan = arms[0][0], _plan(layout)
     rules = [_rules(scn, layout) for scn, _ in arms]
+    aheads = [_ahead(rule, plan, layout.sources) for rule in rules]
     tallies = tallies or [None] * len(arms)
     size = max(1, CHUNK_CELLS // layout.cells)
     for start in range(episodes.start, episodes.stop, size):
         chunk = range(start, min(start + size, episodes.stop))
         draws = _draw_chunk(scenario, layout, seed, chunk)
         logs = [[] if keep_rounds else None for _ in arms]
-        batches = [_run_chunk(scn, rule, draws, law, layout, plan, log, tally)
-                   for (scn, law), rule, log, tally in zip(arms, rules, logs, tallies)]
+        batches = [_run_chunk(scn, rule, draws, law, layout, plan, ahead, log, tally)
+                   for (scn, law), rule, ahead, log, tally
+                   in zip(arms, rules, aheads, logs, tallies)]
         # the traces do not refer to the draws: free them while the caller
         # reads the chunk, and hold no chunk while the next one runs
         del draws

@@ -183,9 +183,14 @@ def truncated_moments(tg: TruncatedGaussian) -> tuple[float, float]:
 
     Uses the standard hazard-ratio identities; erfc keeps the ratio stable
     deep into the lower tail.  Raises DegenerateTruncationError when the
-    kept probability falls below MIN_TRUNCATION_PROB.
+    kept probability falls below MIN_TRUNCATION_PROB.  A bound so far above
+    the mean that upper - mean overflows keeps all the mass, and gives the
+    untruncated moments.
     """
-    z_mean, z_var = _standard_truncated_moments((tg.upper - tg.mean) / tg.sigma)
+    alpha = (tg.upper - tg.mean) / tg.sigma
+    if alpha == math.inf:
+        return tg.mean, tg.var
+    z_mean, z_var = _standard_truncated_moments(alpha)
     return tg.mean + tg.sigma * z_mean, tg.var * z_var
 
 

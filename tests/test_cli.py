@@ -366,6 +366,36 @@ MIXED_STACKS_DIGESTS = {
 }
 
 
+# Two always-transmit loops of period 2, an innovation loop of period 3 and
+# a Bernoulli source on a channel with persistence (1, 0.75, 0.5).  At ticks
+# 0, 2, 6, 8, 12 and 14 only the always loops sample, so every episode's
+# round there is fixed before the first tick and one contention call
+# resolves them all; at the other ticks the round follows the innovation
+# loop's requests.  70 episodes in chunks of 64 cross a chunk boundary.  The
+# digests were taken before fixed rounds were resolved ahead.
+FIXED_ROUNDS_DOC = {
+    "name": "fixed-rounds",
+    "seed": 5,
+    "episodes": 70,
+    "crm": {"persistence": [1.0, 0.75, 0.5], "slots_per_sample": 6},
+    "sources": [{"kind": "bernoulli", "rate": 0.3}],
+    "loops": [
+        {"count": 2, "plant": {"A": 1.0, "B": 1.0, "Rw": 1.0, "R0": 1.0, "period": 2},
+         "scheduler": {"kind": "always"}, "horizon": 8, "weights": _SCALAR_WEIGHTS},
+        {"plant": {"A": 1.1, "B": 1.0, "Rw": 0.5, "R0": 1.0, "x0_mean": 0.2, "period": 3,
+                   "phase": 1},
+         "scheduler": {"kind": "innovation", "eps": 1.0}, "horizon": 6,
+         "weights": _SCALAR_WEIGHTS},
+    ],
+}
+
+FIXED_ROUNDS_DIGESTS = {
+    "summary": "1f4081d9f4b5e63a6c84c8684a0fabfe89799b0d1b05e5308964c730f04ca515",
+    "trace": "5fda200eb1e45767166ee98d9b3542525651f003c77d1f2e1d365adba589cf68",
+    "events": "e840e1cb214675c7d81c1cb763aeec4e59a4b4e2c360d690c6236fcde01560a0",
+}
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -482,6 +512,17 @@ class TestSimulateCommand:
         digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
                    for kind in ("summary", "trace", "events")}
         assert digests == MIXED_STACKS_DIGESTS
+
+    def test_fixed_rounds_bytes_are_pinned(self, tmp_path, monkeypatch):
+        chunks_of(monkeypatch, parse_scenario_doc(FIXED_ROUNDS_DOC).scenario)
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps(FIXED_ROUNDS_DOC))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run"),
+                     "--dump-trace", "--dump-events"])
+        assert code == EXIT_OK
+        digests = {kind: hashlib.sha256((tmp_path / f"run_{kind}.csv").read_bytes()).hexdigest()
+                   for kind in ("summary", "trace", "events")}
+        assert digests == FIXED_ROUNDS_DIGESTS
 
     def test_events_dump(self, tmp_path):
         out = tmp_path / "ev"

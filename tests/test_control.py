@@ -100,6 +100,71 @@ class TestRiccati:
         assert np.isfinite(sol.S[0]).all()
 
 
+def random_lq_problem(rng, n, m):
+    """A random (A, B, Q0, Q1, Q2) with PSD Q0 and Q1 and PD Q2."""
+    X, Y, Z = rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    return (rng.standard_normal((n, n)), rng.standard_normal((n, m)), X @ X.T,
+            Y @ Y.T + 0.1 * np.eye(n), Z @ Z.T + 0.5 * np.eye(m))
+
+
+class TestStackedRiccati:
+    """`riccati_backward` on a stack of problems: one recursion over the
+    leading problem axis, whose every problem has the bits of its solve alone."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2), (4, 4), (8, 3)])
+    @pytest.mark.parametrize("horizon", [1, 20])
+    def test_each_problem_solves_as_it_would_alone(self, n, m, horizon):
+        rng = np.random.default_rng((n, m, horizon))
+        problems = [random_lq_problem(rng, n, m) for _ in range(5)]
+        stacked = riccati_backward(*map(np.array, zip(*problems)), horizon)
+        assert stacked.S.shape == (5, horizon + 1, n, n)
+        assert stacked.L.shape == (5, horizon, m, n)
+        assert stacked.W.shape == (5, horizon, n, n)
+        for p, problem in enumerate(problems):
+            alone = riccati_backward(*problem, horizon)
+            for name in ("S", "L", "W"):
+                assert getattr(stacked, name)[p].tobytes() == getattr(alone, name).tobytes()
+
+    def test_a_stack_of_one_is_the_problem_with_an_axis(self):
+        problem = random_lq_problem(np.random.default_rng(3), 2, 2)
+        stacked = riccati_backward(*(np.asarray(mat)[None] for mat in problem), 6)
+        alone = riccati_backward(*problem, 6)
+        for name in ("S", "L", "W"):
+            assert np.array_equal(getattr(stacked, name), getattr(alone, name)[None])
+
+    @pytest.mark.parametrize("field", ["A", "B", "Q0", "Q1", "Q2"])
+    def test_a_bad_problem_names_its_field(self, field):
+        # the second of three problems is bad in one matrix: not finite
+        problems = [dict(zip(("A", "B", "Q0", "Q1", "Q2"),
+                             random_lq_problem(np.random.default_rng(p), 2, 1)))
+                    for p in range(3)]
+        problems[1][field] = np.full(problems[1][field].shape, np.nan)
+        with pytest.raises(ConfigurationError) as info:
+            riccati_backward(*(np.array([pr[name] for pr in problems])
+                               for name in ("A", "B", "Q0", "Q1", "Q2")), 4)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("field", ["B", "Q0", "Q1", "Q2"])
+    def test_every_matrix_must_be_a_stack_as_long_as_a(self, field):
+        stack = dict(zip(("A", "B", "Q0", "Q1", "Q2"),
+                         map(np.array, zip(*(random_lq_problem(np.random.default_rng(p), 2, 1)
+                                             for p in range(3))))))
+        for short in (stack[field][0], stack[field][:2]):
+            with pytest.raises(ConfigurationError) as info:
+                riccati_backward(*{**stack, field: short}.values(), 4)
+            assert info.value.field == field
+
+    def test_a_singular_problem_fails_the_stack(self):
+        # the second problem's G has the eigenvalues 2 and 1e-16 at the last
+        # step, as in test_ill_conditioned_gain_inverse_is_singular
+        one = np.ones((2, 1, 1))
+        B = np.array([[[1.0, 0.0]]] * 2)
+        Q2 = np.array([np.eye(2), np.diag([1.0, 1e-16])])
+        with pytest.raises(NumericalError,
+                           match=r"numerically singular at step 4 \(cond=2\.00e\+16\)"):
+            riccati_backward(one, B, one, one, Q2, 5)
+
+
 class TestCeControl:
     def test_examples(self):
         assert ce_law(np.array([[0.5]]), np.array([2.0])) == pytest.approx([-1.0])
@@ -256,6 +321,18 @@ class TestTwoStepController:
         # the root lies near the CE input -60, outside the window
         with pytest.raises(BracketingError):
             two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 100.0, scan=(-10.0, 10.0))
+
+    @pytest.mark.parametrize("points", [0, 1, 1.5, -3, True],
+                             ids=["zero", "one", "fraction", "negative", "bool"])
+    def test_scan_points_must_be_an_integer_of_two_or_more(self, points):
+        with pytest.raises(ConfigurationError) as info:
+            two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, scan_points=points)
+        assert info.value.field == "scan_points"
+        assert str(info.value) == f"scan_points must be an integer >= 2, got {points!r}"
+
+    def test_two_scan_points_bracket_the_window(self):
+        u0 = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, scan_points=2)
+        assert u0 == pytest.approx(U0_OPT_DELIVERED_X0_ZERO, abs=1e-7)
 
     def test_overflowing_s1_is_a_numerical_error(self):
         # a^2 q0 overflows, so s1 is inf - inf, which would make every residual NaN

@@ -44,10 +44,12 @@ def loop_draws(layout, draws, i):
 
 
 def unsolved(A, B, Q0, Q1, Q2, horizon):
-    """A Riccati solution of zeros in the shapes `riccati_backward` gives."""
-    n, m = np.shape(B)
-    return RiccatiSolution(S=np.zeros((horizon + 1, n, n)), L=np.zeros((horizon, m, n)),
-                           W=np.zeros((horizon, n, n)))
+    """A Riccati solution of zeros in the shapes `riccati_backward` gives,
+    for one problem or a stack of them."""
+    *count, n, m = np.shape(B)
+    return RiccatiSolution(S=np.zeros((*count, horizon + 1, n, n)),
+                           L=np.zeros((*count, horizon, m, n)),
+                           W=np.zeros((*count, horizon, n, n)))
 
 
 def loop_noise(scn, seed, episode):

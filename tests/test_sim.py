@@ -809,19 +809,20 @@ class TestRiccatiMemo:
         # twenty equal loops: one solve and one pair of roots for all 16 thresholds
         sweep_threshold(example3, np.linspace(0.5, 8.0, 16), 3, 2)
         assert derived() == (1, 2, 1)
-        # three plant types, two laws
+        # three scalar plant types of one horizon, one stack: one recursion
+        # solves the three problems, for two laws
         dual_effect_experiment(example1, ce_law, zero_law, 3, 2)
-        assert derived() == (3, 6, 1)
+        assert derived() == (1, 6, 1)
         # nothing is kept between calls
         monte_carlo(example1, 3, 2)
         monte_carlo(example1, 3, 2)
-        assert derived() == (2 * 3, 2 * 6, 2)
+        assert derived() == (2 * 1, 2 * 6, 2)
 
-    # the ids predate the roots count
-    @pytest.mark.parametrize("name,solves,roots", [("example1", 3, 6), ("example3", 1, 2)],
+    # the ids predate the roots count and the one recursion per stack
+    @pytest.mark.parametrize("name,solves,roots", [("example1", 1, 6), ("example3", 1, 2)],
                              ids=["example1-3", "example3-1"])
     def test_equal_loops_share_one_solve(self, monkeypatch, name, solves, roots):
-        # example1 has three plant types, example3 twenty equal loops
+        # example1 has three plant types in one stack, example3 twenty equal loops
         solve_calls = counting(monkeypatch, "riccati_backward")
         root_calls = counting(monkeypatch, "psd_sqrt")
         scn = parse_scenario_doc(name).scenario
@@ -837,6 +838,69 @@ class TestRiccatiMemo:
                 assert np.array_equal(st.L[slot], alone.L)
                 assert np.array_equal(st.sqrt_r0[slot], psd_sqrt(lc.plant.R0))
                 assert np.array_equal(st.sqrt_rw[slot, 0], psd_sqrt(lc.plant.Rw))
+
+
+def always_and_state_network():
+    """Two always-transmit loops of period 2, a state-threshold loop of period
+    3 at phase 1 and a Bernoulli source, on a channel with a random
+    persistence: only the always loops sample at ticks 0, 2, 6, 8, 12 and 14."""
+    always = loop_of(SchedulerPolicy.always_transmit(), horizon=8, period=2)
+    return NetworkScenario(
+        loops=(always, always, loop_of(SchedulerPolicy.state_threshold(1.0), a=1.1,
+                                       horizon=6, period=3, phase=1)),
+        crm=CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=6),
+        sources=(TrafficSource.bernoulli(0.3),),
+    )
+
+
+def fixed_ticks(scenario):
+    """The layout's plan and the fixed ticks of the scenario's rules on it."""
+    layout = sim._layout(scenario)
+    plan = sim._plan(layout)
+    return plan, sim._ahead(sim._rules(scenario, layout), plan, layout.sources)
+
+
+class TestRoundsAhead:
+    """Ticks where every sampling loop is under the always rule have rounds
+    known before the first tick, and one contention call resolves them all."""
+
+    def test_fixed_ticks_are_those_of_always_loops_alone(self):
+        plan, ahead = fixed_ticks(always_and_state_network())
+        assert [plan[t].tick for t in ahead.ticks] == [0, 2, 6, 8, 12, 14]
+        # each fixed tick's entries, then padding that never asks
+        assert ahead.rows.shape == ahead.ids.shape == ahead.asks.shape == (6, 3)
+        for f, t in enumerate(ahead.ticks.tolist()):
+            assert ahead.rows[f].tolist() == plan[t].rows.tolist()
+            assert ahead.ids[f].tolist() == plan[t].ids.tolist()
+            # the two loops ask, then the source
+            assert ahead.asks[f].tolist() == [3 * f, 3 * f, 3 * f + 2]
+
+    # example1-baseline: every loop always transmits; example1 and example3
+    # use state and innovation rules
+    @pytest.mark.parametrize("name,fixed,ticks", [("example1-baseline", 22, 22),
+                                                  ("example1", 0, 22), ("example3", 0, 20)])
+    def test_presets_fixed_ticks(self, name, fixed, ticks):
+        plan, ahead = fixed_ticks(parse_scenario_doc(name).scenario)
+        assert (ahead.ticks.size, len(plan)) == (fixed, ticks)
+
+    def test_one_call_resolves_a_chunk_of_always_loops(self, monkeypatch):
+        # example1-baseline: 20 always loops at 22 ticks, all 20 at tick 0
+        calls = counting(monkeypatch, "contend")
+        monte_carlo(parse_scenario_doc("example1-baseline").scenario, 3, 10)
+        assert [args[0].shape for args in calls] == [(22 * 10, 20)]
+
+    def test_other_ticks_contend_on_their_own(self, monkeypatch):
+        scn = always_and_state_network()
+        chunks_of(monkeypatch, scn)
+        calls = counting(monkeypatch, "contend")
+        monte_carlo(scn, 3, CHUNK + 3)
+        # per chunk, first one call for its episodes at the 6 fixed ticks, 3
+        # entries wide; then one per state-loop tick where some episode
+        # asks, 2 or 4 entries wide
+        shapes = [args[0].shape for args in calls]
+        firsts = [i for i, (_, width) in enumerate(shapes) if width == 3]
+        assert [shapes[i] for i in firsts] == [(6 * CHUNK, 3), (6 * 3, 3)]
+        assert firsts[0] == 0 and 0 < firsts[1] - 1 <= 6 and 0 < len(shapes) - firsts[1] - 1 <= 6
 
 
 class TestLayout:

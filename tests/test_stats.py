@@ -121,6 +121,13 @@ class TestTruncatedMoments:
         assert abs(mean) < 1e-9
         assert abs(var - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("tg", [TruncatedGaussian(-1e308, 1.0, 1e308),
+                                    TruncatedGaussian(0.0, 1e-300, 1e300)],
+                             ids=["overflowing-gap", "overflowing-ratio"])
+    def test_infinite_standard_bound_keeps_the_untruncated_moments(self, tg):
+        # (upper - mean) / sigma overflows to +inf: all the mass is kept
+        assert truncated_moments(tg) == (tg.mean, tg.var)
+
     def test_mean_below_bound_and_variance_shrinks(self):
         for b in (-2.0, -0.5, 0.0, 0.7, 2.5):
             tg = TruncatedGaussian(0.3, 1.7, b)
