@@ -49,7 +49,7 @@ from .control import (
 )
 from .errors import ConfigurationError, NumericalError
 from .estimation import two_step_posterior
-from .model import LoopConfig, NetworkScenario, PlantModel, _integer
+from .model import LoopConfig, NetworkScenario, PlantModel, _integer, as_matrix
 from .network import RESULTS, CrmConfig, TrafficSource
 from .scheduling import THRESHOLD_KINDS, SchedulerPolicy
 from .sim import (EventTable, MonteCarloResult, _check_run, ce_law, monte_carlo,
@@ -635,13 +635,11 @@ def _flagged(flags: dict, fn, *args):
 
 
 def cmd_riccati(args) -> int:
-    sol = _flagged(
-        {name: f"--{name.lower()}" for name in ("A", "B", "Q0", "Q1", "Q2", "horizon")},
-        riccati_backward,
-        _json_value(args.a, "--a"), _json_value(args.b, "--b"),
-        _json_value(args.q0, "--q0"), _json_value(args.q1, "--q1"),
-        _json_value(args.q2, "--q2"), args.horizon,
-    )
+    flags = {name: f"--{name.lower()}" for name in ("A", "B", "Q0", "Q1", "Q2", "horizon")}
+    values = [_json_value(getattr(args, name.lower()), flags[name]) for name in list(flags)[:5]]
+    # the command solves one problem: each value is a scalar or a matrix
+    matrices = [_flagged(flags, as_matrix, value, name) for name, value in zip(flags, values)]
+    sol = _flagged(flags, riccati_backward, *matrices, args.horizon)
     out = Path(args.out) if args.out else Path(
         os.environ.get(OUT_DIR_ENV, ".")) / f"riccati-n{args.horizon}"
     path = out.with_name(out.name + ".csv")

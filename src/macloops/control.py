@@ -44,23 +44,6 @@ class RiccatiSolution:
     W: np.ndarray
 
 
-def _lq_stack(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
-    """The five (P, ., .) stacks of P problems as float arrays; B, Q0, Q1
-    and Q2 must be stacks of as many matrices as A, and each problem must
-    pass `model.lq_matrices`, or a ConfigurationError names the field."""
-    for name, mat in (("B", B), ("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
-        try:
-            shape = np.shape(mat)
-        except ValueError:
-            shape = None
-        if shape is None or len(shape) != 3 or shape[0] != len(A):
-            raise ConfigurationError(f"{name} must be a stack of {len(A)} matrices as A is, "
-                                     f"got shape {shape}", field=name)
-    for problem in zip(A, B, Q0, Q1, Q2):
-        lq_matrices(*problem)
-    return tuple(np.asarray(mat, dtype=float) for mat in (A, B, Q0, Q1, Q2))
-
-
 def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     """Backward Riccati recursion from S_N = Q0.
 
@@ -71,19 +54,14 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     singular one, or an S_k that overflows, raises NumericalError.
 
     The five matrices may also be stacks of P problems of equal n and m, as
-    (P, n, n), (P, n, m) and (P, m, m) arrays; all P run in one recursion
-    over the leading problem axis, and the solution's arrays carry it.  Each
-    problem's S, L and W have the bits of its solve alone.
+    (P, n, n), (P, n, m) and (P, m, m) arrays, which `lq_matrices` checks in
+    the same one call; all P run in one recursion over the leading problem
+    axis, and the solution's arrays carry it.  Each problem's S, L and W
+    have the bits of its solve alone.
     """
-    try:
-        stacked = np.ndim(A) == 3
-    except ValueError:
-        # a ragged A, which lq_matrices rejects and names
-        stacked = False
-    if stacked:
-        A, B, Q0, Q1, Q2 = _lq_stack(A, B, Q0, Q1, Q2)
-    else:
-        A, B, Q0, Q1, Q2 = (mat[None] for mat in lq_matrices(A, B, Q0, Q1, Q2))
+    A, B, Q0, Q1, Q2 = lq_matrices(A, B, Q0, Q1, Q2)
+    lead = A.shape[:-2]   # (P,) for a stack, () for one problem
+    A, B, Q0, Q1, Q2 = (mat.reshape((-1,) + mat.shape[-2:]) for mat in (A, B, Q0, Q1, Q2))
     horizon = _integer(horizon, "horizon", "a positive integer", 1)
     count, n, m = B.shape
     S = np.empty((count, horizon + 1, n, n))
@@ -124,9 +102,7 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
             S[:, k] = 0.5 * (Sk + Sk.swapaxes(-1, -2))
-    if stacked:
-        return RiccatiSolution(S=S, L=L, W=W)
-    return RiccatiSolution(S=S[0], L=L[0], W=W[0])
+    return RiccatiSolution(*(arr.reshape(lead + arr.shape[1:]) for arr in (S, L, W)))
 
 
 def jdp_stack(S, W, xhat0, P0, Rw, P) -> np.ndarray:

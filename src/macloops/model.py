@@ -38,7 +38,7 @@ def _array(value, name: str, ndim: int) -> np.ndarray:
         raise ConfigurationError(f"{name} must be numeric, got {value!r}", field=name) from None
     arr = np.atleast_2d(arr) if ndim == 2 else np.atleast_1d(arr)
     if arr.ndim != ndim:
-        what = "matrix" if ndim == 2 else "vector"
+        what = ("vector", "matrix", "stack of matrices")[ndim - 1]
         raise ConfigurationError(f"{name} must be a {what}, got shape {arr.shape}", field=name)
     if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} must be finite, got {arr.tolist()}", field=name)
@@ -64,18 +64,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> None:
     """Reject a matrix that is not symmetric positive semi-definite, or not
-    positive definite if `definite` is set, with `name` as the field."""
-    if mat.shape[0] != mat.shape[1]:
+    positive definite if `definite` is set, with `name` as the field.
+
+    `mat` may also be a (P, k, k) stack, checked in one pass: each matrix
+    is judged at the scale of its own eigenvalues, and an error shows the
+    eigenvalues of the first that fails.
+    """
+    if mat.shape[-1] != mat.shape[-2]:
         raise ConfigurationError(f"{name} must be square, got shape {mat.shape}", field=name)
-    if not np.allclose(mat, mat.T, atol=1e-10):
+    mat_t = mat.swapaxes(-1, -2)
+    # np.allclose(mat, mat_t, atol=1e-10) on finite values, without its overhead
+    if not (abs(mat - mat_t) <= 1e-10 + 1e-5 * abs(mat_t)).all():
         raise ConfigurationError(f"{name} must be symmetric", field=name)
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if eigs.min(initial=0.0) < -PSD_CLIP * max(1.0, abs(eigs).max(initial=0.0)):
-        raise ConfigurationError(f"{name} must be positive semi-definite, eigenvalues {eigs}",
-                                 field=name)
-    if definite and eigs.min() <= 0.0:
-        raise ConfigurationError(f"{name} must be positive definite, eigenvalues {eigs}",
-                                 field=name)
+    eigs = np.atleast_2d(np.linalg.eigvalsh(0.5 * (mat + mat_t)))
+    scale = np.maximum(1.0, abs(eigs).max(axis=-1, initial=0.0))
+    for bad, what in ((eigs.min(axis=-1, initial=0.0) < -PSD_CLIP * scale, "semi-definite"),
+                      (definite & (eigs.min(axis=-1, initial=np.inf) <= 0.0), "definite")):
+        if bad.any():
+            raise ConfigurationError(f"{name} must be positive {what}, "
+                                     f"eigenvalues {eigs[bad.argmax()]}", field=name)
 
 
 def _integer(value, name: str, what: str, low: float, high: float = math.inf) -> int:
@@ -88,21 +95,31 @@ def _integer(value, name: str, what: str, low: float, high: float = math.inf) ->
 
 
 def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
-    """The dynamics A, B and the LQ weights Q0, Q1, Q2 as float matrices.
+    """The dynamics A, B and the LQ weights Q0, Q1, Q2 as float arrays.
 
     A must be n x n, B n x m, Q0 and Q1 n x n and Q2 m x m, all finite,
     Q0 and Q1 positive semi-definite and Q2 positive definite; a bad one
-    raises a ConfigurationError whose `field` names it.
+    raises a ConfigurationError whose `field` names it.  If A is 3-D, the
+    five are a stack of P problems of equal n and m, as (P, n, n),
+    (P, n, m) and (P, m, m) arrays.  Either form is checked in one pass,
+    each problem at its own PSD scale (`check_symmetric_psd`), and
+    returned in its form.
     """
-    A, B, Q0, Q1, Q2 = (as_matrix(value, name) for name, value in
+    try:
+        ndim = 3 if np.ndim(A) == 3 else 2
+    except ValueError:
+        # a ragged A, which _array rejects and names
+        ndim = 2
+    A, B, Q0, Q1, Q2 = (_array(value, name, ndim) for name, value in
                         (("A", A), ("B", B), ("Q0", Q0), ("Q1", Q1), ("Q2", Q2)))
-    n, m = A.shape[0], B.shape[1]
-    if A.shape != (n, n):
+    n, m = A.shape[-1], B.shape[-1]
+    if A.shape[-2] != n:
         raise ConfigurationError(f"A must be square, got shape {A.shape}", field="A")
     for name, mat, shape in (("B", B, (n, m)), ("Q0", Q0, (n, n)), ("Q1", Q1, (n, n)),
                              ("Q2", Q2, (m, m))):
-        if mat.shape != shape:
-            raise ConfigurationError(f"{name} must be {shape[0]} x {shape[1]} "
+        want = A.shape[:-2] + shape
+        if mat.shape != want:
+            raise ConfigurationError(f"{name} must be {' x '.join(map(str, want))} "
                                      f"(n = {n}, m = {m}), got shape {mat.shape}", field=name)
     for name, mat in (("Q0", Q0), ("Q1", Q1), ("Q2", Q2)):
         check_symmetric_psd(mat, name, definite=name == "Q2")

@@ -21,15 +21,16 @@ outcome is certain, with persistence 0 or 1, are not needed.
 Two forms of a round run the same rule.  `resolve_contention` runs one round
 among a set of contender ids and is the reference the tests check against.
 `contend` runs one round per row of a boolean (rows, contenders) request mask
-at once, with one array step per mini-slot; the engine calls it once per
-tick for every episode of a chunk with a request, and once per chunk for
-all the ticks whose rounds are known before the first (`sim._Ahead`).  Either way a round
-yields its delivery and attempt counts per contender and its events, one
-(slot, contender, attempt, result) per contender and mini-slot.
-`resolve_contention` gives them as `SlotEvent` named tuples.  `contend`
-returns a `Round`, whose events, when it is given the contenders' ids, are
-int columns derived from its per-slot masks: the engine's one form of its
-events, which its event table and the event dump read.
+at once, with one array step per mini-slot; the engine calls it through
+`sim._rounds`, once per tick for every episode of a chunk with a request,
+and once per chunk for all the ticks whose rounds are known before the
+first (`sim._Ahead`).  Either way a round yields its delivery and attempt
+counts per contender and its events, one (slot, contender, attempt,
+result) per contender and mini-slot.  `resolve_contention` gives them as
+`SlotEvent` named tuples.  `contend` returns a `Round`, whose events, when
+it is given the contenders' ids, are int columns derived from its
+per-slot masks: the engine's one form of its events, which its event
+table and the event dump read.
 
 A traffic source makes one uniform draw per tick whatever its kind:
 `traffic_step` advances it by one tick, and `traffic_activity` turns a whole
@@ -200,9 +201,9 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
     `resolve_contention` on its requesting columns: a pending contender on
     attempt a transmits if p = persistence[a - 1] >= 1, or if 0 < p < 1 and
     its draw is below p; a lone transmitter wins, and each of several burns
-    an attempt and is dropped past `max_attempts`.  Given `ids`, where
-    column c is contender ids[c], or ids[r, c] in row r if `ids` is a
-    (rows, contenders) array, the round also gives its events as
+    an attempt and is dropped past `max_attempts`.  Given `ids`, of any
+    shape that broadcasts to the request mask, where column c of row r is
+    contender ids[r, c] of the broadcast, the round also gives its events as
     equal-length int arrays (row, slot, contender, attempt, result), where a
     result is its code in RESULTS.  They run row by row, and within a row in
     the order `resolve_contention` emits them.  Each row's round is its own:
@@ -261,8 +262,7 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
     slot_no = np.arange(1, n_slots + 2)
     slot_no[-1] = crm.slots_per_sample
     row, s, result, col = np.nonzero(kinds)
-    ids = np.asarray(ids)
-    contender = ids[row, col] if ids.ndim == 2 else ids[col]
+    contender = np.broadcast_to(ids, requests.shape)[row, col]
     return Round(delta, used, (row, slot_no[s], contender, attempts[row, s, col], result))
 
 

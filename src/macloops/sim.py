@@ -38,20 +38,22 @@ all episodes in one array expression (`_requests`, the rule of
 `scheduling.decide`), and one array round (`network.contend`) resolves
 the contention of every episode with a request: its columns are the
 tick's contenders in id order, and each row meets that episode's own
-draws.  Rounds ahead: at a fixed tick, where every sampling loop is under
-the `always` rule, every episode requests whatever the run computes, so
-the round follows from the draws alone; one `contend` call per chunk
-resolves the rounds of all its fixed ticks before the first tick, one row
-per (tick, episode) in tick-major order (`_Ahead`, `_rounds_ahead`), and
-each fixed tick reads its rows.  Only when the event dump asks for them,
-each round also derives its events from its per-slot masks (a fixed
-tick's are its rows' share of the one call's), and the chunk's events become one
-`EventTable` of int columns (the rounds' `Round.events`, then one stable
-sort by episode), which `monte_carlo` hands to its event hook once per
-chunk, as it hands the chunk traces to its trace hook.  That table is the
-engine's one form of its events; `run_episode` returns traces only.  Each
-source's activity comes from its row of the episode's traffic table
-(`network.traffic_activity`).
+draws.  Every contention call goes through `_rounds`, which takes the
+rounds of some chunk rows at T ticks, gathers their draws in one flat
+`take` and calls `contend` once.  At a fixed tick, where every sampling
+loop is under the `always` rule, every episode requests whatever the run
+computes, so the round follows from the draws alone: each chunk calls
+`_rounds` once for all its fixed ticks (`_Ahead`) before the first tick,
+one row per (tick, episode) in tick-major order, and each fixed tick
+reads its rows.  Every other tick with a request calls it with T = 1.
+Only when the event dump asks for them, each call also derives its
+events from its per-slot masks and logs them with each row's tick and
+chunk row, and the chunk's events become one `EventTable` of int columns
+(the calls' `Round.events`, then one stable sort by (episode, tick)),
+which `monte_carlo` hands to its event hook once per chunk, as it hands
+the chunk traces to its trace hook.  That table is the engine's one form
+of its events; `run_episode` returns traces only.  Each source's activity
+comes from its row of the episode's traffic table (`network.traffic_activity`).
 `decide`, `resolve_contention` and `traffic_step` stay as the per-episode,
 per-round and per-tick references the array forms are tested against.
 
@@ -61,7 +63,7 @@ an arm is a (scenario variant, control law) pair.  `monte_carlo` and
 `sweep_threshold` one per threshold, so the arms they compare meet the same
 noise, traffic and contention draws.  Each call derives everything it
 needs from its scenario once, in `_layout`: one Riccati recursion per
-stack over its distinct (A, B, Q0, Q1, Q2) problems (`riccati_backward` on
+stack over its members' (A, B, Q0, Q1, Q2) problems (`riccati_backward` on
 stacked matrices), one pair of noise roots for all loops with equal R0 and
 Rw, and the stacks with their members' matrices, roots and solutions
 stacked.  `_run_arms` derives from it the plan of what every tick does
@@ -223,19 +225,16 @@ class _Stack:
 
 def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) -> _Stack:
     """The stack of the given loops, whose Riccati problems are solved in
-    one recursion over the distinct ones (`riccati_backward` on stacks)."""
+    one recursion (`riccati_backward` on stacks)."""
     lcs = [loops[i] for i in members]
     size = int(offsets[members[0] + 1] - offsets[members[0]])
 
     def stacked(values):
         return np.stack(list(values))
 
-    # each member's index among the distinct problems, in order of first use
-    problems = [(lc.plant.A, lc.plant.B, lc.Q0, lc.Q1, lc.Q2) for lc in lcs]
-    keys = {}
-    which = [keys.setdefault(tuple(a.tobytes() for a in args), len(keys)) for args in problems]
-    firsts = [problems[which.index(p)] for p in range(len(keys))]
-    solution = riccati_backward(*map(stacked, zip(*firsts)), lcs[0].horizon)
+    A, B = stacked(lc.plant.A for lc in lcs), stacked(lc.plant.B for lc in lcs)
+    Q0, Q1, Q2 = (stacked(getattr(lc, name) for lc in lcs) for name in ("Q0", "Q1", "Q2"))
+    solution = riccati_backward(A, B, Q0, Q1, Q2, lcs[0].horizon)
     return _Stack(
         loops=members, horizon=lcs[0].horizon,
         block=offsets[members][:, None] + np.arange(size),
@@ -243,10 +242,8 @@ def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) ->
         R0=stacked(lc.plant.R0 for lc in lcs), Rw=stacked(lc.plant.Rw for lc in lcs),
         sqrt_r0=stacked(roots[i][0] for i in members),
         sqrt_rw=stacked(roots[i][1] for i in members)[:, None],
-        A=stacked(lc.plant.A for lc in lcs), B=stacked(lc.plant.B for lc in lcs),
-        Q0=stacked(lc.Q0 for lc in lcs), Q1=stacked(lc.Q1 for lc in lcs)[:, None],
-        Q2=stacked(lc.Q2 for lc in lcs)[:, None],
-        S=solution.S[which], L=solution.L[which], W=solution.W[which],
+        A=A, B=B, Q0=Q0, Q1=Q1[:, None], Q2=Q2[:, None],
+        S=solution.S, L=solution.L, W=solution.W,
         net_penalty=np.array([lc.net_penalty for lc in lcs], dtype=float),
         ticks=[loop_ticks[i] for i in members],
     )
@@ -316,8 +313,7 @@ class _Layout:
 
 def _layout(scenario: NetworkScenario) -> _Layout:
     """The scenario's layout.  One Riccati recursion solves each stack's
-    distinct problems, one solution for all its loops with equal dynamics
-    and weights, and one pair of noise roots serves all loops with equal R0
+    problems, and one pair of noise roots serves all loops with equal R0
     and Rw."""
     loops, n_src = scenario.loops, len(scenario.sources)
     rooted, roots, members = {}, [], {}
@@ -509,75 +505,51 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
     return want
 
 
-@dataclass(eq=False)
-class _Ahead:
+class _Ahead(NamedTuple):
     """One arm's fixed ticks: those where every sampling loop requests under
     the `always` rule.  At such a tick every episode contends with all the
     tick's entries, and its round depends on the draws alone, so the rounds
-    of all fixed ticks run before the first tick (`_rounds_ahead`).  Each
-    fixed tick's entries are its plan's (`_Tick.rows`, `_Tick.ids`), padded
-    to the widest fixed tick by columns that never request."""
+    of all fixed ticks run before the first tick, in one `_rounds` call.
+    Each fixed tick's entries are its plan's (`_Tick.rows`, `_Tick.ids`),
+    padded to the widest fixed tick by columns that never request."""
 
     ticks: np.ndarray    # (T,) the fixed ticks' indices in the plan
     rows: np.ndarray     # (T, W) their contention-table rows, padded with row 0
     ids: np.ndarray      # (T, W) their contenders, padded with -1
-    asks: np.ndarray     # (T, W) where each entry's request lies in an episode's
-                         # (T, 2 + sources) lanes: 0 a loop, 1 a pad, 2 + j source j
 
 
-def _ahead(rules: Sequence[_Rule], plan: Sequence[_Tick], n_src: int) -> _Ahead:
+def _ahead(rules: Sequence[_Rule], plan: Sequence[_Tick]) -> _Ahead:
     """The fixed ticks of the plan under the given stack rules."""
     always = [dict(rule.kinds).get("always") for rule in rules]
     fixed = [t for t, tick in enumerate(plan)
              if all(always[step.stack] is not None and always[step.stack][step.slots].all()
                     for step in tick.steps)]
     shape = (len(fixed), max((plan[t].ids.size for t in fixed), default=0))
-    rows, ids, lanes = np.zeros(shape, dtype=int), np.full(shape, -1), np.ones(shape, dtype=int)
+    rows, ids = np.zeros(shape, dtype=int), np.full(shape, -1)
     for f, t in enumerate(fixed):
-        tick = plan[t]
-        rows[f, :tick.ids.size], ids[f, :tick.ids.size] = tick.rows, tick.ids
-        lanes[f, :tick.n_loops] = 0
-        lanes[f, tick.n_loops:tick.ids.size] = 2 + np.arange(n_src)
-    asks = (2 + n_src) * np.arange(len(fixed))[:, None] + lanes
-    return _Ahead(np.array(fixed, dtype=int), rows, ids, asks)
+        rows[f, :plan[t].ids.size], ids[f, :plan[t].ids.size] = plan[t].rows, plan[t].ids
+    return _Ahead(np.array(fixed, dtype=int), rows, ids)
 
 
-def _rounds_ahead(crm, ahead: _Ahead, plan: Sequence[_Tick], draws: _ChunkDraws,
-                  with_events: bool) -> dict[int, Round]:
-    """The round of each fixed tick of the chunk, by its index in the plan,
-    from one `contend` call whose rows are the (tick, episode) pairs in
-    tick-major order.  A round treats each row on its own, and a column
-    that never requests never transmits, so each tick's rows, sliced to its
-    columns, are the round a call for that tick alone gives, events and all."""
-    n_ticks, width = ahead.rows.shape
-    if not n_ticks:
-        return {}
-    n_ep = len(draws.episodes)
-    e = np.arange(n_ep)[:, None]
-    # per episode and fixed tick: loops ask, pads do not, sources if active
-    asks = np.zeros((n_ep, n_ticks, 2 + draws.active.shape[-1]), dtype=bool)
-    asks[..., 0] = True
-    asks[..., 2:] = draws.active[:, ahead.ticks]
-    # one gather each, straight into (ticks, episodes, width[, slots])
-    requests = asks.ravel().take(asks[0].size * e + ahead.asks[:, None])
+def _rounds(crm, draws: _ChunkDraws, ticks, rows: np.ndarray, ids: np.ndarray,
+            asking: np.ndarray, requests: np.ndarray, rounds_log: Optional[list]) -> Round:
+    """The rounds of the chunk rows `asking` at the T `ticks`, whose (T, W)
+    contention-table rows and contenders are `rows` and `ids`, from one
+    `contend` call.  Its rows run tick-major, row i being chunk row
+    asking[i % A] at tick i // A for A = asking.size, and `requests` is
+    their (T, A, W) mask or its (T * A, W) reshape; their draws are
+    gathered in one flat `take`.  If `rounds_log` is a list it receives
+    each row's tick and chunk row and the call's `Round.events`."""
     table = None
     if draws.tables is not None:
         n_rows, n_slots = draws.tables.shape[1:]
-        table = draws.tables.reshape(-1, n_slots).take(n_rows * e + ahead.rows[:, None], axis=0)
-        table = table.reshape(n_ticks * n_ep, width, n_slots)
-    rnd = contend(requests.reshape(n_ticks * n_ep, width), crm, table,
-                  np.repeat(ahead.ids, n_ep, axis=0) if with_events else None)
-    if with_events:
-        bounds = np.searchsorted(rnd.events[0], n_ep * np.arange(n_ticks + 1)).tolist()
-    rounds = {}
-    for f, t in enumerate(ahead.ticks.tolist()):
-        rows, cols = slice(f * n_ep, (f + 1) * n_ep), slice(plan[t].ids.size)
-        events = None
-        if with_events:
-            row, *columns = (col[bounds[f]:bounds[f + 1]] for col in rnd.events)
-            events = (row - f * n_ep, *columns)
-        rounds[t] = Round(rnd.delta[rows, cols], rnd.used[rows, cols], events)
-    return rounds
+        table = draws.tables.reshape(-1, n_slots).take(
+            n_rows * asking[:, None] + rows[:, None], axis=0).reshape(-1, rows.shape[1], n_slots)
+    row_ids = None if rounds_log is None else np.repeat(ids, asking.size, axis=0)
+    rnd = contend(requests.reshape(-1, rows.shape[1]), crm, table, row_ids)
+    if rounds_log is not None:
+        rounds_log.append((np.repeat(ticks, asking.size), np.tile(asking, len(ticks)), rnd.events))
+    return rnd
 
 
 @dataclass(eq=False)
@@ -646,20 +618,30 @@ def _run_chunk(
     `rules` holds the request rule of each stack, `plan` what each
     sampling tick of the layout does (`_plan`), and `ahead` its fixed ticks
     under these rules (`_ahead`), whose rounds all run before the first
-    tick; every other tick runs its own round.  The observer's estimate
-    is the delivered state or the prediction (`observer_update`); each
-    step's delivery age follows from the deltas once the ticks are done.
-    If `rounds_log` is a list it receives (tick, asking, events) for every
-    tick with a contention round: the chunk rows of the episodes that
-    contended, and the round's `Round.events`.  A `tally` takes each
-    stack's steps as they stand.  A state or a cost that is not finite
-    raises a NumericalError naming its episode, loop and tick.
+    tick in one `_rounds` call; every other tick with a request runs its
+    own.  The observer's estimate is the delivered state or the prediction
+    (`observer_update`); each step's delivery age follows from the deltas
+    once the ticks are done.  If `rounds_log` is a list, each `_rounds`
+    call appends its rows' ticks and chunk rows and its events.  A `tally`
+    takes each stack's steps as they stand.  A state or a cost that is not
+    finite raises a NumericalError naming its episode, loop and tick.
     """
     stacks = layout.stacks
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
-    fixed = _rounds_ahead(scenario.crm, ahead, plan, draws, rounds_log is not None)
     everyone = np.arange(n_ep)
+    # the fixed ticks' rounds, (T, E, W): every loop asks, each source if active
+    fixed = {}
+    if ahead.ticks.size:
+        requests = np.zeros((ahead.ticks.size, n_ep, ahead.ids.shape[1]), dtype=bool)
+        for f, t in enumerate(ahead.ticks.tolist()):
+            tick = plan[t]
+            requests[f, :, :tick.n_loops] = True
+            requests[f, :, tick.n_loops:tick.ids.size] = draws.active[:, t]
+        delta, used, _ = _rounds(scenario.crm, draws, layout.ticks[ahead.ticks], ahead.rows,
+                                 ahead.ids, everyone, requests, rounds_log)
+        fixed = dict(zip(ahead.ticks.tolist(), zip(delta.reshape(requests.shape),
+                                                   used.reshape(requests.shape))))
 
     for t, tick in enumerate(plan):
         # schedule: one decision per stack for its sampling loops, whole chunk
@@ -674,26 +656,21 @@ def _run_chunk(
 
         # contend: one round per episode with a loop's request, all at once;
         # the columns are the tick's entries.  A fixed tick's round is known.
-        rnd = fixed.get(t)
-        if rnd is not None:
-            asking = everyone
+        if t in fixed:
+            asking, (delta, used) = everyone, fixed[t]
         else:
             asking = np.flatnonzero(wants.any(axis=1))
             if asking.size:
-                table = None
-                if draws.tables is not None:
-                    table = draws.tables[np.ix_(asking, tick.rows)]
-                rnd = contend(np.concatenate((wants[asking], draws.active[asking, t]), axis=1),
-                              scenario.crm, table, None if rounds_log is None else tick.ids)
-        if rnd is not None:
+                delta, used, _ = _rounds(
+                    scenario.crm, draws, [tick.tick], tick.rows[None], tick.ids[None], asking,
+                    np.concatenate((wants[asking], draws.active[asking, t]), axis=1), rounds_log)
+        if asking.size:
             for step in tick.steps:
                 run = runs[step.stack]
                 # with index-array slots and steps, the rows must broadcast as a column
                 rows = asking if isinstance(step.slots, slice) else asking[:, None]
-                run.deltas[rows, step.slots, step.k] = rnd.delta[:, step.cols]
-                run.attempts[rows, step.slots, step.k] = rnd.used[:, step.cols]
-            if rounds_log is not None:
-                rounds_log.append((tick.tick, asking, rnd.events))
+                run.deltas[rows, step.slots, step.k] = delta[:, step.cols]
+                run.attempts[rows, step.slots, step.k] = used[:, step.cols]
 
         # deliver, estimate, control, step
         for step, pred in zip(tick.steps, preds):
@@ -766,7 +743,7 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
     """
     scenario, plan = arms[0][0], _plan(layout)
     rules = [_rules(scn, layout) for scn, _ in arms]
-    aheads = [_ahead(rule, plan, layout.sources) for rule in rules]
+    aheads = [_ahead(rule, plan) for rule in rules]
     tallies = tallies or [None] * len(arms)
     size = max(1, CHUNK_CELLS // layout.cells)
     for start in range(episodes.start, episodes.stop, size):
@@ -801,16 +778,16 @@ def run_episode(
 
 
 def _event_table(chunk: range, rounds_log: list) -> EventTable:
-    """The event table of a chunk from its rounds log: each round's events
-    in tick order, then one stable sort by episode."""
-    parts = []
-    for tick, asking, (row, *columns) in rounds_log:
-        parts.append((asking[row], np.full(row.size, tick), *columns))
+    """The event table of a chunk from its rounds log: each `_rounds` call's
+    events with their rows' ticks and chunk rows, then one stable sort by
+    (episode, tick), which keeps each round's events in their order."""
+    parts = [(asking[row], ticks[row], *columns)
+             for ticks, asking, (row, *columns) in rounds_log]
     if not parts:
         return EventTable(*(np.zeros(0, dtype=int),) * 6)
-    episode, *columns = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(episode, kind="stable")
-    return EventTable(episode[order] + chunk.start, *(col[order] for col in columns))
+    episode, tick, *columns = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((tick, episode))
+    return EventTable(episode[order] + chunk.start, tick[order], *(col[order] for col in columns))
 
 
 @dataclass(eq=False)

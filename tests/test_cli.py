@@ -963,7 +963,12 @@ class TestExitCodes:
          "validation error: --horizon: horizon must be a positive integer, got 0"),
         (["--q2", "0"], "validation error: --q2: Q2 must be positive definite, eigenvalues [0.]"),
         (["--a", "NaN"], "validation error: --a: A must be finite, got [[nan]]"),
-    ], ids=["unparsable", "horizon", "q2-not-pd", "not-finite"])
+        # the command solves one problem, so a stack is no flag's value
+        (["--a", "[[[1.0]],[[2.0]]]", *(arg for flag in ("--b", "--q0", "--q1", "--q2")
+                                       for arg in (flag, "[[[1.0]],[[1.0]]]"))],
+         "validation error: --a: A must be a matrix, got shape (2, 1, 1)"),
+        (["--a", "[[[1.0]]]"], "validation error: --a: A must be a matrix, got shape (1, 1, 1)"),
+    ], ids=["unparsable", "horizon", "q2-not-pd", "not-finite", "stack", "stack-of-one"])
     def test_riccati_bad_value_names_the_flag(self, tmp_path, capsys, flags, message):
         assert main(["riccati", "--horizon", "3", *flags,
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION

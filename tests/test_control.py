@@ -144,6 +144,15 @@ class TestStackedRiccati:
                                for name in ("A", "B", "Q0", "Q1", "Q2")), 4)
         assert info.value.field == field
 
+    def test_each_problem_is_judged_at_its_own_psd_scale(self):
+        # -1e-9 lies within the PSD tolerance of a matrix whose eigenvalues
+        # reach 1e6, but not of one alone: the second problem fails as it
+        # does alone, whatever the first
+        for Q1 in ([[[1e6]], [[-1e-9]]], [[[-1e-9]]]):
+            one = np.ones((len(Q1), 1, 1))
+            with pytest.raises(ConfigurationError, match="Q1 must be positive semi-definite"):
+                riccati_backward(one, one, one, Q1, one, 3)
+
     @pytest.mark.parametrize("field", ["B", "Q0", "Q1", "Q2"])
     def test_every_matrix_must_be_a_stack_as_long_as_a(self, field):
         stack = dict(zip(("A", "B", "Q0", "Q1", "Q2"),

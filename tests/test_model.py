@@ -282,6 +282,27 @@ class TestConfigValidation:
             LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
                        horizon=2, Q0=np.eye(2), Q1=1.0, Q2=1.0)
 
+    def test_symmetry_is_judged_as_np_allclose_judges_it(self):
+        # PSD matrices of many scales, each made asymmetric by about the
+        # bound of np.allclose(mat, mat.T, atol=1e-10): the check must agree
+        # with it matrix by matrix, alone and in a stack
+        rng = np.random.default_rng(0)
+        mats = np.full((60, 2, 2), 2.0)
+        mats[:, 0, 1] = mats[:, 1, 0] = rng.uniform(-1.0, 1.0, 60)
+        mats *= (10.0 ** rng.integers(-6, 6, 60))[:, None, None]
+        mats[:, 0, 1] += rng.uniform(0.5, 1.5, 60) * (1e-10 + 1e-5 * abs(mats[:, 1, 0]))
+        symmetric = np.array([np.allclose(mat, mat.T, atol=1e-10) for mat in mats])
+        assert 0 < symmetric.sum() < len(mats)
+        for mat, ok in zip(mats, symmetric):
+            if ok:
+                model.check_symmetric_psd(mat, "Q1")
+            else:
+                with pytest.raises(ConfigurationError, match="Q1 must be symmetric"):
+                    model.check_symmetric_psd(mat, "Q1")
+        model.check_symmetric_psd(mats[symmetric], "Q1")
+        with pytest.raises(ConfigurationError, match="Q1 must be symmetric"):
+            model.check_symmetric_psd(mats, "Q1")
+
     def test_scenario_needs_a_loop(self):
         with pytest.raises(ConfigurationError):
             NetworkScenario(loops=(), crm=CrmConfig(persistence=(1.0,)))

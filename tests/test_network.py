@@ -315,19 +315,23 @@ class TestArrayRound:
     @given(case=array_rounds())
     def test_each_row_is_a_round_of_its_own(self, case):
         # a row's round does not depend on the rows around it: alone, it
-        # gives the outcome and the events it gives in the batch, where 2-D
-        # ids give each row contenders of its own
+        # gives the outcome and the events it gives in the batch, where
+        # (rows, W) ids give each row contenders of its own.  Alone, its ids
+        # may be (W,) or (1, W), and both give the same events
         crm, ids, requests, table = case
         row_ids = np.array(ids, dtype=int) + 1000 * np.arange(requests.shape[0])[:, None]
         batch = contend(requests, crm, table, row_ids)
         event_row, *columns = batch.events
         for r in range(requests.shape[0]):
-            alone = contend(requests[r:r + 1], crm, None if table is None else table[r:r + 1],
-                            row_ids[r])
+            rows = None if table is None else table[r:r + 1]
+            alone = contend(requests[r:r + 1], crm, rows, row_ids[r])
             assert np.array_equal(alone.delta[0], batch.delta[r])
             assert np.array_equal(alone.used[0], batch.used[r])
             assert ([col[event_row == r].tolist() for col in columns]
                     == [col.tolist() for col in alone.events[1:]])
+            as_row = contend(requests[r:r + 1], crm, rows, row_ids[r:r + 1])
+            assert ([col.tolist() for col in as_row.events]
+                    == [col.tolist() for col in alone.events])
 
 
 def tagged_round_law(k, persistence, slots):

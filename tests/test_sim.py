@@ -364,11 +364,12 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     rows = {}
     for chunk, _, (log,) in sim._run_arms([(scenario, law)], layout,
                                           seed, range(episodes), keep_rounds=True):
-        # one round per logged tick, whose row r is the asking[r]th episode
-        # of the chunk and whose column c is contender ids[c]
-        for (tick, asking, _), (requests, draws) in zip(log, handed, strict=True):
-            ids = tick_ids[tick]
-            for r, e in enumerate(asking.tolist()):
+        # one logged entry per contention call, whose row r is the round of
+        # chunk row asking[r] at ticks[r] and whose column c is contender
+        # ids[c] of that tick
+        for (ticks, asking, _), (requests, draws) in zip(log, handed, strict=True):
+            for r, (tick, e) in enumerate(zip(ticks.tolist(), asking.tolist())):
+                ids = tick_ids[tick]
                 cols = np.flatnonzero(requests[r])
                 rows.update(((chunk[e], tick, c), draws[r, col].tolist())
                             for c, col in zip(ids[cols].tolist(), cols))
@@ -857,7 +858,7 @@ def fixed_ticks(scenario):
     """The layout's plan and the fixed ticks of the scenario's rules on it."""
     layout = sim._layout(scenario)
     plan = sim._plan(layout)
-    return plan, sim._ahead(sim._rules(scenario, layout), plan, layout.sources)
+    return plan, sim._ahead(sim._rules(scenario, layout), plan)
 
 
 class TestRoundsAhead:
@@ -868,12 +869,10 @@ class TestRoundsAhead:
         plan, ahead = fixed_ticks(always_and_state_network())
         assert [plan[t].tick for t in ahead.ticks] == [0, 2, 6, 8, 12, 14]
         # each fixed tick's entries, then padding that never asks
-        assert ahead.rows.shape == ahead.ids.shape == ahead.asks.shape == (6, 3)
+        assert ahead.rows.shape == ahead.ids.shape == (6, 3)
         for f, t in enumerate(ahead.ticks.tolist()):
             assert ahead.rows[f].tolist() == plan[t].rows.tolist()
             assert ahead.ids[f].tolist() == plan[t].ids.tolist()
-            # the two loops ask, then the source
-            assert ahead.asks[f].tolist() == [3 * f, 3 * f, 3 * f + 2]
 
     # example1-baseline: every loop always transmits; example1 and example3
     # use state and innovation rules
