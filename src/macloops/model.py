@@ -78,8 +78,10 @@ def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> N
         raise ConfigurationError(f"{name} must be symmetric", field=name)
     eigs = np.atleast_2d(np.linalg.eigvalsh(0.5 * (mat + mat_t)))
     scale = np.maximum(1.0, abs(eigs).max(axis=-1, initial=0.0))
+    # a 0 x 0 matrix is not positive definite: no loop runs without an input
+    pd = (eigs > 0.0).all(axis=-1) & (eigs.shape[-1] > 0)
     for bad, what in ((eigs.min(axis=-1, initial=0.0) < -PSD_CLIP * scale, "semi-definite"),
-                      (definite & (eigs.min(axis=-1, initial=np.inf) <= 0.0), "definite")):
+                      (definite & ~pd, "definite")):
         if bad.any():
             raise ConfigurationError(f"{name} must be positive {what}, "
                                      f"eigenvalues {eigs[bad.argmax()]}", field=name)

@@ -277,6 +277,14 @@ class TestConfigValidation:
             LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
                        horizon=2, Q0=1.0, Q1=1.0, Q2=0.0)
 
+    def test_a_loop_without_inputs_names_q2(self):
+        # m = 0: the 0 x 0 Q2 is not positive definite
+        with pytest.raises(ConfigurationError, match="Q2 must be positive definite") as info:
+            LoopConfig(plant=scalar_plant(b=np.zeros((1, 0))),
+                       scheduler=SchedulerPolicy.always_transmit(), horizon=2, Q0=1.0, Q1=1.0,
+                       Q2=np.zeros((0, 0)))
+        assert info.value.field == "Q2"
+
     def test_weights_shapes(self):
         with pytest.raises(ConfigurationError):
             LoopConfig(plant=scalar_plant(), scheduler=SchedulerPolicy.always_transmit(),
