@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (BracketingError, ConfigurationError, DegenerateTruncationError,
                      NumericalError)
-from .model import _integer, lq_matrices
+from .model import _integer, _real, lq_matrices
 from .stats import (
     QuadratureSpec,
     TruncatedGaussian,
@@ -217,6 +217,54 @@ def two_step_stationarity_residual(
     return resid - coef * b * (bound - mean) ** 2 * density
 
 
+def _certain_lead(grid: list[float], a: float, b: float, q0: float, q2: float, s1: float,
+                  x0: float, threshold: float) -> int:
+    """Index of the last of the grid's leading points at which the delivered
+    residual is certain to be nonzero and of one sign, or 0.
+
+    The delivered residual is resid - coef*b*F(beta), where resid is its
+    linear CE part, beta the noise bound and F(beta) = (beta - m)^2 phi(beta)
+    with m = E[Z | Z < beta]; each of its early returns gives resid itself.
+    F is below 1 for every beta (`tests/test_control.py` checks the computed
+    F on a dense grid):
+    - for beta >= 0, m lies in [-sqrt(2/pi), 0), so F <= (beta + 0.8)^2 phi(beta) <= 0.79;
+    - for beta < 0, 0 < beta - m < sqrt(2/pi), so F < (2/pi) phi(0) < 0.26.
+    Where phi(beta) > 0, beta < 38.6 and (beta - m)^2 < 2e3, so the
+    residual's product coef*b*(beta - m)^2 stays finite while |coef*b|*2e3
+    does.  Then at a point whose resid and bound are finite and whose
+    |resid| > |coef*b|, the computed residual is nonzero with the sign of
+    resid.  resid and the bound are computed here with the residual's own
+    expressions, so they have its bits.
+    """
+    reach = abs((a * a * q0 * q0 * b * b) / (q2 + b * b * q0) * b)
+    if not reach * 2e3 < math.inf:
+        return 0
+    gain, offset, base = q2 + b * b * s1, 2.0 * x0 * a * b * s1, threshold - a * x0
+    last, side = 0, None
+    for i, u0 in enumerate(grid):
+        resid = 2.0 * u0 * gain + offset
+        if not (reach < abs(resid) < math.inf and math.isfinite(base - b * u0)):
+            break
+        if i and (resid > 0.0) != side:
+            break
+        last, side = i, resid > 0.0
+    return last
+
+
+def _scan_window(scan) -> tuple[float, float]:
+    """`scan` as two Python floats lo < hi, both finite; anything else raises
+    a ConfigurationError whose `field` is `scan`."""
+    try:
+        lo, hi = (_real(end, "scan") for end in scan)
+    except (TypeError, ValueError, ConfigurationError):
+        pass
+    else:
+        if -math.inf < lo < hi < math.inf:
+            return lo, hi
+    raise ConfigurationError(f"scan must be two finite numbers lo < hi, got {scan!r}",
+                             field="scan")
+
+
 def two_step_u0_optimal(
     a: float,
     b: float,
@@ -233,43 +281,76 @@ def two_step_u0_optimal(
 ) -> float:
     """Solve the first-step stationarity condition for u0.
 
+    The seven scalars are taken as Python floats once, on entry, and every
+    residual and root-finder step runs on them: ints and numpy scalars give
+    the bits of the equal floats, and the result is a float.  A bool or a
+    value that is not a real number raises a ConfigurationError whose
+    `field` names it, and so do a q0 or q1 < 0, a q2 <= 0 (the rule of
+    `macloops two-step`), a delta0 other than 0 or 1, a `tol` that is not
+    positive and finite, a `scan_points` that is not an integer >= 2 and a
+    `scan` that is not two finite numbers lo < hi.  A scalar that is NaN or
+    infinite goes on to the residual, which raises for it.
+
     Scans the window's `scan_points` evenly spaced points from the left and
     stops at the first exact zero of the residual, which it returns, or at
     the first sign change, whose bracket and its two known residuals go to
     the guarded root finder; the points beyond are never evaluated.  Raises
-    BracketingError when no sign change exists in the window, and a
-    `scan_points` that is not an integer >= 2 a ConfigurationError whose
-    `field` names it.  The default
+    BracketingError when no sign change exists in the window.  The default
     window follows the problem's scale: it is centred on the CE input, which
     grows with |a|, with half-width max(10, |u0_ce|); a CE input that is not
     finite raises NumericalError.
+
+    On the delivered branch (delta0 = 1) the scan also skips leading points
+    whose residual sign is certain: where the residual's linear CE part
+    exceeds |coef*b| in size, the probing term cannot reach it
+    (`_certain_lead`).  While the leading points are such points of one sign,
+    none of them is a zero or ends a sign change, so the scan starts
+    evaluating at the last of them, and its bracket, residuals and root are
+    those of a scan that evaluates every point.  The silent branch evaluates
+    every point up to its first sign change.
 
     `quad` is accepted and ignored: the residual is a closed form and runs
     no quadrature.  The keyword stays only because benchmark/workloads.py
     still passes one.
     """
-
+    a, b, q0, q1, q2, x0_or_xhat, threshold = (
+        _real(value, name) for name, value in (
+            ("a", a), ("b", b), ("q0", q0), ("q1", q1), ("q2", q2),
+            ("x0_or_xhat", x0_or_xhat), ("threshold", threshold)))
+    # the scalar form of lq_matrices' rule: Q0 and Q1 PSD, Q2 PD
+    for name, value, strict in (("q0", q0, False), ("q1", q1, False), ("q2", q2, True)):
+        if value < 0.0 or (strict and value == 0.0):
+            raise ConfigurationError(f"{name} must be {'>' if strict else '>='} 0, got {value}",
+                                     field=name)
+    delta0 = _integer(delta0, "delta0", "0 or 1", 0, 2)
+    if scan is not None:
+        scan = _scan_window(scan)
     scan_points = _integer(scan_points, "scan_points", "an integer >= 2", 2)
+    tol = _real(tol, "tol")
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}", field="tol")
 
     def residual(u0: float) -> float:
         return two_step_stationarity_residual(
             a, b, q0, q1, q2, delta0, x0_or_xhat, u0, threshold=threshold,
         )
 
+    s1 = two_step_s1(a, b, q0, q1, q2)
     if scan is None:
         if delta0:
-            xhat00 = float(x0_or_xhat)
+            xhat00 = x0_or_xhat
         else:
             xhat00, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, threshold))
-        u0_ce = ce_u0(a, b, two_step_s1(a, b, q0, q1, q2), q2, xhat00)
-        if not np.isfinite(u0_ce):
+        u0_ce = ce_u0(a, b, s1, q2, xhat00)
+        if not math.isfinite(u0_ce):
             raise NumericalError(f"the certainty-equivalent input overflows: {u0_ce}")
         half = max(10.0, abs(u0_ce))
         scan = (u0_ce - half, u0_ce + half)
     grid = np.linspace(scan[0], scan[1], scan_points).tolist()
-    lo = grid[0]
+    start = _certain_lead(grid, a, b, q0, q2, s1, x0_or_xhat, threshold) if delta0 else 0
+    lo = grid[start]
     flo = residual(lo)
-    for hi in grid[1:]:
+    for hi in grid[start + 1:]:
         if flo == 0.0:
             return lo
         fhi = residual(hi)

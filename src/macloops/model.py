@@ -96,6 +96,20 @@ def _integer(value, name: str, what: str, low: float, high: float = math.inf) ->
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """`value` as a Python float, NaN and infinities included; a bool, anything
+    that is not a real number, or an int beyond float range raises a
+    ConfigurationError whose `field` is `name`."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}", field=name)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} must be within float range", field=name) from None
+
+
 def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
     """The dynamics A, B and the LQ weights Q0, Q1, Q2 as float arrays.
 

@@ -15,12 +15,14 @@ from macloops.control import (
     two_step_u0_optimal,
     two_step_u1,
 )
-from macloops.errors import BracketingError, ConfigurationError, NumericalError
+from macloops.errors import (BracketingError, ConfigurationError, DegenerateTruncationError,
+                             NumericalError)
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import ce_law, run_episode
-from macloops.stats import TruncatedGaussian, find_root, truncated_moments
+from macloops.stats import (TruncatedGaussian, _standard_truncated_moments, find_root,
+                            std_normal_pdf, truncated_moments)
 
 # frozen roots/residuals, verified against the Monte Carlo value-function
 # oracle in the acceptance suite and a high-precision solve
@@ -351,13 +353,14 @@ class TestTwoStepController:
             two_step_u0_optimal(1e200, 1.0, 1.0, 1.0, 1.0, 1, 1.0, scan=(-10.0, 10.0))
 
 
-def full_scan_u0(a, delta0, x0, threshold, scan, scan_points=41, tol=1e-9):
-    """The reference solve of b = q0 = q1 = q2 = 1: the residual at every
-    point of the window's grid, then the root finder on the first sign
-    change, which evaluates the bracket's ends again."""
+def full_scan_u0(a, delta0, x0, threshold, scan, scan_points=41, tol=1e-9, *,
+                 b=1.0, q0=1.0, q1=1.0, q2=1.0):
+    """The reference solve, b = q0 = q1 = q2 = 1 unless given: the residual
+    at every point of the window's grid, then the root finder on the first
+    sign change, which evaluates the bracket's ends again."""
 
     def residual(u0):
-        return two_step_stationarity_residual(a, 1.0, 1.0, 1.0, 1.0, delta0, x0, u0,
+        return two_step_stationarity_residual(a, b, q0, q1, q2, delta0, x0, u0,
                                               threshold=threshold)
 
     grid = np.linspace(scan[0], scan[1], scan_points)
@@ -372,12 +375,20 @@ def full_scan_u0(a, delta0, x0, threshold, scan, scan_points=41, tol=1e-9):
     raise BracketingError(f"no sign change in [{scan[0]}, {scan[1]}]")
 
 
-def ce_window(a, delta0, x0, threshold):
+def ce_window(a, delta0, x0, threshold, *, b=1.0, q0=1.0, q1=1.0, q2=1.0):
     """The default scan window: centred on the CE input, half-width max(10, |u0_ce|)."""
     xhat00 = x0 if delta0 else truncated_moments(TruncatedGaussian(0.0, 1.0, threshold))[0]
-    u0_ce = ce_u0(a, 1.0, two_step_s1(a, 1.0, 1.0, 1.0, 1.0), 1.0, xhat00)
+    u0_ce = ce_u0(a, b, two_step_s1(a, b, q0, q1, q2), q2, xhat00)
     half = max(10.0, abs(u0_ce))
     return u0_ce - half, u0_ce + half
+
+
+def outcome(solve):
+    """A solve's result as hex, or its error's type and message."""
+    try:
+        return solve().hex()
+    except (BracketingError, ConfigurationError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestLazyScan:
@@ -441,8 +452,114 @@ class TestLazyScan:
         monkeypatch.setattr(control, "two_step_stationarity_residual", spy)
         grid = np.linspace(-10.0, 10.0, 41).tolist()
         u0 = two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, scan=(-10.0, 10.0))
-        # the root 0.035 lies between grid points 20 and 21: those two and
-        # the points before them are scanned, once each, and no point after
+        # the root 0.035 lies between grid points 20 and 21: the scan
+        # evaluates consecutive grid points ending at 21, once each, and
+        # the root finder only points strictly inside that bracket
         hi = grid.index(next(u for u in grid if u > u0))
-        assert seen[:hi + 1] == grid[:hi + 1]
-        assert all(grid[hi - 1] < u < grid[hi] for u in seen[hi + 1:])
+        start = grid.index(seen[0])
+        scanned = hi - start + 1
+        assert seen[:scanned] == grid[start:hi + 1]
+        assert all(grid[hi - 1] < u < grid[hi] for u in seen[scanned:])
+        # the points skipped before `start` are certain: each one's residual
+        # is nonzero with its right neighbour's sign, down to the first
+        # evaluated point
+        assert start > 0
+        values = [residual(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, u) for u in grid[:start + 1]]
+        assert all(v * w > 0.0 for v, w in zip(values, values[1:]))
+
+    def test_random_delivered_problems_match_the_full_scan(self):
+        rng = np.random.default_rng(30)
+        solved = 0
+        for _ in range(600):
+            a = rng.uniform(-3.0, 3.0)
+            b = rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
+            q0, q1, q2 = rng.uniform(0.05, 5.0, 3).tolist()
+            x0, threshold = rng.uniform(-6.0, 6.0), rng.uniform(-2.0, 2.0)
+            params = dict(b=b, q0=q0, q1=q1, q2=q2)
+            window = ce_window(a, 1, x0, threshold, **params)
+            want = outcome(lambda: full_scan_u0(a, 1, x0, threshold, window, **params))
+            got = outcome(lambda: two_step_u0_optimal(a, b, q0, q1, q2, 1, x0,
+                                                      threshold=threshold))
+            assert got == want, (a, b, q0, q1, q2, x0, threshold)
+            solved += not want.startswith("Bracketing")
+        assert solved > 500
+
+    def test_numpy_and_int_scalars_give_the_bits_of_floats(self):
+        for delta0 in (0, 1):
+            want = two_step_u0_optimal(2.0, -1.0, 1.0, 3.0, 1.0, delta0, 1.0, threshold=0.0)
+            got = two_step_u0_optimal(2, -1, 1, 3, 1, np.int64(delta0), 1, threshold=0)
+            assert type(got) is float and got.hex() == want.hex()
+            args = (1.3, 0.7, 0.4, 2.2, 0.9, delta0, -0.6)
+            want = two_step_u0_optimal(*args, threshold=0.45, tol=1e-8)
+            got = two_step_u0_optimal(*map(np.float64, args[:5]), delta0, np.float64(args[6]),
+                                      threshold=np.float64(0.45), tol=np.float64(1e-8))
+            assert type(got) is float and got.hex() == want.hex()
+
+    def test_unit_delivered_solves_skip_most_residuals(self, monkeypatch):
+        calls = []
+        residual = control.two_step_stationarity_residual
+
+        def spy(*args, **kwargs):
+            calls.append(args[7])
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(control, "two_step_stationarity_residual", spy)
+        for x0 in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, x0, threshold=0.5)
+        # evaluating every scan point up to the sign change took 196 calls
+        assert len(calls) <= 110
+
+    def test_the_probing_factor_is_below_one(self):
+        # The delivered residual is resid - coef*b*F(beta), F(beta) =
+        # (beta - m)^2 phi(beta) with m = E[Z | Z < beta], and the scan skips
+        # a point where |resid| > |coef*b|.  That rests on F < 1:
+        # - for beta >= 0, m lies in [-sqrt(2/pi), 0), so
+        #   F <= (beta + 0.8)^2 phi(beta) <= 0.79;
+        # - for beta < 0, 0 < beta - m < sqrt(2/pi), so F < (2/pi) phi(0) < 0.26.
+        # Below the degenerate-truncation edge (beta near -7.03) the residual
+        # returns resid itself.  Where phi(beta) > 0, (beta - m)^2 < 2e3,
+        # so coef*b*(beta - m)^2 cannot overflow while |coef*b|*2e3 is finite.
+        # F is computed here as the residual computes it.
+        degenerate = 0
+        for beta in np.linspace(-40.0, 40.0, 160_001).tolist():
+            density = std_normal_pdf(beta)
+            try:
+                mean, _ = _standard_truncated_moments(beta)
+            except DegenerateTruncationError:
+                degenerate += 1
+                continue
+            factor = (beta - mean) ** 2 * density
+            assert factor <= (0.79 if beta >= 0.0 else 0.26), beta
+            if density > 0.0:
+                assert (beta - mean) ** 2 < 2e3, beta
+        assert 0 < degenerate < 160_001
+
+
+class TestTwoStepBoundary:
+    """The solver takes its scalars as floats once, and names a bad one."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("q2", -1.0), ("q0", -1.0), ("q1", -0.5), ("q2", 0.0), ("a", "x"), ("a", None),
+        ("b", True), pytest.param("a", 10 ** 400, id="a-10**400"), ("x0_or_xhat", "0.5"),
+        ("threshold", [0.5]), ("delta0", 2), ("delta0", -1), ("delta0", True), ("tol", 0.0),
+        ("tol", -1.0), ("tol", math.nan), ("tol", math.inf), ("tol", "1e-9"),
+    ])
+    def test_bad_scalar_names_its_field(self, field, value):
+        args = dict(a=1.0, b=1.0, q0=1.0, q1=1.0, q2=1.0, delta0=1, x0_or_xhat=0.5)
+        with pytest.raises(ConfigurationError) as info:
+            two_step_u0_optimal(**{**args, field: value})
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("scan", [(math.nan, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, math.inf),
+                                      (0.0,), (0.0, 1.0, 2.0), ("a", "b"), 1.0, None],
+                             ids=["nan", "reversed", "equal", "inf", "one", "three", "text",
+                                  "scalar", "default"])
+    def test_bad_scan_names_scan(self, scan):
+        if scan is None:
+            # the default window is built from the problem and never rejected
+            assert two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0) == pytest.approx(
+                U0_OPT_DELIVERED_X0_ZERO, abs=1e-7)
+            return
+        with pytest.raises(ConfigurationError) as info:
+            two_step_u0_optimal(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.0, scan=scan)
+        assert info.value.field == "scan"
