@@ -40,9 +40,9 @@ import numpy as np
 
 from . import __version__
 from .control import (
+    _two_step,
     riccati_backward,
     ce_u0,
-    two_step_s1,
     two_step_stationarity_residual,
     two_step_u0_optimal,
     two_step_u1,
@@ -519,14 +519,6 @@ def _check_finite(args, *names: str) -> None:
             raise ConfigurationError(f"{flag}: must be a finite number, got {value}")
 
 
-def _check_sign(args, name: str, strict: bool) -> None:
-    """Reject a negative value of the named float flag, and zero if `strict`."""
-    value = getattr(args, name)
-    if value < 0.0 or (strict and value == 0.0):
-        flag = "--" + name.replace("_", "-")
-        raise ConfigurationError(f"{flag}: must be {'>' if strict else '>='} 0, got {value}")
-
-
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     doc, seed, episodes = _run_settings(args)
@@ -663,36 +655,23 @@ def _parse_branch(text: str) -> int:
 def cmd_two_step(args) -> int:
     delta0 = _parse_branch(args.branch)
     _check_finite(args, "x0", "a", "b", "q0", "q1", "q2", "threshold")
-    # the scalar form of riccati's rule: Q0 and Q1 PSD, Q2 PD
-    for name in ("q0", "q1", "q2"):
-        _check_sign(args, name, strict=name == "q2")
-    a, b = args.a, args.b
-    q0, q1, q2 = args.q0, args.q1, args.q2
     if delta0 and args.x0 is None:
         raise ConfigurationError("--x0 is required for the delta0=1 branch")
-    s1 = two_step_s1(a, b, q0, q1, q2)
-    if delta0:
-        xhat00 = args.x0
-    else:
-        tg0 = _flagged({"upper": "--threshold"}, TruncatedGaussian, 0.0, 1.0, args.threshold)
-        xhat00, _ = truncated_moments(tg0)
+    flags = dict(q0="--q0", q1="--q1", q2="--q2", x0_or_xhat="--x0", upper="--threshold")
+    problem = _flagged(flags, _two_step, args.a, args.b, args.q0, args.q1, args.q2, delta0,
+                       args.x0 if delta0 else 0.0, args.threshold)
+    a, b, q0, q1, q2, _, x0, threshold, s1, _, xhat00, *_, base = problem
     u0_ce = ce_u0(a, b, s1, q2, xhat00)
     # solved before the residual at u0_ce: it raises NumericalError if u0_ce is not finite
-    u0_opt = two_step_u0_optimal(a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0,
-                                 threshold=args.threshold)
-    residual_ce = two_step_stationarity_residual(
-        a, b, q0, q1, q2, delta0, xhat00 if delta0 else 0.0, u0_ce,
-        threshold=args.threshold,
-    )
+    u0_opt = two_step_u0_optimal(*problem[:8])
+    residual_ce = two_step_stationarity_residual(*problem[:7], u0_ce, threshold)
     try:
-        post = two_step_posterior(a, b, u0_opt, delta0, 0,
-                                  x0=args.x0 if delta0 else None,
-                                  threshold=args.threshold)
+        post = two_step_posterior(a, b, u0_opt, delta0, 0, x0=x0, threshold=threshold)
     except ConfigurationError as exc:
         # delta0=1: the step-1 noise bound is built from the flags, not one of them
         if not delta0 or exc.field != "upper":
             raise
-        bound = args.threshold - a * args.x0 - b * u0_opt
+        bound = base - b * u0_opt
         raise ConfigurationError(
             f"--threshold: the delta1 = 0 event has probability 0: its noise bound "
             f"threshold - a*x0 - b*u0 = {bound} keeps no probability mass") from None
@@ -714,7 +693,8 @@ def cmd_two_step(args) -> int:
 
 def cmd_moments(args) -> int:
     _check_finite(args, "mu", "var", "upper", "a", "noise_var", "cond_upper")
-    _check_sign(args, "noise_var", strict=True)
+    if not args.noise_var > 0.0:
+        raise ConfigurationError(f"--noise-var: must be > 0, got {args.noise_var}")
     tg = _flagged({"mean": "--mu", "var": "--var", "upper": "--upper"},
                   TruncatedGaussian, args.mu, args.var, args.upper)
     mean, var = truncated_moments(tg)

@@ -161,6 +161,38 @@ def ce_u0(a: float, b: float, s1: float, q2: float, xhat00: float) -> float:
     return -(a * b * s1 / (q2 + b * b * s1)) * xhat00
 
 
+def _two_step(a, b, q0, q1, q2, delta0, x0_or_xhat, threshold) -> tuple:
+    """The scalar two-step problem checked by the rule that
+    `two_step_stationarity_residual` states, as a plain tuple, which every
+    residual builds: the seven scalars as floats and delta0 as an int, s1,
+    the silent prior N(0, 1) truncated at the threshold (or None), the step-0
+    estimate xhat00, and the residual's factors gain, offset, probe and base,
+    which `_certain_lead` shares."""
+    # floats, q0 and q1 >= 0, q2 > 0 (lq_matrices' rule) and delta0 0 or 1 pass at once
+    if not (type(a) is type(b) is type(q0) is type(q1) is type(q2) is type(x0_or_xhat)
+            is type(threshold) is float and q0 >= 0.0 and q1 >= 0.0 and q2 > 0.0
+            and type(delta0) is int and 0 <= delta0 <= 1):
+        a, b, q0, q1, q2, x0_or_xhat, threshold = map(
+            _real, (a, b, q0, q1, q2, x0_or_xhat, threshold),
+            ("a", "b", "q0", "q1", "q2", "x0_or_xhat", "threshold"))
+        for name, value, strict in (("q0", q0, False), ("q1", q1, False), ("q2", q2, True)):
+            if value < 0.0 or (strict and value == 0.0):
+                raise ConfigurationError(f"{name} must be {'>' if strict else '>='} 0, "
+                                         f"got {value}", field=name)
+        delta0 = _integer(delta0, "delta0", "0 or 1", 0, 2)
+    s1 = two_step_s1(a, b, q0, q1, q2)
+    if not math.isfinite(s1):
+        raise NumericalError(f"s1 is not finite: the one-step Riccati update overflows ({s1})")
+    if delta0:
+        prior, xhat00, base = None, x0_or_xhat, threshold - a * x0_or_xhat
+    else:
+        prior, base = TruncatedGaussian(0.0, 1.0, threshold), threshold
+        xhat00, _ = truncated_moments(prior)
+    probe = (a * a * q0 * q0 * b * b) / (q2 + b * b * q0) * b
+    return (a, b, q0, q1, q2, delta0, x0_or_xhat, threshold, s1, prior,
+            xhat00, q2 + b * b * s1, 2.0 * xhat00 * a * b * s1, probe, base)
+
+
 def two_step_stationarity_residual(
     a: float,
     b: float,
@@ -178,51 +210,39 @@ def two_step_stationarity_residual(
     probing term through the next-step error covariance, whose truncation
     bound moves with u0.  The density factor is evaluated first: where it
     underflows to 0 the term is zero, and so it is when the conditioning
-    event's probability is degenerate.  An s1 that is not finite raises
-    NumericalError, and a noise bound that is NaN a ConfigurationError whose
-    `field` is `upper`.
+    event's probability is degenerate.
+
+    The scalars are checked by the one rule the solver and `macloops
+    two-step` share (`_two_step`): a bool or a non-real value, a q0 or
+    q1 < 0, a q2 <= 0 or a delta0 other than 0 or 1 raises a
+    ConfigurationError whose `field` names it, as does a non-real u0.  An s1
+    that is not finite raises NumericalError, and a NaN noise bound (from a
+    NaN u0, x0_or_xhat or threshold) a ConfigurationError naming `upper`.
     """
-    s1 = two_step_s1(a, b, q0, q1, q2)
-    if not math.isfinite(s1):
-        raise NumericalError(f"s1 is not finite: the one-step Riccati update overflows ({s1})")
-    if delta0:
-        xhat00 = float(x0_or_xhat)
-    else:
-        tg0 = TruncatedGaussian(0.0, 1.0, threshold)
-        xhat00, _ = truncated_moments(tg0)
-    resid = 2.0 * u0 * (q2 + b * b * s1) + 2.0 * xhat00 * a * b * s1
-    coef = (a * a * q0 * q0 * b * b) / (q2 + b * b * q0)
-    if delta0:
-        bound = threshold - a * float(x0_or_xhat) - b * u0
-        if bound < -37.0:
-            # density factor underflows; the probing term is gone
-            return resid
-        density = std_normal_pdf(bound)
-    else:
-        bound = threshold - b * u0
-        density = compound_density(a, tg0, 1.0, bound)
+    a, b, _, _, _, delta0, _, _, _, prior, _, gain, offset, probe, base = _two_step(
+        a, b, q0, q1, q2, delta0, x0_or_xhat, threshold)
+    if type(u0) is not float:
+        u0 = _real(u0, "u0")
+    resid, bound = 2.0 * u0 * gain + offset, base - b * u0
+    if math.isnan(bound):
+        raise ConfigurationError(f"upper must be finite, got {bound}", field="upper")
+    density = std_normal_pdf(bound) if delta0 else compound_density(a, prior, 1.0, bound)
     if density == 0.0:
         # no probing term, and (bound - mean) ** 2 below may overflow
         return resid
     try:
-        if delta0:
-            # +-inf returned above, so only a NaN bound is left to reject
-            if not math.isfinite(bound):
-                raise ConfigurationError(f"upper must be finite, got {bound}", field="upper")
-            mean, _ = _standard_truncated_moments(bound)
-        else:
-            mean, _ = conditional_moments_compound(a, tg0, 1.0, bound)
+        mean = (_standard_truncated_moments(bound) if delta0
+                else conditional_moments_compound(a, prior, 1.0, bound))[0]
     except DegenerateTruncationError:
         return resid
-    return resid - coef * b * (bound - mean) ** 2 * density
+    return resid - probe * (bound - mean) ** 2 * density
 
 
-def _certain_lead(grid: list[float], a: float, b: float, q0: float, q2: float, s1: float,
-                  x0: float, threshold: float) -> int:
+def _certain_lead(grid: list[float], problem: tuple) -> int:
     """Index of the last of the grid's leading points at which the delivered
     residual is certain to be nonzero and of one sign, or 0.
 
-    The delivered residual is resid - coef*b*F(beta), where resid is its
+    The delivered residual is resid - probe*F(beta), where resid is its
     linear CE part, beta the noise bound and F(beta) = (beta - m)^2 phi(beta)
     with m = E[Z | Z < beta]; each of its early returns gives resid itself.
     F is below 1 for every beta (`tests/test_control.py` checks the computed
@@ -230,16 +250,16 @@ def _certain_lead(grid: list[float], a: float, b: float, q0: float, q2: float, s
     - for beta >= 0, m lies in [-sqrt(2/pi), 0), so F <= (beta + 0.8)^2 phi(beta) <= 0.79;
     - for beta < 0, 0 < beta - m < sqrt(2/pi), so F < (2/pi) phi(0) < 0.26.
     Where phi(beta) > 0, beta < 38.6 and (beta - m)^2 < 2e3, so the
-    residual's product coef*b*(beta - m)^2 stays finite while |coef*b|*2e3
+    residual's product probe*(beta - m)^2 stays finite while |probe|*2e3
     does.  Then at a point whose resid and bound are finite and whose
-    |resid| > |coef*b|, the computed residual is nonzero with the sign of
-    resid.  resid and the bound are computed here with the residual's own
-    expressions, so they have its bits.
+    |resid| > |probe|, the computed residual is nonzero with the sign of
+    resid.  resid and the bound are computed with the residual's own
+    expressions, from the problem's own factors, so they have its bits.
     """
-    reach = abs((a * a * q0 * q0 * b * b) / (q2 + b * b * q0) * b)
+    _, b, *_, gain, offset, probe, base = problem
+    reach = abs(probe)
     if not reach * 2e3 < math.inf:
         return 0
-    gain, offset, base = q2 + b * b * s1, 2.0 * x0 * a * b * s1, threshold - a * x0
     last, side = 0, None
     for i, u0 in enumerate(grid):
         resid = 2.0 * u0 * gain + offset
@@ -281,15 +301,13 @@ def two_step_u0_optimal(
 ) -> float:
     """Solve the first-step stationarity condition for u0.
 
-    The seven scalars are taken as Python floats once, on entry, and every
-    residual and root-finder step runs on them: ints and numpy scalars give
-    the bits of the equal floats, and the result is a float.  A bool or a
-    value that is not a real number raises a ConfigurationError whose
-    `field` names it, and so do a q0 or q1 < 0, a q2 <= 0 (the rule of
-    `macloops two-step`), a delta0 other than 0 or 1, a `tol` that is not
-    positive and finite, a `scan_points` that is not an integer >= 2 and a
-    `scan` that is not two finite numbers lo < hi.  A scalar that is NaN or
-    infinite goes on to the residual, which raises for it.
+    The scalars are checked once, on entry, by the residual's rule, and
+    taken as Python floats that every residual and root-finder step runs on:
+    ints and numpy scalars give the bits of the equal floats, and the result
+    is a float.  A `tol` that is not positive and finite, a `scan_points`
+    that is not an integer >= 2 and a `scan` that is not two finite numbers
+    lo < hi also raise a ConfigurationError whose `field` names it.  A NaN
+    x0_or_xhat or threshold reaches the residual's `upper` check.
 
     Scans the window's `scan_points` evenly spaced points from the left and
     stops at the first exact zero of the residual, which it returns, or at
@@ -297,8 +315,8 @@ def two_step_u0_optimal(
     the guarded root finder; the points beyond are never evaluated.  Raises
     BracketingError when no sign change exists in the window.  The default
     window follows the problem's scale: it is centred on the CE input, which
-    grows with |a|, with half-width max(10, |u0_ce|); a CE input that is not
-    finite raises NumericalError.
+    grows with |a|, with half-width max(10, |u0_ce|); a window edge that is
+    not finite raises NumericalError.
 
     On the delivered branch (delta0 = 1) the scan also skips leading points
     whose residual sign is certain: where the residual's linear CE part
@@ -313,16 +331,8 @@ def two_step_u0_optimal(
     no quadrature.  The keyword stays only because benchmark/workloads.py
     still passes one.
     """
-    a, b, q0, q1, q2, x0_or_xhat, threshold = (
-        _real(value, name) for name, value in (
-            ("a", a), ("b", b), ("q0", q0), ("q1", q1), ("q2", q2),
-            ("x0_or_xhat", x0_or_xhat), ("threshold", threshold)))
-    # the scalar form of lq_matrices' rule: Q0 and Q1 PSD, Q2 PD
-    for name, value, strict in (("q0", q0, False), ("q1", q1, False), ("q2", q2, True)):
-        if value < 0.0 or (strict and value == 0.0):
-            raise ConfigurationError(f"{name} must be {'>' if strict else '>='} 0, got {value}",
-                                     field=name)
-    delta0 = _integer(delta0, "delta0", "0 or 1", 0, 2)
+    problem = _two_step(a, b, q0, q1, q2, delta0, x0_or_xhat, threshold)
+    a, b, q0, q1, q2, delta0, x0_or_xhat, threshold, s1, _, xhat00 = problem[:11]
     if scan is not None:
         scan = _scan_window(scan)
     scan_points = _integer(scan_points, "scan_points", "an integer >= 2", 2)
@@ -331,23 +341,18 @@ def two_step_u0_optimal(
         raise ConfigurationError(f"tol must be positive and finite, got {tol}", field="tol")
 
     def residual(u0: float) -> float:
-        return two_step_stationarity_residual(
-            a, b, q0, q1, q2, delta0, x0_or_xhat, u0, threshold=threshold,
-        )
+        return two_step_stationarity_residual(a, b, q0, q1, q2, delta0, x0_or_xhat, u0, threshold)
 
-    s1 = two_step_s1(a, b, q0, q1, q2)
     if scan is None:
-        if delta0:
-            xhat00 = x0_or_xhat
-        else:
-            xhat00, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, threshold))
         u0_ce = ce_u0(a, b, s1, q2, xhat00)
-        if not math.isfinite(u0_ce):
-            raise NumericalError(f"the certainty-equivalent input overflows: {u0_ce}")
         half = max(10.0, abs(u0_ce))
         scan = (u0_ce - half, u0_ce + half)
+        # a NaN or infinite u0_ce makes an edge NaN or infinite too
+        if not -math.inf < scan[0] < scan[1] < math.inf:
+            raise NumericalError(f"the certainty-equivalent input overflows: {u0_ce} "
+                                 f"(its scan window is {scan})")
     grid = np.linspace(scan[0], scan[1], scan_points).tolist()
-    start = _certain_lead(grid, a, b, q0, q2, s1, x0_or_xhat, threshold) if delta0 else 0
+    start = _certain_lead(grid, problem) if delta0 else 0
     lo = grid[start]
     flo = residual(lo)
     for hi in grid[start + 1:]:

@@ -917,13 +917,13 @@ class TestExitCodes:
          "--noise-var: must be a finite number, got nan"),
         # the scalar form of riccati's rule: Q0 and Q1 PSD, Q2 PD, and a noise variance > 0
         (["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "-1"],
-         "--q2: must be > 0, got -1.0"),
+         "--q2: q2 must be > 0, got -1.0"),
         (["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "0"],
-         "--q2: must be > 0, got 0.0"),
+         "--q2: q2 must be > 0, got 0.0"),
         (["two-step", "--branch", "delta0=1", "--x0", "0", "--q0", "-1"],
-         "--q0: must be >= 0, got -1.0"),
+         "--q0: q0 must be >= 0, got -1.0"),
         (["two-step", "--branch", "delta0=0", "--q1", "-3"],
-         "--q1: must be >= 0, got -3.0"),
+         "--q1: q1 must be >= 0, got -3.0"),
         (["moments", "--upper", "0.5", "--a", "1", "--noise-var", "-0.5", "--cond-upper", "0.5"],
          "--noise-var: must be > 0, got -0.5"),
         # the truncated Gaussian's own checks
