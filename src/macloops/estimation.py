@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
+from .model import _integer, _real
 from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
 
@@ -84,18 +85,21 @@ def two_step_posterior(
     delta0 = 1 requires the realized x0 (the controller received it); the
     silent branches condition on the state staying below the threshold, which
     is a single truncation at step 0 and a truncated-source-plus-noise
-    (compound) conditioning at step 1.
+    (compound) conditioning at step 1.  As in the two-step solver, a, b, u0,
+    threshold and x0 must be real numbers and delta0 and delta1 0 or 1; a bad
+    or missing one raises a ConfigurationError whose `field` names it.
     """
-    if delta0 not in (0, 1) or delta1 not in (0, 1):
-        raise ConfigurationError("delta0 and delta1 must be 0 or 1")
+    a, b, u0, threshold = map(_real, (a, b, u0, threshold), ("a", "b", "u0", "threshold"))
+    delta0 = _integer(delta0, "delta0", "0 or 1", 0, 2)
+    delta1 = _integer(delta1, "delta1", "0 or 1", 0, 2)
     if delta0:
         if x0 is None:
-            raise ConfigurationError("x0 is required on the delta0=1 branch")
-        xbar0, p00 = float(x0), 0.0
+            raise ConfigurationError("x0 is required on the delta0=1 branch", field="x0")
+        xbar0, p00 = _real(x0, "x0"), 0.0
         if delta1:
             ebar1, p11 = 0.0, 0.0
         else:
-            w_max = threshold - a * float(x0) - b * u0
+            w_max = threshold - a * xbar0 - b * u0
             ebar1, p11 = truncated_moments(TruncatedGaussian(0.0, 1.0, w_max))
     else:
         tg0 = TruncatedGaussian(0.0, 1.0, threshold)

@@ -214,18 +214,29 @@ def compound_density(a: float, tg: TruncatedGaussian, noise_var: float, eps: flo
     In closed form, the extended skew-normal of Azzalini (1985): the
     untruncated law of e times Pr(X < upper | e) / Pr(X < upper), where X
     given e is Gaussian with mean m(e) and variance v*s2/(a^2 v + s2).
-    a == 0 collapses exactly to the noise density.
+    a == 0 collapses exactly to the noise density.  A noise_var <= 0 or a NaN
+    eps raises a ConfigurationError whose `field` names it, and an a that
+    puts the law of e out of floating-point range NumericalError.
     """
     if not noise_var > 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", field="noise_var")
+    if math.isnan(eps):
+        raise ConfigurationError("eps must not be NaN", field="eps")
     if a == 0.0:
         return normal_pdf(eps, 0.0, noise_var)
     mu, v = tg.mean, tg.var
     e_var = a * a * v + noise_var
     m = mu + a * v * (eps - a * mu) / e_var
     sigma_star = math.sqrt(v * noise_var / e_var)
+    if not sigma_star > 0.0:
+        raise _out_of_range(a, v, noise_var, e_var)
     return (normal_pdf(eps, a * mu, e_var)
             * std_normal_cdf((tg.upper - m) / sigma_star) / tg.keep_prob())
+
+
+def _out_of_range(a: float, v: float, noise_var: float, e_var: float) -> NumericalError:
+    return NumericalError(f"a = {a} with var = {v} and noise_var = {noise_var} puts the law of "
+                          f"a*X + W out of floating-point range (a^2 var + noise_var = {e_var})")
 
 
 def _bvnu(h: float, k: float, rho: float, r: float) -> float:
@@ -315,10 +326,13 @@ def conditional_moments_compound(
     it exact where 1 - rho^2 rounds to 0 (|a| of 1e8 and beyond); Phi2 is
     _bvnu with the same r.  Raises DegenerateTruncationError when
     Pr(e < upper | X < c) = P / Phi(h) falls below MIN_TRUNCATION_PROB, and
-    NumericalError when the law of e leaves floating-point range.
+    NumericalError when the law of e leaves floating-point range.  A
+    noise_var <= 0 or a NaN upper raises a ConfigurationError naming it.
     """
     if not noise_var > 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", field="noise_var")
+    if math.isnan(upper):
+        raise ConfigurationError("upper must not be NaN", field="upper")
     if a == 0.0:
         return truncated_moments(TruncatedGaussian(0.0, noise_var, upper))
     mu, v = tg.mean, tg.var
@@ -328,10 +342,7 @@ def conditional_moments_compound(
     # sigma_star, and a * var == 0 means the X part of e has underflowed
     sigma_star = math.sqrt(v * noise_var / e_var)
     if not (r > 0.0 and sigma_star > 0.0 and a * v != 0.0 and math.isfinite(a * mu)):
-        raise NumericalError(
-            f"a = {a} with var = {v} and noise_var = {noise_var} puts the law of "
-            f"a*X + W out of floating-point range (a^2 var + noise_var = {e_var})"
-        )
+        raise _out_of_range(a, v, noise_var, e_var)
     sd = math.sqrt(e_var)
     rho = a * tg.sigma / sd
     # clipping changes no digit and keeps a bound that overflowed to inf out

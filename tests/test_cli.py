@@ -783,6 +783,14 @@ class TestExitCodes:
         assert "the certainty-equivalent input overflows: inf" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    def test_two_step_overflowing_window(self, tmp_path, capsys):
+        # u0_ce = -0.6 x0 is finite, but the window edge u0_ce - |u0_ce| is not
+        assert main(["two-step", "--branch", "delta0=1", "--x0", "1.7e308",
+                     "--out", str(tmp_path / "ts")]) == EXIT_NUMERICAL
+        assert "its scan window is" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_non_integral_horizon(self, tmp_path, capsys):
         doc = json.loads(json.dumps(presets()["example3"]))
         doc["loops"][0]["horizon"] = 10.7

@@ -352,6 +352,13 @@ class TestTwoStepController:
         with pytest.raises(NumericalError, match="s1 is not finite"):
             two_step_u0_optimal(1e200, 1.0, 1.0, 1.0, 1.0, 1, 1.0, scan=(-10.0, 10.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_default_window_is_a_numerical_error(self):
+        # u0_ce = -0.6 x0 is finite, but the window edge u0_ce - |u0_ce| is not:
+        # no linspace warning, and no error naming a bound the caller never gave
+        with pytest.raises(NumericalError, match="its scan window is"):
+            two_step_u0_optimal(1, 1, 1, 1, 1, 1, 1.7e308)
+
 
 def full_scan_u0(a, delta0, x0, threshold, scan, scan_points=41, tol=1e-9, *,
                  b=1.0, q0=1.0, q1=1.0, q2=1.0):
@@ -549,6 +556,24 @@ class TestTwoStepBoundary:
         with pytest.raises(ConfigurationError) as info:
             two_step_u0_optimal(**{**args, field: value})
         assert info.value.field == field
+
+    @pytest.mark.parametrize("field,value", [
+        ("q2", -1.0), ("q0", -1.0), ("x0_or_xhat", "0.5"), ("delta0", 2), ("b", True),
+        ("u0", "0.2"),
+    ])
+    def test_residual_names_its_bad_scalar(self, field, value):
+        # the residual checks by the solver's rule
+        args = dict(a=1.0, b=1.0, q0=1.0, q1=1.0, q2=1.0, delta0=1, x0_or_xhat=0.5, u0=0.2)
+        with pytest.raises(ConfigurationError) as info:
+            two_step_stationarity_residual(**{**args, field: value})
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("delta0", [0, 1])
+    def test_residual_names_a_nan_noise_bound_upper(self, delta0):
+        # a NaN u0 makes the step-1 noise bound NaN on either branch
+        with pytest.raises(ConfigurationError) as info:
+            two_step_stationarity_residual(1.0, 1.0, 1.0, 1.0, 1.0, delta0, 0.5, math.nan)
+        assert info.value.field == "upper"
 
     @pytest.mark.parametrize("scan", [(math.nan, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, math.inf),
                                       (0.0,), (0.0, 1.0, 2.0), ("a", "b"), 1.0, None],

@@ -185,3 +185,24 @@ class TestTwoStepPosterior:
     def test_x0_required_on_delivery_branch(self):
         with pytest.raises(ConfigurationError):
             two_step_posterior(1.0, 1.0, 0.0, 1, 0)
+
+
+class TestTwoStepPosteriorBoundary:
+    """The posterior takes its scalars by the two-step solver's rule, and names a bad one."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("a", "1"), ("b", None), ("u0", True), ("threshold", [0.5]), ("x0", "0.5"), ("x0", None),
+        ("delta0", True), ("delta0", 2), ("delta1", True), ("delta1", -1),
+        pytest.param("a", 10 ** 400, id="a-10**400"),
+    ])
+    def test_bad_scalar_names_its_field(self, field, value):
+        args = dict(a=1.0, b=1.0, u0=0.0, delta0=1, delta1=0, x0=0.5)
+        with pytest.raises(ConfigurationError) as info:
+            two_step_posterior(**{**args, field: value})
+        assert info.value.field == field
+
+    def test_numeric_scalars_are_taken_as_their_values(self):
+        post = two_step_posterior(np.float64(1.0), 1, 0, 1.0, np.int64(0), x0=np.float64(0.7))
+        assert (type(post.a), type(post.delta0), type(post.delta1), type(post.xbar0)) \
+            == (float, int, int, float)
+        assert post == two_step_posterior(1.0, 1.0, 0.0, 1, 0, x0=0.7)

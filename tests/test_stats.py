@@ -13,6 +13,7 @@ from macloops.errors import (
     BracketingError,
     ConfigurationError,
     DegenerateTruncationError,
+    NumericalError,
     QuadratureError,
 )
 from macloops.estimation import two_step_posterior
@@ -191,8 +192,30 @@ class TestCompoundDensity:
         assert abs(dens - dens_mc) < 3.0 * se + 0.5 * h * h
 
     def test_rejects_bad_noise_var(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as info:
             compound_density(1.0, TruncatedGaussian(0.0, 1.0, 0.5), 0.0, 0.0)
+        assert info.value.field == "noise_var"
+
+    def test_nan_eps_names_eps(self):
+        with pytest.raises(ConfigurationError) as info:
+            compound_density(1.0, TruncatedGaussian(0.0, 1.0, 0.5), 1.0, math.nan)
+        assert info.value.field == "eps"
+
+    def test_infinite_eps_has_zero_density(self):
+        tg = TruncatedGaussian(0.0, 1.0, 0.5)
+        assert compound_density(1.0, tg, 1.0, math.inf) == 0.0
+        assert compound_density(1.0, tg, 1.0, -math.inf) == 0.0
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e200])
+    def test_law_out_of_range_is_the_moments_numerical_error(self, a):
+        # a^2 var overflows or is NaN: both kernels raise the same error
+        tg = TruncatedGaussian(0.0, 1.0, 0.5)
+        messages = []
+        for kernel in (compound_density, conditional_moments_compound):
+            with pytest.raises(NumericalError, match="out of floating-point range") as info:
+                kernel(a, tg, 1.0, 0.0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("mean,var,noise_var", [(0.0, 1.0, 1.0), (0.3, 1.7, 0.6)])
     @pytest.mark.parametrize("a", [-2.0, -0.5, 0.3, 1.0, 1.7])
@@ -260,8 +283,23 @@ class TestConditionalMomentsCompound:
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_rejects_a_noise_variance_not_above_zero(self, a):
         tg = TruncatedGaussian(0.0, 1.0, 0.5)
-        with pytest.raises(ConfigurationError, match="noise_var must be positive"):
+        with pytest.raises(ConfigurationError, match="noise_var must be positive") as info:
             conditional_moments_compound(a, tg, -0.5, 0.5)
+        assert info.value.field == "noise_var"
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_nan_bound_names_upper(self, a):
+        with pytest.raises(ConfigurationError) as info:
+            conditional_moments_compound(a, TruncatedGaussian(0.0, 1.0, 0.5), 1.0, math.nan)
+        assert info.value.field == "upper"
+
+    def test_infinite_bound_conditions_on_nothing(self):
+        # e < inf keeps the whole compound law: X's truncated moments plus the noise
+        tg = TruncatedGaussian(0.0, 1.0, 0.5)
+        mean, var = conditional_moments_compound(1.0, tg, 1.0, math.inf)
+        tmean, tvar = truncated_moments(tg)
+        assert mean == pytest.approx(tmean, abs=1e-12)
+        assert var == pytest.approx(tvar + 1.0, abs=1e-12)
 
     def test_zero_coefficient_reduces_to_truncation(self):
         got = conditional_moments_compound(0.0, TruncatedGaussian(0.0, 1.0, 0.5), 2.0, 0.3)
