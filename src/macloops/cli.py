@@ -47,9 +47,9 @@ from .control import (
     two_step_u0_optimal,
     two_step_u1,
 )
-from .errors import ConfigurationError, NumericalError
+from .errors import _FINITE, ConfigurationError, NumericalError, _integer, _real
 from .estimation import two_step_posterior
-from .model import LoopConfig, NetworkScenario, PlantModel, _integer, as_matrix
+from .model import LoopConfig, NetworkScenario, PlantModel, as_matrix
 from .network import RESULTS, CrmConfig, TrafficSource
 from .scheduling import THRESHOLD_KINDS, SchedulerPolicy
 from .sim import (EventTable, MonteCarloResult, _check_run, ce_law, monte_carlo,
@@ -486,44 +486,39 @@ def event_rows(episodes: range, events: EventTable) -> list[str]:
         episode, tick, slot, contender, attempt, map(RESULTS.__getitem__, result))))
 
 
-def _out_prefix(args, command: str, label: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    out_dir = Path(os.environ.get(OUT_DIR_ENV, "."))
-    return out_dir / f"{command}-{label}-s{args.seed if args.seed is not None else 'default'}"
+def _out_prefix(args, stem: str) -> Path:
+    """--out, else `stem` in MACLOOPS_OUT_DIR (by default the working directory)."""
+    return Path(args.out) if args.out else Path(os.environ.get(OUT_DIR_ENV, ".")) / stem
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _run_settings(args) -> tuple[ScenarioDoc, int, int]:
-    """The scenario, seed and episode count of a run; the flags override
-    the scenario's own values."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigurationError(f"--seed: must be >= 0, got {args.seed}")
-    if args.episodes is not None and args.episodes < 1:
-        raise ConfigurationError(f"--episodes: must be >= 1, got {args.episodes}")
+def _run_settings(args, command: str) -> tuple[ScenarioDoc, int, int, Path]:
+    """The scenario, seed, episode count and output prefix of a run; the
+    flags override the scenario's own values."""
     doc = parse_scenario_doc(args.scenario)
-    seed = doc.seed if args.seed is None else args.seed
-    episodes = doc.episodes if args.episodes is None else args.episodes
-    return doc, seed, episodes
+    seed, episodes = _flagged(
+        {"seed": "--seed", "episodes": "--episodes"}, _check_run,
+        doc.seed if args.seed is None else args.seed,
+        doc.episodes if args.episodes is None else args.episodes)
+    label = "default" if args.seed is None else args.seed
+    return doc, seed, episodes, _out_prefix(args, f"{command}-{doc.name}-s{label}")
 
 
 def _check_finite(args, *names: str) -> None:
     """Reject a NaN or infinite value of the named float flags."""
     for name in names:
         value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            flag = "--" + name.replace("_", "-")
-            raise ConfigurationError(f"{flag}: must be a finite number, got {value}")
+        if value is not None:
+            _flagged({name: "--" + name.replace("_", "-")}, _real, value, name, *_FINITE)
 
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    doc, seed, episodes = _run_settings(args)
+    doc, seed, episodes, prefix = _run_settings(args, "simulate")
     law = zero_law if args.law == "zero" else ce_law
-    prefix = _out_prefix(args, "simulate", doc.name)
     outputs: list[Path] = []
     hooks = {}
     # each chunk's lines go out as they are formatted; the hooks look
@@ -561,10 +556,8 @@ def _grid_value(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigurationError(f"--eps-grid: {text!r} is not a finite number")
-    return value
+        value = text
+    return _flagged({"eps": "--eps-grid"}, _real, value, "eps", *_FINITE)
 
 
 def _parse_eps_grid(text: str) -> list[float]:
@@ -585,17 +578,15 @@ def _parse_eps_grid(text: str) -> list[float]:
         values = [_grid_value(p) for p in text.split(",") if p]
     if not values:
         raise ConfigurationError("--eps-grid: must hold at least one value")
-    if min(values) < 0.0:
-        raise ConfigurationError(f"--eps-grid: thresholds must be >= 0, got {min(values)}")
     return values
 
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     grid = _parse_eps_grid(args.eps_grid)
-    doc, seed, episodes = _run_settings(args)
-    result = sweep_threshold(doc.scenario, grid, seed, episodes)
-    prefix = _out_prefix(args, "sweep", doc.name)
+    doc, seed, episodes, prefix = _run_settings(args, "sweep")
+    # the schedulers check each threshold
+    result = _flagged({"eps": "--eps-grid"}, sweep_threshold, doc.scenario, grid, seed, episodes)
     sweep_path = prefix.with_name(prefix.name + "_sweep.csv")
     # the header names the result's columns
     rows = zip(*(getattr(result, name).tolist() for name in SWEEP_HEADER))
@@ -632,8 +623,7 @@ def cmd_riccati(args) -> int:
     # the command solves one problem: each value is a scalar or a matrix
     matrices = [_flagged(flags, as_matrix, value, name) for name, value in zip(flags, values)]
     sol = _flagged(flags, riccati_backward, *matrices, args.horizon)
-    out = Path(args.out) if args.out else Path(
-        os.environ.get(OUT_DIR_ENV, ".")) / f"riccati-n{args.horizon}"
+    out = _out_prefix(args, f"riccati-n{args.horizon}")
     path = out.with_name(out.name + ".csv")
     values = _cells(np.reshape(sol.S, (args.horizon + 1, -1)))
     gains = _cells(np.reshape(sol.L, (args.horizon, -1))) + [""]
@@ -654,10 +644,12 @@ def _parse_branch(text: str) -> int:
 
 def cmd_two_step(args) -> int:
     delta0 = _parse_branch(args.branch)
-    _check_finite(args, "x0", "a", "b", "q0", "q1", "q2", "threshold")
+    # the library passes a non-finite x0 or threshold on to a noise bound no one flag names
+    _check_finite(args, "x0", "threshold")
     if delta0 and args.x0 is None:
         raise ConfigurationError("--x0 is required for the delta0=1 branch")
-    flags = dict(q0="--q0", q1="--q1", q2="--q2", x0_or_xhat="--x0", upper="--threshold")
+    flags = dict(a="--a", b="--b", q0="--q0", q1="--q1", q2="--q2", x0_or_xhat="--x0",
+                 upper="--threshold")
     problem = _flagged(flags, _two_step, args.a, args.b, args.q0, args.q1, args.q2, delta0,
                        args.x0 if delta0 else 0.0, args.threshold)
     a, b, q0, q1, q2, _, x0, threshold, s1, _, xhat00, *_, base = problem
@@ -676,8 +668,7 @@ def cmd_two_step(args) -> int:
             f"--threshold: the delta1 = 0 event has probability 0: its noise bound "
             f"threshold - a*x0 - b*u0 = {bound} keeps no probability mass") from None
     u1 = two_step_u1(a, b, q0, q2, post.xhat11)
-    out = Path(args.out) if args.out else Path(
-        os.environ.get(OUT_DIR_ENV, ".")) / f"two-step-d{delta0}"
+    out = _out_prefix(args, f"two-step-d{delta0}")
     path = out.with_name(out.name + ".csv")
     header = ["delta0", "x0", "xhat00", "s1", "ce_u0", "residual_at_ce",
               "optimal_u0", "gap", "u1_at_optimal"]
@@ -692,21 +683,21 @@ def cmd_two_step(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    _check_finite(args, "mu", "var", "upper", "a", "noise_var", "cond_upper")
-    if not args.noise_var > 0.0:
-        raise ConfigurationError(f"--noise-var: must be > 0, got {args.noise_var}")
+    # the kernels take a non-finite a as a NumericalError, an infinite bound as no bound
+    _check_finite(args, "a", "cond_upper")
     tg = _flagged({"mean": "--mu", "var": "--var", "upper": "--upper"},
                   TruncatedGaussian, args.mu, args.var, args.upper)
     mean, var = truncated_moments(tg)
     rows = [["truncated_mean", mean], ["truncated_var", var]]
-    print(f"truncated moments (mu={args.mu}, var={args.var}, upper={args.upper}): "
-          f"mean={mean:.9f} var={var:.9f}")
+    lines = [f"truncated moments (mu={args.mu}, var={args.var}, upper={args.upper}): "
+             f"mean={mean:.9f} var={var:.9f}"]
     if args.cond_upper is not None:
-        cmean, cvar = conditional_moments_compound(args.a, tg, args.noise_var,
-                                                   args.cond_upper)
+        cmean, cvar = _flagged({"noise_var": "--noise-var"}, conditional_moments_compound,
+                               args.a, tg, args.noise_var, args.cond_upper)
         rows += [["compound_cond_mean", cmean], ["compound_cond_var", cvar]]
-        print(f"compound conditional moments (a={args.a}, noise_var={args.noise_var}, "
-              f"upper={args.cond_upper}): mean={cmean:.9f} var={cvar:.9f}")
+        lines.append(f"compound conditional moments (a={args.a}, noise_var={args.noise_var}, "
+                     f"upper={args.cond_upper}): mean={cmean:.9f} var={cvar:.9f}")
+    print("\n".join(lines))
     if args.out:
         path = Path(args.out + ".csv")
         _write_csv(path, ["quantity", "value"], rows)

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BracketingError, ConfigurationError, DegenerateTruncationError,
-                     NumericalError)
-from .model import _integer, _real, lq_matrices
+from .errors import (_FINITE, _NONNEGATIVE, _POSITIVE, BracketingError, ConfigurationError,
+                     DegenerateTruncationError, NumericalError, _integer, _real)
+from .model import lq_matrices
 from .stats import (
     QuadratureSpec,
     TruncatedGaussian,
@@ -168,18 +168,16 @@ def _two_step(a, b, q0, q1, q2, delta0, x0_or_xhat, threshold) -> tuple:
     the silent prior N(0, 1) truncated at the threshold (or None), the step-0
     estimate xhat00, and the residual's factors gain, offset, probe and base,
     which `_certain_lead` shares."""
-    # floats, q0 and q1 >= 0, q2 > 0 (lq_matrices' rule) and delta0 0 or 1 pass at once
+    # floats, q0 and q1 >= 0, q2 > 0, a finite sum, so that a, b and the weights are
+    # finite (lq_matrices' rule), and delta0 0 or 1 pass at once
     if not (type(a) is type(b) is type(q0) is type(q1) is type(q2) is type(x0_or_xhat)
             is type(threshold) is float and q0 >= 0.0 and q1 >= 0.0 and q2 > 0.0
-            and type(delta0) is int and 0 <= delta0 <= 1):
-        a, b, q0, q1, q2, x0_or_xhat, threshold = map(
-            _real, (a, b, q0, q1, q2, x0_or_xhat, threshold),
-            ("a", "b", "q0", "q1", "q2", "x0_or_xhat", "threshold"))
-        for name, value, strict in (("q0", q0, False), ("q1", q1, False), ("q2", q2, True)):
-            if value < 0.0 or (strict and value == 0.0):
-                raise ConfigurationError(f"{name} must be {'>' if strict else '>='} 0, "
-                                         f"got {value}", field=name)
-        delta0 = _integer(delta0, "delta0", "0 or 1", 0, 2)
+            and math.isfinite(a + b + q0 + q1 + q2) and type(delta0) is int and 0 <= delta0 <= 1):
+        a, b = _real(a, "a", *_FINITE), _real(b, "b", *_FINITE)
+        q0, q1 = _real(q0, "q0", *_NONNEGATIVE), _real(q1, "q1", *_NONNEGATIVE)
+        q2 = _real(q2, "q2", *_POSITIVE)
+        x0_or_xhat, threshold = _real(x0_or_xhat, "x0_or_xhat"), _real(threshold, "threshold")
+        delta0 = _integer(delta0, "delta0", "0 or 1", 0, 1)
     s1 = two_step_s1(a, b, q0, q1, q2)
     if not math.isfinite(s1):
         raise NumericalError(f"s1 is not finite: the one-step Riccati update overflows ({s1})")
@@ -213,9 +211,10 @@ def two_step_stationarity_residual(
     event's probability is degenerate.
 
     The scalars are checked by the one rule the solver and `macloops
-    two-step` share (`_two_step`): a bool or a non-real value, a q0 or
-    q1 < 0, a q2 <= 0 or a delta0 other than 0 or 1 raises a
-    ConfigurationError whose `field` names it, as does a non-real u0.  An s1
+    two-step` share (`_two_step`): a bool or a non-real value, a non-finite
+    a, b, q0, q1 or q2, a q0 or q1 < 0, a q2 <= 0 or a delta0 other than 0
+    or 1 raises a ConfigurationError whose `field` names it, as does a
+    non-real u0.  An s1
     that is not finite raises NumericalError, and a NaN noise bound (from a
     NaN u0, x0_or_xhat or threshold) a ConfigurationError naming `upper`.
     """
@@ -231,7 +230,7 @@ def two_step_stationarity_residual(
         # no probing term, and (bound - mean) ** 2 below may overflow
         return resid
     try:
-        mean = (_standard_truncated_moments(bound) if delta0
+        mean = (_standard_truncated_moments(bound, density) if delta0
                 else conditional_moments_compound(a, prior, 1.0, bound))[0]
     except DegenerateTruncationError:
         return resid
@@ -275,11 +274,11 @@ def _scan_window(scan) -> tuple[float, float]:
     """`scan` as two Python floats lo < hi, both finite; anything else raises
     a ConfigurationError whose `field` is `scan`."""
     try:
-        lo, hi = (_real(end, "scan") for end in scan)
+        lo, hi = (_real(end, "scan", *_FINITE) for end in scan)
     except (TypeError, ValueError, ConfigurationError):
         pass
     else:
-        if -math.inf < lo < hi < math.inf:
+        if lo < hi:
             return lo, hi
     raise ConfigurationError(f"scan must be two finite numbers lo < hi, got {scan!r}",
                              field="scan")
@@ -336,9 +335,7 @@ def two_step_u0_optimal(
     if scan is not None:
         scan = _scan_window(scan)
     scan_points = _integer(scan_points, "scan_points", "an integer >= 2", 2)
-    tol = _real(tol, "tol")
-    if not 0.0 < tol < math.inf:
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}", field="tol")
+    tol = _real(tol, "tol", *_POSITIVE)
 
     def residual(u0: float) -> float:
         return two_step_stationarity_residual(a, b, q0, q1, q2, delta0, x0_or_xhat, u0, threshold)

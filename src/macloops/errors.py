@@ -1,11 +1,18 @@
-"""Exception taxonomy shared across the package: two kinds.
+"""Exception taxonomy shared across the package, and its one scalar rule.
 
 ConfigurationError covers bad inputs detected before any computation runs
 (dimension mismatches, invalid probabilities, non-PSD covariances).
 NumericalError and its subclasses cover failures of the numeric machinery
 at runtime.  The CLI maps ConfigurationError to exit code 3,
 NumericalError to exit code 4 and file-system errors (OSError) to 5.
+`_integer` and `_real` check every scalar field of the package: a bool, a
+non-real value or one outside the field's closed range [low, high] raises a
+ConfigurationError "{name} must be {what}, got {value!r}" naming the field.
 """
+
+import math
+import numbers
+import sys
 
 
 class ConfigurationError(ValueError):
@@ -34,3 +41,36 @@ class QuadratureError(NumericalError):
 
 class DegenerateTruncationError(NumericalError):
     """A conditioning event has probability too small to normalize against."""
+
+
+# (what, low, high) of the closed ranges that recur; an open end is its neighbouring float
+_FINITE = ("a finite number", -sys.float_info.max, sys.float_info.max)
+_NONNEGATIVE = ("a finite number >= 0", 0.0, sys.float_info.max)
+_POSITIVE = ("positive and finite", math.ulp(0.0), sys.float_info.max)
+_PROBABILITY = ("a probability in [0,1]", 0.0, 1.0)
+
+
+def _integer(value, name: str, what: str, low: float, high: float = math.inf) -> int:
+    """`value` as an int in [low, high], low possibly -inf; anything else,
+    bools, NaN and infinities included, raises a ConfigurationError whose `field` is `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value <= high and value % 1 == 0)):
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}", field=name)
+    return int(value)
+
+
+def _real(value, name: str, what: str = "a real number", low=None, high=math.inf) -> float:
+    """`value` as a Python float in [low, high], or as any float, NaN and
+    infinities included, if `low` is None; a bool, anything that is not a
+    real number, an int beyond float range or a value outside the range
+    raises a ConfigurationError whose `field` is `name`."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}", field=name)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigurationError(f"{name} must be within float range", field=name) from None
+    if low is not None and not low <= value <= high:
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}", field=name)
+    return value

@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .model import _integer, _real
+from .errors import ConfigurationError, _integer, _real
 from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
 
@@ -90,12 +89,10 @@ def two_step_posterior(
     or missing one raises a ConfigurationError whose `field` names it.
     """
     a, b, u0, threshold = map(_real, (a, b, u0, threshold), ("a", "b", "u0", "threshold"))
-    delta0 = _integer(delta0, "delta0", "0 or 1", 0, 2)
-    delta1 = _integer(delta1, "delta1", "0 or 1", 0, 2)
+    delta0 = _integer(delta0, "delta0", "0 or 1", 0, 1)
+    delta1 = _integer(delta1, "delta1", "0 or 1", 0, 1)
     if delta0:
-        if x0 is None:
-            raise ConfigurationError("x0 is required on the delta0=1 branch", field="x0")
-        xbar0, p00 = _real(x0, "x0"), 0.0
+        xbar0, p00 = _real(x0, "x0", "a real number on the delta0=1 branch"), 0.0
         if delta1:
             ebar1, p11 = 0.0, 0.0
         else:

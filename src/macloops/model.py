@@ -2,27 +2,25 @@
 streams.
 
 All configuration types are immutable after construction (arrays are frozen),
-so scenarios can be shared freely across concurrent episode workers.  Every
+so scenarios can be shared freely across concurrent episode workers; each
+checks its matrices here and its scalars by the one rule of `errors`.  Every
 random draw flows through an explicitly coordinated RngStream, one numpy
-stream per (master seed, coordinates), which is what makes episodes
-bit-reproducible.  The engine draws each episode from three streams, its
-noise, its traffic and its contention, keyed and laid out as `sim._Layout`
-states.  It seeds the streams of a whole chunk of episodes at once:
-`pcg64_states` computes the PCG64 state numpy's SeedSequence gives each
-spawn key, and the engine checks the first of each chunk and role against
-`RngStream.generator`.
+stream per (master seed, coordinates), which makes episodes bit-reproducible.
+The engine draws each episode from three streams, its noise, its traffic and
+its contention, keyed and laid out as `sim._Layout` states, and seeds those
+of a whole chunk of episodes at once: `pcg64_states` computes the PCG64
+state numpy's SeedSequence gives each spawn key, and the engine checks the
+first of each chunk and role against `RngStream.generator`.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import _NONNEGATIVE, ConfigurationError, _integer, _real
 from .network import CrmConfig, TrafficSource
 from .scheduling import SchedulerPolicy
 
@@ -85,29 +83,6 @@ def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> N
         if bad.any():
             raise ConfigurationError(f"{name} must be positive {what}, "
                                      f"eigenvalues {eigs[bad.argmax()]}", field=name)
-
-
-def _integer(value, name: str, what: str, low: float, high: float = math.inf) -> int:
-    """`value` as an int in [low, high), low possibly -inf; anything else,
-    bools, NaN and infinities included, raises a ConfigurationError whose `field` is `name`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (low <= value < high and value % 1 == 0)):
-        raise ConfigurationError(f"{name} must be {what}, got {value!r}", field=name)
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """`value` as a Python float, NaN and infinities included; a bool, anything
-    that is not a real number, or an int beyond float range raises a
-    ConfigurationError whose `field` is `name`."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must be a real number, got {value!r}", field=name)
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigurationError(f"{name} must be within float range", field=name) from None
 
 
 def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
@@ -316,7 +291,7 @@ class PlantModel:
         period = _integer(self.period, "period", "a positive integer", 1)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "phase", _integer(
-            self.phase, "phase", "an integer in [0, period)", 0, period))
+            self.phase, "phase", "an integer in [0, period)", 0, period - 1))
 
     @property
     def n(self) -> int:
@@ -350,12 +325,8 @@ class LoopConfig:
         weights = lq_matrices(self.plant.A, self.plant.B, self.Q0, self.Q1, self.Q2)[2:]
         for name, mat in zip(("Q0", "Q1", "Q2"), weights):
             object.__setattr__(self, name, _freeze(mat))
-        penalty = self.net_penalty
-        if (isinstance(penalty, bool) or not isinstance(penalty, numbers.Real)
-                or not 0.0 <= penalty < math.inf):
-            raise ConfigurationError(f"net_penalty must be a finite number >= 0, got {penalty!r}",
-                                     field="net_penalty")
-        object.__setattr__(self, "net_penalty", float(penalty))
+        object.__setattr__(self, "net_penalty",
+                           _real(self.net_penalty, "net_penalty", *_NONNEGATIVE))
 
 
 @dataclass(frozen=True, eq=False)

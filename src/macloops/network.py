@@ -40,13 +40,12 @@ indicators at once.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import _PROBABILITY, ConfigurationError, _integer, _real
 
 RESULT_SUCCESS = "success"
 RESULT_COLLIDED = "collided"
@@ -67,37 +66,21 @@ class CrmConfig:
     slots_per_sample: int = 0
 
     def __post_init__(self):
-        # model imports this module, so its integer check is imported late
-        from .model import _integer
-
         try:
-            pers = tuple(self.persistence)
+            pers = tuple(_real(p, "persistence", *_PROBABILITY) for p in self.persistence)
         except TypeError:
-            raise ConfigurationError(f"persistence must be a list of probabilities, "
-                                     f"got {self.persistence}", field="persistence") from None
+            pers = ()
         if not pers:
-            raise ConfigurationError("persistence list must not be empty", field="persistence")
-        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in pers):
-            raise ConfigurationError(f"persistence must be numeric probabilities, got {pers}",
-                                     field="persistence")
-        pers = tuple(map(float, pers))
-        if any(not (0.0 <= p <= 1.0) for p in pers):
-            raise ConfigurationError(f"persistence probabilities must lie in [0,1]: {pers}",
-                                     field="persistence")
+            raise ConfigurationError(f"persistence must be a non-empty list of probabilities, "
+                                     f"got {self.persistence!r}", field="persistence")
         object.__setattr__(self, "persistence", pers)
         # 0 stands for the default: one attempt per probability, one slot per attempt
         rmax = _integer(self.max_attempts, "max_attempts", "an integer >= 0", 0) or len(pers)
-        if rmax != len(pers):
-            raise ConfigurationError(
-                f"need one persistence probability per attempt: {len(pers)} given, "
-                f"max_attempts={rmax}"
-            )
+        _integer(rmax, "max_attempts", f"{len(pers)}, one attempt per persistence probability",
+                 len(pers), len(pers))
         object.__setattr__(self, "max_attempts", rmax)
         slots = _integer(self.slots_per_sample, "slots_per_sample", "an integer >= 0", 0) or rmax
-        if slots < rmax:
-            raise ConfigurationError(
-                f"slots_per_sample ({slots}) must be >= max_attempts ({rmax})"
-            )
+        _integer(slots, "slots_per_sample", f"an integer >= max_attempts ({rmax})", rmax)
         object.__setattr__(self, "slots_per_sample", slots)
 
 
@@ -279,10 +262,7 @@ class TrafficSource:
         if self.kind not in ("bernoulli", "markov"):
             raise ConfigurationError(f"unknown traffic source kind {self.kind!r}")
         for name in ("rate", "p_on", "p_off"):
-            p = getattr(self, name)
-            if isinstance(p, bool) or not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
-                raise ConfigurationError(f"{name} must lie in [0,1], got {p!r}", field=name)
-            object.__setattr__(self, name, float(p))
+            object.__setattr__(self, name, _real(getattr(self, name), name, *_PROBABILITY))
 
     @classmethod
     def bernoulli(cls, rate: float) -> "TrafficSource":

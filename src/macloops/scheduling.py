@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _real
 
 _CONTROL_FREE = {"always": True, "state": False, "innovation": True, "halfline": False}
 # the kinds with a threshold eps on a squared norm
@@ -39,20 +38,12 @@ class SchedulerPolicy:
     def __post_init__(self):
         if self.kind not in _CONTROL_FREE:
             raise ConfigurationError(f"unknown scheduler kind {self.kind!r}", field="kind")
-        for name in ("eps", "threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ConfigurationError(f"{name} must be a number, got {value!r}", field=name)
-            object.__setattr__(self, name, float(value))
-        if self.kind in THRESHOLD_KINDS and not self.eps >= 0.0:
-            raise ConfigurationError(f"eps must be >= 0, got {self.eps}", field="eps")
-        if self.kind == "halfline":
-            if math.isnan(self.threshold):
-                raise ConfigurationError(f"threshold must be a number, got {self.threshold}",
-                                         field="threshold")
-            if self.direction not in ("ge", "le"):
-                raise ConfigurationError(
-                    f"direction must be 'ge' or 'le', got {self.direction!r}", field="direction")
+        object.__setattr__(self, "eps", _real(self.eps, "eps", ">= 0", 0.0))
+        object.__setattr__(self, "threshold",
+                           _real(self.threshold, "threshold", "a number", -math.inf))
+        if self.kind == "halfline" and self.direction not in ("ge", "le"):
+            raise ConfigurationError(
+                f"direction must be 'ge' or 'le', got {self.direction!r}", field="direction")
 
     # -- constructors -------------------------------------------------------
     @classmethod

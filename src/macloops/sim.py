@@ -81,9 +81,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import CostReport, jdp_stack, riccati_backward
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, _integer
 from .estimation import last_delivery, observer_update
-from .model import NetworkScenario, RngStream, _integer, pcg64_states, psd_sqrt
+from .model import NetworkScenario, RngStream, pcg64_states, psd_sqrt
 from .network import Round, contend, traffic_activity
 # The per-round, per-tick and per-episode reference rules the engine's array
 # forms reproduce; benchmark/workloads.py wraps these names here.

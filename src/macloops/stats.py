@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 from .errors import (
+    _FINITE,
+    _POSITIVE,
     BracketingError,
     ConfigurationError,
     DegenerateTruncationError,
     NumericalError,
     QuadratureError,
+    _real,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -68,9 +70,9 @@ def std_normal_cdf(x: float) -> float:
 
 
 def normal_pdf(x: float, mean: float = 0.0, var: float = 1.0) -> float:
-    """Density of N(mean, var) at x."""
-    if var <= 0.0:
-        raise ConfigurationError(f"variance must be positive, got {var}")
+    """Density of N(mean, var) at x, for a var that is positive and finite."""
+    if not (type(var) is float and 0.0 < var < math.inf):
+        var = _real(var, "var", *_POSITIVE)
     s = math.sqrt(var)
     z = (x - mean) / s
     return math.exp(-0.5 * z * z) / (s * _SQRT_2PI)
@@ -89,16 +91,12 @@ class TruncatedGaussian:
 
     def __post_init__(self):
         mean, var, upper = self.mean, self.var, self.upper
-        # floats, numpy's included, pass at once: the two-step residuals build many
-        if not (isinstance(mean, float) and isinstance(var, float) and isinstance(upper, float)):
-            for name, value in (("mean", mean), ("var", var), ("upper", upper)):
-                if isinstance(value, bool) or not isinstance(value, Real):
-                    raise ConfigurationError(f"{name} must be a number, got {value!r}", field=name)
-        if not (var > 0.0 and math.isfinite(var)):
-            raise ConfigurationError(f"var must be positive and finite, got {var}", field="var")
-        for name in ("mean", "upper"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError("mean and upper bound must be finite", field=name)
+        # floats, numpy's included, with var > 0 and a finite sum, so that all
+        # three are finite, pass at once: the two-step residuals build many
+        if not (isinstance(mean, float) and isinstance(var, float) and isinstance(upper, float)
+                and var > 0.0 and math.isfinite(mean + var + upper)):
+            for name, rule in (("mean", _FINITE), ("var", _POSITIVE), ("upper", _FINITE)):
+                object.__setattr__(self, name, _real(getattr(self, name), name, *rule))
         if self.keep_prob() <= 0.0:
             raise ConfigurationError(
                 "truncation keeps no probability mass "
@@ -127,8 +125,7 @@ class QuadratureSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
+        object.__setattr__(self, "tol", _real(self.tol, "tol", *_POSITIVE))
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -194,16 +191,17 @@ def truncated_moments(tg: TruncatedGaussian) -> tuple[float, float]:
     return tg.mean + tg.sigma * z_mean, tg.var * z_var
 
 
-def _standard_truncated_moments(alpha: float) -> tuple[float, float]:
+def _standard_truncated_moments(alpha: float, density=None) -> tuple[float, float]:
     """Mean and variance of Z ~ N(0, 1) given Z < alpha, for a finite alpha:
     the standard-normal arithmetic of `truncated_moments`, which callers
-    with a standard bound use without building a TruncatedGaussian."""
+    with a standard bound use without building a TruncatedGaussian, given
+    phi(alpha) as `density` by one that already holds it."""
     keep = std_normal_cdf(alpha)
     if keep < MIN_TRUNCATION_PROB:
         raise DegenerateTruncationError(
             f"truncation keeps probability {keep:.3e} < {MIN_TRUNCATION_PROB}"
         )
-    lam = std_normal_pdf(alpha) / keep
+    lam = (std_normal_pdf(alpha) if density is None else density) / keep
     return -lam, 1.0 - alpha * lam - lam * lam
 
 
@@ -214,12 +212,12 @@ def compound_density(a: float, tg: TruncatedGaussian, noise_var: float, eps: flo
     In closed form, the extended skew-normal of Azzalini (1985): the
     untruncated law of e times Pr(X < upper | e) / Pr(X < upper), where X
     given e is Gaussian with mean m(e) and variance v*s2/(a^2 v + s2).
-    a == 0 collapses exactly to the noise density.  A noise_var <= 0 or a NaN
-    eps raises a ConfigurationError whose `field` names it, and an a that
-    puts the law of e out of floating-point range NumericalError.
+    a == 0 collapses exactly to the noise density.  A noise_var not in
+    (0, inf) or a NaN eps raises a ConfigurationError whose `field` names it,
+    and an a that puts the law of e out of floating-point range NumericalError.
     """
-    if not noise_var > 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", field="noise_var")
+    if not (type(noise_var) is float and 0.0 < noise_var < math.inf):
+        noise_var = _real(noise_var, "noise_var", *_POSITIVE)
     if math.isnan(eps):
         raise ConfigurationError("eps must not be NaN", field="eps")
     if a == 0.0:
@@ -327,10 +325,10 @@ def conditional_moments_compound(
     _bvnu with the same r.  Raises DegenerateTruncationError when
     Pr(e < upper | X < c) = P / Phi(h) falls below MIN_TRUNCATION_PROB, and
     NumericalError when the law of e leaves floating-point range.  A
-    noise_var <= 0 or a NaN upper raises a ConfigurationError naming it.
+    noise_var not in (0, inf) or a NaN upper raises a ConfigurationError naming it.
     """
-    if not noise_var > 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", field="noise_var")
+    if not (type(noise_var) is float and 0.0 < noise_var < math.inf):
+        noise_var = _real(noise_var, "noise_var", *_POSITIVE)
     if math.isnan(upper):
         raise ConfigurationError("upper must not be NaN", field="upper")
     if a == 0.0:

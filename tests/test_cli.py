@@ -809,16 +809,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
         assert "loops[0].scheduler: unknown keys ['threshold']" in capsys.readouterr().err
 
+    # a row whose message changed to the scalar rule's keeps the id it had before
     @pytest.mark.parametrize("key,value,message", [
-        ("sources", [{"kind": "bernoulli", "rate": 1.5}],
-         "sources[0].rate: rate must lie in [0,1], got 1.5"),
-        ("crm", {"persistence": [1.5]},
-         "crm.persistence: persistence probabilities must lie in [0,1]"),
+        pytest.param("sources", [{"kind": "bernoulli", "rate": 1.5}],
+                     "sources[0].rate: rate must be a probability in [0,1], got 1.5",
+                     id="sources-value0-sources[0].rate: rate must lie in [0,1], got 1.5"),
+        pytest.param("crm", {"persistence": [1.5]},
+                     "crm.persistence: persistence must be a probability in [0,1], got 1.5",
+                     id="crm-value1-crm.persistence: persistence probabilities must lie in [0,1]"),
         ("sources", {"kind": "bernoulli", "rate": 0.2}, "scenario.sources: must be an array"),
         ("global_horizon", 400, "scenario: unknown keys ['global_horizon']"),
-        ("crm", {"persistence": ["a"]}, "crm.persistence: persistence must be numeric"),
-        ("crm", {"persistence": [True, 0.75, 0.5]},
-         "crm.persistence: persistence must be numeric probabilities, got (True, 0.75, 0.5)"),
+        pytest.param("crm", {"persistence": ["a"]},
+                     "crm.persistence: persistence must be a probability in [0,1], got 'a'",
+                     id="crm-value4-crm.persistence: persistence must be numeric"),
+        pytest.param("crm", {"persistence": [True, 0.75, 0.5]},
+                     "crm.persistence: persistence must be a probability in [0,1], got True",
+                     id="crm-value5-crm.persistence: persistence must be numeric probabilities, "
+                        "got (True, 0.75, 0.5)"),
     ])
     def test_crm_and_source_errors_name_their_path(self, tmp_path, capsys, key, value,
                                                    message):
@@ -899,7 +906,7 @@ class TestExitCodes:
     def test_negative_seed_flag(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "example3", "--seed", "-1",
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
-        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert "--seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     def test_negative_scenario_seed(self, tmp_path, capsys):
         doc = json.loads(json.dumps(presets()["example3"]))
@@ -910,30 +917,43 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
         assert "scenario.seed: seed must be an integer >= 0, got -3" in capsys.readouterr().err
 
+    # a row whose message changed to the scalar rule's keeps the id it had before
     @pytest.mark.parametrize("argv,message", [
-        (["sweep", "--scenario", "example3", "--eps-grid=-1,2", "--episodes", "1"],
-         "--eps-grid: thresholds must be >= 0, got -1.0"),
+        pytest.param(["sweep", "--scenario", "example3", "--eps-grid=-1,2", "--episodes", "1"],
+                     "--eps-grid: eps must be >= 0, got -1.0",
+                     id="argv0---eps-grid: thresholds must be >= 0, got -1.0"),
         (["sweep", "--scenario", "example3", "--eps-grid", ",", "--episodes", "1"],
          "--eps-grid: must hold at least one value"),
-        (["simulate", "--scenario", "example3", "--episodes", "0"],
-         "--episodes: must be >= 1, got 0"),
-        (["two-step", "--branch", "delta0=0", "--a", "nan"],
-         "--a: must be a finite number, got nan"),
-        (["two-step", "--branch", "delta0=1", "--x0", "inf"],
-         "--x0: must be a finite number, got inf"),
-        (["moments", "--upper", "1", "--cond-upper", "1", "--noise-var", "nan"],
-         "--noise-var: must be a finite number, got nan"),
-        # the scalar form of riccati's rule: Q0 and Q1 PSD, Q2 PD, and a noise variance > 0
-        (["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "-1"],
-         "--q2: q2 must be > 0, got -1.0"),
-        (["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "0"],
-         "--q2: q2 must be > 0, got 0.0"),
-        (["two-step", "--branch", "delta0=1", "--x0", "0", "--q0", "-1"],
-         "--q0: q0 must be >= 0, got -1.0"),
-        (["two-step", "--branch", "delta0=0", "--q1", "-3"],
-         "--q1: q1 must be >= 0, got -3.0"),
-        (["moments", "--upper", "0.5", "--a", "1", "--noise-var", "-0.5", "--cond-upper", "0.5"],
-         "--noise-var: must be > 0, got -0.5"),
+        pytest.param(["simulate", "--scenario", "example3", "--episodes", "0"],
+                     "--episodes: episodes must be an integer >= 1, got 0",
+                     id="argv2---episodes: must be >= 1, got 0"),
+        pytest.param(["two-step", "--branch", "delta0=0", "--a", "nan"],
+                     "--a: a must be a finite number, got nan",
+                     id="argv3---a: must be a finite number, got nan"),
+        pytest.param(["two-step", "--branch", "delta0=1", "--x0", "inf"],
+                     "--x0: x0 must be a finite number, got inf",
+                     id="argv4---x0: must be a finite number, got inf"),
+        pytest.param(["moments", "--upper", "1", "--cond-upper", "1", "--noise-var", "nan"],
+                     "--noise-var: noise_var must be positive and finite, got nan",
+                     id="argv5---noise-var: must be a finite number, got nan"),
+        # the scalar form of riccati's rule: finite, Q0 and Q1 PSD, Q2 PD, and a
+        # noise variance > 0
+        pytest.param(["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "-1"],
+                     "--q2: q2 must be positive and finite, got -1.0",
+                     id="argv6---q2: q2 must be > 0, got -1.0"),
+        pytest.param(["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "0"],
+                     "--q2: q2 must be positive and finite, got 0.0",
+                     id="argv7---q2: q2 must be > 0, got 0.0"),
+        pytest.param(["two-step", "--branch", "delta0=1", "--x0", "0", "--q0", "-1"],
+                     "--q0: q0 must be a finite number >= 0, got -1.0",
+                     id="argv8---q0: q0 must be >= 0, got -1.0"),
+        pytest.param(["two-step", "--branch", "delta0=0", "--q1", "-3"],
+                     "--q1: q1 must be a finite number >= 0, got -3.0",
+                     id="argv9---q1: q1 must be >= 0, got -3.0"),
+        pytest.param(["moments", "--upper", "0.5", "--a", "1", "--noise-var", "-0.5",
+                      "--cond-upper", "0.5"],
+                     "--noise-var: noise_var must be positive and finite, got -0.5",
+                     id="argv10---noise-var: must be > 0, got -0.5"),
         # the truncated Gaussian's own checks
         (["moments", "--upper", "1", "--var", "0"],
          "--var: var must be positive and finite, got 0.0"),
@@ -946,6 +966,12 @@ class TestExitCodes:
         (["two-step", "--branch", "delta0=1", "--x0", "0", "--threshold", "-40"],
          "--threshold: the delta1 = 0 event has probability 0: its noise bound "
          "threshold - a*x0 - b*u0 = -40.0 keeps no probability mass"),
+        (["two-step", "--branch", "delta0=1", "--x0", "0", "--q2", "inf"],
+         "--q2: q2 must be positive and finite, got inf"),
+        (["two-step", "--branch", "delta0=0", "--q0", "nan"],
+         "--q0: q0 must be a finite number >= 0, got nan"),
+        (["two-step", "--branch", "delta0=1", "--x0", "0", "--b", "inf"],
+         "--b: b must be a finite number, got inf"),
     ])
     def test_bad_flags_are_named(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_VALIDATION

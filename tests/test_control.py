@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from macloops import control
+from macloops import control, stats
 from macloops.control import (
     ce_u0,
     jdp_stack,
@@ -516,6 +516,21 @@ class TestLazyScan:
         # evaluating every scan point up to the sign change took 196 calls
         assert len(calls) <= 110
 
+    def test_delivered_residual_evaluates_the_density_once(self, monkeypatch):
+        # phi(bound) is both the probing term's density and the numerator of
+        # the truncated mean
+        calls = []
+        pdf = stats.std_normal_pdf
+
+        def spy(x):
+            calls.append(x)
+            return pdf(x)
+
+        for module in (control, stats):
+            monkeypatch.setattr(module, "std_normal_pdf", spy)
+        assert two_step_stationarity_residual(1.0, 1.0, 1.0, 1.0, 1.0, 1, 0.5, 0.2) != 0.0
+        assert calls == [0.5 - 0.5 - 0.2]
+
     def test_the_probing_factor_is_below_one(self):
         # The delivered residual is resid - coef*b*F(beta), F(beta) =
         # (beta - m)^2 phi(beta) with m = E[Z | Z < beta], and the scan skips
@@ -531,7 +546,7 @@ class TestLazyScan:
         for beta in np.linspace(-40.0, 40.0, 160_001).tolist():
             density = std_normal_pdf(beta)
             try:
-                mean, _ = _standard_truncated_moments(beta)
+                mean, _ = _standard_truncated_moments(beta, density)
             except DegenerateTruncationError:
                 degenerate += 1
                 continue
@@ -550,6 +565,8 @@ class TestTwoStepBoundary:
         ("b", True), pytest.param("a", 10 ** 400, id="a-10**400"), ("x0_or_xhat", "0.5"),
         ("threshold", [0.5]), ("delta0", 2), ("delta0", -1), ("delta0", True), ("tol", 0.0),
         ("tol", -1.0), ("tol", math.nan), ("tol", math.inf), ("tol", "1e-9"),
+        # a, b and the weights are finite, as lq_matrices requires
+        ("q2", math.inf), ("q0", math.nan), ("a", math.nan), ("b", math.inf),
     ])
     def test_bad_scalar_names_its_field(self, field, value):
         args = dict(a=1.0, b=1.0, q0=1.0, q1=1.0, q2=1.0, delta0=1, x0_or_xhat=0.5)
@@ -559,7 +576,7 @@ class TestTwoStepBoundary:
 
     @pytest.mark.parametrize("field,value", [
         ("q2", -1.0), ("q0", -1.0), ("x0_or_xhat", "0.5"), ("delta0", 2), ("b", True),
-        ("u0", "0.2"),
+        ("u0", "0.2"), ("q2", math.inf), ("q0", math.nan), ("a", math.nan), ("b", math.inf),
     ])
     def test_residual_names_its_bad_scalar(self, field, value):
         # the residual checks by the solver's rule

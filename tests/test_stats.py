@@ -66,8 +66,15 @@ class TestDensities:
         assert normal_pdf(1.0, 1.0, 4.0) == pytest.approx(std_normal_pdf(0.0) / 2.0)
 
     def test_normal_pdf_rejects_bad_variance(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as info:
             normal_pdf(0.0, 0.0, 0.0)
+        assert info.value.field == "var"
+
+    @pytest.mark.parametrize("var", [-1.0, math.nan, math.inf, True, "1"])
+    def test_normal_pdf_names_a_variance_not_positive_and_finite(self, var):
+        with pytest.raises(ConfigurationError) as info:
+            normal_pdf(0.0, 0.0, var)
+        assert info.value.field == "var"
 
 
 class TestIntegrate:
@@ -88,6 +95,12 @@ class TestIntegrate:
                         -12.0, 0.5, QuadratureSpec(tol=1e-12))
         assert got == pytest.approx(compound_density(-2.0, tg, 1.0, -3.0), abs=1e-12)
         assert got == pytest.approx(6.1644e-3, abs=1e-7)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True, "1e-8"])
+    def test_bad_tolerance_names_tol(self, tol):
+        with pytest.raises(ConfigurationError) as info:
+            QuadratureSpec(tol=tol)
+        assert info.value.field == "tol"
 
     def test_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(stats, "QUAD_MAX_SUBDIVISIONS", 4)
@@ -158,7 +171,8 @@ class TestTruncatedMoments:
             TruncatedGaussian(*args)
         assert info.value.field == field
         value = dict(zip(("mean", "var", "upper"), args))[field]
-        assert str(info.value) == f"{field} must be a number, got {value!r}"
+        what = "positive and finite" if field == "var" else "a finite number"
+        assert str(info.value) == f"{field} must be {what}, got {value!r}"
 
 
 class TestCompoundDensity:
@@ -285,6 +299,14 @@ class TestConditionalMomentsCompound:
         tg = TruncatedGaussian(0.0, 1.0, 0.5)
         with pytest.raises(ConfigurationError, match="noise_var must be positive") as info:
             conditional_moments_compound(a, tg, -0.5, 0.5)
+        assert info.value.field == "noise_var"
+
+    @pytest.mark.parametrize("noise_var", [True, "1", math.inf, math.nan])
+    @pytest.mark.parametrize("kernel", [compound_density, conditional_moments_compound])
+    def test_noise_variance_must_be_a_positive_finite_number(self, kernel, noise_var):
+        # a bool is not read as 1.0, and text is no TypeError
+        with pytest.raises(ConfigurationError) as info:
+            kernel(1.0, TruncatedGaussian(0.0, 1.0, 0.5), noise_var, 0.0)
         assert info.value.field == "noise_var"
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
