@@ -639,11 +639,11 @@ def _parse_branch(text: str) -> int:
         return 1
     if t in ("delta0=0", "0"):
         return 0
-    raise ConfigurationError(f"branch must be delta0=0 or delta0=1, got {text!r}")
+    raise ConfigurationError(f"branch must be delta0=0 or delta0=1, got {text!r}", field="branch")
 
 
 def cmd_two_step(args) -> int:
-    delta0 = _parse_branch(args.branch)
+    delta0 = _flagged({"branch": "--branch"}, _parse_branch, args.branch)
     # the library passes a non-finite x0 or threshold on to a noise bound no one flag names
     _check_finite(args, "x0", "threshold")
     if delta0 and args.x0 is None:

@@ -45,6 +45,7 @@ class DegenerateTruncationError(NumericalError):
 
 # (what, low, high) of the closed ranges that recur; an open end is its neighbouring float
 _FINITE = ("a finite number", -sys.float_info.max, sys.float_info.max)
+_NOT_NAN = ("a real number other than NaN", -math.inf, math.inf)
 _NONNEGATIVE = ("a finite number >= 0", 0.0, sys.float_info.max)
 _POSITIVE = ("positive and finite", math.ulp(0.0), sys.float_info.max)
 _PROBABILITY = ("a probability in [0,1]", 0.0, 1.0)

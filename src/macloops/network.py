@@ -21,16 +21,16 @@ outcome is certain, with persistence 0 or 1, are not needed.
 Two forms of a round run the same rule.  `resolve_contention` runs one round
 among a set of contender ids and is the reference the tests check against.
 `contend` runs one round per row of a boolean (rows, contenders) request mask
-at once, with one array step per mini-slot; the engine calls it through
-`sim._rounds`, once per tick for every episode of a chunk with a request,
-and once per chunk for all the ticks whose rounds are known before the
-first (`sim._Ahead`).  Either way a round yields its delivery and attempt
-counts per contender and its events, one (slot, contender, attempt,
-result) per contender and mini-slot.  `resolve_contention` gives them as
-`SlotEvent` named tuples.  `contend` returns a `Round`, whose events, when
-it is given the contenders' ids, are int columns derived from its
-per-slot masks: the engine's one form of its events, which its event
-table and the event dump read.
+at once, with one array step per mini-slot, which reads that slot's draws
+straight from the chunk's contention table; the engine calls it through
+`sim._rounds`, once per tick for every episode of a chunk with a request, and
+once per chunk for all the ticks whose rounds are known before the first
+(`sim._Ahead`).  Either way a round yields its delivery and attempt counts
+per contender and its events, one (slot, contender, attempt, result) per
+contender and mini-slot.  `resolve_contention` gives them as `SlotEvent`
+named tuples.  `contend` returns a `Round`, whose events, when it is given
+the contenders' ids, are int columns derived from its per-slot masks: the
+engine's one form of its events, which its event table and the event dump read.
 
 A traffic source makes one uniform draw per tick whatever its kind:
 `traffic_step` advances it by one tick, and `traffic_activity` turns a whole
@@ -175,29 +175,38 @@ class Round(NamedTuple):
     events: Optional[tuple[np.ndarray, ...]]
 
 
-def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
+def contend(requests: np.ndarray, crm: CrmConfig, draws,
             ids: Optional[Sequence[int]] = None) -> Round:
     """Run one contention round per row of the (rows, contenders) request mask.
 
-    `draws[r, c, s - 1]` is column c's draw in mini-slot s of row r; it may
-    be None when every persistence is 0 or 1.  Each row runs the rule of
-    `resolve_contention` on its requesting columns: a pending contender on
-    attempt a transmits if p = persistence[a - 1] >= 1, or if 0 < p < 1 and
-    its draw is below p; a lone transmitter wins, and each of several burns
-    an attempt and is dropped past `max_attempts`.  Given `ids`, of any
-    shape that broadcasts to the request mask, where column c of row r is
-    contender ids[r, c] of the broadcast, the round also gives its events as
-    equal-length int arrays (row, slot, contender, attempt, result), where a
-    result is its code in RESULTS.  They run row by row, and within a row in
-    the order `resolve_contention` emits them.  Each row's round is its own:
-    the rows of a batch give what each would give alone, and a column that
-    does not request never transmits, so rows of different rounds may share
-    one call, padded to one width.
+    `draws` is None when every persistence is 0 or 1, else a pair (table,
+    index): column c of row r draws table[index[r, c], s - 1] in mini-slot
+    s, read only if it requests, when s runs.  A (rows, contenders, slots)
+    array stands for its (rows x contenders, slots) reshape and arange.
+    Each row runs the rule of `resolve_contention` on its requesting
+    columns: a pending contender on attempt a transmits if p =
+    persistence[a - 1] >= 1, or if 0 < p < 1 and its draw is below p; a lone
+    transmitter wins, and each of several burns an attempt and is dropped
+    past `max_attempts`.  Given `ids`, of any shape that broadcasts to the
+    request mask, where column c of row r is contender ids[r, c] of the
+    broadcast, the round also gives its events as equal-length int arrays
+    (row, slot, contender, attempt, result), where a result is its code in
+    RESULTS.  They run row by row, and within a row in the order
+    `resolve_contention` emits them.  Each row's round is its own: the rows
+    of a batch give what each would give alone, and a column that does not
+    request never transmits, so rows of different rounds may share one
+    call, padded to one width.
     """
     # the persistence of attempt a at index a; attempt max_attempts + 1 is
     # never pending, and its 0 pads the table
     persistence = np.array((0.0,) + crm.persistence + (0.0,))
     requests = np.asarray(requests, dtype=bool)
+    if isinstance(draws, np.ndarray):
+        draws = draws.reshape(-1, draws.shape[2]), np.arange(requests.size)
+    table, index = draws or (None, None)
+    if table is not None:
+        asks = np.flatnonzero(requests)
+        index, below = index.take(asks), np.zeros(requests.shape, dtype=bool)
     pending = requests.copy()
     attempt = np.ones(pending.shape, dtype=int)
     delta = np.zeros(pending.shape, dtype=bool)
@@ -208,11 +217,12 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws: Optional[np.ndarray],
         if not pending.any():
             break
         p = persistence.take(attempt)
-        if draws is None:
+        if table is None:
             tx = pending & (p >= 1.0)
         else:
             # a draw lies in [0, 1): it is below every p >= 1 and no p == 0
-            tx = pending & (draws[:, :, col] < p)
+            below.put(asks, table[:, col].take(index) < p.take(asks))
+            tx = pending & below
         won = tx & (tx.sum(axis=1, keepdims=True) == 1)
         delta |= won
         before = attempt

@@ -17,45 +17,42 @@ reference `RngStream.generator` once per chunk and role.
 There is one engine, and it runs a chunk of episodes at once.  A chunk
 holds as many episodes as fit in CHUNK_CELLS array cells, and at least
 one: an episode's cells are its draws (the noise row, the traffic table,
-and the contention table if it is drawn) and its stacks' step arrays
-(`_Layout.cells`), so a small network runs in long chunks and a large one
-in short ones.  The loops of equal (n, m, horizon) form a stack
-(`_Stack`), whose states, estimates and inputs are (episodes, loops, n)
-arrays and whose matrices and gains the plan's steps (`_Step`) index, and
-every tick does the prediction, scheduler decision, observer update,
-control law and plant step once per stack, for its sampling loops and the
-whole chunk; the residuals, errors, delivery ages and cost terms then
-follow from the stored steps, all steps at once, and each loop's trace is
-a view into its stack's arrays.  A control law therefore takes the
-(l, m, n) gains L_k of a stack's l sampling loops and an (E, l, n) array
-of their estimates, and returns an (E, l, m) array of inputs or any shape
-that broadcasts to it, such as one (m,) input for every episode and loop.
-Products over the plant dimensions are elementwise multiply-adds in index
-order (`_sum_products`), so an episode's bits do not depend on the chunk
-it ran in, nor a loop's on its stack.  The channel runs on the chunk too.  At
-each tick every stack takes its sampling loops' scheduler decisions for
-all episodes in one array expression (`_requests`, the rule of
-`scheduling.decide`), and one array round (`network.contend`) resolves
-the contention of every episode with a request: its columns are the
-tick's contenders in id order, and each row meets that episode's own
-draws.  Every contention call goes through `_rounds`, which takes the
-rounds of some chunk rows at T ticks, gathers their draws in one flat
-`take` and calls `contend` once.  At a fixed tick, where every sampling
-loop is under the `always` rule, every episode requests whatever the run
-computes, so the round follows from the draws alone: each chunk calls
-`_rounds` once for all its fixed ticks (`_Ahead`) before the first tick,
-one row per (tick, episode) in tick-major order, and each fixed tick
-reads its rows.  Every other tick with a request calls it with T = 1.
-Only when the event dump asks for them, each call also derives its
-events from its per-slot masks and logs them with each row's tick and
-chunk row, and the chunk's events become one `EventTable` of int columns
-(the calls' `Round.events`, then one stable sort by (episode, tick)),
-which `monte_carlo` hands to its event hook once per chunk, as it hands
-the chunk traces to its trace hook.  That table is the engine's one form
-of its events; `run_episode` returns traces only.  Each source's activity
-comes from its row of the episode's traffic table (`network.traffic_activity`).
-`decide`, `resolve_contention` and `traffic_step` stay as the per-episode,
-per-round and per-tick references the array forms are tested against.
+and the contention table if it is drawn), its stacks' step arrays and its
+rounds at the fixed ticks (`_Layout.cells`), so a small network runs in
+long chunks and a large one in short ones.  The loops of equal
+(n, m, horizon) form a stack (`_Stack`), whose states, estimates and
+inputs are (episodes, loops, n) arrays and whose matrices and gains the
+plan's steps (`_Step`) index, and every tick does the prediction,
+scheduler decision, observer update, control law and plant step once per
+stack, for its sampling loops and the whole chunk; the residuals, errors,
+delivery ages and cost terms then follow from the stored steps, all steps
+at once, and each loop's trace is a view into its stack's arrays.  A
+control law therefore takes the (l, m, n) gains L_k of a stack's l
+sampling loops and an (E, l, n) array of their estimates, and returns an
+(E, l, m) array of inputs or any shape that broadcasts to it, such as one
+(m,) input for every episode and loop.  Products over the plant
+dimensions are elementwise multiply-adds in index order
+(`_sum_products`), so an episode's bits do not depend on the chunk it ran
+in, nor a loop's on its stack.
+
+The channel runs on the chunk too.  At each tick every stack takes its
+sampling loops' requests for all episodes in one array expression
+(`_requests`, the rule of `scheduling.decide`), and every contention call
+goes through `_rounds`: one `network.contend` round per asking (tick,
+episode) row, whose columns are the tick's contenders in id order.
+`contend` reads each mini-slot's draws, when the slot runs, from the
+chunk's contention table through each requesting entry's row of it; the
+table is stored slot-major, so that read is one gather inside one
+contiguous slab, and the rows' draws are never copied out.  At a fixed
+tick, where every sampling loop is under the `always` rule, the round
+follows from the draws alone: each chunk resolves all its fixed ticks
+(`_Ahead`) in one `_rounds` call before the first tick, and every other
+tick with a request makes its own.  Only for the event dump does a call
+derive its events, which become one `EventTable` per chunk, sorted by
+episode, then tick, for `monte_carlo`'s event hook: the engine's one form
+of its events.  Each source's activity comes from its row of the episode's
+traffic table (`network.traffic_activity`).  `decide`, `resolve_contention`
+and `traffic_step` stay as the references the array forms are tested against.
 
 One driver, `_run_arms`, draws each chunk once and runs every arm on it:
 an arm is a (scenario variant, control law) pair.  `monte_carlo` and
@@ -291,7 +288,8 @@ class _Layout:
     - contention, keyed (episode, contention): a (rows, slots_per_sample)
       table, drawn only if some persistence lies strictly between 0 and 1,
       whose rows go contender by contender: each loop's sampling steps in
-      loop order, then each source at every sampling tick.
+      loop order, then each source at every sampling tick.  A chunk stores
+      its tables slot-major, so that one mini-slot's draws are one slab.
     The noise and traffic keys are those of the first loop and the first
     source.  Appending a loop or a source moves no earlier block or row, and
     a contender's draws depend only on (seed, episode, contender, tick), so
@@ -305,7 +303,7 @@ class _Layout:
     width: int             # the draws of the noise row
     rows: int              # the contention table's rows: the loops' steps, then the sources'
     slots: int             # the contention table's columns, 0 if it is not drawn
-    cells: int             # one episode's noise row, tables and stack step arrays
+    cells: int             # one episode's noise row, tables, stack step arrays, fixed rounds
     ticks: np.ndarray      # the sampling ticks, ascending
     sources: int           # the exogenous sources
     stacks: list[_Stack]
@@ -336,7 +334,12 @@ def _layout(scenario: NetworkScenario) -> _Layout:
     # preds and the three int arrays N, and bu one
     step_cells = sum((lc.horizon + 1) * 2 * lc.plant.n
                      + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
-    cells = int(offsets[-1]) + n_src * int(ticks[-1] + 1) + rows * slots + step_cells
+    # the fixed ticks' rounds (`_ahead`): one per entry, padded to the widest
+    ruled = [t for lc, t in zip(loops, loop_ticks) if lc.scheduler.kind != "always"]
+    fixed = np.setdiff1d(ticks, np.concatenate(ruled + [ticks[:0]]))
+    width = np.bincount(np.concatenate(loop_ticks))[fixed].max(initial=0) + n_src
+    cells = (int(offsets[-1]) + n_src * int(ticks[-1] + 1) + rows * slots + step_cells
+             + fixed.size * int(width))
     return _Layout(int(offsets[-1]), rows, slots, cells, ticks, n_src, stacks)
 
 
@@ -390,7 +393,7 @@ class _ChunkDraws:
     stack_x0: list[np.ndarray]        # per stack, (E, L_s, n)
     stack_noise: list[np.ndarray]     # per stack, (E, L_s, N, n)
     active: np.ndarray                # (E, sampling ticks, sources) bool
-    tables: Optional[np.ndarray]      # (E, rows, slots) draws, or None
+    tables: Optional[np.ndarray]      # (E, rows, slots) draws stored slot-major, or None
 
 
 def _streams(seed: int, episodes: range, *key: int):
@@ -455,9 +458,10 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
             active[:, :, j] = traffic_activity(src, u[:, j])[:, ticks]
     tables = None
     if layout.slots:
-        tables = np.empty((n_ep, layout.rows, layout.slots))
+        tables = np.empty((layout.slots, n_ep, layout.rows)).transpose(1, 2, 0)
+        block = np.empty((layout.rows, layout.slots))
         for e, gen in enumerate(_streams(seed, episodes, _ROLE_CONTENTION)):
-            gen.random(out=tables[e])
+            tables[e] = gen.random(out=block)
     return _ChunkDraws(episodes, stack_x0, stack_noise, active, tables)
 
 
@@ -537,16 +541,15 @@ def _rounds(crm, draws: _ChunkDraws, ticks, rows: np.ndarray, ids: np.ndarray,
     contention-table rows and contenders are `rows` and `ids`, from one
     `contend` call.  Its rows run tick-major, row i being chunk row
     asking[i % A] at tick i // A for A = asking.size, and `requests` is
-    their (T, A, W) mask or its (T * A, W) reshape; their draws are
-    gathered in one flat `take`.  If `rounds_log` is a list it receives
-    each row's tick and chunk row and the call's `Round.events`."""
-    table = None
-    if draws.tables is not None:
-        n_rows, n_slots = draws.tables.shape[1:]
-        table = draws.tables.reshape(-1, n_slots).take(
-            n_rows * asking[:, None] + rows[:, None], axis=0).reshape(-1, rows.shape[1], n_slots)
+    their (T, A, W) mask or its (T * A, W) reshape; `contend` reads their
+    draws in place, by each entry's row of the chunk's table.  If a list,
+    `rounds_log` receives each row's tick and chunk row and `Round.events`."""
+    table, width = draws.tables, rows.shape[1]
+    if table is not None:
+        index = table.shape[1] * asking[:, None] + rows[:, None]
+        table = table.reshape(-1, table.shape[2]), index.reshape(-1, width)
     row_ids = None if rounds_log is None else np.repeat(ids, asking.size, axis=0)
-    rnd = contend(requests.reshape(-1, rows.shape[1]), crm, table, row_ids)
+    rnd = contend(requests.reshape(-1, width), crm, table, row_ids)
     if rounds_log is not None:
         rounds_log.append((np.repeat(ticks, asking.size), np.tile(asking, len(ticks)), rnd.events))
     return rnd
@@ -730,12 +733,12 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
 
     The chunks run in episode order.  Each holds CHUNK_CELLS // cells
     episodes, and at least one, where cells are one episode's noise row,
-    traffic and contention tables and stack step arrays (`_Layout.cells`);
-    the last may hold fewer.  Every chunk is drawn on the one `layout`, the
-    first arm's, and every arm runs on it by the one plan derived from it.
-    So the arms may differ in schedulers and control laws, which the layout
-    does not depend on, but must not differ in plants, weights or horizons,
-    the channel or the sources.
+    traffic and contention tables, stack step arrays and fixed-tick rounds
+    (`_Layout.cells`, of the first arm); the last may hold fewer.  Every
+    chunk is drawn on the one `layout`, the first arm's, and every arm runs
+    on it by the one plan derived from it.  So the arms may differ in
+    schedulers and control laws, but must not differ in plants, weights or
+    horizons, the channel or the sources.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.  Given `tallies`, one per arm, each arm's chunk is added to
@@ -860,50 +863,35 @@ class _Tally:
         self.p_sums[s] = np.cumsum(np.concatenate((self.p_sums[s][None], outer)), axis=0)[-1]
 
     def result(self, seed: int) -> MonteCarloResult:
-        costs, costs_lambda, tx = self.per_episode
-        episodes = costs.shape[0]
-        loops = self.scenario.loops
-        p_seqs, j_dps = [None] * len(loops), np.empty(len(loops))
+        episodes, loops = self.per_episode.shape[1], self.scenario.loops
+        p_seqs, j_dps = {}, np.empty(len(loops))
         for st, p_sums in zip(self.stacks, self.p_sums):
             p_seq = p_sums / episodes
             j_dps[st.loops] = jdp_stack(st.S, st.W, st.x0_mean, st.R0, st.Rw, p_seq)
-            for slot, i in enumerate(st.loops):
-                p_seqs[i] = p_seq[slot]
+            p_seqs.update(zip(st.loops, p_seq))
+        # each loop's costs, penalized costs and transmissions as contiguous
+        # rows, whose reductions have the bits of those of each column alone
+        rows = np.ascontiguousarray(self.per_episode.transpose(0, 2, 1))
+        j_means, j_lambda_means, tx_means = rows.mean(axis=2).tolist()
+        j_ses = ((rows[0].std(ddof=1, axis=1) / math.sqrt(episodes)).tolist() if episodes > 1
+                 else [float("nan")] * len(loops))
         per_loop = []
-        for i, lc in enumerate(loops):
-            report = CostReport(
-                episodes=episodes,
-                j_mean=float(costs[:, i].mean()),
-                j_se=_se(costs[:, i]),
-                tx_mean=float(tx[:, i].mean()),
-                net_penalty=lc.net_penalty,
-                j_lambda_mean=float(costs_lambda[:, i].mean()),
-                j_dp=float(j_dps[i]),
-            )
-            req, attempts, hits = self.counts[:, i]
-            successes, steps = tx[:, i].sum(), episodes * lc.horizon
-            per_loop.append(
-                LoopStats(
-                    loop=i,
-                    report=report,
-                    request_rate=float(req / steps),
-                    success_rate=float(successes / req) if req else float("nan"),
-                    drop_rate=float((req - successes) / req) if req else float("nan"),
-                    mean_attempts=float(attempts / req) if req else 0.0,
-                    bound_prob=(float(hits / steps) if lc.scheduler.kind in THRESHOLD_KINDS
-                                else float("nan")),
-                    p_seq=p_seqs[i],
-                    costs=costs[:, i].copy(),
-                )
-            )
-        episode_means = costs.mean(axis=1)
-        return MonteCarloResult(
-            seed=seed,
-            episodes=episodes,
-            per_loop=per_loop,
-            j_mean=float(episode_means.mean()),
-            j_se=_se(episode_means),
-        )
+        for i, (lc, successes) in enumerate(zip(loops, rows[2].sum(axis=1).tolist())):
+            report = CostReport(episodes=episodes, j_mean=j_means[i], j_se=j_ses[i],
+                                tx_mean=tx_means[i], net_penalty=lc.net_penalty,
+                                j_lambda_mean=j_lambda_means[i], j_dp=float(j_dps[i]))
+            (req, attempts, hits), steps = self.counts[:, i], episodes * lc.horizon
+            per_loop.append(LoopStats(
+                loop=i, report=report, request_rate=float(req / steps),
+                success_rate=float(successes / req) if req else float("nan"),
+                drop_rate=float((req - successes) / req) if req else float("nan"),
+                mean_attempts=float(attempts / req) if req else 0.0,
+                bound_prob=(float(hits / steps) if lc.scheduler.kind in THRESHOLD_KINDS
+                            else float("nan")),
+                p_seq=p_seqs[i], costs=rows[0, i].copy()))
+        episode_means = self.per_episode[0].mean(axis=1)
+        return MonteCarloResult(seed=seed, episodes=episodes, per_loop=per_loop,
+                                j_mean=float(episode_means.mean()), j_se=_se(episode_means))
 
 
 def monte_carlo(

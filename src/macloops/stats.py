@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import (
     _FINITE,
+    _NOT_NAN,
     _POSITIVE,
     BracketingError,
     ConfigurationError,
@@ -213,13 +214,13 @@ def compound_density(a: float, tg: TruncatedGaussian, noise_var: float, eps: flo
     untruncated law of e times Pr(X < upper | e) / Pr(X < upper), where X
     given e is Gaussian with mean m(e) and variance v*s2/(a^2 v + s2).
     a == 0 collapses exactly to the noise density.  A noise_var not in
-    (0, inf) or a NaN eps raises a ConfigurationError whose `field` names it,
-    and an a that puts the law of e out of floating-point range NumericalError.
+    (0, inf), a non-real a or eps or a NaN eps raises a ConfigurationError
+    naming it, and an a that puts e's law beyond float range NumericalError.
     """
     if not (type(noise_var) is float and 0.0 < noise_var < math.inf):
         noise_var = _real(noise_var, "noise_var", *_POSITIVE)
-    if math.isnan(eps):
-        raise ConfigurationError("eps must not be NaN", field="eps")
+    if not (type(a) is float and type(eps) is float and eps == eps):
+        a, eps = _real(a, "a"), _real(eps, "eps", *_NOT_NAN)
     if a == 0.0:
         return normal_pdf(eps, 0.0, noise_var)
     mu, v = tg.mean, tg.var
@@ -324,13 +325,13 @@ def conditional_moments_compound(
     it exact where 1 - rho^2 rounds to 0 (|a| of 1e8 and beyond); Phi2 is
     _bvnu with the same r.  Raises DegenerateTruncationError when
     Pr(e < upper | X < c) = P / Phi(h) falls below MIN_TRUNCATION_PROB, and
-    NumericalError when the law of e leaves floating-point range.  A
-    noise_var not in (0, inf) or a NaN upper raises a ConfigurationError naming it.
+    NumericalError when the law of e leaves floating-point range.  A noise_var
+    not in (0, inf), a non-real a or upper or a NaN upper is a ConfigurationError naming it.
     """
     if not (type(noise_var) is float and 0.0 < noise_var < math.inf):
         noise_var = _real(noise_var, "noise_var", *_POSITIVE)
-    if math.isnan(upper):
-        raise ConfigurationError("upper must not be NaN", field="upper")
+    if not (type(a) is float and type(upper) is float and upper == upper):
+        a, upper = _real(a, "a"), _real(upper, "upper", *_NOT_NAN)
     if a == 0.0:
         return truncated_moments(TruncatedGaussian(0.0, noise_var, upper))
     mu, v = tg.mean, tg.var

@@ -972,6 +972,7 @@ class TestExitCodes:
          "--q0: q0 must be a finite number >= 0, got nan"),
         (["two-step", "--branch", "delta0=1", "--x0", "0", "--b", "inf"],
          "--b: b must be a finite number, got inf"),
+        (["two-step", "--branch", "x"], "--branch: branch must be delta0=0 or delta0=1, got 'x'"),
     ])
     def test_bad_flags_are_named(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_VALIDATION

@@ -3,6 +3,7 @@ paired-law experiment."""
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -366,12 +367,12 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
                                           seed, range(episodes), keep_rounds=True):
         # one logged entry per contention call, whose row r is the round of
         # chunk row asking[r] at ticks[r] and whose column c is contender
-        # ids[c] of that tick
-        for (ticks, asking, _), (requests, draws) in zip(log, handed, strict=True):
+        # ids[c] of that tick, reading row index[r, c] of the chunk's table
+        for (ticks, asking, _), (requests, (table, index)) in zip(log, handed, strict=True):
             for r, (tick, e) in enumerate(zip(ticks.tolist(), asking.tolist())):
                 ids = tick_ids[tick]
                 cols = np.flatnonzero(requests[r])
-                rows.update(((chunk[e], tick, c), draws[r, col].tolist())
+                rows.update(((chunk[e], tick, c), table[index[r, col]].tolist())
                             for c, col in zip(ids[cols].tolist(), cols))
         del handed[:]
     return rows
@@ -1155,3 +1156,93 @@ class TestChunkSize:
             assert used <= sim.CHUNK_CELLS or len(chunk) == 1
         for chunk in list(cells)[:-1]:
             assert (len(chunk) + 1) * per_episode_cells > sim.CHUNK_CELLS
+
+
+def presets(*names):
+    return [lambda name=name: parse_scenario_doc(name).scenario for name in names]
+
+
+class TestChunkMemory:
+    """A chunk holds no more than its cell budget says: its rounds read the
+    contention table in place, and the cells count the fixed-tick rounds."""
+
+    @pytest.mark.parametrize("make", [flood_network, *presets("example1-baseline", "example3")],
+                             ids=["flood", "example1-baseline", "example3"])
+    def test_a_full_chunk_stays_within_twice_its_budget(self, make):
+        scn = make()
+        episodes = sim.CHUNK_CELLS // sim._layout(scn).cells
+        monte_carlo(scn, 2, 1)
+        tracemalloc.start()
+        try:
+            monte_carlo(scn, 2, episodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sim.CHUNK_CELLS * 8, (episodes, peak)
+
+    @pytest.mark.parametrize("make", [flood_network, always_and_state_network,
+                                      lossy_state_network, *presets("example1-baseline")],
+                             ids=["flood", "always-and-state", "lossy", "example1-baseline"])
+    def test_cells_count_the_fixed_rounds(self, monkeypatch, make):
+        # a chunk's arrays, counted from the arrays themselves, and one cell
+        # per entry of its fixed ticks' padded rounds are the layout's cells
+        scn = make()
+        _, ahead = fixed_ticks(scn)
+        cells = chunk_cells(monkeypatch, scn, 5)
+        for chunk, used in cells.items():
+            assert used + len(chunk) * ahead.rows.size == len(chunk) * sim._layout(scn).cells
+
+    def test_the_table_is_stored_slot_major(self):
+        # each mini-slot's draws of the chunk are one contiguous slab, and
+        # the (episodes x rows, slots) view the rounds read is no copy
+        scn = lossy_state_network(2)
+        tables = sim._draw_chunk(scn, sim._layout(scn), 3, range(5)).tables
+        assert np.moveaxis(tables, 2, 0).flags.c_contiguous
+        assert np.shares_memory(tables.reshape(-1, tables.shape[2]), tables)
+
+
+@st.composite
+def table_rounds(draw):
+    """A chunk's slot-major contention table and one `_rounds` call on it:
+    its T ticks' (T, W) table rows and contenders, whose columns past each
+    tick's entries are padding that never requests, the asking chunk rows,
+    and a request mask in which some rows never request."""
+    pers = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=1, max_size=4))
+    crm = CrmConfig(persistence=tuple(pers), slots_per_sample=draw(st.integers(len(pers), 8)))
+    n_ep, n_rows = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    n_ticks, width = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tables = rng.random((crm.slots_per_sample, n_ep, n_rows)).transpose(1, 2, 0)
+    rows = rng.integers(0, n_rows, (n_ticks, width))
+    entries = [draw(st.integers(1, width)) for _ in range(n_ticks)]
+    asking = np.array(draw(st.lists(st.integers(0, n_ep - 1), min_size=1, max_size=n_ep,
+                                    unique=True)))
+    requests = rng.random((n_ticks, asking.size, width)) < draw(st.floats(0.0, 1.0))
+    for t, n in enumerate(entries):
+        rows[t, n:] = 0
+        requests[t, :, n:] = False
+    requests[rng.random(requests.shape[:2]) < 0.3] = False
+    ids = np.arange(width) + 100 * np.arange(n_ticks)[:, None]
+    return crm, tables, rows, ids, asking, requests
+
+
+class TestTableReads:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=table_rounds())
+    def test_reading_the_table_in_place_is_reading_the_gathered_copy(self, case):
+        # the rounds `_rounds` resolves through the table's row index equal
+        # those `contend` gives on a gathered copy of each entry's draws,
+        # outcomes and events alike
+        crm, tables, rows, ids, asking, requests = case
+        draws = sim._ChunkDraws(range(tables.shape[0]), [], [], np.zeros(0, dtype=bool), tables)
+        log = []
+        got = sim._rounds(crm, draws, np.arange(rows.shape[0]), rows, ids, asking, requests, log)
+        copy = tables[asking[None, :, None], rows[:, None, :]].reshape(-1, rows.shape[1],
+                                                                       tables.shape[2])
+        want = contend(requests.reshape(-1, rows.shape[1]), crm, copy,
+                       np.repeat(ids, asking.size, axis=0))
+        assert np.array_equal(got.delta, want.delta)
+        assert np.array_equal(got.used, want.used)
+        assert [col.tolist() for col in got.events] == [col.tolist() for col in want.events]
+        assert log[0][2] is got.events

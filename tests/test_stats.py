@@ -309,6 +309,27 @@ class TestConditionalMomentsCompound:
             kernel(1.0, TruncatedGaussian(0.0, 1.0, 0.5), noise_var, 0.0)
         assert info.value.field == "noise_var"
 
+    @pytest.mark.parametrize("a", [True, False, "1"])
+    @pytest.mark.parametrize("kernel", [compound_density, conditional_moments_compound])
+    def test_a_must_be_a_real_number(self, kernel, a):
+        # a bool is not read as 1.0 or 0.0, and text is no TypeError
+        with pytest.raises(ConfigurationError, match="a must be a real number") as info:
+            kernel(a, TruncatedGaussian(0.0, 1.0, 0.5), 1.0, 0.0)
+        assert info.value.field == "a"
+
+    @pytest.mark.parametrize("eps", [True, "0"])
+    def test_eps_must_be_a_real_number(self, eps):
+        with pytest.raises(ConfigurationError, match="eps must be a real number") as info:
+            compound_density(1.0, TruncatedGaussian(0.0, 1.0, 0.5), 1.0, eps)
+        assert info.value.field == "eps"
+
+    @pytest.mark.parametrize("upper", [True, "0"])
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_upper_must_be_a_real_number(self, a, upper):
+        with pytest.raises(ConfigurationError, match="upper must be a real number") as info:
+            conditional_moments_compound(a, TruncatedGaussian(0.0, 1.0, 0.5), 1.0, upper)
+        assert info.value.field == "upper"
+
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_nan_bound_names_upper(self, a):
         with pytest.raises(ConfigurationError) as info:

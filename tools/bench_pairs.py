@@ -24,7 +24,11 @@ metric over every section of the file, under "claim".
 The machine note records whether PYTHONDONTWRITEBYTECODE is set: with it,
 every benchmark process compiles macloops from source, so `peak_rss_mb` and
 `setup_s` move with the size of `src/`.  So the file also records each
-side's `src_lines`, the line count of `src/macloops/*.py` in its tree.
+side's `src_lines`, the line count of `src/macloops/*.py` in its tree, and
+under "import_rss_mb" of each section the peak RSS of a child that only
+imports `macloops.cli` from that tree, taken before every benchmark run:
+a `peak_rss_mb` change then splits into what the import holds and what
+the run adds.
 """
 
 from __future__ import annotations
@@ -61,6 +65,21 @@ def unpack(rev: str, into: Path) -> str:
 def src_lines(tree: Path) -> int:
     """The lines of `src/macloops/*.py` in `tree`, as `wc -l` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src/macloops").glob("*.py"))
+
+
+# run by a fresh launcher, whose RUSAGE_CHILDREN then reads the import child alone
+IMPORT_PROBE = ("import resource, subprocess, sys; "
+                "subprocess.run([sys.executable, '-c', 'import macloops.cli'], check=True); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)")
+
+
+def import_rss_mb(tree: Path) -> float:
+    """The peak RSS in MB of a child that imports `macloops.cli` from `tree`'s
+    `src`, in the environment the benchmark runs in."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=tree, env=env, check=True,
+                          capture_output=True, text=True)
+    return round(float(proc.stdout), 3)
 
 
 def bench(tree: Path, workload: str, seed: int, *flags: str) -> dict:
@@ -171,14 +190,18 @@ def main() -> int:
         })
         section = doc.setdefault(args.section, {})
         section["seed"] = args.seed
+        imports = {"parent": [], "change": []}
         for workload in args.workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
+                    imports[side].append(import_rss_mb(trees[side]))
                     runs[side].append(bench(trees[side], workload, args.seed))
                 print(f"{workload} pair {i + 1}/{args.pairs}", file=sys.stderr)
             section[workload] = summarize(runs, bounds)
+            section["import_rss_mb"] = {side: {**spread(values), "runs": values}
+                                        for side, values in imports.items()}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
         if args.traced:
             traced = doc.setdefault("trace_seed0", {})
