@@ -567,13 +567,14 @@ def _parse_eps_grid(text: str) -> list[float]:
             raise ConfigurationError("--eps-grid: must be start:stop:step or a comma list")
         start, stop, step = (_grid_value(p) for p in parts)
         # a step below the bounds' resolution would never advance the grid
-        if step <= math.ulp(max(abs(start), abs(stop))) or stop < start:
+        if (step <= math.ulp(max(abs(start), abs(stop)))
+                or not 0 <= (stop - start) / step < math.inf):
             raise ConfigurationError(f"--eps-grid: bad grid {text!r}")
-        values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 12))
-            v += step
+        # whole steps from start, stop included if it lies on the grid, each
+        # rounded to 12 significant digits of the step
+        digits = 12 - math.floor(math.log10(step))
+        values = [round(start + i * step, digits)
+                  for i in range(math.floor((stop - start) / step + 1e-9) + 1)]
     else:
         values = [_grid_value(p) for p in text.split(",") if p]
     if not values:

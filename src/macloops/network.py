@@ -25,9 +25,9 @@ at once, with one array step per mini-slot, which reads that slot's draws
 straight from the chunk's contention table; the engine calls it through
 `sim._rounds`, once per tick for every episode of a chunk with a request, and
 once per chunk for all the ticks whose rounds are known before the first
-(`sim._Ahead`).  Either way a round yields its delivery and attempt counts
-per contender and its events, one (slot, contender, attempt, result) per
-contender and mini-slot.  `resolve_contention` gives them as `SlotEvent`
+(`sim._Layout.fixed`).  Either way a round yields its delivery and attempt
+counts per contender and its events, one (slot, contender, attempt, result)
+per contender and mini-slot.  `resolve_contention` gives them as `SlotEvent`
 named tuples.  `contend` returns a `Round`, whose events, when it is given
 the contenders' ids, are int columns derived from its per-slot masks: the
 engine's one form of its events, which its event table and the event dump read.
@@ -181,8 +181,7 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws,
 
     `draws` is None when every persistence is 0 or 1, else a pair (table,
     index): column c of row r draws table[index[r, c], s - 1] in mini-slot
-    s, read only if it requests, when s runs.  A (rows, contenders, slots)
-    array stands for its (rows x contenders, slots) reshape and arange.
+    s, read only if it requests, when s runs.
     Each row runs the rule of `resolve_contention` on its requesting
     columns: a pending contender on attempt a transmits if p =
     persistence[a - 1] >= 1, or if 0 < p < 1 and its draw is below p; a lone
@@ -201,8 +200,6 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws,
     # never pending, and its 0 pads the table
     persistence = np.array((0.0,) + crm.persistence + (0.0,))
     requests = np.asarray(requests, dtype=bool)
-    if isinstance(draws, np.ndarray):
-        draws = draws.reshape(-1, draws.shape[2]), np.arange(requests.size)
     table, index = draws or (None, None)
     if table is not None:
         asks = np.flatnonzero(requests)

@@ -45,14 +45,15 @@ chunk's contention table through each requesting entry's row of it; the
 table is stored slot-major, so that read is one gather inside one
 contiguous slab, and the rows' draws are never copied out.  At a fixed
 tick, where every sampling loop is under the `always` rule, the round
-follows from the draws alone: each chunk resolves all its fixed ticks
-(`_Ahead`) in one `_rounds` call before the first tick, and every other
-tick with a request makes its own.  Only for the event dump does a call
-derive its events, which become one `EventTable` per chunk, sorted by
-episode, then tick, for `monte_carlo`'s event hook: the engine's one form
-of its events.  Each source's activity comes from its row of the episode's
-traffic table (`network.traffic_activity`).  `decide`, `resolve_contention`
-and `traffic_step` stay as the references the array forms are tested against.
+follows from the draws alone: the layout names those ticks
+(`_Layout.fixed`), each chunk resolves all of them in one `_rounds` call
+before the first tick, and every other tick with a request makes its own.
+Only for the event dump does a call derive its events, which become one
+`EventTable` per chunk, sorted by episode, then tick, for `monte_carlo`'s
+event hook: the engine's one form of its events.  Each source's activity
+comes from its row of the episode's traffic table
+(`network.traffic_activity`).  `decide`, `resolve_contention` and
+`traffic_step` stay as the references the array forms are tested against.
 
 One driver, `_run_arms`, draws each chunk once and runs every arm on it:
 an arm is a (scenario variant, control law) pair.  `monte_carlo` and
@@ -62,10 +63,9 @@ noise, traffic and contention draws.  Each call derives everything it
 needs from its scenario once, in `_layout`: one Riccati recursion per
 stack over its members' (A, B, Q0, Q1, Q2) problems (`riccati_backward` on
 stacked matrices), one pair of noise roots for all loops with equal R0 and
-Rw, and the stacks with their members' matrices, roots and solutions
-stacked.  `_run_arms` derives from it the plan of what every tick does
-(`_plan`) and each arm's fixed ticks (`_ahead`), once per call; a draw
-alone needs neither.
+Rw, the stacks with their members' matrices, roots and solutions stacked,
+and the fixed ticks.  `_run_arms` derives from it the plan of what every
+tick does (`_plan`), once per call; a draw alone needs none.
 Every arm, chunk and tally reads that layout; nothing is kept between calls.
 """
 
@@ -217,10 +217,10 @@ class _Stack:
     L: np.ndarray          # (L_s, N, m, n): the gains
     W: np.ndarray          # (L_s, N, n, n): the error weights of the predicted cost
     net_penalty: np.ndarray  # (L_s,)
-    ticks: list[np.ndarray]  # per member, its sampling ticks
+    ticks: np.ndarray      # (L_s, N + 1): the ticks of the steps, then of the terminal state
 
 
-def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) -> _Stack:
+def _stack(loops, members: list[int], roots, step_ticks, offsets: np.ndarray) -> _Stack:
     """The stack of the given loops, whose Riccati problems are solved in
     one recursion (`riccati_backward` on stacks)."""
     lcs = [loops[i] for i in members]
@@ -242,7 +242,7 @@ def _stack(loops, members: list[int], roots, loop_ticks, offsets: np.ndarray) ->
         A=A, B=B, Q0=Q0, Q1=Q1[:, None], Q2=Q2[:, None],
         S=solution.S, L=solution.L, W=solution.W,
         net_penalty=np.array([lc.net_penalty for lc in lcs], dtype=float),
-        ticks=[loop_ticks[i] for i in members],
+        ticks=stacked(step_ticks[i] for i in members),
     )
 
 
@@ -275,7 +275,8 @@ class _Tick:
 @dataclass(eq=False)
 class _Layout:
     """Everything a call derives from its scenario: where an episode's draws
-    go, when the loops sample and their stacks, but not what every tick does
+    go, when the loops sample, their stacks and the fixed ticks, where every
+    sampling loop is under the `always` rule, but not what every tick does
     (`_plan`).  Each call derives it once, and every arm, chunk and tally reads it.
 
     An episode draws from three streams, keyed by the master seed:
@@ -305,6 +306,7 @@ class _Layout:
     slots: int             # the contention table's columns, 0 if it is not drawn
     cells: int             # one episode's noise row, tables, stack step arrays, fixed rounds
     ticks: np.ndarray      # the sampling ticks, ascending
+    fixed: np.ndarray      # the fixed ticks' indices in `ticks`
     sources: int           # the exogenous sources
     stacks: list[_Stack]
 
@@ -322,10 +324,11 @@ def _layout(scenario: NetworkScenario) -> _Layout:
             rooted[key] = (psd_sqrt(plant.R0), psd_sqrt(plant.Rw))
         roots.append(rooted[key])
         members.setdefault((plant.n, plant.m, lc.horizon), []).append(i)
-    loop_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon) for lc in loops]
+    step_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon + 1) for lc in loops]
+    loop_ticks = [t[:-1] for t in step_ticks]
     ticks = np.unique(np.concatenate(loop_ticks))
     offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
-    stacks = [_stack(loops, group, roots, loop_ticks, offsets)
+    stacks = [_stack(loops, group, roots, step_ticks, offsets)
               for group in members.values()]
     rows = sum(lc.horizon for lc in loops) + n_src * ticks.size
     crm = scenario.crm
@@ -334,13 +337,14 @@ def _layout(scenario: NetworkScenario) -> _Layout:
     # preds and the three int arrays N, and bu one
     step_cells = sum((lc.horizon + 1) * 2 * lc.plant.n
                      + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
-    # the fixed ticks' rounds (`_ahead`): one per entry, padded to the widest
+    # the fixed ticks, where no loop under another rule than `always`
+    # samples, and their rounds: one per entry, padded to the widest
     ruled = [t for lc, t in zip(loops, loop_ticks) if lc.scheduler.kind != "always"]
-    fixed = np.setdiff1d(ticks, np.concatenate(ruled + [ticks[:0]]))
-    width = np.bincount(np.concatenate(loop_ticks))[fixed].max(initial=0) + n_src
+    fixed = np.flatnonzero(~np.isin(ticks, np.concatenate(ruled + [ticks[:0]])))
+    width = np.bincount(np.concatenate(loop_ticks))[ticks[fixed]].max(initial=0) + n_src
     cells = (int(offsets[-1]) + n_src * int(ticks[-1] + 1) + rows * slots + step_cells
              + fixed.size * int(width))
-    return _Layout(int(offsets[-1]), rows, slots, cells, ticks, n_src, stacks)
+    return _Layout(int(offsets[-1]), rows, slots, cells, ticks, fixed, n_src, stacks)
 
 
 def _plan(layout: _Layout) -> list[_Tick]:
@@ -348,7 +352,7 @@ def _plan(layout: _Layout) -> list[_Tick]:
     contenders, in contender-id order, and a step per stack that samples."""
     stacks, ticks, n_src = layout.stacks, layout.ticks, layout.sources
     where = {i: (s, slot) for s, st in enumerate(stacks) for slot, i in enumerate(st.loops)}
-    loop_ticks = [stacks[s].ticks[slot] for _, (s, slot) in sorted(where.items())]
+    loop_ticks = [stacks[s].ticks[slot, :-1] for _, (s, slot) in sorted(where.items())]
     # every entry in the contention table's order, then sorted by tick
     at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
     source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
@@ -509,32 +513,6 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
     return want
 
 
-class _Ahead(NamedTuple):
-    """One arm's fixed ticks: those where every sampling loop requests under
-    the `always` rule.  At such a tick every episode contends with all the
-    tick's entries, and its round depends on the draws alone, so the rounds
-    of all fixed ticks run before the first tick, in one `_rounds` call.
-    Each fixed tick's entries are its plan's (`_Tick.rows`, `_Tick.ids`),
-    padded to the widest fixed tick by columns that never request."""
-
-    ticks: np.ndarray    # (T,) the fixed ticks' indices in the plan
-    rows: np.ndarray     # (T, W) their contention-table rows, padded with row 0
-    ids: np.ndarray      # (T, W) their contenders, padded with -1
-
-
-def _ahead(rules: Sequence[_Rule], plan: Sequence[_Tick]) -> _Ahead:
-    """The fixed ticks of the plan under the given stack rules."""
-    always = [dict(rule.kinds).get("always") for rule in rules]
-    fixed = [t for t, tick in enumerate(plan)
-             if all(always[step.stack] is not None and always[step.stack][step.slots].all()
-                    for step in tick.steps)]
-    shape = (len(fixed), max((plan[t].ids.size for t in fixed), default=0))
-    rows, ids = np.zeros(shape, dtype=int), np.full(shape, -1)
-    for f, t in enumerate(fixed):
-        rows[f, :plan[t].ids.size], ids[f, :plan[t].ids.size] = plan[t].rows, plan[t].ids
-    return _Ahead(np.array(fixed, dtype=int), rows, ids)
-
-
 def _rounds(crm, draws: _ChunkDraws, ticks, rows: np.ndarray, ids: np.ndarray,
             asking: np.ndarray, requests: np.ndarray, rounds_log: Optional[list]) -> Round:
     """The rounds of the chunk rows `asking` at the T `ticks`, whose (T, W)
@@ -586,17 +564,16 @@ def _stack_steps(st: _Stack, x0: np.ndarray, n_ep: int) -> _StackSteps:
     )
 
 
-def _breakdown(scenario: NetworkScenario, chunk: range, stacks: Sequence[_Stack],
-               bad: Sequence[np.ndarray], what: str) -> NumericalError:
+def _breakdown(chunk: range, stacks: Sequence[_Stack], bad: Sequence[np.ndarray],
+               what: str) -> NumericalError:
     """The NumericalError that names the first (episode, tick, loop), in
     that order, where a stack's (E, L_s, steps) mask in `bad` holds; a
-    loop's step k is at tick phase + period * k."""
+    member's step k, or its terminal state at k = N, is at `ticks[slot, k]`."""
     found = []
     for st, mask in zip(stacks, bad):
         k = mask.argmax(axis=-1)
         for e, slot in zip(*np.nonzero(mask.any(axis=-1))):
-            plant = scenario.loops[st.loops[slot]].plant
-            found.append((int(e), plant.phase + plant.period * int(k[e, slot]), st.loops[slot]))
+            found.append((int(e), int(st.ticks[slot, k[e, slot]]), st.loops[slot]))
     e, tick, loop = min(found)
     return NumericalError(f"{what} of loop {loop} is not finite at tick {tick} "
                           f"of episode {chunk[e]}")
@@ -612,17 +589,17 @@ def _run_chunk(
     control_law: ControlLaw,
     layout: _Layout,
     plan: Sequence[_Tick],
-    ahead: _Ahead,
     rounds_log: Optional[list] = None,
     tally: Optional[_Tally] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    `rules` holds the request rule of each stack, `plan` what each
-    sampling tick of the layout does (`_plan`), and `ahead` its fixed ticks
-    under these rules (`_ahead`), whose rounds all run before the first
-    tick in one `_rounds` call; every other tick with a request runs its
-    own.  The observer's estimate is the delivered state or the prediction
+    `rules` holds the request rule of each stack and `plan` what each
+    sampling tick of the layout does (`_plan`).  The rounds of the layout's
+    fixed ticks depend on the draws alone, so they all run before the first
+    tick in one `_rounds` call, each tick's entries then pad columns that
+    never request; every other tick with a request runs its own.  The
+    observer's estimate is the delivered state or the prediction
     (`observer_update`); each step's delivery age follows from the deltas
     once the ticks are done.  If `rounds_log` is a list, each `_rounds`
     call appends its rows' ticks and chunk rows and its events.  A `tally`
@@ -635,16 +612,19 @@ def _run_chunk(
     everyone = np.arange(n_ep)
     # the fixed ticks' rounds, (T, E, W): every loop asks, each source if active
     fixed = {}
-    if ahead.ticks.size:
-        requests = np.zeros((ahead.ticks.size, n_ep, ahead.ids.shape[1]), dtype=bool)
-        for f, t in enumerate(ahead.ticks.tolist()):
+    if layout.fixed.size:
+        ts = layout.fixed.tolist()
+        shape = (len(ts), max(plan[t].ids.size for t in ts))
+        rows, ids = np.zeros(shape, dtype=int), np.full(shape, -1)
+        requests = np.zeros((shape[0], n_ep, shape[1]), dtype=bool)
+        for f, t in enumerate(ts):
             tick = plan[t]
+            rows[f, :tick.ids.size], ids[f, :tick.ids.size] = tick.rows, tick.ids
             requests[f, :, :tick.n_loops] = True
             requests[f, :, tick.n_loops:tick.ids.size] = draws.active[:, t]
-        delta, used, _ = _rounds(scenario.crm, draws, layout.ticks[ahead.ticks], ahead.rows,
-                                 ahead.ids, everyone, requests, rounds_log)
-        fixed = dict(zip(ahead.ticks.tolist(), zip(delta.reshape(requests.shape),
-                                                   used.reshape(requests.shape))))
+        delta, used, _ = _rounds(scenario.crm, draws, layout.ticks[layout.fixed], rows, ids,
+                                 everyone, requests, rounds_log)
+        fixed = dict(zip(ts, zip(delta.reshape(requests.shape), used.reshape(requests.shape))))
 
     for t, tick in enumerate(plan):
         # schedule: one decision per stack for its sampling loops, whole chunk
@@ -688,7 +668,7 @@ def _run_chunk(
                                    + draws.stack_noise[step.stack][:, j, k])
 
     if not all(np.isfinite(run.xs).all() for run in runs):
-        raise _breakdown(scenario, draws.episodes, stacks,
+        raise _breakdown(draws.episodes, stacks,
                          [~np.isfinite(run.xs).all(axis=-1) for run in runs], "the state")
 
     # what follows from the stored steps, for all steps at once; each loop's
@@ -710,14 +690,14 @@ def _run_chunk(
         j = np.cumsum(per_step["cost_terms"], axis=-1)[..., -1] + terminal
         if not np.isfinite(j).all():
             costs = np.concatenate((per_step["cost_terms"], terminal[..., None]), axis=-1)
-            raise _breakdown(scenario, draws.episodes, [st], [~np.isfinite(costs)], "the cost")
+            raise _breakdown(draws.episodes, [st], [~np.isfinite(costs)], "the cost")
         j_lambda = j + st.net_penalty * run.deltas.sum(axis=-1)
         if tally is not None:
             tally.add(draws.episodes, s, per_step, j, j_lambda)
         for slot, i in enumerate(st.loops):
             plant = scenario.loops[i].plant
             traces[i] = LoopTrace(
-                i, draws.episodes[0], plant.period, plant.phase, ks, st.ticks[slot],
+                i, draws.episodes[0], plant.period, plant.phase, ks, st.ticks[slot, :-1],
                 **{name: arr[:, slot] for name, arr in per_step.items()},
                 terminal_cost=terminal[:, slot], j=j[:, slot], j_lambda=j_lambda[:, slot],
             )
@@ -736,9 +716,10 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
     traffic and contention tables, stack step arrays and fixed-tick rounds
     (`_Layout.cells`, of the first arm); the last may hold fewer.  Every
     chunk is drawn on the one `layout`, the first arm's, and every arm runs
-    on it by the one plan derived from it.  So the arms may differ in
-    schedulers and control laws, but must not differ in plants, weights or
-    horizons, the channel or the sources.
+    on it by the one plan derived from it, with its fixed ticks.  So the
+    arms may differ in scheduler thresholds and control laws, but must not
+    differ in rule kinds, plants, weights or horizons, the channel or the
+    sources.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.  Given `tallies`, one per arm, each arm's chunk is added to
@@ -746,16 +727,14 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
     """
     scenario, plan = arms[0][0], _plan(layout)
     rules = [_rules(scn, layout) for scn, _ in arms]
-    aheads = [_ahead(rule, plan) for rule in rules]
     tallies = tallies or [None] * len(arms)
     size = max(1, CHUNK_CELLS // layout.cells)
     for start in range(episodes.start, episodes.stop, size):
         chunk = range(start, min(start + size, episodes.stop))
         draws = _draw_chunk(scenario, layout, seed, chunk)
         logs = [[] if keep_rounds else None for _ in arms]
-        batches = [_run_chunk(scn, rule, draws, law, layout, plan, ahead, log, tally)
-                   for (scn, law), rule, ahead, log, tally
-                   in zip(arms, rules, aheads, logs, tallies)]
+        batches = [_run_chunk(scn, rule, draws, law, layout, plan, log, tally)
+                   for (scn, law), rule, log, tally in zip(arms, rules, logs, tallies)]
         # the traces do not refer to the draws: free them while the caller
         # reads the chunk, and hold no chunk while the next one runs
         del draws

@@ -566,6 +566,20 @@ class TestOtherCommands:
                      "--seed", "4", "--episodes", "3", "--out", str(out)])
         assert code == EXIT_OK
 
+    # a range grid is whole steps from its start, each rounded at the step's
+    # scale, stop included if it lies on the grid; the first four are the
+    # grids of the tests and the pinned runs
+    @pytest.mark.parametrize("grid,values", [
+        ("0.5:8:0.5", [0.5 * i for i in range(1, 17)]),
+        ("1.0:3.0:1.0", [1.0, 2.0, 3.0]),
+        ("0:1:0.1", [i / 10 for i in range(11)]),
+        ("1:2:0.3", [1.0, 1.3, 1.6, 1.9]),
+        ("0:1e-9:1e-10", [i / 1e10 for i in range(11)]),
+        ("0:1e-13:2e-14", [0.0, 2e-14, 4e-14, 6e-14, 8e-14, 1e-13]),
+    ])
+    def test_eps_grid_ranges_keep_to_the_step_scale(self, grid, values):
+        assert cli._parse_eps_grid(grid) == values
+
     def test_sweep_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "swp"
         code = main(["sweep", "--scenario", "example3", "--episodes", "5", "--eps-grid",

@@ -278,6 +278,16 @@ def array_rounds(draw):
     return crm, ids, requests, table
 
 
+def table_draws(table):
+    """The (table, index) draws `contend` takes for a (rows, contenders,
+    slots) array of draws: its (rows x contenders, slots) reshape and each
+    entry's row of it.  None, the draws of a certain channel, stays None."""
+    if table is None:
+        return None
+    rows, contenders, slots = table.shape
+    return table.reshape(-1, slots), np.arange(rows * contenders).reshape(rows, contenders)
+
+
 class TestArrayRound:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=array_rounds())
@@ -285,8 +295,8 @@ class TestArrayRound:
         # every row of the array round must be the round resolve_contention
         # runs on that row's contenders and draws, event for event
         crm, ids, requests, table = case
-        rounds = contend(requests, crm, table, ids)
-        plain = contend(requests, crm, table)
+        rounds = contend(requests, crm, table_draws(table), ids)
+        plain = contend(requests, crm, table_draws(table))
         assert np.array_equal(plain.delta, rounds.delta)
         assert np.array_equal(plain.used, rounds.used)
         assert plain.events is None
@@ -320,10 +330,10 @@ class TestArrayRound:
         # may be (W,) or (1, W), and both give the same events
         crm, ids, requests, table = case
         row_ids = np.array(ids, dtype=int) + 1000 * np.arange(requests.shape[0])[:, None]
-        batch = contend(requests, crm, table, row_ids)
+        batch = contend(requests, crm, table_draws(table), row_ids)
         event_row, *columns = batch.events
         for r in range(requests.shape[0]):
-            rows = None if table is None else table[r:r + 1]
+            rows = table_draws(None if table is None else table[r:r + 1])
             alone = contend(requests[r:r + 1], crm, rows, row_ids[r])
             assert np.array_equal(alone.delta[0], batch.delta[r])
             assert np.array_equal(alone.used[0], batch.used[r])
@@ -399,7 +409,7 @@ class TestChannelDistribution:
         crm = CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=10)
         rounds = 20_000
         draws = np.random.default_rng((2025, k)).random((rounds, k, crm.slots_per_sample))
-        rnd = contend(np.ones((rounds, k), dtype=bool), crm, draws)
+        rnd = contend(np.ones((rounds, k), dtype=bool), crm, table_draws(draws))
         seen = collections.Counter(zip(rnd.delta[:, 0].astype(int).tolist(),
                                        rnd.used[:, 0].tolist()))
         law = tagged_round_law(k, crm.persistence, crm.slots_per_sample)

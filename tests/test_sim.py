@@ -27,7 +27,7 @@ from macloops.sim import (
     zero_law,
 )
 from test_model import loop_draws
-from test_network import oracles
+from test_network import oracles, table_draws
 
 
 def loop_of(scheduler, a=1.0, rw=1.0, r0=1.0, x0_mean=None, horizon=10,
@@ -855,33 +855,55 @@ def always_and_state_network():
     )
 
 
-def fixed_ticks(scenario):
-    """The layout's plan and the fixed ticks of the scenario's rules on it."""
+def fixed_plan(scenario):
+    """The layout's plan and the indices of its fixed ticks in it."""
     layout = sim._layout(scenario)
-    plan = sim._plan(layout)
-    return plan, sim._ahead(sim._rules(scenario, layout), plan)
+    return sim._plan(layout), layout.fixed
+
+
+def recorded_run(scenario, episodes):
+    """The bytes of every trace array, event column and summary figure of a
+    monte_carlo run with both hooks, in the order the run gives them."""
+    out = []
+
+    def traces(chunk, batch):
+        out.extend(getattr(tr, name).tobytes() for tr in batch
+                   for name in (*TRACE_FIELDS, "terminal_cost", "j", "j_lambda"))
+
+    res = monte_carlo(scenario, 3, episodes, trace_hook=traces,
+                      event_hook=lambda chunk, table: out.extend(col.tobytes() for col in table))
+    for s in res.per_loop:
+        figures = (*vars(s.report).values(), s.request_rate, s.success_rate, s.drop_rate,
+                   s.mean_attempts, s.bound_prob, res.j_mean, res.j_se)
+        out += [np.array(figures, dtype=float).tobytes(), s.p_seq.tobytes(), s.costs.tobytes()]
+    return out
 
 
 class TestRoundsAhead:
     """Ticks where every sampling loop is under the always rule have rounds
     known before the first tick, and one contention call resolves them all."""
 
-    def test_fixed_ticks_are_those_of_always_loops_alone(self):
-        plan, ahead = fixed_ticks(always_and_state_network())
-        assert [plan[t].tick for t in ahead.ticks] == [0, 2, 6, 8, 12, 14]
+    def test_fixed_ticks_are_those_of_always_loops_alone(self, monkeypatch):
+        scn = always_and_state_network()
+        plan, fixed = fixed_plan(scn)
+        assert [plan[t].tick for t in fixed] == [0, 2, 6, 8, 12, 14]
         # each fixed tick's entries, then padding that never asks
-        assert ahead.rows.shape == ahead.ids.shape == (6, 3)
-        for f, t in enumerate(ahead.ticks.tolist()):
-            assert ahead.rows[f].tolist() == plan[t].rows.tolist()
-            assert ahead.ids[f].tolist() == plan[t].ids.tolist()
+        calls = counting(monkeypatch, "_rounds")
+        monte_carlo(scn, 3, 2)
+        _, _, ticks, rows, ids, *_ = calls[0]
+        assert ticks.tolist() == [0, 2, 6, 8, 12, 14]
+        assert rows.shape == ids.shape == (6, 3)
+        for f, t in enumerate(fixed.tolist()):
+            assert rows[f].tolist() == plan[t].rows.tolist()
+            assert ids[f].tolist() == plan[t].ids.tolist()
 
     # example1-baseline: every loop always transmits; example1 and example3
     # use state and innovation rules
     @pytest.mark.parametrize("name,fixed,ticks", [("example1-baseline", 22, 22),
                                                   ("example1", 0, 22), ("example3", 0, 20)])
     def test_presets_fixed_ticks(self, name, fixed, ticks):
-        plan, ahead = fixed_ticks(parse_scenario_doc(name).scenario)
-        assert (ahead.ticks.size, len(plan)) == (fixed, ticks)
+        plan, indices = fixed_plan(parse_scenario_doc(name).scenario)
+        assert (indices.size, len(plan)) == (fixed, ticks)
 
     def test_one_call_resolves_a_chunk_of_always_loops(self, monkeypatch):
         # example1-baseline: 20 always loops at 22 ticks, all 20 at tick 0
@@ -901,6 +923,25 @@ class TestRoundsAhead:
         firsts = [i for i, (_, width) in enumerate(shapes) if width == 3]
         assert [shapes[i] for i in firsts] == [(6 * CHUNK, 3), (6 * 3, 3)]
         assert firsts[0] == 0 and 0 < firsts[1] - 1 <= 6 and 0 < len(shapes) - firsts[1] - 1 <= 6
+
+    @pytest.mark.parametrize("name", ["flood", "example1-baseline", "always-and-state"])
+    def test_rounds_ahead_equal_rounds_tick_by_tick(self, monkeypatch, name):
+        # the same run, once with the fixed ticks resolved ahead and once
+        # with a layout that names none, so that every tick contends on its
+        # own; across a chunk boundary, every byte the run gives must agree
+        made = {"flood": flood_network, "always-and-state": always_and_state_network}
+        scn = made[name]() if name in made else parse_scenario_doc(name).scenario
+        chunks_of(monkeypatch, scn, 4)
+        rounds = counting(monkeypatch, "_rounds")
+        ahead = recorded_run(scn, 7)
+        # one call per chunk at its fixed ticks: 6 of always-and-state, 22 else
+        ahead_ticks = [len(args[2]) for args in rounds if len(args[2]) > 1]
+        assert ahead_ticks == [6 if name == "always-and-state" else 22] * 2
+        rounds.clear()
+        layout = sim._layout
+        monkeypatch.setattr(sim, "_layout", lambda s: replace(layout(s), fixed=np.zeros(0, int)))
+        assert recorded_run(scn, 7) == ahead
+        assert all(len(args[2]) == 1 for args in rounds)
 
 
 class TestLayout:
@@ -1187,10 +1228,11 @@ class TestChunkMemory:
         # a chunk's arrays, counted from the arrays themselves, and one cell
         # per entry of its fixed ticks' padded rounds are the layout's cells
         scn = make()
-        _, ahead = fixed_ticks(scn)
+        plan, fixed = fixed_plan(scn)
+        padded = fixed.size * max((plan[t].ids.size for t in fixed), default=0)
         cells = chunk_cells(monkeypatch, scn, 5)
         for chunk, used in cells.items():
-            assert used + len(chunk) * ahead.rows.size == len(chunk) * sim._layout(scn).cells
+            assert used + len(chunk) * padded == len(chunk) * sim._layout(scn).cells
 
     def test_the_table_is_stored_slot_major(self):
         # each mini-slot's draws of the chunk are one contiguous slab, and
@@ -1240,7 +1282,7 @@ class TestTableReads:
         got = sim._rounds(crm, draws, np.arange(rows.shape[0]), rows, ids, asking, requests, log)
         copy = tables[asking[None, :, None], rows[:, None, :]].reshape(-1, rows.shape[1],
                                                                        tables.shape[2])
-        want = contend(requests.reshape(-1, rows.shape[1]), crm, copy,
+        want = contend(requests.reshape(-1, rows.shape[1]), crm, table_draws(copy),
                        np.repeat(ids, asking.size, axis=0))
         assert np.array_equal(got.delta, want.delta)
         assert np.array_equal(got.used, want.used)

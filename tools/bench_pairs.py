@@ -103,24 +103,30 @@ def spread(values: list[float]) -> dict:
 
 def summarize(runs: dict, bounds: dict) -> dict:
     """Per-workload statistics of the runs {"parent": [...], "change": [...]},
-    listed pair by pair."""
+    listed pair by pair.  A metric's change wins are counted over the pairs
+    where both runs gave it, and a tie is a win for neither side."""
     failed = {side: sum(1 for r in rs if r["exit"] != 0 or not r.get("correct"))
               for side, rs in runs.items()}
     out = {"pairs": len(runs["change"]), "all_correct": not any(failed.values()),
            "failed": failed["change"], "parent_failed": failed["parent"], "metrics": {}}
     for name, (unit, better, bound) in bounds.items():
-        values = {side: [r["metrics"][name]["value"] for r in rs if name in r["metrics"]]
-                  for side, rs in runs.items()}
-        parent, change = values["parent"], values["change"]
+        # per run its value, or None if it gave none; a pair counts only if
+        # both of its runs gave one
+        values = {side: [r["metrics"][name]["value"] if name in r["metrics"] else None
+                         for r in rs] for side, rs in runs.items()}
+        pairs = [(a, b) for a, b in zip(values["parent"], values["change"])
+                 if a is not None and b is not None]
+        parent, change = ([v for v in values[side] if v is not None]
+                          for side in ("parent", "change"))
         if len(parent) < 2 or len(change) < 2:
             continue
         higher = better == "higher"
         p, c = statistics.median(parent), statistics.median(change)
         p_spread = spread(parent)
-        wins = sum(1 for a, b in zip(parent, change) if (b > a if higher else b < a))
+        wins = sum(1 for a, b in pairs if (b > a if higher else b < a))
         out["metrics"][name] = {
             "unit": unit, "better": better, "parent": p_spread, "change": spread(change),
-            "change_wins": f"{wins}/{min(len(parent), len(change))}",
+            "change_wins": f"{wins}/{len(pairs)}",
             "median_change_over_parent": round(c / p, 4) if p else None,
             "parent_iqr": round(p_spread["q3"] - p_spread["q1"], 5),
             "within_bound": c >= p * (1 - bound) if higher else c <= p * (1 + bound),
