@@ -909,10 +909,12 @@ class TestExitCodes:
             "of episode 0\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["blowup.json"]
 
-    # the last grid's step is below the resolution of its bounds
-    @pytest.mark.parametrize("grid", ["1,x", "1:2:x", "nan,1", "1:inf:1", "1e20:2e20:1"])
+    # the next to last grid's step is below the resolution of its bounds,
+    # and the last one's point count overflows
+    @pytest.mark.parametrize("grid", ["1,x", "1:2:x", "nan,1", "1:inf:1", "1e20:2e20:1",
+                                      "-1e308:1e308:1e300"])
     def test_eps_grid_values_must_be_finite_numbers(self, tmp_path, capsys, grid):
-        assert main(["sweep", "--scenario", "example3", "--eps-grid", grid,
+        assert main(["sweep", "--scenario", "example3", f"--eps-grid={grid}",
                      "--episodes", "1", "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION
         assert "--eps-grid" in capsys.readouterr().err
         assert not (tmp_path / "sw_sweep.csv").exists()
