@@ -67,6 +67,8 @@ EXIT_IO = 5
 # simulate formats and writes a chunk's trace lines this many episodes at a
 # time, so the dump's memory does not grow with the engine's chunk length
 DUMP_EPISODES = 64
+# the most thresholds a start:stop:step grid may ask for; each is a sweep arm
+EPS_GRID_POINTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +575,11 @@ def _parse_eps_grid(text: str) -> list[float]:
         # whole steps from start, stop included if it lies on the grid, each
         # rounded to 12 significant digits of the step
         digits = 12 - math.floor(math.log10(step))
-        values = [round(start + i * step, digits)
-                  for i in range(math.floor((stop - start) / step + 1e-9) + 1)]
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        if count > EPS_GRID_POINTS:
+            raise ConfigurationError(f"--eps-grid: grid {text!r} asks for {count} thresholds, "
+                                     f"more than {EPS_GRID_POINTS}")
+        values = [round(start + i * step, digits) for i in range(count)]
     else:
         values = [_grid_value(p) for p in text.split(",") if p]
     if not values:

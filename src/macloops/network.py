@@ -23,13 +23,13 @@ among a set of contender ids and is the reference the tests check against.
 `contend` runs one round per row of a boolean (rows, contenders) request mask
 at once, with one array step per mini-slot, which reads that slot's draws
 straight from the chunk's contention table; the engine calls it through
-`sim._rounds`, once per tick for every episode of a chunk with a request, and
-once per chunk for all the ticks whose rounds are known before the first
-(`sim._Layout.fixed`).  Either way a round yields its delivery and attempt
-counts per contender and its events, one (slot, contender, attempt, result)
-per contender and mini-slot.  `resolve_contention` gives them as `SlotEvent`
-named tuples.  `contend` returns a `Round`, whose events, when it is given
-the contenders' ids, are int columns derived from its per-slot masks: the
+`sim._rounds`, once per level of a chunk and once per chunk for the ticks
+whose rounds are known before the first level (`sim._Layout.fixed`).
+Either way a round yields its delivery and attempt counts per contender
+and its events, one (slot, contender, attempt, result) per contender and
+mini-slot.  `resolve_contention` gives them as `SlotEvent` named tuples.
+`contend` returns a `Round`, whose events, when it is given the
+contenders' ids, are int columns derived from its per-slot masks: the
 engine's one form of its events, which its event table and the event dump read.
 
 A traffic source makes one uniform draw per tick whatever its kind:

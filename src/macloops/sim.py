@@ -2,10 +2,13 @@
 Monte Carlo aggregation, the threshold sweep, and the paired-control-law
 experiment that exhibits (or rules out) the scheduler's control dependence.
 
-Within a tick the order is fixed: sample/schedule, contend, deliver with
-instant ACK, estimate, control, step the plants.  Loops live on a global
-integer tick grid and act only at their own sampling instants (phase +
-multiples of the period); between samples nothing is simulated.  All
+Loops live on a global integer tick grid and act only at their own
+sampling instants (phase + multiples of the period); between samples
+nothing is simulated.  A loop's step depends only on its own previous
+step and, unless it is known ahead, its tick's contention round, so the
+engine runs by dependency level (`_levels`), not by tick, and within a
+level the order is fixed: sample/schedule, contend, deliver with instant
+ACK, estimate, control, step the plants.  All
 randomness is drawn from three streams per episode, keyed by the master
 seed, the episode and the role, in the order `_Layout` states.  So a (seed,
 episode, scenario) triple fully determines every trace, and a contender
@@ -22,32 +25,33 @@ rounds at the fixed ticks (`_Layout.cells`), so a small network runs in
 long chunks and a large one in short ones.  The loops of equal
 (n, m, horizon) form a stack (`_Stack`), whose states, estimates and
 inputs are (episodes, loops, n) arrays and whose matrices and gains the
-plan's steps (`_Step`) index, and every tick does the prediction,
+plan's steps (`_Step`) index, and every level does the prediction,
 scheduler decision, observer update, control law and plant step once per
-stack, for its sampling loops and the whole chunk; the residuals, errors,
+step, for the step's loops and the whole chunk; the residuals, errors,
 delivery ages and cost terms then follow from the stored steps, all steps
 at once, and each loop's trace is a view into its stack's arrays.  A
-control law therefore takes the (l, m, n) gains L_k of a stack's l
-sampling loops and an (E, l, n) array of their estimates, and returns an
+control law therefore takes the (l, m, n) gains L_k of a step's l
+loops and an (E, l, n) array of their estimates, and returns an
 (E, l, m) array of inputs or any shape that broadcasts to it, such as one
 (m,) input for every episode and loop.  Products over the plant
 dimensions are elementwise multiply-adds in index order
 (`_sum_products`), so an episode's bits do not depend on the chunk it ran
 in, nor a loop's on its stack.
 
-The channel runs on the chunk too.  At each tick every stack takes its
-sampling loops' requests for all episodes in one array expression
-(`_requests`, the rule of `scheduling.decide`), and every contention call
-goes through `_rounds`: one `network.contend` round per asking (tick,
-episode) row, whose columns are the tick's contenders in id order.
+The channel runs on the chunk too.  At each level every step takes its
+loops' requests for all episodes in one array expression (`_requests`,
+the rule of `scheduling.decide`), and every contention call goes through
+`_rounds`: one `network.contend` round per (tick, episode) row, whose
+columns are the tick's contenders in id order, padded.
 `contend` reads each mini-slot's draws, when the slot runs, from the
 chunk's contention table through each requesting entry's row of it; the
 table is stored slot-major, so that read is one gather inside one
 contiguous slab, and the rows' draws are never copied out.  At a fixed
 tick, where every sampling loop is under the `always` rule, the round
 follows from the draws alone: the layout names those ticks
-(`_Layout.fixed`), each chunk resolves all of them in one `_rounds` call
-before the first tick, and every other tick with a request makes its own.
+(`_Layout.fixed`), and each chunk resolves all of them in one `_rounds`
+call before the first level.  Each level resolves its other ticks in one
+call (`_contend`), in the episodes where one of a tick's loops asks.
 Only for the event dump does a call derive its events, which become one
 `EventTable` per chunk, sorted by episode, then tick, for `monte_carlo`'s
 event hook: the engine's one form of its events.  Each source's activity
@@ -65,7 +69,7 @@ stack over its members' (A, B, Q0, Q1, Q2) problems (`riccati_backward` on
 stacked matrices), one pair of noise roots for all loops with equal R0 and
 Rw, the stacks with their members' matrices, roots and solutions stacked,
 and the fixed ticks.  `_run_arms` derives from it the plan of what every
-tick does (`_plan`), once per call; a draw alone needs none.
+level does (`_plan`), once per call; a draw alone needs none.
 Every arm, chunk and tally reads that layout; nothing is kept between calls.
 """
 
@@ -197,8 +201,8 @@ class EventTable(NamedTuple):
 class _Stack:
     """The loops of one (n, m, horizon), in loop order, with their matrices,
     noise roots and Riccati solutions stacked along a loop axis.  A chunk
-    holds their steps in (E, L_s, ...) arrays, and each tick runs their
-    sampling loops as one array step."""
+    holds their steps in (E, L_s, ...) arrays, and each level runs their
+    steps there as one array step."""
 
     loops: list[int]       # loop indices, ascending
     horizon: int
@@ -248,35 +252,36 @@ def _stack(loops, members: list[int], roots, step_ticks, offsets: np.ndarray) ->
 
 @dataclass(eq=False)
 class _Step:
-    """One stack's sampling loops at one tick, as indices into the stack:
-    their matrices are `A[slots]` and `B[slots]` and their gains
-    `L[slots, k]` of the stack's arrays.
-
+    """One stack's steps at one level, at most one per loop, all at fixed
+    ticks (`ahead`) or all at others, as indices into the stack's arrays:
     `slots` and `k` are a slice and an int when the loops are consecutive
-    members at one step, so that the stack's arrays are read and written
-    by basic indexing; otherwise both are index arrays.
-    """
+    members at one step, so that they are read and written by basic
+    indexing, else both index arrays.  `cols` is their (tick, column) in
+    the rounds ahead or the level's rounds, basic indices where it can be."""
 
     stack: int
     slots: slice | np.ndarray   # the loops' slots in the stack
     k: int | np.ndarray         # their steps
-    cols: slice | np.ndarray    # their columns of the tick's contention round
+    cols: tuple
+    ahead: bool
 
 
-@dataclass(eq=False)
-class _Tick:
-    tick: int
-    rows: np.ndarray    # the contention-table rows of the tick's entries
-    ids: np.ndarray     # its contenders: the sampling loops, then every source
-    n_loops: int        # its sampling loops
-    steps: list[_Step]
+class _Rounds(NamedTuple):
+    """The rounds of T ticks: row t is tick `ticks[t]`, `at[t]` of the layout's
+    ticks, with the tick's loops in id order, pad columns (table row 0, id -1,
+    never asking), then every source."""
+
+    ticks: np.ndarray   # (T,)
+    at: np.ndarray      # (T,)
+    rows: np.ndarray    # (T, W): the entries' contention-table rows
+    ids: np.ndarray     # (T, W): their contenders
 
 
 @dataclass(eq=False)
 class _Layout:
     """Everything a call derives from its scenario: where an episode's draws
     go, when the loops sample, their stacks and the fixed ticks, where every
-    sampling loop is under the `always` rule, but not what every tick does
+    sampling loop is under the `always` rule, but not what every level does
     (`_plan`).  Each call derives it once, and every arm, chunk and tally reads it.
 
     An episode draws from three streams, keyed by the master seed:
@@ -294,11 +299,11 @@ class _Layout:
     The noise and traffic keys are those of the first loop and the first
     source.  Appending a loop or a source moves no earlier block or row, and
     a contender's draws depend only on (seed, episode, contender, tick), so
-    every control law and threshold meets the same ones.  Each tick of the
-    plan reads its contention rows in contender-id order: the sampling
-    loops, then every source.  The loops are grouped in stacks of equal
-    (n, m, horizon), in order of their first loop; a stack's noise is drawn
-    straight into its stacked arrays, and a tick's steps index them.
+    every control law and threshold meets the same ones.  Each round of the
+    plan reads its tick's contention rows in contender-id order: the
+    sampling loops, then every source.  The loops are grouped in stacks of
+    equal (n, m, horizon), in order of their first loop; a stack's noise is
+    drawn straight into its stacked arrays, and a level's steps index them.
     """
 
     width: int             # the draws of the noise row
@@ -347,39 +352,69 @@ def _layout(scenario: NetworkScenario) -> _Layout:
     return _Layout(int(offsets[-1]), rows, slots, cells, ticks, fixed, n_src, stacks)
 
 
-def _plan(layout: _Layout) -> list[_Tick]:
-    """Per sampling tick, what it does: its contention-table rows and
-    contenders, in contender-id order, and a step per stack that samples."""
+def _levels(tick_loops: list[list[int]], fixed: list[bool]) -> list[list[int]]:
+    """Per sampling tick, the level of each of its loops' steps: one after
+    the loop's previous step at a fixed tick; at any other, whose round its
+    steps share, one after the latest previous step among its loops."""
+    last, levels = {}, []
+    for loops, alone in zip(tick_loops, fixed):
+        after = [last.get(i, -1) + 1 for i in loops]
+        after = after if alone else [max(after)] * len(after)
+        last.update(zip(loops, after))
+        levels.append(after)
+    return levels
+
+
+def _plan(layout: _Layout) -> tuple[list[tuple], Optional[_Rounds]]:
+    """Per level (`_levels`), its steps, one per stack and kind of tick, and
+    the rounds of its ticks that are not fixed; and the fixed ticks' rounds.
+    A round's entries are its tick's table rows and contenders in id order."""
     stacks, ticks, n_src = layout.stacks, layout.ticks, layout.sources
     where = {i: (s, slot) for s, st in enumerate(stacks) for slot, i in enumerate(st.loops)}
     loop_ticks = [stacks[s].ticks[slot, :-1] for _, (s, slot) in sorted(where.items())]
     # every entry in the contention table's order, then sorted by tick
     at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
     source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
-    contenders = np.concatenate([np.full(t.size, i) for i, t in enumerate(loop_ticks)]
-                                + [np.repeat(source_ids, ticks.size)])
-    steps = np.concatenate([np.arange(t.size) for t in loop_ticks]
-                           + [np.tile(np.arange(ticks.size), n_src)])
+    sizes = [t.size for t in loop_ticks]
+    contenders = np.concatenate((np.repeat(np.arange(len(sizes)), sizes),
+                                 np.repeat(source_ids, ticks.size)))
+    # each loop entry's step; the sources' are not read
+    steps = np.arange(at.size) - np.repeat(np.cumsum([0] + sizes), sizes + [n_src * ticks.size])
     rows = np.argsort(at, kind="stable")
-    contenders, steps = contenders[rows], steps[rows].tolist()
+    # each entry's table row and contender, then those of a pad entry
+    entries = np.concatenate((np.stack((rows, contenders[rows])), [[0], [-1]]), axis=1)
+    steps = steps[rows].tolist()
     starts = np.searchsorted(at[rows], ticks).tolist() + [rows.size]
-    plan = []
-    for t, tick in enumerate(ticks.tolist()):
-        lo, hi = starts[t], starts[t + 1]
-        groups = {}
-        for col, (i, k) in enumerate(zip(contenders[lo:hi - n_src].tolist(),
-                                         steps[lo:hi - n_src])):
+    tick_loops = [entries[1, lo:hi - n_src].tolist() for lo, hi in zip(starts, starts[1:])]
+    ahead = {t: f for f, t in enumerate(layout.fixed.tolist())}
+
+    def padded(at: list[int]) -> _Rounds:
+        width = max(len(tick_loops[t]) for t in at)
+        index = slice(starts[at[0]], starts[at[0] + 1]) if len(at) == 1 else [
+            [*range(starts[t], starts[t + 1] - n_src), *[rows.size] * (width - len(tick_loops[t])),
+             *range(starts[t + 1] - n_src, starts[t + 1])] for t in at]
+        return _Rounds(ticks[at], np.array(at), *entries[:, index].reshape(2, len(at), -1))
+
+    grouped = {}
+    fixed = [t in ahead for t in range(ticks.size)]
+    for t, (loops, levels) in enumerate(zip(tick_loops, _levels(tick_loops, fixed))):
+        for col, i, k, level in zip(range(len(loops)), loops, steps[starts[t]:], levels):
             s, slot = where[i]
-            groups.setdefault(s, []).append((col, slot, k))
-        tick_steps = []
-        for s, entries in groups.items():
-            cols, slots, ks = (list(v) for v in zip(*entries))
+            grouped.setdefault(level, {}).setdefault((s, fixed[t]), []).append((slot, k, t, col))
+    plan = []
+    for _, groups in sorted(grouped.items()):
+        others = sorted({e[2] for (_, alone), group in groups.items() if not alone for e in group})
+        row, level = {t: r for r, t in enumerate(others)}, []
+        for (s, alone), group in sorted(groups.items()):
+            slots, ks, ts, cols = (list(v) for v in zip(*sorted(group)))
             sel, k = _index(slots), ks[0]
             if isinstance(sel, np.ndarray) or ks != [k] * len(ks):
                 sel, k = np.array(slots), np.array(ks)
-            tick_steps.append(_Step(s, sel, k, _index(cols)))
-        plan.append(_Tick(tick, rows[lo:hi], contenders[lo:hi], hi - lo - n_src, tick_steps))
-    return plan
+            ts = [(ahead if alone else row)[t] for t in ts]
+            cols = (ts[0], _index(cols)) if len(set(ts)) == 1 else (np.array(ts), np.array(cols))
+            level.append(_Step(s, sel, k, cols, alone))
+        plan.append((level, padded(others) if others else None))
+    return plan, padded(list(ahead)) if ahead else None
 
 
 def _index(values: list[int]) -> slice | np.ndarray:
@@ -515,13 +550,13 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
 
 def _rounds(crm, draws: _ChunkDraws, ticks, rows: np.ndarray, ids: np.ndarray,
             asking: np.ndarray, requests: np.ndarray, rounds_log: Optional[list]) -> Round:
-    """The rounds of the chunk rows `asking` at the T `ticks`, whose (T, W)
-    contention-table rows and contenders are `rows` and `ids`, from one
-    `contend` call.  Its rows run tick-major, row i being chunk row
-    asking[i % A] at tick i // A for A = asking.size, and `requests` is
-    their (T, A, W) mask or its (T * A, W) reshape; `contend` reads their
-    draws in place, by each entry's row of the chunk's table.  If a list,
-    `rounds_log` receives each row's tick and chunk row and `Round.events`."""
+    """The rounds of the chunk rows `asking` at the T `ticks`, a level's or
+    the fixed ones, whose (T, W) contention-table rows and contenders are
+    `rows` and `ids`, from one `contend` call.  Its rows run tick-major, row
+    i being chunk row asking[i % A] at tick i // A for A = asking.size, and
+    `requests` is their (T, A, W) mask or its (T * A, W) reshape; `contend`
+    reads their draws in place, by each entry's row of the chunk's table.
+    If a list, `rounds_log` receives each row's tick, chunk row and events."""
     table, width = draws.tables, rows.shape[1]
     if table is not None:
         index = table.shape[1] * asking[:, None] + rows[:, None]
@@ -531,6 +566,24 @@ def _rounds(crm, draws: _ChunkDraws, ticks, rows: np.ndarray, ids: np.ndarray,
     if rounds_log is not None:
         rounds_log.append((np.repeat(ticks, asking.size), np.tile(asking, len(ticks)), rnd.events))
     return rnd
+
+
+def _contend(crm, draws: _ChunkDraws, rounds: _Rounds, wants: np.ndarray,
+             rounds_log: Optional[list]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rounds at `rounds`' ticks where one of the tick's loops asks in the
+    (E, T, W) mask `wants`, its sources if active: the asking episodes and
+    their (A, T, W) deliveries and attempts (`_rounds`)."""
+    asking = np.flatnonzero(wants.reshape(len(wants), -1).any(axis=1))
+    if not asking.size:
+        return asking, None, None
+    requests, n_src = wants[asking], draws.active.shape[2]
+    if n_src:
+        requests[:, :, -n_src:] = (draws.active[asking[:, None], rounds.at]
+                                   & requests.any(axis=2, keepdims=True))
+    delta, used, _ = _rounds(crm, draws, rounds.ticks, rounds.rows, rounds.ids, asking,
+                             requests.swapaxes(0, 1), rounds_log)
+    shape = (len(rounds.at), asking.size, -1)
+    return asking, delta.reshape(shape).swapaxes(0, 1), used.reshape(shape).swapaxes(0, 1)
 
 
 @dataclass(eq=False)
@@ -588,76 +641,60 @@ def _run_chunk(
     draws: _ChunkDraws,
     control_law: ControlLaw,
     layout: _Layout,
-    plan: Sequence[_Tick],
+    plan: tuple[list[tuple], Optional[_Rounds]],
     rounds_log: Optional[list] = None,
     tally: Optional[_Tally] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    `rules` holds the request rule of each stack and `plan` what each
-    sampling tick of the layout does (`_plan`).  The rounds of the layout's
-    fixed ticks depend on the draws alone, so they all run before the first
-    tick in one `_rounds` call, each tick's entries then pad columns that
-    never request; every other tick with a request runs its own.  The
-    observer's estimate is the delivered state or the prediction
+    `rules` holds the request rule of each stack and `plan` what each level
+    of the layout does (`_plan`).  The rounds of the layout's fixed ticks
+    depend on the draws alone, so they all run before the first level in
+    one call; then each level makes one decision and one observer, control
+    and plant step per step, and one call for its other ticks (`_contend`).
+    The observer's estimate is the delivered state or the prediction
     (`observer_update`); each step's delivery age follows from the deltas
-    once the ticks are done.  If `rounds_log` is a list, each `_rounds`
+    once the levels are done.  If `rounds_log` is a list, each `_rounds`
     call appends its rows' ticks and chunk rows and its events.  A `tally`
     takes each stack's steps as they stand.  A state or a cost that is not
     finite raises a NumericalError naming its episode, loop and tick.
     """
-    stacks = layout.stacks
+    stacks, crm = layout.stacks, scenario.crm
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
-    everyone = np.arange(n_ep)
-    # the fixed ticks' rounds, (T, E, W): every loop asks, each source if active
-    fixed = {}
-    if layout.fixed.size:
-        ts = layout.fixed.tolist()
-        shape = (len(ts), max(plan[t].ids.size for t in ts))
-        rows, ids = np.zeros(shape, dtype=int), np.full(shape, -1)
-        requests = np.zeros((shape[0], n_ep, shape[1]), dtype=bool)
-        for f, t in enumerate(ts):
-            tick = plan[t]
-            rows[f, :tick.ids.size], ids[f, :tick.ids.size] = tick.rows, tick.ids
-            requests[f, :, :tick.n_loops] = True
-            requests[f, :, tick.n_loops:tick.ids.size] = draws.active[:, t]
-        delta, used, _ = _rounds(scenario.crm, draws, layout.ticks[layout.fixed], rows, ids,
-                                 everyone, requests, rounds_log)
-        fixed = dict(zip(ts, zip(delta.reshape(requests.shape), used.reshape(requests.shape))))
+    levels, ahead = plan
+    if ahead is not None:
+        # every loop asks at a fixed tick, and no pad
+        asks = (ahead.ids >= 0) & (ahead.ids < SOURCE_CONTENDER_BASE)
+        fixed = _contend(crm, draws, ahead, np.broadcast_to(asks, (n_ep, *asks.shape)), rounds_log)
 
-    for t, tick in enumerate(plan):
-        # schedule: one decision per stack for its sampling loops, whole chunk
-        preds, wants = [], np.empty((n_ep, tick.n_loops), dtype=bool)
-        for step in tick.steps:
+    for steps, rounds in levels:
+        wants = None if rounds is None else np.zeros((n_ep, *rounds.rows.shape), dtype=bool)
+        # schedule: one decision per step, whole chunk
+        preds = []
+        for step in steps:
             st, run, j, k = stacks[step.stack], runs[step.stack], step.slots, step.k
             pred = _sum_products(st.A[j], run.xhats[:, j, k][..., None, :]) + run.bu[:, j]
             run.preds[:, j, k] = pred
             want = _requests(rules[step.stack], j, run.xs[:, j, k], pred)
-            run.gammas[:, j, k] = wants[:, step.cols] = want
+            run.gammas[:, j, k] = want
+            if not step.ahead:
+                wants[:, step.cols[0], step.cols[1]] = want
             preds.append(pred)
 
-        # contend: one round per episode with a loop's request, all at once;
-        # the columns are the tick's entries.  A fixed tick's round is known.
-        if t in fixed:
-            asking, (delta, used) = everyone, fixed[t]
-        else:
-            asking = np.flatnonzero(wants.any(axis=1))
-            if asking.size:
-                delta, used, _ = _rounds(
-                    scenario.crm, draws, [tick.tick], tick.rows[None], tick.ids[None], asking,
-                    np.concatenate((wants[asking], draws.active[asking, t]), axis=1), rounds_log)
-        if asking.size:
-            for step in tick.steps:
-                run = runs[step.stack]
-                # with index-array slots and steps, the rows must broadcast as a column
-                rows = asking if isinstance(step.slots, slice) else asking[:, None]
-                run.deltas[rows, step.slots, step.k] = delta[:, step.cols]
-                run.attempts[rows, step.slots, step.k] = used[:, step.cols]
+        # contend: the level's other ticks at once; the fixed ones' are known
+        if rounds is not None:
+            drawn = _contend(crm, draws, rounds, wants, rounds_log)
 
         # deliver, estimate, control, step
-        for step, pred in zip(tick.steps, preds):
+        for step, pred in zip(steps, preds):
             st, run, j, k = stacks[step.stack], runs[step.stack], step.slots, step.k
+            asking, delta, used = fixed if step.ahead else drawn
+            if asking.size:
+                # with index-array slots and steps, the rows must broadcast as a column
+                rows, (t, col) = asking if isinstance(j, slice) else asking[:, None], step.cols
+                run.deltas[rows, j, k] = delta[:, t, col]
+                run.attempts[rows, j, k] = used[:, t, col]
             x = run.xs[:, j, k]
             xhat = observer_update(run.deltas[:, j, k], x, pred)
             u = control_law(st.L[j, k], xhat)
@@ -932,12 +969,10 @@ def sweep_threshold(
     eps_grid = list(eps_grid)
     if not eps_grid:
         raise ConfigurationError("eps grid must not be empty")
-    for lc in scenario.loops:
+    for i, lc in enumerate(scenario.loops):
         if lc.scheduler.kind not in THRESHOLD_KINDS:
-            raise ConfigurationError(
-                "threshold sweep needs state or innovation schedulers, "
-                f"got {lc.scheduler.kind!r}"
-            )
+            raise ConfigurationError(f"loops[{i}].scheduler.kind: threshold sweep needs state or "
+                                     f"innovation schedulers, got {lc.scheduler.kind!r}")
     arms = [(replace(scenario, loops=tuple(
                 replace(lc, scheduler=replace(lc.scheduler, eps=eps))
                 for lc in scenario.loops)), ce_law) for eps in eps_grid]

@@ -48,3 +48,22 @@ def test_a_tie_is_a_win_for_neither_side(metric):
 def test_within_bound_follows_the_better_direction(metric, change, within):
     # the parent's median is 100 and every bound 25 %
     assert summary(metric, [100.0, 100.0], change)["within_bound"] is within
+
+
+def test_the_pair_ratio_is_the_median_of_each_pairs_ratio():
+    # a slow spell in pairs 3 and 4 moves both runs of each: every pair reads
+    # the change 10 % faster, while the medians read it 10 % slower
+    got = summary("items_per_s", [100, 100, 50, 50, 100], [110, 110, 55, 55, 90])
+    assert got["median_pair_ratio"] == 1.1
+    assert got["median_change_over_parent"] == 0.9
+    assert got["change_wins"] == "4/5"
+
+
+def test_a_claim_reads_the_pair_ratio_of_each_section():
+    entry = summary("wall_s", [10.0, 20.0, 30.0], [9.0, 16.0, 30.0])
+    doc = {"workloads": {"flood": {"metrics": {"wall_s": entry}}},
+           "holdout": {"flood": {"metrics": {"wall_s": entry}}}, "what": "text"}
+    claim = bench_pairs.claim_summary(doc, "flood", "wall_s", "< 1")
+    assert claim["workloads"]["median_pair_ratio"] == 0.9
+    assert claim["holdout"] == claim["workloads"]
+    assert "what" not in claim

@@ -919,6 +919,19 @@ class TestExitCodes:
         assert "--eps-grid" in capsys.readouterr().err
         assert not (tmp_path / "sw_sweep.csv").exists()
 
+    def test_eps_grid_beyond_the_point_cap_is_refused_unbuilt(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 10^15 thresholds: refused from the count, before any value is built
+        def built(*args):
+            raise AssertionError("a grid value was built")
+
+        monkeypatch.setattr(cli, "round", built, raising=False)
+        assert main(["sweep", "--scenario", "example3", "--eps-grid", "0:1:1e-15",
+                     "--episodes", "1", "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION
+        assert ("--eps-grid: grid '0:1:1e-15' asks for 1000000000000000 thresholds, "
+                f"more than {cli.EPS_GRID_POINTS}") in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "example3", "--seed", "-1",
                      "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
@@ -989,6 +1002,9 @@ class TestExitCodes:
         (["two-step", "--branch", "delta0=1", "--x0", "0", "--b", "inf"],
          "--b: b must be a finite number, got inf"),
         (["two-step", "--branch", "x"], "--branch: branch must be delta0=0 or delta0=1, got 'x'"),
+        (["sweep", "--scenario", "example1-baseline", "--eps-grid", "1", "--episodes", "1"],
+         "loops[0].scheduler.kind: threshold sweep needs state or innovation schedulers, "
+         "got 'always'"),
     ])
     def test_bad_flags_are_named(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_VALIDATION

@@ -356,36 +356,44 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     handed = []
 
     def spy(requests, crm, draws, ids=None):
-        handed.append((requests, draws))
+        handed.append((requests, draws, ids))
         return contend(requests, crm, draws, ids)
 
     monkeypatch.setattr(sim, "contend", spy)
     layout = sim._layout(scenario)
-    tick_ids = {tick.tick: tick.ids for tick in sim._plan(layout)}
     rows = {}
     for chunk, _, (log,) in sim._run_arms([(scenario, law)], layout,
                                           seed, range(episodes), keep_rounds=True):
         # one logged entry per contention call, whose row r is the round of
         # chunk row asking[r] at ticks[r] and whose column c is contender
-        # ids[c] of that tick, reading row index[r, c] of the chunk's table
-        for (ticks, asking, _), (requests, (table, index)) in zip(log, handed, strict=True):
+        # ids[r, c], reading row index[r, c] of the chunk's table
+        for (ticks, asking, _), (requests, (table, index), ids) in zip(log, handed, strict=True):
             for r, (tick, e) in enumerate(zip(ticks.tolist(), asking.tolist())):
-                ids = tick_ids[tick]
                 cols = np.flatnonzero(requests[r])
                 rows.update(((chunk[e], tick, c), table[index[r, col]].tolist())
-                            for c, col in zip(ids[cols].tolist(), cols))
+                            for c, col in zip(ids[r, cols].tolist(), cols))
         del handed[:]
     return rows
 
 
+def plan_ticks(layout):
+    """Each sampling tick's contention-table rows and contenders, by tick,
+    read off the plan's padded rounds (the fixed ticks' and each level's)
+    without their pad columns."""
+    levels, ahead = sim._plan(layout)
+    found = {}
+    for rounds in [ahead] + [rounds for _, rounds in levels]:
+        if rounds is not None:
+            for tick, rows, ids in zip(rounds.ticks.tolist(), rounds.rows, rounds.ids):
+                found[tick] = (rows[ids >= 0], ids[ids >= 0])
+    return dict(sorted(found.items()))
+
+
 def layout_rows(layout):
     """The contention-table row of each (tick, contender), in the order of
-    the layout's plan."""
-    rows = {}
-    for tick in sim._plan(layout):
-        rows.update(((tick.tick, c), row) for c, row in
-                    zip(tick.ids.tolist(), tick.rows.tolist(), strict=True))
-    return rows
+    the plan's rounds."""
+    return {(tick, c): row for tick, (rows, ids) in plan_ticks(layout).items()
+            for c, row in zip(ids.tolist(), rows.tolist(), strict=True)}
 
 
 # one-word seeds at both ends, a two-word seed, and one longer than numpy's
@@ -856,9 +864,9 @@ def always_and_state_network():
 
 
 def fixed_plan(scenario):
-    """The layout's plan and the indices of its fixed ticks in it."""
+    """Each tick's rows and contenders (`plan_ticks`), and the fixed ticks."""
     layout = sim._layout(scenario)
-    return sim._plan(layout), layout.fixed
+    return plan_ticks(layout), layout.ticks[layout.fixed].tolist()
 
 
 def recorded_run(scenario, episodes):
@@ -886,16 +894,16 @@ class TestRoundsAhead:
     def test_fixed_ticks_are_those_of_always_loops_alone(self, monkeypatch):
         scn = always_and_state_network()
         plan, fixed = fixed_plan(scn)
-        assert [plan[t].tick for t in fixed] == [0, 2, 6, 8, 12, 14]
+        assert fixed == [0, 2, 6, 8, 12, 14]
         # each fixed tick's entries, then padding that never asks
         calls = counting(monkeypatch, "_rounds")
         monte_carlo(scn, 3, 2)
         _, _, ticks, rows, ids, *_ = calls[0]
         assert ticks.tolist() == [0, 2, 6, 8, 12, 14]
         assert rows.shape == ids.shape == (6, 3)
-        for f, t in enumerate(fixed.tolist()):
-            assert rows[f].tolist() == plan[t].rows.tolist()
-            assert ids[f].tolist() == plan[t].ids.tolist()
+        for f, t in enumerate(fixed):
+            assert rows[f].tolist() == plan[t][0].tolist()
+            assert ids[f].tolist() == plan[t][1].tolist()
 
     # example1-baseline: every loop always transmits; example1 and example3
     # use state and innovation rules
@@ -903,7 +911,7 @@ class TestRoundsAhead:
                                                   ("example1", 0, 22), ("example3", 0, 20)])
     def test_presets_fixed_ticks(self, name, fixed, ticks):
         plan, indices = fixed_plan(parse_scenario_doc(name).scenario)
-        assert (indices.size, len(plan)) == (fixed, ticks)
+        assert (len(indices), len(plan)) == (fixed, ticks)
 
     def test_one_call_resolves_a_chunk_of_always_loops(self, monkeypatch):
         # example1-baseline: 20 always loops at 22 ticks, all 20 at tick 0
@@ -941,7 +949,10 @@ class TestRoundsAhead:
         layout = sim._layout
         monkeypatch.setattr(sim, "_layout", lambda s: replace(layout(s), fixed=np.zeros(0, int)))
         assert recorded_run(scn, 7) == ahead
-        assert all(len(args[2]) == 1 for args in rounds)
+        # each call is one level's rounds
+        levels, _ = sim._plan(sim._layout(scn))
+        level_ticks = [rounds.ticks.tolist() for _, rounds in levels]
+        assert all(args[2].tolist() in level_ticks for args in rounds)
 
 
 class TestLayout:
@@ -1228,8 +1239,8 @@ class TestChunkMemory:
         # a chunk's arrays, counted from the arrays themselves, and one cell
         # per entry of its fixed ticks' padded rounds are the layout's cells
         scn = make()
-        plan, fixed = fixed_plan(scn)
-        padded = fixed.size * max((plan[t].ids.size for t in fixed), default=0)
+        _, ahead = sim._plan(sim._layout(scn))
+        padded = 0 if ahead is None else ahead.ids.size
         cells = chunk_cells(monkeypatch, scn, 5)
         for chunk, used in cells.items():
             assert used + len(chunk) * padded == len(chunk) * sim._layout(scn).cells
@@ -1288,3 +1299,106 @@ class TestTableReads:
         assert np.array_equal(got.used, want.used)
         assert [col.tolist() for col in got.events] == [col.tolist() for col in want.events]
         assert log[0][2] is got.events
+
+
+def one_tick_per_level(tick_loops, fixed):
+    """Levels that run the ticks one by one, in order."""
+    return [[t] * len(loops) for t, loops in enumerate(tick_loops)]
+
+
+def plan_steps(layout):
+    """Every step of the layout's plan as (level, loop, k, tick, ahead), and
+    the ticks of each level's rounds."""
+    levels, _ = sim._plan(layout)
+    steps = []
+    for level, (level_steps, _) in enumerate(levels):
+        for step in level_steps:
+            st = layout.stacks[step.stack]
+            slots = np.arange(len(st.loops))[step.slots]
+            for slot, k in zip(slots.tolist(), np.broadcast_to(step.k, slots.shape).tolist()):
+                steps.append((level, st.loops[slot], k, int(st.ticks[slot, k]), step.ahead))
+    return steps, [[] if rounds is None else rounds.ticks.tolist() for _, rounds in levels]
+
+
+RULES = {"always": SchedulerPolicy.always_transmit(),
+         "state": SchedulerPolicy.state_threshold(1.0),
+         "innovation": SchedulerPolicy.innovation_threshold(1.0),
+         "halfline": SchedulerPolicy.half_line_state(0.5)}
+
+
+@st.composite
+def level_networks(draw):
+    """1-4 scalar loops of periods 1-3 at any phase, under any rule kind, of
+    two horizons, so that stacks mix rules, and 0-2 sources."""
+    loops = []
+    for _ in range(draw(st.integers(1, 4))):
+        period = draw(st.integers(1, 3))
+        loops.append(loop_of(RULES[draw(st.sampled_from(sorted(RULES)))],
+                             horizon=draw(st.sampled_from([3, 5])), period=period,
+                             phase=draw(st.integers(0, period - 1))))
+    return NetworkScenario(loops=tuple(loops), crm=CrmConfig(persistence=(1.0, 0.5)),
+                           sources=(TrafficSource.bernoulli(0.3),) * draw(st.integers(0, 2)))
+
+
+class TestLevels:
+    """The engine runs by dependency level: a loop's step follows its
+    previous step, and the steps of a tick that is not fixed meet in its
+    round."""
+
+    @pytest.mark.parametrize("make,levels,ticks", [
+        (flood_network, 10, 22), *zip(presets("example1-baseline", "example3", "example1"),
+                                      (10, 10, 15), (22, 20, 22)),
+        (lambda: single_loop(SchedulerPolicy.half_line_state(0.5)), 10, 10),
+        (always_and_state_network, 8, 12),
+    ], ids=["flood", "example1-baseline", "example3", "example1", "half-line",
+            "always-and-state"])
+    def test_level_counts(self, make, levels, ticks):
+        layout = sim._layout(make())
+        assert (len(sim._plan(layout)[0]), layout.ticks.size) == (levels, ticks)
+
+    @pytest.mark.parametrize("make,calls", [(flood_network, 1), *zip(presets("example3"), [10])],
+                             ids=["flood", "example3"])
+    def test_contention_calls_per_chunk(self, monkeypatch, make, calls):
+        # flood resolves every round ahead; example3 contends once per level
+        rounds = counting(monkeypatch, "_rounds")
+        monte_carlo(make(), 3, 20)
+        assert len(rounds) == calls
+
+    @pytest.mark.parametrize("name", ["flood", "example1", "example1-baseline", "example3",
+                                      "always-and-state"])
+    def test_levels_equal_one_tick_per_level(self, monkeypatch, name):
+        # the same run by level and with one tick per level, across chunk
+        # boundaries: every byte it gives must agree
+        made = {"flood": flood_network, "always-and-state": always_and_state_network}
+        scn = made[name]() if name in made else parse_scenario_doc(name).scenario
+        chunks_of(monkeypatch, scn, 4)
+        by_level = recorded_run(scn, 7)
+        monkeypatch.setattr(sim, "_levels", one_tick_per_level)
+        layout = sim._layout(scn)
+        assert len(sim._plan(layout)[0]) == layout.ticks.size
+        assert recorded_run(scn, 7) == by_level
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(scn=level_networks())
+    def test_levels_are_sound(self, scn):
+        layout = sim._layout(scn)
+        steps, level_ticks = plan_steps(layout)
+        fixed = set(layout.ticks[layout.fixed].tolist())
+        # each loop's steps, once each, in step order on strictly increasing levels
+        for i, lc in enumerate(scn.loops):
+            mine = sorted((level, k) for level, loop, k, _, _ in steps if loop == i)
+            assert [k for _, k in mine] == list(range(lc.horizon))
+            assert all(a < b for (a, _), (b, _) in zip(mine, mine[1:]))
+        # the steps of a tick that is not fixed share one level, whose rounds
+        # hold the tick once; a fixed tick's steps read the rounds ahead
+        levels_at = {}
+        for level, _, _, tick, ahead in steps:
+            assert ahead == (tick in fixed)
+            if not ahead:
+                levels_at.setdefault(tick, set()).add(level)
+        for tick, levels in levels_at.items():
+            assert len(levels) == 1
+            assert level_ticks[levels.pop()].count(tick) == 1
+        assert sum(map(len, level_ticks)) == len(levels_at)
+        # no level is empty
+        assert {level for level, *_ in steps} == set(range(len(level_ticks)))

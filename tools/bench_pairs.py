@@ -11,9 +11,11 @@ runs `python3 benchmark/run.py --workload W --seed S` once per side, at
 the benchmark's default run length, the parent first in even pairs and the change first in odd ones.
 Per side and end-to-end metric the file holds the median and quartiles
 (inclusive method) and every run; per metric the change's wins, the ratio
-of the medians, the parent's interquartile range and `within_bound`, which
-compares the change's median with the parent's against the metric's bound in
-BENCHMARK.json.
+of the medians, the median of the per-pair change/parent ratios, the
+parent's interquartile range and `within_bound`, which compares the
+change's median with the parent's against the metric's bound in
+BENCHMARK.json.  A slow spell of the machine hits both runs of a pair, so
+the per-pair ratio is less moved by it than the ratio of the medians.
 
 The results go under `--section` (default "workloads"); an existing output
 file is read first, so a second run can add a held-out seed under another
@@ -124,10 +126,12 @@ def summarize(runs: dict, bounds: dict) -> dict:
         p, c = statistics.median(parent), statistics.median(change)
         p_spread = spread(parent)
         wins = sum(1 for a, b in pairs if (b > a if higher else b < a))
+        ratios = [b / a for a, b in pairs if a]
         out["metrics"][name] = {
             "unit": unit, "better": better, "parent": p_spread, "change": spread(change),
             "change_wins": f"{wins}/{len(pairs)}",
             "median_change_over_parent": round(c / p, 4) if p else None,
+            "median_pair_ratio": round(statistics.median(ratios), 4) if ratios else None,
             "parent_iqr": round(p_spread["q3"] - p_spread["q1"], 5),
             "within_bound": c >= p * (1 - bound) if higher else c <= p * (1 + bound),
             "parent_runs": [round(v, 5) for v in parent],
@@ -145,6 +149,7 @@ def claim_summary(doc: dict, workload: str, metric: str, target: str) -> dict:
             continue
         claim[section] = {
             "median_change_over_parent": entry["median_change_over_parent"],
+            "median_pair_ratio": entry.get("median_pair_ratio"),
             "change_wins": entry["change_wins"],
             "median_gap": round(abs(entry["change"]["median"] - entry["parent"]["median"]), 5),
             "parent_iqr": entry["parent_iqr"],
