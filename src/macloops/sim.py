@@ -5,17 +5,17 @@ experiment that exhibits (or rules out) the scheduler's control dependence.
 Loops live on a global integer tick grid and act only at their own
 sampling instants (phase + multiples of the period); between samples
 nothing is simulated.  A loop's step depends only on its own previous
-step and, unless it is known ahead, its tick's contention round, so the
-engine runs by dependency level (`_levels`), not by tick, and within a
-level the order is fixed: sample/schedule, contend, deliver with instant
-ACK, estimate, control, step the plants.  All
-randomness is drawn from three streams per episode, keyed by the master
-seed, the episode and the role, in the order `_Layout` states.  So a (seed,
-episode, scenario) triple fully determines every trace, and a contender
-meets the same draws under every control law.  A chunk's streams of one
-role are seeded in one pass (`_streams`, `model.pcg64_states`) and drawn
-from one reused generator, whose first state is checked against the
-reference `RngStream.generator` once per chunk and role.
+step and its tick's contention round, so the engine runs by dependency
+level (`_levels`), not by tick, and within a level the order is fixed:
+sample/schedule, contend, deliver with instant ACK, estimate, control, step
+the plants.  All randomness is drawn from three streams per episode, keyed
+by the master seed, the episode and the role, in the order `_Layout`
+states.  So a (seed, episode, scenario) triple fully determines every
+trace, and a contender meets the same draws under every control law.  A
+chunk's streams of one role are seeded in one pass (`_streams`,
+`model.pcg64_states`) and drawn from one reused generator, whose first
+state is checked against the reference `RngStream.generator` once per
+chunk and role.
 
 There is one engine, and it runs a chunk of episodes at once.  A chunk
 holds as many episodes as fit in CHUNK_CELLS array cells, and at least
@@ -38,26 +38,21 @@ dimensions are elementwise multiply-adds in index order
 (`_sum_products`), so an episode's bits do not depend on the chunk it ran
 in, nor a loop's on its stack.
 
-The channel runs on the chunk too.  At each level every step takes its
-loops' requests for all episodes in one array expression (`_requests`,
-the rule of `scheduling.decide`), and every contention call goes through
-`_rounds`: one `network.contend` round per (tick, episode) row, whose
-columns are the tick's contenders in id order, padded.
-`contend` reads each mini-slot's draws, when the slot runs, from the
-chunk's contention table through each requesting entry's row of it; the
-table is stored slot-major, so that read is one gather inside one
-contiguous slab, and the rows' draws are never copied out.  At a fixed
-tick, where every sampling loop is under the `always` rule, the round
-follows from the draws alone: the layout names those ticks
-(`_Layout.fixed`), and each chunk resolves all of them in one `_rounds`
-call before the first level.  Each level resolves its other ticks in one
-call (`_contend`), in the episodes where one of a tick's loops asks.
-Only for the event dump does a call derive its events, which become one
-`EventTable` per chunk, sorted by episode, then tick, for `monte_carlo`'s
-event hook: the engine's one form of its events.  Each source's activity
-comes from its row of the episode's traffic table
-(`network.traffic_activity`).  `decide`, `resolve_contention` and
-`traffic_step` stay as the references the array forms are tested against.
+The channel runs on the chunk too.  At each level every step writes its
+loops' requests for all episodes into its stack's `gammas` in one array
+expression (`_requests`, the rule of `scheduling.decide`), and every round
+runs in its level's `_contend`: one `network.contend` call, one round per
+(episode, tick) row of the tick's contenders in id order, padded, which
+reads its requests from the stacks' arrays, writes its deliveries into
+them, and reads its draws in place from the chunk's slot-major contention
+table.  An `always` loop's request is known before its step runs, so the
+fixed ticks' rounds (`_Layout.fixed`) run in the first level.  Only for
+the event dump does a call derive its events, which become one
+`EventTable` per chunk, sorted by episode, then tick: the engine's one
+form of its events.  A source's activity comes from its row of the
+episode's traffic table (`network.traffic_activity`).  `decide`,
+`resolve_contention` and `traffic_step` stay as the references the array
+forms are tested against.
 
 One driver, `_run_arms`, draws each chunk once and runs every arm on it:
 an arm is a (scenario variant, control law) pair.  `monte_carlo` and
@@ -77,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -85,7 +81,7 @@ from .control import CostReport, jdp_stack, riccati_backward
 from .errors import ConfigurationError, NumericalError, _integer
 from .estimation import last_delivery, observer_update
 from .model import NetworkScenario, RngStream, pcg64_states, psd_sqrt
-from .network import Round, contend, traffic_activity
+from .network import contend, traffic_activity
 # The per-round, per-tick and per-episode reference rules the engine's array
 # forms reproduce; benchmark/workloads.py wraps these names here.
 from .network import resolve_contention, traffic_step  # noqa: F401
@@ -250,20 +246,13 @@ def _stack(loops, members: list[int], roots, step_ticks, offsets: np.ndarray) ->
     )
 
 
-@dataclass(eq=False)
-class _Step:
-    """One stack's steps at one level, at most one per loop, all at fixed
-    ticks (`ahead`) or all at others, as indices into the stack's arrays:
-    `slots` and `k` are a slice and an int when the loops are consecutive
-    members at one step, so that they are read and written by basic
-    indexing, else both index arrays.  `cols` is their (tick, column) in
-    the rounds ahead or the level's rounds, basic indices where it can be."""
+class _Step(NamedTuple):
+    """One stack's steps at one level, one per loop at most: `slots` and `k`
+    are a slice and an int where basic indexing can take them, else arrays."""
 
     stack: int
     slots: slice | np.ndarray   # the loops' slots in the stack
     k: int | np.ndarray         # their steps
-    cols: tuple
-    ahead: bool
 
 
 class _Rounds(NamedTuple):
@@ -275,14 +264,16 @@ class _Rounds(NamedTuple):
     at: np.ndarray      # (T,)
     rows: np.ndarray    # (T, W): the entries' contention-table rows
     ids: np.ndarray     # (T, W): their contenders
+    cells: list         # per stack: its entries' flat (L_s, N) step and (T, W) round cells
 
 
 @dataclass(eq=False)
 class _Layout:
     """Everything a call derives from its scenario: where an episode's draws
     go, when the loops sample, their stacks and the fixed ticks, where every
-    sampling loop is under the `always` rule, but not what every level does
-    (`_plan`).  Each call derives it once, and every arm, chunk and tally reads it.
+    sampling loop is under the `always` rule, whose rounds run in the first
+    level's `_contend`.  Each call derives it once, and every arm, chunk and
+    tally reads it.
 
     An episode draws from three streams, keyed by the master seed:
     - noise, keyed (episode, 0, noise): one `standard_normal` row of the
@@ -299,11 +290,10 @@ class _Layout:
     The noise and traffic keys are those of the first loop and the first
     source.  Appending a loop or a source moves no earlier block or row, and
     a contender's draws depend only on (seed, episode, contender, tick), so
-    every control law and threshold meets the same ones.  Each round of the
-    plan reads its tick's contention rows in contender-id order: the
-    sampling loops, then every source.  The loops are grouped in stacks of
-    equal (n, m, horizon), in order of their first loop; a stack's noise is
-    drawn straight into its stacked arrays, and a level's steps index them.
+    every control law and threshold meets the same ones.  The loops are
+    grouped in stacks of equal (n, m, horizon), in order of their first
+    loop; a stack's noise is drawn straight into its stacked arrays, and a
+    level's steps index them.
     """
 
     width: int             # the draws of the noise row
@@ -365,63 +355,78 @@ def _levels(tick_loops: list[list[int]], fixed: list[bool]) -> list[list[int]]:
     return levels
 
 
-def _plan(layout: _Layout) -> tuple[list[tuple], Optional[_Rounds]]:
-    """Per level (`_levels`), its steps, one per stack and kind of tick, and
-    the rounds of its ticks that are not fixed; and the fixed ticks' rounds.
-    A round's entries are its tick's table rows and contenders in id order."""
+def _plan(layout: _Layout) -> list[tuple[list[_Step], Optional[_Rounds]]]:
+    """Per level (`_levels`), its steps, at most one per stack, and the rounds
+    of its ticks that are not fixed and, in level 0, of the fixed ticks, or
+    None.  One pass over the loop entries places each in both."""
     stacks, ticks, n_src = layout.stacks, layout.ticks, layout.sources
-    where = {i: (s, slot) for s, st in enumerate(stacks) for slot, i in enumerate(st.loops)}
-    loop_ticks = [stacks[s].ticks[slot, :-1] for _, (s, slot) in sorted(where.items())]
-    # every entry in the contention table's order, then sorted by tick
-    at = np.concatenate(loop_ticks + [np.tile(ticks, n_src)])
-    source_ids = SOURCE_CONTENDER_BASE + np.arange(n_src)
-    sizes = [t.size for t in loop_ticks]
-    contenders = np.concatenate((np.repeat(np.arange(len(sizes)), sizes),
-                                 np.repeat(source_ids, ticks.size)))
-    # each loop entry's step; the sources' are not read
-    steps = np.arange(at.size) - np.repeat(np.cumsum([0] + sizes), sizes + [n_src * ticks.size])
-    rows = np.argsort(at, kind="stable")
-    # each entry's table row and contender, then those of a pad entry
-    entries = np.concatenate((np.stack((rows, contenders[rows])), [[0], [-1]]), axis=1)
-    steps = steps[rows].tolist()
-    starts = np.searchsorted(at[rows], ticks).tolist() + [rows.size]
-    tick_loops = [entries[1, lo:hi - n_src].tolist() for lo, hi in zip(starts, starts[1:])]
-    ahead = {t: f for f, t in enumerate(layout.fixed.tolist())}
+    n_stacks, n_ticks = len(stacks), ticks.size
+    # every loop entry, by tick, then loop: its stack, step cell (slot N + k),
+    # loop, tick index and table row, where the loops' steps come in loop order
+    sizes = [st.ticks[:, :-1].size for st in stacks]
+    stack = np.arange(n_stacks).repeat(sizes)
+    cell = np.concatenate([np.arange(size) for size in sizes])
+    loop = np.concatenate([np.repeat(st.loops, st.horizon) for st in stacks])
+    at = np.searchsorted(ticks, np.concatenate([st.ticks[:, :-1].ravel() for st in stacks]))
+    row = np.argsort(np.argsort(loop, kind="stable"))
+    by_tick = np.lexsort((loop, at))
+    stack, cell, loop, at, row = (a[by_tick] for a in (stack, cell, loop, at, row))
+    # its level, from each tick's loops, and its column in its tick's round
+    counts = np.bincount(at, minlength=n_ticks)
+    starts = counts.cumsum() - counts
+    ids, bounds = loop.tolist(), [*starts.tolist(), at.size]
+    fixed = np.bincount(layout.fixed, minlength=n_ticks) > 0
+    levels = _levels([ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])], fixed.tolist())
+    level = np.fromiter(chain.from_iterable(levels), dtype=int, count=at.size)
+    col = np.arange(at.size) - starts[at]
 
-    def padded(at: list[int]) -> _Rounds:
-        width = max(len(tick_loops[t]) for t in at)
-        index = slice(starts[at[0]], starts[at[0] + 1]) if len(at) == 1 else [
-            [*range(starts[t], starts[t + 1] - n_src), *[rows.size] * (width - len(tick_loops[t])),
-             *range(starts[t + 1] - n_src, starts[t + 1])] for t in at]
-        return _Rounds(ticks[at], np.array(at), *entries[:, index].reshape(2, len(at), -1))
+    # a tick's round runs at its steps' level, a fixed tick's at level 0; a level's
+    # rounds are a block of a flat array, where a tick's row starts at `first`
+    round_level = np.where(fixed, 0, level[starts])
+    by_level, blocks = _runs(round_level)
+    firsts, lengths = np.array([(run.start, run.stop - run.start) for _, run in blocks]).T
+    widths = np.maximum.reduceat(counts[by_level], firsts) + n_src
+    ends, width = (lengths * widths).cumsum(), widths.repeat(lengths)
+    local, first = np.empty((2, n_ticks), dtype=int)
+    local[by_level] = (np.arange(n_ticks) - firsts.repeat(lengths)) * width
+    first[by_level] = local[by_level] + (ends - lengths * widths).repeat(lengths)
+    rows, contenders = np.zeros(ends[-1], dtype=int), np.full(ends[-1], -1)
+    rows[first[at] + col], contenders[first[at] + col] = row, loop
+    if n_src:
+        # a row ends in source j's table row at tick t, after the loops' and j T + t
+        source = (first[by_level] + width - n_src)[:, None] + np.arange(n_src)
+        rows[source] = at.size + n_ticks * np.arange(n_src) + by_level[:, None]
+        contenders[source] = SOURCE_CONTENDER_BASE + np.arange(n_src)
 
-    grouped = {}
-    fixed = [t in ahead for t in range(ticks.size)]
-    for t, (loops, levels) in enumerate(zip(tick_loops, _levels(tick_loops, fixed))):
-        for col, i, k, level in zip(range(len(loops)), loops, steps[starts[t]:], levels):
-            s, slot = where[i]
-            grouped.setdefault(level, {}).setdefault((s, fixed[t]), []).append((slot, k, t, col))
-    plan = []
-    for _, groups in sorted(grouped.items()):
-        others = sorted({e[2] for (_, alone), group in groups.items() if not alone for e in group})
-        row, level = {t: r for r, t in enumerate(others)}, []
-        for (s, alone), group in sorted(groups.items()):
-            slots, ks, ts, cols = (list(v) for v in zip(*sorted(group)))
-            sel, k = _index(slots), ks[0]
-            if isinstance(sel, np.ndarray) or ks != [k] * len(ks):
-                sel, k = np.array(slots), np.array(ks)
-            ts = [(ahead if alone else row)[t] for t in ts]
-            cols = (ts[0], _index(cols)) if len(set(ts)) == 1 else (np.array(ts), np.array(cols))
-            level.append(_Step(s, sel, k, cols, alone))
-        plan.append((level, padded(others) if others else None))
-    return plan, padded(list(ahead)) if ahead else None
+    # each (level, stack)'s steps in slot order, a slice at one k where they can be
+    steps, rounds = [[] for _ in range(level.max() + 1)], [None] * (level.max() + 1)
+    order, runs = _runs(level * n_stacks + stack, loop)
+    slot, k = np.divmod(cell[order], np.array([st.horizon for st in stacks])[stack[order]])
+    slots, ks = slot.tolist(), k.tolist()
+    for key, run in runs:
+        j, at_k = slots[run], ks[run]
+        basic = j == list(range(j[0], j[0] + len(j))) and at_k == at_k[:1] * len(j)
+        steps[key // n_stacks].append(_Step(key % n_stacks, *(
+            (slice(j[0], j[0] + len(j)), at_k[0]) if basic else (slot[run], k[run]))))
+    # each level's rounds, then each (level, stack)'s step and round cells
+    level_ticks = ticks[by_level]
+    for (lvl, run), w, end in zip(blocks, widths.tolist(), ends.tolist()):
+        block = slice(end - (run.stop - run.start) * w, end)
+        rounds[lvl] = _Rounds(level_ticks[run], by_level[run], rows[block].reshape(-1, w),
+                              contenders[block].reshape(-1, w), [])
+    order, runs = _runs(round_level[at] * n_stacks + stack)
+    cell, round_cell = cell[order], (local[at] + col)[order]
+    for key, run in runs:
+        rounds[key // n_stacks].cells.append((key % n_stacks, cell[run], round_cell[run]))
+    return list(zip(steps, rounds))
 
 
-def _index(values: list[int]) -> slice | np.ndarray:
-    """values as a slice if they run up by one, else as an index array."""
-    if values == list(range(values[0], values[0] + len(values))):
-        return slice(values[0], values[0] + len(values))
-    return np.array(values)
+def _runs(keys: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:
+    """The stable order by `keys`, then `ties`, and its runs of equal keys as (key, slice)."""
+    order = np.lexsort((*ties[::-1], keys))
+    keys = keys[order]
+    starts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist()]
+    return order, list(zip(keys[starts].tolist(), map(slice, starts, [*starts[1:], keys.size])))
 
 
 @dataclass(eq=False)
@@ -548,42 +553,38 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
     return want
 
 
-def _rounds(crm, draws: _ChunkDraws, ticks, rows: np.ndarray, ids: np.ndarray,
-            asking: np.ndarray, requests: np.ndarray, rounds_log: Optional[list]) -> Round:
-    """The rounds of the chunk rows `asking` at the T `ticks`, a level's or
-    the fixed ones, whose (T, W) contention-table rows and contenders are
-    `rows` and `ids`, from one `contend` call.  Its rows run tick-major, row
-    i being chunk row asking[i % A] at tick i // A for A = asking.size, and
-    `requests` is their (T, A, W) mask or its (T * A, W) reshape; `contend`
-    reads their draws in place, by each entry's row of the chunk's table.
-    If a list, `rounds_log` receives each row's tick, chunk row and events."""
-    table, width = draws.tables, rows.shape[1]
-    if table is not None:
-        index = table.shape[1] * asking[:, None] + rows[:, None]
-        table = table.reshape(-1, table.shape[2]), index.reshape(-1, width)
-    row_ids = None if rounds_log is None else np.repeat(ids, asking.size, axis=0)
-    rnd = contend(requests.reshape(-1, width), crm, table, row_ids)
-    if rounds_log is not None:
-        rounds_log.append((np.repeat(ticks, asking.size), np.tile(asking, len(ticks)), rnd.events))
-    return rnd
-
-
-def _contend(crm, draws: _ChunkDraws, rounds: _Rounds, wants: np.ndarray,
-             rounds_log: Optional[list]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rounds at `rounds`' ticks where one of the tick's loops asks in the
-    (E, T, W) mask `wants`, its sources if active: the asking episodes and
-    their (A, T, W) deliveries and attempts (`_rounds`)."""
-    asking = np.flatnonzero(wants.reshape(len(wants), -1).any(axis=1))
+def _contend(crm, draws: _ChunkDraws, rounds: _Rounds, runs: Sequence[_StackSteps],
+             rounds_log: Optional[list]) -> None:
+    """Resolve a level's `rounds` in one `contend` call, in the episodes where
+    a tick's loop asks: the requests come from the stacks' `gammas` and the
+    deliveries and attempts go to their `deltas` and `attempts`, through
+    `rounds.cells`; a tick's active sources ask where one of its loops does.
+    Row i is asking episode i // T at tick i % T.  If a list, `rounds_log`
+    receives each row's tick, chunk row and events."""
+    n_ep, (n_ticks, width) = len(draws.episodes), rounds.rows.shape
+    wants = np.zeros((n_ep, n_ticks * width), dtype=bool)
+    for s, steps, cells in rounds.cells:
+        wants[:, cells] = runs[s].gammas.reshape(n_ep, -1)[:, steps]
+    asking = wants.any(axis=1).nonzero()[0]
     if not asking.size:
-        return asking, None, None
-    requests, n_src = wants[asking], draws.active.shape[2]
+        return
+    requests, n_src = wants[asking].reshape(asking.size, n_ticks, width), draws.active.shape[2]
     if n_src:
         requests[:, :, -n_src:] = (draws.active[asking[:, None], rounds.at]
                                    & requests.any(axis=2, keepdims=True))
-    delta, used, _ = _rounds(crm, draws, rounds.ticks, rounds.rows, rounds.ids, asking,
-                             requests.swapaxes(0, 1), rounds_log)
-    shape = (len(rounds.at), asking.size, -1)
-    return asking, delta.reshape(shape).swapaxes(0, 1), used.reshape(shape).swapaxes(0, 1)
+    table = draws.tables
+    if table is not None:
+        index = table.shape[1] * asking[:, None, None] + rounds.rows
+        table = table.reshape(-1, table.shape[2]), index.reshape(-1, width)
+    ids = None if rounds_log is None else np.tile(rounds.ids, (asking.size, 1))
+    delta, used, events = contend(requests.reshape(-1, width), crm, table, ids)
+    if rounds_log is not None:
+        rounds_log.append((np.tile(rounds.ticks, asking.size), np.repeat(asking, n_ticks), events))
+    delta, used = delta.reshape(asking.size, -1), used.reshape(asking.size, -1)
+    rows = asking[:, None]
+    for s, steps, cells in rounds.cells:
+        for out, got in ((runs[s].deltas, delta), (runs[s].attempts, used)):
+            out.reshape(n_ep, -1)[rows, steps] = got[:, cells]
 
 
 @dataclass(eq=False)
@@ -641,68 +642,52 @@ def _run_chunk(
     draws: _ChunkDraws,
     control_law: ControlLaw,
     layout: _Layout,
-    plan: tuple[list[tuple], Optional[_Rounds]],
+    plan: list[tuple[list[_Step], Optional[_Rounds]]],
     rounds_log: Optional[list] = None,
     tally: Optional[_Tally] = None,
 ) -> list[LoopTrace]:
     """Run one control law on a chunk's draws; one chunk trace per loop.
 
-    `rules` holds the request rule of each stack and `plan` what each level
-    of the layout does (`_plan`).  The rounds of the layout's fixed ticks
-    depend on the draws alone, so they all run before the first level in
-    one call; then each level makes one decision and one observer, control
-    and plant step per step, and one call for its other ticks (`_contend`).
-    The observer's estimate is the delivered state or the prediction
-    (`observer_update`); each step's delivery age follows from the deltas
-    once the levels are done.  If `rounds_log` is a list, each `_rounds`
-    call appends its rows' ticks and chunk rows and its events.  A `tally`
-    takes each stack's steps as they stand.  A state or a cost that is not
-    finite raises a NumericalError naming its episode, loop and tick.
+    `rules` holds each stack's request rule and `plan` what each level does
+    (`_plan`): one decision per step, every round in one `_contend` call,
+    then one observer, control and plant step per step.  An always loop's
+    requests are set first, so the first level resolves the fixed ticks'
+    rounds too.  The delivery ages follow from the deltas once the levels
+    are done.  If `rounds_log` is a list, each `_contend` call appends its
+    rows' ticks and chunk rows and its events.  A `tally` takes each
+    stack's steps as they stand.  A state or a cost that is not finite
+    raises a NumericalError naming its episode, loop and tick.
     """
     stacks, crm = layout.stacks, scenario.crm
     n_ep = len(draws.episodes)
     runs = [_stack_steps(st, x0, n_ep) for st, x0 in zip(stacks, draws.stack_x0)]
-    levels, ahead = plan
-    if ahead is not None:
-        # every loop asks at a fixed tick, and no pad
-        asks = (ahead.ids >= 0) & (ahead.ids < SOURCE_CONTENDER_BASE)
-        fixed = _contend(crm, draws, ahead, np.broadcast_to(asks, (n_ep, *asks.shape)), rounds_log)
+    # an always loop's request is known before its step runs
+    for run, rule in zip(runs, rules):
+        run.gammas[:, dict(rule.kinds).get("always", [])] = 1
 
-    for steps, rounds in levels:
-        wants = None if rounds is None else np.zeros((n_ep, *rounds.rows.shape), dtype=bool)
+    for steps, rounds in plan:
         # schedule: one decision per step, whole chunk
-        preds = []
-        for step in steps:
-            st, run, j, k = stacks[step.stack], runs[step.stack], step.slots, step.k
+        for s, j, k in steps:
+            st, run = stacks[s], runs[s]
             pred = _sum_products(st.A[j], run.xhats[:, j, k][..., None, :]) + run.bu[:, j]
             run.preds[:, j, k] = pred
-            want = _requests(rules[step.stack], j, run.xs[:, j, k], pred)
-            run.gammas[:, j, k] = want
-            if not step.ahead:
-                wants[:, step.cols[0], step.cols[1]] = want
-            preds.append(pred)
+            run.gammas[:, j, k] = _requests(rules[s], j, run.xs[:, j, k], pred)
 
-        # contend: the level's other ticks at once; the fixed ones' are known
+        # contend: every round of the level at once
         if rounds is not None:
-            drawn = _contend(crm, draws, rounds, wants, rounds_log)
+            _contend(crm, draws, rounds, runs, rounds_log)
 
         # deliver, estimate, control, step
-        for step, pred in zip(steps, preds):
-            st, run, j, k = stacks[step.stack], runs[step.stack], step.slots, step.k
-            asking, delta, used = fixed if step.ahead else drawn
-            if asking.size:
-                # with index-array slots and steps, the rows must broadcast as a column
-                rows, (t, col) = asking if isinstance(j, slice) else asking[:, None], step.cols
-                run.deltas[rows, j, k] = delta[:, t, col]
-                run.attempts[rows, j, k] = used[:, t, col]
+        for s, j, k in steps:
+            st, run = stacks[s], runs[s]
             x = run.xs[:, j, k]
-            xhat = observer_update(run.deltas[:, j, k], x, pred)
+            xhat = observer_update(run.deltas[:, j, k], x, run.preds[:, j, k])
             u = control_law(st.L[j, k], xhat)
             run.us[:, j, k] = u
             run.xhats[:, j, k + 1] = xhat
             bu = run.bu[:, j] = _sum_products(st.B[j], u[..., None, :])
             run.xs[:, j, k + 1] = (_sum_products(st.A[j], x[..., None, :]) + bu
-                                   + draws.stack_noise[step.stack][:, j, k])
+                                   + draws.stack_noise[s][:, j, k])
 
     if not all(np.isfinite(run.xs).all() for run in runs):
         raise _breakdown(draws.episodes, stacks,
@@ -753,10 +738,10 @@ def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
     traffic and contention tables, stack step arrays and fixed-tick rounds
     (`_Layout.cells`, of the first arm); the last may hold fewer.  Every
     chunk is drawn on the one `layout`, the first arm's, and every arm runs
-    on it by the one plan derived from it, with its fixed ticks.  So the
-    arms may differ in scheduler thresholds and control laws, but must not
-    differ in rule kinds, plants, weights or horizons, the channel or the
-    sources.
+    on it by the one plan derived from it, whose first level holds the
+    fixed ticks' rounds.  So the arms may differ in scheduler thresholds and
+    control laws, but must not differ in rule kinds, plants, weights or
+    horizons, the channel or the sources.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.  Given `tallies`, one per arm, each arm's chunk is added to
@@ -797,7 +782,7 @@ def run_episode(
 
 
 def _event_table(chunk: range, rounds_log: list) -> EventTable:
-    """The event table of a chunk from its rounds log: each `_rounds` call's
+    """The event table of a chunk from its rounds log: each `_contend` call's
     events with their rows' ticks and chunk rows, then one stable sort by
     (episode, tick), which keeps each round's events in their order."""
     parts = [(asking[row], ticks[row], *columns)

@@ -5,6 +5,7 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -378,11 +379,10 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
 
 def plan_ticks(layout):
     """Each sampling tick's contention-table rows and contenders, by tick,
-    read off the plan's padded rounds (the fixed ticks' and each level's)
-    without their pad columns."""
-    levels, ahead = sim._plan(layout)
+    read off the plan's padded rounds (each level's) without their pad
+    columns."""
     found = {}
-    for rounds in [ahead] + [rounds for _, rounds in levels]:
+    for _, rounds in sim._plan(layout):
         if rounds is not None:
             for tick, rows, ids in zip(rounds.ticks.tolist(), rounds.rows, rounds.ids):
                 found[tick] = (rows[ids >= 0], ids[ids >= 0])
@@ -889,21 +889,24 @@ def recorded_run(scenario, episodes):
 
 class TestRoundsAhead:
     """Ticks where every sampling loop is under the always rule have rounds
-    known before the first tick, and one contention call resolves them all."""
+    known before the first tick, and the first level's contention call
+    resolves them all."""
 
     def test_fixed_ticks_are_those_of_always_loops_alone(self, monkeypatch):
         scn = always_and_state_network()
         plan, fixed = fixed_plan(scn)
         assert fixed == [0, 2, 6, 8, 12, 14]
-        # each fixed tick's entries, then padding that never asks
-        calls = counting(monkeypatch, "_rounds")
+        # the first call holds every fixed tick's entries, and the state
+        # loop's first tick, whose entries are padded with columns that never ask
+        calls = counting(monkeypatch, "_contend")
         monte_carlo(scn, 3, 2)
-        _, _, ticks, rows, ids, *_ = calls[0]
-        assert ticks.tolist() == [0, 2, 6, 8, 12, 14]
-        assert rows.shape == ids.shape == (6, 3)
-        for f, t in enumerate(fixed):
-            assert rows[f].tolist() == plan[t][0].tolist()
-            assert ids[f].tolist() == plan[t][1].tolist()
+        rounds = calls[0][2]
+        assert rounds.ticks.tolist() == [0, 1, 2, 6, 8, 12, 14]
+        assert rounds.rows.shape == rounds.ids.shape == (7, 3)
+        for t, rows, ids in zip(rounds.ticks.tolist(), rounds.rows, rounds.ids):
+            assert rows[ids >= 0].tolist() == plan[t][0].tolist()
+            assert ids[ids >= 0].tolist() == plan[t][1].tolist()
+            assert (ids >= 0).sum() == (3 if t in fixed else 2)
 
     # example1-baseline: every loop always transmits; example1 and example3
     # use state and innovation rules
@@ -924,13 +927,14 @@ class TestRoundsAhead:
         chunks_of(monkeypatch, scn)
         calls = counting(monkeypatch, "contend")
         monte_carlo(scn, 3, CHUNK + 3)
-        # per chunk, first one call for its episodes at the 6 fixed ticks, 3
-        # entries wide; then one per state-loop tick where some episode
+        # per chunk, first one call for its episodes at the 6 fixed ticks and
+        # the state loop's first tick, 3 entries wide; then one per later
+        # state-loop tick (5, each on a level of its own) where some episode
         # asks, 2 or 4 entries wide
         shapes = [args[0].shape for args in calls]
         firsts = [i for i, (_, width) in enumerate(shapes) if width == 3]
-        assert [shapes[i] for i in firsts] == [(6 * CHUNK, 3), (6 * 3, 3)]
-        assert firsts[0] == 0 and 0 < firsts[1] - 1 <= 6 and 0 < len(shapes) - firsts[1] - 1 <= 6
+        assert [shapes[i] for i in firsts] == [(7 * CHUNK, 3), (7 * 3, 3)]
+        assert firsts[0] == 0 and 0 < firsts[1] - 1 <= 5 and 0 < len(shapes) - firsts[1] - 1 <= 5
 
     @pytest.mark.parametrize("name", ["flood", "example1-baseline", "always-and-state"])
     def test_rounds_ahead_equal_rounds_tick_by_tick(self, monkeypatch, name):
@@ -940,19 +944,22 @@ class TestRoundsAhead:
         made = {"flood": flood_network, "always-and-state": always_and_state_network}
         scn = made[name]() if name in made else parse_scenario_doc(name).scenario
         chunks_of(monkeypatch, scn, 4)
-        rounds = counting(monkeypatch, "_rounds")
+        fixed = set(fixed_plan(scn)[1])
+        rounds = counting(monkeypatch, "_contend")
         ahead = recorded_run(scn, 7)
-        # one call per chunk at its fixed ticks: 6 of always-and-state, 22 else
-        ahead_ticks = [len(args[2]) for args in rounds if len(args[2]) > 1]
-        assert ahead_ticks == [6 if name == "always-and-state" else 22] * 2
+        # one call per chunk holds its fixed ticks: 6 of always-and-state, 22 else
+        ahead_ticks = [args[2].ticks.tolist() for args in rounds
+                       if fixed & set(args[2].ticks.tolist())]
+        assert [len(fixed & set(ticks)) for ticks in ahead_ticks] == [len(fixed)] * 2
+        assert len(fixed) == (6 if name == "always-and-state" else 22)
         rounds.clear()
         layout = sim._layout
         monkeypatch.setattr(sim, "_layout", lambda s: replace(layout(s), fixed=np.zeros(0, int)))
         assert recorded_run(scn, 7) == ahead
         # each call is one level's rounds
-        levels, _ = sim._plan(sim._layout(scn))
-        level_ticks = [rounds.ticks.tolist() for _, rounds in levels]
-        assert all(args[2].tolist() in level_ticks for args in rounds)
+        level_ticks = [rounds.ticks.tolist() for _, rounds in sim._plan(sim._layout(scn))
+                       if rounds is not None]
+        assert all(args[2].ticks.tolist() in level_ticks for args in rounds)
 
 
 class TestLayout:
@@ -1239,8 +1246,9 @@ class TestChunkMemory:
         # a chunk's arrays, counted from the arrays themselves, and one cell
         # per entry of its fixed ticks' padded rounds are the layout's cells
         scn = make()
-        _, ahead = sim._plan(sim._layout(scn))
-        padded = 0 if ahead is None else ahead.ids.size
+        # the fixed ticks' rounds, each as wide as the widest of them
+        plan, fixed = fixed_plan(scn)
+        padded = len(fixed) * max((plan[t][1].size for t in fixed), default=0)
         cells = chunk_cells(monkeypatch, scn, 5)
         for chunk, used in cells.items():
             assert used + len(chunk) * padded == len(chunk) * sim._layout(scn).cells
@@ -1256,10 +1264,11 @@ class TestChunkMemory:
 
 @st.composite
 def table_rounds(draw):
-    """A chunk's slot-major contention table and one `_rounds` call on it:
+    """A chunk's slot-major contention table and one level's rounds on it:
     its T ticks' (T, W) table rows and contenders, whose columns past each
-    tick's entries are padding that never requests, the asking chunk rows,
-    and a request mask in which some rows never request."""
+    tick's entries are padding that never requests, and a stack whose
+    gammas hold each episode's requests at a shuffled step cell per round
+    cell, so that some episodes and some rows never request."""
     pers = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                          min_size=1, max_size=4))
     crm = CrmConfig(persistence=tuple(pers), slots_per_sample=draw(st.integers(len(pers), 8)))
@@ -1269,36 +1278,53 @@ def table_rounds(draw):
     tables = rng.random((crm.slots_per_sample, n_ep, n_rows)).transpose(1, 2, 0)
     rows = rng.integers(0, n_rows, (n_ticks, width))
     entries = [draw(st.integers(1, width)) for _ in range(n_ticks)]
-    asking = np.array(draw(st.lists(st.integers(0, n_ep - 1), min_size=1, max_size=n_ep,
-                                    unique=True)))
-    requests = rng.random((n_ticks, asking.size, width)) < draw(st.floats(0.0, 1.0))
+    requests = rng.random((n_ep, n_ticks, width)) < draw(st.floats(0.0, 1.0))
     for t, n in enumerate(entries):
         rows[t, n:] = 0
-        requests[t, :, n:] = False
+        requests[:, t, n:] = False
     requests[rng.random(requests.shape[:2]) < 0.3] = False
     ids = np.arange(width) + 100 * np.arange(n_ticks)[:, None]
-    return crm, tables, rows, ids, asking, requests
+    # round cell c is the stack's step cell steps[c], of 2 T W cells
+    steps = rng.permutation(2 * n_ticks * width)[:n_ticks * width]
+    return crm, tables, rows, ids, requests, steps
 
 
 class TestTableReads:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(case=table_rounds())
     def test_reading_the_table_in_place_is_reading_the_gathered_copy(self, case):
-        # the rounds `_rounds` resolves through the table's row index equal
+        # the rounds `_contend` resolves through the table's row index equal
         # those `contend` gives on a gathered copy of each entry's draws,
-        # outcomes and events alike
-        crm, tables, rows, ids, asking, requests = case
-        draws = sim._ChunkDraws(range(tables.shape[0]), [], [], np.zeros(0, dtype=bool), tables)
+        # outcomes and events alike, and each round cell's outcome lands in
+        # its step cell
+        crm, tables, rows, ids, requests, steps = case
+        n_ep, n_ticks, width = requests.shape
+        draws = sim._ChunkDraws(range(n_ep), [], [], np.zeros((n_ep, n_ticks, 0), dtype=bool),
+                                tables)
+        cells = np.arange(n_ticks * width)
+        rounds = sim._Rounds(np.arange(n_ticks), np.arange(n_ticks), rows, ids,
+                             ((0, steps, cells),))
+        run = SimpleNamespace(**{name: np.zeros((n_ep, 2, n_ticks * width), dtype=int)
+                                 for name in ("gammas", "deltas", "attempts")})
+        run.gammas.reshape(n_ep, -1)[:, steps] = requests.reshape(n_ep, -1)
         log = []
-        got = sim._rounds(crm, draws, np.arange(rows.shape[0]), rows, ids, asking, requests, log)
-        copy = tables[asking[None, :, None], rows[:, None, :]].reshape(-1, rows.shape[1],
-                                                                       tables.shape[2])
-        want = contend(requests.reshape(-1, rows.shape[1]), crm, table_draws(copy),
-                       np.repeat(ids, asking.size, axis=0))
-        assert np.array_equal(got.delta, want.delta)
-        assert np.array_equal(got.used, want.used)
-        assert [col.tolist() for col in got.events] == [col.tolist() for col in want.events]
-        assert log[0][2] is got.events
+        sim._contend(crm, draws, rounds, [run], log)
+        # the asking episodes' rows, episode by episode and tick by tick
+        asking = np.flatnonzero(requests.any(axis=(1, 2)))
+        if not asking.size:
+            assert log == [] and not run.deltas.any() and not run.attempts.any()
+            return
+        copy = tables[asking[:, None, None], rows].reshape(-1, width, tables.shape[2])
+        want = contend(requests[asking].reshape(-1, width), crm, table_draws(copy),
+                       np.tile(ids, (asking.size, 1)))
+        for got, wanted in ((run.deltas, want.delta), (run.attempts, want.used)):
+            got = got.reshape(n_ep, -1)
+            assert np.array_equal(got[asking][:, steps], wanted.reshape(asking.size, -1))
+            assert not np.delete(got, asking, axis=0).any()
+            assert not np.delete(got, steps, axis=1).any()
+        assert [col.tolist() for col in log[0][2]] == [col.tolist() for col in want.events]
+        assert log[0][0].tolist() == np.tile(np.arange(n_ticks), asking.size).tolist()
+        assert log[0][1].tolist() == np.repeat(asking, n_ticks).tolist()
 
 
 def one_tick_per_level(tick_loops, fixed):
@@ -1307,17 +1333,19 @@ def one_tick_per_level(tick_loops, fixed):
 
 
 def plan_steps(layout):
-    """Every step of the layout's plan as (level, loop, k, tick, ahead), and
-    the ticks of each level's rounds."""
-    levels, _ = sim._plan(layout)
+    """Every step of the layout's plan as (level, loop, k, tick), each
+    level's stacks in the order of its steps, and the ticks of each level's
+    rounds."""
+    plan = sim._plan(layout)
     steps = []
-    for level, (level_steps, _) in enumerate(levels):
+    for level, (level_steps, _) in enumerate(plan):
         for step in level_steps:
             st = layout.stacks[step.stack]
             slots = np.arange(len(st.loops))[step.slots]
             for slot, k in zip(slots.tolist(), np.broadcast_to(step.k, slots.shape).tolist()):
-                steps.append((level, st.loops[slot], k, int(st.ticks[slot, k]), step.ahead))
-    return steps, [[] if rounds is None else rounds.ticks.tolist() for _, rounds in levels]
+                steps.append((level, st.loops[slot], k, int(st.ticks[slot, k])))
+    return (steps, [[step.stack for step in level_steps] for level_steps, _ in plan],
+            [[] if rounds is None else rounds.ticks.tolist() for _, rounds in plan])
 
 
 RULES = {"always": SchedulerPolicy.always_transmit(),
@@ -1354,13 +1382,14 @@ class TestLevels:
             "always-and-state"])
     def test_level_counts(self, make, levels, ticks):
         layout = sim._layout(make())
-        assert (len(sim._plan(layout)[0]), layout.ticks.size) == (levels, ticks)
+        assert (len(sim._plan(layout)), layout.ticks.size) == (levels, ticks)
 
     @pytest.mark.parametrize("make,calls", [(flood_network, 1), *zip(presets("example3"), [10])],
                              ids=["flood", "example3"])
     def test_contention_calls_per_chunk(self, monkeypatch, make, calls):
-        # flood resolves every round ahead; example3 contends once per level
-        rounds = counting(monkeypatch, "_rounds")
+        # flood resolves every round in its first level; example3 contends
+        # once per level
+        rounds = counting(monkeypatch, "_contend")
         monte_carlo(make(), 3, 20)
         assert len(rounds) == calls
 
@@ -1375,30 +1404,41 @@ class TestLevels:
         by_level = recorded_run(scn, 7)
         monkeypatch.setattr(sim, "_levels", one_tick_per_level)
         layout = sim._layout(scn)
-        assert len(sim._plan(layout)[0]) == layout.ticks.size
+        assert len(sim._plan(layout)) == layout.ticks.size
         assert recorded_run(scn, 7) == by_level
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(scn=level_networks())
     def test_levels_are_sound(self, scn):
         layout = sim._layout(scn)
-        steps, level_ticks = plan_steps(layout)
+        steps, level_stacks, level_ticks = plan_steps(layout)
         fixed = set(layout.ticks[layout.fixed].tolist())
         # each loop's steps, once each, in step order on strictly increasing levels
         for i, lc in enumerate(scn.loops):
-            mine = sorted((level, k) for level, loop, k, _, _ in steps if loop == i)
+            mine = sorted((level, k) for level, loop, k, _ in steps if loop == i)
             assert [k for _, k in mine] == list(range(lc.horizon))
             assert all(a < b for (a, _), (b, _) in zip(mine, mine[1:]))
-        # the steps of a tick that is not fixed share one level, whose rounds
-        # hold the tick once; a fixed tick's steps read the rounds ahead
+        # the steps of a tick that is not fixed share one level
         levels_at = {}
-        for level, _, _, tick, ahead in steps:
-            assert ahead == (tick in fixed)
-            if not ahead:
-                levels_at.setdefault(tick, set()).add(level)
+        for level, _, _, tick in steps:
+            levels_at.setdefault(tick, set()).add(level)
+        assert all(len(levels) == 1 for tick, levels in levels_at.items() if tick not in fixed)
+        # every sampling tick's round is in exactly one level's rounds: a
+        # fixed tick's in level 0, any other's in its steps' level
+        assert sorted(t for ticks in level_ticks for t in ticks) == layout.ticks.tolist()
         for tick, levels in levels_at.items():
-            assert len(levels) == 1
-            assert level_ticks[levels.pop()].count(tick) == 1
-        assert sum(map(len, level_ticks)) == len(levels_at)
-        # no level is empty
+            assert tick in level_ticks[0 if tick in fixed else min(levels)]
+        # a level has at most one step per stack, and no level is empty
+        assert all(len(set(stacks)) == len(stacks) for stacks in level_stacks)
         assert {level for level, *_ in steps} == set(range(len(level_ticks)))
+        # each round cell names the loop and the table row of its step cell
+        first_row = np.cumsum([0] + [lc.horizon for lc in scn.loops])
+        for _, rounds in sim._plan(layout):
+            for s, cell_steps, cells in () if rounds is None else rounds.cells:
+                st = layout.stacks[s]
+                slot, k = np.divmod(cell_steps, st.horizon)
+                loops = np.array(st.loops)[slot]
+                assert rounds.ids.ravel()[cells].tolist() == loops.tolist()
+                assert rounds.rows.ravel()[cells].tolist() == (first_row[loops] + k).tolist()
+                assert rounds.ticks[cells // rounds.ids.shape[1]].tolist() == \
+                    st.ticks[slot, k].tolist()
