@@ -52,7 +52,7 @@ from .estimation import two_step_posterior
 from .model import LoopConfig, NetworkScenario, PlantModel, as_matrix
 from .network import RESULTS, CrmConfig, TrafficSource
 from .scheduling import THRESHOLD_KINDS, SchedulerPolicy
-from .sim import (EventTable, MonteCarloResult, _check_run, ce_law, monte_carlo,
+from .sim import (EventTable, MonteCarloResult, _check_run, _sweepable, ce_law, monte_carlo,
                   sweep_threshold, zero_law)
 from .stats import TruncatedGaussian, conditional_moments_compound, truncated_moments
 
@@ -591,6 +591,8 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     grid = _parse_eps_grid(args.eps_grid)
     doc, seed, episodes, prefix = _run_settings(args, "sweep")
+    # a loop the sweep refuses is named by its block in the document
+    _sweepable(doc.scenario, doc.groups)
     # the schedulers check each threshold
     result = _flagged({"eps": "--eps-grid"}, sweep_threshold, doc.scenario, grid, seed, episodes)
     sweep_path = prefix.with_name(prefix.name + "_sweep.csv")

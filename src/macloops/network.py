@@ -22,9 +22,9 @@ Two forms of a round run the same rule.  `resolve_contention` runs one round
 among a set of contender ids and is the reference the tests check against.
 `contend` runs one round per row of a boolean (rows, contenders) request mask
 at once, with one array step per mini-slot, which reads that slot's draws
-straight from the chunk's contention table; the engine calls it through
-`sim._rounds`, once per level of a chunk and once per chunk for the ticks
-whose rounds are known before the first level (`sim._Layout.fixed`).
+straight from the chunk's contention table; the engine calls it once per
+level of a chunk, in `sim._contend`, whose rounds of the first level
+include those of the ticks where every loop asks (`sim._Layout.fixed`).
 Either way a round yields its delivery and attempt counts per contender
 and its events, one (slot, contender, attempt, result) per contender and
 mini-slot.  `resolve_contention` gives them as `SlotEvent` named tuples.

@@ -410,10 +410,9 @@ def _plan(layout: _Layout) -> list[tuple[list[_Step], Optional[_Rounds]]]:
             (slice(j[0], j[0] + len(j)), at_k[0]) if basic else (slot[run], k[run]))))
     # each level's rounds, then each (level, stack)'s step and round cells
     level_ticks = ticks[by_level]
-    for (lvl, run), w, end in zip(blocks, widths.tolist(), ends.tolist()):
-        block = slice(end - (run.stop - run.start) * w, end)
-        rounds[lvl] = _Rounds(level_ticks[run], by_level[run], rows[block].reshape(-1, w),
-                              contenders[block].reshape(-1, w), [])
+    for (lvl, run), n, w, end in zip(blocks, lengths.tolist(), widths.tolist(), ends.tolist()):
+        rounds[lvl] = _Rounds(level_ticks[run], by_level[run], rows[end - n * w:end].reshape(n, w),
+                              contenders[end - n * w:end].reshape(n, w), [])
     order, runs = _runs(round_level[at] * n_stacks + stack)
     cell, round_cell = cell[order], (local[at] + col)[order]
     for key, run in runs:
@@ -580,11 +579,10 @@ def _contend(crm, draws: _ChunkDraws, rounds: _Rounds, runs: Sequence[_StackStep
     delta, used, events = contend(requests.reshape(-1, width), crm, table, ids)
     if rounds_log is not None:
         rounds_log.append((np.tile(rounds.ticks, asking.size), np.repeat(asking, n_ticks), events))
-    delta, used = delta.reshape(asking.size, -1), used.reshape(asking.size, -1)
     rows = asking[:, None]
     for s, steps, cells in rounds.cells:
         for out, got in ((runs[s].deltas, delta), (runs[s].attempts, used)):
-            out.reshape(n_ep, -1)[rows, steps] = got[:, cells]
+            out.reshape(n_ep, -1)[rows, steps] = got.reshape(rows.size, -1)[:, cells]
 
 
 @dataclass(eq=False)
@@ -714,6 +712,11 @@ def _run_chunk(
             costs = np.concatenate((per_step["cost_terms"], terminal[..., None]), axis=-1)
             raise _breakdown(draws.episodes, [st], [~np.isfinite(costs)], "the cost")
         j_lambda = j + st.net_penalty * run.deltas.sum(axis=-1)
+        if not np.isfinite(j_lambda).all():
+            # at the first step where the penalty so far is not finite, else at the end
+            fine = np.isfinite(st.net_penalty[:, None] * np.cumsum(run.deltas, axis=-1))
+            fine = np.concatenate((fine, np.isfinite(j_lambda)[..., None]), axis=-1)
+            raise _breakdown(draws.episodes, [st], [~fine], "the penalized cost")
         if tally is not None:
             tally.add(draws.episodes, s, per_step, j, j_lambda)
         for slot, i in enumerate(st.loops):
@@ -873,11 +876,15 @@ class _Tally:
         # each loop's costs, penalized costs and transmissions as contiguous
         # rows, whose reductions have the bits of those of each column alone
         rows = np.ascontiguousarray(self.per_episode.transpose(0, 2, 1))
-        j_means, j_lambda_means, tx_means = rows.mean(axis=2).tolist()
+        with np.errstate(over="ignore"):
+            j_means, j_lambda_means, tx_means = rows.mean(axis=2).tolist()
         j_ses = ((rows[0].std(ddof=1, axis=1) / math.sqrt(episodes)).tolist() if episodes > 1
                  else [float("nan")] * len(loops))
         per_loop = []
         for i, (lc, successes) in enumerate(zip(loops, rows[2].sum(axis=1).tolist())):
+            if j_lambda_means[i] == math.inf:
+                what = "cost" if j_means[i] == math.inf else "penalized cost"
+                raise NumericalError(f"the mean {what} of loop {i} overflows")
             report = CostReport(episodes=episodes, j_mean=j_means[i], j_se=j_ses[i],
                                 tx_mean=tx_means[i], net_penalty=lc.net_penalty,
                                 j_lambda_mean=j_lambda_means[i], j_dp=float(j_dps[i]))
@@ -938,6 +945,14 @@ class SweepResult:
     drop_rate: np.ndarray
 
 
+def _sweepable(scenario: NetworkScenario, blocks: Sequence[int]) -> None:
+    """Refuse a sweep over a loop without a threshold rule, the first named loops[blocks[i]]."""
+    for b, lc in zip(blocks, scenario.loops):
+        if lc.scheduler.kind not in THRESHOLD_KINDS:
+            raise ConfigurationError(f"loops[{b}].scheduler.kind: threshold sweep needs state or "
+                                     f"innovation schedulers, got {lc.scheduler.kind!r}")
+
+
 def sweep_threshold(
     scenario: NetworkScenario,
     eps_grid: Sequence[float],
@@ -954,10 +969,7 @@ def sweep_threshold(
     eps_grid = list(eps_grid)
     if not eps_grid:
         raise ConfigurationError("eps grid must not be empty")
-    for i, lc in enumerate(scenario.loops):
-        if lc.scheduler.kind not in THRESHOLD_KINDS:
-            raise ConfigurationError(f"loops[{i}].scheduler.kind: threshold sweep needs state or "
-                                     f"innovation schedulers, got {lc.scheduler.kind!r}")
+    _sweepable(scenario, range(len(scenario.loops)))
     arms = [(replace(scenario, loops=tuple(
                 replace(lc, scheduler=replace(lc.scheduler, eps=eps))
                 for lc in scenario.loops)), ce_law) for eps in eps_grid]

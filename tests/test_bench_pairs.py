@@ -67,3 +67,14 @@ def test_a_claim_reads_the_pair_ratio_of_each_section():
     assert claim["workloads"]["median_pair_ratio"] == 0.9
     assert claim["holdout"] == claim["workloads"]
     assert "what" not in claim
+
+
+def test_run_rss_subtracts_the_import_probe_taken_before_each_run():
+    # the parent's third run failed: it and its probe are left out
+    runs = {"parent": [run(peak_rss_mb=40.0), run(peak_rss_mb=41.0), run()],
+            "change": [run(peak_rss_mb=43.0), run(peak_rss_mb=44.5), run(peak_rss_mb=42.0)]}
+    probes = {"parent": [34.0, 34.5, 34.2], "change": [35.0, 35.5, 34.0]}
+    got = bench_pairs.run_rss(runs, probes)
+    assert got["parent"]["runs"] == [6.0, 6.5]
+    assert got["change"]["runs"] == [8.0, 9.0, 8.0]
+    assert (got["change"]["median"], got["change"]["q1"], got["change"]["q3"]) == (8.0, 8.0, 8.5)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import platform
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -908,6 +909,40 @@ class TestExitCodes:
             f"numerical failure: the {what} of loop 0 is not finite at tick {tick} "
             "of episode 0\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["blowup.json"]
+
+    # a penalty of 1e308 per delivery overflows at an episode's second one;
+    # with 1e307 each episode stays finite, but their sum over 20 does not
+    @pytest.mark.parametrize("penalty,message", [
+        (1e308, "the penalized cost of loop 17 is not finite at tick 45 of episode 0"),
+        (1e307, "the mean penalized cost of loop 0 overflows"),
+    ], ids=["episode", "mean"])
+    def test_penalized_cost_overflow_is_a_breakdown(self, tmp_path, capsys, penalty, message):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["net_penalty"] = penalty
+        path = tmp_path / "penalty.json"
+        path.write_text(json.dumps(doc))
+        # numpy's overflow warnings would reach stderr; here they fail the run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--scenario", str(path), "--episodes", "20",
+                         "--dump-trace", "--dump-events", "--out", str(tmp_path / "r")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["penalty.json"]
+
+    def test_sweep_names_the_refused_block(self, tmp_path, capsys):
+        # example1's second block expands to loops 6 to 12; the refusal names
+        # the block of the document, as the parser's errors do
+        doc = json.loads(json.dumps(presets()["example1"]))
+        doc["loops"][1]["scheduler"] = {"kind": "always"}
+        path = tmp_path / "always.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--scenario", str(path), "--eps-grid", "1", "--episodes", "1",
+                     "--out", str(tmp_path / "sw")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: loops[1].scheduler.kind: threshold sweep needs state or "
+            "innovation schedulers, got 'always'\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["always.json"]
 
     # the next to last grid's step is below the resolution of its bounds,
     # and the last one's point count overflows

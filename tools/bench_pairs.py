@@ -30,7 +30,9 @@ side's `src_lines`, the line count of `src/macloops/*.py` in its tree, and
 under "import_rss_mb" of each section the peak RSS of a child that only
 imports `macloops.cli` from that tree, taken before every benchmark run:
 a `peak_rss_mb` change then splits into what the import holds and what
-the run adds.
+the run adds.  Per workload and side, "run_rss_mb" holds the latter: each
+run's `peak_rss_mb` minus the probe taken just before it, with the median
+and quartiles.
 """
 
 from __future__ import annotations
@@ -140,6 +142,19 @@ def summarize(runs: dict, bounds: dict) -> dict:
     return out
 
 
+def run_rss(runs: dict, probes: dict) -> dict:
+    """Per side, what each run held beyond the import of macloops: its
+    `peak_rss_mb` minus the `import_rss_mb` probe taken just before it, with
+    the median and quartiles.  A run that gave no peak is left out."""
+    out = {}
+    for side, rs in runs.items():
+        values = [round(r["metrics"]["peak_rss_mb"]["value"] - probe, 3)
+                  for r, probe in zip(rs, probes[side], strict=True)
+                  if "peak_rss_mb" in r["metrics"]]
+        out[side] = {**(spread(values) if len(values) > 1 else {}), "runs": values}
+    return out
+
+
 def claim_summary(doc: dict, workload: str, metric: str, target: str) -> dict:
     claim = {"metric": metric, "workload": workload, "target": target}
     for section, results in doc.items():
@@ -203,14 +218,17 @@ def main() -> int:
         section["seed"] = args.seed
         imports = {"parent": [], "change": []}
         for workload in args.workloads:
-            runs = {"parent": [], "change": []}
+            runs, probes = {"parent": [], "change": []}, {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    imports[side].append(import_rss_mb(trees[side]))
+                    probes[side].append(import_rss_mb(trees[side]))
                     runs[side].append(bench(trees[side], workload, args.seed))
                 print(f"{workload} pair {i + 1}/{args.pairs}", file=sys.stderr)
             section[workload] = summarize(runs, bounds)
+            section[workload]["run_rss_mb"] = run_rss(runs, probes)
+            for side, values in probes.items():
+                imports[side] += values
             section["import_rss_mb"] = {side: {**spread(values), "runs": values}
                                         for side, values in imports.items()}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
