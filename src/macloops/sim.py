@@ -579,10 +579,9 @@ def _contend(crm, draws: _ChunkDraws, rounds: _Rounds, runs: Sequence[_StackStep
     delta, used, events = contend(requests.reshape(-1, width), crm, table, ids)
     if rounds_log is not None:
         rounds_log.append((np.tile(rounds.ticks, asking.size), np.repeat(asking, n_ticks), events))
-    rows = asking[:, None]
     for s, steps, cells in rounds.cells:
         for out, got in ((runs[s].deltas, delta), (runs[s].attempts, used)):
-            out.reshape(n_ep, -1)[rows, steps] = got.reshape(rows.size, -1)[:, cells]
+            out.reshape(n_ep, -1)[asking[:, None], steps] = got.reshape(asking.size, -1)[:, cells]
 
 
 @dataclass(eq=False)
@@ -710,7 +709,8 @@ def _run_chunk(
         j = np.cumsum(per_step["cost_terms"], axis=-1)[..., -1] + terminal
         if not np.isfinite(j).all():
             costs = np.concatenate((per_step["cost_terms"], terminal[..., None]), axis=-1)
-            raise _breakdown(draws.episodes, [st], [~np.isfinite(costs)], "the cost")
+            raise _breakdown(draws.episodes, [st], [~np.isfinite(np.cumsum(costs, axis=-1))],
+                             "the cost")
         j_lambda = j + st.net_penalty * run.deltas.sum(axis=-1)
         if not np.isfinite(j_lambda).all():
             # at the first step where the penalty so far is not finite, else at the end

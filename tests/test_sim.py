@@ -687,6 +687,15 @@ class TestMonteCarlo:
                            match="^the cost of loop 0 is not finite at tick 0 of episode 0$"):
             monte_carlo(scn, 0, 2)
 
+    def test_cost_whose_sum_overflows_is_a_breakdown(self):
+        # without input the state stays at 1e154: each cost term, 1e308, is
+        # finite, and the breakdown is where their sum first is not
+        scn = single_loop(SchedulerPolicy.always_transmit(), x0_mean=[1e154], r0=0.0, rw=0.0,
+                          horizon=4)
+        with pytest.raises(NumericalError,
+                           match="^the cost of loop 0 is not finite at tick 1 of episode 0$"):
+            monte_carlo(scn, 0, 2, zero_law)
+
     def test_predicted_cost_matches_simulation(self):
         # with a delivery-per-request channel the closed-form cost evaluated
         # at the empirical error covariances reproduces the Monte Carlo mean
