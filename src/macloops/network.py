@@ -191,7 +191,7 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws,
     broadcast, the round also gives its events as equal-length int arrays
     (row, slot, contender, attempt, result), where a result is its code in
     RESULTS.  They run row by row, and within a row in the order
-    `resolve_contention` emits them.  Each row's round is its own: the rows
+    `resolve_contention` emits them; a row that requests nothing has none.  Each row's round is its own: the rows
     of a batch give what each would give alone, and a column that does not
     request never transmits, so rows of different rounds may share one
     call, padded to one width.
@@ -232,28 +232,29 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws,
     used = attempt - 1 + delta
     if ids is None:
         return Round(delta, used, None)
-    n_rows, n_cols = requests.shape
-    if not requests.any():
+    # only the rows that request have events
+    live = requests.any(axis=1).nonzero()[0]
+    if not live.size:
         return Round(delta, used, (np.zeros(0, dtype=int),) * 5)
-    before, tx, won, left = (np.stack(masks, axis=1) for masks in zip(*slots))
+    before, tx, won, left = (np.stack(masks, axis=1)[live] for masks in zip(*slots))
     n_slots = tx.shape[1]
     # event masks per (row, slot, result, contender), where np.nonzero walks
     # them in the order a round emits its events: within a slot the one
     # success or every collision, then the contenders dropped after
     # colliding, then those deferring.  The extra last slot holds the drops
     # when the window closes.
-    kinds = np.zeros((n_rows, n_slots + 1, len(RESULTS), n_cols), dtype=bool)
+    kinds = np.zeros((live.size, n_slots + 1, len(RESULTS), requests.shape[1]), dtype=bool)
     kinds[:, :-1, 0] = won
     kinds[:, :-1, 1] = collided = tx & ~won
     kinds[:, :-1, 2] = collided & ~left
     kinds[:, :-1, 3] = left & ~tx
-    kinds[:, -1, 2] = pending
-    attempts = np.concatenate((before, attempt[:, None]), axis=1)
+    kinds[:, -1, 2] = pending[live]
+    attempts = np.concatenate((before, attempt[live, None]), axis=1)
     slot_no = np.arange(1, n_slots + 2)
     slot_no[-1] = crm.slots_per_sample
     row, s, result, col = np.nonzero(kinds)
-    contender = np.broadcast_to(ids, requests.shape)[row, col]
-    return Round(delta, used, (row, slot_no[s], contender, attempts[row, s, col], result))
+    contender = np.broadcast_to(ids, requests.shape)[live[row], col]
+    return Round(delta, used, (live[row], slot_no[s], contender, attempts[row, s, col], result))
 
 
 @dataclass(frozen=True)

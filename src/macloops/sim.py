@@ -554,34 +554,30 @@ def _requests(rule: _Rule, slots, x: np.ndarray, pred: np.ndarray) -> np.ndarray
 
 def _contend(crm, draws: _ChunkDraws, rounds: _Rounds, runs: Sequence[_StackSteps],
              rounds_log: Optional[list]) -> None:
-    """Resolve a level's `rounds` in one `contend` call, in the episodes where
-    a tick's loop asks: the requests come from the stacks' `gammas` and the
-    deliveries and attempts go to their `deltas` and `attempts`, through
-    `rounds.cells`; a tick's active sources ask where one of its loops does.
-    Row i is asking episode i // T at tick i % T.  If a list, `rounds_log`
-    receives each row's tick, chunk row and events."""
+    """Resolve a level's `rounds` in one `contend` call, one row per episode
+    and tick, row i being episode i // T at tick i % T: the requests come
+    from the stacks' `gammas` and the deliveries and attempts go to their
+    `deltas` and `attempts`, through `rounds.cells`; a tick's active sources
+    ask where one of its loops does.  If a list, `rounds_log` receives each
+    row's tick, chunk row and events."""
     n_ep, (n_ticks, width) = len(draws.episodes), rounds.rows.shape
-    wants = np.zeros((n_ep, n_ticks * width), dtype=bool)
+    requests = np.zeros((n_ep, n_ticks, width), dtype=bool)
     for s, steps, cells in rounds.cells:
-        wants[:, cells] = runs[s].gammas.reshape(n_ep, -1)[:, steps]
-    asking = wants.any(axis=1).nonzero()[0]
-    if not asking.size:
-        return
-    requests, n_src = wants[asking].reshape(asking.size, n_ticks, width), draws.active.shape[2]
-    if n_src:
-        requests[:, :, -n_src:] = (draws.active[asking[:, None], rounds.at]
-                                   & requests.any(axis=2, keepdims=True))
+        requests.reshape(n_ep, -1)[:, cells] = runs[s].gammas.reshape(n_ep, -1)[:, steps]
+    if draws.active.shape[2]:
+        requests[:, :, width - draws.active.shape[2]:] = (draws.active[:, rounds.at]
+                                                         & requests.any(axis=2, keepdims=True))
     table = draws.tables
     if table is not None:
-        index = table.shape[1] * asking[:, None, None] + rounds.rows
+        index = table.shape[1] * np.arange(n_ep)[:, None, None] + rounds.rows
         table = table.reshape(-1, table.shape[2]), index.reshape(-1, width)
-    ids = None if rounds_log is None else np.tile(rounds.ids, (asking.size, 1))
+    ids = None if rounds_log is None else np.tile(rounds.ids, (n_ep, 1))
     delta, used, events = contend(requests.reshape(-1, width), crm, table, ids)
     if rounds_log is not None:
-        rounds_log.append((np.tile(rounds.ticks, asking.size), np.repeat(asking, n_ticks), events))
+        rounds_log.append((np.tile(rounds.ticks, n_ep), np.arange(n_ep).repeat(n_ticks), events))
     for s, steps, cells in rounds.cells:
         for out, got in ((runs[s].deltas, delta), (runs[s].attempts, used)):
-            out.reshape(n_ep, -1)[asking[:, None], steps] = got.reshape(asking.size, -1)[:, cells]
+            out.reshape(n_ep, -1)[:, steps] = got.reshape(n_ep, -1)[:, cells]
 
 
 @dataclass(eq=False)
@@ -788,8 +784,8 @@ def _event_table(chunk: range, rounds_log: list) -> EventTable:
     """The event table of a chunk from its rounds log: each `_contend` call's
     events with their rows' ticks and chunk rows, then one stable sort by
     (episode, tick), which keeps each round's events in their order."""
-    parts = [(asking[row], ticks[row], *columns)
-             for ticks, asking, (row, *columns) in rounds_log]
+    parts = [(episodes[row], ticks[row], *columns)
+             for ticks, episodes, (row, *columns) in rounds_log]
     if not parts:
         return EventTable(*(np.zeros(0, dtype=int),) * 6)
     episode, tick, *columns = (np.concatenate(col) for col in zip(*parts))

@@ -1318,22 +1318,17 @@ class TestTableReads:
         run.gammas.reshape(n_ep, -1)[:, steps] = requests.reshape(n_ep, -1)
         log = []
         sim._contend(crm, draws, rounds, [run], log)
-        # the asking episodes' rows, episode by episode and tick by tick
-        asking = np.flatnonzero(requests.any(axis=(1, 2)))
-        if not asking.size:
-            assert log == [] and not run.deltas.any() and not run.attempts.any()
-            return
-        copy = tables[asking[:, None, None], rows].reshape(-1, width, tables.shape[2])
-        want = contend(requests[asking].reshape(-1, width), crm, table_draws(copy),
-                       np.tile(ids, (asking.size, 1)))
+        # one row per episode and tick, episode by episode
+        copy = tables[np.arange(n_ep)[:, None, None], rows].reshape(-1, width, tables.shape[2])
+        want = contend(requests.reshape(-1, width), crm, table_draws(copy),
+                       np.tile(ids, (n_ep, 1)))
         for got, wanted in ((run.deltas, want.delta), (run.attempts, want.used)):
             got = got.reshape(n_ep, -1)
-            assert np.array_equal(got[asking][:, steps], wanted.reshape(asking.size, -1))
-            assert not np.delete(got, asking, axis=0).any()
+            assert np.array_equal(got[:, steps], wanted.reshape(n_ep, -1))
             assert not np.delete(got, steps, axis=1).any()
         assert [col.tolist() for col in log[0][2]] == [col.tolist() for col in want.events]
-        assert log[0][0].tolist() == np.tile(np.arange(n_ticks), asking.size).tolist()
-        assert log[0][1].tolist() == np.repeat(asking, n_ticks).tolist()
+        assert log[0][0].tolist() == np.tile(np.arange(n_ticks), n_ep).tolist()
+        assert log[0][1].tolist() == np.repeat(np.arange(n_ep), n_ticks).tolist()
 
 
 def one_tick_per_level(tick_loops, fixed):
