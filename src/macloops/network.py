@@ -191,10 +191,10 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws,
     broadcast, the round also gives its events as equal-length int arrays
     (row, slot, contender, attempt, result), where a result is its code in
     RESULTS.  They run row by row, and within a row in the order
-    `resolve_contention` emits them; a row that requests nothing has none.  Each row's round is its own: the rows
-    of a batch give what each would give alone, and a column that does not
-    request never transmits, so rows of different rounds may share one
-    call, padded to one width.
+    `resolve_contention` emits them; a row that requests nothing has none.
+    Each row's round is its own: the rows of a batch give what each would
+    give alone, and a column that does not request never transmits, so rows
+    of different rounds may share one call, padded to one width.
     """
     # the persistence of attempt a at index a; attempt max_attempts + 1 is
     # never pending, and its 0 pads the table
