@@ -874,13 +874,14 @@ class _Tally:
         rows = np.ascontiguousarray(self.per_episode.transpose(0, 2, 1))
         with np.errstate(over="ignore"):
             j_means, j_lambda_means, tx_means = rows.mean(axis=2).tolist()
+        for i, (j_mean, j_lambda_mean) in enumerate(zip(j_means, j_lambda_means)):
+            if j_lambda_mean == math.inf:
+                what = "cost" if j_mean == math.inf else "penalized cost"
+                raise NumericalError(f"the mean {what} of loop {i} overflows")
         j_ses = ((rows[0].std(ddof=1, axis=1) / math.sqrt(episodes)).tolist() if episodes > 1
                  else [float("nan")] * len(loops))
         per_loop = []
         for i, (lc, successes) in enumerate(zip(loops, rows[2].sum(axis=1).tolist())):
-            if j_lambda_means[i] == math.inf:
-                what = "cost" if j_means[i] == math.inf else "penalized cost"
-                raise NumericalError(f"the mean {what} of loop {i} overflows")
             report = CostReport(episodes=episodes, j_mean=j_means[i], j_se=j_ses[i],
                                 tx_mean=tx_means[i], net_penalty=lc.net_penalty,
                                 j_lambda_mean=j_lambda_means[i], j_dp=float(j_dps[i]))

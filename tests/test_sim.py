@@ -4,6 +4,7 @@ paired-law experiment."""
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -695,6 +696,16 @@ class TestMonteCarlo:
         with pytest.raises(NumericalError,
                            match="^the cost of loop 0 is not finite at tick 1 of episode 0$"):
             monte_carlo(scn, 0, 2, zero_law)
+
+    def test_cost_mean_overflow_is_a_breakdown(self):
+        # each episode's cost, about 1.2e307, is finite; their sum over 20
+        # episodes is not, and no numpy warning is raised on the way
+        scn = single_loop(SchedulerPolicy.always_transmit(), x0_mean=[3e153], r0=0.0, rw=0.0,
+                          horizon=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^the mean cost of loop 0 overflows$"):
+                monte_carlo(scn, 0, 20)
 
     def test_predicted_cost_matches_simulation(self):
         # with a delivery-per-request channel the closed-form cost evaluated
