@@ -60,6 +60,21 @@ def _integer(value, name: str, what: str, low: float, high: float = math.inf) ->
     return int(value)
 
 
+# the most of one count that a run may ask for: its episodes, or the steps
+# of one of its loops
+MAX_COUNT = 10 ** 7
+
+
+def _count(value, name: str, what: str) -> int:
+    """`value` as an int >= 1, checked as `_integer` checks it, and at most
+    MAX_COUNT, so that a run too large to allocate is refused unbuilt."""
+    count = _integer(value, name, what, 1)
+    if count > MAX_COUNT:
+        raise ConfigurationError(f"{name} must be at most {MAX_COUNT:,}, got {value!r}",
+                                 field=name)
+    return count
+
+
 def _real(value, name: str, what: str = "a real number", low=None, high=math.inf) -> float:
     """`value` as a Python float in [low, high], or as any float, NaN and
     infinities included, if `low` is None; a bool, anything that is not a

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import _NONNEGATIVE, ConfigurationError, _integer, _real
+from .errors import _NONNEGATIVE, ConfigurationError, _count, _integer, _real
 from .network import CrmConfig, TrafficSource
 from .scheduling import SchedulerPolicy
 
@@ -316,7 +316,7 @@ class LoopConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon",
-                           _integer(self.horizon, "horizon", "a positive integer", 1))
+                           _count(self.horizon, "horizon", "a positive integer"))
         n = self.plant.n
         if self.scheduler.kind == "halfline" and n != 1:
             raise ConfigurationError(

@@ -21,16 +21,17 @@ outcome is certain, with persistence 0 or 1, are not needed.
 Two forms of a round run the same rule.  `resolve_contention` runs one round
 among a set of contender ids and is the reference the tests check against.
 `contend` runs one round per row of a boolean (rows, contenders) request mask
-at once, with one array step per mini-slot, which reads that slot's draws
-straight from the chunk's contention table; the engine calls it once per
-level of a chunk, in `sim._contend`, whose rounds of the first level
-include those of the ticks where every loop asks (`sim._Layout.fixed`).
-Either way a round yields its delivery and attempt counts per contender
-and its events, one (slot, contender, attempt, result) per contender and
-mini-slot.  `resolve_contention` gives them as `SlotEvent` named tuples.
-`contend` returns a `Round`, whose events, when it is given the
-contenders' ids, are int columns derived from its per-slot masks: the
-engine's one form of its events, which its event table and the event dump read.
+at once, with one array step per mini-slot over the requesting entries still
+pending, which reads their draws straight from the chunk's contention table;
+the engine calls it once per level of a chunk, in `sim._contend`, whose
+rounds of the first level include those of the ticks where every loop asks
+(`sim._Layout.fixed`).  Either way a round yields its delivery and attempt
+counts per contender and its events, one (slot, contender, attempt, result)
+per contender and mini-slot.  `resolve_contention` gives them as `SlotEvent`
+named tuples.  `contend` returns a `Round`, whose events, when it is given
+the contenders' ids, are int columns: each slot lists its entries' events,
+and one stable sort puts them in order.  They are the engine's one form of
+its events, which its event table and the event dump read.
 
 A traffic source makes one uniform draw per tick whatever its kind:
 `traffic_step` advances it by one tick, and `traffic_activity` turns a whole
@@ -164,6 +165,9 @@ def resolve_contention(requests: Iterable[int], crm: CrmConfig,
 # result code is its index here
 RESULTS = (RESULT_SUCCESS, RESULT_COLLIDED, RESULT_DROPPED, RESULT_DEFERRED)
 
+# the largest draw below 1, which only a persistence of 1 exceeds
+_LAST_DRAW = np.nextafter(1.0, 0.0)
+
 
 class Round(NamedTuple):
     """The outcome of `contend`, one round per row of its request mask: each
@@ -194,67 +198,67 @@ def contend(requests: np.ndarray, crm: CrmConfig, draws,
     `resolve_contention` emits them; a row that requests nothing has none.
     Each row's round is its own: the rows of a batch give what each would
     give alone, and a column that does not request never transmits, so rows
-    of different rounds may share one call, padded to one width.
+    of different rounds may share one call, padded to one width.  Each
+    mini-slot runs on the requesting entries still pending, row by row and
+    then by column; its events go in lists, which one stable sort orders.
     """
-    # the persistence of attempt a at index a; attempt max_attempts + 1 is
-    # never pending, and its 0 pads the table
-    persistence = np.array((0.0,) + crm.persistence + (0.0,))
-    requests = np.asarray(requests, dtype=bool)
+    persistence, requests = np.array(crm.persistence), np.asarray(requests, dtype=bool)
+    width, rmax = requests.shape[1], crm.max_attempts
     table, index = draws or (None, None)
-    if table is not None:
-        asks = np.flatnonzero(requests)
-        index, below = index.take(asks), np.zeros(requests.shape, dtype=bool)
-    pending = requests.copy()
-    attempt = np.ones(pending.shape, dtype=int)
-    delta = np.zeros(pending.shape, dtype=bool)
-    # per mini-slot that some row contends in: the attempts as it began, and
-    # who transmitted, won and was still pending as it ended
-    slots = []
+    # the requesting entries' cells, which shrink to those still pending
+    pending = requests.ravel().nonzero()[0]
+    # per cell, the entry's transmissions, plus `flag` once one succeeds: an
+    # entry is pending while it has made fewer than rmax
+    tries, flag = np.zeros(requests.size, dtype=int), 1 << rmax.bit_length()
+    # the pending entries' transmissions and persistence; in slot 1 every
+    # entry is pending, on attempt 1
+    a, p = 0, np.empty(pending.size)
+    p.fill(crm.persistence[0])
+    # ends[i]: whether transmitter i's row differs from the one's before,
+    # True past either end; a lone transmitter's differs on both sides
+    alone = np.empty(pending.size + 1, dtype=bool)
+    alone[0] = True
+    slots = []  # per slot run: its events' cells, attempts and results
     for col in range(crm.slots_per_sample):
-        if not pending.any():
-            break
-        p = persistence.take(attempt)
-        if table is None:
-            tx = pending & (p >= 1.0)
-        else:
-            # a draw lies in [0, 1): it is below every p >= 1 and no p == 0
-            below.put(asks, table[:, col].take(index) < p.take(asks))
-            tx = pending & below
-        won = tx & (tx.sum(axis=1, keepdims=True) == 1)
-        delta |= won
-        before = attempt
-        attempt = attempt + (tx ^ won)
-        pending = pending ^ won
-        pending &= attempt <= crm.max_attempts
+        if col:
+            a = tries.take(pending)
+            keep = a < rmax
+            pending, a = pending.compress(keep), a.compress(keep)
+            if not pending.size:
+                break
+            p = persistence.take(a)
+        u = _LAST_DRAW if table is None else table[:, col].take(index.take(pending))
+        tx = u < p
+        sent = pending.compress(tx)
+        r = sent // width
+        ends = alone[:sent.size + 1]
+        ends[-1] = True
+        np.not_equal(r[1:], r[:-1], out=ends[1:-1])
+        won = ends[:-1] & ends[1:]
+        np.add.at(tries, sent, np.where(won, flag + 1, 1))
         if ids is not None:
-            slots.append((before, tx, won, pending))
-    # every transmission but a success burned an attempt
-    used = attempt - 1 + delta
+            # each pending entry's success, collision or deferral; the drops
+            result = np.where(tx, 1, 3)
+            result[tx] = ~won
+            out = sent.compress(tries.take(sent) == rmax)
+            slots.append(((pending, out),
+                          (np.ones(pending.size, dtype=int) + a, np.full(out.size, rmax)),
+                          (result, np.full(out.size, 2))))
+    delta = (tries >= flag).reshape(requests.shape)
+    used = (tries & (flag - 1)).reshape(requests.shape)
     if ids is None:
         return Round(delta, used, None)
-    # only the rows that request have events
-    live = requests.any(axis=1).nonzero()[0]
-    if not live.size:
-        return Round(delta, used, (np.zeros(0, dtype=int),) * 5)
-    before, tx, won, left = (np.stack(masks, axis=1)[live] for masks in zip(*slots))
-    n_slots = tx.shape[1]
-    # event masks per (row, slot, result, contender), where np.nonzero walks
-    # them in the order a round emits its events: within a slot the one
-    # success or every collision, then the contenders dropped after
-    # colliding, then those deferring.  The extra last slot holds the drops
-    # when the window closes.
-    kinds = np.zeros((live.size, n_slots + 1, len(RESULTS), requests.shape[1]), dtype=bool)
-    kinds[:, :-1, 0] = won
-    kinds[:, :-1, 1] = collided = tx & ~won
-    kinds[:, :-1, 2] = collided & ~left
-    kinds[:, :-1, 3] = left & ~tx
-    kinds[:, -1, 2] = pending[live]
-    attempts = np.concatenate((before, attempt[live, None]), axis=1)
-    slot_no = np.arange(1, n_slots + 2)
-    slot_no[-1] = crm.slots_per_sample
-    row, s, result, col = np.nonzero(kinds)
-    contender = np.broadcast_to(ids, requests.shape)[live[row], col]
-    return Round(delta, used, (live[row], slot_no[s], contender, attempts[row, s, col], result))
+    # the drops when the window closes, after the last slot run
+    n_run, pending = len(slots), pending.compress(tries.take(pending) < rmax)
+    slots.append(((pending,), (tries.take(pending) + 1,), (np.full(pending.size, 2),)))
+    cell, attempt, result = (np.concatenate(sum(parts, ())) for parts in zip(*slots))
+    s = np.repeat(np.arange(n_run + 1), [sum(map(len, cells)) for cells, _, _ in slots])
+    row = cell // width
+    order = np.argsort((row * (n_run + 1) + s) * len(RESULTS) + result, kind="stable")
+    row, cell, s = row.take(order), cell.take(order), s.take(order)
+    contender = np.broadcast_to(np.asarray(ids, dtype=int), requests.shape)[row, cell % width]
+    return Round(delta, used, (row, np.minimum(s + 1, crm.slots_per_sample), contender,
+                               attempt.take(order), result.take(order)))
 
 
 @dataclass(frozen=True)

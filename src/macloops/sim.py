@@ -78,7 +78,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import CostReport, jdp_stack, riccati_backward
-from .errors import ConfigurationError, NumericalError, _integer
+from .errors import ConfigurationError, NumericalError, _count, _integer
 from .estimation import last_delivery, observer_update
 from .model import NetworkScenario, RngStream, pcg64_states, psd_sqrt
 from .network import contend, traffic_activity
@@ -819,16 +819,22 @@ class MonteCarloResult:
 
 def _check_run(seed: int, episodes: int) -> tuple[int, int]:
     """The seed and the episode count as ints.  A seed that is not an
-    integer >= 0, or a count that is not an integer >= 1, is rejected
-    before anything is derived."""
+    integer >= 0, or a count that is not an integer in [1, MAX_COUNT], is
+    rejected before anything is derived."""
     return (_integer(seed, "seed", "an integer >= 0", 0),
-            _integer(episodes, "episodes", "an integer >= 1", 1))
+            _count(episodes, "episodes", "an integer >= 1"))
 
 
-def _se(values: np.ndarray) -> float:
+def _se(values: np.ndarray, what: str) -> float:
+    """The standard error of the mean of `values`, nan below two of them;
+    one that overflows is a NumericalError that names `what`."""
     if values.size < 2:
         return float("nan")
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+    with np.errstate(over="ignore"):
+        se = float(values.std(ddof=1) / math.sqrt(values.size))
+    if se == math.inf:
+        raise NumericalError(f"the standard error of {what} overflows")
+    return se
 
 
 class _Tally:
@@ -878,8 +884,12 @@ class _Tally:
             if j_lambda_mean == math.inf:
                 what = "cost" if j_mean == math.inf else "penalized cost"
                 raise NumericalError(f"the mean {what} of loop {i} overflows")
-        j_ses = ((rows[0].std(ddof=1, axis=1) / math.sqrt(episodes)).tolist() if episodes > 1
-                 else [float("nan")] * len(loops))
+        with np.errstate(over="ignore"):
+            j_ses = ((rows[0].std(ddof=1, axis=1) / math.sqrt(episodes)).tolist()
+                     if episodes > 1 else [float("nan")] * len(loops))
+        if math.inf in j_ses:
+            raise NumericalError(f"the standard error of the mean cost of loop "
+                                 f"{j_ses.index(math.inf)} overflows")
         per_loop = []
         for i, (lc, successes) in enumerate(zip(loops, rows[2].sum(axis=1).tolist())):
             report = CostReport(episodes=episodes, j_mean=j_means[i], j_se=j_ses[i],
@@ -894,9 +904,13 @@ class _Tally:
                 bound_prob=(float(hits / steps) if lc.scheduler.kind in THRESHOLD_KINDS
                             else float("nan")),
                 p_seq=p_seqs[i], costs=rows[0, i].copy()))
-        episode_means = self.per_episode[0].mean(axis=1)
-        return MonteCarloResult(seed=seed, episodes=episodes, per_loop=per_loop,
-                                j_mean=float(episode_means.mean()), j_se=_se(episode_means))
+        with np.errstate(over="ignore"):
+            episode_means = self.per_episode[0].mean(axis=1)
+            j_mean = float(episode_means.mean())
+        if j_mean == math.inf:
+            raise NumericalError("the mean cost across loops overflows")
+        return MonteCarloResult(seed=seed, episodes=episodes, per_loop=per_loop, j_mean=j_mean,
+                                j_se=_se(episode_means, "the mean cost across loops"))
 
 
 def monte_carlo(
@@ -1058,9 +1072,9 @@ def dual_effect_experiment(
         divergence_fraction=1.0 - identical / episodes,
         first_divergence_ticks=np.array(div_ticks, dtype=int),
         mse_a=float(mse_a.mean()),
-        mse_a_se=_se(mse_a),
+        mse_a_se=_se(mse_a, "mse_a"),
         mse_b=float(mse_b.mean()),
-        mse_b_se=_se(mse_b),
+        mse_b_se=_se(mse_b, "mse_b"),
         mse_diff=float(diff.mean()),
-        mse_diff_se=_se(diff),
+        mse_diff_se=_se(diff, "mse_diff"),
     )

@@ -250,8 +250,45 @@ def test_criterion_06_two_step_probing_controller():
         x2 = x1 + u1 + w1
         return u0 * u0 + x1 * x1 + u1 * u1 + x2 * x2
 
-    values = np.array([costs_for(float(u)).mean() for u in grid])
+    # On either side of the delivery bound the cost is a quadratic in (w0,
+    # w1), so after one sort of w0 the prefix sums of 1, w0, w0^2, w1, w1^2
+    # and w0 w1 give each grid value's mean cost
+    order = np.argsort(w0, kind="stable")
+    s0, s1 = w0[order], w1[order]
+    sums = np.zeros((6, n + 1))
+    np.cumsum(np.stack((np.ones(n), s0, s0 * s0, s1, s1 * s1, s0 * s1)), axis=1,
+              out=sums[:, 1:])
+
+    def mean_cost(u0):
+        # the delivered draws, u0 + w0 >= 0.5 as costs_for rounds it, are a
+        # suffix of the sorted w0 that starts at k
+        k = int(np.searchsorted(s0, 0.5 - u0))
+        while k > 0 and u0 + s0[k - 1] >= 0.5:
+            k -= 1
+        while k < n and u0 + s0[k] < 0.5:
+            k += 1
+        wbar, _ = truncated_moments(TruncatedGaussian(0.0, 1.0, 0.5 - u0))
+        h = 0.5 * (u0 + wbar)  # -u1 after a silence
+        total = 0.0
+        for part, delivered in ((sums[:, n] - sums[:, k], True), (sums[:, k], False)):
+            c, w, ww, v, vv, wv = part
+            x1 = c * u0 + w                            # sum of x1
+            x1x1 = c * u0 * u0 + 2.0 * u0 * w + ww     # of x1^2
+            x1v = u0 * v + wv                          # of x1 w1
+            if delivered:  # u1 = -x1 / 2, x2 = x1 / 2 + w1
+                total += c * u0 * u0 + 1.5 * x1x1 + x1v + vv
+            else:          # u1 = -h, x2 = x1 - h + w1
+                total += (c * u0 * u0 + 2.0 * x1x1 + 2.0 * c * h * h + vv + 2.0 * x1v
+                          - 2.0 * h * x1 - 2.0 * h * v)
+        return total / n
+
+    values = np.array([mean_cost(float(u)) for u in grid])
     best = int(np.argmin(values))
+    # the scan checks itself against the direct means, at its argmin and
+    # across the grid
+    for j in (best, 0, 150, 300, 450, 600):
+        direct = costs_for(float(grid[j])).mean()
+        assert abs(values[j] - direct) <= 1e-12 * abs(direct), (grid[j], values[j], direct)
     # paired CRN differences around the empirical argmin decide which grid
     # points are statistically indistinguishable from it
     base = costs_for(float(grid[best]))

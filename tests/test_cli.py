@@ -930,6 +930,50 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["penalty.json"]
 
+    def test_cost_standard_error_overflow_is_a_breakdown(self, tmp_path, capsys):
+        # every episode's cost and their mean are finite; the standard error
+        # is not
+        doc = {"crm": {"persistence": [1.0]}, "loops": [{
+            "plant": {"A": 1.0, "B": 1.0, "Rw": 1.0, "R0": 1e296, "x0_mean": 1e150},
+            "scheduler": {"kind": "always"}, "horizon": 10,
+            "weights": {"Q0": 1.0, "Q1": 1.0, "Q2": 1.0}}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--scenario", str(path), "--episodes", "5", "--law", "zero",
+                         "--dump-trace", "--dump-events", "--out", str(tmp_path / "r")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("numerical failure: the standard error of the mean "
+                                           "cost of loop 0 overflows\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["wide.json"]
+
+    # the counts of a run are capped where they are parsed, before any
+    # array is built: numpy refused these with a raw ValueError
+    @pytest.mark.parametrize("command,where,value,message", [
+        ("simulate", "flag", 10 ** 21, "--episodes: episodes must be at most 10,000,000, "
+                                       "got 1000000000000000000000"),
+        ("sweep", "episodes", 1e308, "scenario.episodes: episodes must be at most 10,000,000, "
+                                     "got 1e+308"),
+        ("simulate", "horizon", 10 ** 30, "loops[0].horizon: horizon must be at most "
+                                          "10,000,000, got 1000000000000000000000000000000"),
+    ], ids=["episodes-flag", "episodes", "horizon"])
+    def test_counts_beyond_the_cap_are_refused_unbuilt(self, tmp_path, capsys, command, where,
+                                                       value, message):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        if where == "episodes":
+            doc["episodes"] = value
+        elif where == "horizon":
+            doc["loops"][0]["horizon"] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--scenario", str(path), "--out", str(tmp_path / "r")]
+        argv += ["--episodes", str(value)] if where == "flag" else []
+        argv += ["--eps-grid", "1"] if command == "sweep" else []
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["huge.json"]
+
     def test_sweep_names_the_refused_block(self, tmp_path, capsys):
         # example1's second block expands to loops 6 to 12; the refusal names
         # the block of the document, as the parser's errors do

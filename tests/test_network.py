@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macloops.errors import ConfigurationError
@@ -288,9 +288,33 @@ def table_draws(table):
     return table.reshape(-1, slots), np.arange(rows * contenders).reshape(rows, contenders)
 
 
+def with_examples(test):
+    """`test` with the explicit cases of the event order: a contender that
+    defers in the last mini-slot and is dropped when the window closes,
+    beside a success; rows that request nothing between rows that do; and
+    two `flood`-shaped padded rows of 20 loop columns and 4 sources."""
+    flood = [*range(20), *((1 << 16) + j for j in range(4))]
+    padded = np.zeros((2, 24), dtype=bool)
+    padded[0, [0, 1, 2, 5, 9, 11, 12, 13, 17, 19, 20, 22]] = True
+    padded[1, [*range(3, 20), 21, 22, 23]] = True
+    cases = [
+        (CrmConfig(persistence=(0.5,), slots_per_sample=2), [0, 1], np.array([[True, True]]),
+         np.array([[[0.1, 0.9], [0.9, 0.9]]])),
+        (CRM, [3, 7, (1 << 16)],
+         np.array([[1, 1, 0], [0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=bool),
+         np.random.default_rng(38).random((6, 3, 3))),
+        (CrmConfig(persistence=(1.0, 0.75, 0.5), slots_per_sample=10), flood, padded,
+         np.random.default_rng(1).random((2, 24, 10))),
+    ]
+    for case in cases:
+        test = example(case=case)(test)
+    return test
+
+
 class TestArrayRound:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=array_rounds())
+    @with_examples
     def test_matches_the_per_round_reference(self, case):
         # every row of the array round must be the round resolve_contention
         # runs on that row's contenders and draws, event for event
@@ -323,6 +347,7 @@ class TestArrayRound:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(case=array_rounds())
+    @with_examples
     def test_each_row_is_a_round_of_its_own(self, case):
         # a row's round does not depend on the rows around it: alone, it
         # gives the outcome and the events it gives in the batch, where

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from macloops import sim
 from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
-from macloops.errors import ConfigurationError, NumericalError
+from macloops.errors import MAX_COUNT, ConfigurationError, NumericalError
 from macloops.model import LoopConfig, NetworkScenario, PlantModel, RngStream, psd_sqrt
 from macloops.network import CrmConfig, TrafficSource, contend, traffic_step
 from macloops.scheduling import SchedulerPolicy, decide
@@ -237,6 +237,27 @@ class TestRunArguments:
             run(single_loop(SchedulerPolicy.state_threshold(1.0)), episodes)
         assert info.value.field == "episodes"
         assert str(info.value) == f"episodes must be an integer >= 1, got {episodes!r}"
+
+    @pytest.mark.parametrize("run", COUNTED_RUNS.values(), ids=COUNTED_RUNS.keys())
+    @pytest.mark.parametrize("episodes", [MAX_COUNT + 1, 10 ** 21, 1e308],
+                             ids=["above-cap", "huge", "float-max"])
+    def test_episode_count_beyond_the_cap_is_refused_unbuilt(self, monkeypatch, run, episodes):
+        def layout(scenario):
+            raise AssertionError("derived a layout")
+
+        monkeypatch.setattr(sim, "_layout", layout)
+        with pytest.raises(ConfigurationError) as info:
+            run(single_loop(SchedulerPolicy.state_threshold(1.0)), episodes)
+        assert info.value.field == "episodes"
+        assert str(info.value) == f"episodes must be at most 10,000,000, got {episodes!r}"
+
+    def test_the_cap_admits_its_own_count(self):
+        assert sim._check_run(0, MAX_COUNT) == (0, MAX_COUNT)
+        assert loop_of(SchedulerPolicy.always_transmit(), horizon=MAX_COUNT).horizon == MAX_COUNT
+        with pytest.raises(ConfigurationError, match="^horizon must be at most 10,000,000, "
+                                                     "got 10000001$") as info:
+            loop_of(SchedulerPolicy.always_transmit(), horizon=MAX_COUNT + 1)
+        assert info.value.field == "horizon"
 
     @pytest.mark.parametrize("run", COUNTED_RUNS.values(), ids=COUNTED_RUNS.keys())
     def test_integral_episode_counts_run_as_their_int(self, run):
@@ -706,6 +727,35 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="^the mean cost of loop 0 overflows$"):
                 monte_carlo(scn, 0, 20)
+
+    def test_cost_standard_error_overflow_is_a_breakdown(self):
+        # the mean cost, about 1.6e300, is finite, but the squares of its
+        # deviations are not
+        scn = single_loop(SchedulerPolicy.always_transmit(), x0_mean=[1e150], r0=1e296)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^the standard error of the mean cost of "
+                                                     "loop 0 overflows$"):
+                monte_carlo(scn, 0, 5, zero_law)
+
+    def test_cost_mean_across_loops_overflow_is_a_breakdown(self):
+        # each loop's cost, about 1e308, is finite; their sum is not
+        lc = loop_of(SchedulerPolicy.always_transmit(), x0_mean=[4.5e153], r0=0.0, rw=0.0,
+                     horizon=4)
+        scn = NetworkScenario(loops=(lc, lc), crm=CrmConfig(persistence=(1.0, 1.0),
+                                                            slots_per_sample=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^the mean cost across loops overflows$"):
+                monte_carlo(scn, 0, 1, zero_law)
+
+    def test_standard_error_overflow_names_its_quantity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sim._se(np.array([1e150, -1e150]), "mse_diff") == pytest.approx(1e150)
+            with pytest.raises(NumericalError,
+                               match="^the standard error of mse_diff overflows$"):
+                sim._se(np.array([1e200, -1e200]), "mse_diff")
 
     def test_predicted_cost_matches_simulation(self):
         # with a delivery-per-request channel the closed-form cost evaluated
