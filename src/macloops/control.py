@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (_FINITE, _NONNEGATIVE, _POSITIVE, BracketingError, ConfigurationError,
-                     DegenerateTruncationError, NumericalError, _integer, _real)
+                     DegenerateTruncationError, NumericalError, _count, _integer, _real)
 from .model import lq_matrices
 from .stats import (
     QuadratureSpec,
@@ -48,7 +48,8 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     """Backward Riccati recursion from S_N = Q0.
 
     The matrices must pass `model.lq_matrices` and the horizon must be an
-    integer >= 1; a bad one raises a ConfigurationError whose `field` names it.
+    integer in [1, MAX_COUNT]; a bad one raises a ConfigurationError whose
+    `field` names it.
     Each S_k is symmetrized after the update to stop round-off drift.  The
     gain inverse (Q2 + B'SB) is positive definite for PD Q2; a numerically
     singular one, or an S_k that overflows, raises NumericalError.
@@ -62,7 +63,7 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     A, B, Q0, Q1, Q2 = lq_matrices(A, B, Q0, Q1, Q2)
     lead = A.shape[:-2]   # (P,) for a stack, () for one problem
     A, B, Q0, Q1, Q2 = (mat.reshape((-1,) + mat.shape[-2:]) for mat in (A, B, Q0, Q1, Q2))
-    horizon = _integer(horizon, "horizon", "a positive integer", 1)
+    horizon = _count(horizon, "horizon", "a positive integer")
     count, n, m = B.shape
     S = np.empty((count, horizon + 1, n, n))
     L = np.empty((count, horizon, m, n))

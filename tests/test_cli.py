@@ -974,6 +974,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["huge.json"]
 
+    def test_riccati_horizon_beyond_the_cap_is_refused_unbuilt(self, tmp_path, capsys):
+        # numpy refused this horizon with a raw ValueError
+        argv = ["riccati", "--a", "1", "--b", "1", "--q0", "1", "--q1", "1", "--q2", "1",
+                "--horizon", str(10 ** 21), "--out", str(tmp_path / "r")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("validation error: --horizon: horizon must be at most "
+                                           "10,000,000, got 1000000000000000000000\n")
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_names_the_refused_block(self, tmp_path, capsys):
         # example1's second block expands to loops 6 to 12; the refusal names
         # the block of the document, as the parser's errors do
