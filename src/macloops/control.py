@@ -59,31 +59,46 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     the same one call; all P run in one recursion over the leading problem
     axis, and the solution's arrays carry it.  Each problem's S, L and W
     have the bits of its solve alone.
+
+    Where n = m = 1 the recursion runs on (P,) arrays, one problem per
+    entry, by the same expressions in the same order, each `@` a product
+    and the solve a division: numpy's 1 x 1 `@` rounds the one product, and
+    its 1 x 1 solve with one right-hand side divides (it matched R / G bit
+    for bit on 200,000 random pairs; with several right-hand sides it
+    multiplies by 1 / G, so the division serves m = 1 alone).  `@` adds its
+    product to +0, so a zero it returns is never -0; the gain's numerator
+    and Q1, the two places where the sign of a zero reaches S, L or W, are
+    added to +0 to keep that.  So both paths give the same bits.
     """
     A, B, Q0, Q1, Q2 = lq_matrices(A, B, Q0, Q1, Q2)
     lead = A.shape[:-2]   # (P,) for a stack, () for one problem
     A, B, Q0, Q1, Q2 = (mat.reshape((-1,) + mat.shape[-2:]) for mat in (A, B, Q0, Q1, Q2))
     horizon = _count(horizon, "horizon", "a positive integer")
     count, n, m = B.shape
-    S = np.empty((count, horizon + 1, n, n))
-    L = np.empty((count, horizon, m, n))
-    W = np.empty((count, horizon, n, n))
-    S[:, horizon] = Q0
-    At, Bt = A.swapaxes(-1, -2), B.swapaxes(-1, -2)
+    # S, L, W and each step's G
+    out = S, L, W, Gs = (np.empty((count, horizon + 1, n, n)), np.empty((count, horizon, m, n)),
+                         np.empty((count, horizon, n, n)), np.empty((count, horizon, m, m)))
+    if n == m == 1:
+        A, B, Q0, Q1, Q2, S, L, W, Gs = (arr[..., 0, 0]
+                                         for arr in (A, B, Q0, 0.0 + Q1, Q2, *out))
+        mul, T, solve = np.multiply, (lambda x: x), (lambda G, R: (0.0 + R) / G)
+    else:
+        mul, T, solve = np.matmul, (lambda x: x.swapaxes(-1, -2)), np.linalg.solve
+    S_next = S[:, horizon] = Q0
+    At, Bt = T(A), T(B)
     # overflow is reported below as a NumericalError, not as a warning, and
     # so is a singular G, whose cond divides by a zero eigenvalue
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(horizon - 1, -1, -1):
-            S_next = S[:, k + 1]
-            BtS, AtS = Bt @ S_next, At @ S_next
-            G = Q2 + BtS @ B
+            BtS, AtS = mul(Bt, S_next), mul(At, S_next)
+            G = Gs[:, k] = Q2 + mul(BtS, B)
             # G is symmetric positive definite, so its 2-norm condition number
             # is the ratio of its extreme eigenvalues (eigvalsh is cheaper than
             # an SVD); an eigenvalue that is not positive means G is singular.
             # A 1 x 1 G is its one eigenvalue: cond is 1 if G is finite and
             # positive, else not finite.
             if m == 1:
-                g = G[:, 0, 0]
+                g = G.reshape(count)
                 cond = np.where(g > 0.0, g / g, np.inf)
             else:
                 try:
@@ -91,19 +106,20 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
                     cond = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], np.inf)
                 except np.linalg.LinAlgError:
                     cond = np.full(count, np.inf)
-            bad = ~(cond <= 1e14)
-            if bad.any():
+            ok = cond <= 1e14
+            if not ok.all():
                 raise NumericalError(
                     f"Q2 + B'SB numerically singular at step {k} "
-                    f"(cond={cond[bad.argmax()]:.2e})"
+                    f"(cond={cond[(~ok).argmax()]:.2e})"
                 )
-            L_k = L[:, k] = np.linalg.solve(G, BtS @ A)
-            W[:, k] = L_k.swapaxes(-1, -2) @ G @ L_k
-            Sk = Q1 + AtS @ A - AtS @ B @ L_k
+            L_k = L[:, k] = solve(G, mul(BtS, A))
+            Sk = Q1 + mul(AtS, A) - mul(mul(AtS, B), L_k)
             if not np.isfinite(Sk).all():
                 raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
-            S[:, k] = 0.5 * (Sk + Sk.swapaxes(-1, -2))
-    return RiccatiSolution(*(arr.reshape(lead + arr.shape[1:]) for arr in (S, L, W)))
+            S_next = S[:, k] = 0.5 * (Sk + T(Sk))
+        # every step's W_k = L_k' G_k L_k at once
+        W[...] = mul(mul(T(L), Gs), L)
+    return RiccatiSolution(*(arr.reshape(lead + arr.shape[1:]) for arr in out[:3]))
 
 
 def jdp_stack(S, W, xhat0, P0, Rw, P) -> np.ndarray:

@@ -70,11 +70,17 @@ def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> N
     """
     if mat.shape[-1] != mat.shape[-2]:
         raise ConfigurationError(f"{name} must be square, got shape {mat.shape}", field=name)
-    mat_t = mat.swapaxes(-1, -2)
-    # np.allclose(mat, mat_t, atol=1e-10) on finite values, without its overhead
-    if not (abs(mat - mat_t) <= 1e-10 + 1e-5 * abs(mat_t)).all():
+    mat_t, scalar = mat.swapaxes(-1, -2), mat.shape[-1] == 1
+    # np.allclose(mat, mat_t, atol=1e-10) on finite values, without its
+    # overhead; a 1 x 1 matrix is symmetric
+    if not scalar and not (abs(mat - mat_t) <= 1e-10 + 1e-5 * abs(mat_t)).all():
         raise ConfigurationError(f"{name} must be symmetric", field=name)
-    eigs = np.atleast_2d(np.linalg.eigvalsh(0.5 * (mat + mat_t)))
+    # an entry past half the largest float symmetrizes to inf: the engine's
+    # finiteness check locates that failure, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (mat + mat_t)
+    # a 1 x 1 matrix is its one eigenvalue, which eigvalsh returns as it is
+    eigs = np.atleast_2d(sym[..., 0] if scalar else np.linalg.eigvalsh(sym))
     scale = np.maximum(1.0, abs(eigs).max(axis=-1, initial=0.0))
     # a 0 x 0 matrix is not positive definite: no loop runs without an input
     pd = (eigs > 0.0).all(axis=-1) & (eigs.shape[-1] > 0)
@@ -119,7 +125,8 @@ def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix with small-eigenvalue clipping."""
-    cov = 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore"):   # as in check_symmetric_psd
+        cov = 0.5 * (cov + cov.T)
     eigval, eigvec = np.linalg.eigh(cov)
     if eigval.min(initial=0.0) < -PSD_CLIP * max(1.0, abs(eigval).max(initial=0.0)):
         raise ConfigurationError(f"covariance is not PSD, eigenvalues {eigval}")
@@ -188,8 +195,9 @@ def _mix(x, y):
 
 def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) that `RngStream(seed, key).generator()` starts
-    from, for each row `key` of the (E, K) array of non-negative int spawn
-    keys, all rows at once.
+    from, for each spawn key of non-negative ints in `keys`, all keys at
+    once.  `keys` is a sequence of keys, which may differ in length, or an
+    (n, K) int array of them, each padded with -1 past its end.
 
     It runs numpy's SeedSequence for all rows at once: the seed's 32-bit
     words, zero-padded to the pool size, fill the pool and are mixed across
@@ -198,12 +206,15 @@ def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
     one array step per word position.  Then `generate_state(4, uint64)`,
     and PCG64's two-step `srandom` on 128-bit Python ints.
     """
+    if not isinstance(keys, np.ndarray):
+        width = max(map(len, keys))
+        keys = [[*key, *[-1] * (width - len(key))] for key in keys]
     try:
         keys = np.array(keys, dtype=np.int64).reshape(len(keys), -1)
     except OverflowError:
         # entries past int64 are split as Python ints
         keys = np.array(keys, dtype=object).reshape(len(keys), -1)
-    n = len(keys)
+    n, valid = len(keys), keys >= 0
     # without a key numpy does not pad, but fills the pool with the hash of 0
     # all the same
     entropy = _words(seed)
@@ -211,7 +222,7 @@ def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
     # each row's further words, left-aligned: the seed's past the pool, then
     # each key entry's in turn, split as numpy splits it (0 is one word); a
     # row has `lengths` of them
-    levels, rest, valid = [], keys, np.ones(keys.shape, dtype=bool)
+    levels, rest = [], np.where(valid, keys, 0)
     while not levels or valid.any():
         levels.append(((rest & _MASK32).astype(np.uint32), valid))
         rest = rest >> 32

@@ -12,10 +12,10 @@ the plants.  All randomness is drawn from three streams per episode, keyed
 by the master seed, the episode and the role, in the order `_Layout`
 states.  So a (seed, episode, scenario) triple fully determines every
 trace, and a contender meets the same draws under every control law.  A
-chunk's streams of one role are seeded in one pass (`_streams`,
-`model.pcg64_states`) and drawn from one reused generator, whose first
-state is checked against the reference `RngStream.generator` once per
-chunk and role.
+chunk's streams of all three roles are seeded in one pass (`_streams`,
+`model.pcg64_states`), and each role's are drawn from one reused
+generator, whose first state is checked against the reference
+`RngStream.generator` once per chunk and role.
 
 There is one engine, and it runs a chunk of episodes at once.  A chunk
 holds as many episodes as fit in CHUNK_CELLS array cells, and at least
@@ -220,29 +220,27 @@ class _Stack:
     ticks: np.ndarray      # (L_s, N + 1): the ticks of the steps, then of the terminal state
 
 
-def _stack(loops, members: list[int], roots, step_ticks, offsets: np.ndarray) -> _Stack:
+def _stack(loops, members: list[int], roots, offsets: np.ndarray) -> _Stack:
     """The stack of the given loops, whose Riccati problems are solved in
     one recursion (`riccati_backward` on stacks)."""
     lcs = [loops[i] for i in members]
     size = int(offsets[members[0] + 1] - offsets[members[0]])
-
-    def stacked(values):
-        return np.stack(list(values))
-
-    A, B = stacked(lc.plant.A for lc in lcs), stacked(lc.plant.B for lc in lcs)
-    Q0, Q1, Q2 = (stacked(getattr(lc, name) for lc in lcs) for name in ("Q0", "Q1", "Q2"))
+    A, B, x0_mean, R0, Rw = (np.array([getattr(lc.plant, name) for lc in lcs])
+                             for name in ("A", "B", "x0_mean", "R0", "Rw"))
+    Q0, Q1, Q2 = (np.array([getattr(lc, name) for lc in lcs]) for name in ("Q0", "Q1", "Q2"))
+    phase, period = (np.array([getattr(lc.plant, name) for lc in lcs])[:, None]
+                     for name in ("phase", "period"))
     solution = riccati_backward(A, B, Q0, Q1, Q2, lcs[0].horizon)
     return _Stack(
         loops=members, horizon=lcs[0].horizon,
         block=offsets[members][:, None] + np.arange(size),
-        x0_mean=stacked(lc.plant.x0_mean for lc in lcs),
-        R0=stacked(lc.plant.R0 for lc in lcs), Rw=stacked(lc.plant.Rw for lc in lcs),
-        sqrt_r0=stacked(roots[i][0] for i in members),
-        sqrt_rw=stacked(roots[i][1] for i in members)[:, None],
+        x0_mean=x0_mean, R0=R0, Rw=Rw,
+        sqrt_r0=np.array([roots[i][0] for i in members]),
+        sqrt_rw=np.array([roots[i][1] for i in members])[:, None],
         A=A, B=B, Q0=Q0, Q1=Q1[:, None], Q2=Q2[:, None],
         S=solution.S, L=solution.L, W=solution.W,
         net_penalty=np.array([lc.net_penalty for lc in lcs], dtype=float),
-        ticks=stacked(step_ticks[i] for i in members),
+        ticks=phase + period * np.arange(lcs[0].horizon + 1),
     )
 
 
@@ -319,24 +317,26 @@ def _layout(scenario: NetworkScenario) -> _Layout:
             rooted[key] = (psd_sqrt(plant.R0), psd_sqrt(plant.Rw))
         roots.append(rooted[key])
         members.setdefault((plant.n, plant.m, lc.horizon), []).append(i)
-    step_ticks = [lc.plant.phase + lc.plant.period * np.arange(lc.horizon + 1) for lc in loops]
-    loop_ticks = [t[:-1] for t in step_ticks]
-    ticks = np.unique(np.concatenate(loop_ticks))
     offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
-    stacks = [_stack(loops, group, roots, step_ticks, offsets)
-              for group in members.values()]
-    rows = sum(lc.horizon for lc in loops) + n_src * ticks.size
+    stacks = [_stack(loops, group, roots, offsets) for group in members.values()]
+    # every loop's sampling ticks, and those of the loops under another rule
+    # than `always`
+    loop_ticks = np.concatenate([st.ticks[:, :-1].ravel() for st in stacks])
+    ruled = np.concatenate([st.ticks[[loops[i].scheduler.kind != "always" for i in st.loops], :-1]
+                            .ravel() for st in stacks])
+    counts = np.bincount(loop_ticks)   # the loops sampling at each tick
+    ticks = np.flatnonzero(counts)
+    rows = loop_ticks.size + n_src * ticks.size
     crm = scenario.crm
     slots = crm.slots_per_sample if any(0.0 < p < 1.0 for p in crm.persistence) else 0
     # a loop's arrays in `_StackSteps`: xs and xhats hold N + 1 steps, us,
     # preds and the three int arrays N, and bu one
-    step_cells = sum((lc.horizon + 1) * 2 * lc.plant.n
-                     + lc.horizon * (lc.plant.n + lc.plant.m + 3) + lc.plant.n for lc in loops)
+    step_cells = sum(size * ((st.horizon + 1) * 2 * n + st.horizon * (n + m + 3) + n)
+                     for st in stacks for size, n, m in [st.B.shape])
     # the fixed ticks, where no loop under another rule than `always`
     # samples, and their rounds: one per entry, padded to the widest
-    ruled = [t for lc, t in zip(loops, loop_ticks) if lc.scheduler.kind != "always"]
-    fixed = np.flatnonzero(~np.isin(ticks, np.concatenate(ruled + [ticks[:0]])))
-    width = np.bincount(np.concatenate(loop_ticks))[ticks[fixed]].max(initial=0) + n_src
+    fixed = np.flatnonzero(np.bincount(ruled, minlength=counts.size)[ticks] == 0)
+    width = counts[ticks[fixed]].max(initial=0) + n_src
     cells = (int(offsets[-1]) + n_src * int(ticks[-1] + 1) + rows * slots + step_cells
              + fixed.size * int(width))
     return _Layout(int(offsets[-1]), rows, slots, cells, ticks, fixed, n_src, stacks)
@@ -439,29 +439,40 @@ class _ChunkDraws:
     tables: Optional[np.ndarray]      # (E, rows, slots) draws stored slot-major, or None
 
 
-def _streams(seed: int, episodes: range, *key: int):
-    """Yield, for each episode in turn, a generator at the start of the
-    stream `RngStream(seed, (episode, *key))`.
+def _streams(seed: int, episodes: range, *keys: tuple) -> list:
+    """For each role's spawn key, an iterator that yields, for each episode in
+    turn, a generator at the start of the stream `RngStream(seed, (episode, *key))`.
 
-    It is one generator, reused: built once as that reference for the first
-    episode, then set to each episode's state from `pcg64_states` before it
-    is yielded.  The first state must equal the reference's, or numpy seeds
-    its streams in some other way than `pcg64_states` computes.
+    One `pcg64_states` pass gives the states of every role and episode.  A
+    role's iterator reuses one generator: built as that reference for the
+    first episode, then set to each episode's state before it is yielded.
+    The first state must equal the reference's, or numpy seeds its streams
+    in some other way than `pcg64_states` computes.
     """
+    n_ep, width = len(episodes), 1 + max(map(len, keys))
     try:
         first = np.arange(episodes.start, episodes.stop, dtype=np.int64)
     except OverflowError:
         first = np.array(episodes, dtype=object)
-    keys = np.empty((len(episodes), 1 + len(key)), dtype=first.dtype)
-    keys[:, 0], keys[:, 1:] = first, key
-    gen = RngStream(seed, (episodes[0], *key)).generator()
-    states = pcg64_states(seed, keys)
+    # one block of keys per role, each padded with -1 to the longest
+    rows = np.full((len(keys), n_ep, width), -1, dtype=first.dtype)
+    rows[:, :, 0] = first
+    for block, key in zip(rows, keys):
+        block[:, 1:1 + len(key)] = key
+    states = pcg64_states(seed, rows.reshape(-1, width))
+    return [_stream(seed, (episodes[0], *key), states[i * n_ep:(i + 1) * n_ep])
+            for i, key in enumerate(keys)]
+
+
+def _stream(seed: int, key: tuple, states: list):
+    """One role's iterator of `_streams`, whose first stream is `key`."""
+    gen = RngStream(seed, key).generator()
     bitgen = gen.bit_generator
     # the fresh state: has_uint32 and uinteger are 0
     state = bitgen.state
     if state["state"] != {"state": states[0][0], "inc": states[0][1]}:
         raise NumericalError(
-            f"batched seeding of stream {(episodes[0], *key)} of seed {seed} disagrees "
+            f"batched seeding of stream {key} of seed {seed} disagrees "
             f"with SeedSequence and PCG64 of numpy {np.__version__}")
     for start, inc in states:
         state["state"] = {"state": start, "inc": inc}
@@ -475,13 +486,18 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
     each role in one pass over the chunk's episodes.
 
     Each episode draws exactly as it would alone, in the order of `_Layout`,
-    from its stream of each role, which `_streams` seeds for the whole
-    chunk at once.  The roots multiply the noise blocks by `_sum_products`,
-    so an episode's bits do not depend on its chunk.
+    from its stream of each role, which `_streams` seeds for every role and
+    episode of the chunk at once.  The roots multiply the noise blocks by
+    `_sum_products`, so an episode's bits do not depend on its chunk.
     """
-    n_ep = len(episodes)
+    n_ep, ticks, sources = len(episodes), layout.ticks, scenario.sources
+    # the roles drawn, in this order: noise, traffic if there are sources,
+    # contention if its table is drawn
+    streams = iter(_streams(seed, episodes, (0, _ROLE_NOISE),
+                            *[(SOURCE_CONTENDER_BASE, _ROLE_TRAFFIC)] * bool(sources),
+                            *[(_ROLE_CONTENTION,)] * bool(layout.slots)))
     z = np.empty((n_ep, layout.width))
-    for e, gen in enumerate(_streams(seed, episodes, 0, _ROLE_NOISE)):
+    for e, gen in enumerate(next(streams)):
         gen.standard_normal(out=z[e])
     stack_x0, stack_noise = [], []
     for st in layout.stacks:
@@ -490,12 +506,11 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
         stack_x0.append(st.x0_mean + _sum_products(st.sqrt_r0, block[..., None, :n]))
         stack_noise.append(_sum_products(
             st.sqrt_rw, block[..., n:].reshape(n_ep, n_loops, st.horizon, 1, n)))
-    ticks, sources = layout.ticks, scenario.sources
     active = np.zeros((n_ep, ticks.size, len(sources)), dtype=bool)
     if sources:
         # each episode's (sources, last sampling tick + 1) traffic table
         u = np.empty((n_ep, len(sources), ticks[-1] + 1))
-        for row, gen in zip(u, _streams(seed, episodes, SOURCE_CONTENDER_BASE, _ROLE_TRAFFIC)):
+        for row, gen in zip(u, next(streams)):
             gen.random(out=row)
         for j, src in enumerate(sources):
             active[:, :, j] = traffic_activity(src, u[:, j])[:, ticks]
@@ -503,7 +518,7 @@ def _draw_chunk(scenario: NetworkScenario, layout: _Layout, seed: int,
     if layout.slots:
         tables = np.empty((layout.slots, n_ep, layout.rows)).transpose(1, 2, 0)
         block = np.empty((layout.rows, layout.slots))
-        for e, gen in enumerate(_streams(seed, episodes, _ROLE_CONTENTION)):
+        for e, gen in enumerate(next(streams)):
             tables[e] = gen.random(out=block)
     return _ChunkDraws(episodes, stack_x0, stack_noise, active, tables)
 

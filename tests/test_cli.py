@@ -948,6 +948,25 @@ class TestExitCodes:
                                            "cost of loop 0 overflows\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["wide.json"]
 
+    # a covariance of 1e308 passes its check, and its noise is not finite
+    # from the first draw of its kind: tick 0 for R0, tick 10 for Rw; its
+    # symmetrization overflowed with two warnings ahead of the message
+    @pytest.mark.parametrize("field,tick", [("R0", 0), ("Rw", 10)])
+    def test_overflowing_covariance_is_a_breakdown_without_warnings(self, tmp_path, capsys,
+                                                                   field, tick):
+        doc = json.loads(json.dumps(presets()["example3"]))
+        doc["loops"][0]["plant"][field] = [[1e308]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--scenario", str(path), "--episodes", "3",
+                         "--dump-trace", "--dump-events", "--out", str(tmp_path / "r")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical failure: the state of loop 0 is not finite at tick {tick} of episode 0\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["huge.json"]
+
     # the counts of a run are capped where they are parsed, before any
     # array is built: numpy refused these with a raw ValueError
     @pytest.mark.parametrize("command,where,value,message", [

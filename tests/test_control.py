@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macloops import control, stats
 from macloops.control import (
@@ -174,6 +176,79 @@ class TestStackedRiccati:
         with pytest.raises(NumericalError,
                            match=r"numerically singular at step 4 \(cond=2\.00e\+16\)"):
             riccati_backward(one, B, one, one, Q2, 5)
+
+
+
+def matrix_riccati(A, B, Q0, Q1, Q2, horizon):
+    """The recursion of `riccati_backward` on (P, 1, 1) matrices, with `@` and
+    `np.linalg.solve` and its checks at each step, as S, L and W arrays."""
+    S, L, W = (np.empty((len(A), steps, 1, 1)) for steps in (horizon + 1, horizon, horizon))
+    S[:, horizon] = Q0
+    At, Bt = A.swapaxes(-1, -2), B.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(horizon - 1, -1, -1):
+            BtS, AtS = Bt @ S[:, k + 1], At @ S[:, k + 1]
+            G = Q2 + BtS @ B
+            g = G[:, 0, 0]
+            cond = np.where(g > 0.0, g / g, np.inf)
+            bad = ~(cond <= 1e14)
+            if bad.any():
+                raise NumericalError(f"Q2 + B'SB numerically singular at step {k} "
+                                     f"(cond={cond[bad.argmax()]:.2e})")
+            L_k = L[:, k] = np.linalg.solve(G, BtS @ A)
+            W[:, k] = L_k.swapaxes(-1, -2) @ G @ L_k
+            Sk = Q1 + AtS @ A - AtS @ B @ L_k
+            if not np.isfinite(Sk).all():
+                raise NumericalError(f"S_{k} is not finite: the dynamics overflow")
+            S[:, k] = 0.5 * (Sk + Sk.swapaxes(-1, -2))
+    return S, L, W
+
+
+# signed zeros, and values whose products overflow within a few steps
+_DYNAMICS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e120, -1e200]),
+                      st.floats(-3.0, 3.0))
+_WEIGHT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 3.0))
+_PROBLEM = st.tuples(_DYNAMICS, _DYNAMICS, _WEIGHT, _WEIGHT, st.floats(0.1, 3.0))
+
+
+class TestScalarRiccati:
+    """Where n = m = 1 `riccati_backward` runs in elementwise arithmetic: it
+    gives the bits of the matrix recursion, and fails where it does, with the
+    same message."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(problems=st.lists(_PROBLEM, min_size=1, max_size=30),
+           horizon=st.integers(1, 40))
+    # B'SB overflows at the last step: G is not finite
+    @example(problems=[(1.0, 1.0, 1.0, 1.0, 1.0), (1.0, 1e200, 1.0, 1.0, 1.0)], horizon=10)
+    # A'SA overflows at the second step from the end
+    @example(problems=[(1e120, 0.0, 1.0, 0.0, 1.0)], horizon=5)
+    # a zero gain of a negative B, and a -0 weight
+    @example(problems=[(2.0, -1.0, 0.0, -0.0, 1.0), (-0.0, 1.0, -0.0, 0.0, 0.5)], horizon=3)
+    def test_scalar_path_keeps_the_matrix_bits(self, problems, horizon):
+        A, B, Q0, Q1, Q2 = np.array(problems).T.reshape(5, -1, 1, 1)
+        try:
+            want = matrix_riccati(A, B, Q0, Q1, Q2, horizon)
+        except NumericalError as err:
+            with pytest.raises(NumericalError) as info:
+                riccati_backward(A, B, Q0, Q1, Q2, horizon)
+            assert str(info.value) == str(err)
+            return
+        got = riccati_backward(A, B, Q0, Q1, Q2, horizon)
+        for name, arr in zip("SLW", want):
+            assert getattr(got, name).tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("problem,message", [
+        ((1.0, 1e200, 1.0, 1.0, 1.0), r"Q2 + B'SB numerically singular at step 9 (cond=nan)"),
+        ((1e120, 0.0, 1.0, 0.0, 1.0), "S_8 is not finite: the dynamics overflow"),
+    ], ids=["singular", "overflow"])
+    def test_a_failure_has_the_matrix_message_and_step(self, problem, message):
+        A, B, Q0, Q1, Q2 = np.array([problem]).T.reshape(5, -1, 1, 1)
+        with pytest.raises(NumericalError) as want:
+            matrix_riccati(A, B, Q0, Q1, Q2, 10)
+        with pytest.raises(NumericalError) as got:
+            riccati_backward(A, B, Q0, Q1, Q2, 10)
+        assert str(got.value) == str(want.value) == message
 
 
 class TestCeControl:

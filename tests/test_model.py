@@ -227,6 +227,20 @@ class TestBatchedSeeding:
         got = [{"state": state, "inc": inc} for state, inc in pcg64_states(seed, keys)]
         assert got == want, f"numpy {np.__version__} seeds SeedSequence and PCG64 differently"
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 + 5, 2 ** 130] + [
+        int(s) for s in np.random.default_rng(24).integers(0, 2 ** 63, 4, dtype=np.uint64)])
+    def test_one_batch_of_every_roles_keys_matches_numpy(self, seed):
+        # keys of three and two entries, interleaved, given as tuples and as
+        # the engine's array of keys padded with -1
+        episodes = [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 3]
+        keys = [(ep, *role) for ep in episodes for role in ROLE_KEYS]
+        want = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
+                for key in keys]
+        padded = np.array([key + (-1,) * (3 - len(key)) for key in keys])
+        for batch in (keys, padded):
+            got = [{"state": state, "inc": inc} for state, inc in pcg64_states(seed, batch)]
+            assert got == want
+
     def test_chunk_across_two_to_the_32_draws_each_episodes_streams(self, monkeypatch):
         scn = replace(one_loop(scalar_plant(), horizon=4),
                       crm=CrmConfig(persistence=(0.5, 0.5)),
@@ -236,9 +250,9 @@ class TestBatchedSeeding:
         episodes = range(2 ** 32 - 2, 2 ** 32 + 2)
         batched = _draw_chunk(scn, layout, 11, episodes)
 
-        def one_by_one(seed, episodes, *key):
-            for ep in episodes:
-                yield RngStream(seed, (ep, *key)).generator()
+        def one_by_one(seed, episodes, *keys):
+            return [[RngStream(seed, (ep, *key)).generator() for ep in episodes]
+                    for key in keys]
 
         monkeypatch.setattr(sim, "_streams", one_by_one)
         reference = _draw_chunk(scn, layout, 11, episodes)

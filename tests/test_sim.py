@@ -782,9 +782,13 @@ class TestMonteCarlo:
                 after[self.ep] = self.gen.bit_generator.state
                 return out
 
-        def streams(seed, episodes, *key):
-            for ep, gen in zip(episodes, real(seed, episodes, *key)):
-                yield Recorded(gen, ep) if key[-1] == sim._ROLE_TRAFFIC else gen
+        def recorded(episodes, gens):
+            for ep, gen in zip(episodes, gens):
+                yield Recorded(gen, ep)
+
+        def streams(seed, episodes, *keys):
+            return [recorded(episodes, gens) if key[-1] == sim._ROLE_TRAFFIC else gens
+                    for key, gens in zip(keys, real(seed, episodes, *keys), strict=True)]
 
         monkeypatch.setattr(sim, "_streams", streams)
         monte_carlo(two_state_network(), 4, 5)
