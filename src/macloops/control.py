@@ -60,15 +60,14 @@ def riccati_backward(A, B, Q0, Q1, Q2, horizon: int) -> RiccatiSolution:
     axis, and the solution's arrays carry it.  Each problem's S, L and W
     have the bits of its solve alone.
 
-    Where n = m = 1 the recursion runs on (P,) arrays, one problem per
-    entry, by the same expressions in the same order, each `@` a product
-    and the solve a division: numpy's 1 x 1 `@` rounds the one product, and
-    its 1 x 1 solve with one right-hand side divides (it matched R / G bit
-    for bit on 200,000 random pairs; with several right-hand sides it
-    multiplies by 1 / G, so the division serves m = 1 alone).  `@` adds its
-    product to +0, so a zero it returns is never -0; the gain's numerator
-    and Q1, the two places where the sign of a zero reaches S, L or W, are
-    added to +0 to keep that.  So both paths give the same bits.
+    Where n = m = 1 the recursion runs on (P,) arrays by the same
+    expressions in the same order, with the matrix path's bits: numpy's
+    1 x 1 `@` rounds its one product, and its 1 x 1 solve with one
+    right-hand side divides (it matched R / G bit for bit on 200,000 random
+    pairs; with several it multiplies by 1 / G, so the division serves
+    m = 1 alone).  `@` adds its product to +0, so it never returns -0; the
+    gain's numerator and Q1, where the sign of a zero reaches S, L or W,
+    are added to +0 as well.
     """
     A, B, Q0, Q1, Q2 = lq_matrices(A, B, Q0, Q1, Q2)
     lead = A.shape[:-2]   # (P,) for a stack, () for one problem

@@ -319,8 +319,7 @@ def _layout(scenario: NetworkScenario) -> _Layout:
         members.setdefault((plant.n, plant.m, lc.horizon), []).append(i)
     offsets = np.cumsum([0] + [lc.plant.n * (lc.horizon + 1) for lc in loops])
     stacks = [_stack(loops, group, roots, offsets) for group in members.values()]
-    # every loop's sampling ticks, and those of the loops under another rule
-    # than `always`
+    # every loop's sampling ticks, and those of the loops not under `always`
     loop_ticks = np.concatenate([st.ticks[:, :-1].ravel() for st in stacks])
     ruled = np.concatenate([st.ticks[[loops[i].scheduler.kind != "always" for i in st.loops], :-1]
                             .ravel() for st in stacks])

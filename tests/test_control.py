@@ -178,7 +178,6 @@ class TestStackedRiccati:
             riccati_backward(one, B, one, one, Q2, 5)
 
 
-
 def matrix_riccati(A, B, Q0, Q1, Q2, horizon):
     """The recursion of `riccati_backward` on (P, 1, 1) matrices, with `@` and
     `np.linalg.solve` and its checks at each step, as S, L and W arrays."""
