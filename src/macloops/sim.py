@@ -54,18 +54,18 @@ episode's traffic table (`network.traffic_activity`).  `decide`,
 `resolve_contention` and `traffic_step` stay as the references the array
 forms are tested against.
 
-One driver, `_run_arms`, draws each chunk once and runs every arm on it:
-an arm is a (scenario variant, control law) pair.  `monte_carlo` and
-`run_episode` run one arm, `dual_effect_experiment` one per control law and
-`sweep_threshold` one per threshold, so the arms they compare meet the same
-noise, traffic and contention draws.  Each call derives everything it
-needs from its scenario once, in `_layout`: one Riccati recursion per
-stack over its members' (A, B, Q0, Q1, Q2) problems (`riccati_backward` on
-stacked matrices), one pair of noise roots for all loops with equal R0 and
-Rw, the stacks with their members' matrices, roots and solutions stacked,
+One driver, `_run_arms`, draws each chunk of its scenario once and runs
+every arm on it: an arm is a request rule per stack (`_Rule`) and a control
+law.  `monte_carlo` and `run_episode` run one arm, `dual_effect_experiment`
+one per control law and `sweep_threshold` one per threshold, so the arms
+they compare meet the same noise, traffic and contention draws.  Each call
+derives its rules (`_rules`) and everything else it needs from its scenario
+once, in `_layout`: one Riccati recursion per stack over its members' (A,
+B, Q0, Q1, Q2) problems (`riccati_backward` on stacked matrices), one pair
+of noise roots for all loops with equal R0 and Rw, the stacks (`_Stack`)
 and the fixed ticks.  `_run_arms` derives from it the plan of what every
-level does (`_plan`), once per call; a draw alone needs none.
-Every arm, chunk and tally reads that layout; nothing is kept between calls.
+level does (`_plan`) once per call; every arm, chunk and tally reads that
+layout, and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import CostReport, jdp_stack, riccati_backward
-from .errors import ConfigurationError, NumericalError, _count, _integer
+from .errors import ConfigurationError, NumericalError, _count, _integer, _real
 from .estimation import last_delivery, observer_update
 from .model import NetworkScenario, RngStream, pcg64_states, psd_sqrt
 from .network import contend, traffic_activity
@@ -728,7 +728,7 @@ def _run_chunk(
             fine = np.concatenate((fine, np.isfinite(j_lambda)[..., None]), axis=-1)
             raise _breakdown(draws.episodes, [st], [~fine], "the penalized cost")
         if tally is not None:
-            tally.add(draws.episodes, s, per_step, j, j_lambda)
+            tally.add(draws.episodes, s, rules[s], per_step, j, j_lambda)
         for slot, i in enumerate(st.loops):
             plant = scenario.loops[i].plant
             traces[i] = LoopTrace(
@@ -739,37 +739,33 @@ def _run_chunk(
     return traces
 
 
-_Arm = tuple[NetworkScenario, ControlLaw]
+_Arm = tuple[list[_Rule], ControlLaw]
 
 
-def _run_arms(arms: Sequence[_Arm], layout: _Layout, seed: int, episodes: range,
-              keep_rounds: bool = False, tallies: Optional[Sequence[_Tally]] = None):
+def _run_arms(scenario: NetworkScenario, layout: _Layout, arms: Sequence[_Arm], seed: int,
+              episodes: range, keep_rounds: bool = False, tallies: Sequence[_Tally] = ()):
     """Run every arm on each chunk of `episodes`, drawing the chunk once.
 
     The chunks run in episode order.  Each holds CHUNK_CELLS // cells
     episodes, and at least one, where cells are one episode's noise row,
     traffic and contention tables, stack step arrays and fixed-tick rounds
-    (`_Layout.cells`, of the first arm); the last may hold fewer.  Every
-    chunk is drawn on the one `layout`, the first arm's, and every arm runs
-    on it by the one plan derived from it, whose first level holds the
-    fixed ticks' rounds.  So the arms may differ in scheduler thresholds and
-    control laws, but must not differ in rule kinds, plants, weights or
-    horizons, the channel or the sources.
+    (`_Layout.cells`); the last may hold fewer.  Every chunk is drawn on
+    the scenario's `layout`, and every arm runs on it by the one plan
+    derived from it, whose first level holds the fixed ticks' rounds.
     Yields (chunk, one chunk trace per arm, one rounds log per arm), where
     an arm's log is the list `_run_chunk` fills if `keep_rounds` is set,
     else None.  Given `tallies`, one per arm, each arm's chunk is added to
     its tally before the chunk is yielded.
     """
-    scenario, plan = arms[0][0], _plan(layout)
-    rules = [_rules(scn, layout) for scn, _ in arms]
+    plan = _plan(layout)
     tallies = tallies or [None] * len(arms)
     size = max(1, CHUNK_CELLS // layout.cells)
     for start in range(episodes.start, episodes.stop, size):
         chunk = range(start, min(start + size, episodes.stop))
         draws = _draw_chunk(scenario, layout, seed, chunk)
         logs = [[] if keep_rounds else None for _ in arms]
-        batches = [_run_chunk(scn, rule, draws, law, layout, plan, log, tally)
-                   for (scn, law), rule, log, tally in zip(arms, rules, logs, tallies)]
+        batches = [_run_chunk(scenario, rules, draws, law, layout, plan, log, tally)
+                   for (rules, law), log, tally in zip(arms, logs, tallies)]
         # the traces do not refer to the draws: free them while the caller
         # reads the chunk, and hold no chunk while the next one runs
         del draws
@@ -789,8 +785,9 @@ def run_episode(
     seed."""
     seed = _integer(seed, "seed", "an integer >= 0", 0)
     episode = _integer(episode, "episode", "an integer >= 0", 0)
-    _, (batch,), _ = next(_run_arms([(scenario, control_law)], _layout(scenario), seed,
-                                    range(episode, episode + 1)))
+    layout = _layout(scenario)
+    _, (batch,), _ = next(_run_arms(scenario, layout, [(_rules(scenario, layout), control_law)],
+                                    seed, range(episode, episode + 1)))
     return [_episode_trace(tr, 0, episode) for tr in batch]
 
 
@@ -862,19 +859,18 @@ class _Tally:
         self.per_episode = np.zeros((3, episodes, len(scenario.loops)))
         # per loop: requests, attempts used, and prediction errors in the bound
         self.counts = np.zeros((3, len(scenario.loops)))
-        # per stack: its members' eps, and their sums of error outer products
-        self.eps = [np.array([scenario.loops[i].scheduler.eps for i in st.loops])[:, None]
-                    for st in self.stacks]
+        # per stack: its members' sums of error outer products
         self.p_sums = [np.zeros(st.W.shape) for st in self.stacks]
 
-    def add(self, chunk: range, s: int, steps: dict, j: np.ndarray, j_lambda: np.ndarray):
-        """Add the chunk's steps of stack s: `steps` holds its per-step
-        arrays under their `LoopTrace` names, and j and j_lambda its costs,
-        each with (episode, member) leading axes."""
+    def add(self, chunk: range, s: int, rule: _Rule, steps: dict, j: np.ndarray,
+            j_lambda: np.ndarray):
+        """Add the chunk's steps of stack s under its arm's `rule`: `steps`
+        holds its per-step arrays under their `LoopTrace` names, and j and
+        j_lambda its costs, each with (episode, member) leading axes."""
         members = self.stacks[s].loops
         self.per_episode[:, chunk.start:chunk.stop, members] = (
             j, j_lambda, steps["deltas"].sum(axis=-1))
-        hits = steps["pred_err_sq"] <= self.eps[s]
+        hits = steps["pred_err_sq"] <= rule.param[:, None]
         self.counts[:, members] += (steps["gammas"].sum(axis=(0, 2)),
                                     steps["attempts"].sum(axis=(0, 2)), hits.sum(axis=(0, 2)))
         errs = steps["errs"]
@@ -948,9 +944,9 @@ def monte_carlo(
     """
     seed, episodes = _check_run(seed, episodes)
     layout = _layout(scenario)
-    tally = _Tally(scenario, layout, episodes)
-    for chunk, (batch,), (log,) in _run_arms([(scenario, control_law)], layout, seed,
-                                             range(episodes), event_hook is not None, [tally]):
+    tally, arm = _Tally(scenario, layout, episodes), (_rules(scenario, layout), control_law)
+    for chunk, (batch,), (log,) in _run_arms(scenario, layout, [arm], seed, range(episodes),
+                                             event_hook is not None, [tally]):
         if trace_hook is not None:
             trace_hook(chunk, batch)
         if event_hook is not None:
@@ -995,12 +991,13 @@ def sweep_threshold(
     if not eps_grid:
         raise ConfigurationError("eps grid must not be empty")
     _sweepable(scenario, range(len(scenario.loops)))
-    arms = [(replace(scenario, loops=tuple(
-                replace(lc, scheduler=replace(lc.scheduler, eps=eps))
-                for lc in scenario.loops)), ce_law) for eps in eps_grid]
+    eps_grid = [_real(eps, "eps", ">= 0", 0.0) for eps in eps_grid]  # SchedulerPolicy's check
     layout = _layout(scenario)
-    tallies = [_Tally(scn, layout, episodes) for scn, _ in arms]
-    for _ in _run_arms(arms, layout, seed, range(episodes), tallies=tallies):
+    rules = _rules(scenario, layout)
+    arms = [([replace(rule, param=np.full(rule.param.shape, eps)) for rule in rules], ce_law)
+            for eps in eps_grid]
+    tallies = [_Tally(scenario, layout, episodes) for _ in arms]
+    for _ in _run_arms(scenario, layout, arms, seed, range(episodes), tallies=tallies):
         pass
     cols = {name: [] for name in
             ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate", "drop_rate")}
@@ -1065,9 +1062,10 @@ def dual_effect_experiment(
     mse_a = np.zeros(episodes)
     mse_b = np.zeros(episodes)
     never = np.iinfo(int).max
-    arms = [(scenario, law_a), (scenario, law_b)]
-    for chunk, (batch_a, batch_b), _ in _run_arms(arms, _layout(scenario), seed,
-                                                  range(episodes)):
+    layout = _layout(scenario)
+    rules = _rules(scenario, layout)
+    arms = [(rules, law_a), (rules, law_b)]
+    for chunk, (batch_a, batch_b), _ in _run_arms(scenario, layout, arms, seed, range(episodes)):
         first = np.full(len(chunk), never)
         for ta, tb in zip(batch_a, batch_b):
             diff = ta.gammas != tb.gammas

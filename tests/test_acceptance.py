@@ -29,6 +29,7 @@ from macloops.network import CrmConfig, TrafficSource
 from macloops.scheduling import SchedulerPolicy
 from macloops.sim import (
     _layout,
+    _rules,
     _run_arms,
     ce_law,
     dual_effect_experiment,
@@ -365,7 +366,8 @@ def test_criterion_10_silent_burst_noise_has_zero_mean():
     scn = single_loop(SchedulerPolicy.innovation_threshold(3.5), horizon=1000)
     # episodes 0, 1, 2, ... at seed 61, run a chunk at a time and read one
     # episode at a time, as the stopping rule needs
-    chunks = _run_arms([(scn, ce_law)], _layout(scn), 61, range(sys.maxsize))
+    layout = _layout(scn)
+    chunks = _run_arms(scn, layout, [(_rules(scn, layout), ce_law)], 61, range(sys.maxsize))
     episodes = ((tr.errs[e], tr.deltas[e]) for chunk, ((tr,),), _ in chunks
                 for e in range(len(chunk)))
     samples = []

@@ -16,7 +16,7 @@ import pytest
 from macloops.model import LoopConfig, NetworkScenario, PlantModel
 from macloops.network import CrmConfig
 from macloops.scheduling import SchedulerPolicy
-from macloops.sim import _layout, _run_arms, ce_law
+from macloops.sim import _layout, _rules, _run_arms, ce_law
 
 EPISODES = 5000
 SEED = 5
@@ -33,9 +33,11 @@ def paired_runs(policy):
     plant = PlantModel(A=1.0, B=1.0, Rw=1.0, R0=1.0)
     loop = LoopConfig(plant=plant, scheduler=policy, horizon=10, Q0=1.0, Q1=1.0, Q2=1.0)
     scn = NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(1.0,)))
-    arms = [(scn, ce_law)] + [(scn, scaled_law(alpha)) for alpha in ALPHAS]
+    layout = _layout(scn)
+    rules = _rules(scn, layout)
+    arms = [(rules, ce_law)] + [(rules, scaled_law(alpha)) for alpha in ALPHAS]
     costs, gammas = [[] for _ in arms], [[] for _ in arms]
-    for _, batches, _ in _run_arms(arms, _layout(scn), SEED, range(EPISODES)):
+    for _, batches, _ in _run_arms(scn, layout, arms, SEED, range(EPISODES)):
         for arm, (tr,) in enumerate(batches):
             costs[arm].append(tr.j)
             gammas[arm].append(tr.gammas)

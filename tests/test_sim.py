@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macloops import sim
+from macloops import cli, sim
 from macloops.cli import parse_scenario_doc
 from macloops.control import riccati_backward
 from macloops.errors import MAX_COUNT, ConfigurationError, NumericalError
@@ -264,11 +264,14 @@ class TestRunArguments:
         scn = single_loop(SchedulerPolicy.state_threshold(1.0))
         assert repr(run(scn, 2.0)) == repr(run(scn, np.int64(2))) == repr(run(scn, 2))
 
-    @pytest.mark.parametrize("eps", ["x", None, True], ids=["string", "none", "bool"])
+    @pytest.mark.parametrize("eps", ["x", None, True, -1.0, math.nan],
+                             ids=["string", "none", "bool", "negative", "nan"])
     def test_bad_sweep_value_names_eps(self, eps):
+        # in SchedulerPolicy's words, as the policy itself would refuse it
         with pytest.raises(ConfigurationError) as info:
             sweep_threshold(single_loop(SchedulerPolicy.state_threshold(1.0)), [1.0, eps], 1, 2)
         assert info.value.field == "eps"
+        assert str(info.value) == f"eps must be >= 0, got {eps!r}"
 
     @pytest.mark.parametrize("episode", [-1, 2.5, "3"], ids=["negative", "fraction", "string"])
     def test_bad_episode_is_rejected(self, episode):
@@ -301,9 +304,10 @@ class TestChunkedEngine:
                 for row in zip(*(col.tolist() for col in table), strict=True)]
         assert rows == sorted(rows, key=lambda row: row[0])
         layout = sim._layout(scn)
+        arms = [(sim._rules(scn, layout), ce_law)]
         for ep in range(episodes):
             alone = range(ep, ep + 1)
-            _, (batch,), (log,) = next(sim._run_arms([(scn, ce_law)], layout, 9, alone,
+            _, (batch,), (log,) = next(sim._run_arms(scn, layout, arms, 9, alone,
                                                      keep_rounds=True))
             for a, b in zip((sim._episode_trace(tr, 0, ep) for tr in batch), chunked[ep]):
                 assert (a.loop, a.episode) == (b.loop, b.episode) == (a.loop, ep)
@@ -385,7 +389,8 @@ def contention_rows(monkeypatch, scenario, law, episodes, seed=5):
     monkeypatch.setattr(sim, "contend", spy)
     layout = sim._layout(scenario)
     rows = {}
-    for chunk, _, (log,) in sim._run_arms([(scenario, law)], layout,
+    arms = [(sim._rules(scenario, layout), law)]
+    for chunk, _, (log,) in sim._run_arms(scenario, layout, arms,
                                           seed, range(episodes), keep_rounds=True):
         # one logged entry per contention call, whose row r is the round of
         # chunk row asking[r] at ticks[r] and whose column c is contender
@@ -1088,6 +1093,14 @@ class TestLayout:
         assert plans == []
 
 
+def mixed_rule_network():
+    """example1 with its block 1 under the innovation rule: its one stack's
+    rule mixes the state and innovation kinds."""
+    doc = cli.presets()["example1"]
+    doc["loops"][1]["scheduler"]["kind"] = "innovation"
+    return parse_scenario_doc(doc).scenario
+
+
 class TestSweep:
     def test_smoke_and_common_seeds(self):
         scn = single_loop(SchedulerPolicy.innovation_threshold(1.0), horizon=5)
@@ -1108,11 +1121,15 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_threshold(scn, [], seed=0, episodes=5)
 
-    def test_equals_monte_carlo_per_eps_bit_for_bit(self, monkeypatch):
+    @pytest.mark.parametrize("make", [
+        lambda: replace(two_state_network(), crm=CrmConfig(persistence=(1.0, 0.75, 0.5)),
+                        sources=(TrafficSource.bernoulli(0.3),)),
+        mixed_rule_network,
+    ], ids=["two-state", "mixed-rule"])
+    def test_equals_monte_carlo_per_eps_bit_for_bit(self, monkeypatch, make):
         # the run straddles a chunk boundary; each column must be what a
         # monte_carlo run of the scenario at that eps reports
-        scn = replace(two_state_network(), crm=CrmConfig(persistence=(1.0, 0.75, 0.5)),
-                      sources=(TrafficSource.bernoulli(0.3),))
+        scn = make()
         chunks_of(monkeypatch, scn)
         grid = [0.25, 1.5, 4.0]
         episodes = CHUNK + 3
@@ -1137,6 +1154,20 @@ class TestSweep:
                    ("j_mean", "j_se", "bound_prob", "request_rate", "success_rate",
                     "drop_rate")]
             assert [repr(float(v)) for v in got] == [repr(v) for v in expected], eps
+
+    def test_arms_rebuild_no_scenario(self, monkeypatch):
+        # the arms are the parsed scenario's rules at each eps: no loop or
+        # policy is built again, so none is checked again
+        scn = parse_scenario_doc("example3").scenario
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} rebuilt")
+
+        monkeypatch.setattr(LoopConfig, "__post_init__", refuse)
+        monkeypatch.setattr(SchedulerPolicy, "__post_init__", refuse)
+        res = sweep_threshold(scn, [1.0, 2.5, 4.0], seed=1, episodes=3)
+        assert res.eps.tolist() == [1.0, 2.5, 4.0]
+        assert np.isfinite(res.j_mean).all()
 
 
 class TestDualEffectExperiment:
