@@ -75,10 +75,8 @@ def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> N
     # overhead; a 1 x 1 matrix is symmetric
     if not scalar and not (abs(mat - mat_t) <= 1e-10 + 1e-5 * abs(mat_t)).all():
         raise ConfigurationError(f"{name} must be symmetric", field=name)
-    # an entry past half the largest float symmetrizes to inf: the engine's
-    # finiteness check locates that failure, so numpy need not warn of it
-    with np.errstate(over="ignore"):
-        sym = 0.5 * (mat + mat_t)
+    # a symmetric matrix keeps its own bits, and no finite entry overflows
+    sym = mat_t + 0.5 * (mat - mat_t)
     # a 1 x 1 matrix is its one eigenvalue, which eigvalsh returns as it is
     eigs = np.atleast_2d(sym[..., 0] if scalar else np.linalg.eigvalsh(sym))
     scale = np.maximum(1.0, abs(eigs).max(axis=-1, initial=0.0))
@@ -125,7 +123,9 @@ def lq_matrices(A, B, Q0, Q1, Q2) -> tuple[np.ndarray, ...]:
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix with small-eigenvalue clipping."""
-    with np.errstate(over="ignore"):   # as in check_symmetric_psd
+    # an entry past half the largest float symmetrizes to inf: the engine's
+    # finiteness check locates that failure, so numpy need not warn of it
+    with np.errstate(over="ignore"):
         cov = 0.5 * (cov + cov.T)
     eigval, eigvec = np.linalg.eigh(cov)
     if eigval.min(initial=0.0) < -PSD_CLIP * max(1.0, abs(eigval).max(initial=0.0)):

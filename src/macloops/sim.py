@@ -880,6 +880,10 @@ class _Tally:
 
     def result(self, seed: int) -> MonteCarloResult:
         episodes, loops = self.per_episode.shape[1], self.scenario.loops
+        bad = sorted((st.loops[slot], k) for st, p_sums in zip(self.stacks, self.p_sums)
+                     for slot, k in np.argwhere(~np.isfinite(p_sums).all(axis=(2, 3))).tolist())
+        if bad:
+            raise NumericalError("the error covariance of loop %d overflows at step %d" % bad[0])
         p_seqs, j_dps = {}, np.empty(len(loops))
         for st, p_sums in zip(self.stacks, self.p_sums):
             p_seq = p_sums / episodes
@@ -1037,6 +1041,7 @@ def _mean_sq_err(batch: list[LoopTrace]) -> np.ndarray:
     return np.stack(per_loop, axis=1).mean(axis=1)
 
 
+@np.errstate(over="ignore")   # an overflow of mse_a or mse_b raises a NumericalError
 def dual_effect_experiment(
     scenario: NetworkScenario,
     law_a: ControlLaw,
@@ -1076,6 +1081,9 @@ def dual_effect_experiment(
         rows = slice(chunk.start, chunk.stop)
         mse_a[rows] = _mean_sq_err(batch_a)
         mse_b[rows] = _mean_sq_err(batch_b)
+    for what, mse in (("mse_a", mse_a), ("mse_b", mse_b)):
+        if not math.isfinite(mse.mean()):
+            raise NumericalError(f"{what} overflows")
     diff = mse_a - mse_b
     return DualEffectReport(
         episodes=episodes,

@@ -948,6 +948,25 @@ class TestExitCodes:
                                            "cost of loop 0 overflows\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["wide.json"]
 
+    def test_error_covariance_overflow_is_a_breakdown(self, tmp_path, capsys):
+        # the channel never delivers: each error is a random walk of variance
+        # 1e307 a step, and the sum of 20 episodes' squares overflows; this
+        # was a validation error of p_seq[3], a field of no document
+        doc = {"crm": {"persistence": [0.0]}, "loops": [{
+            "plant": {"A": 1.0, "B": 1.0, "Rw": 1e307, "R0": 1.0},
+            "scheduler": {"kind": "always"}, "horizon": 10,
+            "weights": {"Q0": 0.0, "Q1": 0.0, "Q2": 1.0}}]}
+        path = tmp_path / "silent.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--scenario", str(path), "--episodes", "20",
+                         "--dump-trace", "--dump-events", "--out", str(tmp_path / "r")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("numerical failure: the error covariance of loop 0 "
+                                           "overflows at step 3\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["silent.json"]
+
     # a covariance of 1e308 passes its check, and its noise is not finite
     # from the first draw of its kind: tick 0 for R0, tick 10 for Rw; its
     # symmetrization overflowed with two warnings ahead of the message
@@ -966,6 +985,38 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"numerical failure: the state of loop 0 is not finite at tick {tick} of episode 0\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["huge.json"]
+
+    # a negative-definite matrix whose entries lie beyond half the largest
+    # float symmetrized to inf and passed its check: simulate then ran
+    # without that noise or weight, or broke down, and riccati broke down
+    @pytest.mark.parametrize("where,value,message", [
+        (("example3", "plant", "Rw"), -1e308, "loops[0].plant.Rw: Rw must be positive "
+                                              "semi-definite, eigenvalues [-1.e+308]"),
+        (("example3", "weights", "Q0"), -1e308, "loops[0].weights.Q0: Q0 must be positive "
+                                                "semi-definite, eigenvalues [-1.e+308]"),
+        (("matrix", "plant", "R0"), [[1e308, 0.0], [0.0, -1e308]],
+         "loops[0].plant.R0: R0 must be positive semi-definite, eigenvalues [-1.e+308  1.e+308]"),
+        (None, -1e308, "--q0: Q0 must be positive semi-definite, eigenvalues [-1.e+308]"),
+    ], ids=["Rw", "Q0", "R0-2x2", "riccati-q0"])
+    def test_overflowing_negative_matrix_is_refused(self, tmp_path, capsys, where, value,
+                                                     message):
+        if where is None:
+            argv = ["riccati", f"--q0={value!r}", "--horizon", "3"]
+        else:
+            doc = json.loads(json.dumps(
+                MATRIX_PLANT_DOC if where[0] == "matrix" else presets()[where[0]]))
+            doc["loops"][0][where[1]][where[2]] = value
+            path = tmp_path / "negative.json"
+            path.write_text(json.dumps(doc))
+            argv = ["simulate", "--scenario", str(path), "--episodes", "3",
+                    "--dump-trace", "--dump-events"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            [] if where is None else ["negative.json"])
 
     # the counts of a run are capped where they are parsed, before any
     # array is built: numpy refused these with a raw ValueError

@@ -762,6 +762,20 @@ class TestMonteCarlo:
                                match="^the standard error of mse_diff overflows$"):
                 sim._se(np.array([1e200, -1e200]), "mse_diff")
 
+    def test_error_covariance_overflow_names_its_loop_and_step(self):
+        # loops 1 and 2 never deliver, so each error is a random walk of
+        # variance 1e307 a step; the sum of the squares of 20 episodes' is
+        # not finite from step 2, which jdp_stack reported as a bad p_seq
+        loops = tuple(LoopConfig(plant=PlantModel(A=1.0, B=1.0, Rw=rw, R0=1.0),
+                                 scheduler=SchedulerPolicy.always_transmit(), horizon=10,
+                                 Q0=0.0, Q1=0.0, Q2=1.0) for rw in (1.0, 1e307, 1e307))
+        scn = NetworkScenario(loops=loops, crm=CrmConfig(persistence=(0.0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^the error covariance of loop 1 "
+                                                     "overflows at step 2$"):
+                monte_carlo(scn, 0, 20)
+
     def test_predicted_cost_matches_simulation(self):
         # with a delivery-per-request channel the closed-form cost evaluated
         # at the empirical error covariances reproduces the Monte Carlo mean
@@ -1171,6 +1185,19 @@ class TestSweep:
 
 
 class TestDualEffectExperiment:
+    def test_squared_error_overflow_is_a_breakdown(self):
+        # the channel never delivers and the noise variance is 1e307: the
+        # squared errors overflow, which was reported as mse_a = inf and a
+        # NaN mse_diff under four numpy warnings
+        loop = LoopConfig(plant=PlantModel(A=1.0, B=1.0, Rw=1e307, R0=1.0),
+                          scheduler=SchedulerPolicy.always_transmit(), horizon=10,
+                          Q0=0.0, Q1=0.0, Q2=1.0)
+        scn = NetworkScenario(loops=(loop,), crm=CrmConfig(persistence=(0.0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^mse_a overflows$"):
+                dual_effect_experiment(scn, ce_law, zero_law, 1, 20)
+
     def test_control_free_schedulers_give_identical_requests(self):
         scn = NetworkScenario(
             loops=(loop_of(SchedulerPolicy.innovation_threshold(1.0), horizon=10),
