@@ -12,7 +12,9 @@ call:
 - `_layout`, and `_layout` then `_plan`, on `flood`, `example3` and the
   half-line loop of `paired_halfline`;
 - a 34-episode `monte_carlo` on `flood`, the benchmark's call shape;
-- a 450-pair `dual_effect_experiment` on the half-line loop, likewise.
+- a 450-pair `dual_effect_experiment` on the half-line loop, likewise;
+- a 16-point `sweep_threshold` on `example3` (grid 0.5:8:0.5, seed 1) of 1
+  episode, which is mostly set-up, and of 400 episodes.
 Per call shape the file holds each side's median over the rounds, the
 change's median over the parent's, the median of the per-round
 parent/change time ratios (above 1 when the change is faster) and the
@@ -37,7 +39,8 @@ from bench_pairs import unpack  # noqa: E402
 
 SHAPES = ["layout:flood", "layout:example3", "layout:halfline",
           "layout_plan:flood", "layout_plan:example3", "layout_plan:halfline",
-          "monte_carlo:flood:34", "dual_effect:halfline:450"]
+          "monte_carlo:flood:34", "dual_effect:halfline:450",
+          "sweep:example3:16x1", "sweep:example3:16x400"]
 
 
 def child(best_of: int) -> dict:
@@ -54,6 +57,10 @@ def child(best_of: int) -> dict:
     calls["monte_carlo:flood:34"] = lambda: sim.monte_carlo(scenarios["flood"], 1, 34)
     calls["dual_effect:halfline:450"] = lambda: sim.dual_effect_experiment(
         scenarios["halfline"], sim.ce_law, sim.zero_law, 1, 450)
+    grid = [0.5 * i for i in range(1, 17)]
+    for episodes in (1, 400):
+        calls[f"sweep:example3:16x{episodes}"] = lambda episodes=episodes: sim.sweep_threshold(
+            scenarios["example3"], grid, 1, episodes)
     out = {}
     for shape in SHAPES:
         calls[shape]()
