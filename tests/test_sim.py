@@ -1179,9 +1179,12 @@ class TestSweep:
 
         monkeypatch.setattr(LoopConfig, "__post_init__", refuse)
         monkeypatch.setattr(SchedulerPolicy, "__post_init__", refuse)
+        calls, rules = [], sim._rules
+        monkeypatch.setattr(sim, "_rules", lambda *args: calls.append(args) or rules(*args))
         res = sweep_threshold(scn, [1.0, 2.5, 4.0], seed=1, episodes=3)
         assert res.eps.tolist() == [1.0, 2.5, 4.0]
         assert np.isfinite(res.j_mean).all()
+        assert len(calls) == 1
 
 
 class TestDualEffectExperiment:
