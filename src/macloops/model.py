@@ -193,11 +193,13 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
+def pcg64_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) that `RngStream(seed, key).generator()` starts
-    from, for each spawn key of non-negative ints in `keys`, all keys at
-    once.  `keys` is a sequence of keys, which may differ in length, or an
-    (n, K) int array of them, each padded with -1 past its end.
+    from, for each spawn key in `keys`, all keys at once.  `keys` is an
+    (n, K) int array, each key padded with -1 past its end, whose entries
+    lie in [0, 2**32), so that each is one of SeedSequence's 32-bit words;
+    any other `keys` raises a ConfigurationError that names it.  The seed
+    may be any int >= 0.
 
     It runs numpy's SeedSequence for all rows at once: the seed's 32-bit
     words, zero-padded to the pool size, fill the pool and are mixed across
@@ -206,36 +208,21 @@ def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
     one array step per word position.  Then `generate_state(4, uint64)`,
     and PCG64's two-step `srandom` on 128-bit Python ints.
     """
-    if not isinstance(keys, np.ndarray):
-        width = max(map(len, keys))
-        keys = [[*key, *[-1] * (width - len(key))] for key in keys]
-    try:
-        keys = np.array(keys, dtype=np.int64).reshape(len(keys), -1)
-    except OverflowError:
-        # entries past int64 are split as Python ints
-        keys = np.array(keys, dtype=object).reshape(len(keys), -1)
-    n, valid = len(keys), keys >= 0
+    if not (isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype.kind in "iu"
+            and ((keys >= -1) & (keys <= _MASK32)).all()
+            and not ((keys[:, :-1] < 0) & (keys[:, 1:] >= 0)).any()):
+        raise ConfigurationError("keys must be an (n, K) int array of entries in [0, 2**32), "
+                                 "each key padded with -1 past its end", field="keys")
+    n = len(keys)
     # without a key numpy does not pad, but fills the pool with the hash of 0
     # all the same
     entropy = _words(seed)
     entropy += [0] * (_POOL - len(entropy))
-    # each row's further words, left-aligned: the seed's past the pool, then
-    # each key entry's in turn, split as numpy splits it (0 is one word); a
-    # row has `lengths` of them
-    levels, rest = [], np.where(valid, keys, 0)
-    while not levels or valid.any():
-        levels.append(((rest & _MASK32).astype(np.uint32), valid))
-        rest = rest >> 32
-        valid = rest > 0
-    words, present = (np.stack(arrays).transpose(2, 0, 1).reshape(-1, n)
-                      for arrays in zip(*levels))
-    extra = len(entropy) - _POOL
+    # each row's further words: the seed's past the pool, then its key's
+    # entries; a row has `lengths` of them, and its padding is never mixed in
     words = np.concatenate((np.repeat(np.array(entropy[_POOL:], dtype=np.uint32)[:, None],
-                                      n, axis=1), words))
-    present = np.concatenate((np.ones((extra, n), dtype=bool), present))
-    lengths = present.sum(axis=0)
-    if not present.all():
-        words = np.take_along_axis(words, np.argsort(~present, axis=0, kind="stable"), axis=0)
+                                      n, axis=1), keys.T.astype(np.uint32)))
+    lengths = len(entropy) - _POOL + (keys >= 0).sum(axis=1)
     # one hashing call per pool word, one per ordered pair of pool words,
     # then four per further word
     c = _constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(words))

@@ -78,7 +78,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import CostReport, jdp_stack, riccati_backward
-from .errors import ConfigurationError, NumericalError, _count, _integer, _real
+from .errors import MAX_COUNT, ConfigurationError, NumericalError, _count, _integer, _real
 from .estimation import last_delivery, observer_update
 from .model import NetworkScenario, RngStream, pcg64_states, psd_sqrt
 from .network import contend, traffic_activity
@@ -449,13 +449,9 @@ def _streams(seed: int, episodes: range, *keys: tuple) -> list:
     in some other way than `pcg64_states` computes.
     """
     n_ep, width = len(episodes), 1 + max(map(len, keys))
-    try:
-        first = np.arange(episodes.start, episodes.stop, dtype=np.int64)
-    except OverflowError:
-        first = np.array(episodes, dtype=object)
     # one block of keys per role, each padded with -1 to the longest
-    rows = np.full((len(keys), n_ep, width), -1, dtype=first.dtype)
-    rows[:, :, 0] = first
+    rows = np.full((len(keys), n_ep, width), -1, dtype=np.int64)
+    rows[:, :, 0] = np.arange(episodes.start, episodes.stop)
     for block, key in zip(rows, keys):
         block[:, 1:1 + len(key)] = key
     states = pcg64_states(seed, rows.reshape(-1, width))
@@ -782,9 +778,10 @@ def run_episode(
     """Simulate one episode and return one trace per loop, as views into
     the arrays of its one-episode chunk.  Its contention events are its rows
     of the `EventTable` that `monte_carlo`'s event hook gets for the same
-    seed."""
+    seed.  `episode` is an int in [0, MAX_COUNT), the episodes a run can
+    hold; any other raises a ConfigurationError that names it."""
     seed = _integer(seed, "seed", "an integer >= 0", 0)
-    episode = _integer(episode, "episode", "an integer >= 0", 0)
+    episode = _integer(episode, "episode", f"an integer in [0, {MAX_COUNT:,})", 0, MAX_COUNT - 1)
     layout = _layout(scenario)
     _, (batch,), _ = next(_run_arms(scenario, layout, [(_rules(scenario, layout), control_law)],
                                     seed, range(episode, episode + 1)))

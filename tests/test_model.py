@@ -1,15 +1,15 @@
 """Plant dynamics, the innovation the scheduler sees, and seeded noise, as
 the episode engine runs them."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macloops import model, sim
 from macloops.cli import EXIT_NUMERICAL, main
 from macloops.control import RiccatiSolution
-from macloops.errors import ConfigurationError, NumericalError
+from macloops.errors import MAX_COUNT, ConfigurationError, NumericalError
 from macloops.model import (
     LoopConfig,
     NetworkScenario,
@@ -214,54 +214,71 @@ ROLE_KEYS = [(0, sim._ROLE_NOISE), (sim.SOURCE_CONTENDER_BASE, sim._ROLE_TRAFFIC
              (sim._ROLE_CONTENTION,)]
 
 
+def numpy_states(seed, keys):
+    return [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
+            for key in keys]
+
+
+def padded(keys, width=3):
+    return np.array([[*key, *[-1] * (width - len(key))] for key in keys], dtype=np.int64)
+
+
+def batched_states(seed, keys):
+    return [{"state": state, "inc": inc} for state, inc in pcg64_states(seed, padded(keys))]
+
+
+# a key entry is one 32-bit word: 0, the largest, and the largest episode a
+# run can hold among them
+ENTRIES = [0, 1, 7, 2 ** 31, 2 ** 32 - 1, MAX_COUNT - 1]
+
+
 class TestBatchedSeeding:
     @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 + 5, 2 ** 130] + [
         int(s) for s in np.random.default_rng(24).integers(0, 2 ** 63, 4, dtype=np.uint64)])
     @pytest.mark.parametrize("role", ROLE_KEYS, ids=["noise", "traffic", "contention"])
     def test_states_match_numpy(self, seed, role):
-        # episodes of one, two and three 32-bit words in one batch
-        episodes = [0, 1, 7, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 + 5]
-        keys = [(ep, *role) for ep in episodes]
-        want = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
-                for key in keys]
-        got = [{"state": state, "inc": inc} for state, inc in pcg64_states(seed, keys)]
-        assert got == want, f"numpy {np.__version__} seeds SeedSequence and PCG64 differently"
+        keys = [(ep, *role) for ep in ENTRIES]
+        assert batched_states(seed, keys) == numpy_states(seed, keys), \
+            f"numpy {np.__version__} seeds SeedSequence and PCG64 differently"
 
     @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 + 5, 2 ** 130] + [
         int(s) for s in np.random.default_rng(24).integers(0, 2 ** 63, 4, dtype=np.uint64)])
     def test_one_batch_of_every_roles_keys_matches_numpy(self, seed):
-        # keys of three and two entries, interleaved, given as tuples and as
-        # the engine's array of keys padded with -1
-        episodes = [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 3]
-        keys = [(ep, *role) for ep in episodes for role in ROLE_KEYS]
-        want = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
-                for key in keys]
-        padded = np.array([key + (-1,) * (3 - len(key)) for key in keys])
-        for batch in (keys, padded):
-            got = [{"state": state, "inc": inc} for state, inc in pcg64_states(seed, batch)]
-            assert got == want
+        # keys of three and two entries, interleaved, as the engine's array
+        # of keys padded with -1
+        keys = [(ep, *role) for ep in ENTRIES for role in ROLE_KEYS]
+        assert batched_states(seed, keys) == numpy_states(seed, keys)
 
-    def test_chunk_across_two_to_the_32_draws_each_episodes_streams(self, monkeypatch):
-        scn = replace(one_loop(scalar_plant(), horizon=4),
-                      crm=CrmConfig(persistence=(0.5, 0.5)),
-                      sources=(TrafficSource.bernoulli(0.3),
-                               TrafficSource(kind="markov", p_on=0.3, p_off=0.5)))
-        layout = _layout(scn)
-        episodes = range(2 ** 32 - 2, 2 ** 32 + 2)
-        batched = _draw_chunk(scn, layout, 11, episodes)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 160 - 1),
+           keys=st.lists(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3),
+                         min_size=1, max_size=40))
+    @example(seed=0, keys=[[0], [0, 0, 0]])
+    @example(seed=2 ** 160 - 1, keys=[[2 ** 32 - 1], [2 ** 32 - 1] * 3, [0, 2 ** 32 - 1]])
+    def test_every_key_of_one_word_entries_matches_numpy(self, seed, keys):
+        # keys of mixed lengths, padded with -1 to three entries
+        assert batched_states(seed, keys) == numpy_states(seed, keys)
 
-        def one_by_one(seed, episodes, *keys):
-            return [[RngStream(seed, (ep, *key)).generator() for ep in episodes]
-                    for key in keys]
+    @pytest.mark.parametrize("keys", [
+        np.array([[0, 2 ** 32]]), np.array([[2 ** 40, -1]]), np.array([[3, -2]]),
+        np.array([[3, -1, 0]]), np.array([[-1, 5]]), np.array([[2 ** 64 + 1]], dtype=object),
+        np.array([[1.0, 2.0]]), np.array([0, 1]), [[0, 1], [2, -1]], [(0, 1), (2,)]],
+        ids=["two-to-the-32", "past-int32", "below-minus-one", "entry-after-padding",
+             "padding-first", "object", "float", "one-dimensional", "list", "tuples"])
+    def test_keys_outside_the_domain_are_refused(self, keys):
+        with pytest.raises(ConfigurationError, match="^keys must be an") as info:
+            pcg64_states(0, keys)
+        assert info.value.field == "keys"
 
-        monkeypatch.setattr(sim, "_streams", one_by_one)
-        reference = _draw_chunk(scn, layout, 11, episodes)
-        assert batched.tables is not None and batched.active.any()
-        for name in ("stack_x0", "stack_noise"):
-            assert all(np.array_equal(a, b) for a, b in
-                       zip(getattr(batched, name), getattr(reference, name), strict=True))
-        assert np.array_equal(batched.active, reference.active)
-        assert np.array_equal(batched.tables, reference.tables)
+    def test_an_episode_no_run_holds_is_refused(self):
+        scn = one_loop(scalar_plant())
+        assert run_episode(scn, 3, MAX_COUNT - 1)[0].episode == MAX_COUNT - 1
+        for episode in (MAX_COUNT, 2 ** 32):
+            with pytest.raises(ConfigurationError) as info:
+                run_episode(scn, 3, episode)
+            assert info.value.field == "episode"
+            assert str(info.value) == (f"episode must be an integer in [0, 10,000,000), "
+                                       f"got {episode}")
 
     def test_a_wrong_constant_is_a_numerical_error(self, monkeypatch, tmp_path, capsys):
         # each chunk checks its first stream of each role against numpy's
