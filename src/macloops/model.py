@@ -71,12 +71,16 @@ def check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> N
     if mat.shape[-1] != mat.shape[-2]:
         raise ConfigurationError(f"{name} must be square, got shape {mat.shape}", field=name)
     mat_t, scalar = mat.swapaxes(-1, -2), mat.shape[-1] == 1
+    # mirrored entries of opposite sign past half the largest float differ
+    # by inf, which fails the test below: numpy need not warn of it
+    with np.errstate(over="ignore"):
+        diff = mat - mat_t
     # np.allclose(mat, mat_t, atol=1e-10) on finite values, without its
     # overhead; a 1 x 1 matrix is symmetric
-    if not scalar and not (abs(mat - mat_t) <= 1e-10 + 1e-5 * abs(mat_t)).all():
+    if not scalar and not (abs(diff) <= 1e-10 + 1e-5 * abs(mat_t)).all():
         raise ConfigurationError(f"{name} must be symmetric", field=name)
     # a symmetric matrix keeps its own bits, and no finite entry overflows
-    sym = mat_t + 0.5 * (mat - mat_t)
+    sym = mat_t + 0.5 * diff
     # a 1 x 1 matrix is its one eigenvalue, which eigvalsh returns as it is
     eigs = np.atleast_2d(sym[..., 0] if scalar else np.linalg.eigvalsh(sym))
     scale = np.maximum(1.0, abs(eigs).max(axis=-1, initial=0.0))

@@ -161,9 +161,11 @@ class LoopTrace:
     j_lambda: float
 
     def part(self, episodes: slice) -> LoopTrace:
-        """The given episodes of a chunk trace, as views into its arrays."""
-        return replace(self, **{name: getattr(self, name)[episodes]
-                                for name in (*_PER_STEP, "terminal_cost", "j", "j_lambda")})
+        """The given episodes of a chunk trace, as views into its arrays,
+        whose `episode` is the first of them."""
+        return replace(self, episode=self.episode + episodes.indices(len(self.j))[0],
+                       **{name: getattr(self, name)[episodes]
+                          for name in (*_PER_STEP, "terminal_cost", "j", "j_lambda")})
 
 
 _PER_STEP = ("xs", "us", "gammas", "deltas", "attempts", "xhats", "errs",

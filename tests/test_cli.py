@@ -1018,6 +1018,33 @@ class TestExitCodes:
         assert sorted(path.name for path in tmp_path.iterdir()) == (
             [] if where is None else ["negative.json"])
 
+    # mirrored entries of opposite sign past half the largest float differ
+    # by inf: the refusal came after numpy's overflow warning, or under
+    # warnings as errors as a raw traceback
+    @pytest.mark.parametrize("where,message", [
+        ("Rw", "loops[0].plant.Rw: Rw must be symmetric"),
+        (None, "--q0: Q0 must be symmetric"),
+    ], ids=["Rw", "riccati-q0"])
+    def test_overflowing_asymmetric_matrix_is_refused(self, tmp_path, capsys, where, message):
+        value = [[1.0, 1e308], [-1e308, 1.0]]
+        if where is None:
+            argv = ["riccati", "--a", "[[1,0],[0,1]]", "--b", "[[1],[0]]",
+                    "--q1", "[[1,0],[0,1]]", "--q0", json.dumps(value), "--horizon", "2"]
+        else:
+            doc = json.loads(json.dumps(MATRIX_PLANT_DOC))
+            doc["loops"][0]["plant"][where] = value
+            path = tmp_path / "asymmetric.json"
+            path.write_text(json.dumps(doc))
+            argv = ["simulate", "--scenario", str(path), "--episodes", "3",
+                    "--dump-trace", "--dump-events"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            [] if where is None else ["asymmetric.json"])
+
     # the counts of a run are capped where they are parsed, before any
     # array is built: numpy refused these with a raw ValueError
     @pytest.mark.parametrize("command,where,value,message", [

@@ -318,6 +318,21 @@ class TestChunkedEngine:
             assert events, ep
             assert events == [row for row in rows if row[0] == ep]
 
+    def test_a_part_of_a_chunk_trace_starts_at_its_first_episode(self):
+        # example3's first chunk holds episodes 0 to 141: the trace dump
+        # writes each chunk in parts of episodes
+        chunks = []
+        monte_carlo(parse_scenario_doc("example3").scenario, 0, 150,
+                    trace_hook=lambda chunk, traces: chunks.append((chunk, traces)))
+        assert [chunk for chunk, _ in chunks] == [range(142), range(142, 150)]
+        for chunk, traces in chunks:
+            for part in (slice(0, 64), slice(64, 128), slice(128, 192), slice(2, 5)):
+                for tr in traces:
+                    got = tr.part(part)
+                    assert (got.loop, got.episode) == (tr.loop, chunk[part].start)
+                    assert np.array_equal(got.xs, tr.xs[part])
+                    assert np.array_equal(got.j, tr.j[part])
+
     def test_one_input_holds_for_every_episode_and_loop(self, monkeypatch):
         # example1's loops form one stack, called with several sampling loops
         # per tick; a law's single (m,) input must reach every episode and

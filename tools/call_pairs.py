@@ -12,6 +12,8 @@ call:
 - `_layout`, and `_layout` then `_plan`, on `flood`, `example3` and the
   half-line loop of `paired_halfline`;
 - a 34-episode `monte_carlo` on `flood`, the benchmark's call shape;
+- `run_episode` on `flood`, a one-episode chunk, so mostly the chunk's
+  stream seeding and set-up;
 - a 450-pair `dual_effect_experiment` on the half-line loop, likewise;
 - a 16-point `sweep_threshold` on `example3` (grid 0.5:8:0.5, seed 1) of 1
   episode, which is mostly set-up, and of 400 episodes.
@@ -39,7 +41,7 @@ from bench_pairs import unpack  # noqa: E402
 
 SHAPES = ["layout:flood", "layout:example3", "layout:halfline",
           "layout_plan:flood", "layout_plan:example3", "layout_plan:halfline",
-          "monte_carlo:flood:34", "dual_effect:halfline:450",
+          "monte_carlo:flood:34", "run_episode:flood", "dual_effect:halfline:450",
           "sweep:example3:16x1", "sweep:example3:16x400"]
 
 
@@ -55,6 +57,7 @@ def child(best_of: int) -> dict:
         calls[f"layout:{name}"] = lambda scn=scn: sim._layout(scn)
         calls[f"layout_plan:{name}"] = lambda scn=scn: sim._plan(sim._layout(scn))
     calls["monte_carlo:flood:34"] = lambda: sim.monte_carlo(scenarios["flood"], 1, 34)
+    calls["run_episode:flood"] = lambda: sim.run_episode(scenarios["flood"], 1, 0)
     calls["dual_effect:halfline:450"] = lambda: sim.dual_effect_experiment(
         scenarios["halfline"], sim.ce_law, sim.zero_law, 1, 450)
     grid = [0.5 * i for i in range(1, 17)]
