@@ -263,7 +263,7 @@ class TestBatchedSeeding:
         np.array([[0, 2 ** 32]]), np.array([[2 ** 40, -1]]), np.array([[3, -2]]),
         np.array([[3, -1, 0]]), np.array([[-1, 5]]), np.array([[2 ** 64 + 1]], dtype=object),
         np.array([[1.0, 2.0]]), np.array([0, 1]), [[0, 1], [2, -1]], [(0, 1), (2,)]],
-        ids=["two-to-the-32", "past-int32", "below-minus-one", "entry-after-padding",
+        ids=["two-to-the-32", "two-to-the-40", "below-minus-one", "entry-after-padding",
              "padding-first", "object", "float", "one-dimensional", "list", "tuples"])
     def test_keys_outside_the_domain_are_refused(self, keys):
         with pytest.raises(ConfigurationError, match="^keys must be an") as info:
